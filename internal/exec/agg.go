@@ -3,9 +3,11 @@ package exec
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"repro/internal/expr"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // AggKind identifies an aggregate function.
@@ -130,18 +132,17 @@ func sanitizeAggName(n string) string {
 type aggAcc struct {
 	kind  AggKind
 	typ   types.Type
+	seen  bool
 	count int64
 	sumI  int64
 	sumF  float64
-	minV  types.Value
-	maxV  types.Value
-	seen  bool
+	best  types.Value // running MIN or MAX
 	// distinct values for COUNT(DISTINCT) in hash mode.
 	distinct map[string]bool
 }
 
-func newAggAcc(spec *AggSpec) *aggAcc {
-	acc := &aggAcc{kind: spec.Kind}
+func newAggAcc(spec *AggSpec) aggAcc {
+	acc := aggAcc{kind: spec.Kind}
 	if spec.Arg != nil {
 		acc.typ = spec.Arg.Type()
 	}
@@ -152,7 +153,9 @@ func newAggAcc(spec *AggSpec) *aggAcc {
 }
 
 // update folds one input value into the accumulator (v ignored for
-// COUNT(*)).
+// COUNT(*)) — the single-value form, for row-at-a-time callers and the
+// aggregates accTable has no typed loop for. COUNT(DISTINCT) sets are
+// maintained by accTable.update, which accounts their bytes.
 func (a *aggAcc) update(v types.Value) {
 	switch a.kind {
 	case AggCountStar:
@@ -160,10 +163,6 @@ func (a *aggAcc) update(v types.Value) {
 	case AggCount:
 		if !v.Null {
 			a.count++
-		}
-	case AggCountDistinct:
-		if !v.Null {
-			a.distinct[distinctKey(v)] = true
 		}
 	case AggSum, AggAvg:
 		if v.Null {
@@ -177,54 +176,14 @@ func (a *aggAcc) update(v types.Value) {
 			a.sumI += v.I
 			a.sumF += float64(v.I)
 		}
-	case AggMin:
+	case AggMin, AggMax:
 		if v.Null {
 			return
 		}
-		if !a.seen || v.Compare(a.minV) < 0 {
-			a.minV = v
+		if !a.seen || (a.kind == AggMin && v.Compare(a.best) < 0) || (a.kind == AggMax && v.Compare(a.best) > 0) {
+			a.best = v
 		}
 		a.seen = true
-	case AggMax:
-		if v.Null {
-			return
-		}
-		if !a.seen || v.Compare(a.maxV) > 0 {
-			a.maxV = v
-		}
-		a.seen = true
-	}
-}
-
-// updateRun folds a run of `n` identical values — the RLE-direct fast path
-// (paper §6.1: operators "operate directly on encoded data", which is
-// "especially important for ... certain low level aggregates").
-func (a *aggAcc) updateRun(v types.Value, n int64) {
-	switch a.kind {
-	case AggCountStar:
-		a.count += n
-	case AggCount:
-		if !v.Null {
-			a.count += n
-		}
-	case AggCountDistinct:
-		if !v.Null {
-			a.distinct[distinctKey(v)] = true
-		}
-	case AggSum, AggAvg:
-		if v.Null {
-			return
-		}
-		a.seen = true
-		a.count += n
-		if v.Typ == types.Float64 {
-			a.sumF += v.F * float64(n)
-		} else {
-			a.sumI += v.I * n
-			a.sumF += float64(v.I) * float64(n)
-		}
-	default:
-		a.update(v) // min/max of a run is the run value
 	}
 }
 
@@ -248,79 +207,194 @@ func (a *aggAcc) final() types.Value {
 			return types.NewNull(types.Float64)
 		}
 		return types.NewFloat(a.sumF / float64(a.count))
-	case AggMin:
+	default: // AggMin, AggMax
 		if !a.seen {
 			return types.NewNull(a.typ)
 		}
-		return a.minV
-	default: // AggMax
-		if !a.seen {
-			return types.NewNull(a.typ)
-		}
-		return a.maxV
+		return a.best
 	}
 }
 
-// partial serializes the accumulator as partial-state values (prepass
-// output; see AggSpec.PartialCols).
-func (a *aggAcc) partial() []types.Value {
+// partial appends the accumulator's partial-state values (prepass output;
+// see AggSpec.PartialCols) to dst.
+func (a *aggAcc) partial(dst []types.Value) []types.Value {
 	switch a.kind {
 	case AggCountStar, AggCount:
-		return []types.Value{types.NewInt(a.count)}
+		return append(dst, types.NewInt(a.count))
 	case AggAvg:
 		if !a.seen {
-			return []types.Value{types.NewNull(types.Float64), types.NewInt(0)}
+			return append(dst, types.NewNull(types.Float64), types.NewInt(0))
 		}
-		return []types.Value{types.NewFloat(a.sumF), types.NewInt(a.count)}
-	case AggSum:
-		return []types.Value{a.final()}
-	case AggMin, AggMax:
-		return []types.Value{a.final()}
+		return append(dst, types.NewFloat(a.sumF), types.NewInt(a.count))
+	case AggSum, AggMin, AggMax:
+		return append(dst, a.final())
 	default:
-		return nil
+		return dst
 	}
 }
 
-// mergePartial folds partial-state values (as produced by partial) in.
-func (a *aggAcc) mergePartial(vals []types.Value) {
-	switch a.kind {
-	case AggCountStar, AggCount:
-		a.count += vals[0].I
-	case AggAvg:
-		if vals[0].Null {
-			return
-		}
-		a.seen = true
-		a.sumF += vals[0].F
-		a.count += vals[1].I
-	case AggSum:
-		if vals[0].Null {
-			return
-		}
-		a.seen = true
-		if a.typ == types.Float64 {
-			a.sumF += vals[0].F
-		} else {
-			a.sumI += vals[0].I
-		}
-	case AggMin:
-		if !vals[0].Null {
-			a.update(vals[0])
-		}
-	case AggMax:
-		if !vals[0].Null {
-			a.update(vals[0])
+// accTable holds the accumulators of every group of a Prepass or GroupBy in
+// one flat slice, group-major: aggregate a of group g is accs[g*len(specs)+a].
+// Groups are numbered as the operator's hashTable numbers their key rows.
+// Input is folded in column at a time, so the per-aggregate type dispatch
+// happens once per batch and a row joining an existing group allocates
+// nothing.
+type accTable struct {
+	specs []AggSpec
+	accs  []aggAcc
+	// distinctBytes is what the COUNT(DISTINCT) sets hold.
+	distinctBytes int64
+}
+
+// Bytes charged per accumulator and per COUNT(DISTINCT) set entry (string
+// header, map slot and bucket share; the key's bytes are added on top).
+const (
+	aggAccBytes        = int64(unsafe.Sizeof(aggAcc{}))
+	distinctEntryBytes = 48
+)
+
+// memBytes is what the accumulators hold, for the operator's grant.
+func (t *accTable) memBytes() int64 { return int64(len(t.accs))*aggAccBytes + t.distinctBytes }
+
+func (t *accTable) reset() { t.accs, t.distinctBytes = t.accs[:0], 0 }
+
+// addGroup appends a fresh group's accumulators.
+func (t *accTable) addGroup() {
+	for a := range t.specs {
+		t.accs = append(t.accs, newAggAcc(&t.specs[a]))
+	}
+}
+
+// update folds input rows into their groups: row lo+i of each aggregate's
+// flat argument vector goes to group gids[i].
+func (t *accTable) update(gids []int32, args []*vector.Vector, lo int) {
+	na := len(t.specs)
+	for a := range t.specs {
+		accs, arg := t.accs[a:], args[a]
+		switch t.specs[a].Kind {
+		case AggCountStar:
+			for _, g := range gids {
+				accs[int(g)*na].count++
+			}
+		case AggCount:
+			for i, g := range gids {
+				if !arg.NullAt(lo + i) {
+					accs[int(g)*na].count++
+				}
+			}
+		case AggSum, AggAvg:
+			for i, g := range gids {
+				p := lo + i
+				if arg.NullAt(p) {
+					continue
+				}
+				acc := &accs[int(g)*na]
+				acc.seen = true
+				acc.count++
+				if arg.Typ == types.Float64 {
+					acc.sumF += arg.Floats[p]
+				} else {
+					acc.sumI += arg.Ints[p]
+					acc.sumF += float64(arg.Ints[p])
+				}
+			}
+		case AggMin, AggMax:
+			for i, g := range gids {
+				accs[int(g)*na].update(arg.ValueAt(lo + i))
+			}
+		case AggCountDistinct:
+			for i, g := range gids {
+				p := lo + i
+				if arg.NullAt(p) {
+					continue
+				}
+				set, key := accs[int(g)*na].distinct, distinctKey(arg.ValueAt(p))
+				if !set[key] {
+					set[key] = true
+					t.distinctBytes += distinctEntryBytes + int64(len(key))
+				}
+			}
 		}
 	}
 }
 
-// memBytes estimates the accumulator's footprint for budget accounting.
-func (a *aggAcc) memBytes() int64 {
-	b := int64(96)
-	if a.distinct != nil {
-		b += int64(len(a.distinct)) * 32
+// merge folds partial-state rows (as partial produces them) into their
+// groups: row lo+i of the partial columns goes to group gids[i].
+func (t *accTable) merge(gids []int32, partials []*vector.Vector, lo int) {
+	na, col := len(t.specs), 0
+	for a := range t.specs {
+		accs, p := t.accs[a:], partials[col]
+		switch t.specs[a].Kind {
+		case AggCountStar, AggCount:
+			for i, g := range gids {
+				accs[int(g)*na].count += p.Ints[lo+i]
+			}
+		case AggAvg:
+			cnt := partials[col+1]
+			for i, g := range gids {
+				if r := lo + i; !p.NullAt(r) {
+					acc := &accs[int(g)*na]
+					acc.seen = true
+					acc.sumF += p.Floats[r]
+					acc.count += cnt.Ints[r]
+				}
+			}
+		case AggSum:
+			for i, g := range gids {
+				r := lo + i
+				if p.NullAt(r) {
+					continue
+				}
+				acc := &accs[int(g)*na]
+				acc.seen = true
+				if p.Typ == types.Float64 {
+					acc.sumF += p.Floats[r]
+				} else {
+					acc.sumI += p.Ints[r]
+				}
+			}
+		case AggMin, AggMax:
+			for i, g := range gids {
+				accs[int(g)*na].update(p.ValueAt(lo + i))
+			}
+		}
+		col += t.specs[a].PartialWidth()
 	}
-	return b
+}
+
+// appendPartials appends every group's partial-state values, in group
+// order, to the partial columns.
+func (t *accTable) appendPartials(cols []*vector.Vector) {
+	var buf [2]types.Value
+	na, col := len(t.specs), 0
+	for a := range t.specs {
+		for i := a; i < len(t.accs); i += na {
+			for w, v := range t.accs[i].partial(buf[:0]) {
+				cols[col+w].AppendValue(v)
+			}
+		}
+		col += t.specs[a].PartialWidth()
+	}
+}
+
+// appendFinals appends the final aggregate values of the given groups, in
+// that order, to one column per aggregate.
+func (t *accTable) appendFinals(cols []*vector.Vector, groups []int) {
+	na := len(t.specs)
+	for a := range t.specs {
+		for _, g := range groups {
+			cols[a].AppendValue(t.accs[g*na+a].final())
+		}
+	}
+}
+
+// partialRow appends group g's partial-state values to a row (spill runs).
+func (t *accTable) partialRow(row types.Row, g int) types.Row {
+	na := len(t.specs)
+	for a := 0; a < na; a++ {
+		row = t.accs[g*na+a].partial(row)
+	}
+	return row
 }
 
 // distinctKey canonicalizes a value for distinct-set membership.

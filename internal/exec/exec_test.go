@@ -261,7 +261,7 @@ func TestScanSIPFilter(t *testing.T) {
 	sip := NewSIPFilter([]int{0}, "j1")
 	keys := map[uint64]bool{}
 	for _, k := range []int64{5, 10, 15} {
-		keys[HashKeyOfRow(types.Row{types.NewInt(k)}, []int{0})] = true
+		keys[types.HashRow(types.Row{types.NewInt(k)}, []int{0})] = true
 	}
 	sip.Publish(keys)
 	s.SIPs = []*SIPFilter{sip}

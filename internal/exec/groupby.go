@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/expr"
 	"repro/internal/types"
@@ -37,34 +36,130 @@ type GroupBy struct {
 
 	schema *types.Schema
 
-	// hash state
-	groups   map[uint64][]*groupEntry
-	memUsed  int64
-	budget   int64 // starts at Ctx.MemBudget, grows by grant renegotiation
-	extDone  bool  // denied with no spill fallback: stop renegotiating
-	spills   []*spillReader
-	rowArity int
+	groups  *groupSet
+	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
+	extDone bool  // denied with no spill fallback: stop renegotiating
+	spills  []*spillReader
 
-	// one-pass state
-	curKey  types.Row
-	curAccs []*aggAcc
-
-	// output
-	out    []types.Row
-	outPos int
+	out    []*vector.Batch
 	opened bool
 	prof   OpProf
 }
 
-type groupEntry struct {
-	key  types.Row
-	accs []*aggAcc
+// groupSet is the state Prepass and GroupBy aggregate into: group keys in
+// the shared columnar hashTable, accumulators in an accTable, both numbered
+// by the order groups were first seen.
+type groupSet struct {
+	table *hashTable
+	accs  accTable
+	keys  []expr.Expr
+	args  []expr.Expr // each aggregate's argument, nil for COUNT(*)
+	gids  []int32     // scratch: the group of each row being folded in
 }
 
-// NewGroupBy builds a grouping node.
-func NewGroupBy(child Operator, keys []expr.Expr, keyNames []string, aggs []AggSpec) *GroupBy {
-	g := &GroupBy{single: single{child: child}, Keys: keys, KeyNames: keyNames, Aggs: aggs}
-	cols := make([]types.Column, 0, len(keys)+len(aggs))
+func newGroupSet(keys []expr.Expr, keyCols []types.Column, aggs []AggSpec) *groupSet {
+	keyIdx := make([]int, len(keyCols))
+	for i := range keyIdx {
+		keyIdx[i] = i
+	}
+	s := &groupSet{
+		table: newHashTable(types.NewSchema(keyCols...), keyIdx, true),
+		accs:  accTable{specs: aggs},
+		keys:  keys,
+		args:  make([]expr.Expr, len(aggs)),
+	}
+	for i := range aggs {
+		s.args[i] = aggs[i].Arg
+	}
+	return s
+}
+
+// memBytes is what the key store, its hash chains and the accumulators
+// hold, for the operator's grant.
+func (s *groupSet) memBytes() int64 { return s.table.mem + s.accs.memBytes() }
+
+// groupInput is one batch readied for folding in: n rows of flat key and
+// argument vectors (partial-state columns in partials mode).
+type groupInput struct {
+	keys, args []*vector.Vector
+	n          int
+}
+
+// input readies a batch: a selection is materialized (expressions evaluate
+// over every physical row, and hidden rows must not be seen), RLE columns
+// are expanded, keys and arguments evaluated — or, for partials, taken from
+// the columns: the first len(keys) are the keys, the rest the states.
+func (s *groupSet) input(in *vector.Batch, partials bool) (groupInput, error) {
+	if in.Sel != nil {
+		in = in.Flatten()
+	} else {
+		in.ExpandRLE()
+	}
+	gi := groupInput{n: in.Len()}
+	if cap(s.gids) < gi.n {
+		s.gids = make([]int32, 0, gi.n)
+	}
+	if partials {
+		gi.keys, gi.args = in.Cols[:len(s.keys)], in.Cols[len(s.keys):]
+		return gi, nil
+	}
+	var err error
+	if gi.keys, err = evalFlat(s.keys, in); err != nil {
+		return gi, err
+	}
+	gi.args, err = evalFlat(s.args, in)
+	return gi, err
+}
+
+// hashKeys hashes the rows' keys, HashRow-compatibly. With no keys
+// every row hashes alike and lands in the one global group.
+func (s *groupSet) hashKeys(in groupInput) []uint64 {
+	if len(in.keys) == 0 {
+		out := make([]uint64, in.n)
+		for i := range out {
+			out[i] = types.HashSeed
+		}
+		return out
+	}
+	return vector.NewBatch(in.keys...).Hashes(s.table.keys)
+}
+
+// resolveHashed finds or creates the group of each row from lo on,
+// leaving them in gids, and returns the row it stopped before: n, or the
+// first row that needs a new group when maxGroups (> 0) already exist.
+func (s *groupSet) resolveHashed(in groupInput, hashes []uint64, lo, maxGroups int) int {
+	s.gids = s.gids[:0]
+	for i := lo; i < in.n; i++ {
+		g := s.table.find(hashes[i], in.keys, i)
+		if g < 0 {
+			if maxGroups > 0 && s.table.len() >= maxGroups {
+				return i
+			}
+			g = s.table.add(hashes[i], in.keys, i)
+			s.accs.addGroup()
+		}
+		s.gids = append(s.gids, int32(g))
+	}
+	return in.n
+}
+
+// resolveSorted is resolveHashed for key-sorted input: a row either
+// continues the newest group or opens the next one.
+func (s *groupSet) resolveSorted(in groupInput) {
+	s.gids = s.gids[:0]
+	for i := 0; i < in.n; i++ {
+		g := s.table.len() - 1
+		if g < 0 || !s.table.sameKey(g, in.keys, i) {
+			g = s.table.add(0, in.keys, i)
+			s.accs.addGroup()
+		}
+		s.gids = append(s.gids, int32(g))
+	}
+}
+
+// keyColumns derives the key columns of an aggregation's output schema.
+func keyColumns(keys []expr.Expr, keyNames []string) []types.Column {
+	cols := make([]types.Column, len(keys))
 	for i, k := range keys {
 		name := ""
 		if keyNames != nil {
@@ -73,8 +168,32 @@ func NewGroupBy(child Operator, keys []expr.Expr, keyNames []string, aggs []AggS
 		if name == "" {
 			name = k.String()
 		}
-		cols = append(cols, types.Column{Name: name, Typ: k.Type(), Nullable: true})
+		cols[i] = types.Column{Name: name, Typ: k.Type(), Nullable: true}
 	}
+	return cols
+}
+
+// evalFlat evaluates expressions over a flat batch into flat vectors; nil
+// expressions (COUNT(*) arguments) yield nil.
+func evalFlat(exprs []expr.Expr, in *vector.Batch) ([]*vector.Vector, error) {
+	out := make([]*vector.Vector, len(exprs))
+	for i, e := range exprs {
+		if e == nil {
+			continue
+		}
+		v, err := e.Eval(in)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v.Expand()
+	}
+	return out, nil
+}
+
+// NewGroupBy builds a grouping node.
+func NewGroupBy(child Operator, keys []expr.Expr, keyNames []string, aggs []AggSpec) *GroupBy {
+	g := &GroupBy{single: single{child: child}, Keys: keys, KeyNames: keyNames, Aggs: aggs}
+	cols := keyColumns(keys, keyNames)
 	for i := range aggs {
 		name := aggs[i].Name
 		if name == "" {
@@ -107,20 +226,12 @@ func (g *GroupBy) Describe() string {
 
 // Open implements Operator.
 func (g *GroupBy) Open(ctx *Ctx) error {
-	g.groups = map[uint64][]*groupEntry{}
-	g.memUsed = 0
+	g.groups = newGroupSet(g.Keys, g.schema.Cols[:len(g.Keys)], g.Aggs)
 	g.budget = ctx.MemBudget
 	g.extDone = false
 	g.spills = nil
 	g.out = nil
-	g.outPos = 0
-	g.curKey = nil
-	g.curAccs = nil
 	g.opened = false
-	g.rowArity = len(g.Keys)
-	for i := range g.Aggs {
-		g.rowArity += g.Aggs[i].PartialWidth()
-	}
 	return g.openChild(ctx)
 }
 
@@ -142,15 +253,12 @@ func (g *GroupBy) next(ctx *Ctx) (*vector.Batch, error) {
 		}
 		g.opened = true
 	}
-	if g.outPos >= len(g.out) {
+	if len(g.out) == 0 {
 		return nil, nil
 	}
-	batch := vector.NewBatchForSchema(g.schema, vector.DefaultBatchSize)
-	for g.outPos < len(g.out) && batch.Len() < vector.DefaultBatchSize {
-		batch.AppendRow(g.out[g.outPos])
-		g.outPos++
-	}
-	return batch, nil
+	b := g.out[0]
+	g.out = g.out[1:]
+	return b, nil
 }
 
 func (g *GroupBy) consumeAll(ctx *Ctx) error {
@@ -166,53 +274,61 @@ func (g *GroupBy) consumeAll(ctx *Ctx) error {
 			break
 		}
 		if g.InputSorted {
-			if err := g.consumeSorted(ctx, in); err != nil {
-				return err
-			}
+			err = g.consumeSorted(in)
 		} else {
-			if err := g.consumeHash(ctx, in); err != nil {
-				return err
-			}
+			err = g.consumeHash(ctx, in)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if g.InputSorted {
-		g.flushCurrentGroup()
+		g.emitGroups(nil)
 		return nil
 	}
 	return g.finishHash(ctx)
 }
 
+// consume folds one input batch into the groups. sorted input resolves a
+// row's group by comparing with the newest group instead of hashing;
+// partials input carries keys and partial states rather than raw rows.
+func (g *GroupBy) consume(batch *vector.Batch, sorted, partials bool) error {
+	s := g.groups
+	in, err := s.input(batch, partials)
+	if err != nil {
+		return err
+	}
+	if sorted {
+		s.resolveSorted(in)
+	} else {
+		s.resolveHashed(in, s.hashKeys(in), 0, 0)
+	}
+	if partials {
+		s.accs.merge(s.gids, in.args, 0)
+	} else {
+		s.accs.update(s.gids, in.args, 0)
+	}
+	return nil
+}
+
 // --- hash aggregation ---------------------------------------------------
 
+// consumeHash folds a batch in by hash and then holds the operator to its
+// budget. What is charged is what the group set holds: the columnar key
+// store (8 bytes per fixed-width key, header plus payload per string key),
+// the table's hash and chain entries, the accumulators and the
+// COUNT(DISTINCT) sets.
 func (g *GroupBy) consumeHash(ctx *Ctx, in *vector.Batch) error {
-	if in.Sel != nil {
-		in = in.Flatten()
-	} else {
-		in.ExpandRLE()
-	}
-	n := in.Len()
-	keyVecs, err := g.evalKeys(in)
-	if err != nil {
+	if err := g.consume(in, false, g.MergePartials); err != nil {
 		return err
 	}
-	argVecs, err := g.evalArgs(in)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		key := make(types.Row, len(keyVecs))
-		for k, kv := range keyVecs {
-			key[k] = kv.ValueAt(i)
-		}
-		e := g.findOrCreate(key)
-		g.updateEntry(e, argVecs, in, i)
-	}
-	ctx.noteAlloc(&g.prof, g.memUsed)
-	for g.memUsed > g.budget && !g.extDone {
+	memUsed := g.groups.memBytes()
+	ctx.noteAlloc(&g.prof, memUsed)
+	for memUsed > g.budget && !g.extDone {
 		// Renegotiate the grant at the spill threshold; externalize only on
 		// denial. Holistic aggregates (no partial form) cannot spill at all,
 		// so for them a granted extension also keeps the accounting honest.
-		if ext := ctx.extendBudget(g.budget, g.memUsed); ext > 0 {
+		if ext := ctx.extendBudget(g.budget, memUsed); ext > 0 {
 			g.budget += ext
 			continue
 		}
@@ -231,81 +347,6 @@ func (g *GroupBy) consumeHash(ctx *Ctx, in *vector.Batch) error {
 	return nil
 }
 
-func (g *GroupBy) evalKeys(in *vector.Batch) ([]*vector.Vector, error) {
-	out := make([]*vector.Vector, len(g.Keys))
-	for i, k := range g.Keys {
-		v, err := k.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (g *GroupBy) evalArgs(in *vector.Batch) ([]*vector.Vector, error) {
-	out := make([]*vector.Vector, len(g.Aggs))
-	for i := range g.Aggs {
-		if g.Aggs[i].Arg == nil || g.MergePartials {
-			continue
-		}
-		v, err := g.Aggs[i].Arg.Eval(in)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (g *GroupBy) findOrCreate(key types.Row) *groupEntry {
-	h := types.HashRow(key, seqIdx(len(key)))
-	for _, e := range g.groups[h] {
-		if e.key.Compare(key, seqIdx(len(key))) == 0 {
-			return e
-		}
-	}
-	e := &groupEntry{key: key, accs: make([]*aggAcc, len(g.Aggs))}
-	for i := range g.Aggs {
-		e.accs[i] = newAggAcc(&g.Aggs[i])
-	}
-	g.groups[h] = append(g.groups[h], e)
-	g.memUsed += int64(len(key))*24 + int64(len(e.accs))*96 + 64
-	return e
-}
-
-// updateEntry folds input row i into the group's accumulators; in merge
-// mode it consumes partial columns instead.
-func (g *GroupBy) updateEntry(e *groupEntry, argVecs []*vector.Vector, in *vector.Batch, i int) {
-	if g.MergePartials {
-		col := len(g.Keys)
-		for a := range g.Aggs {
-			w := g.Aggs[a].PartialWidth()
-			vals := make([]types.Value, w)
-			for j := 0; j < w; j++ {
-				vals[j] = in.Cols[col+j].ValueAt(i)
-			}
-			e.accs[a].mergePartial(vals)
-			col += w
-		}
-		return
-	}
-	for a := range g.Aggs {
-		if g.Aggs[a].Kind == AggCountStar {
-			e.accs[a].update(types.Value{})
-			continue
-		}
-		before := int64(0)
-		if e.accs[a].distinct != nil {
-			before = int64(len(e.accs[a].distinct))
-		}
-		e.accs[a].update(argVecs[a].ValueAt(i))
-		if e.accs[a].distinct != nil {
-			g.memUsed += (int64(len(e.accs[a].distinct)) - before) * 32
-		}
-	}
-}
-
 func (g *GroupBy) canSpill() bool {
 	if g.MergePartials {
 		return true
@@ -318,18 +359,30 @@ func (g *GroupBy) canSpill() bool {
 	return true
 }
 
+// partialRows renders the groups as key-sorted partial rows — the form of
+// a spill run.
+func (g *GroupBy) partialRows() []types.Row {
+	s := g.groups
+	order := s.table.keyOrder()
+	keys := s.table.rows.Rows() // empty for a global aggregate: no key columns
+	out := make([]types.Row, len(order))
+	for i, grp := range order {
+		var key types.Row
+		if len(g.Keys) > 0 {
+			key = keys[grp]
+		}
+		out[i] = s.accs.partialRow(key, grp)
+	}
+	return out
+}
+
 // spillGroups writes the hash table as a key-sorted partial run and resets.
 func (g *GroupBy) spillGroups(ctx *Ctx) error {
-	entries := g.sortedEntries()
 	w, err := newSpillWriter(spillDir(ctx))
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		row := append(types.Row{}, e.key...)
-		for _, acc := range e.accs {
-			row = append(row, acc.partial()...)
-		}
+	for _, row := range g.partialRows() {
 		if err := w.writeRow(row); err != nil {
 			w.abort()
 			return err
@@ -341,125 +394,101 @@ func (g *GroupBy) spillGroups(ctx *Ctx) error {
 		return err
 	}
 	g.spills = append(g.spills, r)
-	g.groups = map[uint64][]*groupEntry{}
-	g.memUsed = 0
+	g.groups.table.release()
+	g.groups.accs.reset()
 	ctx.noteSpill(&g.prof, r.bytes, "GROUP_BY_SPILLED")
 	return nil
 }
 
-func (g *GroupBy) sortedEntries() []*groupEntry {
-	var entries []*groupEntry
-	for _, chain := range g.groups {
-		entries = append(entries, chain...)
+// partialSchema is the layout of this operator's partial rows: keys, then
+// each aggregate's partial columns. In merge mode it is the input's.
+func (g *GroupBy) partialSchema() *types.Schema {
+	if g.MergePartials {
+		return g.child.Schema()
 	}
-	keyIdx := seqIdx(len(g.Keys))
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].key.Compare(entries[j].key, keyIdx) < 0
-	})
-	return entries
+	return partialSchema(g.schema.Cols[:len(g.Keys)], g.Aggs)
 }
 
-// finishHash merges in-memory groups with any spilled runs and produces the
-// final output rows.
+// finishHash produces the final output: the in-memory groups in key order,
+// or, after spills, the k-way merge of the spilled runs and the in-memory
+// remainder — a key-sorted stream of partial rows, which is folded in the
+// way one-pass aggregation folds sorted partials.
 func (g *GroupBy) finishHash(ctx *Ctx) error {
-	entries := g.sortedEntries()
-	// SQL semantics: a global aggregate (no GROUP BY) over an empty input
-	// still yields one row (COUNT(*) = 0, SUM = NULL, ...).
-	if len(g.Keys) == 0 && len(entries) == 0 && len(g.spills) == 0 && len(g.Aggs) > 0 {
-		e := &groupEntry{accs: make([]*aggAcc, len(g.Aggs))}
-		for i := range g.Aggs {
-			e.accs[i] = newAggAcc(&g.Aggs[i])
-		}
-		g.out = []types.Row{g.finalRow(e)}
-		return nil
-	}
+	s := g.groups
 	if len(g.spills) == 0 {
-		g.out = make([]types.Row, 0, len(entries))
-		for _, e := range entries {
-			g.out = append(g.out, g.finalRow(e))
+		// SQL semantics: a global aggregate (no GROUP BY) over an empty
+		// input still yields one row (COUNT(*) = 0, SUM = NULL, ...).
+		if len(g.Keys) == 0 && s.table.len() == 0 && len(g.Aggs) > 0 {
+			s.table.add(types.HashSeed, nil, 0)
+			s.accs.addGroup()
 		}
+		g.emitGroups(s.table.keyOrder())
 		return nil
 	}
-	// K-way merge: in-memory entries become one more sorted partial run.
-	keyIdx := seqIdx(len(g.Keys))
+	schema := g.partialSchema()
 	var runs []*partialRun
-	for _, s := range g.spills {
-		r := &partialRun{src: s, arity: g.rowArity}
+	for _, sp := range g.spills {
+		runs = append(runs, &partialRun{src: sp, arity: schema.Len()})
+	}
+	runs = append(runs, &partialRun{mem: g.partialRows(), arity: schema.Len()})
+	h := &partialHeap{nKeys: len(g.Keys)}
+	for _, r := range runs {
 		if err := r.advance(); err != nil {
 			return err
 		}
 		if r.cur != nil {
-			runs = append(runs, r)
+			h.runs = append(h.runs, r)
 		}
 	}
-	memRun := &partialRun{mem: entriesToPartialRows(entries, g.Aggs), arity: g.rowArity}
-	if err := memRun.advance(); err != nil {
-		return err
-	}
-	if memRun.cur != nil {
-		runs = append(runs, memRun)
-	}
-	h := &partialHeap{runs: runs, keyIdx: keyIdx}
 	heap.Init(h)
-	var curKey types.Row
-	var accs []*aggAcc
-	flush := func() {
-		if curKey == nil {
-			return
-		}
-		e := &groupEntry{key: curKey, accs: accs}
-		g.out = append(g.out, g.finalRow(e))
-	}
+	s.table.release()
+	s.accs.reset()
 	for h.Len() > 0 {
-		run := h.runs[0]
-		row := run.cur
-		if err := run.advance(); err != nil {
+		if err := ctx.Canceled(); err != nil {
 			return err
 		}
-		if run.cur == nil {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-		key := row[:len(g.Keys)]
-		if curKey == nil || curKey.Compare(key, keyIdx) != 0 {
-			flush()
-			curKey = key.Clone()
-			accs = make([]*aggAcc, len(g.Aggs))
-			for i := range g.Aggs {
-				accs[i] = newAggAcc(&g.Aggs[i])
+		batch := vector.NewBatchForSchema(schema, vector.DefaultBatchSize)
+		for h.Len() > 0 && batch.Len() < vector.DefaultBatchSize {
+			run := h.runs[0]
+			batch.AppendRow(run.cur)
+			if err := run.advance(); err != nil {
+				return err
+			}
+			if run.cur == nil {
+				heap.Pop(h)
+			} else {
+				heap.Fix(h, 0)
 			}
 		}
-		col := len(g.Keys)
-		for a := range g.Aggs {
-			w := g.Aggs[a].PartialWidth()
-			accs[a].mergePartial(row[col : col+w])
-			col += w
+		if err := g.consume(batch, true, true); err != nil {
+			return err
 		}
 	}
-	flush()
+	g.emitGroups(nil)
 	return nil
 }
 
-func entriesToPartialRows(entries []*groupEntry, aggs []AggSpec) []types.Row {
-	out := make([]types.Row, 0, len(entries))
-	for _, e := range entries {
-		row := append(types.Row{}, e.key...)
-		for _, acc := range e.accs {
-			row = append(row, acc.partial()...)
+// emitGroups queues the final output, a batch at a time by column append:
+// the given groups in that order, or every group in the order first seen
+// when order is nil.
+func (g *GroupBy) emitGroups(order []int) {
+	s := g.groups
+	if order == nil {
+		order = make([]int, s.table.len())
+		for i := range order {
+			order[i] = i
 		}
-		out = append(out, row)
 	}
-	return out
-}
-
-func (g *GroupBy) finalRow(e *groupEntry) types.Row {
-	row := make(types.Row, 0, len(e.key)+len(e.accs))
-	row = append(row, e.key...)
-	for _, acc := range e.accs {
-		row = append(row, acc.final())
+	for len(order) > 0 {
+		part := order[:min(len(order), vector.DefaultBatchSize)]
+		order = order[len(part):]
+		b := vector.NewBatchForSchema(g.schema, len(part))
+		for k := range g.Keys {
+			b.Cols[k].AppendFrom(s.table.rows.Cols[k], part)
+		}
+		s.accs.appendFinals(b.Cols[len(g.Keys):], part)
+		g.out = append(g.out, b)
 	}
-	return row
 }
 
 // partialRun iterates one sorted partial run (spilled or in-memory).
@@ -493,14 +522,21 @@ func (r *partialRun) advance() error {
 	return nil
 }
 
+// partialHeap orders runs by the key prefix of their current rows.
 type partialHeap struct {
-	runs   []*partialRun
-	keyIdx []int
+	runs  []*partialRun
+	nKeys int
 }
 
 func (h *partialHeap) Len() int { return len(h.runs) }
 func (h *partialHeap) Less(i, j int) bool {
-	return h.runs[i].cur.Compare(h.runs[j].cur, h.keyIdx) < 0
+	a, b := h.runs[i].cur, h.runs[j].cur
+	for k := 0; k < h.nKeys; k++ {
+		if c := a[k].Compare(b[k]); c != 0 {
+			return c < 0
+		}
+	}
+	return false
 }
 func (h *partialHeap) Swap(i, j int)      { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
 func (h *partialHeap) Push(x interface{}) { h.runs = append(h.runs, x.(*partialRun)) }
@@ -514,43 +550,13 @@ func (h *partialHeap) Pop() interface{} {
 
 // --- one-pass (pipelined) aggregation ------------------------------------
 
-func (g *GroupBy) consumeSorted(ctx *Ctx, in *vector.Batch) error {
+func (g *GroupBy) consumeSorted(in *vector.Batch) error {
 	// RLE-direct fast path: COUNT(*)-only aggregates over run-length keys
 	// never touch individual rows.
 	if g.tryRLEDirect(in) {
 		return nil
 	}
-	if in.Sel != nil {
-		in = in.Flatten()
-	} else {
-		in.ExpandRLE()
-	}
-	keyVecs, err := g.evalKeys(in)
-	if err != nil {
-		return err
-	}
-	argVecs, err := g.evalArgs(in)
-	if err != nil {
-		return err
-	}
-	n := in.Len()
-	keyIdx := seqIdx(len(g.Keys))
-	for i := 0; i < n; i++ {
-		key := make(types.Row, len(keyVecs))
-		for k, kv := range keyVecs {
-			key[k] = kv.ValueAt(i)
-		}
-		if g.curKey == nil || g.curKey.Compare(key, keyIdx) != 0 {
-			g.flushCurrentGroup()
-			g.curKey = key
-			g.curAccs = make([]*aggAcc, len(g.Aggs))
-			for a := range g.Aggs {
-				g.curAccs[a] = newAggAcc(&g.Aggs[a])
-			}
-		}
-		g.updateEntry(&groupEntry{key: g.curKey, accs: g.curAccs}, argVecs, in, i)
-	}
-	return nil
+	return g.consume(in, true, g.MergePartials)
 }
 
 // tryRLEDirect consumes the batch via run-length counts when every key is a
@@ -565,7 +571,7 @@ func (g *GroupBy) tryRLEDirect(in *vector.Batch) bool {
 			return false
 		}
 	}
-	keyCols := make([]*vector.Vector, len(g.Keys))
+	runVals := make([]*vector.Vector, len(g.Keys)) // one entry per run
 	var runs []int
 	for i, k := range g.Keys {
 		cr, ok := k.(*expr.ColRef)
@@ -581,27 +587,20 @@ func (g *GroupBy) tryRLEDirect(in *vector.Batch) bool {
 		} else if !sameRuns(runs, v.RunLens) {
 			return false
 		}
-		keyCols[i] = v
+		runVals[i] = v.RunValues()
 	}
 	if runs == nil {
 		return false
 	}
-	keyIdx := seqIdx(len(g.Keys))
+	s, na := g.groups, len(g.Aggs)
 	for r, n := range runs {
-		key := make(types.Row, len(keyCols))
-		for k, kv := range keyCols {
-			key[k] = kv.ValueAt(r)
+		grp := s.table.len() - 1
+		if grp < 0 || !s.table.sameKey(grp, runVals, r) {
+			grp = s.table.add(0, runVals, r)
+			s.accs.addGroup()
 		}
-		if g.curKey == nil || g.curKey.Compare(key, keyIdx) != 0 {
-			g.flushCurrentGroup()
-			g.curKey = key
-			g.curAccs = make([]*aggAcc, len(g.Aggs))
-			for a := range g.Aggs {
-				g.curAccs[a] = newAggAcc(&g.Aggs[a])
-			}
-		}
-		for a := range g.Aggs {
-			g.curAccs[a].updateRun(types.Value{}, int64(n))
+		for a := 0; a < na; a++ {
+			s.accs.accs[grp*na+a].count += int64(n)
 		}
 	}
 	return true
@@ -617,21 +616,4 @@ func sameRuns(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func (g *GroupBy) flushCurrentGroup() {
-	if g.curKey == nil {
-		return
-	}
-	g.out = append(g.out, g.finalRow(&groupEntry{key: g.curKey, accs: g.curAccs}))
-	g.curKey, g.curAccs = nil, nil
-}
-
-// seqIdx returns [0, 1, ..., n-1].
-func seqIdx(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -1,0 +1,675 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/types"
+	"repro/internal/vector"
+)
+
+// Differential oracles for the hash operators: HashJoin against a
+// nested-loop reference and Prepass → GroupBy(MergePartials) against a
+// map-of-rows reference, over probe/input batches that are flat, carry a
+// selection vector, or have a run-length-encoded key column, serially and
+// through the 4-way partitioned Exchange shape the planner builds.
+
+type batchShape int
+
+const (
+	shapeFlat batchShape = iota
+	shapeSel             // live rows interleaved with decoys the selection hides
+	shapeRLE             // column rleCol run-length encoded
+)
+
+func (s batchShape) String() string { return [...]string{"flat", "sel", "rle"}[s] }
+
+// shapedSource replays rows as batches of one shape. For shapeRLE the rows
+// are ordered by rleCol first so that runs are real.
+type shapedSource struct {
+	schema *types.Schema
+	rows   []types.Row
+	shape  batchShape
+	rleCol int
+	per    int // live rows per batch
+	pos    int
+}
+
+func newShapedSource(schema *types.Schema, rows []types.Row, shape batchShape, rleCol, per int) *shapedSource {
+	rows = append([]types.Row{}, rows...)
+	if shape == shapeRLE {
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i][rleCol].Compare(rows[j][rleCol]) < 0 })
+	}
+	return &shapedSource{schema: schema, rows: rows, shape: shape, rleCol: rleCol, per: per}
+}
+
+func (s *shapedSource) Schema() *types.Schema { return s.schema }
+func (s *shapedSource) Open(*Ctx) error       { s.pos = 0; return nil }
+func (s *shapedSource) Close(*Ctx) error      { return nil }
+func (s *shapedSource) Describe() string      { return "ShapedSource " + s.shape.String() }
+
+func (s *shapedSource) Next(*Ctx) (*vector.Batch, error) {
+	if s.pos >= len(s.rows) {
+		return nil, nil
+	}
+	chunk := s.rows[s.pos:min(s.pos+s.per, len(s.rows))]
+	s.pos += len(chunk)
+	b := vector.NewBatchForSchema(s.schema, 2*len(chunk))
+	switch s.shape {
+	case shapeSel:
+		// A decoy copy before every live row: an operator that ignored the
+		// selection would see every row twice.
+		sel := make([]int, 0, len(chunk))
+		for _, r := range chunk {
+			b.AppendRow(r)
+			sel = append(sel, b.FullLen())
+			b.AppendRow(r)
+		}
+		b.Sel = sel
+	case shapeRLE:
+		for _, r := range chunk {
+			b.AppendRow(r)
+		}
+		flat := b.Cols[s.rleCol]
+		rle := vector.New(flat.Typ, 0)
+		for i, r := range chunk {
+			if i > 0 && r[s.rleCol].Compare(chunk[i-1][s.rleCol]) == 0 {
+				rle.RunLens[len(rle.RunLens)-1]++
+				continue
+			}
+			rle.AppendValue(r[s.rleCol])
+			rle.RunLens = append(rle.RunLens, 1)
+		}
+		b.Cols[s.rleCol] = rle
+	default:
+		for _, r := range chunk {
+			b.AppendRow(r)
+		}
+	}
+	return b, nil
+}
+
+// canon renders rows as a sorted multiset for comparison.
+func canon(rows []types.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+func diffRows(t *testing.T, what string, got, want []types.Row) {
+	t.Helper()
+	g, w := canon(got), canon(want)
+	if len(g) != len(w) {
+		t.Errorf("%s: %d rows, want %d", what, len(g), len(w))
+		return
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			t.Errorf("%s: row %d = %s, want %s", what, i, g[i], w[i])
+			return
+		}
+	}
+}
+
+// drainCapped is Drain that also holds every batch to the batch-size cap.
+func drainCapped(t *testing.T, ctx *Ctx, op Operator) []types.Row {
+	t.Helper()
+	if err := op.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var out []types.Row
+	for {
+		b, err := op.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if b.Len() > vector.DefaultBatchSize {
+			t.Errorf("%s produced a %d-row batch, cap is %d", op.Describe(), b.Len(), vector.DefaultBatchSize)
+		}
+		out = append(out, b.Rows()...)
+	}
+	if err := op.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// --- joins -----------------------------------------------------------------
+
+var allJoinTypes = []JoinType{InnerJoin, LeftOuterJoin, RightOuterJoin, FullOuterJoin, SemiJoin, AntiJoin}
+
+// refJoin is the nested-loop reference: keys match when both are non-NULL
+// and equal, the residual is evaluated per candidate pair.
+func refJoin(t *testing.T, typ JoinType, outer, inner []types.Row, ok, ik []int, residual expr.Expr, outerW, innerW int) []types.Row {
+	t.Helper()
+	nulls := func(n int) types.Row {
+		r := make(types.Row, n)
+		for i := range r {
+			r[i] = types.NewNull(types.Int64)
+		}
+		return r
+	}
+	matchedInner := make([]bool, len(inner))
+	var out []types.Row
+	for _, or := range outer {
+		matched := false
+		for ii, ir := range inner {
+			if compareJoinKeys(ir, or, ik, ok) != 0 || hasNullKey(or, ok) || hasNullKey(ir, ik) {
+				continue
+			}
+			pair := append(or.Clone(), ir...)
+			if residual != nil {
+				v, err := residual.EvalRow(pair)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !v.Bool() {
+					continue
+				}
+			}
+			matched, matchedInner[ii] = true, true
+			if typ != SemiJoin && typ != AntiJoin {
+				out = append(out, pair)
+			}
+		}
+		switch {
+		case typ == SemiJoin && matched, typ == AntiJoin && !matched:
+			out = append(out, or)
+		case (typ == LeftOuterJoin || typ == FullOuterJoin) && !matched:
+			out = append(out, append(or.Clone(), nulls(innerW)...))
+		}
+	}
+	if typ == RightOuterJoin || typ == FullOuterJoin {
+		for ii, ir := range inner {
+			if !matchedInner[ii] {
+				out = append(out, append(nulls(outerW), ir...))
+			}
+		}
+	}
+	return out
+}
+
+type joinCase struct {
+	name         string
+	outer, inner []types.Row
+	keys         []int // same columns on both sides
+	residual     expr.Expr
+}
+
+func joinSideSchema(last string) *types.Schema {
+	return types.NewSchema(
+		types.Column{Name: "k1", Typ: types.Int64, Nullable: true},
+		types.Column{Name: "k2", Typ: types.Int64, Nullable: true},
+		types.Column{Name: "s", Typ: types.Varchar, Nullable: true},
+		types.Column{Name: last, Typ: types.Int64},
+	)
+}
+
+func joinCases(rng *rand.Rand) []joinCase {
+	side := func(n, keySpace int, nullShare float64) []types.Row {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			k1 := int64(rng.Intn(keySpace))
+			r := types.Row{
+				types.NewInt(k1), types.NewInt(int64(rng.Intn(3))),
+				types.NewString(fmt.Sprintf("s%d", k1%7)), types.NewInt(int64(rng.Intn(100))),
+			}
+			for c := 0; c < 3; c++ {
+				if rng.Float64() < nullShare {
+					r[c] = types.NewNull(r[c].Typ)
+				}
+			}
+			rows[i] = r
+		}
+		return rows
+	}
+	fan := func(n int) []types.Row {
+		rows := side(n+5, 20, 0)
+		for i := 0; i < n; i++ {
+			rows[i][0] = types.NewInt(1)
+		}
+		return rows
+	}
+	// outer.v (column 3) < inner.w (column 4+3)
+	vLtW := cmpLt(intCol(3, "v"), intCol(7, "w"))
+	return []joinCase{
+		{name: "int-key", outer: side(300, 20, 0), inner: side(120, 25, 0), keys: []int{0}},
+		{name: "two-column-key", outer: side(300, 12, 0), inner: side(120, 12, 0), keys: []int{0, 1}},
+		{name: "varchar-key", outer: side(200, 20, 0), inner: side(60, 20, 0), keys: []int{2}},
+		{name: "null-keys", outer: side(300, 10, 0.2), inner: side(120, 10, 0.2), keys: []int{0, 1}},
+		{name: "fan-out-80x80", outer: fan(80), inner: fan(80), keys: []int{0}},
+		{name: "fan-out-residual", outer: fan(90), inner: fan(90), keys: []int{0}, residual: vLtW},
+		{name: "residual", outer: side(300, 20, 0.05), inner: side(120, 20, 0.05), keys: []int{0}, residual: vLtW},
+		{name: "empty-build", outer: side(100, 20, 0), inner: nil, keys: []int{0}},
+		{name: "empty-probe", outer: nil, inner: side(100, 20, 0), keys: []int{0}},
+	}
+}
+
+func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
+	outerSchema, innerSchema := joinSideSchema("v"), joinSideSchema("w")
+	for _, c := range joinCases(rand.New(rand.NewSource(20120827))) {
+		for _, typ := range allJoinTypes {
+			want := refJoin(t, typ, c.outer, c.inner, c.keys, c.keys, c.residual, 4, 4)
+			for _, shape := range []batchShape{shapeFlat, shapeSel, shapeRLE} {
+				for _, ways := range []int{1, 4} {
+					name := fmt.Sprintf("%s/%s/%s/ways=%d", c.name, typ, shape, ways)
+					// 128 live rows a batch: the 80-row fan-out probes in one
+					// batch, so its 6 400 pairs must split across output batches.
+					outer := Operator(newShapedSource(outerSchema, c.outer, shape, c.keys[0], 128))
+					inner := Operator(newShapedSource(innerSchema, c.inner, shapeFlat, 0, 50))
+					var root Operator
+					if ways == 1 {
+						j, err := NewHashJoin(typ, outer, inner, c.keys, c.keys)
+						if err != nil {
+							t.Fatal(err)
+						}
+						j.Residual = c.residual
+						root = j
+					} else {
+						// Both sides resegmented on the join key, one join per
+						// partition — the planner's parallel hash join.
+						op := NewExchange([]Operator{outer}, ways, c.keys).Ports()
+						ip := NewExchange([]Operator{inner}, ways, c.keys).Ports()
+						joins := make([]Operator, ways)
+						for p := range joins {
+							j, err := NewHashJoin(typ, op[p], ip[p], c.keys, c.keys)
+							if err != nil {
+								t.Fatal(err)
+							}
+							j.Residual = c.residual
+							joins[p] = j
+						}
+						root = NewParallelUnion(joins...)
+					}
+					diffRows(t, name, drainCapped(t, NewCtx(1), root), want)
+				}
+			}
+		}
+	}
+}
+
+// --- aggregation -------------------------------------------------------------
+
+func aggInputSchema() *types.Schema {
+	return types.NewSchema(
+		types.Column{Name: "g1", Typ: types.Int64, Nullable: true},
+		types.Column{Name: "g2", Typ: types.Varchar},
+		types.Column{Name: "v", Typ: types.Int64, Nullable: true},
+		types.Column{Name: "f", Typ: types.Float64},
+	)
+}
+
+func aggRows(rng *rand.Rand, n, keySpace int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		g1 := types.NewInt(int64(rng.Intn(keySpace)))
+		if rng.Intn(10) == 0 {
+			g1 = types.NewNull(types.Int64) // NULL is a group of its own
+		}
+		v := types.NewInt(int64(rng.Intn(1000)) - 500)
+		if rng.Intn(8) == 0 {
+			v = types.NewNull(types.Int64)
+		}
+		rows[i] = types.Row{
+			g1, types.NewString(fmt.Sprintf("g%d", rng.Intn(3))), v,
+			types.NewFloat(float64(rng.Intn(64))), // small integers: sums are exact in any order
+		}
+	}
+	return rows
+}
+
+// burstyAggRows makes g1 change every 60 rows, so a small prepass table
+// fills and flushes again and again while still reducing rows.
+func burstyAggRows(rng *rand.Rand, n int) []types.Row {
+	rows := aggRows(rng, n, 1)
+	for i, r := range rows {
+		if !r[0].Null {
+			r[0] = types.NewInt(int64(i / 60))
+		}
+	}
+	return rows
+}
+
+func oracleAggs(withDistinct bool) []AggSpec {
+	v, f := expr.NewColRef(2, types.Int64, "v"), fltCol(3, "f")
+	aggs := []AggSpec{
+		{Kind: AggCountStar, Name: "n"},
+		{Kind: AggCount, Arg: v, Name: "nv"},
+		{Kind: AggSum, Arg: v, Name: "sv"},
+		{Kind: AggAvg, Arg: f, Name: "af"},
+		{Kind: AggMin, Arg: v, Name: "mn"},
+		{Kind: AggMax, Arg: expr.NewColRef(1, types.Varchar, "g2"), Name: "mx"},
+		{Kind: AggSum, Arg: f, Name: "sf"},
+	}
+	if withDistinct {
+		aggs = append(aggs, AggSpec{Kind: AggCountDistinct, Arg: v, Name: "dv"})
+	}
+	return aggs
+}
+
+func oracleKeys() ([]expr.Expr, []string) {
+	return []expr.Expr{expr.NewColRef(0, types.Int64, "g1"), expr.NewColRef(1, types.Varchar, "g2")}, []string{"g1", "g2"}
+}
+
+// refAggregate is the map-of-rows reference for oracleAggs over
+// GROUP BY g1, g2.
+func refAggregate(rows []types.Row, withDistinct bool) []types.Row {
+	type state struct {
+		key              types.Row
+		n, nv, sv, nf    int64
+		sf               float64
+		mn, mx           types.Value
+		seenV            bool
+		distinct         map[int64]bool
+		maxSeen, minSeen bool
+	}
+	groups := map[string]*state{}
+	var order []string
+	for _, r := range rows {
+		k := r[:2].String()
+		s := groups[k]
+		if s == nil {
+			s = &state{key: r[:2].Clone(), distinct: map[int64]bool{}}
+			groups[k] = s
+			order = append(order, k)
+		}
+		s.n++
+		if v := r[2]; !v.Null {
+			s.nv++
+			s.sv += v.I
+			s.seenV = true
+			s.distinct[v.I] = true
+			if !s.minSeen || v.I < s.mn.I {
+				s.mn, s.minSeen = v, true
+			}
+		}
+		s.nf++
+		s.sf += r[3].F
+		if !s.maxSeen || r[1].S > s.mx.S {
+			s.mx, s.maxSeen = r[1], true
+		}
+	}
+	var out []types.Row
+	for _, k := range order {
+		s := groups[k]
+		sv, mn := types.NewNull(types.Int64), types.NewNull(types.Int64)
+		if s.seenV {
+			sv, mn = types.NewInt(s.sv), s.mn
+		}
+		row := append(s.key, types.NewInt(s.n), types.NewInt(s.nv), sv,
+			types.NewFloat(s.sf/float64(s.nf)), mn, s.mx, types.NewFloat(s.sf))
+		if withDistinct {
+			row = append(row, types.NewInt(int64(len(s.distinct))))
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+func TestPrepassGroupByMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20120827))
+	keys, names := oracleKeys()
+	aggs := oracleAggs(false)
+	variants := []struct {
+		name       string
+		rows       []types.Row
+		maxGroups  int
+		wantBypass bool
+	}{
+		{name: "reducing", rows: aggRows(rng, 3000, 12), maxGroups: DefaultPrepassGroups},
+		{name: "table-full-flush", rows: burstyAggRows(rng, 3000), maxGroups: 8},
+		{name: "bypass", rows: aggRows(rng, 3000, 2500), maxGroups: 16, wantBypass: true},
+		{name: "empty", rows: nil, maxGroups: DefaultPrepassGroups},
+	}
+	for _, v := range variants {
+		want := refAggregate(v.rows, false)
+		for _, shape := range []batchShape{shapeFlat, shapeSel, shapeRLE} {
+			for _, ways := range []int{1, 4} {
+				name := fmt.Sprintf("%s/%s/ways=%d", v.name, shape, ways)
+				src := newShapedSource(aggInputSchema(), v.rows, shape, 0, 200)
+				pre, err := NewPrepass(src, keys, names, aggs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pre.MaxGroups = v.maxGroups
+				var root Operator
+				if ways == 1 {
+					root = mergeOver(pre, keys, names, aggs)
+				} else {
+					// Partials resegmented on the group key, one merging
+					// GroupBy per partition — the planner's parallel aggregate.
+					ports := NewExchange([]Operator{pre}, ways, []int{0, 1}).Ports()
+					finals := make([]Operator, ways)
+					for p := range finals {
+						finals[p] = mergeOver(ports[p], keys, names, aggs)
+					}
+					root = NewParallelUnion(finals...)
+				}
+				ctx := NewCtx(1)
+				diffRows(t, name, drainCapped(t, ctx, root), want)
+				if got := ctx.PrepassBypassed.Load(); got != v.wantBypass {
+					t.Errorf("%s: prepass bypassed = %v, want %v", name, got, v.wantBypass)
+				}
+			}
+		}
+	}
+}
+
+func mergeOver(child Operator, keys []expr.Expr, names []string, aggs []AggSpec) *GroupBy {
+	merged := make([]expr.Expr, len(keys))
+	for i, k := range keys {
+		merged[i] = expr.NewColRef(i, k.Type(), names[i])
+	}
+	g := NewGroupBy(child, merged, names, aggs)
+	g.MergePartials = true
+	return g
+}
+
+// The raw hash and one-pass modes against the same reference, COUNT(DISTINCT)
+// (which no prepass can compute) included, in memory and through spills.
+func TestGroupByMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	keys, names := oracleKeys()
+	rows := aggRows(rng, 3000, 40)
+	for _, shape := range []batchShape{shapeFlat, shapeSel, shapeRLE} {
+		g := NewGroupBy(newShapedSource(aggInputSchema(), rows, shape, 0, 200), keys, names, oracleAggs(true))
+		diffRows(t, "hash/"+shape.String(), drainCapped(t, NewCtx(1), g), refAggregate(rows, true))
+
+		// A computed key (g1 + 0) is not a bare column: a selection has to be
+		// materialized before the expression sees the batch.
+		plusZero, err := expr.NewArith(expr.Add, keys[0], intConst(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = NewGroupBy(newShapedSource(aggInputSchema(), rows, shape, 0, 200), []expr.Expr{plusZero, keys[1]}, names, oracleAggs(true))
+		diffRows(t, "hash-computed-key/"+shape.String(), drainCapped(t, NewCtx(1), g), refAggregate(rows, true))
+
+		ctx := NewCtx(1)
+		ctx.MemBudget, ctx.TempDir = 4<<10, t.TempDir()
+		g = NewGroupBy(newShapedSource(aggInputSchema(), rows, shape, 0, 200), keys, names, oracleAggs(false))
+		diffRows(t, "hash-spilled/"+shape.String(), drainCapped(t, ctx, g), refAggregate(rows, false))
+		if ctx.Spills.Load() == 0 {
+			t.Errorf("hash-spilled/%s: no spill under a 4 KiB budget", shape)
+		}
+
+		sorted := append([]types.Row{}, rows...)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j], []int{0, 1}) < 0 })
+		g = NewGroupBy(newShapedSource(aggInputSchema(), sorted, shape, 0, 200), keys, names, oracleAggs(true))
+		g.InputSorted = true
+		diffRows(t, "one-pass/"+shape.String(), drainCapped(t, NewCtx(1), g), refAggregate(rows, true))
+	}
+}
+
+// A wide-string GROUP BY must reach its spill threshold: 64 groups keyed by
+// 1 000-byte strings hold 64 KB of key payload alone. The old per-group
+// charge (24 bytes a key column + 96 an accumulator + 64) came to 12 KB and
+// never crossed a 32 KiB budget.
+func TestGroupByChargesVarcharKeyBytes(t *testing.T) {
+	schema := types.NewSchema(types.Column{Name: "s", Typ: types.Varchar})
+	var rows []types.Row
+	for rep := 0; rep < 3; rep++ {
+		for i := 0; i < 64; i++ {
+			rows = append(rows, types.Row{types.NewString(fmt.Sprintf("%04d", i) + strings.Repeat("x", 996))})
+		}
+	}
+	ctx := NewCtx(1)
+	ctx.MemBudget, ctx.TempDir = 32<<10, t.TempDir()
+	g := NewGroupBy(NewValues(schema, rows),
+		[]expr.Expr{expr.NewColRef(0, types.Varchar, "s")}, []string{"s"},
+		[]AggSpec{{Kind: AggCountStar, Name: "n"}})
+	out, err := Drain(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Spills.Load() == 0 {
+		t.Error("64 KB of VARCHAR keys stayed under a 32 KiB budget: key payload is not charged")
+	}
+	if len(out) != 64 {
+		t.Fatalf("groups = %d, want 64", len(out))
+	}
+	for _, r := range out {
+		if r[1].I != 3 {
+			t.Fatalf("group %.8s… count = %d, want 3", r[0].S, r[1].I)
+		}
+	}
+}
+
+// --- allocation guards -------------------------------------------------------
+
+// Probing or consuming a full batch whose keys all hit existing entries
+// allocates per column (hash vector, output vectors), never per row.
+const hitPathAllocCeiling = 64
+
+func TestHashOperatorsHitPathAllocations(t *testing.T) {
+	const n = vector.DefaultBatchSize
+	schema := types.NewSchema(
+		types.Column{Name: "k", Typ: types.Int64},
+		types.Column{Name: "s", Typ: types.Varchar},
+		types.Column{Name: "v", Typ: types.Int64},
+	)
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i % 512)), types.NewString(fmt.Sprintf("s%d", i%512)), types.NewInt(int64(i))}
+	}
+	batch := vector.NewBatchForSchema(schema, n)
+	for _, r := range rows {
+		batch.AppendRow(r)
+	}
+	ctx := NewCtx(1)
+	keys := []expr.Expr{intCol(0, "k"), expr.NewColRef(1, types.Varchar, "s")}
+	aggs := []AggSpec{{Kind: AggCountStar, Name: "n"}, {Kind: AggSum, Arg: intCol(2, "v"), Name: "sv"}, {Kind: AggAvg, Arg: intCol(2, "v"), Name: "av"}}
+
+	t.Run("join-probe", func(t *testing.T) {
+		j, err := NewHashJoin(InnerJoin, NewValues(schema, nil), NewValues(schema, rows[:512]), []int{0, 1}, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.build(ctx); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			j.startProbe(batch.ShallowCopy())
+			out, err := j.probeChunk()
+			if err != nil || out == nil || out.Len() != n {
+				t.Fatalf("probe: %v, err %v", out, err)
+			}
+		})
+		if allocs > hitPathAllocCeiling {
+			t.Errorf("probing %d matching rows allocated %.0f times, ceiling %d", n, allocs, hitPathAllocCeiling)
+		}
+	})
+	t.Run("group-by", func(t *testing.T) {
+		g := NewGroupBy(NewValues(schema, nil), keys, nil, aggs)
+		if err := g.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		consume := func() {
+			if err := g.consume(batch.ShallowCopy(), false, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		consume() // creates the 512 groups
+		if allocs := testing.AllocsPerRun(10, consume); allocs > hitPathAllocCeiling {
+			t.Errorf("consuming %d rows of existing groups allocated %.0f times, ceiling %d", n, allocs, hitPathAllocCeiling)
+		}
+	})
+	t.Run("prepass", func(t *testing.T) {
+		p, err := NewPrepass(NewValues(schema, nil), keys, nil, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		consume := func() {
+			if err := p.consume(ctx, batch.ShallowCopy()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		consume()
+		if allocs := testing.AllocsPerRun(10, consume); allocs > hitPathAllocCeiling {
+			t.Errorf("consuming %d rows of existing groups allocated %.0f times, ceiling %d", n, allocs, hitPathAllocCeiling)
+		}
+	})
+}
+
+// SIP hashes the probe keys as a vector: the verdicts must be those of
+// HashRow per row, whether the batch is flat, selected or RLE-keyed.
+func TestSIPFilterApplyMatchesHashRow(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "k", Typ: types.Int64, Nullable: true},
+		types.Column{Name: "s", Typ: types.Varchar},
+	)
+	rng := rand.New(rand.NewSource(3))
+	var rows []types.Row
+	for i := 0; i < 500; i++ {
+		k := types.NewInt(int64(rng.Intn(40)))
+		if i%50 == 0 {
+			k = types.NewNull(types.Int64)
+		}
+		rows = append(rows, types.Row{k, types.NewString(fmt.Sprintf("s%d", rng.Intn(4)))})
+	}
+	keyCols := []int{0, 1}
+	published := map[uint64]bool{}
+	var want []types.Row
+	for i, r := range rows {
+		if i%3 == 0 {
+			published[types.HashRow(r, keyCols)] = true
+		}
+	}
+	for _, r := range rows {
+		if published[types.HashRow(r, keyCols)] {
+			want = append(want, r)
+		}
+	}
+	for _, shape := range []batchShape{shapeFlat, shapeSel, shapeRLE} {
+		f := NewSIPFilter(keyCols, "test")
+		f.Publish(published)
+		src := newShapedSource(schema, rows, shape, 0, 128)
+		var got []types.Row
+		for {
+			b, _ := src.Next(nil)
+			if b == nil {
+				break
+			}
+			if err := f.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, b.Rows()...)
+		}
+		diffRows(t, "sip/"+shape.String(), got, want)
+	}
+}

@@ -43,10 +43,14 @@ func (t JoinType) String() string {
 }
 
 // HashJoin builds a hash table from its inner (build) input and probes it
-// with the outer input. If the build side exceeds the memory budget at run
-// time, the operator switches to a sort-merge join ("we will perform a
-// sort-merge join instead", paper §6.1). When a SIP filter is attached, the
-// build-side key hashes are published to the probe-side scan.
+// with the outer input, batch at a time and column-wise throughout: build
+// rows are stored in the shared columnar hashTable, a probe batch is hashed
+// as a vector, matches are collected as (probe row, build row) index pairs,
+// and output is gathered from the two sides by those indexes. If the build
+// side exceeds the memory budget at run time, the operator switches to a
+// sort-merge join ("we will perform a sort-merge join instead", paper
+// §6.1). When a SIP filter is attached, the build-side key hashes are
+// published to the probe-side scan.
 type HashJoin struct {
 	Type  JoinType
 	outer Operator
@@ -63,21 +67,36 @@ type HashJoin struct {
 	schema    *types.Schema
 	resSchema *types.Schema // outer+inner, for vectorized residual eval
 
-	table        map[uint64][]buildRow
-	matchedInner bool // inner match tracking needed (right/full outer)
+	table *hashTable
+	// matchedBuild marks build rows that found a partner (right/full outer
+	// only); unmatchedPos walks it once the outer input is exhausted.
+	matchedBuild []bool
+	unmatchedPos int
 	built        bool
 	spilled      bool
 	merge        *mergeJoinState
-	pending      []types.Row
-	innerDone    bool
-	innerRowsAll []buildRow // for right/full outer emission
-	prof         OpProf
+
+	// Probe state. A probe batch is worked off in chunks of at most
+	// vector.DefaultBatchSize output rows, so (pos, chain) can stop in the
+	// middle of one outer row's chain of duplicates and resume there.
+	in         *vector.Batch    // outer batch being probed (RLE expanded); nil when the next is due
+	inKeys     []*vector.Vector // its key columns
+	hashes     []uint64         // one per live row of in
+	pos        int              // next live row of in
+	chain      int32            // where row pos resumes in its chain, chainStart when not begun
+	rowMatched bool             // row pos already matched in an earlier chunk
+	solo       []int            // semi/anti: rows of in to emit, collected across chunks
+
+	probeIdx, buildIdx []int // scratch: candidate pairs of one chunk
+	visited            []probedRow
+	prof               OpProf
 }
 
-type buildRow struct {
-	row     types.Row
-	matched *bool
-}
+// probedRow is one outer row visited by a probe chunk: its physical index
+// and where its candidates end in the chunk's pair lists.
+type probedRow struct{ phys, end int }
+
+const chainStart = -2
 
 // NewHashJoin builds a hash join; outer is the probe side, inner the build
 // side ("the HashJoin will first create a hash table from the inner input").
@@ -99,22 +118,17 @@ func combinedSchema(outer, inner *types.Schema) *types.Schema {
 	return types.NewSchema(cols...)
 }
 
-// residualMask evaluates a residual predicate once, vectorized, over a
-// batch assembled from candidate combined rows, returning the keep mask —
-// the batch-native replacement for per-row EvalRow on the join hot path.
-func residualMask(res expr.Expr, schema *types.Schema, rows []types.Row) ([]bool, error) {
-	b := vector.NewBatchForSchema(schema, len(rows))
-	for _, r := range rows {
-		b.AppendRow(r)
-	}
-	v, err := res.Eval(b)
+// residualMask evaluates a residual predicate once, vectorized, over a flat
+// batch of candidate combined rows, returning the keep mask.
+func residualMask(res expr.Expr, cands *vector.Batch) ([]bool, error) {
+	v, err := res.Eval(cands)
 	if err != nil {
 		return nil, err
 	}
 	v = v.Expand()
-	mask := make([]bool, len(rows))
+	mask := make([]bool, cands.Len())
 	for i := range mask {
-		mask[i] = !v.NullAt(i) && v.ValueAt(i).Bool()
+		mask[i] = !v.NullAt(i) && v.Ints[i] != 0
 	}
 	return mask, nil
 }
@@ -153,12 +167,9 @@ func (j *HashJoin) Describe() string {
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Ctx) error {
-	j.table = nil
-	j.built, j.spilled, j.innerDone = false, false, false
-	j.pending = nil
-	j.innerRowsAll = nil
-	j.merge = nil
-	j.matchedInner = j.Type == RightOuterJoin || j.Type == FullOuterJoin
+	j.table, j.matchedBuild, j.merge, j.in = nil, nil, nil, nil
+	j.built, j.spilled = false, false
+	j.unmatchedPos = 0
 	if err := j.outer.Open(ctx); err != nil {
 		return err
 	}
@@ -179,10 +190,11 @@ func (j *HashJoin) Close(ctx *Ctx) error {
 
 // build drains the inner input into the hash table, renegotiating the grant
 // at the budget threshold and switching to sort-merge when the governor
-// denies the extension.
+// denies the extension. What is charged is what the columnar store holds:
+// 8 bytes per fixed-width value, header plus payload per string, and the
+// table's hash and chain entries per row.
 func (j *HashJoin) build(ctx *Ctx) error {
-	j.table = map[uint64][]buildRow{}
-	var mem int64
+	j.table = newHashTable(j.inner.Schema(), j.InnerKeys, false)
 	budget := ctx.MemBudget
 	for {
 		if err := ctx.Canceled(); err != nil {
@@ -195,24 +207,13 @@ func (j *HashJoin) build(ctx *Ctx) error {
 		if in == nil {
 			break
 		}
-		for _, r := range in.Rows() {
-			h := HashKeyOfRow(r, j.InnerKeys)
-			br := buildRow{row: r}
-			if j.matchedInner {
-				br.matched = new(bool)
-			}
-			j.table[h] = append(j.table[h], br)
-			if j.matchedInner {
-				j.innerRowsAll = append(j.innerRowsAll, br)
-			}
-			mem += rowMemBytes(r) + 32
-		}
-		ctx.noteAlloc(&j.prof, mem)
-		for mem > budget {
+		j.table.appendBatch(in, in.Hashes(j.InnerKeys))
+		ctx.noteAlloc(&j.prof, j.table.mem)
+		for j.table.mem > budget {
 			// Ask for more memory before abandoning the hash table: the
 			// sort-merge switch rereads the whole inner side, so growing in
 			// place is strictly cheaper while the pool has headroom.
-			if ext := ctx.extendBudget(budget, mem); ext > 0 {
+			if ext := ctx.extendBudget(budget, j.table.mem); ext > 0 {
 				budget += ext
 				continue
 			}
@@ -223,10 +224,14 @@ func (j *HashJoin) build(ctx *Ctx) error {
 			return j.switchToSortMerge(ctx, budget)
 		}
 	}
+	j.table.link()
+	if j.Type == RightOuterJoin || j.Type == FullOuterJoin {
+		j.matchedBuild = make([]bool, j.table.len())
+	}
 	j.built = true
 	if j.SIP != nil {
-		keys := make(map[uint64]bool, len(j.table))
-		for h := range j.table {
+		keys := make(map[uint64]bool, j.table.len())
+		for _, h := range j.table.hashes {
 			keys[h] = true
 		}
 		j.SIP.Publish(keys)
@@ -245,244 +250,229 @@ func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
 		return j.merge.next(ctx, j)
 	}
 	for {
-		if len(j.pending) > 0 {
-			return j.drainPending(), nil
-		}
-		out, err := j.outer.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			// Emit unmatched inner rows for right/full outer joins.
-			if j.matchedInner && !j.innerDone {
-				j.innerDone = true
-				outerWidth := j.outer.Schema().Len()
-				for _, br := range j.innerRowsAll {
-					if !*br.matched {
-						j.pending = append(j.pending, padLeft(br.row, outerWidth))
-					}
-				}
-				continue
+		if j.in == nil {
+			in, err := j.outer.Next(ctx)
+			if err != nil {
+				return nil, err
 			}
-			return nil, nil
+			if in == nil {
+				return j.unmatchedBuild(), nil
+			}
+			j.startProbe(in)
 		}
-		if err := j.probeBatch(out.Rows()); err != nil {
-			return nil, err
+		var out *vector.Batch
+		if j.Residual == nil && (j.Type == SemiJoin || j.Type == AntiJoin) {
+			out = j.probeExists()
+		} else {
+			var err error
+			if out, err = j.probeChunk(); err != nil {
+				return nil, err
+			}
+		}
+		if out != nil && out.Len() > 0 {
+			return out, nil
 		}
 	}
 }
 
-// probeBatch probes one outer batch against the hash table: candidate pairs
-// are gathered first, the residual (if any) is evaluated once, vectorized,
-// over the whole candidate batch, and match bookkeeping applies to the
-// survivors. Semi/anti joins need only one decision per outer row, so with
-// a residual they take the chunked early-exit path instead of gathering
-// every duplicate build row.
-func (j *HashJoin) probeBatch(rows []types.Row) error {
-	if j.Residual != nil && (j.Type == SemiJoin || j.Type == AntiJoin) {
-		for _, or := range rows {
-			if err := j.probeSemiAntiResidual(or); err != nil {
-				return err
-			}
-		}
-		return nil
+// startProbe hashes an outer batch's keys as a vector (once per run for RLE
+// key columns, honouring the selection) and readies it for probeChunk.
+func (j *HashJoin) startProbe(in *vector.Batch) {
+	j.hashes = in.Hashes(j.OuterKeys)
+	in.ExpandRLE() // rows are addressed physically from here on
+	j.in = in
+	j.inKeys = j.inKeys[:0]
+	for _, k := range j.OuterKeys {
+		j.inKeys = append(j.inKeys, in.Cols[k])
 	}
-	var cands []types.Row // combined candidate rows, batch-evaluated below
-	var brs []buildRow
-	spans := make([][2]int, len(rows)) // per outer row: [start, end) in cands
-	for i, or := range rows {
-		start := len(cands)
-		// SQL semantics: NULL keys never match, so they gather no candidates.
-		nullKey := false
-		for _, k := range j.OuterKeys {
-			if or[k].Null {
-				nullKey = true
-				break
-			}
-		}
-		if !nullKey {
-			// Residual-free semi/anti joins are decided by the first key
-			// match: stop gathering there instead of materializing every
-			// duplicate build row.
-			oneEnough := j.Residual == nil && (j.Type == SemiJoin || j.Type == AntiJoin)
-			h := HashKeyOfRow(or, j.OuterKeys)
-			for _, br := range j.table[h] {
-				if keysEqual(or, br.row, j.OuterKeys, j.InnerKeys) {
-					cands = append(cands, append(append(types.Row{}, or...), br.row...))
-					brs = append(brs, br)
-					if oneEnough {
-						break
-					}
-				}
-			}
-		}
-		spans[i] = [2]int{start, len(cands)}
+	j.pos, j.chain = 0, chainStart
+	if j.Type == SemiJoin || j.Type == AntiJoin {
+		j.solo = make([]int, 0, len(j.hashes)) // becomes the output's selection
 	}
+}
+
+// probeExists decides a residual-free semi/anti join for the whole probe
+// batch — the first key match settles a row, no candidates are gathered —
+// and returns the batch with its selection narrowed to the rows kept.
+func (j *HashJoin) probeExists() *vector.Batch {
+	in := j.in
+	for i, h := range j.hashes {
+		phys := i
+		if in.Sel != nil {
+			phys = in.Sel[i]
+		}
+		if found := j.table.find(h, j.inKeys, phys) >= 0; found == (j.Type == SemiJoin) {
+			j.solo = append(j.solo, phys)
+		}
+	}
+	j.in = nil
+	return &vector.Batch{Cols: in.Cols, Sel: j.solo}
+}
+
+// probeChunk advances the probe of the current outer batch by one output
+// batch: it collects candidate (probe row, build row) pairs by hash and
+// typed key equality until vector.DefaultBatchSize output rows are due,
+// evaluates the residual (if any) once over the gathered candidates, does
+// the match bookkeeping on the survivors and gathers the output. NULL keys
+// never match: the table does not link them. Semi/anti joins (which come
+// here only with a residual) need one decision per outer row, so a row
+// that matched in an earlier chunk skips the rest of its chain, and their
+// output is the probe batch itself, selection narrowed, once it is done.
+func (j *HashJoin) probeChunk() (*vector.Batch, error) {
+	t, in := j.table, j.in
+	semi := j.Type == SemiJoin || j.Type == AntiJoin
+	pi, bi, visited := j.probeIdx[:0], j.buildIdx[:0], j.visited[:0]
+	carried := j.chain != chainStart && j.rowMatched
+	room := vector.DefaultBatchSize
+	for j.pos < len(j.hashes) && room > 0 {
+		phys := j.pos
+		if in.Sel != nil {
+			phys = in.Sel[j.pos]
+		}
+		h := j.hashes[j.pos]
+		c := j.chain
+		switch {
+		case c == chainStart:
+			c = t.head(h)
+		case semi && carried:
+			c = -1 // decided already; a skewed chain is not walked to its end
+		}
+		start := len(pi)
+		for ; c >= 0 && room > 0; c = t.next[c] {
+			if t.matches(c, h, j.inKeys, phys) {
+				pi, bi = append(pi, phys), append(bi, int(c))
+				room--
+			}
+		}
+		visited = append(visited, probedRow{phys, len(pi)})
+		if c >= 0 {
+			j.chain = c // out of room mid-chain: the next chunk resumes here
+			break
+		}
+		j.chain = chainStart
+		j.pos++
+		if len(pi) == start {
+			room-- // may surface as an unmatched outer row
+		}
+	}
+	j.probeIdx, j.buildIdx, j.visited = pi, bi, visited
+	midRow := j.chain != chainStart
+
 	var mask []bool
-	if j.Residual != nil && len(cands) > 0 {
+	if j.Residual != nil && len(pi) > 0 {
 		var err error
-		if mask, err = residualMask(j.Residual, j.resSchema, cands); err != nil {
-			return err
+		if mask, err = residualMask(j.Residual, j.gather(j.resSchema, pi, bi, nil)); err != nil {
+			return nil, err
 		}
 	}
-	for i, or := range rows {
-		matched := false
-		for c := spans[i][0]; c < spans[i][1]; c++ {
+	var unmatched []int // left/full: outer rows to pad
+	k, c := 0, 0
+	for r, v := range visited {
+		matched := r == 0 && carried
+		for ; c < v.end; c++ {
 			if mask != nil && !mask[c] {
 				continue
 			}
 			matched = true
-			if brs[c].matched != nil {
-				*brs[c].matched = true
+			if j.matchedBuild != nil {
+				j.matchedBuild[bi[c]] = true
 			}
-			switch j.Type {
-			case SemiJoin:
-				j.pending = append(j.pending, or.Clone())
-			case AntiJoin:
-			default:
-				j.pending = append(j.pending, cands[c])
-			}
-			if j.Type == SemiJoin || j.Type == AntiJoin {
-				break // one decision per outer row
-			}
+			pi[k], bi[k] = pi[c], bi[c]
+			k++
 		}
-		if !matched {
-			j.emitUnmatchedOuter(or)
+		if midRow && r == len(visited)-1 {
+			j.rowMatched = matched
+			break
+		}
+		switch j.Type {
+		case SemiJoin:
+			if matched {
+				j.solo = append(j.solo, v.phys)
+			}
+		case AntiJoin:
+			if !matched {
+				j.solo = append(j.solo, v.phys)
+			}
+		case LeftOuterJoin, FullOuterJoin:
+			if !matched {
+				unmatched = append(unmatched, v.phys)
+			}
 		}
 	}
-	return nil
+	done := j.pos >= len(j.hashes)
+	var out *vector.Batch
+	switch {
+	case !semi:
+		out = j.gather(j.schema, pi[:k], bi[:k], unmatched)
+	case done:
+		out = &vector.Batch{Cols: in.Cols, Sel: j.solo}
+	}
+	if done {
+		j.in = nil
+	}
+	return out, nil
 }
 
-// semiResidualChunk bounds how many duplicate-key candidates a semi/anti
-// probe materializes per residual evaluation: enough to amortize the
-// vectorized Eval, small enough that a skewed 1M-duplicate chain whose
-// first candidate passes never blows up memory.
-const semiResidualChunk = 256
-
-// probeSemiAntiResidual decides one outer row for a semi/anti join with a
-// residual: key-matching candidates are gathered and residual-evaluated in
-// chunks (vectorized), stopping at the first survivor — one decision per
-// outer row, like the serial per-row path, without per-row EvalRow.
-func (j *HashJoin) probeSemiAntiResidual(or types.Row) error {
-	for _, k := range j.OuterKeys {
-		if or[k].Null {
-			j.emitUnmatchedOuter(or)
-			return nil
-		}
-	}
-	var cands []types.Row
-	flush := func() (bool, error) {
-		if len(cands) == 0 {
-			return false, nil
-		}
-		mask, err := residualMask(j.Residual, j.resSchema, cands)
-		cands = cands[:0]
-		if err != nil {
-			return false, err
-		}
-		for _, ok := range mask {
-			if ok {
-				return true, nil
+// gather assembles rows of the given outer+inner schema column-wise: the
+// outer columns of the current probe batch at probeIdx beside the build
+// columns at buildIdx, then the outer rows in padded beside NULLs.
+func (j *HashJoin) gather(schema *types.Schema, probeIdx, buildIdx, padded []int) *vector.Batch {
+	out := vector.NewBatchForSchema(schema, len(probeIdx)+len(padded))
+	nOuter := len(j.in.Cols)
+	for c, col := range out.Cols {
+		if c < nOuter {
+			if len(probeIdx) > 0 {
+				col.AppendFrom(j.in.Cols[c], probeIdx)
 			}
-		}
-		return false, nil
-	}
-	matched := false
-	h := HashKeyOfRow(or, j.OuterKeys)
-	for _, br := range j.table[h] {
-		if !keysEqual(or, br.row, j.OuterKeys, j.InnerKeys) {
+			if len(padded) > 0 {
+				col.AppendFrom(j.in.Cols[c], padded)
+			}
 			continue
 		}
-		cands = append(cands, append(append(types.Row{}, or...), br.row...))
-		if len(cands) >= semiResidualChunk {
-			var err error
-			if matched, err = flush(); err != nil {
-				return err
-			}
-			if matched {
-				break
-			}
+		if len(buildIdx) > 0 {
+			col.AppendFrom(j.table.rows.Cols[c-nOuter], buildIdx)
+		}
+		col.AppendNulls(len(padded))
+	}
+	return out
+}
+
+// unmatchedBuild emits, once the outer input is exhausted, the build rows
+// of a right/full outer join that no probe row matched, NULL-padded on the
+// outer side, a batch at a time; nil when there are none (left).
+func (j *HashJoin) unmatchedBuild() *vector.Batch {
+	idx := j.buildIdx[:0]
+	for ; j.unmatchedPos < len(j.matchedBuild) && len(idx) < vector.DefaultBatchSize; j.unmatchedPos++ {
+		if !j.matchedBuild[j.unmatchedPos] {
+			idx = append(idx, j.unmatchedPos)
 		}
 	}
-	if !matched {
-		var err error
-		if matched, err = flush(); err != nil {
-			return err
-		}
-	}
-	if matched {
-		if j.Type == SemiJoin {
-			j.pending = append(j.pending, or.Clone())
-		}
+	if len(idx) == 0 {
 		return nil
 	}
-	j.emitUnmatchedOuter(or)
-	return nil
-}
-
-func (j *HashJoin) emitUnmatchedOuter(or types.Row) {
-	switch j.Type {
-	case LeftOuterJoin, FullOuterJoin:
-		j.pending = append(j.pending, padRight(or, j.inner.Schema()))
-	case AntiJoin:
-		j.pending = append(j.pending, or.Clone())
-	}
-}
-
-func keysEqual(a, b types.Row, ak, bk []int) bool {
-	for i := range ak {
-		av, bv := a[ak[i]], b[bk[i]]
-		if av.Null || bv.Null {
-			return false
-		}
-		if av.Compare(bv) != 0 {
-			return false
+	out := vector.NewBatchForSchema(j.schema, len(idx))
+	nOuter := j.outer.Schema().Len()
+	for c, col := range out.Cols {
+		if c < nOuter {
+			col.AppendNulls(len(idx))
+		} else {
+			col.AppendFrom(j.table.rows.Cols[c-nOuter], idx)
 		}
 	}
-	return true
-}
-
-func padRight(outer types.Row, inner *types.Schema) types.Row {
-	row := append(types.Row{}, outer...)
-	for _, c := range inner.Cols {
-		row = append(row, types.NewNull(c.Typ))
-	}
-	return row
-}
-
-func padLeft(inner types.Row, outerWidth int) types.Row {
-	row := make(types.Row, 0, outerWidth+len(inner))
-	for i := 0; i < outerWidth; i++ {
-		row = append(row, types.Value{Typ: types.Int64, Null: true})
-	}
-	return append(row, inner...)
-}
-
-func (j *HashJoin) drainPending() *vector.Batch {
-	batch := vector.NewBatchForSchema(j.schema, len(j.pending))
-	n := len(j.pending)
-	if n > vector.DefaultBatchSize {
-		n = vector.DefaultBatchSize
-	}
-	for i := 0; i < n; i++ {
-		batch.AppendRow(j.pending[i])
-	}
-	j.pending = j.pending[n:]
-	return batch
+	return out
 }
 
 // --- runtime switch to sort-merge ----------------------------------------
 
 // mergeJoinState performs the sort-merge join after a budget-triggered
-// switch: both sides are externally sorted by their keys, then merged.
+// switch: both sides are externally sorted by their keys, then merged row
+// by row through the same rowJoiner MergeJoin uses.
 type mergeJoinState struct {
 	outerIt, innerIt rowIter
 	outerSorter      *externalSorter
 	innerSorter      *externalSorter
-	done             bool
-	pendingRows      []types.Row
+	joiner           *rowJoiner
 
-	curOuter  types.Row
 	innerBuf  []types.Row // current inner key group
 	innerNext types.Row
 }
@@ -493,6 +483,24 @@ func (m *mergeJoinState) close() {
 	}
 	if m.innerSorter != nil {
 		m.innerSorter.closeRuns()
+	}
+}
+
+// sortAll feeds every remaining batch of op into the sorter.
+func sortAll(ctx *Ctx, op Operator, s *externalSorter) error {
+	for {
+		in, err := op.Next(ctx)
+		if err != nil {
+			return err
+		}
+		if in == nil {
+			return nil
+		}
+		for _, r := range in.Rows() {
+			if err := s.add(r); err != nil {
+				return err
+			}
+		}
 	}
 }
 
@@ -509,7 +517,7 @@ func (j *HashJoin) switchToSortMerge(ctx *Ctx, budget int64) error {
 		}
 		return out
 	}
-	m := &mergeJoinState{}
+	m := &mergeJoinState{joiner: newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema)}
 	// The inner sorter takes over the hash table's rows and its (possibly
 	// extended) budget — those bytes are granted to this query and free now
 	// that the table is abandoned. The outer sorter starts fresh at the
@@ -519,45 +527,28 @@ func (j *HashJoin) switchToSortMerge(ctx *Ctx, budget int64) error {
 	if budget > m.innerSorter.budget {
 		m.innerSorter.budget = budget
 	}
-	// Rows already in the abandoned hash table move to the sorter.
-	for _, chain := range j.table {
-		for _, br := range chain {
-			if err := m.innerSorter.add(br.row); err != nil {
-				return err
-			}
-		}
-	}
+	// Rows already in the abandoned store move to the sorter, a batch's
+	// worth at a time so the row form never holds the whole build side.
+	stored := j.table.rows
 	j.table = nil
-	j.innerRowsAll = nil
-	for {
-		in, err := j.inner.Next(ctx)
-		if err != nil {
-			return err
+	for lo := 0; lo < stored.Len(); lo += vector.DefaultBatchSize {
+		hi := lo + vector.DefaultBatchSize
+		if hi > stored.Len() {
+			hi = stored.Len()
 		}
-		if in == nil {
-			break
-		}
-		for _, r := range in.Rows() {
+		for _, r := range stored.SliceRows(lo, hi).Rows() {
 			if err := m.innerSorter.add(r); err != nil {
 				return err
 			}
 		}
 	}
+	if err := sortAll(ctx, j.inner, m.innerSorter); err != nil {
+		return err
+	}
 	m.outerSorter = newExternalSorter(ctx, specsOf(j.OuterKeys), j.outer.Schema().Len())
 	m.outerSorter.prof = &j.prof
-	for {
-		in, err := j.outer.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			break
-		}
-		for _, r := range in.Rows() {
-			if err := m.outerSorter.add(r); err != nil {
-				return err
-			}
-		}
+	if err := sortAll(ctx, j.outer, m.outerSorter); err != nil {
+		return err
 	}
 	var err error
 	if m.innerIt, err = m.innerSorter.finish(); err != nil {
@@ -577,111 +568,35 @@ func (j *HashJoin) switchToSortMerge(ctx *Ctx, budget int64) error {
 // inner, left-outer, semi and anti flavors (right/full switch back is not
 // required by the planner, which puts the smaller input on the build side).
 func (m *mergeJoinState) next(ctx *Ctx, j *HashJoin) (*vector.Batch, error) {
-	for len(m.pendingRows) == 0 && !m.done {
+	for m.joiner.pending() == 0 {
 		or, err := m.outerIt.next()
 		if err != nil {
 			return nil, err
 		}
 		if or == nil {
-			m.done = true
 			break
 		}
-		// Advance the inner group until innerKey >= outerKey.
-		cmp := func(inner types.Row) int {
-			for i := range j.OuterKeys {
-				ov, iv := or[j.OuterKeys[i]], inner[j.InnerKeys[i]]
-				c := iv.Compare(ov)
-				if c != 0 {
-					return c
-				}
-			}
-			return 0
-		}
-		nullKey := false
-		for _, k := range j.OuterKeys {
-			if or[k].Null {
-				nullKey = true
-				break
-			}
-		}
-		if !nullKey {
-			// Load the matching inner group.
-			if len(m.innerBuf) == 0 || cmp(m.innerBuf[0]) != 0 {
-				m.innerBuf = m.innerBuf[:0]
-				for m.innerNext != nil && cmp(m.innerNext) < 0 {
-					if m.innerNext, err = m.innerIt.next(); err != nil {
-						return nil, err
-					}
-				}
-				for m.innerNext != nil && cmp(m.innerNext) == 0 {
-					m.innerBuf = append(m.innerBuf, m.innerNext)
-					if m.innerNext, err = m.innerIt.next(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		} else {
+		cmp := func(inner types.Row) int { return compareJoinKeys(inner, or, j.InnerKeys, j.OuterKeys) }
+		if hasNullKey(or, j.OuterKeys) {
 			m.innerBuf = m.innerBuf[:0]
-		}
-		matched := false
-		if !nullKey && len(m.innerBuf) > 0 &&
-			j.Residual == nil && (j.Type == SemiJoin || j.Type == AntiJoin) {
-			// Residual-free semi/anti: any row in the key-equal group
-			// decides the outer row — no combined rows to materialize.
-			matched = true
-			if j.Type == SemiJoin {
-				m.pendingRows = append(m.pendingRows, or.Clone())
-			}
-		} else if !nullKey && len(m.innerBuf) > 0 {
-			// Vectorized residual: one Eval over the group's combined batch.
-			cands := make([]types.Row, len(m.innerBuf))
-			for c, ir := range m.innerBuf {
-				cands[c] = append(append(types.Row{}, or...), ir...)
-			}
-			var mask []bool
-			if j.Residual != nil {
-				if mask, err = residualMask(j.Residual, j.resSchema, cands); err != nil {
+		} else if len(m.innerBuf) == 0 || cmp(m.innerBuf[0]) != 0 {
+			// Advance the inner side to the outer key and load its group.
+			m.innerBuf = m.innerBuf[:0]
+			for m.innerNext != nil && cmp(m.innerNext) < 0 {
+				if m.innerNext, err = m.innerIt.next(); err != nil {
 					return nil, err
 				}
 			}
-			for c := range cands {
-				if mask != nil && !mask[c] {
-					continue
-				}
-				matched = true
-				switch j.Type {
-				case SemiJoin:
-					m.pendingRows = append(m.pendingRows, or.Clone())
-				case AntiJoin:
-					// matched anti rows produce nothing
-				default:
-					m.pendingRows = append(m.pendingRows, cands[c])
-				}
-				if j.Type == SemiJoin {
-					break
+			for m.innerNext != nil && cmp(m.innerNext) == 0 {
+				m.innerBuf = append(m.innerBuf, m.innerNext)
+				if m.innerNext, err = m.innerIt.next(); err != nil {
+					return nil, err
 				}
 			}
 		}
-		if !matched {
-			switch j.Type {
-			case LeftOuterJoin, FullOuterJoin:
-				m.pendingRows = append(m.pendingRows, padRight(or, j.inner.Schema()))
-			case AntiJoin:
-				m.pendingRows = append(m.pendingRows, or.Clone())
-			}
+		if err := m.joiner.join(or, m.innerBuf); err != nil {
+			return nil, err
 		}
 	}
-	if len(m.pendingRows) == 0 {
-		return nil, nil
-	}
-	batch := vector.NewBatchForSchema(j.schema, len(m.pendingRows))
-	n := len(m.pendingRows)
-	if n > vector.DefaultBatchSize {
-		n = vector.DefaultBatchSize
-	}
-	for i := 0; i < n; i++ {
-		batch.AppendRow(m.pendingRows[i])
-	}
-	m.pendingRows = m.pendingRows[n:]
-	return batch, nil
+	return m.joiner.take(), nil
 }

@@ -30,7 +30,7 @@ type MergeJoin struct {
 	innerPos  int
 	outerDone bool
 	innerDone bool
-	pending   []types.Row
+	joiner    *rowJoiner
 	innerBuf  []types.Row
 	prof      OpProf
 }
@@ -69,7 +69,8 @@ func (j *MergeJoin) Open(ctx *Ctx) error {
 	j.outerRows, j.innerRows = nil, nil
 	j.outerPos, j.innerPos = 0, 0
 	j.outerDone, j.innerDone = false, false
-	j.pending, j.innerBuf = nil, nil
+	j.innerBuf = nil
+	j.joiner = newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema)
 	if err := j.outer.Open(ctx); err != nil {
 		return err
 	}
@@ -127,112 +128,155 @@ func (j *MergeJoin) peekInnerRow(ctx *Ctx) (types.Row, error) {
 
 // next is the operator body behind the profiled Next (profile.go).
 func (j *MergeJoin) next(ctx *Ctx) (*vector.Batch, error) {
-	for len(j.pending) == 0 {
+	for j.joiner.pending() == 0 {
 		or, err := j.nextOuterRow(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if or == nil {
-			return nil, nil
+			break
 		}
 		if err := j.joinOne(ctx, or); err != nil {
 			return nil, err
 		}
 	}
-	batch := vector.NewBatchForSchema(j.schema, len(j.pending))
-	n := len(j.pending)
-	if n > vector.DefaultBatchSize {
-		n = vector.DefaultBatchSize
-	}
-	for i := 0; i < n; i++ {
-		batch.AppendRow(j.pending[i])
-	}
-	j.pending = j.pending[n:]
-	return batch, nil
+	return j.joiner.take(), nil
 }
 
 func (j *MergeJoin) joinOne(ctx *Ctx, or types.Row) error {
-	cmpKey := func(inner types.Row) int {
-		for i := range j.OuterKeys {
-			c := inner[j.InnerKeys[i]].Compare(or[j.OuterKeys[i]])
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
+	cmpKey := func(inner types.Row) int { return compareJoinKeys(inner, or, j.InnerKeys, j.OuterKeys) }
+	if hasNullKey(or, j.OuterKeys) {
+		return j.joiner.join(or, nil)
 	}
-	nullKey := false
-	for _, k := range j.OuterKeys {
-		if or[k].Null {
-			nullKey = true
-			break
-		}
-	}
-	if !nullKey {
-		// Refresh the buffered inner group if it no longer matches.
-		if len(j.innerBuf) == 0 || cmpKey(j.innerBuf[0]) != 0 {
-			j.innerBuf = j.innerBuf[:0]
-			for {
-				ir, err := j.peekInnerRow(ctx)
-				if err != nil {
-					return err
-				}
-				if ir == nil || cmpKey(ir) > 0 {
-					break
-				}
-				if cmpKey(ir) == 0 {
-					j.innerBuf = append(j.innerBuf, ir)
-				}
-				j.innerPos++
-			}
-		}
-	}
-	matched := false
-	if !nullKey && len(j.innerBuf) > 0 &&
-		j.Residual == nil && (j.Type == SemiJoin || j.Type == AntiJoin) {
-		// Residual-free semi/anti: any row in the key-equal group decides
-		// the outer row — no combined rows to materialize.
-		matched = true
-		if j.Type == SemiJoin {
-			j.pending = append(j.pending, or.Clone())
-		}
-	} else if !nullKey && len(j.innerBuf) > 0 {
-		// Vectorized residual: one Eval over the group's combined batch.
-		cands := make([]types.Row, len(j.innerBuf))
-		for c, ir := range j.innerBuf {
-			cands[c] = append(append(types.Row{}, or...), ir...)
-		}
-		var mask []bool
-		if j.Residual != nil {
-			var err error
-			if mask, err = residualMask(j.Residual, j.resSchema, cands); err != nil {
+	// Refresh the buffered inner group if it no longer matches.
+	if len(j.innerBuf) == 0 || cmpKey(j.innerBuf[0]) != 0 {
+		j.innerBuf = j.innerBuf[:0]
+		for {
+			ir, err := j.peekInnerRow(ctx)
+			if err != nil {
 				return err
 			}
-		}
-		for c := range cands {
-			if mask != nil && !mask[c] {
-				continue
-			}
-			matched = true
-			switch j.Type {
-			case SemiJoin:
-				j.pending = append(j.pending, or.Clone())
-			case AntiJoin:
-			default:
-				j.pending = append(j.pending, cands[c])
-			}
-			if j.Type == SemiJoin {
+			if ir == nil || cmpKey(ir) > 0 {
 				break
 			}
+			if cmpKey(ir) == 0 {
+				j.innerBuf = append(j.innerBuf, ir)
+			}
+			j.innerPos++
 		}
 	}
-	if !matched {
-		switch j.Type {
-		case LeftOuterJoin:
-			j.pending = append(j.pending, padRight(or, j.inner.Schema()))
-		case AntiJoin:
-			j.pending = append(j.pending, or.Clone())
+	return j.joiner.join(or, j.innerBuf)
+}
+
+// compareJoinKeys orders an inner row against an outer row by their aligned
+// join key columns.
+func compareJoinKeys(inner, outer types.Row, innerKeys, outerKeys []int) int {
+	for i := range outerKeys {
+		if c := inner[innerKeys[i]].Compare(outer[outerKeys[i]]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+func hasNullKey(r types.Row, keys []int) bool {
+	for _, k := range keys {
+		if r[k].Null {
+			return true
+		}
+	}
+	return false
+}
+
+// rowJoiner joins one outer row with its key-equal inner group for the
+// joins that walk sorted rows (MergeJoin, and HashJoin after its switch to
+// sort-merge) and collects the output column-wise.
+type rowJoiner struct {
+	typ       JoinType
+	residual  expr.Expr
+	schema    *types.Schema // output
+	resSchema *types.Schema // outer then inner columns
+	out       *vector.Batch
+	taken     int // rows of out already handed on
+}
+
+func newRowJoiner(t JoinType, residual expr.Expr, schema, resSchema *types.Schema) *rowJoiner {
+	return &rowJoiner{typ: t, residual: residual, schema: schema, resSchema: resSchema,
+		out: vector.NewBatchForSchema(schema, vector.DefaultBatchSize)}
+}
+
+// join emits what one outer row contributes given its key-equal inner group
+// (empty for a NULL or partnerless key). A residual is evaluated once,
+// vectorized, over the group's combined rows; without one a semi/anti row
+// is decided by the group being non-empty and nothing is assembled.
+func (e *rowJoiner) join(or types.Row, group []types.Row) error {
+	semi := e.typ == SemiJoin || e.typ == AntiJoin
+	matched := false
+	switch {
+	case len(group) == 0:
+	case semi && e.residual == nil:
+		matched = true
+	default:
+		cands := vector.NewBatchForSchema(e.resSchema, len(group))
+		for _, ir := range group {
+			for c, col := range cands.Cols {
+				if c < len(or) {
+					col.AppendValue(or[c])
+				} else {
+					col.AppendValue(ir[c-len(or)])
+				}
+			}
+		}
+		if e.residual != nil {
+			mask, err := residualMask(e.residual, cands)
+			if err != nil {
+				return err
+			}
+			cands.Sel = make([]int, 0, len(mask))
+			for i, ok := range mask {
+				if ok {
+					cands.Sel = append(cands.Sel, i)
+				}
+			}
+		}
+		matched = cands.Len() > 0
+		if !semi {
+			e.out.Append(cands)
+		}
+	}
+	switch {
+	case e.typ == SemiJoin && matched, e.typ == AntiJoin && !matched:
+		e.out.AppendRow(or)
+	case (e.typ == LeftOuterJoin || e.typ == FullOuterJoin) && !matched:
+		for c, col := range e.out.Cols {
+			if c < len(or) {
+				col.AppendValue(or[c])
+			} else {
+				col.AppendNull()
+			}
 		}
 	}
 	return nil
+}
+
+// pending is the number of joined rows not yet taken.
+func (e *rowJoiner) pending() int { return e.out.Len() - e.taken }
+
+// take hands on up to vector.DefaultBatchSize pending rows, nil when there
+// are none.
+func (e *rowJoiner) take() *vector.Batch {
+	n := e.pending()
+	if n == 0 {
+		return nil
+	}
+	if n > vector.DefaultBatchSize {
+		n = vector.DefaultBatchSize
+	}
+	b := e.out.SliceRows(e.taken, e.taken+n)
+	e.taken += n
+	if e.pending() == 0 {
+		e.out = vector.NewBatchForSchema(e.schema, vector.DefaultBatchSize)
+		e.taken = 0
+	}
+	return b
 }

@@ -28,19 +28,18 @@ type Prepass struct {
 	MaxGroups int
 
 	schema   *types.Schema
-	groups   map[uint64][]*groupEntry
-	nGroups  int
+	groups   *groupSet
 	inRows   int64
 	outRows  int64
 	bypassed bool
-	pending  []types.Row
+	ready    []*vector.Batch // output batches not yet returned
 	done     bool
 	prof     OpProf
 }
 
-// DefaultPrepassGroups approximates a cache-sized table. The paper says
-// "L1 cache sized"; Go's map entries are several times larger than a tuned
-// C++ open-addressing slot, so the equivalent entry count targets L2.
+// DefaultPrepassGroups approximates a cache-sized table: 4096 groups of an
+// 8-byte key, its hash, its chain links and one or two accumulators come to
+// a few hundred KiB, so the table targets L2 rather than the paper's L1.
 const DefaultPrepassGroups = 4096
 
 // NewPrepass builds a prepass partial-aggregation node.
@@ -50,26 +49,21 @@ func NewPrepass(child Operator, keys []expr.Expr, keyNames []string, aggs []AggS
 			return nil, fmt.Errorf("exec: %s cannot be computed by a prepass", aggs[i].String())
 		}
 	}
-	p := &Prepass{
+	return &Prepass{
 		single: single{child: child}, Keys: keys, KeyNames: keyNames,
 		Aggs: aggs, MaxGroups: DefaultPrepassGroups,
-	}
-	cols := make([]types.Column, 0, len(keys)+len(aggs)*2)
-	for i, k := range keys {
-		name := ""
-		if keyNames != nil {
-			name = keyNames[i]
-		}
-		if name == "" {
-			name = k.String()
-		}
-		cols = append(cols, types.Column{Name: name, Typ: k.Type(), Nullable: true})
-	}
+		schema: partialSchema(keyColumns(keys, keyNames), aggs),
+	}, nil
+}
+
+// partialSchema lays out partial rows: the key columns, then each
+// aggregate's partial-state columns.
+func partialSchema(keyCols []types.Column, aggs []AggSpec) *types.Schema {
+	cols := append([]types.Column{}, keyCols...)
 	for i := range aggs {
 		cols = append(cols, aggs[i].PartialCols()...)
 	}
-	p.schema = types.NewSchema(cols...)
-	return p, nil
+	return types.NewSchema(cols...)
 }
 
 // Schema implements Operator.
@@ -82,10 +76,10 @@ func (p *Prepass) Describe() string {
 
 // Open implements Operator.
 func (p *Prepass) Open(ctx *Ctx) error {
-	p.groups = map[uint64][]*groupEntry{}
-	p.nGroups, p.inRows, p.outRows = 0, 0, 0
+	p.groups = newGroupSet(p.Keys, p.schema.Cols[:len(p.Keys)], p.Aggs)
+	p.inRows, p.outRows = 0, 0
 	p.bypassed, p.done = false, false
-	p.pending = nil
+	p.ready = nil
 	return p.openChild(ctx)
 }
 
@@ -95,8 +89,10 @@ func (p *Prepass) Close(ctx *Ctx) error { return p.closeChild(ctx) }
 // next is the operator body behind the profiled Next (profile.go).
 func (p *Prepass) next(ctx *Ctx) (*vector.Batch, error) {
 	for {
-		if len(p.pending) > 0 {
-			return p.drainPending(), nil
+		if len(p.ready) > 0 {
+			b := p.ready[0]
+			p.ready = p.ready[1:]
+			return b, nil
 		}
 		if p.done {
 			return nil, nil
@@ -116,68 +112,34 @@ func (p *Prepass) next(ctx *Ctx) (*vector.Batch, error) {
 	}
 }
 
-func (p *Prepass) consume(ctx *Ctx, in *vector.Batch) error {
-	if in.Sel != nil {
-		in = in.Flatten()
-	} else {
-		in.ExpandRLE()
+func (p *Prepass) consume(ctx *Ctx, batch *vector.Batch) error {
+	s := p.groups
+	in, err := s.input(batch, false)
+	if err != nil {
+		return err
 	}
-	n := in.Len()
-	p.inRows += int64(n)
+	p.inRows += int64(in.n)
 	if p.bypassed {
-		// Not reducing rows: convert each row to a trivial partial.
-		return p.bypassBatch(in)
+		// Not reducing rows: every row becomes a group of its own, whose
+		// partial state goes out beside the evaluated key vectors as is.
+		s.accs.reset()
+		s.gids = s.gids[:0]
+		for i := 0; i < in.n; i++ {
+			s.accs.addGroup()
+			s.gids = append(s.gids, int32(i))
+		}
+		s.accs.update(s.gids, in.args, 0)
+		p.emit(in.keys, in.n)
+		return nil
 	}
-	keyVecs := make([]*vector.Vector, len(p.Keys))
-	for i, k := range p.Keys {
-		v, err := k.Eval(in)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
-	}
-	argVecs := make([]*vector.Vector, len(p.Aggs))
-	for i := range p.Aggs {
-		if p.Aggs[i].Arg == nil {
-			continue
-		}
-		v, err := p.Aggs[i].Arg.Eval(in)
-		if err != nil {
-			return err
-		}
-		argVecs[i] = v
-	}
-	keyIdx := seqIdx(len(p.Keys))
-	for i := 0; i < n; i++ {
-		key := make(types.Row, len(keyVecs))
-		for k, kv := range keyVecs {
-			key[k] = kv.ValueAt(i)
-		}
-		h := types.HashRow(key, keyIdx)
-		var e *groupEntry
-		for _, c := range p.groups[h] {
-			if c.key.Compare(key, keyIdx) == 0 {
-				e = c
-				break
-			}
-		}
-		if e == nil {
-			if p.nGroups >= p.MaxGroups {
-				p.flushTable()
-			}
-			e = &groupEntry{key: key, accs: make([]*aggAcc, len(p.Aggs))}
-			for a := range p.Aggs {
-				e.accs[a] = newAggAcc(&p.Aggs[a])
-			}
-			p.groups[h] = append(p.groups[h], e)
-			p.nGroups++
-		}
-		for a := range p.Aggs {
-			if p.Aggs[a].Kind == AggCountStar {
-				e.accs[a].update(types.Value{})
-			} else {
-				e.accs[a].update(argVecs[a].ValueAt(i))
-			}
+	hashes := s.hashKeys(in)
+	for lo := 0; lo < in.n; {
+		// Rows fold in until one needs a group the full table has no room
+		// for; the table is flushed and the batch continues from that row.
+		end := s.resolveHashed(in, hashes, lo, p.MaxGroups)
+		s.accs.update(s.gids, in.args, lo)
+		if lo = end; lo < in.n {
+			p.flushTable()
 		}
 	}
 	// Adaptivity: if after a meaningful sample the prepass is reducing rows
@@ -193,73 +155,26 @@ func (p *Prepass) consume(ctx *Ctx, in *vector.Batch) error {
 	return nil
 }
 
-// bypassBatch emits one trivial partial row per input row.
-func (p *Prepass) bypassBatch(in *vector.Batch) error {
-	keyVecs := make([]*vector.Vector, len(p.Keys))
-	for i, k := range p.Keys {
-		v, err := k.Eval(in)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
-	}
-	argVecs := make([]*vector.Vector, len(p.Aggs))
-	for i := range p.Aggs {
-		if p.Aggs[i].Arg == nil {
-			continue
-		}
-		v, err := p.Aggs[i].Arg.Eval(in)
-		if err != nil {
-			return err
-		}
-		argVecs[i] = v
-	}
-	n := in.Len()
-	for i := 0; i < n; i++ {
-		row := make(types.Row, 0, p.schema.Len())
-		for _, kv := range keyVecs {
-			row = append(row, kv.ValueAt(i))
-		}
-		for a := range p.Aggs {
-			acc := newAggAcc(&p.Aggs[a])
-			if p.Aggs[a].Kind == AggCountStar {
-				acc.update(types.Value{})
-			} else {
-				acc.update(argVecs[a].ValueAt(i))
-			}
-			row = append(row, acc.partial()...)
-		}
-		p.pending = append(p.pending, row)
-		p.outRows++
-	}
-	return nil
-}
-
+// flushTable outputs the table's groups as partial rows — the stored key
+// columns go out as they are — and starts aggregating afresh.
 func (p *Prepass) flushTable() {
-	for _, chain := range p.groups {
-		for _, e := range chain {
-			row := make(types.Row, 0, p.schema.Len())
-			row = append(row, e.key...)
-			for _, acc := range e.accs {
-				row = append(row, acc.partial()...)
-			}
-			p.pending = append(p.pending, row)
-			p.outRows++
-		}
+	if n := p.groups.table.len(); n > 0 {
+		p.emit(p.groups.table.release().Cols, n)
+		p.groups.accs.reset()
 	}
-	p.groups = map[uint64][]*groupEntry{}
-	p.nGroups = 0
 }
 
-func (p *Prepass) drainPending() *vector.Batch {
-	batch := vector.NewBatchForSchema(p.schema, len(p.pending))
-	n := len(p.pending)
-	if n > vector.DefaultBatchSize {
-		n = vector.DefaultBatchSize
+// emit queues n partial rows: the given key columns beside the partial
+// state of accumulator groups 0..n-1, a batch at a time.
+func (p *Prepass) emit(keyCols []*vector.Vector, n int) {
+	cols := append([]*vector.Vector{}, keyCols...)
+	for _, c := range p.schema.Cols[len(keyCols):] {
+		cols = append(cols, vector.New(c.Typ, n))
 	}
-	for i := 0; i < n; i++ {
-		batch.AppendRow(p.pending[i])
+	p.groups.accs.appendPartials(cols[len(keyCols):])
+	b := vector.NewBatch(cols...)
+	for lo := 0; lo < n; lo += vector.DefaultBatchSize {
+		p.ready = append(p.ready, b.SliceRows(lo, min(lo+vector.DefaultBatchSize, n)))
 	}
-	p.pending = p.pending[n:]
-	return batch
+	p.outRows += int64(n)
 }

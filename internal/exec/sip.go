@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -66,46 +65,23 @@ func (f *SIPFilter) Apply(b *vector.Batch) error {
 	if !ready {
 		return nil
 	}
-	b.ExpandRLE()
 	for _, kc := range f.KeyCols {
 		if kc >= len(b.Cols) {
 			return fmt.Errorf("exec: SIP key column %d out of range", kc)
 		}
 	}
-	var out []int
-	check := func(i int) bool {
-		h := uint64(14695981039346656037)
-		for _, kc := range f.KeyCols {
-			h = types.HashCombine(h, types.HashValue(b.Cols[kc].ValueAt(i)))
-		}
-		return keys[h]
-	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			if check(i) {
-				out = append(out, i)
+	hashes := b.Hashes(f.KeyCols) // one hash per run for RLE key columns
+	b.ExpandRLE()                 // a selection requires flat columns
+	out := make([]int, 0, len(hashes))
+	for i, h := range hashes {
+		if keys[h] {
+			phys := i
+			if b.Sel != nil {
+				phys = b.Sel[i]
 			}
+			out = append(out, phys)
 		}
-	} else {
-		n := b.FullLen()
-		for i := 0; i < n; i++ {
-			if check(i) {
-				out = append(out, i)
-			}
-		}
-	}
-	if out == nil {
-		out = []int{}
 	}
 	b.Sel = out
 	return nil
-}
-
-// HashKeyOfRow computes the SIP/join hash of the key columns of a row.
-func HashKeyOfRow(r types.Row, keyCols []int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, kc := range keyCols {
-		h = types.HashCombine(h, types.HashValue(r[kc]))
-	}
-	return h
 }

@@ -79,7 +79,9 @@ func (b *Batch) Row(i int) types.Row {
 	return r
 }
 
-// Rows materializes every live row (convenience for tests and small results).
+// Rows materializes every live row. All rows share one backing array of
+// Len() × NumCols() values, filled column at a time; each row is capped at
+// its own width, so appending to one never writes into its neighbour.
 func (b *Batch) Rows() []types.Row {
 	fb := b
 	for _, c := range b.Cols {
@@ -88,9 +90,20 @@ func (b *Batch) Rows() []types.Row {
 			break
 		}
 	}
-	out := make([]types.Row, fb.Len())
+	n, w := fb.Len(), len(fb.Cols)
+	vals := make([]types.Value, n*w)
+	for c, col := range fb.Cols {
+		for i := 0; i < n; i++ {
+			phys := i
+			if fb.Sel != nil {
+				phys = fb.Sel[i]
+			}
+			vals[i*w+c] = col.ValueAt(phys)
+		}
+	}
+	out := make([]types.Row, n)
 	for i := range out {
-		out[i] = fb.Row(i)
+		out[i] = vals[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out
 }
@@ -209,9 +222,21 @@ func (b *Batch) Partition(keys []int, ways int) []*Batch {
 	}
 	hashes := b.Hashes(keys)
 	b.ExpandRLE()
+	// Count first so every way's selection is allocated once, carved out of
+	// one backing array.
+	counts := make([]int, ways)
+	for _, h := range hashes {
+		counts[h%uint64(ways)]++
+	}
+	backing := make([]int, len(hashes))
 	sels := make([][]int, ways)
+	off := 0
+	for p, c := range counts {
+		sels[p] = backing[off : off : off+c]
+		off += c
+	}
 	for i, h := range hashes {
-		p := int(h % uint64(ways))
+		p := h % uint64(ways)
 		phys := i
 		if b.Sel != nil {
 			phys = b.Sel[i]

@@ -174,14 +174,42 @@ func (v *Vector) Expand() *Vector {
 	if v.RunLens == nil {
 		return v
 	}
-	out := New(v.Typ, v.Len())
-	for i, run := range v.RunLens {
-		val := v.ValueAt(i)
+	n := v.Len()
+	out := &Vector{Typ: v.Typ}
+	switch v.Typ {
+	case types.Float64:
+		out.Floats = expandRuns(v.Floats, v.RunLens, n)
+	case types.Varchar:
+		out.Strs = expandRuns(v.Strs, v.RunLens, n)
+	default:
+		out.Ints = expandRuns(v.Ints, v.RunLens, n)
+	}
+	if v.HasNulls() {
+		out.Nulls = expandRuns(v.Nulls, v.RunLens, n)
+	}
+	return out
+}
+
+func expandRuns[T any](vals []T, runs []int, n int) []T {
+	out := make([]T, n)
+	pos := 0
+	for i, run := range runs {
+		val := vals[i]
 		for j := 0; j < run; j++ {
-			out.AppendValue(val)
+			out[pos] = val
+			pos++
 		}
 	}
 	return out
+}
+
+// RunValues returns a flat view with one entry per run of an RLE vector
+// (shares storage), or v itself when it is already flat.
+func (v *Vector) RunValues() *Vector {
+	if v.RunLens == nil {
+		return v
+	}
+	return &Vector{Typ: v.Typ, Ints: v.Ints, Floats: v.Floats, Strs: v.Strs, Nulls: v.Nulls}
 }
 
 // AppendFrom appends entries of a flat source vector of the same type:
@@ -244,17 +272,110 @@ func (v *Vector) AppendFrom(src *Vector, sel []int) {
 	}
 }
 
+// AppendEntry appends physical entry i of a flat source vector of the same
+// type — the single-row form of AppendFrom.
+func (v *Vector) AppendEntry(src *Vector, i int) {
+	if src.NullAt(i) {
+		v.appendNullSlot()
+		return
+	}
+	if v.Nulls != nil {
+		v.Nulls = append(v.Nulls, false)
+	}
+	switch v.Typ {
+	case types.Float64:
+		v.Floats = append(v.Floats, src.Floats[i])
+	case types.Varchar:
+		v.Strs = append(v.Strs, src.Strs[i])
+	default:
+		v.Ints = append(v.Ints, src.Ints[i])
+	}
+}
+
+// AppendNulls appends n NULL rows.
+func (v *Vector) AppendNulls(n int) {
+	if n <= 0 {
+		return
+	}
+	phys := v.PhysLen()
+	if v.Nulls == nil {
+		v.Nulls = make([]bool, phys, phys+n)
+	}
+	for i := 0; i < n; i++ {
+		v.Nulls = append(v.Nulls, true)
+	}
+	switch v.Typ {
+	case types.Float64:
+		v.Floats = append(v.Floats, make([]float64, n)...)
+	case types.Varchar:
+		v.Strs = append(v.Strs, make([]string, n)...)
+	default:
+		v.Ints = append(v.Ints, make([]int64, n)...)
+	}
+}
+
 // Gather returns a new flat vector with the entries at the given physical
 // indexes, in order. The receiver must be flat.
 func (v *Vector) Gather(idx []int) *Vector {
-	if v.RunLens != nil {
-		panic("vector: Gather on RLE vector")
-	}
 	out := New(v.Typ, len(idx))
-	for _, i := range idx {
-		out.AppendValue(v.ValueAt(i))
+	if idx == nil {
+		idx = []int{}
 	}
+	out.AppendFrom(v, idx)
 	return out
+}
+
+// EqualAt reports whether entry i of a equals entry j of b. Both vectors
+// must be flat and of one storage class (integral, float or string). With
+// nullsEqual a NULL equals a NULL (grouping); without it a NULL equals
+// nothing, itself included (SQL join keys).
+func EqualAt(a *Vector, i int, b *Vector, j int, nullsEqual bool) bool {
+	if an, bn := a.NullAt(i), b.NullAt(j); an || bn {
+		return nullsEqual && an && bn
+	}
+	switch a.Typ {
+	case types.Float64:
+		x, y := a.Floats[i], b.Floats[j]
+		return x == y || (x != x && y != y) // NaNs group together, as Compare has it
+	case types.Varchar:
+		return a.Strs[i] == b.Strs[j]
+	default:
+		return a.Ints[i] == b.Ints[j]
+	}
+}
+
+// CompareAt orders entry i of a against entry j of b the way Value.Compare
+// does (NULLS FIRST), without boxing. Same requirements as EqualAt.
+func CompareAt(a *Vector, i int, b *Vector, j int) int {
+	if an, bn := a.NullAt(i), b.NullAt(j); an || bn {
+		switch {
+		case an && bn:
+			return 0
+		case an:
+			return -1
+		default:
+			return 1
+		}
+	}
+	switch a.Typ {
+	case types.Float64:
+		return cmpOrdered(a.Floats[i], b.Floats[j])
+	case types.Varchar:
+		return cmpOrdered(a.Strs[i], b.Strs[j])
+	default:
+		return cmpOrdered(a.Ints[i], b.Ints[j])
+	}
+}
+
+func cmpOrdered[T int64 | float64 | string](x, y T) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // Slice returns a view of rows [lo, hi) of a flat vector (shares storage).

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/types"
@@ -301,5 +302,95 @@ func TestBatchAppendAndSliceRows(t *testing.T) {
 	cp.Cols[0] = NewFromInts(types.Int64, []int64{0})
 	if acc.Cols[0].Ints[0] == 0 {
 		t.Error("ShallowCopy must not alias the column slice header")
+	}
+}
+
+// nullable builds a vector of the values' type; NULL values become NULLs.
+func nullable(t types.Type, vals ...types.Value) *Vector {
+	v := New(t, len(vals))
+	for _, val := range vals {
+		v.AppendValue(val)
+	}
+	return v
+}
+
+func TestTypedKernelsKeepNulls(t *testing.T) {
+	null := types.NewNull(types.Varchar)
+	strs := nullable(types.Varchar, types.NewString("a"), null, types.NewString("c"))
+
+	rle := nullable(types.Varchar, types.NewString("a"), null)
+	rle.RunLens = []int{2, 3}
+	e := rle.Expand()
+	if e.IsRLE() || e.Len() != 5 || e.Strs[1] != "a" || e.NullAt(1) || !e.NullAt(2) || !e.NullAt(4) {
+		t.Errorf("Expand lost values or NULLs: %v %v", e.Strs, e.Nulls)
+	}
+	if rv := rle.RunValues(); rv.IsRLE() || rv.Len() != 2 || !rv.NullAt(1) {
+		t.Errorf("RunValues = %v", rv)
+	}
+
+	g := strs.Gather([]int{2, 1, 1, 0})
+	if g.Len() != 4 || g.Strs[0] != "c" || !g.NullAt(1) || !g.NullAt(2) || g.Strs[3] != "a" {
+		t.Errorf("Gather lost values or NULLs: %v %v", g.Strs, g.Nulls)
+	}
+	if strs.Gather(nil).Len() != 0 {
+		t.Error("Gather of no indexes must be empty")
+	}
+
+	dst := New(types.Varchar, 0)
+	dst.AppendEntry(strs, 0)
+	dst.AppendNulls(2)
+	dst.AppendEntry(strs, 1)
+	dst.AppendEntry(strs, 2)
+	if dst.Len() != 5 || dst.Strs[0] != "a" || !dst.NullAt(1) || !dst.NullAt(2) || !dst.NullAt(3) || dst.NullAt(4) || dst.Strs[4] != "c" {
+		t.Errorf("AppendEntry/AppendNulls: %v %v", dst.Strs, dst.Nulls)
+	}
+}
+
+func TestEqualAtAndCompareAt(t *testing.T) {
+	ints := nullable(types.Int64, types.NewInt(3), types.NewNull(types.Int64), types.NewInt(-1))
+	flts := NewFromFloats([]float64{1.5, math.NaN(), math.NaN()})
+	strs := NewFromStrings([]string{"b", "a", "b"})
+	if !EqualAt(ints, 0, ints, 0, false) || EqualAt(ints, 0, ints, 2, false) {
+		t.Error("integer equality wrong")
+	}
+	if EqualAt(ints, 1, ints, 1, false) {
+		t.Error("a NULL join key must equal nothing, itself included")
+	}
+	if !EqualAt(ints, 1, ints, 1, true) || EqualAt(ints, 1, ints, 0, true) {
+		t.Error("NULL groups with NULL and with nothing else")
+	}
+	if !EqualAt(flts, 1, flts, 2, true) || EqualAt(flts, 0, flts, 1, true) {
+		t.Error("NaNs must group together and with nothing else")
+	}
+	if !EqualAt(strs, 0, strs, 2, false) || EqualAt(strs, 0, strs, 1, false) {
+		t.Error("string equality wrong")
+	}
+	// CompareAt agrees with Value.Compare, NULLS FIRST.
+	for _, v := range []*Vector{ints, strs} {
+		for i := 0; i < v.Len(); i++ {
+			for j := 0; j < v.Len(); j++ {
+				if got, want := CompareAt(v, i, v, j), v.ValueAt(i).Compare(v.ValueAt(j)); got != want {
+					t.Errorf("CompareAt(%s, %d, %d) = %d, Value.Compare = %d", v.Typ, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRowsShareOneBackingArrayButNotCapacity(t *testing.T) {
+	b := NewBatch(NewFromInts(types.Int64, []int64{1, 2, 3}), NewFromStrings([]string{"x", "y", "z"}))
+	b.Sel = []int{0, 2}
+	rows := b.Rows()
+	if len(rows) != 2 || rows[1][0].I != 3 || rows[1][1].S != "z" {
+		t.Fatalf("Rows = %v", rows)
+	}
+	// Appending to a row (Analytic adds its result column this way) must
+	// not write into the next row's values.
+	_ = append(rows[0], types.NewInt(99))
+	if rows[1][0].I != 3 {
+		t.Errorf("append to row 0 clobbered row 1: %v", rows[1])
+	}
+	if allocs := testing.AllocsPerRun(10, func() { b.Rows() }); allocs > 2 {
+		t.Errorf("Rows allocated %.0f times for 2 rows; want one value array and one row slice", allocs)
 	}
 }
