@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$'  -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/encoding
 	$(GO) test -run '^$$' -fuzz '^FuzzHistogramEstimate$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/server
 
 # Per-package coverage report.
 cover:

@@ -9,9 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -790,229 +788,4 @@ func BenchmarkContinuousIngest(b *testing.B) {
 	b.ReportMetric(last.IngestRowsPerSec, "ingest-rows/s")
 	b.ReportMetric(float64(last.P50.Microseconds()), "p50-us")
 	b.ReportMetric(float64(last.P99.Microseconds()), "p99-us")
-}
-
-// --- PR 10: high-QPS serving path --------------------------------------------
-
-// qpsRows is the serving-path fixture size: enough blocks that a point
-// lookup prunes to one 4096-row block and a range aggregate touches a few.
-const qpsRows = 50_000
-
-// qpsOpen opens a server over a ROS-resident 4-column sales table. planCache
-// follows core.Options.PlanCacheSize semantics (0 default, -1 disabled).
-func qpsOpen(b *testing.B, planCache int) (*server.Server, *core.Database) {
-	b.Helper()
-	db, err := core.Open(core.Options{
-		Dir:           b.TempDir(),
-		TempDir:       b.TempDir(),
-		PlanCacheSize: planCache,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	db.MustExecute(`CREATE TABLE sales (sale_id INT, cust INT, price FLOAT, qty INT)`)
-	db.MustExecute(`CREATE PROJECTION sales_super ON sales (sale_id, cust, price, qty)
-		ORDER BY sale_id SEGMENTED BY HASH(sale_id)`)
-	rows := make([]types.Row, qpsRows)
-	for i := range rows {
-		rows[i] = types.Row{
-			types.NewInt(int64(i)),
-			types.NewInt(int64(i % 997)),
-			types.NewFloat(float64(i*7%9973) / 100),
-			types.NewInt(int64(i%7 + 1)),
-		}
-	}
-	if err := db.Load("sales", rows, true); err != nil {
-		b.Fatal(err)
-	}
-	db.MustExecute(`ANALYZE_STATISTICS('sales')`)
-	srv := server.New(db, server.Config{Addr: "127.0.0.1:0"})
-	if err := srv.Listen(); err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve()
-	return srv, db
-}
-
-// qpsMode is one serving configuration of BenchmarkServerQPS.
-type qpsMode struct {
-	name string
-	// planCache / blockCache configure the two serving caches.
-	planCache  int
-	blockCache bool
-	// prepare, when non-empty, is run once per connection before the timer.
-	prepare []string
-	// stmt yields the statement for global sequence number seq.
-	stmt func(seq int) string
-}
-
-// BenchmarkServerQPS measures the serving path end to end: TCP clients
-// issuing short repeated point lookups and range aggregates, at 1, 64 and
-// 1024 connections. "cold" disables both serving caches (plan cache and
-// decoded-block cache) and scatters every literal so each statement is
-// novel; "cached" runs the default configuration against a hot working set;
-// "prepared" additionally binds the hot statements once with PREPARE and
-// reissues them via EXECUTE. Reports statements/sec and per-statement p99.
-func BenchmarkServerQPS(b *testing.B) {
-	// Hot working set: 32 point ids and 32 aggregate range starts.
-	hotPoint := func(j int) int { return 4000 + j%32 }
-	hotRange := func(j int) int { return 8192 + 64*(j%32) }
-	point := func(id int) string {
-		return fmt.Sprintf(`SELECT price, qty FROM sales WHERE sale_id = %d`, id)
-	}
-	agg := func(lo int) string {
-		return fmt.Sprintf(`SELECT COUNT(*), SUM(price) FROM sales WHERE sale_id >= %d AND sale_id < %d`, lo, lo+1024)
-	}
-	modes := []qpsMode{
-		{
-			name: "cold", planCache: -1, blockCache: false,
-			stmt: func(seq int) string {
-				// Scattered literals: no statement repeats within a run.
-				id := seq * 7919 % qpsRows
-				if seq%2 == 0 {
-					return point(id)
-				}
-				return agg(id % (qpsRows - 1024))
-			},
-		},
-		{
-			name: "cached", planCache: 0, blockCache: true,
-			stmt: func(seq int) string {
-				if seq%2 == 0 {
-					return point(hotPoint(seq / 2))
-				}
-				return agg(hotRange(seq / 2))
-			},
-		},
-		{
-			name: "prepared", planCache: 0, blockCache: true,
-			prepare: []string{
-				`PREPARE pt AS SELECT price, qty FROM sales WHERE sale_id = $1`,
-				`PREPARE ag AS SELECT COUNT(*), SUM(price) FROM sales WHERE sale_id >= $1 AND sale_id < $2`,
-			},
-			stmt: func(seq int) string {
-				if seq%2 == 0 {
-					return fmt.Sprintf(`EXECUTE pt(%d)`, hotPoint(seq/2))
-				}
-				lo := hotRange(seq / 2)
-				return fmt.Sprintf(`EXECUTE ag(%d, %d)`, lo, lo+1024)
-			},
-		},
-	}
-	// Each connection issues stmtsPerConn statements per benchmark iteration.
-	const stmtsPerConn = 4
-	for _, conns := range []int{1, 64, 1024} {
-		for _, m := range modes {
-			b.Run(fmt.Sprintf("conns=%d/%s", conns, m.name), func(b *testing.B) {
-				srv, _ := qpsOpen(b, m.planCache)
-				if !m.blockCache {
-					storage.SetBlockCacheBudget(0)
-				}
-				defer storage.SetBlockCacheBudget(storage.DefaultBlockCacheBytes)
-				cs := make([]*server.Client, conns)
-				for i := range cs {
-					c, err := server.Dial(srv.Addr().String())
-					if err != nil {
-						b.Fatal(err)
-					}
-					cs[i] = c
-					for _, p := range m.prepare {
-						if _, err := c.Exec(p); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				defer func() {
-					for _, c := range cs {
-						c.Close()
-					}
-					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-					defer cancel()
-					srv.Shutdown(ctx)
-				}()
-				lats := make([][]time.Duration, conns)
-				var seq atomic.Int64
-				round := func(record bool) {
-					var wg sync.WaitGroup
-					for ci, c := range cs {
-						wg.Add(1)
-						go func(ci int, c *server.Client) {
-							defer wg.Done()
-							for k := 0; k < stmtsPerConn; k++ {
-								s := m.stmt(int(seq.Add(1)))
-								t0 := time.Now()
-								if _, err := c.Exec(s); err != nil {
-									b.Error(err)
-									return
-								}
-								if record {
-									lats[ci] = append(lats[ci], time.Since(t0))
-								}
-							}
-						}(ci, c)
-					}
-					wg.Wait()
-				}
-				round(false) // warm connections (and, for cached modes, the caches)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					round(true)
-				}
-				b.StopTimer()
-				var all []time.Duration
-				for _, l := range lats {
-					all = append(all, l...)
-				}
-				sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-				total := float64(len(all))
-				b.ReportMetric(total/b.Elapsed().Seconds(), "stmt/s")
-				b.ReportMetric(float64(all[int(0.99*total)].Microseconds()), "p99-us")
-			})
-		}
-	}
-}
-
-// BenchmarkServerWireFormat compares the text and binary result frames on
-// the same 4-column scan, reporting wire bytes per row as counted under the
-// client's read buffer. The binary frame ships each column as one
-// length-prefixed encoding block, so it amortizes per-value framing that
-// the text protocol pays on every field.
-func BenchmarkServerWireFormat(b *testing.B) {
-	const scanRows = 8192
-	stmt := fmt.Sprintf(`SELECT sale_id, cust, price, qty FROM sales WHERE sale_id < %d`, scanRows)
-	for _, format := range []string{"text", "binary"} {
-		b.Run(format, func(b *testing.B) {
-			srv, _ := qpsOpen(b, 0)
-			defer func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				srv.Shutdown(ctx)
-			}()
-			c, err := server.Dial(srv.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.Format(format); err != nil {
-				b.Fatal(err)
-			}
-			res, err := c.Exec(stmt) // warm caches, verify shape
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Rows) != scanRows {
-				b.Fatalf("got %d rows", len(res.Rows))
-			}
-			start := c.BytesRead()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Exec(stmt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			wire := c.BytesRead() - start
-			b.ReportMetric(float64(wire)/float64(int64(b.N)*scanRows), "bytes/row")
-		})
-	}
 }

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/optimizer"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 func testCluster(t *testing.T, nodes, k int) (*Cluster, *catalog.Catalog) {
@@ -188,5 +192,134 @@ func TestStageInsertRejectsNullInNotNull(t *testing.T) {
 	err = c.StageInsert(tx, "nn", []types.Row{{types.NewNull(types.Int64)}}, false)
 	if err == nil {
 		t.Error("NULL into NOT NULL column should fail")
+	}
+}
+
+// measuresCluster builds a cluster of the given size holding table
+// m(id, g, v), segmented by HASH(id), with 3000 committed rows (a few v
+// NULL) in the WOS.
+func measuresCluster(t *testing.T, nodes int) (*Cluster, *catalog.Table) {
+	t.Helper()
+	cat := catalog.New("")
+	tbl := &catalog.Table{
+		Name: "m",
+		Schema: types.NewSchema(
+			types.Column{Name: "id", Typ: types.Int64},
+			types.Column{Name: "g", Typ: types.Int64},
+			types.Column{Name: "v", Typ: types.Float64, Nullable: true},
+		),
+	}
+	if err := cat.CreateTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Nodes: nodes, Dir: t.TempDir()}, cat, txn.NewManager())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := expr.NewFunc("HASH", expr.NewColRef(0, types.Int64, "id"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.CreateProjection(&catalog.Projection{
+		Name: "m_super", Anchor: "m",
+		Columns:   []string{"id", "g", "v"},
+		SortOrder: []string{"id"},
+		Seg:       catalog.Segmentation{ExprText: "HASH(id)", Expr: seg},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 3000)
+	for i := range rows {
+		v := types.NewFloat(float64((i*7919)%1000) / 4)
+		if i%97 == 0 {
+			v = types.NewNull(types.Float64)
+		}
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 13)), v}
+	}
+	tx := c.Txn.Begin(txn.ReadCommitted)
+	if err := c.StageInsert(tx, "m", rows, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Txn.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	return c, tbl
+}
+
+// TestInitiatorMergeMatchesSingleNode runs queries whose last steps happen at
+// the initiator on a 3-node cluster — ORDER BY + LIMIT over concatenated
+// node results, DISTINCT, and a GROUP BY off the segmentation key that has
+// to be re-aggregated (AVG as SUM and COUNT) — and checks the batches the
+// merge pipeline yields hold the rows a 1-node cluster computes in its node
+// plan alone.
+func TestInitiatorMergeMatchesSingleNode(t *testing.T) {
+	one, tbl1 := measuresCluster(t, 1)
+	three, tbl3 := measuresCluster(t, 3)
+	col := func(i int, typ types.Type, name string) expr.Expr { return expr.NewColRef(i, typ, name) }
+	queries := map[string]func(tbl *catalog.Table) *optimizer.LogicalQuery{
+		"order-by-limit": func(tbl *catalog.Table) *optimizer.LogicalQuery {
+			return &optimizer.LogicalQuery{
+				From:        []optimizer.TableRef{{Table: tbl, Alias: "m"}},
+				Where:       expr.MustCmp(expr.Ge, col(0, types.Int64, "id"), expr.NewConst(types.NewInt(100))),
+				SelectExprs: []expr.Expr{col(2, types.Float64, "v"), col(0, types.Int64, "id")},
+				SelectNames: []string{"v", "id"},
+				OrderBy:     []exec.SortSpec{{Col: 0, Desc: true}, {Col: 1}},
+				Offset:      3, Limit: 40,
+			}
+		},
+		"distinct": func(tbl *catalog.Table) *optimizer.LogicalQuery {
+			return &optimizer.LogicalQuery{
+				From:        []optimizer.TableRef{{Table: tbl, Alias: "m"}},
+				SelectExprs: []expr.Expr{col(1, types.Int64, "g")},
+				SelectNames: []string{"g"},
+				Distinct:    true,
+				OrderBy:     []exec.SortSpec{{Col: 0}},
+				Limit:       -1,
+			}
+		},
+		"re-aggregated-group-by": func(tbl *catalog.Table) *optimizer.LogicalQuery {
+			v := col(2, types.Float64, "v")
+			return &optimizer.LogicalQuery{
+				From:     []optimizer.TableRef{{Table: tbl, Alias: "m"}},
+				GroupBy:  []int{1},
+				KeyNames: []string{"g"},
+				Aggs: []exec.AggSpec{
+					{Kind: exec.AggCountStar, Name: "n"},
+					{Kind: exec.AggCount, Arg: v, Name: "nv"},
+					{Kind: exec.AggSum, Arg: v, Name: "total"},
+					{Kind: exec.AggAvg, Arg: v, Name: "mean"},
+					{Kind: exec.AggMin, Arg: v, Name: "lo"},
+					{Kind: exec.AggMax, Arg: v, Name: "hi"},
+				},
+				Having:  expr.MustCmp(expr.Gt, col(1, types.Int64, "n"), expr.NewConst(types.NewInt(0))),
+				OrderBy: []exec.SortSpec{{Col: 3, Desc: true}, {Col: 0}},
+				Limit:   10,
+			}
+		},
+	}
+	for name, build := range queries {
+		want, err := one.Run(build(tbl1), optimizer.PlanOpts{})
+		if err != nil {
+			t.Fatalf("%s on 1 node: %v", name, err)
+		}
+		got, err := three.Run(build(tbl3), optimizer.PlanOpts{})
+		if err != nil {
+			t.Fatalf("%s on 3 nodes: %v", name, err)
+		}
+		if !strings.Contains(got.Explain, "distributed over 3 node plan(s)") {
+			t.Fatalf("%s did not fan out: %s", name, got.Explain)
+		}
+		wantRows, gotRows := vector.Rows(want.Batches), vector.Rows(got.Batches)
+		if len(wantRows) == 0 || len(gotRows) != len(wantRows) {
+			t.Fatalf("%s: %d rows from 3 nodes, %d from 1", name, len(gotRows), len(wantRows))
+		}
+		for i := range wantRows {
+			if gotRows[i].String() != wantRows[i].String() {
+				t.Fatalf("%s row %d: 3 nodes %s, 1 node %s", name, i, gotRows[i], wantRows[i])
+			}
+		}
+		if got.Schema.String() != want.Schema.String() {
+			t.Fatalf("%s schema: 3 nodes %s, 1 node %s", name, got.Schema, want.Schema)
+		}
 	}
 }

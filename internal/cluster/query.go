@@ -16,6 +16,7 @@ import (
 	"repro/internal/resmgr"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Distributed query execution. Each up node plans and runs the query against
@@ -50,11 +51,14 @@ func (p *nodeProvider) ProjectionData(name string) (*storage.Manager, error) {
 	return p.n.Mgr(proj, p.c.ManagerOpts())
 }
 
-// QueryResult carries the final rows plus plan diagnostics and the query's
-// resource stats (zero when the cluster runs ungoverned).
+// QueryResult carries the final result set plus plan diagnostics and the
+// query's resource stats (zero when the cluster runs ungoverned).
 type QueryResult struct {
-	Schema  *types.Schema
-	Rows    []types.Row
+	Schema *types.Schema
+	// Batches is the result set as the last operator produced it: non-empty
+	// batches in result order, columns possibly selected (Sel) or RLE.
+	// vector.Rows pivots them for callers that want rows.
+	Batches []*vector.Batch
 	Explain string
 	Stats   resmgr.QueryStats
 	// Probe echoes the placement-probe metadata the run used (projection
@@ -217,7 +221,7 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 	}
 	var runs []nodeRun
 	var firstErr error
-	var partials []types.Row
+	var partials []*vector.Batch
 	// Plans that split ROS containers across parallel workers pin the
 	// storage generation they were built from; a tuple-mover moveout
 	// committing before execution invalidates the split (the WOS rows it
@@ -275,14 +279,14 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 			go func(r nodeRun) {
 				defer wg.Done()
 				ectx := c.execCtx(ctx, epoch, opts, grant, pipelineBudget)
-				rows, err := exec.Drain(ectx, r.plan.Root)
+				batches, err := exec.Run(ectx, r.plan.Root)
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("cluster: node %s: %w", r.node.Name, err)
 					return
 				}
-				partials = append(partials, rows...)
+				partials = append(partials, batches...)
 			}(r)
 		}
 		wg.Wait()
@@ -313,11 +317,11 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 		return nil, err
 	}
 	tr.End()
-	grant.ReportRows(int64(len(final)))
+	grant.ReportRows(int64(vector.NumRows(final)))
 	var explain strings.Builder
 	fmt.Fprintf(&explain, "-- distributed over %d node plan(s); local-final=%v\n", len(runs), localFinal)
 	explain.WriteString(runs[0].plan.Explain())
-	return &QueryResult{Schema: schema, Rows: final, Explain: explain.String(),
+	return &QueryResult{Schema: schema, Batches: final, Explain: explain.String(),
 		Stats: grant.Stats(), OpProfiles: opRecs, Probe: probe}, nil
 }
 
@@ -595,9 +599,9 @@ func (c *Cluster) planBuddySegment(q *optimizer.LogicalQuery, opts optimizer.Pla
 	return plan, host, nil
 }
 
-// mergeFunc combines node-partial rows at the initiator under the query's
-// execution context (cancellation, grant budget, spill dir).
-type mergeFunc func(partials []types.Row, nodeSchema *types.Schema, ectx *exec.Ctx) ([]types.Row, *types.Schema, error)
+// mergeFunc combines the node plans' batches at the initiator under the
+// query's execution context (cancellation, grant budget, spill dir).
+type mergeFunc func(partials []*vector.Batch, nodeSchema *types.Schema, ectx *exec.Ctx) ([]*vector.Batch, *types.Schema, error)
 
 // buildDistributedAgg derives the per-node query and the initiator merge.
 // On a single-node cluster the node plan computes the complete result —
@@ -607,19 +611,18 @@ type mergeFunc func(partials []types.Row, nodeSchema *types.Schema, ectx *exec.C
 // initiator re-sort the distributed split would otherwise do.
 func buildDistributedAgg(q *optimizer.LogicalQuery, localFinal, singleNode bool) (*optimizer.LogicalQuery, mergeFunc, error) {
 	if singleNode {
-		merge := func(partials []types.Row, schema *types.Schema, _ *exec.Ctx) ([]types.Row, *types.Schema, error) {
+		merge := func(partials []*vector.Batch, schema *types.Schema, _ *exec.Ctx) ([]*vector.Batch, *types.Schema, error) {
 			return partials, schema, nil
 		}
 		return q, merge, nil
 	}
-	finishLocal := func(partials []types.Row, schema *types.Schema, ectx *exec.Ctx, ops func(exec.Operator) exec.Operator) ([]types.Row, *types.Schema, error) {
-		src := exec.NewValues(schema, partials)
-		root := ops(src)
-		rows, err := exec.Drain(ectx, root)
+	finishLocal := func(partials []*vector.Batch, schema *types.Schema, ectx *exec.Ctx, ops func(exec.Operator) exec.Operator) ([]*vector.Batch, *types.Schema, error) {
+		root := ops(exec.NewBatchValues(schema, partials))
+		batches, err := exec.Run(ectx, root)
 		if err != nil {
 			return nil, nil, err
 		}
-		return rows, root.Schema(), nil
+		return batches, root.Schema(), nil
 	}
 
 	if !q.IsAggregate() {
@@ -631,7 +634,7 @@ func buildDistributedAgg(q *optimizer.LogicalQuery, localFinal, singleNode bool)
 		nodeQ.Limit = -1
 		nodeQ.Offset = 0
 		nodeQ.Distinct = false
-		merge := func(partials []types.Row, schema *types.Schema, ectx *exec.Ctx) ([]types.Row, *types.Schema, error) {
+		merge := func(partials []*vector.Batch, schema *types.Schema, ectx *exec.Ctx) ([]*vector.Batch, *types.Schema, error) {
 			return finishLocal(partials, schema, ectx, func(op exec.Operator) exec.Operator {
 				if q.Distinct {
 					keys := make([]expr.Expr, schema.Len())
@@ -664,7 +667,7 @@ func buildDistributedAgg(q *optimizer.LogicalQuery, localFinal, singleNode bool)
 		nodeQ.OrderBy = nil
 		nodeQ.Limit = -1
 		nodeQ.Offset = 0
-		merge := func(partials []types.Row, schema *types.Schema, ectx *exec.Ctx) ([]types.Row, *types.Schema, error) {
+		merge := func(partials []*vector.Batch, schema *types.Schema, ectx *exec.Ctx) ([]*vector.Batch, *types.Schema, error) {
 			return finishLocal(partials, schema, ectx, func(op exec.Operator) exec.Operator {
 				return finishAggregate(q, op)
 			})
@@ -705,7 +708,7 @@ func buildDistributedAgg(q *optimizer.LogicalQuery, localFinal, singleNode bool)
 	}
 	nodeQ.Aggs = nodeAggs
 	nKeys := len(q.GroupBy)
-	merge := func(partials []types.Row, schema *types.Schema, ectx *exec.Ctx) ([]types.Row, *types.Schema, error) {
+	merge := func(partials []*vector.Batch, schema *types.Schema, ectx *exec.Ctx) ([]*vector.Batch, *types.Schema, error) {
 		return finishLocal(partials, schema, ectx, func(op exec.Operator) exec.Operator {
 			// Re-aggregate node partials by the group keys.
 			keys := make([]expr.Expr, nKeys)

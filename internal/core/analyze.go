@@ -16,6 +16,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/sql"
 	"repro/internal/stats"
+	"repro/internal/vector"
 )
 
 // resolveAnalyzeTarget splits 'table' / 'table.column' against the catalog.
@@ -81,9 +82,11 @@ func (db *Database) execAnalyze(ctx context.Context, st *sql.AnalyzeStmt) (*Resu
 	for i, c := range cols {
 		builders[i] = stats.NewBuilder(t.Schema.Col(c).Name, t.Schema.Col(c).Typ)
 	}
-	for _, row := range res.Rows {
-		for i := range builders {
-			builders[i].Add(row[i])
+	for _, b := range res.Batches {
+		for i, col := range b.Flatten().Cols {
+			for r := 0; r < col.PhysLen(); r++ {
+				builders[i].Add(col.ValueAt(r))
+			}
 		}
 	}
 	out := make([]*stats.ColumnStats, len(builders))
@@ -96,7 +99,7 @@ func (db *Database) execAnalyze(ctx context.Context, st *sql.AnalyzeStmt) (*Resu
 	// Fresh statistics bumped the stats epoch; retire cached plans eagerly
 	// so v_monitor.plan_cache reflects the invalidation immediately.
 	db.sweepPlans()
-	rows := int64(len(res.Rows))
+	rows := int64(vector.NumRows(res.Batches))
 	return &Result{
 		RowsAffected: rows,
 		Message:      fmt.Sprintf("ANALYZE_STATISTICS %s (%d rows, %d columns)", st.Target, rows, len(out)),

@@ -39,6 +39,7 @@ import (
 	"repro/internal/tuplemover"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 	"repro/internal/vlog"
 )
 
@@ -138,10 +139,16 @@ type Database struct {
 	poolEpoch atomic.Int64
 }
 
-// Result is the outcome of one statement.
+// Result is the outcome of one statement. A SELECT's result set is carried
+// in exactly one form: Rows from the row-returning entry points (Execute*,
+// QueryAt, QueryAtContext), Batches from the columnar ones (ExecuteBatches,
+// QueryAtBatches).
 type Result struct {
-	Schema       *types.Schema
-	Rows         []types.Row
+	Schema *types.Schema
+	Rows   []types.Row
+	// Batches is the result set as the engine produced it: non-empty
+	// batches in result order, columns possibly selected (Sel) or RLE.
+	Batches      []*vector.Batch
 	RowsAffected int64
 	Explain      string
 	Message      string
@@ -455,7 +462,24 @@ func (s *Session) Execute(sqlText string) (*Result, error) {
 // ExecuteContext runs one statement under a cancellable context. SELECTs and
 // DML are admission-controlled by the session's resource pool and abandon
 // execution at the next batch boundary when ctx ends.
-func (s *Session) ExecuteContext(ctx context.Context, sqlText string) (res *Result, err error) {
+func (s *Session) ExecuteContext(ctx context.Context, sqlText string) (*Result, error) {
+	return withRows(s.ExecuteBatches(ctx, sqlText))
+}
+
+// withRows is the embedded-API boundary: the one place a statement's
+// columnar result is pivoted into Result.Rows.
+func withRows(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	res.Rows, res.Batches = vector.Rows(res.Batches), nil
+	return res, nil
+}
+
+// ExecuteBatches is ExecuteContext with a SELECT's result set left columnar
+// (Result.Batches): what a caller that renders or ships columns, like the
+// server, wants instead of rows it would only take apart again.
+func (s *Session) ExecuteBatches(ctx context.Context, sqlText string) (res *Result, err error) {
 	// Trace the statement's lifecycle phases into the Data Collector. The
 	// trace buffers locally and publishes at statement end (the deferred
 	// Flush), so a v_monitor.query_phases query sees complete statements
@@ -1018,7 +1042,7 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt) (*Result
 		tree := exec.FormatProfiles(res.OpProfiles)
 		return &Result{Explain: tree, Message: tree, OpProfiles: res.OpProfiles, Stats: res.Stats}, nil
 	}
-	return &Result{Schema: res.Schema, Rows: res.Rows, Explain: res.Explain, Stats: res.Stats}, nil
+	return &Result{Schema: res.Schema, Batches: res.Batches, Explain: res.Explain, Stats: res.Stats}, nil
 }
 
 // probeOf replays a cache entry's probe metadata into the runner.
@@ -1094,8 +1118,14 @@ func (db *Database) QueryAt(sqlText string, epoch types.Epoch) (*Result, error) 
 }
 
 // QueryAtContext is QueryAt under a cancellable, admission-controlled
-// context (the server's pinned-epoch sessions run through here).
-func (db *Database) QueryAtContext(ctx context.Context, sqlText string, epoch types.Epoch) (res *Result, err error) {
+// context.
+func (db *Database) QueryAtContext(ctx context.Context, sqlText string, epoch types.Epoch) (*Result, error) {
+	return withRows(db.QueryAtBatches(ctx, sqlText, epoch))
+}
+
+// QueryAtBatches is QueryAtContext with the result set left columnar (the
+// server's pinned-epoch sessions run through here).
+func (db *Database) QueryAtBatches(ctx context.Context, sqlText string, epoch types.Epoch) (res *Result, err error) {
 	tr := dc.NewTrace(db.dcol)
 	defer func() {
 		tr.Flush()
@@ -1128,7 +1158,7 @@ func (db *Database) QueryAtContext(ctx context.Context, sqlText string, epoch ty
 		tree := exec.FormatProfiles(qres.OpProfiles)
 		return &Result{Explain: tree, Message: tree, OpProfiles: qres.OpProfiles, Stats: qres.Stats}, nil
 	}
-	return &Result{Schema: qres.Schema, Rows: qres.Rows, Explain: qres.Explain, Stats: qres.Stats}, nil
+	return &Result{Schema: qres.Schema, Batches: qres.Batches, Explain: qres.Explain, Stats: qres.Stats}, nil
 }
 
 func (db *Database) execCreateTable(st *sql.CreateTableStmt) (*Result, error) {

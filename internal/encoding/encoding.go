@@ -245,3 +245,17 @@ func BlockKind(data []byte) (Kind, error) {
 	}
 	return Kind(data[0]), nil
 }
+
+// BlockRows returns the row count an encoded block's header declares,
+// without decoding it: a reader that knows how many rows a block may hold
+// can refuse a larger one before DecodeBlock allocates for it.
+func BlockRows(data []byte) (int, error) {
+	if len(data) < 2 {
+		return 0, fmt.Errorf("encoding: short block (%d bytes)", len(data))
+	}
+	n, sz := uvarint(data[1:])
+	if sz <= 0 || n > maxBlockRows {
+		return 0, fmt.Errorf("encoding: corrupt row count")
+	}
+	return int(n), nil
+}

@@ -167,13 +167,17 @@ type Operator interface {
 	Describe() string
 }
 
-// Drain pulls every batch from op (Open/Next/Close) and returns all rows;
-// a convenience for tests, examples and plan roots.
-func Drain(ctx *Ctx, op Operator) ([]types.Row, error) {
+// Run pulls every batch from op (Open/Next/Close) and returns the non-empty
+// ones in order: the run loop at plan roots. An operator gives up a batch
+// when it returns it, so the caller may keep the result for as long as it
+// likes. A batch that selects under half of the rows it references — a few
+// survivors over a whole decoded block — is gathered into a dense one first,
+// so a retained result costs memory in proportion to its own rows.
+func Run(ctx *Ctx, op Operator) ([]*vector.Batch, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
-	var out []types.Row
+	var out []*vector.Batch
 	for {
 		if err := ctx.Canceled(); err != nil {
 			op.Close(ctx)
@@ -187,12 +191,28 @@ func Drain(ctx *Ctx, op Operator) ([]types.Row, error) {
 		if b == nil {
 			break
 		}
-		out = append(out, b.Rows()...)
+		if b.Len() == 0 {
+			continue
+		}
+		if b.Sel != nil && 2*len(b.Sel) < b.FullLen() {
+			b = b.Flatten()
+		}
+		out = append(out, b)
 	}
 	if err := op.Close(ctx); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Drain is Run with the result pivoted into rows; a convenience for tests
+// and examples.
+func Drain(ctx *Ctx, op Operator) ([]types.Row, error) {
+	batches, err := Run(ctx, op)
+	if err != nil {
+		return nil, err
+	}
+	return vector.Rows(batches), nil
 }
 
 // Describe renders the whole plan tree, one operator per line.

@@ -218,18 +218,32 @@ func (u *SerialUnion) Close(ctx *Ctx) error {
 	return firstErr
 }
 
-// Values is an in-memory row source (tests, INSERT ... VALUES, and the
-// simulated cluster's row shipping).
+// Values is an in-memory batch source: the initiator merge reads the node
+// plans' results through it, and tests feed operators from it.
 type Values struct {
-	Rows   []types.Row
-	schema *types.Schema
-	pos    int
-	prof   OpProf
+	schema  *types.Schema
+	batches []*vector.Batch
+	pos     int
+	prof    OpProf
 }
 
-// NewValues builds a values source.
+// NewValues builds a source over rows, pivoted into batches up front.
 func NewValues(schema *types.Schema, rows []types.Row) *Values {
-	return &Values{Rows: rows, schema: schema}
+	var batches []*vector.Batch
+	for lo := 0; lo < len(rows); lo += vector.DefaultBatchSize {
+		hi := min(lo+vector.DefaultBatchSize, len(rows))
+		batch := vector.NewBatchForSchema(schema, hi-lo)
+		for _, r := range rows[lo:hi] {
+			batch.AppendRow(r)
+		}
+		batches = append(batches, batch)
+	}
+	return NewBatchValues(schema, batches)
+}
+
+// NewBatchValues builds a source that replays batches as they are.
+func NewBatchValues(schema *types.Schema, batches []*vector.Batch) *Values {
+	return &Values{schema: schema, batches: batches}
 }
 
 // Schema implements Operator.
@@ -239,7 +253,9 @@ func (v *Values) Schema() *types.Schema { return v.schema }
 func (v *Values) Children() []Operator { return nil }
 
 // Describe implements Operator.
-func (v *Values) Describe() string { return fmt.Sprintf("Values rows=%d", len(v.Rows)) }
+func (v *Values) Describe() string {
+	return fmt.Sprintf("Values rows=%d", vector.NumRows(v.batches))
+}
 
 // Open implements Operator.
 func (v *Values) Open(*Ctx) error {
@@ -250,15 +266,14 @@ func (v *Values) Open(*Ctx) error {
 // Close implements Operator.
 func (v *Values) Close(*Ctx) error { return nil }
 
-// next is the operator body behind the profiled Next (profile.go).
+// next is the operator body behind the profiled Next (profile.go). Consumers
+// may edit a batch's headers in place (Filter sets Sel, Limit expands RLE),
+// so each call hands out a copy of them: the source replays unchanged.
 func (v *Values) next(*Ctx) (*vector.Batch, error) {
-	if v.pos >= len(v.Rows) {
+	if v.pos >= len(v.batches) {
 		return nil, nil
 	}
-	batch := vector.NewBatchForSchema(v.schema, vector.DefaultBatchSize)
-	for v.pos < len(v.Rows) && batch.Len() < vector.DefaultBatchSize {
-		batch.AppendRow(v.Rows[v.pos])
-		v.pos++
-	}
-	return batch, nil
+	b := v.batches[v.pos]
+	v.pos++
+	return b.ShallowCopy(), nil
 }

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	stdbin "encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -22,6 +24,9 @@ import (
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
+
+	body  []byte       // ROWS body buffer, reused between replies
+	block bytes.Buffer // BROWS block buffer, reused between blocks
 
 	bytesRead atomic.Int64 // wire bytes received, pre-buffering
 
@@ -143,6 +148,51 @@ func (c *Client) readLine() (string, error) {
 	return strings.TrimRight(l, "\n"), nil
 }
 
+// Counts in a reply header come off the wire and are not to be trusted:
+// nothing is allocated from them. Every buffer grows with the bytes actually
+// read, so a reply costs memory in proportion to its own size whatever its
+// header claims.
+
+// maxRetainedBody is the largest body buffer a client keeps between replies.
+const maxRetainedBody = 4 << 20
+
+// parseHeader parses the numeric fields of a ROWS / BROWS header line: the
+// leading counts (the row count; then the column count, for BROWS) into
+// counts, then query id, queue wait, spilled bytes and wall clock into res.
+func parseHeader(head string, res *Result, counts ...*int) error {
+	parts := strings.Fields(head)[1:]
+	if len(parts) != len(counts)+4 {
+		return fmt.Errorf("server: malformed header %q", head)
+	}
+	var f [6]int64
+	for i, p := range parts {
+		var err error
+		if f[i], err = strconv.ParseInt(p, 10, 64); err != nil || f[i] < 0 || f[i] > math.MaxInt {
+			return fmt.Errorf("server: malformed header %q", head)
+		}
+	}
+	for i, c := range counts {
+		*c = int(f[i])
+	}
+	stats := f[len(counts):]
+	res.QueryID = stats[0]
+	res.QueueWait = time.Duration(stats[1]) * time.Microsecond
+	res.SpilledBytes = stats[2]
+	res.WallTime = time.Duration(stats[3]) * time.Microsecond
+	return nil
+}
+
+func (c *Client) readDone() error {
+	tail, err := c.readLine()
+	if err != nil {
+		return err
+	}
+	if tail != "DONE" {
+		return fmt.Errorf("server: missing DONE, got %q", tail)
+	}
+	return nil
+}
+
 func (c *Client) readReply() (*Result, error) {
 	head, err := c.readLine()
 	if err != nil {
@@ -156,45 +206,7 @@ func (c *Client) readReply() (*Result, error) {
 		res.parseOKStats()
 		return res, nil
 	case strings.HasPrefix(head, "ROWS "):
-		parts := strings.Fields(head)
-		if len(parts) != 6 {
-			return nil, fmt.Errorf("server: malformed header %q", head)
-		}
-		n, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("server: malformed row count %q", head)
-		}
-		queryID, _ := strconv.ParseInt(parts[2], 10, 64)
-		waitUS, _ := strconv.ParseInt(parts[3], 10, 64)
-		spilled, _ := strconv.ParseInt(parts[4], 10, 64)
-		wallUS, _ := strconv.ParseInt(parts[5], 10, 64)
-		res := &Result{
-			QueryID:      queryID,
-			QueueWait:    time.Duration(waitUS) * time.Microsecond,
-			SpilledBytes: spilled,
-			WallTime:     time.Duration(wallUS) * time.Microsecond,
-		}
-		hdr, err := c.readLine()
-		if err != nil {
-			return nil, err
-		}
-		res.Cols = splitFields(hdr)
-		res.Rows = make([][]string, 0, n)
-		for i := 0; i < n; i++ {
-			l, err := c.readLine()
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, splitFields(l))
-		}
-		tail, err := c.readLine()
-		if err != nil {
-			return nil, err
-		}
-		if tail != "DONE" {
-			return nil, fmt.Errorf("server: missing DONE, got %q", tail)
-		}
-		return res, nil
+		return c.readTextRows(head)
 	case strings.HasPrefix(head, "BROWS "):
 		return c.readBinaryRows(head)
 	default:
@@ -202,43 +214,75 @@ func (c *Client) readReply() (*Result, error) {
 	}
 }
 
-// readBinaryRows parses a columnar BROWS frame: header, names, type names,
-// then length-prefixed encoding blocks (ncols per row chunk) until the
-// advertised row count is reached. Values decode back into the same strings
-// the text protocol would have carried.
-func (c *Client) readBinaryRows(head string) (*Result, error) {
-	parts := strings.Fields(head)
-	if len(parts) != 7 {
-		return nil, fmt.Errorf("server: malformed header %q", head)
-	}
-	n, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("server: malformed row count %q", head)
-	}
-	ncols, err := strconv.Atoi(parts[2])
-	if err != nil || ncols < 1 {
-		return nil, fmt.Errorf("server: malformed column count %q", head)
-	}
-	queryID, _ := strconv.ParseInt(parts[3], 10, 64)
-	waitUS, _ := strconv.ParseInt(parts[4], 10, 64)
-	spilled, _ := strconv.ParseInt(parts[5], 10, 64)
-	wallUS, _ := strconv.ParseInt(parts[6], 10, 64)
-	res := &Result{
-		QueryID:      queryID,
-		QueueWait:    time.Duration(waitUS) * time.Microsecond,
-		SpilledBytes: spilled,
-		WallTime:     time.Duration(wallUS) * time.Microsecond,
+// readTextRows parses a ROWS frame with a fixed number of allocations: the n
+// data lines are read into one buffer and become one string, every cell is a
+// substring of it held in one slab, and each row is a slice of the slab
+// (capped, so appending to a row cannot reach its neighbour). A cell is
+// copied only when it holds an escape.
+func (c *Client) readTextRows(head string) (*Result, error) {
+	res := &Result{}
+	var n int
+	if err := parseHeader(head, res, &n); err != nil {
+		return nil, err
 	}
 	hdr, err := c.readLine()
 	if err != nil {
 		return nil, err
 	}
-	res.Cols = splitFields(hdr)
+	res.Cols = splitFields(hdr, nil)
+
+	body := c.body[:0]
+	for i := 0; i < n; i++ {
+		for {
+			piece, err := c.br.ReadSlice('\n')
+			body = append(body, piece...)
+			if err == nil {
+				break
+			}
+			if err != bufio.ErrBufferFull { // a line longer than the read buffer arrives in pieces
+				return nil, err
+			}
+		}
+	}
+	if cap(body) <= maxRetainedBody {
+		c.body = body
+	}
+	if err := c.readDone(); err != nil {
+		return nil, err
+	}
+	text := string(body)
+	slab := make([]string, 0, n+strings.Count(text, "\t"))
+	res.Rows = make([][]string, 0, n)
+	for len(text) > 0 {
+		eol := strings.IndexByte(text, '\n')
+		at := len(slab)
+		slab = splitFields(text[:eol], slab)
+		res.Rows = append(res.Rows, slab[at:len(slab):len(slab)])
+		text = text[eol+1:]
+	}
+	return res, nil
+}
+
+// readBinaryRows parses a columnar BROWS frame: header, names, type names,
+// then length-prefixed encoding blocks (ncols per row chunk) until the
+// advertised row count is reached. Values decode back into the same strings
+// the text protocol would have carried.
+func (c *Client) readBinaryRows(head string) (*Result, error) {
+	res := &Result{}
+	var n, ncols int
+	if err := parseHeader(head, res, &n, &ncols); err != nil {
+		return nil, err
+	}
+	hdr, err := c.readLine()
+	if err != nil {
+		return nil, err
+	}
+	res.Cols = splitFields(hdr, nil)
 	typeLine, err := c.readLine()
 	if err != nil {
 		return nil, err
 	}
-	typs := make([]types.Type, 0, ncols)
+	var typs []types.Type
 	for _, tn := range strings.Split(typeLine, "\t") {
 		t, err := types.ParseType(tn)
 		if err != nil {
@@ -246,26 +290,18 @@ func (c *Client) readBinaryRows(head string) (*Result, error) {
 		}
 		typs = append(typs, t)
 	}
-	if len(typs) != ncols {
-		return nil, fmt.Errorf("server: BROWS frame has %d types for %d columns", len(typs), ncols)
+	if len(typs) != ncols || len(res.Cols) != ncols {
+		return nil, fmt.Errorf("server: BROWS frame has %d names and %d types for %d columns", len(res.Cols), len(typs), ncols)
 	}
-	res.Rows = make([][]string, 0, n)
+	res.Rows = make([][]string, 0, min(n, binaryBlockRows))
+	cols := make([]*vector.Vector, ncols)
+	var scratch []byte // one chunk's cells, formatted back to back
+	var ends []int     // ends[k] is where cell k stops in scratch
 	for len(res.Rows) < n {
-		cols := make([]*vector.Vector, ncols)
-		for j := 0; j < ncols; j++ {
-			var lenbuf [4]byte
-			if _, err := io.ReadFull(c.br, lenbuf[:]); err != nil {
+		for j := range cols {
+			if cols[j], err = c.readBlock(typs[j]); err != nil {
 				return nil, err
 			}
-			blob := make([]byte, stdbin.BigEndian.Uint32(lenbuf[:]))
-			if _, err := io.ReadFull(c.br, blob); err != nil {
-				return nil, err
-			}
-			v, err := encoding.DecodeBlock(blob, typs[j], false)
-			if err != nil {
-				return nil, fmt.Errorf("server: bad column block: %v", err)
-			}
-			cols[j] = v
 		}
 		nr := cols[0].Len()
 		for j, v := range cols {
@@ -276,22 +312,58 @@ func (c *Client) readBinaryRows(head string) (*Result, error) {
 		if nr == 0 || len(res.Rows)+nr > n {
 			return nil, fmt.Errorf("server: BROWS chunk overruns advertised row count %d", n)
 		}
+		// As in a ROWS body: one string per chunk, cells cut out of it into
+		// one slab, rows capped slices of the slab.
+		scratch, ends = scratch[:0], ends[:0]
 		for i := 0; i < nr; i++ {
-			row := make([]string, ncols)
-			for j, v := range cols {
-				row[j] = v.ValueAt(i).String()
+			for _, v := range cols {
+				scratch = v.AppendText(scratch, i)
+				ends = append(ends, len(scratch))
 			}
-			res.Rows = append(res.Rows, row)
+		}
+		text := string(scratch)
+		slab := make([]string, len(ends))
+		lo := 0
+		for k, hi := range ends {
+			slab[k] = text[lo:hi]
+			lo = hi
+		}
+		for i := 0; i < nr; i++ {
+			res.Rows = append(res.Rows, slab[i*ncols:(i+1)*ncols:(i+1)*ncols])
 		}
 	}
-	tail, err := c.readLine()
-	if err != nil {
+	if err := c.readDone(); err != nil {
 		return nil, err
 	}
-	if tail != "DONE" {
-		return nil, fmt.Errorf("server: missing DONE, got %q", tail)
-	}
 	return res, nil
+}
+
+// readBlock reads one length-prefixed column block and decodes it. The
+// length prefix is untrusted, so the block is read through a buffer that
+// grows with the bytes that do arrive; and a block declaring more rows than
+// a server ever packs into one is refused before it is decoded.
+func (c *Client) readBlock(t types.Type) (*vector.Vector, error) {
+	var lenbuf [4]byte
+	if _, err := io.ReadFull(c.br, lenbuf[:]); err != nil {
+		return nil, err
+	}
+	size := int64(stdbin.BigEndian.Uint32(lenbuf[:]))
+	c.block.Reset()
+	if _, err := io.CopyN(&c.block, c.br, size); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	blob := c.block.Bytes()
+	if rows, err := encoding.BlockRows(blob); err == nil && rows > binaryBlockRows {
+		return nil, fmt.Errorf("server: bad column block: %d rows, at most %d allowed", rows, binaryBlockRows)
+	}
+	v, err := encoding.DecodeBlock(blob, t, false) // a header BlockRows cannot read fails here too
+	if err != nil {
+		return nil, fmt.Errorf("server: bad column block: %v", err)
+	}
+	return v, nil
 }
 
 // parseOKStats extracts the DML stats suffix
@@ -315,11 +387,14 @@ func (r *Result) parseOKStats() {
 	r.Message = msg[:i]
 }
 
-func splitFields(l string) []string {
-	raw := strings.Split(l, "\t")
-	out := make([]string, len(raw))
-	for i, f := range raw {
-		out[i] = unescapeField(f)
+// splitFields appends the unescaped tab-separated fields of l to dst.
+func splitFields(l string, dst []string) []string {
+	for {
+		tab := strings.IndexByte(l, '\t')
+		if tab < 0 {
+			return append(dst, unescapeField(l))
+		}
+		dst = append(dst, unescapeField(l[:tab]))
+		l = l[tab+1:]
 	}
-	return out
 }

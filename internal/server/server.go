@@ -52,15 +52,26 @@
 // Every other reply (OK, ERR) is unchanged in binary mode.
 //
 // Cancelling a running statement produces its ERR reply (context canceled);
-// the session survives and accepts further statements.
+// the session survives and accepts further statements. A reply that cannot
+// be written ends the session: the peer is gone, so statements it had queued
+// are dropped unrun and the connection is closed.
+//
+// Both frames are rendered straight from the engine's column batches
+// (render.go); the framing above is all a client has to know. Client, the
+// reference implementation, parses a reply with a fixed number of
+// allocations: every string of one reply's Result.Rows (and Cols) is a piece
+// of one buffer, so holding on to a single cell keeps the whole reply
+// alive — copy (strings.Clone) what must outlive it. Counts in a reply
+// header are never trusted for sizing: the client's buffers grow with the
+// bytes that actually arrive.
 package server
 
 import (
 	"bufio"
 	"context"
-	stdbin "encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -68,12 +79,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/encoding"
 	"repro/internal/metrics"
 	"repro/internal/resmgr"
 	"repro/internal/sql"
 	"repro/internal/types"
-	"repro/internal/vector"
 )
 
 // Config sets server parameters.
@@ -217,9 +226,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 type session struct {
 	srv  *Server
 	sess *core.Session
-	w    *bufio.Writer
+	conn io.WriteCloser
 
-	writeMu sync.Mutex // serializes statement replies
+	// ctx is what statements run under. It ends when the server
+	// hard-cancels, and on the first failed write to the peer: stop, which
+	// also sets dead — from then on nothing is run or written.
+	ctx  context.Context
+	stop context.CancelFunc
+	dead bool
+
+	// out is the reply under construction. Every frame is rendered into it
+	// and written to conn in pieces of about flushBytes; the buffer is kept
+	// between statements, so steady-state rendering allocates nothing.
+	out  []byte
+	runs []runCursor // renderer scratch, one per result column
 
 	cancelMu   sync.Mutex
 	cancelStmt context.CancelFunc // non-nil while a statement runs
@@ -237,7 +257,9 @@ type stmtRequest struct {
 }
 
 func (s *Server) handleConn(conn net.Conn) {
-	st := &session{srv: s, sess: s.db.NewSession(), w: bufio.NewWriter(conn)}
+	ctx, stop := context.WithCancel(s.baseCtx)
+	defer stop()
+	st := &session{srv: s, sess: s.db.NewSession(), conn: conn, ctx: ctx, stop: stop}
 	s.db.Logger().Infof("session_connect", "remote", conn.RemoteAddr())
 	defer func() {
 		st.sess.Close()
@@ -289,8 +311,12 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	for req := range reqs {
 		switch {
+		case st.dead:
+			// The peer is gone: nobody reads a reply, so what is still
+			// queued is dropped, not run. The reader exits on the closed
+			// connection and closes reqs.
 		case req.errText != "":
-			st.reply(func() { st.line("ERR " + req.errText) })
+			st.replyLine("ERR ", req.errText)
 		case req.meta != "":
 			st.runMeta(req.meta)
 		default:
@@ -311,33 +337,33 @@ func (st *session) cancelCurrent() {
 func (st *session) runMeta(cmd string) {
 	switch {
 	case cmd == "\\stats":
-		st.reply(func() { st.line("OK " + st.srv.db.Governor().Stats().String()) })
+		st.replyLine("OK ", st.srv.db.Governor().Stats().String())
 	case cmd == "\\pin":
 		st.pinned = true
 		st.pinnedEpoch = st.srv.db.Txns().Epochs.ReadEpoch()
-		st.reply(func() { st.line(fmt.Sprintf("OK pinned epoch %d", st.pinnedEpoch)) })
+		st.replyLine("OK ", fmt.Sprintf("pinned epoch %d", st.pinnedEpoch))
 	case cmd == "\\unpin":
 		st.pinned = false
-		st.reply(func() { st.line("OK unpinned") })
+		st.replyLine("OK ", "unpinned")
 	case cmd == "\\format" || strings.HasPrefix(cmd, "\\format "):
 		switch arg := strings.TrimSpace(strings.TrimPrefix(cmd, "\\format")); arg {
 		case "binary":
 			st.binary = true
-			st.reply(func() { st.line("OK format binary") })
+			st.replyLine("OK ", "format binary")
 		case "text":
 			st.binary = false
-			st.reply(func() { st.line("OK format text") })
+			st.replyLine("OK ", "format text")
 		case "":
 			mode := "text"
 			if st.binary {
 				mode = "binary"
 			}
-			st.reply(func() { st.line("OK format " + mode) })
+			st.replyLine("OK ", "format "+mode)
 		default:
-			st.reply(func() { st.line("ERR unknown result format " + arg + " (want binary or text)") })
+			st.replyLine("ERR ", "unknown result format "+arg+" (want binary or text)")
 		}
 	default:
-		st.reply(func() { st.line("ERR unknown meta command " + cmd) })
+		st.replyLine("ERR ", "unknown meta command "+cmd)
 	}
 }
 
@@ -346,7 +372,7 @@ func (st *session) runStatement(text string) {
 	srv.mu.Lock()
 	if srv.draining.Load() {
 		srv.mu.Unlock()
-		st.reply(func() { st.line("ERR server draining") })
+		st.replyLine("ERR ", "server draining")
 		return
 	}
 	srv.stmtWG.Add(1)
@@ -356,7 +382,7 @@ func (st *session) runStatement(text string) {
 	start := time.Now()
 	defer func() { metrics.ServerStatementUs.Observe(time.Since(start).Microseconds()) }()
 
-	ctx, cancel := context.WithCancel(srv.baseCtx)
+	ctx, cancel := context.WithCancel(st.ctx)
 	st.cancelMu.Lock()
 	st.cancelStmt = cancel
 	st.cancelMu.Unlock()
@@ -372,126 +398,45 @@ func (st *session) runStatement(text string) {
 	if st.pinned && sql.Classify(text) == sql.ClassSelect {
 		// The pinned path bypasses the session executor: carry the session's
 		// resource pool on the context so admission still honors it.
-		res, err = srv.db.QueryAtContext(resmgr.WithPool(ctx, st.sess.Pool()), text, st.pinnedEpoch)
+		res, err = srv.db.QueryAtBatches(resmgr.WithPool(ctx, st.sess.Pool()), text, st.pinnedEpoch)
 	} else {
-		res, err = st.sess.ExecuteContext(ctx, text)
+		res, err = st.sess.ExecuteBatches(ctx, text)
 	}
 	if err != nil {
-		st.reply(func() { st.line("ERR " + strings.ReplaceAll(err.Error(), "\n", " ")) })
+		st.replyLine("ERR ", err.Error())
 		return
 	}
-	st.reply(func() { st.writeResult(res) })
+	st.writeResult(res)
+	st.flush()
 }
 
-// reply serializes one full response frame onto the wire.
-func (st *session) reply(f func()) {
-	st.writeMu.Lock()
-	defer st.writeMu.Unlock()
-	f()
-	st.w.Flush()
+// flushBytes is how much of a reply is rendered before it is written out: a
+// large result leaves in a few writes without ever sitting in memory whole.
+const flushBytes = 64 << 10
+
+// flush writes the rendered bytes to the peer. The first failure ends the
+// session: its context is cancelled, which stops a statement still running
+// under it, the executor loop drops what is queued, and the connection is
+// closed, which stops the reader.
+func (st *session) flush() {
+	if !st.dead {
+		if _, err := st.conn.Write(st.out); err != nil {
+			st.dead = true
+			st.stop()
+			st.conn.Close()
+		}
+	}
+	st.out = st.out[:0]
 }
 
-func (st *session) line(l string) {
-	st.w.WriteString(l)
-	st.w.WriteByte('\n')
+// replyLine sends a one-line reply, kind ("OK " / "ERR ") then msg with its
+// newlines flattened.
+func (st *session) replyLine(kind, msg string) {
+	st.out = append(st.out, kind...)
+	st.out = appendOneLine(st.out, msg, " ")
+	st.out = append(st.out, '\n')
+	st.flush()
 }
-
-func (st *session) writeResult(res *core.Result) {
-	if res.Schema == nil {
-		msg := res.Message
-		if res.Explain != "" {
-			msg = strings.ReplaceAll(res.Explain, "\n", " | ")
-		}
-		// Row-less statements that ran under the governor (DML) surface
-		// their resource stats on the OK line, as SELECTs do on ROWS.
-		if res.Stats.WallTime > 0 {
-			msg += fmt.Sprintf(" [query_id=%d wait_us=%d spilled=%d wall_us=%d]",
-				res.Stats.QueryID, res.Stats.QueueWait.Microseconds(),
-				res.Stats.SpilledBytes, res.Stats.WallTime.Microseconds())
-		}
-		st.line("OK " + strings.ReplaceAll(msg, "\n", " "))
-		return
-	}
-	if st.binary {
-		st.writeBinaryResult(res)
-		return
-	}
-	st.line(fmt.Sprintf("ROWS %d %d %d %d %d", len(res.Rows), res.Stats.QueryID,
-		res.Stats.QueueWait.Microseconds(), res.Stats.SpilledBytes,
-		res.Stats.WallTime.Microseconds()))
-	st.writeNamesLine(res)
-	cells := make([]string, res.Schema.Len())
-	for _, row := range res.Rows {
-		for i, v := range row {
-			cells[i] = escapeField(v.String())
-		}
-		st.line(strings.Join(cells, "\t"))
-	}
-	st.line("DONE")
-}
-
-func (st *session) writeNamesLine(res *core.Result) {
-	names := res.Schema.Names()
-	esc := make([]string, len(names))
-	for i, n := range names {
-		esc[i] = escapeField(n)
-	}
-	st.line(strings.Join(esc, "\t"))
-}
-
-// binaryBlockRows bounds one BROWS column block: chunking keeps a huge
-// result from buffering as one giant block on either side of the wire.
-const binaryBlockRows = 4096
-
-// writeBinaryResult sends a result set as a columnar BROWS frame: the rows
-// are pivoted into column vectors (chunked at binaryBlockRows) and each
-// vector travels as one self-describing encoding block, Auto-encoded the
-// same way storage blocks are.
-func (st *session) writeBinaryResult(res *core.Result) {
-	// Encode every block before the first header byte: an encoding failure
-	// must produce a clean ERR reply, not a half-written binary frame.
-	var blocks [][]byte
-	for lo := 0; lo < len(res.Rows); lo += binaryBlockRows {
-		hi := lo + binaryBlockRows
-		if hi > len(res.Rows) {
-			hi = len(res.Rows)
-		}
-		batch := vector.NewBatchForSchema(res.Schema, hi-lo)
-		for _, row := range res.Rows[lo:hi] {
-			batch.AppendRow(row)
-		}
-		for _, col := range batch.Cols {
-			blob, err := encoding.EncodeBlock(encoding.Auto, col)
-			if err != nil {
-				st.line("ERR " + strings.ReplaceAll(err.Error(), "\n", " "))
-				return
-			}
-			blocks = append(blocks, blob)
-		}
-	}
-	st.line(fmt.Sprintf("BROWS %d %d %d %d %d %d", len(res.Rows), res.Schema.Len(),
-		res.Stats.QueryID, res.Stats.QueueWait.Microseconds(), res.Stats.SpilledBytes,
-		res.Stats.WallTime.Microseconds()))
-	st.writeNamesLine(res)
-	typs := make([]string, res.Schema.Len())
-	for i := range typs {
-		typs[i] = res.Schema.Col(i).Typ.String()
-	}
-	st.line(strings.Join(typs, "\t"))
-	var lenbuf [4]byte
-	for _, blob := range blocks {
-		stdbin.BigEndian.PutUint32(lenbuf[:], uint32(len(blob)))
-		st.w.Write(lenbuf[:])
-		st.w.Write(blob)
-	}
-	st.line("DONE")
-}
-
-var fieldEscaper = strings.NewReplacer("\\", "\\\\", "\t", "\\t", "\n", "\\n", "\r", "\\r")
-var fieldUnescaper = strings.NewReplacer("\\\\", "\\", "\\t", "\t", "\\n", "\n", "\\r", "\r")
-
-func escapeField(s string) string   { return fieldEscaper.Replace(s) }
-func unescapeField(s string) string { return fieldUnescaper.Replace(s) }
 
 // ErrServerClosed is returned by Serve after Shutdown closes the listener,
 // mirroring net/http's sentinel: it distinguishes a graceful drain from a

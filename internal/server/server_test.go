@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -536,5 +538,49 @@ func TestResourcePoolsOverTCP(t *testing.T) {
 	}
 	if w, err := strconv.ParseInt(res.Rows[0][0], 10, 64); err != nil || w <= 0 {
 		t.Fatalf("queue_wait_us = %v (%v)", res.Rows[0][0], err)
+	}
+}
+
+// TestSessionStopsForDeadPeer queues eight large fetches on one connection
+// and resets it as soon as the first reply starts arriving. The first failed
+// write must end the session: at most one more statement is admitted (a
+// reply that fits the socket buffers whole fails only on the write after
+// it), the rest of the queue is dropped unrun, and the handler exits.
+func TestSessionStopsForDeadPeer(t *testing.T) {
+	srv, db := startServer(t, 100_000, 64<<20, 2)
+	admitted := db.Governor().Stats().Admitted
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const queued = 8
+	if _, err := io.WriteString(conn, strings.Repeat("SELECT sale_id, cust, price FROM sales;\n", queued)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, make([]byte, 4)); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).SetLinger(0) // close with RST: the server's next write fails
+	conn.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.mu.Lock()
+		open := len(srv.conns)
+		srv.mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("handler still running %v after its peer went away", 10*time.Second)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if ran := db.Governor().Stats().Admitted - admitted; ran > 2 {
+		t.Fatalf("%d of %d queued statements ran for a peer that was gone, want at most 2", ran, queued)
+	}
+	if st := db.Governor().Stats(); st.Running != 0 || st.InUseBytes != 0 {
+		t.Fatalf("grants outstanding after the session ended: %+v", st)
 	}
 }

@@ -125,28 +125,48 @@ func (v Value) Time() time.Time { return time.UnixMicro(v.I).UTC() }
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.Null }
 
+// NullText is how every text surface (Value.String, the wire frames, vsql)
+// renders SQL NULL.
+const NullText = "NULL"
+
+// timestampLayout is the display form of a Timestamp (UTC, whole seconds).
+const timestampLayout = "2006-01-02 15:04:05"
+
+// AppendText appends the display form of a non-NULL value of type t to dst
+// and returns the extended slice. The value sits in the slot of t's storage
+// class — i for the integral types, f for Float64, s for Varchar — which is
+// how both a Value and a column vector hold it, so this one formatter serves
+// Value.String and the column-at-a-time renderers alike without boxing.
+func AppendText(dst []byte, t Type, i int64, f float64, s string) []byte {
+	switch t {
+	case Int64:
+		return strconv.AppendInt(dst, i, 10)
+	case Float64:
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
+	case Varchar:
+		return append(dst, s...)
+	case Bool:
+		if i != 0 {
+			return append(dst, "true"...)
+		}
+		return append(dst, "false"...)
+	case Timestamp:
+		return time.UnixMicro(i).UTC().AppendFormat(dst, timestampLayout)
+	default:
+		return append(dst, "<invalid>"...)
+	}
+}
+
 // String renders the value for display.
 func (v Value) String() string {
-	if v.Null {
-		return "NULL"
-	}
-	switch v.Typ {
-	case Int64:
-		return strconv.FormatInt(v.I, 10)
-	case Float64:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case Varchar:
+	switch {
+	case v.Null:
+		return NullText
+	case v.Typ == Varchar:
 		return v.S
-	case Bool:
-		if v.I != 0 {
-			return "true"
-		}
-		return "false"
-	case Timestamp:
-		return v.Time().Format("2006-01-02 15:04:05")
-	default:
-		return "<invalid>"
 	}
+	var buf [32]byte
+	return string(AppendText(buf[:0], v.Typ, v.I, v.F, v.S))
 }
 
 // Compare orders v against o. NULL sorts before all non-NULL values

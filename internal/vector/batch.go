@@ -83,6 +83,15 @@ func (b *Batch) Row(i int) types.Row {
 // Len() × NumCols() values, filled column at a time; each row is capped at
 // its own width, so appending to one never writes into its neighbour.
 func (b *Batch) Rows() []types.Row {
+	n, w := b.Len(), len(b.Cols)
+	out := make([]types.Row, n)
+	b.rowsInto(make([]types.Value, n*w), out)
+	return out
+}
+
+// rowsInto fills out[i] (i < Len()) with live row i, carved out of vals,
+// which must hold Len() × NumCols() values.
+func (b *Batch) rowsInto(vals []types.Value, out []types.Row) {
 	fb := b
 	for _, c := range b.Cols {
 		if c.IsRLE() {
@@ -91,7 +100,6 @@ func (b *Batch) Rows() []types.Row {
 		}
 	}
 	n, w := fb.Len(), len(fb.Cols)
-	vals := make([]types.Value, n*w)
 	for c, col := range fb.Cols {
 		for i := 0; i < n; i++ {
 			phys := i
@@ -101,9 +109,36 @@ func (b *Batch) Rows() []types.Row {
 			vals[i*w+c] = col.ValueAt(phys)
 		}
 	}
-	out := make([]types.Row, n)
-	for i := range out {
+	for i := 0; i < n; i++ {
 		out[i] = vals[i*w : (i+1)*w : (i+1)*w]
+	}
+}
+
+// NumRows returns the live rows of a list of batches.
+func NumRows(batches []*Batch) int {
+	n := 0
+	for _, b := range batches {
+		n += b.Len()
+	}
+	return n
+}
+
+// Rows materializes the live rows of every batch, in order: the one place a
+// columnar result becomes a row set. The rows share one backing array, as
+// Batch.Rows has it; no rows yield nil.
+func Rows(batches []*Batch) []types.Row {
+	n := NumRows(batches)
+	if n == 0 {
+		return nil
+	}
+	w := len(batches[0].Cols)
+	vals := make([]types.Value, n*w)
+	out := make([]types.Row, n)
+	at := 0
+	for _, b := range batches {
+		l := b.Len()
+		b.rowsInto(vals[at*w:(at+l)*w], out[at:at+l])
+		at += l
 	}
 	return out
 }
@@ -130,15 +165,27 @@ func (b *Batch) ShallowCopy() *Batch {
 
 // Append adds every live row of other to the receiver, column at a time.
 // The receiver must be flat and unselected; other's RLE columns expand.
-func (b *Batch) Append(other *Batch) {
+func (b *Batch) Append(other *Batch) { b.AppendRows(other, 0, other.Len()) }
+
+// AppendRows is Append restricted to live rows [lo, hi) of other.
+func (b *Batch) AppendRows(other *Batch, lo, hi int) {
 	if b.Sel != nil {
 		panic("vector: Append to batch with selection vector")
 	}
 	if len(other.Cols) != len(b.Cols) {
 		panic(fmt.Sprintf("vector: Append arity mismatch %d != %d", len(other.Cols), len(b.Cols)))
 	}
+	whole := lo == 0 && hi == other.Len()
 	for i, c := range other.Cols {
-		b.Cols[i].AppendFrom(c.Expand(), other.Sel)
+		src := c.Expand()
+		switch {
+		case other.Sel != nil:
+			b.Cols[i].AppendFrom(src, other.Sel[lo:hi])
+		case whole:
+			b.Cols[i].AppendFrom(src, nil)
+		default:
+			b.Cols[i].AppendFrom(src.Slice(lo, hi), nil)
+		}
 	}
 }
 

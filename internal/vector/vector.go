@@ -168,6 +168,23 @@ func (v *Vector) ValueAt(i int) types.Value {
 	}
 }
 
+// AppendText appends the display form of physical entry i (a run, for RLE
+// vectors) to dst: the same bytes ValueAt(i).String() yields, without the
+// Value or the string in between.
+func (v *Vector) AppendText(dst []byte, i int) []byte {
+	if v.NullAt(i) {
+		return append(dst, types.NullText...)
+	}
+	switch v.Typ {
+	case types.Float64:
+		return types.AppendText(dst, v.Typ, 0, v.Floats[i], "")
+	case types.Varchar:
+		return types.AppendText(dst, v.Typ, 0, 0, v.Strs[i])
+	default:
+		return types.AppendText(dst, v.Typ, v.Ints[i], 0, "")
+	}
+}
+
 // Expand returns a row-per-entry copy of an RLE vector (or v itself when it
 // is already flat).
 func (v *Vector) Expand() *Vector {

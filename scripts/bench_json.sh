@@ -9,12 +9,11 @@
 # epoch-pinned readers — then run the Data Collector overhead benchmark and
 # write BENCH_PR8.json — the cost of always-on query-phase tracing over a
 # collector-disabled engine, plus the engine's log-bucketed query-wall
-# latency quantiles — then run the high-QPS serving benchmarks and write
-# BENCH_PR10.json — statements/sec and p99 for cold vs cached vs prepared
-# serving at 1/64/1024 connections, plus text-vs-binary wire bytes per row.
-# CI smokes all four at 1 iteration (BENCH_ITERS=1x); for recorded numbers
-# use the default on an idle machine. Set BENCH_SKIP_PR6=1, BENCH_SKIP_PR7=1,
-# BENCH_SKIP_PR8=1 or BENCH_SKIP_PR10=1 to regenerate a subset.
+# latency quantiles. (The serving path is measured by the serving_hot and
+# serving_fetch workloads of benchmark/, not here.)
+# CI smokes all three at 1 iteration (BENCH_ITERS=1x); for recorded numbers
+# use the default on an idle machine. Set BENCH_SKIP_PR6=1, BENCH_SKIP_PR7=1
+# or BENCH_SKIP_PR8=1 to regenerate a subset.
 #
 # The speedups scale with the host's cores: the parallel shapes fan worker
 # pipelines out across GOMAXPROCS, so a single-CPU container records mostly
@@ -26,7 +25,6 @@ ITERS="${BENCH_ITERS:-2x}"
 OUT="${BENCH_OUT:-BENCH_PR6.json}"
 OUT7="${BENCH7_OUT:-BENCH_PR7.json}"
 OUT8="${BENCH8_OUT:-BENCH_PR8.json}"
-OUT10="${BENCH10_OUT:-BENCH_PR10.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
@@ -152,61 +150,3 @@ echo "bench-json: wrote $OUT8"
 cat "$OUT8"
 
 fi # BENCH_SKIP_PR8
-
-if [ -z "${BENCH_SKIP_PR10:-}" ]; then
-
-go test -bench '^(BenchmarkServerQPS|BenchmarkServerWireFormat)$' \
-  -benchtime "$ITERS" -run '^$' . | tee "$RAW"
-
-awk -v iters="$ITERS" '
-/^BenchmarkServerQPS\// {
-  # BenchmarkServerQPS/conns=64/cached-8  2  56449847 ns/op  24743 p99-us  4535 stmt/s
-  name = $1
-  sub(/^BenchmarkServerQPS\//, "", name)
-  sub(/-[0-9]+$/, "", name)
-  for (i = 4; i <= NF; i++) {
-    if ($i == "stmt/s") qps[name] = $(i-1)
-    if ($i == "p99-us") p99[name] = $(i-1)
-  }
-  order[n++] = name
-}
-/^BenchmarkServerWireFormat\// {
-  # BenchmarkServerWireFormat/binary-8  5  16045406 ns/op  9.125 bytes/row
-  fmtname = $1
-  sub(/^BenchmarkServerWireFormat\//, "", fmtname)
-  sub(/-[0-9]+$/, "", fmtname)
-  for (i = 4; i <= NF; i++)
-    if ($i == "bytes/row") bpr[fmtname] = $(i-1)
-}
-/^cpu:/ { cpumodel = $0; sub(/^cpu: /, "", cpumodel) }
-END {
-  if (n == 0 || !("text" in bpr) || !("binary" in bpr)) {
-    print "bench-json: no serving-path output parsed" > "/dev/stderr"; exit 1
-  }
-  "getconf _NPROCESSORS_ONLN" | getline cpus
-  printf "{\n"
-  printf "  \"benchtime\": \"%s\",\n", iters
-  printf "  \"cpus\": %d,\n", cpus
-  printf "  \"cpu_model\": \"%s\",\n", cpumodel
-  printf "  \"serving\": [\n"
-  for (i = 0; i < n; i++) {
-    name = order[i]
-    printf "    {\"name\": \"%s\", \"stmt_per_s\": %.0f, \"p99_us\": %.0f}%s\n",
-      name, qps[name], p99[name], (i < n-1 ? "," : "")
-  }
-  printf "  ],\n"
-  if (("conns=64/cold" in qps) && qps["conns=64/cold"] > 0) {
-    printf "  \"cached_vs_cold_64\": %.2f,\n", qps["conns=64/cached"] / qps["conns=64/cold"]
-    printf "  \"prepared_vs_cold_64\": %.2f,\n", qps["conns=64/prepared"] / qps["conns=64/cold"]
-  }
-  printf "  \"text_bytes_per_row\": %.2f,\n", bpr["text"]
-  printf "  \"binary_bytes_per_row\": %.2f,\n", bpr["binary"]
-  printf "  \"binary_vs_text_bytes_ratio\": %.2f,\n", bpr["binary"] / bpr["text"]
-  printf "  \"note\": \"serving path over TCP: mixed point lookups + pruned range aggregates. cold disables the plan cache and decoded-block cache and scatters every literal; cached runs the default caches against a 32-statement hot set; prepared reissues the hot set via PREPARE/EXECUTE. bytes/row compares the text frame with the binary columnar frame on the same 4-column 8192-row scan, counted under the client read buffer\"\n"
-  printf "}\n"
-}' "$RAW" > "$OUT10"
-
-echo "bench-json: wrote $OUT10"
-cat "$OUT10"
-
-fi # BENCH_SKIP_PR10
