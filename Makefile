@@ -7,7 +7,7 @@ SERVE_ADDR ?= :5433
 MEM_POOL   ?= 256MB
 MAX_CONC   ?= 4
 
-.PHONY: all build test race lint bench bench-json check-profiling-overhead serve fmt fuzz cover sqltest-update test-metamorphic docs-check
+.PHONY: all build test race lint bench serve fmt fuzz cover sqltest-update test-metamorphic docs-check
 
 all: build test docs-check
 
@@ -30,18 +30,6 @@ lint:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
-
-# Parallel-scaling + profiling-overhead benchmarks as machine-readable
-# JSON (ns/op + rows/s for serial vs 4-way parallel agg/join/sort with
-# derived speedups, plus the profiled-vs-unprofiled delta). Override
-# BENCH_ITERS (e.g. 1x for a CI smoke) and BENCH_OUT as needed.
-bench-json:
-	sh scripts/bench_json.sh
-
-# Fail if operator wall-clock profiling costs >= 5% over the always-on
-# counters on the 400k-row aggregation.
-check-profiling-overhead:
-	sh scripts/check_profiling_overhead.sh
 
 # Short fuzz smoke, mirroring CI (10s per target).
 fuzz:
@@ -66,9 +54,12 @@ test-metamorphic:
 	$(GO) test -race ./internal/sqltest -run 'TestTLP' -count=1 -tlp.seed $(TLP_SEED)
 	$(GO) test -race ./internal/bench -run 'TestContinuousIngest(Short|DataCollector)' -count=1
 
-# Fail if the parser accepts a statement keyword docs/SQL.md never mentions.
+# Fail if the parser accepts a statement keyword docs/SQL.md never mentions,
+# or if a system table's section there does not list exactly its columns
+# (names and types, in order) as registered.
 docs-check:
 	sh scripts/check_sql_docs.sh
+	$(GO) test ./internal/core -run '^TestSystemTablesDocumented$$' -count=1
 
 serve:
 	$(GO) run ./cmd/vsql -dir $(DB_DIR) -serve $(SERVE_ADDR) -mem-pool $(MEM_POOL) -max-concurrency $(MAX_CONC)

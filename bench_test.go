@@ -7,8 +7,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/exec"
 	"repro/internal/expr"
-	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/tuplemover"
@@ -540,252 +537,4 @@ func BenchmarkConcurrentWorkload(b *testing.B) {
 	}
 	b.Run("admission-2-slots", func(b *testing.B) { run(b, 2) })
 	b.Run("unbounded", func(b *testing.B) { run(b, clients) })
-}
-
-// --- PR 5: intra-node parallel scaling ------------------------------------
-
-// psKey identifies one fixture configuration: the intra-node parallel
-// degree, whether operator wall-clock profiling is on engine-wide, and
-// whether the Data Collector is disabled (dcOff).
-type psKey struct {
-	par     int
-	profile bool
-	dcOff   bool
-}
-
-var (
-	psOnce  sync.Once
-	psDBs   map[psKey]*core.Database
-	psDirs  []string
-	psSetup sync.Mutex
-)
-
-// cleanupParallelScaling removes the fixture databases (registered as the
-// top-level benchmark's cleanup, after every sub-benchmark has run).
-func cleanupParallelScaling() {
-	psSetup.Lock()
-	defer psSetup.Unlock()
-	for _, d := range psDirs {
-		os.RemoveAll(d)
-	}
-	psDirs = nil
-	psDBs = map[psKey]*core.Database{}
-}
-
-// parallelScalingDB returns a database loaded with the parallel-scaling
-// fixture, opened at the given intra-node parallelism. The fixture is a
-// 400k-row fact (k unique, grp with 100k groups, dk foreign key, v float)
-// loaded in 8 direct chunks (so worker scans have ROS containers to
-// split) plus a 200k-row dimension — both sized so the serial hash tables
-// fall well out of cache and the partitioned parallel shapes have
-// something to win.
-func parallelScalingDB(b *testing.B, parallelism int, profile, dcOff bool) *core.Database {
-	b.Helper()
-	psSetup.Lock()
-	defer psSetup.Unlock()
-	psOnce.Do(func() { psDBs = map[psKey]*core.Database{} })
-	key := psKey{par: parallelism, profile: profile, dcOff: dcOff}
-	if db, ok := psDBs[key]; ok {
-		return db
-	}
-	// Not b.TempDir(): the database outlives the sub-benchmark that first
-	// opened it, so its storage must survive that benchmark's cleanup.
-	dir, err := os.MkdirTemp("", "bench-parallel-")
-	if err != nil {
-		b.Fatal(err)
-	}
-	psDirs = append(psDirs, dir)
-	dcCapacity := 0
-	if dcOff {
-		dcCapacity = -1
-	}
-	db, err := core.Open(core.Options{
-		Dir:         dir,
-		TempDir:     dir,
-		Parallelism: parallelism,
-		Profile:     profile,
-		DCCapacity:  dcCapacity,
-		// The fixture's statements run >1s, so the slow-query log would
-		// fire on every iteration and interleave with the benchmark
-		// output the CI gates parse — silence it.
-		LogWriter: io.Discard,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	db.MustExecute(`CREATE TABLE psales (k INT, grp INT, dk INT, v FLOAT)`)
-	db.MustExecute(`CREATE PROJECTION psales_super ON psales (k, grp, dk, v)
-		ORDER BY k SEGMENTED BY HASH(k)`)
-	db.MustExecute(`CREATE TABLE pdim (id INT, w FLOAT)`)
-	db.MustExecute(`CREATE PROJECTION pdim_super ON pdim (id, w) ORDER BY id SEGMENTED BY HASH(id)`)
-	const n, chunks = 400_000, 8
-	for c := 0; c < chunks; c++ {
-		rows := make([]types.Row, n/chunks)
-		for i := range rows {
-			g := c*(n/chunks) + i
-			rows[i] = types.Row{
-				types.NewInt(int64(g)),
-				types.NewInt(int64(g % 100_000)),
-				types.NewInt(int64(g * 7 % 200_000)),
-				types.NewFloat(float64(g%9973) + 0.5),
-			}
-		}
-		if err := db.Load("psales", rows, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-	dim := make([]types.Row, 200_000)
-	for i := range dim {
-		dim[i] = types.Row{types.NewInt(int64(i)), types.NewFloat(float64(i) * 0.25)}
-	}
-	if err := db.Load("pdim", dim, true); err != nil {
-		b.Fatal(err)
-	}
-	psDBs[key] = db
-	return db
-}
-
-// BenchmarkParallelScaling measures the intra-node parallel shapes against
-// their serial equivalents on the same data: parallel aggregation
-// (Figure 3 worker scans + batch-native resegment), partitioned parallel
-// hash join (both sides resegmented on the join key), and parallel sort
-// (round-robin split + order-preserving merge). rows/s is the fact-table
-// throughput; scale the speedup by the host's core count — on a single-CPU
-// host the parallel numbers mostly measure exchange overhead.
-func BenchmarkParallelScaling(b *testing.B) {
-	b.Cleanup(cleanupParallelScaling)
-	workloads := []struct {
-		name string
-		sql  string
-		rows int
-	}{
-		{"agg", `SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM psales GROUP BY grp`, 100_000},
-		{"join", `SELECT COUNT(*) AS n, SUM(w) AS s FROM psales JOIN pdim ON dk = id`, 1},
-		{"sort", `SELECT k, v FROM psales ORDER BY v`, 400_000},
-	}
-	for _, w := range workloads {
-		for _, cfg := range []struct {
-			name string
-			par  int
-		}{{"serial", 1}, {"parallel4", 4}} {
-			b.Run(w.name+"/"+cfg.name, func(b *testing.B) {
-				db := parallelScalingDB(b, cfg.par, false, false)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := db.Execute(w.sql)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Rows) != w.rows {
-						b.Fatalf("rows = %d, want %d", len(res.Rows), w.rows)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(400_000)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-			})
-		}
-	}
-}
-
-// --- PR 6: profiling overhead ----------------------------------------------
-
-// BenchmarkProfilingOverhead measures what per-operator profiling costs on
-// the 400k-row aggregation: "off" is the always-on counters (two atomic
-// adds per batch — the price every query pays), "on" adds wall-clock
-// timing, blocked-time tracking and full record retention (engine-wide
-// Profile, what PROFILE enables per statement). CI gates the on-vs-off
-// delta under 5% (scripts/check_profiling_overhead.sh), so timing can
-// never silently become a tax on unprofiled queries.
-func BenchmarkProfilingOverhead(b *testing.B) {
-	b.Cleanup(cleanupParallelScaling)
-	const sql = `SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM psales GROUP BY grp`
-	for _, cfg := range []struct {
-		name    string
-		profile bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			db := parallelScalingDB(b, 1, cfg.profile, false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := db.Execute(sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 100_000 {
-					b.Fatalf("rows = %d, want 100000", len(res.Rows))
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(400_000)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
-}
-
-// --- PR 8: Data Collector overhead -------------------------------------------
-
-// BenchmarkDCOverhead measures what always-on Data Collector tracing costs
-// on the 400k-row aggregation: "off" disables the collector outright
-// (Options.DCCapacity < 0), "on" is the default always-on configuration —
-// a per-statement trace with a handful of phase records, buffered locally
-// and published to the ring at statement end. CI gates the on-vs-off delta
-// under 5% (scripts/check_profiling_overhead.sh), the same bar the
-// profiling path holds, so event collection can never silently tax every
-// query.
-func BenchmarkDCOverhead(b *testing.B) {
-	b.Cleanup(cleanupParallelScaling)
-	const sql = `SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM psales GROUP BY grp`
-	for _, cfg := range []struct {
-		name  string
-		dcOff bool
-	}{{"off", true}, {"on", false}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			db := parallelScalingDB(b, 1, false, cfg.dcOff)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := db.Execute(sql)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != 100_000 {
-					b.Fatalf("rows = %d, want 100000", len(res.Rows))
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(400_000)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-			if !cfg.dcOff {
-				// Latency histogram quantiles accumulated by the engine
-				// across this process's governed statements (log-bucketed
-				// upper bounds, so coarse by design).
-				b.ReportMetric(float64(metrics.QueryWallUs.Quantile(0.50)), "wall-p50-us")
-				b.ReportMetric(float64(metrics.QueryWallUs.Quantile(0.99)), "wall-p99-us")
-			}
-		})
-	}
-}
-
-// --- PR 7: continuous ingest -------------------------------------------------
-
-// BenchmarkContinuousIngest runs the closed-loop continuous-ingest scenario
-// (internal/bench/ingest.go): concurrent INSERT writers streaming into the
-// WOS, the tuple mover cycling moveout/mergeout, and live + epoch-pinned
-// analytical readers issuing TLP-checked queries throughout. It reports
-// sustained ingest throughput and reader query latency percentiles — the
-// trade the paper's hybrid WOS/ROS design is about. Any correctness
-// violation (TLP identity, pinned-epoch drift) fails the benchmark.
-func BenchmarkContinuousIngest(b *testing.B) {
-	var last *bench.IngestReport
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.RunContinuousIngest(bench.IngestConfig{
-			Dir:      b.TempDir(),
-			Duration: 2 * time.Second,
-			Seed:     int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = rep
-	}
-	b.ReportMetric(last.IngestRowsPerSec, "ingest-rows/s")
-	b.ReportMetric(float64(last.P50.Microseconds()), "p50-us")
-	b.ReportMetric(float64(last.P99.Microseconds()), "p99-us")
 }

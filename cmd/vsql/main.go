@@ -10,12 +10,13 @@
 //	vsql -dir /path/to/db -serve :5433 -mem-pool 256MB -max-concurrency 4
 //
 // -debug-addr starts an HTTP listener serving the engine metrics registry
-// (/metrics as JSON, /debug/vars as expvar) and the standard Go profiling
-// endpoints (/debug/pprof/*). -slow-query sets the threshold past which a
+// (/metrics, plain text: the rows of v_monitor.metrics) and the standard Go
+// profiling endpoints (/debug/pprof/*). -slow-query sets the threshold past which a
 // statement's full per-operator profile is auto-retained in
 // v_monitor.execution_engine_profiles. -dc-capacity sizes the Data
 // Collector's per-stream ring buffers (v_monitor.query_phases,
-// query_events, dc_* tables); 0 uses the default, negative disables
+// query_events, dc_* tables; v_monitor.data_collector shows what each
+// retains and has dropped); 0 uses the default, negative disables
 // collection.
 //
 // Meta commands: \q quits, \d lists tables and projections, \mover runs a
@@ -87,7 +88,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "vsql: debug listener:", err)
 			}
 		}()
-		fmt.Printf("vsql: debug HTTP on %s (/metrics, /debug/vars, /debug/pprof/)\n", *debugAddr)
+		fmt.Printf("vsql: debug HTTP on %s (/metrics, /debug/pprof/)\n", *debugAddr)
 	}
 	if *serveAddr != "" {
 		if err := serve(db, *serveAddr); err != nil {

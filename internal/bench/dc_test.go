@@ -30,14 +30,14 @@ func TestContinuousIngestDataCollector(t *testing.T) {
 		Inspect: func(db *core.Database) error {
 			inspected = true
 			col := db.Collector()
-			for name, st := range col.Stats() {
+			for _, st := range col.Stats() {
 				if st.Dropped != 0 {
 					return fmt.Errorf("ring %q dropped %d events below capacity (appended %d, cap %d)",
-						name, st.Dropped, st.Appended, st.Cap)
+						st.Stream, st.Dropped, st.Appended, st.Cap)
 				}
 				if int64(st.Len) != st.Appended {
 					return fmt.Errorf("ring %q lost events: len %d != appended %d with zero drops",
-						name, st.Len, st.Appended)
+						st.Stream, st.Len, st.Appended)
 				}
 			}
 			if len(col.MoverEvents()) == 0 {
@@ -61,11 +61,25 @@ func TestContinuousIngestDataCollector(t *testing.T) {
 		Seed:       13,
 		DCCapacity: 4,
 		Inspect: func(db *core.Database) error {
+			// The scenario has drained and a monitor query appends to the
+			// rings only as it ends (its trace flushes after the scan), so
+			// on a session opened beforehand the table must report exactly
+			// what the collector does.
+			sess := db.NewSession()
+			defer sess.Close()
 			stats := db.Collector().Stats()
+			res, err := sess.Execute(`SELECT stream, dropped FROM v_monitor.data_collector`)
+			if err != nil {
+				return err
+			}
 			var dropped int64
-			for name, st := range stats {
+			for i, st := range stats {
 				if st.Len > st.Cap {
-					return fmt.Errorf("ring %q over capacity: len %d > cap %d", name, st.Len, st.Cap)
+					return fmt.Errorf("ring %q over capacity: len %d > cap %d", st.Stream, st.Len, st.Cap)
+				}
+				if row := res.Rows[i]; row[0].S != st.Stream || row[1].I != st.Dropped {
+					return fmt.Errorf("v_monitor.data_collector row %d = %v, want stream %q with %d dropped",
+						i, row, st.Stream, st.Dropped)
 				}
 				dropped += st.Dropped
 			}

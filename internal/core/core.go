@@ -15,10 +15,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,13 +83,6 @@ type Options struct {
 	// DefaultPool is the resource pool new sessions admit against until SET
 	// RESOURCE POOL changes it ("" = the built-in general pool).
 	DefaultPool string
-	// ProfileCapacity bounds the retained query-profile ring backing
-	// v_monitor.query_profiles (0 = resmgr default, negative disables).
-	ProfileCapacity int
-	// OpProfileCapacity bounds the retained per-operator profile ring
-	// backing v_monitor.execution_engine_profiles (0 = resmgr default,
-	// negative disables).
-	OpProfileCapacity int
 	// SlowQueryThreshold is the wall time past which a finished statement's
 	// per-operator profile is retained even without PROFILE (0 = resmgr
 	// default of 1s, negative disables slow-query capture).
@@ -142,7 +137,7 @@ type Database struct {
 // Result is the outcome of one statement. A SELECT's result set is carried
 // in exactly one form: Rows from the row-returning entry points (Execute*,
 // QueryAt, QueryAtContext), Batches from the columnar ones (ExecuteBatches,
-// QueryAtBatches).
+// ExecuteBatchesAt, QueryAtBatches).
 type Result struct {
 	Schema *types.Schema
 	Rows   []types.Row
@@ -197,8 +192,6 @@ func Open(opts Options) (*Database, error) {
 		PoolBytes:          opts.MemPoolBytes,
 		MaxConcurrency:     opts.MaxConcurrency,
 		QueueTimeout:       opts.QueueTimeout,
-		ProfileCapacity:    opts.ProfileCapacity,
-		OpProfileCapacity:  opts.OpProfileCapacity,
 		SlowQueryThreshold: opts.SlowQueryThreshold,
 		Logger:             logger,
 	})
@@ -233,7 +226,9 @@ func Open(opts Options) (*Database, error) {
 		}
 		db.plans = plancache.New(size)
 	}
-	db.registerMonitorTables()
+	if err := db.registerMonitorTables(); err != nil {
+		return nil, err
+	}
 	// Re-register persisted resource pools with the fresh governor: CREATE
 	// RESOURCE POOL definitions live in the catalog and survive restart;
 	// runtime state (queues, counters) starts clean. A persisted definition
@@ -298,8 +293,10 @@ func Open(opts Options) (*Database, error) {
 		return rows
 	})
 	// Publish the Data Collector's total dropped-event count so overflow
-	// is visible on /metrics and v_monitor.metrics without querying every
-	// dc table.
+	// is visible on /metrics and v_monitor.metrics. It sums the five event
+	// streams only — not the governor's two profile rings, which
+	// v_monitor.data_collector also lists — so the benchmark's per-layer
+	// dc.dropped_events keeps meaning what it measured before that table.
 	metrics.RegisterFunc("dc.dropped_events", func() int64 {
 		var n int64
 		for _, st := range dcol.Stats() {
@@ -403,6 +400,31 @@ func (s *Session) Pool() string {
 	return s.pool
 }
 
+// sessionRow is one open session, the row source for v_monitor.sessions.
+type sessionRow struct {
+	ID         int64     `vt:"session_id"`
+	Pool       string    `vt:"pool"`
+	Statements int64     `vt:"statements"`
+	Current    string    `vt:"current_statement"`
+	InTxn      bool      `vt:"in_txn"`
+	Created    time.Time `vt:"created_at"`
+}
+
+// sessionRows lists the open sessions in session-id order.
+func (db *Database) sessionRows() []sessionRow {
+	db.sessMu.Lock()
+	defer db.sessMu.Unlock()
+	var rows []sessionRow
+	for _, s := range db.sessions {
+		s.mu.Lock()
+		rows = append(rows, sessionRow{ID: s.id, Pool: cmp.Or(s.pool, resmgr.GeneralPool), Statements: s.stmts,
+			Current: s.curStmt, InTxn: s.tx != nil, Created: s.created})
+		s.mu.Unlock()
+	}
+	slices.SortFunc(rows, func(a, b sessionRow) int { return cmp.Compare(a.ID, b.ID) })
+	return rows
+}
+
 // Close rolls back any open transaction and unregisters the session.
 func (s *Session) Close() {
 	if s.tx != nil {
@@ -479,7 +501,22 @@ func withRows(res *Result, err error) (*Result, error) {
 // ExecuteBatches is ExecuteContext with a SELECT's result set left columnar
 // (Result.Batches): what a caller that renders or ships columns, like the
 // server, wants instead of rows it would only take apart again.
-func (s *Session) ExecuteBatches(ctx context.Context, sqlText string) (res *Result, err error) {
+func (s *Session) ExecuteBatches(ctx context.Context, sqlText string) (*Result, error) {
+	return s.execute(ctx, sqlText, nil)
+}
+
+// ExecuteBatchesAt is ExecuteBatches with every SELECT the statement runs —
+// plain, PROFILEd or the body of an EXECUTE — reading the snapshot at epoch
+// instead of the live read epoch (time travel; the server's \pin). Other
+// statements run as they always do.
+func (s *Session) ExecuteBatchesAt(ctx context.Context, sqlText string, epoch types.Epoch) (*Result, error) {
+	return s.execute(ctx, sqlText, &epoch)
+}
+
+// execute is the one statement prologue: trace, parse, session bookkeeping,
+// context tags, dispatch. at is the snapshot epoch SELECTs read (nil = the
+// read epoch current when each one runs).
+func (s *Session) execute(ctx context.Context, sqlText string, at *types.Epoch) (res *Result, err error) {
 	// Trace the statement's lifecycle phases into the Data Collector. The
 	// trace buffers locally and publishes at statement end (the deferred
 	// Flush), so a v_monitor.query_phases query sees complete statements
@@ -503,21 +540,21 @@ func (s *Session) ExecuteBatches(ctx context.Context, sqlText string) (res *Resu
 	ctx = resmgr.WithPool(ctx, s.Pool())
 	ctx = resmgr.WithLabel(ctx, statementLabel(sqlText))
 	ctx = dc.WithTrace(ctx, tr)
-	return s.dispatch(ctx, stmt)
+	return s.dispatch(ctx, stmt, at)
 }
 
 // dispatch routes a parsed statement to its implementation. EXECUTE re-enters
-// here with its parameter-substituted body.
-func (s *Session) dispatch(ctx context.Context, stmt sql.Statement) (*Result, error) {
+// here with its parameter-substituted body. at is execute's snapshot epoch.
+func (s *Session) dispatch(ctx context.Context, stmt sql.Statement, at *types.Epoch) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sql.TxnStmt:
 		return s.execTxnStmt(st)
 	case *sql.SelectStmt:
-		return s.db.execSelect(ctx, st)
+		return s.db.execSelect(ctx, st, at)
 	case *sql.PrepareStmt:
 		return s.execPrepare(st)
 	case *sql.ExecuteStmt:
-		return s.execExecute(ctx, st)
+		return s.execExecute(ctx, st, at)
 	case *sql.DeallocateStmt:
 		return s.execDeallocate(st)
 	case *sql.CreateTableStmt:
@@ -572,7 +609,7 @@ func (s *Session) execPrepare(st *sql.PrepareStmt) (*Result, error) {
 // with different parameters share one cache entry — re-binding selectivity
 // (and with it, grant size) at each execution without replanning, unless
 // the estimate diverges far enough that execSelect forces a replan.
-func (s *Session) execExecute(ctx context.Context, st *sql.ExecuteStmt) (*Result, error) {
+func (s *Session) execExecute(ctx context.Context, st *sql.ExecuteStmt, at *types.Epoch) (*Result, error) {
 	s.mu.Lock()
 	ps := s.prepared[st.Name]
 	s.mu.Unlock()
@@ -587,7 +624,7 @@ func (s *Session) execExecute(ctx context.Context, st *sql.ExecuteStmt) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return s.dispatch(ctx, bound)
+	return s.dispatch(ctx, bound, at)
 }
 
 // execDeallocate drops a prepared statement by name.
@@ -814,7 +851,7 @@ func (db *Database) persistPool(name string, opts *sql.PoolOpts) error {
 	if !ok {
 		return fmt.Errorf("core: pool %q vanished before persisting", name)
 	}
-	return db.cat.SavePool(poolDefOf(st.PoolConfig))
+	return db.cat.SavePool(poolDefOf(st.Config))
 }
 
 // mergePoolOpts applies the fields one ALTER statement specified onto a
@@ -942,7 +979,9 @@ func (s *Session) execSetPool(st *sql.SetStmt) (*Result, error) {
 // the statement replans from scratch (the "≥10×" rule for EXECUTE).
 const divergenceThreshold = 10.0
 
-func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt) (*Result, error) {
+// execSelect plans (or replays from the plan cache) and runs one SELECT at
+// snapshot epoch *at, or at the live read epoch when at is nil.
+func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *types.Epoch) (*Result, error) {
 	dc.TraceFrom(ctx).Begin("analyze")
 	opts := db.planOpts(st)
 
@@ -1012,7 +1051,11 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt) (*Result
 			return nil, err
 		}
 	}
-	res, err := db.cluster.RunCtx(ctx, q, opts)
+	epoch := db.txns.Epochs.ReadEpoch()
+	if at != nil {
+		epoch = *at
+	}
+	res, err := db.cluster.RunAtCtx(ctx, q, opts, epoch)
 	if err != nil {
 		return nil, err
 	}
@@ -1123,42 +1166,17 @@ func (db *Database) QueryAtContext(ctx context.Context, sqlText string, epoch ty
 	return withRows(db.QueryAtBatches(ctx, sqlText, epoch))
 }
 
-// QueryAtBatches is QueryAtContext with the result set left columnar (the
-// server's pinned-epoch sessions run through here).
-func (db *Database) QueryAtBatches(ctx context.Context, sqlText string, epoch types.Epoch) (res *Result, err error) {
-	tr := dc.NewTrace(db.dcol)
-	defer func() {
-		tr.Flush()
-		if err != nil {
-			db.dcol.RecordError(dc.ErrorEvent{
-				QueryID: tr.QueryID(), SQL: statementLabel(sqlText), Error: err.Error()})
-		}
-	}()
-	tr.Begin("parse")
-	stmt, err := sql.Parse(sqlText)
-	if err != nil {
+// QueryAtBatches is QueryAtContext with the result set left columnar. Like
+// ExecuteContext it runs in a session of its own.
+func (db *Database) QueryAtBatches(ctx context.Context, sqlText string, epoch types.Epoch) (*Result, error) {
+	if stmt, err := sql.Parse(sqlText); err != nil {
 		return nil, err
-	}
-	st, ok := stmt.(*sql.SelectStmt)
-	if !ok {
+	} else if _, ok := stmt.(*sql.SelectStmt); !ok {
 		return nil, fmt.Errorf("core: QueryAt requires a SELECT")
 	}
-	ctx = resmgr.WithLabel(ctx, statementLabel(sqlText))
-	ctx = dc.WithTrace(ctx, tr)
-	tr.Begin("analyze")
-	q, err := sql.AnalyzeSelect(st, db.cat)
-	if err != nil {
-		return nil, err
-	}
-	qres, err := db.cluster.RunAtCtx(ctx, q, db.planOpts(st), epoch)
-	if err != nil {
-		return nil, err
-	}
-	if st.Profile {
-		tree := exec.FormatProfiles(qres.OpProfiles)
-		return &Result{Explain: tree, Message: tree, OpProfiles: qres.OpProfiles, Stats: qres.Stats}, nil
-	}
-	return &Result{Schema: qres.Schema, Batches: qres.Batches, Explain: qres.Explain, Stats: qres.Stats}, nil
+	s := db.NewSession()
+	defer s.Close()
+	return s.ExecuteBatchesAt(ctx, sqlText, epoch)
 }
 
 func (db *Database) execCreateTable(st *sql.CreateTableStmt) (*Result, error) {

@@ -1,572 +1,248 @@
-// System tables (the v_monitor schema): the engine's runtime state exposed
-// as SQL-queryable virtual tables, mirroring Vertica's self-monitoring
-// design — resource pools, retained query profiles and live sessions are
-// plain tables to SELECT from, joinable, filterable and aggregatable like
-// any user data.
+// System tables (the v_monitor and v_catalog schemas): the engine's runtime
+// state as SQL-queryable virtual tables, mirroring Vertica's self-monitoring
+// design. A table is declared once, as a row struct whose `vt` field tags name
+// its columns; registerTable derives the schema and the rows from it.
 package core
 
 import (
-	"sort"
+	"cmp"
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/dc"
 	"repro/internal/metrics"
+	"repro/internal/plancache"
 	"repro/internal/storage"
 	"repro/internal/types"
 )
 
-func col(name string, t types.Type) types.Column {
-	return types.Column{Name: name, Typ: t, Nullable: true}
+// cellOf converts one tagged field to its cell: a string, bool, integer,
+// time.Time (TIMESTAMP) or fmt.Stringer (VARCHAR) maps by its type; a
+// time.Duration needs its unit as conv — us, ms (INTEGER) or float_us (FLOAT)
+// — and a []string needs csv. The cell of a type's zero value gives the
+// column's SQL type, so schema and rows cannot disagree.
+func cellOf(v reflect.Value, conv string) (types.Value, error) {
+	x := v.Interface()
+	d, isDuration := x.(time.Duration)
+	list, isList := x.([]string)
+	at, isTime := x.(time.Time)
+	str, isStringer := x.(fmt.Stringer)
+	switch {
+	case isDuration && conv == "us":
+		return types.NewInt(d.Microseconds()), nil
+	case isDuration && conv == "ms":
+		return types.NewInt(d.Milliseconds()), nil
+	case isDuration && conv == "float_us":
+		return types.NewFloat(float64(d) / 1e3), nil
+	case isList && conv == "csv":
+		return types.NewString(strings.Join(list, ",")), nil
+	case isDuration || conv != "": // no unit, or a conversion that does not apply
+	case isTime:
+		return types.NewTimestamp(at), nil
+	case isStringer:
+		return types.NewString(str.String()), nil
+	case v.Kind() == reflect.String:
+		return types.NewString(v.String()), nil
+	case v.Kind() == reflect.Bool:
+		return types.NewBool(v.Bool()), nil
+	case v.CanInt():
+		return types.NewInt(v.Int()), nil
+	case v.CanUint():
+		return types.NewInt(int64(v.Uint())), nil
+	}
+	return types.Value{}, fmt.Errorf("unsupported field type %s with conversion %q", v.Type(), conv)
 }
 
-// registerMonitorTables installs the v_monitor.* virtual tables against this
-// database's governor and session registry.
-func (db *Database) registerMonitorTables() {
-	poolSchema := types.NewSchema(
-		col("name", types.Varchar),
-		col("memorysize", types.Int64),
-		col("maxmemorysize", types.Int64),
-		col("grantsize", types.Int64),
-		col("planned_concurrency", types.Int64),
-		col("max_concurrency", types.Int64),
-		col("queue_timeout_ms", types.Int64),
-		col("running", types.Int64),
-		col("waiting", types.Int64),
-		col("in_use_bytes", types.Int64),
-		col("borrowed_bytes", types.Int64),
-		col("admitted", types.Int64),
-		col("queued", types.Int64),
-		col("timed_out", types.Int64),
-		col("canceled", types.Int64),
-		col("peak_running", types.Int64),
-		col("queue_wait_us", types.Int64),
-		col("priority", types.Int64),
-		col("runtimecap_ms", types.Int64),
-		col("parallelism", types.Int64),
-		col("grant_extensions", types.Int64),
-		col("extension_bytes", types.Int64),
-		col("denied_extensions", types.Int64),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.resource_pools", Schema: poolSchema},
+// registerTable installs system table name: one column per exported field of
+// row struct T, named by its `vt:"column[,conv]"` tag (see cellOf; `vt:"-"`
+// leaves a field out), and fetch's records as the rows. A field that cannot
+// become a column fails the registration — never a silently missing column.
+// Reflection runs here and at scan time, never on a user statement's path.
+func registerTable[T any](cat *catalog.Catalog, name string, fetch func() ([]T, error)) error {
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	var cols []types.Column
+	var fields []int // per column: its struct field index
+	var convs []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, tagged := f.Tag.Lookup("vt")
+		if !f.IsExported() || tag == "-" {
+			continue
+		}
+		col, conv, _ := strings.Cut(tag, ",")
+		zero, err := cellOf(reflect.Zero(f.Type), conv)
+		switch {
+		case !tagged || col == "":
+			err = errors.New("exported field has no vt column tag")
+		case slices.ContainsFunc(cols, func(c types.Column) bool { return c.Name == col }):
+			err = fmt.Errorf("duplicate column %q", col)
+		}
+		if err != nil {
+			return fmt.Errorf("system table %s: %s.%s: %w", name, t, f.Name, err)
+		}
+		cols = append(cols, types.Column{Name: col, Typ: zero.Typ, Nullable: true})
+		fields, convs = append(fields, i), append(convs, conv)
+	}
+	return cat.RegisterVirtual(&catalog.Table{Name: name, Schema: types.NewSchema(cols...)},
 		func() ([]types.Row, error) {
-			pools := db.Governor().Pools()
-			rows := make([]types.Row, 0, len(pools))
-			for _, p := range pools {
-				timeoutMS := p.EffQueueTimeout.Milliseconds()
-				if p.EffQueueTimeout < 0 {
-					timeoutMS = -1
-				}
-				rows = append(rows, types.Row{
-					types.NewString(p.Name),
-					types.NewInt(p.MemBytes),
-					types.NewInt(p.EffMaxMemBytes),
-					types.NewInt(p.EffGrantBytes),
-					types.NewInt(int64(p.PlannedConcurrency)),
-					types.NewInt(int64(p.EffMaxConcurrency)),
-					types.NewInt(timeoutMS),
-					types.NewInt(int64(p.Running)),
-					types.NewInt(int64(p.Waiting)),
-					types.NewInt(p.InUseBytes),
-					types.NewInt(p.BorrowedBytes),
-					types.NewInt(p.Admitted),
-					types.NewInt(p.Queued),
-					types.NewInt(p.TimedOut),
-					types.NewInt(p.Canceled),
-					types.NewInt(int64(p.PeakRunning)),
-					types.NewInt(p.TotalQueueWait.Microseconds()),
-					types.NewInt(int64(p.Priority)),
-					types.NewInt(p.RuntimeCap.Milliseconds()),
-					types.NewInt(int64(p.Parallelism)),
-					types.NewInt(p.GrantExtensions),
-					types.NewInt(p.ExtensionBytes),
-					types.NewInt(p.DeniedExtensions),
-				})
-			}
-			return rows, nil
-		})
-
-	profSchema := types.NewSchema(
-		col("profile_id", types.Int64),
-		col("pool", types.Varchar),
-		col("statement", types.Varchar),
-		col("grant_bytes", types.Int64),
-		col("rows_produced", types.Int64),
-		col("spills", types.Int64),
-		col("spilled_bytes", types.Int64),
-		col("grant_extensions", types.Int64),
-		col("extension_bytes", types.Int64),
-		col("denied_extensions", types.Int64),
-		col("alloc_peak_bytes", types.Int64),
-		col("queue_wait_us", types.Int64),
-		col("wall_us", types.Int64),
-		col("started_at", types.Timestamp),
-		col("status", types.Varchar),
-		col("error", types.Varchar),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.query_profiles", Schema: profSchema},
-		func() ([]types.Row, error) {
-			profs := db.Governor().Profiles()
-			rows := make([]types.Row, 0, len(profs))
-			for _, p := range profs {
-				status := "ok"
-				if p.Error != "" {
-					status = "error"
-				}
-				rows = append(rows, types.Row{
-					types.NewInt(p.ID),
-					types.NewString(p.Pool),
-					types.NewString(p.Label),
-					types.NewInt(p.GrantBytes),
-					types.NewInt(p.Rows),
-					types.NewInt(p.Spills),
-					types.NewInt(p.SpilledBytes),
-					types.NewInt(p.GrantExtensions),
-					types.NewInt(p.ExtensionBytes),
-					types.NewInt(p.DeniedExtensions),
-					types.NewInt(p.AllocPeak),
-					types.NewInt(p.QueueWait.Microseconds()),
-					types.NewInt(p.Wall.Microseconds()),
-					types.NewTimestamp(p.Started.UTC()),
-					types.NewString(status),
-					types.NewString(p.Error),
-				})
-			}
-			return rows, nil
-		})
-
-	// v_monitor.execution_engine_profiles: retained per-operator execution
-	// records, one row per plan node of a PROFILEd or slow query. Joins to
-	// v_monitor.query_profiles on profile_id = query_id.
-	opProfSchema := types.NewSchema(
-		col("query_id", types.Int64),
-		col("node_name", types.Varchar),
-		col("plan_node_id", types.Int64),
-		col("depth", types.Int64),
-		col("operator", types.Varchar),
-		col("est_rows", types.Int64),
-		col("batches", types.Int64),
-		col("rows_produced", types.Int64),
-		col("wall_us", types.Int64),
-		col("blocked_us", types.Int64),
-		col("spills", types.Int64),
-		col("spilled_bytes", types.Int64),
-		col("alloc_peak_bytes", types.Int64),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.execution_engine_profiles", Schema: opProfSchema},
-		func() ([]types.Row, error) {
-			recs := db.Governor().OpProfiles()
-			rows := make([]types.Row, 0, len(recs))
-			for _, r := range recs {
-				rows = append(rows, types.Row{
-					types.NewInt(r.QueryID),
-					types.NewString(r.Node),
-					types.NewInt(int64(r.NodeID)),
-					types.NewInt(int64(r.Depth)),
-					types.NewString(r.Op),
-					types.NewInt(r.EstRows),
-					types.NewInt(r.Batches),
-					types.NewInt(r.Rows),
-					types.NewInt(r.WallUs),
-					types.NewInt(r.BlockedUs),
-					types.NewInt(r.Spills),
-					types.NewInt(r.SpilledBytes),
-					types.NewInt(r.AllocPeak),
-				})
-			}
-			return rows, nil
-		})
-
-	// v_monitor.metrics: the process-wide metrics registry, one row per
-	// counter/gauge. Values are cumulative since process start (counters)
-	// or instantaneous (gauges).
-	metricsSchema := types.NewSchema(
-		col("name", types.Varchar),
-		col("kind", types.Varchar),
-		col("value", types.Int64),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.metrics", Schema: metricsSchema},
-		func() ([]types.Row, error) {
-			samples := metrics.Default.Snapshot()
-			rows := make([]types.Row, 0, len(samples))
-			for _, s := range samples {
-				rows = append(rows, types.Row{
-					types.NewString(s.Name),
-					types.NewString(string(s.Kind)),
-					types.NewInt(s.Value),
-				})
-			}
-			return rows, nil
-		})
-
-	// v_catalog.column_statistics: the optimizer statistics written by
-	// ANALYZE_STATISTICS, one row per analyzed column.
-	statsSchema := types.NewSchema(
-		col("table_name", types.Varchar),
-		col("column_name", types.Varchar),
-		col("row_count", types.Int64),
-		col("null_count", types.Int64),
-		col("ndv", types.Int64),
-		col("min_value", types.Varchar),
-		col("max_value", types.Varchar),
-		col("histogram_buckets", types.Int64),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_catalog.column_statistics", Schema: statsSchema},
-		func() ([]types.Row, error) {
-			var rows []types.Row
-			for _, t := range db.cat.Tables() {
-				m := db.cat.TableStats(t.Name)
-				if m == nil {
-					continue
-				}
-				names := make([]string, 0, len(m))
-				for n := range m {
-					names = append(names, n)
-				}
-				sort.Strings(names)
-				for _, n := range names {
-					cs := m[n]
-					buckets := int64(0)
-					if cs.Hist != nil {
-						buckets = int64(len(cs.Hist.Buckets))
-					}
-					rows = append(rows, types.Row{
-						types.NewString(t.Name),
-						types.NewString(cs.Column),
-						types.NewInt(cs.RowCount),
-						types.NewInt(cs.NullCount),
-						types.NewInt(cs.NDV),
-						types.NewString(cs.Min.String()),
-						types.NewString(cs.Max.String()),
-						types.NewInt(buckets),
-					})
+			recs, err := fetch()
+			rows := make([]types.Row, len(recs))
+			for i := range recs {
+				rec := reflect.ValueOf(&recs[i]).Elem()
+				rows[i] = make(types.Row, len(fields))
+				for j, f := range fields {
+					rows[i][j], _ = cellOf(rec.Field(f), convs[j]) // validated above
 				}
 			}
-			return rows, nil
+			return rows, err
 		})
+}
 
+// snapshot adapts a row source that cannot fail to registerTable.
+func snapshot[T any](f func() []T) func() ([]T, error) {
+	return func() ([]T, error) { return f(), nil }
+}
+
+// Row types of the tables with derived columns (sessionRow sits beside Session
+// in core.go). Every other table's declaration is its tagged source type in
+// resmgr, metrics, dc, plancache or txn.
+type (
+	// v_catalog.column_statistics: what ANALYZE_STATISTICS wrote, per column.
+	columnStatsRow struct {
+		Table   string      `vt:"table_name"`
+		Column  string      `vt:"column_name"`
+		Rows    int64       `vt:"row_count"`
+		Nulls   int64       `vt:"null_count"`
+		NDV     int64       `vt:"ndv"`
+		Min     types.Value `vt:"min_value"`
+		Max     types.Value `vt:"max_value"`
+		Buckets int         `vt:"histogram_buckets"`
+	}
 	// v_catalog.projections: the physical design, one row per projection.
-	projSchema := types.NewSchema(
-		col("projection_name", types.Varchar),
-		col("anchor_table", types.Varchar),
-		col("columns", types.Varchar),
-		col("sort_order", types.Varchar),
-		col("segmentation", types.Varchar),
-		col("is_super", types.Bool),
-		col("is_buddy", types.Bool),
-		col("buddy", types.Varchar),
-		col("is_prejoin", types.Bool),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_catalog.projections", Schema: projSchema},
-		func() ([]types.Row, error) {
-			projs := db.cat.Projections()
-			rows := make([]types.Row, 0, len(projs))
-			for _, p := range projs {
-				seg := "unsegmented"
-				switch {
-				case p.Seg.Replicated:
-					seg = "replicated"
-				case p.Seg.ExprText != "":
-					seg = p.Seg.ExprText
-				}
-				rows = append(rows, types.Row{
-					types.NewString(p.Name),
-					types.NewString(p.Anchor),
-					types.NewString(strings.Join(p.Columns, ",")),
-					types.NewString(strings.Join(p.SortOrder, ",")),
-					types.NewString(seg),
-					types.NewBool(p.IsSuper),
-					types.NewBool(p.IsBuddy),
-					types.NewString(p.Buddy),
-					types.NewBool(len(p.Prejoin) > 0),
-				})
-			}
-			return rows, nil
-		})
+	projectionRow struct {
+		Name      string   `vt:"projection_name"`
+		Anchor    string   `vt:"anchor_table"`
+		Columns   []string `vt:"columns,csv"`
+		SortOrder []string `vt:"sort_order,csv"`
+		Seg       string   `vt:"segmentation"`
+		IsSuper   bool     `vt:"is_super"`
+		IsBuddy   bool     `vt:"is_buddy"`
+		Buddy     string   `vt:"buddy"`
+		IsPrejoin bool     `vt:"is_prejoin"`
+	}
+	// v_monitor.projection_storage: ROS/WOS bytes and rows, container and
+	// delete-vector counts per projection and node.
+	projectionStorageRow struct {
+		Projection string `vt:"projection_name"`
+		Node       string `vt:"node_name"`
+		ROSBytes   int64  `vt:"ros_bytes"`
+		Containers int    `vt:"ros_containers"`
+		ROSRows    int64  `vt:"ros_rows"`
+		WOSBytes   int64  `vt:"wos_bytes"`
+		WOSRows    int    `vt:"wos_rows"`
+		DVs        int    `vt:"dv_count"`
+	}
+	// v_catalog.tables: the logical schema inventory, one row per user table.
+	tableRow struct {
+		Name        string `vt:"table_name"`
+		Columns     int    `vt:"column_count"`
+		Partition   string `vt:"partition_expr"`
+		Projections int    `vt:"projection_count"`
+	}
+)
 
-	// v_monitor.projection_storage: per-projection, per-node physical
-	// storage — ROS/WOS bytes and rows, container and delete-vector counts.
-	storSchema := types.NewSchema(
-		col("projection_name", types.Varchar),
-		col("node_name", types.Varchar),
-		col("ros_bytes", types.Int64),
-		col("ros_containers", types.Int64),
-		col("ros_rows", types.Int64),
-		col("wos_bytes", types.Int64),
-		col("wos_rows", types.Int64),
-		col("dv_count", types.Int64),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.projection_storage", Schema: storSchema},
-		func() ([]types.Row, error) {
-			var rows []types.Row
-			for _, p := range db.cat.Projections() {
-				for _, n := range db.cluster.UpNodes() {
-					mgr, err := n.Mgr(p, db.cluster.ManagerOpts())
-					if err != nil {
-						return nil, err
-					}
-					dvCount := int64(len(mgr.DVs().Get(storage.WOSTarget)))
-					for _, r := range mgr.Containers() {
-						dvCount += int64(len(mgr.DVs().Get(r.Meta.ID)))
-					}
-					rows = append(rows, types.Row{
-						types.NewString(p.Name),
-						types.NewString(n.Name),
-						types.NewInt(mgr.TotalBytes()),
-						types.NewInt(int64(len(mgr.Containers()))),
-						types.NewInt(mgr.RowCount()),
-						types.NewInt(mgr.WOS().Bytes()),
-						types.NewInt(int64(mgr.WOS().Len())),
-						types.NewInt(dvCount),
-					})
-				}
-			}
-			return rows, nil
-		})
-
-	// v_catalog.tables: one row per user table — the logical schema
-	// inventory next to v_catalog.projections' physical one.
-	tblSchema := types.NewSchema(
-		col("table_name", types.Varchar),
-		col("column_count", types.Int64),
-		col("partition_expr", types.Varchar),
-		col("projection_count", types.Int64),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_catalog.tables", Schema: tblSchema},
-		func() ([]types.Row, error) {
-			tables := db.cat.Tables()
-			rows := make([]types.Row, 0, len(tables))
-			for _, t := range tables {
-				rows = append(rows, types.Row{
-					types.NewString(t.Name),
-					types.NewInt(int64(t.Schema.Len())),
-					types.NewString(t.PartitionExprText),
-					types.NewInt(int64(len(db.cat.ProjectionsFor(t.Name)))),
-				})
-			}
-			return rows, nil
-		})
-
-	// v_monitor.locks: the lock manager's held table locks, one row per
-	// (transaction, table) pair.
-	lockSchema := types.NewSchema(
-		col("table_name", types.Varchar),
-		col("txn_id", types.Int64),
-		col("mode", types.Varchar),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.locks", Schema: lockSchema},
-		func() ([]types.Row, error) {
-			locks := db.txns.Locks.Snapshot()
-			rows := make([]types.Row, 0, len(locks))
-			for _, l := range locks {
-				rows = append(rows, types.Row{
-					types.NewString(l.Table),
-					types.NewInt(int64(l.Txn)),
-					types.NewString(l.Mode.String()),
-				})
-			}
-			return rows, nil
-		})
-
-	sessSchema := types.NewSchema(
-		col("session_id", types.Int64),
-		col("pool", types.Varchar),
-		col("statements", types.Int64),
-		col("current_statement", types.Varchar),
-		col("in_txn", types.Bool),
-		col("created_at", types.Timestamp),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.sessions", Schema: sessSchema},
-		func() ([]types.Row, error) {
-			db.sessMu.Lock()
-			sessions := make([]*Session, 0, len(db.sessions))
-			for _, s := range db.sessions {
-				sessions = append(sessions, s)
-			}
-			db.sessMu.Unlock()
-			sort.Slice(sessions, func(i, j int) bool { return sessions[i].id < sessions[j].id })
-			rows := make([]types.Row, 0, len(sessions))
-			for _, s := range sessions {
-				s.mu.Lock()
-				pool := s.pool
-				cur := s.curStmt
-				stmts := s.stmts
-				inTxn := s.tx != nil
-				s.mu.Unlock()
-				if pool == "" {
-					pool = "general"
-				}
-				rows = append(rows, types.Row{
-					types.NewInt(s.id),
-					types.NewString(pool),
-					types.NewInt(stmts),
-					types.NewString(cur),
-					types.NewBool(inTxn),
-					types.NewTimestamp(s.created.UTC()),
-				})
-			}
-			return rows, nil
-		})
-
-	planCacheSchema := types.NewSchema(
-		col("statement", types.Varchar),
-		col("pool", types.Varchar),
-		col("parallelism", types.Int64),
-		col("hits", types.Int64),
-		col("est_rows", types.Int64),
-		col("est_mem_bytes", types.Int64),
-		col("stats_backed", types.Bool),
-		col("projections", types.Varchar),
-		col("catalog_generation", types.Int64),
-		col("stats_epoch", types.Int64),
-		col("pool_epoch", types.Int64),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.plan_cache", Schema: planCacheSchema},
-		func() ([]types.Row, error) {
+// registerMonitorTables installs every system table. The dc tables are ring
+// snapshots (v_monitor.data_collector reports what each ring dropped) and
+// join v_monitor.query_profiles on query_id.
+func (db *Database) registerMonitorTables() error {
+	cat, gov := db.cat, db.Governor()
+	return errors.Join(
+		registerTable(cat, "v_monitor.resource_pools", snapshot(gov.Pools)),
+		registerTable(cat, "v_monitor.query_profiles", snapshot(gov.Profiles)),
+		registerTable(cat, "v_monitor.execution_engine_profiles", snapshot(gov.OpProfiles)),
+		registerTable(cat, "v_monitor.metrics", snapshot(metrics.Default.Snapshot)),
+		registerTable(cat, "v_monitor.locks", snapshot(db.txns.Locks.Snapshot)),
+		registerTable(cat, "v_monitor.plan_cache", func() ([]plancache.Info, error) {
 			if db.plans == nil {
 				return nil, nil
 			}
-			infos := db.plans.Snapshot()
-			rows := make([]types.Row, 0, len(infos))
-			for _, i := range infos {
-				rows = append(rows, types.Row{
-					types.NewString(i.Fingerprint),
-					types.NewString(i.Pool),
-					types.NewInt(int64(i.Parallelism)),
-					types.NewInt(i.Hits),
-					types.NewInt(i.EstRows),
-					types.NewInt(i.EstMemBytes),
-					types.NewBool(i.StatsBacked),
-					types.NewString(strings.Join(i.Projections, ",")),
-					types.NewInt(i.CatalogGen),
-					types.NewInt(i.StatsEpoch),
-					types.NewInt(i.PoolEpoch),
-				})
+			return db.plans.Snapshot(), nil
+		}),
+		registerTable(cat, "v_monitor.query_phases", snapshot(db.dcol.Phases)),
+		registerTable(cat, "v_monitor.query_events", snapshot(db.dcol.Events)),
+		registerTable(cat, "v_monitor.dc_tuple_mover_events", snapshot(db.dcol.MoverEvents)),
+		registerTable(cat, "v_monitor.dc_lock_attempts", snapshot(db.dcol.LockEvents)),
+		registerTable(cat, "v_monitor.dc_errors", snapshot(db.dcol.Errors)),
+		registerTable(cat, "v_monitor.data_collector", func() ([]dc.RingStats, error) {
+			return append(db.dcol.Stats(), gov.RingStats()...), nil
+		}),
+		registerTable(cat, "v_catalog.column_statistics", snapshot(db.columnStatsRows)),
+		registerTable(cat, "v_catalog.projections", snapshot(db.projectionRows)),
+		registerTable(cat, "v_monitor.projection_storage", db.projectionStorageRows),
+		registerTable(cat, "v_catalog.tables", func() (rows []tableRow, _ error) {
+			for _, t := range cat.Tables() {
+				rows = append(rows, tableRow{Name: t.Name, Columns: t.Schema.Len(),
+					Partition: t.PartitionExprText, Projections: len(cat.ProjectionsFor(t.Name))})
 			}
 			return rows, nil
-		})
-
-	db.registerDCTables()
+		}),
+		registerTable(cat, "v_monitor.sessions", snapshot(db.sessionRows)),
+	)
 }
 
-// registerDCTables installs the Data Collector's event-stream tables: each
-// one is a snapshot of a bounded ring buffer (oldest events are overwritten
-// once a ring fills; v_monitor.metrics' dc.dropped_events counts the loss).
-// All are joinable to v_monitor.query_profiles on query_id.
-func (db *Database) registerDCTables() {
-	phaseSchema := types.NewSchema(
-		col("query_id", types.Int64),
-		col("phase_seq", types.Int64),
-		col("phase", types.Varchar),
-		col("start", types.Timestamp),
-		col("duration_us", types.Float64),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.query_phases", Schema: phaseSchema},
-		func() ([]types.Row, error) {
-			evs := db.dcol.Phases()
-			rows := make([]types.Row, 0, len(evs))
-			for _, e := range evs {
-				rows = append(rows, types.Row{
-					types.NewInt(e.QueryID),
-					types.NewInt(int64(e.Seq)),
-					types.NewString(e.Phase),
-					types.NewTimestamp(e.Start.UTC()),
-					types.NewFloat(float64(e.Duration) / 1e3),
-				})
+// columnStatsRows lists each table's analyzed columns in name order.
+func (db *Database) columnStatsRows() []columnStatsRow {
+	var rows []columnStatsRow
+	for _, t := range db.cat.Tables() {
+		first := len(rows)
+		for _, cs := range db.cat.TableStats(t.Name) {
+			row := columnStatsRow{Table: t.Name, Column: cs.Column, Rows: cs.RowCount,
+				Nulls: cs.NullCount, NDV: cs.NDV, Min: cs.Min, Max: cs.Max}
+			if cs.Hist != nil {
+				row.Buckets = len(cs.Hist.Buckets)
 			}
-			return rows, nil
-		})
+			rows = append(rows, row)
+		}
+		slices.SortFunc(rows[first:], func(a, b columnStatsRow) int { return cmp.Compare(a.Column, b.Column) })
+	}
+	return rows
+}
 
-	eventSchema := types.NewSchema(
-		col("query_id", types.Int64),
-		col("event_type", types.Varchar),
-		col("detail", types.Varchar),
-		col("time", types.Timestamp),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.query_events", Schema: eventSchema},
-		func() ([]types.Row, error) {
-			evs := db.dcol.Events()
-			rows := make([]types.Row, 0, len(evs))
-			for _, e := range evs {
-				rows = append(rows, types.Row{
-					types.NewInt(e.QueryID),
-					types.NewString(e.Type),
-					types.NewString(e.Detail),
-					types.NewTimestamp(e.Time.UTC()),
-				})
-			}
-			return rows, nil
-		})
+func (db *Database) projectionRows() []projectionRow {
+	var rows []projectionRow
+	for _, p := range db.cat.Projections() {
+		seg := cmp.Or(p.Seg.ExprText, "unsegmented")
+		if p.Seg.Replicated {
+			seg = "replicated"
+		}
+		rows = append(rows, projectionRow{Name: p.Name, Anchor: p.Anchor, Columns: p.Columns,
+			SortOrder: p.SortOrder, Seg: seg, IsSuper: p.IsSuper, IsBuddy: p.IsBuddy,
+			Buddy: p.Buddy, IsPrejoin: len(p.Prejoin) > 0})
+	}
+	return rows
+}
 
-	moverSchema := types.NewSchema(
-		col("operation", types.Varchar),
-		col("projection", types.Varchar),
-		col("containers", types.Int64),
-		col("rows_moved", types.Int64),
-		col("bytes", types.Int64),
-		col("duration_us", types.Float64),
-		col("time", types.Timestamp),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.dc_tuple_mover_events", Schema: moverSchema},
-		func() ([]types.Row, error) {
-			evs := db.dcol.MoverEvents()
-			rows := make([]types.Row, 0, len(evs))
-			for _, e := range evs {
-				rows = append(rows, types.Row{
-					types.NewString(e.Op),
-					types.NewString(e.Projection),
-					types.NewInt(int64(e.Containers)),
-					types.NewInt(e.Rows),
-					types.NewInt(e.Bytes),
-					types.NewFloat(float64(e.Duration) / 1e3),
-					types.NewTimestamp(e.Time.UTC()),
-				})
+func (db *Database) projectionStorageRows() ([]projectionStorageRow, error) {
+	var rows []projectionStorageRow
+	for _, p := range db.cat.Projections() {
+		for _, n := range db.cluster.UpNodes() {
+			mgr, err := n.Mgr(p, db.cluster.ManagerOpts())
+			if err != nil {
+				return nil, err
 			}
-			return rows, nil
-		})
-
-	lockSchema := types.NewSchema(
-		col("table_name", types.Varchar),
-		col("txn_id", types.Int64),
-		col("mode", types.Varchar),
-		col("wait_us", types.Float64),
-		col("granted", types.Bool),
-		col("time", types.Timestamp),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.dc_lock_attempts", Schema: lockSchema},
-		func() ([]types.Row, error) {
-			evs := db.dcol.LockEvents()
-			rows := make([]types.Row, 0, len(evs))
-			for _, e := range evs {
-				rows = append(rows, types.Row{
-					types.NewString(e.Table),
-					types.NewInt(int64(e.Txn)),
-					types.NewString(e.Mode),
-					types.NewFloat(float64(e.Wait) / 1e3),
-					types.NewBool(e.Granted),
-					types.NewTimestamp(e.Time.UTC()),
-				})
+			dvs := len(mgr.DVs().Get(storage.WOSTarget))
+			for _, r := range mgr.Containers() {
+				dvs += len(mgr.DVs().Get(r.Meta.ID))
 			}
-			return rows, nil
-		})
-
-	errSchema := types.NewSchema(
-		col("query_id", types.Int64),
-		col("statement", types.Varchar),
-		col("error", types.Varchar),
-		col("time", types.Timestamp),
-	)
-	db.cat.RegisterVirtual(&catalog.Table{Name: "v_monitor.dc_errors", Schema: errSchema},
-		func() ([]types.Row, error) {
-			evs := db.dcol.Errors()
-			rows := make([]types.Row, 0, len(evs))
-			for _, e := range evs {
-				rows = append(rows, types.Row{
-					types.NewInt(e.QueryID),
-					types.NewString(e.SQL),
-					types.NewString(e.Error),
-					types.NewTimestamp(e.Time.UTC()),
-				})
-			}
-			return rows, nil
-		})
+			rows = append(rows, projectionStorageRow{Projection: p.Name, Node: n.Name,
+				ROSBytes: mgr.TotalBytes(), Containers: len(mgr.Containers()), ROSRows: mgr.RowCount(),
+				WOSBytes: mgr.WOS().Bytes(), WOSRows: mgr.WOS().Len(), DVs: dvs})
+		}
+	}
+	return rows, nil
 }

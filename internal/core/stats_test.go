@@ -145,13 +145,13 @@ func TestPoolDefsSurviveReload(t *testing.T) {
 	if !ok {
 		t.Fatal("etl pool not restored on open")
 	}
-	if st.MemBytes != 8<<20 || st.MaxConcurrency != 2 || st.Priority != -3 ||
-		st.RuntimeCap.Milliseconds() != 45000 || st.PlannedConcurrency != 2 ||
-		st.QueueTimeout.Milliseconds() != 1500 {
-		t.Fatalf("etl pool restored with wrong knobs: %+v", st.PoolConfig)
+	if cfg := st.Config; cfg.MemBytes != 8<<20 || cfg.MaxConcurrency != 2 || cfg.Priority != -3 ||
+		cfg.RuntimeCap.Milliseconds() != 45000 || cfg.PlannedConcurrency != 2 ||
+		cfg.QueueTimeout.Milliseconds() != 1500 {
+		t.Fatalf("etl pool restored with wrong knobs: %+v", cfg)
 	}
 	if gen, _ := db2.Governor().PoolStatus(resmgr.GeneralPool); gen.Priority != 1 {
-		t.Fatalf("general pool ALTER not restored: %+v", gen.PoolConfig)
+		t.Fatalf("general pool ALTER not restored: %+v", gen.Config)
 	}
 	if db2.Governor().HasPool("scratch") {
 		t.Fatal("dropped pool resurrected on open")

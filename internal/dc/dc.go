@@ -3,7 +3,9 @@
 // the paper). Components append events as they happen — query lifecycle
 // phases, notable query events, tuple-mover operations, lock attempts,
 // errors — and monitoring queries read consistent snapshots back out
-// through the v_monitor virtual tables.
+// through the v_monitor virtual tables. Each event type is also its
+// table's one declaration: the `vt` field tags name the columns
+// (internal/core's registerTable derives schema and rows from them).
 //
 // Every ring is bounded: when full, the oldest event is overwritten and a
 // dropped counter is incremented, so collection can never grow without
@@ -14,7 +16,6 @@ package dc
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -24,11 +25,11 @@ const DefaultCapacity = 1024
 // PhaseEvent records one query lifecycle phase (parse, analyze, plan,
 // queue, execute, fetch) with its start time and duration.
 type PhaseEvent struct {
-	QueryID  int64
-	Seq      int // 0-based position of this phase within its query
-	Phase    string
-	Start    time.Time
-	Duration time.Duration
+	QueryID  int64         `vt:"query_id"`
+	Seq      int           `vt:"phase_seq"` // 0-based position of this phase within its query
+	Phase    string        `vt:"phase"`
+	Start    time.Time     `vt:"start"`
+	Duration time.Duration `vt:"duration_us,float_us"`
 }
 
 // QueryEvent records a notable point event during a query's life —
@@ -36,103 +37,117 @@ type PhaseEvent struct {
 // RUNTIME_CAP_EXCEEDED, REPLAN_ON_STORAGE_GENERATION — plus session
 // connect/disconnect markers (QueryID 0).
 type QueryEvent struct {
-	QueryID int64
-	Type    string
-	Detail  string
-	Time    time.Time
+	QueryID int64     `vt:"query_id"`
+	Type    string    `vt:"event_type"`
+	Detail  string    `vt:"detail"`
+	Time    time.Time `vt:"time"`
 }
 
 // MoverEvent records one tuple-mover operation: a moveout or a mergeout.
 type MoverEvent struct {
-	Op         string // "moveout" | "mergeout"
-	Projection string
-	Containers int   // containers written (moveout) or merged (mergeout)
-	Rows       int64 // rows moved (moveout only)
-	Bytes      int64 // input bytes merged (mergeout only)
-	Duration   time.Duration
-	Time       time.Time
+	Op         string        `vt:"operation"` // "moveout" | "mergeout"
+	Projection string        `vt:"projection"`
+	Containers int           `vt:"containers"` // containers written (moveout) or merged (mergeout)
+	Rows       int64         `vt:"rows_moved"` // rows moved (moveout only)
+	Bytes      int64         `vt:"bytes"`      // input bytes merged (mergeout only)
+	Duration   time.Duration `vt:"duration_us,float_us"`
+	Time       time.Time     `vt:"time"`
 }
 
 // LockEvent records one table-lock acquisition attempt and how long the
 // transaction waited for it.
 type LockEvent struct {
-	Table   string
-	Txn     uint64
-	Mode    string
-	Wait    time.Duration
-	Granted bool
-	Time    time.Time
+	Table   string        `vt:"table_name"`
+	Txn     uint64        `vt:"txn_id"`
+	Mode    string        `vt:"mode"`
+	Wait    time.Duration `vt:"wait_us,float_us"`
+	Granted bool          `vt:"granted"`
+	Time    time.Time     `vt:"time"`
 }
 
 // ErrorEvent records a statement that failed, with the error text.
 type ErrorEvent struct {
-	QueryID int64
-	SQL     string
-	Error   string
-	Time    time.Time
+	QueryID int64     `vt:"query_id"`
+	SQL     string    `vt:"statement"`
+	Error   string    `vt:"error"`
+	Time    time.Time `vt:"time"`
 }
 
-// ring is a bounded FIFO that overwrites its oldest element when full.
-type ring[T any] struct {
+// Ring is a bounded FIFO that overwrites its oldest element when full: the
+// engine's one retention mechanism, behind the five event streams here and
+// the governor's query and operator profiles (internal/resmgr). Safe for
+// concurrent use.
+type Ring[T any] struct {
 	mu      sync.Mutex
+	stream  string
 	buf     []T
 	head    int   // index of the oldest element
 	n       int   // live elements, <= len(buf)
 	seq     int64 // total elements ever appended
-	dropped atomic.Int64
+	dropped int64 // elements overwritten
 }
 
-func newRing[T any](capacity int) *ring[T] {
-	return &ring[T]{buf: make([]T, capacity)}
+// NewRing returns a ring retaining the newest capacity (> 0) elements.
+// stream names it in Stats — by convention the v_monitor table it backs.
+func NewRing[T any](stream string, capacity int) *Ring[T] {
+	return &Ring[T]{stream: stream, buf: make([]T, capacity)}
 }
 
-func (r *ring[T]) append(v T) {
+// Append records vs in order as one atomic step (a Snapshot sees all of
+// them or none), overwriting the oldest elements once the ring is full. It
+// writes slots in place and never allocates.
+func (r *Ring[T]) Append(vs ...T) {
 	r.mu.Lock()
-	if r.n == len(r.buf) {
-		r.buf[r.head] = v
-		r.head = (r.head + 1) % len(r.buf)
-		r.dropped.Add(1)
-	} else {
-		r.buf[(r.head+r.n)%len(r.buf)] = v
-		r.n++
+	for _, v := range vs {
+		if r.n == len(r.buf) {
+			r.buf[r.head] = v
+			r.head = (r.head + 1) % len(r.buf)
+			r.dropped++
+		} else {
+			r.buf[(r.head+r.n)%len(r.buf)] = v
+			r.n++
+		}
 	}
-	r.seq++
+	r.seq += int64(len(vs))
 	r.mu.Unlock()
 }
 
-// snapshot returns the live elements oldest-first.
-func (r *ring[T]) snapshot() []T {
+// Snapshot returns the live elements oldest-first.
+func (r *Ring[T]) Snapshot() []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]T, r.n)
-	for i := 0; i < r.n; i++ {
+	for i := range out {
 		out[i] = r.buf[(r.head+i)%len(r.buf)]
 	}
 	return out
 }
 
-func (r *ring[T]) stats() RingStats {
+// Stats reports the ring's occupancy and lifetime counters.
+func (r *Ring[T]) Stats() RingStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return RingStats{Appended: r.seq, Dropped: r.dropped.Load(), Len: r.n, Cap: len(r.buf)}
+	return RingStats{Stream: r.stream, Cap: len(r.buf), Len: r.n, Appended: r.seq, Dropped: r.dropped}
 }
 
-// RingStats describes one ring's occupancy for monitoring and tests.
+// RingStats describes one ring's retention, the row source for
+// v_monitor.data_collector.
 type RingStats struct {
-	Appended int64 // total events ever recorded
-	Dropped  int64 // events overwritten before being read
-	Len      int   // events currently retained
-	Cap      int   // ring capacity
+	Stream   string `vt:"stream"`   // the v_monitor table the ring backs
+	Cap      int    `vt:"capacity"` // ring capacity
+	Len      int    `vt:"retained"` // elements currently retained
+	Appended int64  `vt:"appended"` // total elements ever recorded
+	Dropped  int64  `vt:"dropped"`  // elements overwritten by newer ones
 }
 
 // Collector holds one ring per event stream. The zero value is unusable;
 // construct with New. A nil Collector is a valid, fully disabled one.
 type Collector struct {
-	phases *ring[PhaseEvent]
-	events *ring[QueryEvent]
-	mover  *ring[MoverEvent]
-	locks  *ring[LockEvent]
-	errors *ring[ErrorEvent]
+	phases *Ring[PhaseEvent]
+	events *Ring[QueryEvent]
+	mover  *Ring[MoverEvent]
+	locks  *Ring[LockEvent]
+	errors *Ring[ErrorEvent]
 }
 
 // New returns a Collector whose rings each hold capacity events.
@@ -142,20 +157,12 @@ func New(capacity int) *Collector {
 		capacity = DefaultCapacity
 	}
 	return &Collector{
-		phases: newRing[PhaseEvent](capacity),
-		events: newRing[QueryEvent](capacity),
-		mover:  newRing[MoverEvent](capacity),
-		locks:  newRing[LockEvent](capacity),
-		errors: newRing[ErrorEvent](capacity),
+		phases: NewRing[PhaseEvent]("query_phases", capacity),
+		events: NewRing[QueryEvent]("query_events", capacity),
+		mover:  NewRing[MoverEvent]("dc_tuple_mover_events", capacity),
+		locks:  NewRing[LockEvent]("dc_lock_attempts", capacity),
+		errors: NewRing[ErrorEvent]("dc_errors", capacity),
 	}
-}
-
-// RecordPhase appends one query-phase event.
-func (c *Collector) RecordPhase(e PhaseEvent) {
-	if c == nil {
-		return
-	}
-	c.phases.append(e)
 }
 
 // RecordEvent appends one notable query event.
@@ -166,7 +173,7 @@ func (c *Collector) RecordEvent(e QueryEvent) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	c.events.append(e)
+	c.events.Append(e)
 }
 
 // RecordMover appends one tuple-mover operation.
@@ -177,7 +184,7 @@ func (c *Collector) RecordMover(e MoverEvent) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	c.mover.append(e)
+	c.mover.Append(e)
 }
 
 // RecordLock appends one lock-acquisition attempt.
@@ -188,7 +195,7 @@ func (c *Collector) RecordLock(e LockEvent) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	c.locks.append(e)
+	c.locks.Append(e)
 }
 
 // RecordError appends one failed statement.
@@ -199,7 +206,7 @@ func (c *Collector) RecordError(e ErrorEvent) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	c.errors.append(e)
+	c.errors.Append(e)
 }
 
 // Phases returns the retained phase events, oldest first.
@@ -207,7 +214,7 @@ func (c *Collector) Phases() []PhaseEvent {
 	if c == nil {
 		return nil
 	}
-	return c.phases.snapshot()
+	return c.phases.Snapshot()
 }
 
 // Events returns the retained query events, oldest first.
@@ -215,7 +222,7 @@ func (c *Collector) Events() []QueryEvent {
 	if c == nil {
 		return nil
 	}
-	return c.events.snapshot()
+	return c.events.Snapshot()
 }
 
 // MoverEvents returns the retained tuple-mover events, oldest first.
@@ -223,7 +230,7 @@ func (c *Collector) MoverEvents() []MoverEvent {
 	if c == nil {
 		return nil
 	}
-	return c.mover.snapshot()
+	return c.mover.Snapshot()
 }
 
 // LockEvents returns the retained lock events, oldest first.
@@ -231,7 +238,7 @@ func (c *Collector) LockEvents() []LockEvent {
 	if c == nil {
 		return nil
 	}
-	return c.locks.snapshot()
+	return c.locks.Snapshot()
 }
 
 // Errors returns the retained error events, oldest first.
@@ -239,20 +246,13 @@ func (c *Collector) Errors() []ErrorEvent {
 	if c == nil {
 		return nil
 	}
-	return c.errors.snapshot()
+	return c.errors.Snapshot()
 }
 
-// Stats reports per-ring occupancy keyed by stream name: "phases",
-// "events", "mover", "locks", "errors".
-func (c *Collector) Stats() map[string]RingStats {
+// Stats reports the five event streams' retention, in declaration order.
+func (c *Collector) Stats() []RingStats {
 	if c == nil {
 		return nil
 	}
-	return map[string]RingStats{
-		"phases": c.phases.stats(),
-		"events": c.events.stats(),
-		"mover":  c.mover.stats(),
-		"locks":  c.locks.stats(),
-		"errors": c.errors.stats(),
-	}
+	return []RingStats{c.phases.Stats(), c.events.Stats(), c.mover.Stats(), c.locks.Stats(), c.errors.Stats()}
 }

@@ -8,29 +8,95 @@ import (
 	"time"
 )
 
+// Ring behaviour is tested here, once: the governor's profile rings
+// (internal/resmgr) and the five event streams are all this type.
+
 func TestRingOverwriteOldest(t *testing.T) {
-	c := New(3)
+	r := NewRing[int]("ints", 3)
 	for i := 0; i < 5; i++ {
-		c.RecordEvent(QueryEvent{QueryID: int64(i), Type: "E"})
+		r.Append(i)
 	}
-	got := c.Events()
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
+	if got := r.Snapshot(); len(got) != 3 || got[0] != 2 || got[1] != 3 || got[2] != 4 {
+		t.Fatalf("Snapshot() = %v, want [2 3 4] (oldest first)", got)
 	}
-	for i, e := range got {
-		if want := int64(i + 2); e.QueryID != want {
-			t.Errorf("events[%d].QueryID = %d, want %d", i, e.QueryID, want)
+	if st, want := r.Stats(), (RingStats{Stream: "ints", Cap: 3, Len: 3, Appended: 5, Dropped: 2}); st != want {
+		t.Errorf("Stats() = %+v, want %+v", st, want)
+	}
+	// A batch larger than what is left wraps the same way, as one step.
+	r.Append(5, 6)
+	if got := r.Snapshot(); len(got) != 3 || got[0] != 4 || got[1] != 5 || got[2] != 6 {
+		t.Fatalf("Snapshot() after batch = %v, want [4 5 6]", got)
+	}
+	if st := r.Stats(); st.Appended != 7 || st.Dropped != 4 {
+		t.Errorf("Stats() after batch = %+v, want 7 appended, 4 dropped", st)
+	}
+}
+
+// TestRingAppendDoesNotAllocate: Append sits on every statement's release
+// path (the query-profile ring); it must stay a slot write.
+func TestRingAppendDoesNotAllocate(t *testing.T) {
+	r := NewRing[ErrorEvent]("errors", 4)
+	e := ErrorEvent{QueryID: 1, SQL: "SELECT 1", Error: "boom"}
+	batch := []ErrorEvent{e, e, e}
+	if n := testing.AllocsPerRun(100, func() { r.Append(e); r.Append(batch...) }); n != 0 {
+		t.Fatalf("Append allocates %v times per run, want 0", n)
+	}
+}
+
+// TestRingConcurrentAppendSnapshot: appenders and readers race (run under
+// -race); batches stay contiguous and in order in every snapshot, and the
+// counters add up.
+func TestRingConcurrentAppendSnapshot(t *testing.T) {
+	const (
+		writers = 4
+		batches = 500
+	)
+	r := NewRing[[2]int]("pairs", 64)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				r.Append([2]int{w, 2 * i}, [2]int{w, 2*i + 1})
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	readerDone := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				readerDone <- nil
+				return
+			default:
+			}
+			snap := r.Snapshot()
+			// Capacity is even and every append is a pair, so a snapshot
+			// is whole pairs: an even entry is followed by its odd twin.
+			for i := 0; i+1 < len(snap); i += 2 {
+				if a, b := snap[i], snap[i+1]; a[0] != b[0] || a[1]%2 != 0 || b[1] != a[1]+1 {
+					readerDone <- fmt.Errorf("snapshot tore a batch: %v then %v", a, b)
+					return
+				}
+			}
 		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-readerDone; err != nil {
+		t.Fatal(err)
 	}
-	st := c.Stats()["events"]
-	if st.Appended != 5 || st.Dropped != 2 || st.Len != 3 || st.Cap != 3 {
-		t.Errorf("stats = %+v, want {5 2 3 3}", st)
+	st := r.Stats()
+	if st.Appended != writers*batches*2 || st.Len != 64 || st.Dropped != st.Appended-64 {
+		t.Errorf("Stats() = %+v, want %d appended, 64 retained, the rest dropped", st, writers*batches*2)
 	}
 }
 
 func TestAllStreams(t *testing.T) {
 	c := New(8)
-	c.RecordPhase(PhaseEvent{QueryID: 1, Phase: "parse", Start: time.Now(), Duration: time.Millisecond})
+	c.phases.Append(PhaseEvent{QueryID: 1, Phase: "parse", Start: time.Now(), Duration: time.Millisecond})
 	c.RecordEvent(QueryEvent{QueryID: 1, Type: "GROUP_BY_SPILLED", Detail: "4096 bytes"})
 	c.RecordMover(MoverEvent{Op: "moveout", Projection: "t_super", Containers: 2, Rows: 100})
 	c.RecordLock(LockEvent{Table: "t", Txn: 7, Mode: "X", Wait: time.Millisecond, Granted: true})
@@ -51,16 +117,16 @@ func TestAllStreams(t *testing.T) {
 	if got := c.Errors(); len(got) != 1 || got[0].Error != "boom" || got[0].Time.IsZero() {
 		t.Errorf("Errors() = %+v", got)
 	}
-	for name, st := range c.Stats() {
-		if st.Appended != 1 || st.Dropped != 0 || st.Len != 1 || st.Cap != 8 {
-			t.Errorf("%s stats = %+v, want {1 0 1 8}", name, st)
+	wantStreams := []string{"query_phases", "query_events", "dc_tuple_mover_events", "dc_lock_attempts", "dc_errors"}
+	for i, st := range c.Stats() {
+		if want := (RingStats{Stream: wantStreams[i], Cap: 8, Len: 1, Appended: 1}); st != want {
+			t.Errorf("Stats()[%d] = %+v, want %+v", i, st, want)
 		}
 	}
 }
 
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
-	c.RecordPhase(PhaseEvent{})
 	c.RecordEvent(QueryEvent{})
 	c.RecordMover(MoverEvent{})
 	c.RecordLock(LockEvent{})
@@ -149,54 +215,10 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConcurrentAppendNoLoss(t *testing.T) {
-	const (
-		goroutines = 8
-		perG       = 500
-	)
-	c := New(goroutines * perG)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				c.RecordEvent(QueryEvent{QueryID: int64(g), Detail: fmt.Sprint(i)})
-				c.RecordLock(LockEvent{Txn: uint64(g)})
-			}
-		}(g)
-	}
-	wg.Wait()
-	for _, name := range []string{"events", "locks"} {
-		st := c.Stats()[name]
-		if st.Appended != goroutines*perG || st.Dropped != 0 || st.Len != goroutines*perG {
-			t.Errorf("%s stats = %+v, want %d appended with 0 dropped", name, st, goroutines*perG)
-		}
-	}
-}
-
-func TestConcurrentOverflowCountsDrops(t *testing.T) {
-	c := New(10)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.RecordEvent(QueryEvent{Type: "E"})
-			}
-		}()
-	}
-	wg.Wait()
-	st := c.Stats()["events"]
-	if st.Appended != 400 || st.Dropped != 390 || st.Len != 10 {
-		t.Errorf("stats = %+v, want {Appended:400 Dropped:390 Len:10}", st)
-	}
-}
-
 func TestDefaultCapacity(t *testing.T) {
-	c := New(0)
-	if got := c.Stats()["phases"].Cap; got != DefaultCapacity {
-		t.Errorf("cap = %d, want %d", got, DefaultCapacity)
+	for _, st := range New(0).Stats() {
+		if st.Cap != DefaultCapacity {
+			t.Errorf("%s cap = %d, want %d", st.Stream, st.Cap, DefaultCapacity)
+		}
 	}
 }

@@ -83,9 +83,9 @@ func (t *Trace) Event(typ, detail string) {
 	t.col.RecordEvent(QueryEvent{QueryID: t.queryID.Load(), Type: typ, Detail: detail})
 }
 
-// Flush ends any open phase, stamps the query id on every buffered
-// phase, and publishes them to the collector. The trace is spent after
-// Flush; further phases would start a fresh buffer.
+// Flush ends any open phase, stamps the query id on every buffered phase,
+// and publishes them to the collector in one step. The trace is spent
+// after Flush; further phases would start a fresh buffer.
 func (t *Trace) Flush() {
 	if t == nil {
 		return
@@ -94,8 +94,8 @@ func (t *Trace) Flush() {
 	id := t.queryID.Load()
 	for i := range t.phases {
 		t.phases[i].QueryID = id
-		t.col.RecordPhase(t.phases[i])
 	}
+	t.col.phases.Append(t.phases...) // one step: readers see whole statements
 	t.phases = t.phases[:0]
 }
 

@@ -1,38 +1,24 @@
 package metrics
 
 import (
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sort"
-	"sync"
 )
 
 // Handler returns the debug HTTP mux served by `vsql -debug-addr`: the
-// engine metrics as plain text at /metrics, expvar at /debug/vars, and the
-// full net/http/pprof suite at /debug/pprof/. Everything is read-only; the
+// engine metrics as plain text at /metrics (the same Snapshot that backs
+// v_monitor.metrics — the registry has exactly these two sinks) and the full
+// net/http/pprof suite at /debug/pprof/. Everything is read-only; the
 // listener is opt-in and meant for operators, not clients.
 func Handler(r *Registry) http.Handler {
-	publishOnce.Do(func() {
-		expvar.Publish("engine_metrics", expvar.Func(func() interface{} {
-			m := map[string]int64{}
-			for _, s := range Default.Snapshot() {
-				m[s.Name] = s.Value
-			}
-			return m
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		samples := r.Snapshot()
-		sort.Slice(samples, func(i, j int) bool { return samples[i].Name < samples[j].Name })
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, s := range samples {
+		for _, s := range r.Snapshot() {
 			fmt.Fprintf(w, "%s{kind=%q} %d\n", s.Name, s.Kind, s.Value)
 		}
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -40,7 +26,3 @@ func Handler(r *Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
-
-// publishOnce guards the process-global expvar name ("engine_metrics" can
-// only be published once per process; a second Publish panics).
-var publishOnce sync.Once

@@ -128,9 +128,9 @@ func (h *Histogram) Quantile(q float64) int64 {
 
 // Sample is one metric's snapshot row.
 type Sample struct {
-	Name  string
-	Kind  Kind
-	Value int64
+	Name  string `vt:"name"`
+	Kind  Kind   `vt:"kind"`
+	Value int64  `vt:"value"`
 }
 
 // funcEntry is a pull-style gauge owned by whoever registered it; seq lets
@@ -238,8 +238,8 @@ func (r *Registry) Snapshot() []Sample {
 		out = append(out, Sample{Name: g.name, Kind: KindGauge, Value: g.Value()})
 	}
 	for _, h := range r.histograms {
-		// Histograms flatten to suffixed samples so every existing sink
-		// (/metrics, expvar, v_monitor.metrics) renders them unchanged.
+		// Histograms flatten to suffixed samples so both sinks (/metrics,
+		// v_monitor.metrics) render them as plain rows.
 		out = append(out,
 			Sample{Name: h.name + ".count", Kind: KindHistogram, Value: h.Count()},
 			Sample{Name: h.name + ".sum", Kind: KindHistogram, Value: h.Sum()},

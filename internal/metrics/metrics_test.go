@@ -182,8 +182,8 @@ func TestHandlerEndpoints(t *testing.T) {
 	if code != 200 || !strings.Contains(body, `exec.things{kind="counter"} 11`) {
 		t.Fatalf("/metrics = %d %q", code, body)
 	}
-	if code, body := get("/debug/vars"); code != 200 || !strings.Contains(body, "engine_metrics") {
-		t.Fatalf("/debug/vars = %d %q", code, body)
+	if code, _ := get("/debug/vars"); code != 404 {
+		t.Fatalf("/debug/vars = %d, want 404: /metrics is the one HTTP exposition", code)
 	}
 	if code, _ := get("/debug/pprof/"); code != 200 {
 		t.Fatalf("/debug/pprof/ = %d", code)

@@ -184,19 +184,19 @@ func (c *Cache) StaleHits() int64 {
 
 // Info is one cache entry snapshot for v_monitor.plan_cache.
 type Info struct {
-	Fingerprint string
-	Pool        string
-	Parallelism int
-	Hits        int64
-	EstMemBytes int64
-	EstRows     int64
-	StatsBacked bool
-	Projections []string
-	CatalogGen  int64
-	StatsEpoch  int64
-	PoolEpoch   int64
-	Inserted    time.Time
-	LastHit     time.Time
+	Fingerprint string    `vt:"statement"`
+	Pool        string    `vt:"pool"`
+	Parallelism int       `vt:"parallelism"`
+	Hits        int64     `vt:"hits"`
+	EstRows     int64     `vt:"est_rows"`
+	EstMemBytes int64     `vt:"est_mem_bytes"`
+	StatsBacked bool      `vt:"stats_backed"`
+	Projections []string  `vt:"projections,csv"`
+	CatalogGen  int64     `vt:"catalog_generation"`
+	StatsEpoch  int64     `vt:"stats_epoch"`
+	PoolEpoch   int64     `vt:"pool_epoch"`
+	Inserted    time.Time `vt:"-"`
+	LastHit     time.Time `vt:"-"`
 }
 
 // Snapshot lists entries most-recently-used first.

@@ -13,31 +13,31 @@ package resmgr
 // investigation and after-the-fact "what was that slow query doing".
 type OpProfile struct {
 	// QueryID is the owning query's profile id (v_monitor.query_profiles).
-	QueryID int64
+	QueryID int64 `vt:"query_id"`
 	// Node is the cluster node the operator ran on.
-	Node string
+	Node string `vt:"node_name"`
 	// NodeID is the operator's plan-node id (pre-order position in the
 	// EXPLAIN tree); -1 for operators outside the numbered plan.
-	NodeID int
+	NodeID int `vt:"plan_node_id"`
 	// Depth is the operator's depth in the plan tree (root = 0).
-	Depth int
+	Depth int `vt:"depth"`
 	// Op is the operator's Describe() line.
-	Op string
+	Op string `vt:"operator"`
 	// EstRows is the optimizer's cardinality estimate for this node.
-	EstRows int64
+	EstRows int64 `vt:"est_rows"`
 	// Batches and Rows count the operator's output.
-	Batches int64
-	Rows    int64
+	Batches int64 `vt:"batches"`
+	Rows    int64 `vt:"rows_produced"`
 	// WallUs is time spent inside Next, children included (timed mode only).
-	WallUs int64
+	WallUs int64 `vt:"wall_us"`
 	// BlockedUs is exchange-port time spent waiting on upstream pumps
 	// (timed mode only).
-	BlockedUs int64
+	BlockedUs int64 `vt:"blocked_us"`
 	// Spills / SpilledBytes count this operator's externalizations.
-	Spills       int64
-	SpilledBytes int64
+	Spills       int64 `vt:"spills"`
+	SpilledBytes int64 `vt:"spilled_bytes"`
 	// AllocPeak is the operator's reported memory high-water in bytes.
-	AllocPeak int64
+	AllocPeak int64 `vt:"alloc_peak_bytes"`
 }
 
 // SetOpProfile attaches the executed plan's per-operator records to the
@@ -53,31 +53,6 @@ func (gr *Grant) SetOpProfile(recs []OpProfile, timed bool) {
 	gr.opProfiled = timed
 }
 
-// addOpProfilesLocked appends one query's operator records to the bounded
-// ring, evicting the oldest records when full. Caller holds g.mu.
-func (g *Governor) addOpProfilesLocked(recs []OpProfile) {
-	if cap(g.opProfiles) == 0 {
-		return
-	}
-	for _, r := range recs {
-		if g.opLen < cap(g.opProfiles) {
-			g.opProfiles = append(g.opProfiles, r)
-			g.opLen++
-			continue
-		}
-		g.opProfiles[g.opHead] = r
-		g.opHead = (g.opHead + 1) % cap(g.opProfiles)
-	}
-}
-
 // OpProfiles returns retained operator profiles, oldest first — the row
 // source for v_monitor.execution_engine_profiles.
-func (g *Governor) OpProfiles() []OpProfile {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]OpProfile, 0, g.opLen)
-	for i := 0; i < g.opLen; i++ {
-		out = append(out, g.opProfiles[(g.opHead+i)%cap(g.opProfiles)])
-	}
-	return out
-}
+func (g *Governor) OpProfiles() []OpProfile { return g.opProfiles.Snapshot() }

@@ -95,46 +95,6 @@ func TestOpProfileSlowDisabled(t *testing.T) {
 	}
 }
 
-// TestOpProfileRingEvictsOldest: the ring is bounded in records (not
-// queries); overflow evicts oldest-first and OpProfiles returns the
-// survivors in arrival order.
-func TestOpProfileRingEvictsOldest(t *testing.T) {
-	g := NewGovernor(Config{PoolBytes: 1 << 20, OpProfileCapacity: 4})
-	for q := 0; q < 3; q++ {
-		gr, err := g.Admit(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		gr.SetOpProfile(opRecs(2, fmt.Sprintf("q%d", q)), true)
-		gr.Release()
-	}
-	got := g.OpProfiles()
-	if len(got) != 4 {
-		t.Fatalf("ring length = %d, want 4", len(got))
-	}
-	want := []string{"q1-0", "q1-1", "q2-0", "q2-1"}
-	for i, r := range got {
-		if r.Op != want[i] {
-			t.Errorf("record %d op = %q, want %q", i, r.Op, want[i])
-		}
-	}
-}
-
-// TestOpProfileCapacityDisabled: a negative capacity disables the ring
-// even for explicitly profiled runs.
-func TestOpProfileCapacityDisabled(t *testing.T) {
-	g := NewGovernor(Config{PoolBytes: 1 << 20, OpProfileCapacity: -1})
-	gr, err := g.Admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr.SetOpProfile(opRecs(2, "scan"), true)
-	gr.Release()
-	if got := g.OpProfiles(); len(got) != 0 {
-		t.Fatalf("retained %d records with the ring disabled, want 0", len(got))
-	}
-}
-
 // TestSetOpProfileNilGrant: ungoverned runs (virtual-table-only queries)
 // carry a nil grant; attaching must be a safe no-op.
 func TestSetOpProfileNilGrant(t *testing.T) {

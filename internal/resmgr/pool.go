@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"repro/internal/dc"
 )
 
 // Named resource pools (paper §8, "Workload Management"): Vertica partitions
@@ -78,32 +80,42 @@ type PoolAlter struct {
 }
 
 // PoolStatus is a snapshot of one pool's configuration and counters, the row
-// source for v_monitor.resource_pools.
+// source for v_monitor.resource_pools: its tagged fields are the table's
+// columns, in order.
 type PoolStatus struct {
-	PoolConfig
-	// Effective (default-applied) knobs.
-	EffGrantBytes     int64
-	EffMaxConcurrency int
-	EffMaxMemBytes    int64
-	EffQueueTimeout   time.Duration
+	// Config holds the knobs as configured (zero = inherit), the form the
+	// catalog persists; the Eff* fields below are what they resolve to.
+	Config PoolConfig `vt:"-"`
 
-	Running        int
-	Waiting        int
-	InUseBytes     int64
-	BorrowedBytes  int64 // in-use beyond the pool's reservation
-	Admitted       int64
-	Queued         int64
-	TimedOut       int64
-	Canceled       int64
-	PeakRunning    int
-	TotalQueueWait time.Duration
-	RowsReturned   int64
-	SpilledBytes   int64
+	Name               string `vt:"name"`
+	MemBytes           int64  `vt:"memorysize"`
+	EffMaxMemBytes     int64  `vt:"maxmemorysize"`
+	EffGrantBytes      int64  `vt:"grantsize"`
+	PlannedConcurrency int    `vt:"planned_concurrency"`
+	EffMaxConcurrency  int    `vt:"max_concurrency"`
+	// EffQueueTimeout is -1ms when the queue timeout is disabled.
+	EffQueueTimeout time.Duration `vt:"queue_timeout_ms,ms"`
+	Running         int           `vt:"running"`
+	Waiting         int           `vt:"waiting"`
+	InUseBytes      int64         `vt:"in_use_bytes"`
+	BorrowedBytes   int64         `vt:"borrowed_bytes"` // in-use beyond the pool's reservation
+	Admitted        int64         `vt:"admitted"`
+	Queued          int64         `vt:"queued"`
+	TimedOut        int64         `vt:"timed_out"`
+	Canceled        int64         `vt:"canceled"`
+	PeakRunning     int           `vt:"peak_running"`
+	TotalQueueWait  time.Duration `vt:"queue_wait_us,us"`
+	Priority        int           `vt:"priority"`
+	RuntimeCap      time.Duration `vt:"runtimecap_ms,ms"`
+	Parallelism     int           `vt:"parallelism"`
 	// Mid-flight grant renegotiation counters, aggregated over released
 	// grants (outstanding extensions already show in InUseBytes).
-	GrantExtensions  int64
-	ExtensionBytes   int64
-	DeniedExtensions int64
+	GrantExtensions  int64 `vt:"grant_extensions"`
+	ExtensionBytes   int64 `vt:"extension_bytes"`
+	DeniedExtensions int64 `vt:"denied_extensions"`
+
+	RowsReturned int64 `vt:"-"`
+	SpilledBytes int64 `vt:"-"`
 }
 
 // pool is the runtime state of one named pool. All fields are guarded by the
@@ -201,27 +213,37 @@ func (p *pool) statusLocked(g *Governor) PoolStatus {
 	if borrowed < 0 {
 		borrowed = 0
 	}
+	timeout := p.timeout(g)
+	if timeout < 0 {
+		timeout = -time.Millisecond
+	}
 	return PoolStatus{
-		PoolConfig:        p.cfg,
-		EffGrantBytes:     p.grantSize(g),
-		EffMaxConcurrency: p.maxConc(g),
-		EffMaxMemBytes:    p.capBytes(g),
-		EffQueueTimeout:   p.timeout(g),
-		Running:           p.running,
-		Waiting:           len(p.queue),
-		InUseBytes:        p.inUse,
-		BorrowedBytes:     borrowed,
-		Admitted:          p.admitted,
-		Queued:            p.queuedTotal,
-		TimedOut:          p.timedOut,
-		Canceled:          p.canceled,
-		PeakRunning:       p.peakRunning,
-		TotalQueueWait:    p.queueWait,
-		RowsReturned:      p.rows,
-		SpilledBytes:      p.spilled,
-		GrantExtensions:   p.extensions,
-		ExtensionBytes:    p.extBytes,
-		DeniedExtensions:  p.deniedExt,
+		Config:             p.cfg,
+		Name:               p.cfg.Name,
+		MemBytes:           p.cfg.MemBytes,
+		EffMaxMemBytes:     p.capBytes(g),
+		EffGrantBytes:      p.grantSize(g),
+		PlannedConcurrency: p.cfg.PlannedConcurrency,
+		EffMaxConcurrency:  p.maxConc(g),
+		EffQueueTimeout:    timeout,
+		Running:            p.running,
+		Waiting:            len(p.queue),
+		InUseBytes:         p.inUse,
+		BorrowedBytes:      borrowed,
+		Admitted:           p.admitted,
+		Queued:             p.queuedTotal,
+		TimedOut:           p.timedOut,
+		Canceled:           p.canceled,
+		PeakRunning:        p.peakRunning,
+		TotalQueueWait:     p.queueWait,
+		Priority:           p.cfg.Priority,
+		RuntimeCap:         p.cfg.RuntimeCap,
+		Parallelism:        p.cfg.Parallelism,
+		GrantExtensions:    p.extensions,
+		ExtensionBytes:     p.extBytes,
+		DeniedExtensions:   p.deniedExt,
+		RowsReturned:       p.rows,
+		SpilledBytes:       p.spilled,
 	}
 }
 
@@ -390,49 +412,41 @@ func (g *Governor) PoolStatus(name string) (PoolStatus, bool) {
 // QueryProfile is the retained accounting of one finished statement, the row
 // source for v_monitor.query_profiles.
 type QueryProfile struct {
-	ID           int64
-	Pool         string
-	Label        string // statement text (or caller-supplied tag)
-	GrantBytes   int64  // final grant: admission bytes plus extensions
-	Rows         int64
-	Spills       int64
-	SpilledBytes int64
+	ID           int64  `vt:"profile_id"`
+	Pool         string `vt:"pool"`
+	Label        string `vt:"statement"`   // statement text (or caller-supplied tag)
+	GrantBytes   int64  `vt:"grant_bytes"` // final grant: admission bytes plus extensions
+	Rows         int64  `vt:"rows_produced"`
+	Spills       int64  `vt:"spills"`
+	SpilledBytes int64  `vt:"spilled_bytes"`
 	// GrantExtensions / ExtensionBytes record successful mid-flight grant
 	// renegotiations; DeniedExtensions counts refused requests (the operator
 	// spilled instead of growing).
-	GrantExtensions  int64
-	ExtensionBytes   int64
-	DeniedExtensions int64
-	AllocPeak        int64
-	QueueWait        time.Duration
-	Wall             time.Duration
-	Started          time.Time
-	Error            string // "" on success
+	GrantExtensions  int64         `vt:"grant_extensions"`
+	ExtensionBytes   int64         `vt:"extension_bytes"`
+	DeniedExtensions int64         `vt:"denied_extensions"`
+	AllocPeak        int64         `vt:"alloc_peak_bytes"`
+	QueueWait        time.Duration `vt:"queue_wait_us,us"`
+	Wall             time.Duration `vt:"wall_us,us"`
+	Started          time.Time     `vt:"started_at"`
+	Status           string        `vt:"status"` // "ok" | "error"
+	Error            string        `vt:"error"`  // "" on success
 }
 
-// addProfileLocked appends to the bounded ring.
-func (g *Governor) addProfileLocked(p QueryProfile) {
-	if cap(g.profiles) == 0 {
-		return
+// profileStatus is a profile's status column: "error" iff it has error text.
+func profileStatus(errMsg string) string {
+	if errMsg != "" {
+		return "error"
 	}
-	if g.profLen < cap(g.profiles) {
-		g.profiles = append(g.profiles, p)
-		g.profLen++
-		return
-	}
-	g.profiles[g.profHead] = p
-	g.profHead = (g.profHead + 1) % cap(g.profiles)
+	return "ok"
 }
 
 // Profiles returns retained query profiles, oldest first.
-func (g *Governor) Profiles() []QueryProfile {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]QueryProfile, 0, g.profLen)
-	for i := 0; i < g.profLen; i++ {
-		out = append(out, g.profiles[(g.profHead+i)%cap(g.profiles)])
-	}
-	return out
+func (g *Governor) Profiles() []QueryProfile { return g.profiles.Snapshot() }
+
+// RingStats reports the retention of the governor's two profile rings.
+func (g *Governor) RingStats() []dc.RingStats {
+	return []dc.RingStats{g.profiles.Stats(), g.opProfiles.Stats()}
 }
 
 // --- context tags -----------------------------------------------------------

@@ -210,29 +210,32 @@ func TestPoolReservationOverCommit(t *testing.T) {
 	}
 }
 
-// TestProfileRingBounded verifies the profile ring wraps at capacity and
-// keeps the newest entries.
-func TestProfileRingBounded(t *testing.T) {
-	g := NewGovernor(Config{PoolBytes: 1024 * kib, ProfileCapacity: 4})
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		gr, err := g.AdmitBytes(WithLabel(ctx, fmt.Sprintf("q%d", i)), 64*kib)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gr.ReportRows(int64(i))
-		gr.Release()
+// TestProfileRetained: a released query and a pre-admission failure each
+// land one profile carrying the id, label and status that identify it (ring
+// behaviour itself is tested once, on dc.Ring).
+func TestProfileRetained(t *testing.T) {
+	g := NewGovernor(Config{PoolBytes: 1024 * kib})
+	gr, err := g.AdmitBytes(WithLabel(context.Background(), "q0"), 64*kib)
+	if err != nil {
+		t.Fatal(err)
 	}
+	gr.ReportRows(7)
+	gr.Release()
+	g.RecordFailure("", "q1", errors.New("no such table"))
+
 	profs := g.Profiles()
-	if len(profs) != 4 {
-		t.Fatalf("ring length = %d, want 4", len(profs))
+	if len(profs) != 2 {
+		t.Fatalf("retained %d profiles, want 2: %+v", len(profs), profs)
 	}
-	for i, p := range profs {
-		if want := fmt.Sprintf("q%d", 6+i); p.Label != want {
-			t.Fatalf("profile %d label = %q, want %q", i, p.Label, want)
-		}
-		if p.Pool != GeneralPool || p.ID != int64(7+i) {
-			t.Fatalf("profile %d = %+v", i, p)
+	if p := profs[0]; p.ID != gr.QueryID() || p.Label != "q0" || p.Pool != GeneralPool || p.Rows != 7 || p.Status != "ok" {
+		t.Fatalf("released profile = %+v", p)
+	}
+	if p := profs[1]; p.ID != gr.QueryID()+1 || p.Label != "q1" || p.Status != "error" || p.Error != "no such table" {
+		t.Fatalf("failure profile = %+v", p)
+	}
+	for _, st := range g.RingStats() {
+		if want := map[string]int{"query_profiles": ProfileCapacity, "execution_engine_profiles": OpProfileCapacity}[st.Stream]; st.Cap != want {
+			t.Fatalf("ring %q capacity = %d, want %d", st.Stream, st.Cap, want)
 		}
 	}
 }
@@ -316,8 +319,8 @@ func TestPoolContentionDrainsToZero(t *testing.T) {
 		t.Fatalf("per-pool rows %d, aggregate %d, admitted %d", perPoolRows, st.RowsReturned, admitted)
 	}
 	wantProfiles := int(admitted)
-	if wantProfiles > DefaultProfileCapacity {
-		wantProfiles = DefaultProfileCapacity
+	if wantProfiles > ProfileCapacity {
+		wantProfiles = ProfileCapacity
 	}
 	if len(g.Profiles()) != wantProfiles {
 		t.Fatalf("profiles retained = %d, want %d", len(g.Profiles()), wantProfiles)
@@ -336,9 +339,9 @@ func TestUnknownPool(t *testing.T) {
 }
 
 // TestPoolAPIEdgeCases sweeps the small accessors and validation branches:
-// alter of every knob, disabled profiling, grant metadata and nil-safety.
+// alter of every knob, grant metadata and nil-safety.
 func TestPoolAPIEdgeCases(t *testing.T) {
-	g := NewGovernor(Config{PoolBytes: 1024 * kib, MaxConcurrency: 2, ProfileCapacity: -1})
+	g := NewGovernor(Config{PoolBytes: 1024 * kib, MaxConcurrency: 2})
 	if got := g.Config().MaxConcurrency; got != 2 {
 		t.Fatalf("Config() = %+v", g.Config())
 	}
@@ -365,8 +368,8 @@ func TestPoolAPIEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, ok := g.PoolStatus("p")
-	if !ok || st.MemBytes != mem || st.MaxMemBytes != maxMem || st.GrantBytes != grant ||
-		st.PlannedConcurrency != pc || st.MaxConcurrency != mc || st.QueueTimeout != qt {
+	if cfg := st.Config; !ok || st.MemBytes != mem || cfg.MaxMemBytes != maxMem || cfg.GrantBytes != grant ||
+		st.PlannedConcurrency != pc || cfg.MaxConcurrency != mc || cfg.QueueTimeout != qt {
 		t.Fatalf("altered status = %+v", st)
 	}
 	if _, ok := g.PoolStatus("nosuch"); ok {
@@ -387,8 +390,8 @@ func TestPoolAPIEdgeCases(t *testing.T) {
 	gr.SetError(errors.New("boom"))
 	gr.SetError(nil) // no-op
 	gr.Release()
-	if profs := g.Profiles(); len(profs) != 0 {
-		t.Fatalf("profiling disabled, got %d profiles", len(profs))
+	if profs := g.Profiles(); len(profs) != 1 || profs[0].Error != "boom" || profs[0].Status != "error" {
+		t.Fatalf("failed statement's profile = %+v", profs)
 	}
 	if g.Stats().String() == "" {
 		t.Fatal("Stats stringer")

@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dc"
 	"repro/internal/metrics"
 	"repro/internal/vlog"
 )
@@ -61,9 +62,15 @@ const (
 	DefaultPoolBytes          = 1 << 30 // 1 GiB global pool
 	DefaultMaxConcurrency     = 8
 	DefaultQueueTimeout       = 30 * time.Second
-	DefaultProfileCapacity    = 512
-	DefaultOpProfileCapacity  = 4096
 	DefaultSlowQueryThreshold = time.Second
+)
+
+// Retention of finished statements: the newest ProfileCapacity query
+// profiles, and the newest OpProfileCapacity operator records (one per plan
+// node of a PROFILEd or slow query).
+const (
+	ProfileCapacity   = 512
+	OpProfileCapacity = 4096
 )
 
 // ErrQueueTimeout is returned by Admit when a query waits in the admission
@@ -104,14 +111,6 @@ type Config struct {
 	// derives PoolBytes/MaxConcurrency so a full complement of running
 	// queries exactly consumes the pool.
 	GrantBytes int64
-	// ProfileCapacity bounds the retained query-profile ring. Zero means
-	// DefaultProfileCapacity; negative disables profiling.
-	ProfileCapacity int
-	// OpProfileCapacity bounds the retained per-operator profile ring
-	// (records, not queries; one query contributes one record per plan
-	// node). Zero means DefaultOpProfileCapacity; negative disables
-	// operator-profile retention.
-	OpProfileCapacity int
 	// SlowQueryThreshold is the wall time past which a finished query's
 	// operator profile is retained even without an explicit PROFILE. Zero
 	// means DefaultSlowQueryThreshold; negative disables slow-query capture.
@@ -187,16 +186,11 @@ type Governor struct {
 	extBytes    int64
 	deniedExt   int64
 
-	// query profile ring (under mu)
-	profileSeq int64
-	profiles   []QueryProfile
-	profHead   int
-	profLen    int
+	profileSeq int64 // last query id issued (under mu)
 
-	// per-operator profile ring (under mu)
-	opProfiles []OpProfile
-	opHead     int
-	opLen      int
+	// Retained query and per-operator profiles; the rings lock themselves.
+	profiles   *dc.Ring[QueryProfile]
+	opProfiles *dc.Ring[OpProfile]
 }
 
 // NewGovernor builds a governor, applying defaults for zero Config fields.
@@ -220,21 +214,14 @@ func NewGovernor(cfg Config) *Governor {
 	if cfg.GrantBytes > cfg.PoolBytes {
 		cfg.GrantBytes = cfg.PoolBytes
 	}
-	if cfg.ProfileCapacity == 0 {
-		cfg.ProfileCapacity = DefaultProfileCapacity
-	}
-	if cfg.OpProfileCapacity == 0 {
-		cfg.OpProfileCapacity = DefaultOpProfileCapacity
-	}
 	if cfg.SlowQueryThreshold == 0 {
 		cfg.SlowQueryThreshold = DefaultSlowQueryThreshold
 	}
-	g := &Governor{cfg: cfg, pools: map[string]*pool{}}
-	if cfg.ProfileCapacity > 0 {
-		g.profiles = make([]QueryProfile, 0, cfg.ProfileCapacity)
-	}
-	if cfg.OpProfileCapacity > 0 {
-		g.opProfiles = make([]OpProfile, 0, cfg.OpProfileCapacity)
+	g := &Governor{
+		cfg:        cfg,
+		pools:      map[string]*pool{},
+		profiles:   dc.NewRing[QueryProfile]("query_profiles", ProfileCapacity),
+		opProfiles: dc.NewRing[OpProfile]("execution_engine_profiles", OpProfileCapacity),
 	}
 	g.pools[GeneralPool] = &pool{cfg: PoolConfig{
 		Name:           GeneralPool,
@@ -640,7 +627,7 @@ func (g *Governor) release(gr *Grant) {
 	p.deniedExt += denied
 	wall := time.Since(gr.started)
 	metrics.QueryWallUs.Observe(wall.Microseconds())
-	g.addProfileLocked(QueryProfile{
+	g.profiles.Append(QueryProfile{
 		ID:               gr.queryID,
 		Pool:             p.cfg.Name,
 		Label:            gr.label,
@@ -655,6 +642,7 @@ func (g *Governor) release(gr *Grant) {
 		QueueWait:        gr.queueWait,
 		Wall:             wall,
 		Started:          gr.started,
+		Status:           profileStatus(gr.errMsg),
 		Error:            gr.errMsg,
 	})
 	slow := g.cfg.SlowQueryThreshold > 0 && wall >= g.cfg.SlowQueryThreshold
@@ -676,7 +664,7 @@ func (g *Governor) release(gr *Grant) {
 		for i := range gr.opRecs {
 			gr.opRecs[i].QueryID = gr.queryID
 		}
-		g.addOpProfilesLocked(gr.opRecs)
+		g.opProfiles.Append(gr.opRecs...)
 	}
 	g.dispatchLocked()
 }
@@ -695,11 +683,12 @@ func (g *Governor) RecordFailure(poolName, label string, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.profileSeq++
-	g.addProfileLocked(QueryProfile{
+	g.profiles.Append(QueryProfile{
 		ID:      g.profileSeq,
 		Pool:    poolName,
 		Label:   label,
 		Started: time.Now(),
+		Status:  "error",
 		Error:   err.Error(),
 	})
 }

@@ -11,7 +11,9 @@
 //	                       span multiple lines
 //	\cancel                cancel the statement currently executing on this
 //	                       session (out of band: valid mid-statement)
-//	\pin                   pin the session's snapshot to the current epoch
+//	\pin                   pin the session's snapshot to the current epoch:
+//	                       every SELECT it runs — plain, PROFILEd or EXECUTEd
+//	                       — reads that epoch until \unpin
 //	\unpin                 return to READ COMMITTED latest-epoch reads
 //	\format binary|text    negotiate the result-set frame for this session
 //	                       (text is the default; binary sends column-encoded
@@ -80,8 +82,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/resmgr"
-	"repro/internal/sql"
 	"repro/internal/types"
 )
 
@@ -395,10 +395,8 @@ func (st *session) runStatement(text string) {
 
 	var res *core.Result
 	var err error
-	if st.pinned && sql.Classify(text) == sql.ClassSelect {
-		// The pinned path bypasses the session executor: carry the session's
-		// resource pool on the context so admission still honors it.
-		res, err = srv.db.QueryAtBatches(resmgr.WithPool(ctx, st.sess.Pool()), text, st.pinnedEpoch)
+	if st.pinned {
+		res, err = st.sess.ExecuteBatchesAt(ctx, text, st.pinnedEpoch)
 	} else {
 		res, err = st.sess.ExecuteBatches(ctx, text)
 	}

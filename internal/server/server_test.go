@@ -328,6 +328,71 @@ func TestPinnedEpochSnapshot(t *testing.T) {
 	}
 }
 
+// TestPinCoversEveryReadPath: the pinned snapshot is a property of the
+// session's statement run, so EXECUTE of a prepared SELECT and PROFILE read it
+// exactly as a plain SELECT does, the statements are counted in
+// v_monitor.sessions like any other, and \unpin returns all three to live reads.
+func TestPinCoversEveryReadPath(t *testing.T) {
+	srv, _ := startServer(t, 100, 32<<20, 2)
+	a, b := dial(t, srv), dial(t, srv)
+	exec := func(c *Client, q string) *Result {
+		t.Helper()
+		res, err := c.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res
+	}
+	// count, EXECUTE count and PROFILE's root row count as connection a sees them.
+	reads := func() [3]string {
+		t.Helper()
+		profile := exec(a, `PROFILE SELECT sale_id FROM sales`).Message
+		root, _, _ := strings.Cut(profile, " est rows=")
+		return [3]string{
+			exec(a, `SELECT COUNT(*) FROM sales`).Rows[0][0],
+			exec(a, `EXECUTE c`).Rows[0][0],
+			root[strings.LastIndex(root, "=")+1:],
+		}
+	}
+	statements := func() int {
+		t.Helper()
+		// Only the session running this very query has a current statement.
+		res := exec(a, `SELECT statements FROM v_monitor.sessions WHERE current_statement > ''`)
+		if len(res.Rows) != 1 {
+			t.Fatalf("v_monitor.sessions shows %d running statements, want this one", len(res.Rows))
+		}
+		n, err := strconv.Atoi(res.Rows[0][0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	exec(a, `PREPARE c AS SELECT COUNT(*) FROM sales`)
+	if _, err := a.Meta(`\pin`); err != nil {
+		t.Fatal(err)
+	}
+	exec(b, `INSERT INTO sales VALUES (100000, 99, 1.0), (100001, 99, 2.0)`)
+
+	if got, want := reads(), [3]string{"100", "100", "100"}; got != want {
+		t.Fatalf("pinned SELECT / EXECUTE / PROFILE root see %v rows, want %v", got, want)
+	}
+	before := statements()
+	reads()
+	if got := statements() - before; got != 4 {
+		t.Fatalf("v_monitor.sessions counted %d statements across 3 pinned reads and its own query, want 4", got)
+	}
+	if got := exec(b, `SELECT COUNT(*) FROM sales`).Rows[0][0]; got != "102" {
+		t.Fatalf("unpinned connection sees %s rows, want 102", got)
+	}
+	if _, err := a.Meta(`\unpin`); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reads(), [3]string{"102", "102", "102"}; got != want {
+		t.Fatalf("after \\unpin SELECT / EXECUTE / PROFILE root see %v rows, want %v", got, want)
+	}
+}
+
 // TestFieldEscaping round-trips values containing protocol delimiters.
 func TestFieldEscaping(t *testing.T) {
 	srv, db := startServer(t, 1, 32<<20, 2)

@@ -153,9 +153,9 @@ func (lm *LockManager) Held(txn TxnID, table string) LockMode {
 
 // LockInfo is one held table lock, for monitoring (v_monitor.locks).
 type LockInfo struct {
-	Table string
-	Txn   TxnID
-	Mode  LockMode
+	Table string   `vt:"table_name"`
+	Txn   TxnID    `vt:"txn_id"`
+	Mode  LockMode `vt:"mode"`
 }
 
 // Snapshot lists every held lock, sorted by table then transaction id, for
