@@ -7,7 +7,7 @@ SERVE_ADDR ?= :5433
 MEM_POOL   ?= 256MB
 MAX_CONC   ?= 4
 
-.PHONY: all build test race lint bench serve fmt fuzz cover sqltest-update test-metamorphic docs-check
+.PHONY: all build test race lint bench serve fmt fuzz cover loc sqltest-update test-metamorphic docs-check
 
 all: build test docs-check
 
@@ -42,17 +42,28 @@ fuzz:
 cover:
 	$(GO) test -cover ./...
 
+# Non-test and test Go lines of the root module — the figures every
+# CHANGES.md entry reports (ROADMAP aim 2: lines are a cost).
+loc:
+	@echo "non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "test:     $$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+
 # Regenerate the SQL logic-test golden files from actual engine output.
 sqltest-update:
 	$(GO) test ./internal/sqltest -run TestSLTFiles -update
 
 # Metamorphic + scenario oracles under the race detector: the TLP oracle
 # (deterministic seed; override with TLP_SEED, reproduce failures with the
-# seed a failure prints) and the continuous-ingest burst. Mirrored in CI.
+# seed a failure prints), the continuous-ingest burst, and the recovery
+# differential oracle with the stored-row reader's seeded case (override
+# with ORACLE_SEED; more steps than the tier-1 run takes). Mirrored in CI.
 TLP_SEED ?= 20120827
+ORACLE_SEED ?= 20120827
 test-metamorphic:
 	$(GO) test -race ./internal/sqltest -run 'TestTLP' -count=1 -tlp.seed $(TLP_SEED)
 	$(GO) test -race ./internal/bench -run 'TestContinuousIngest(Short|DataCollector)' -count=1
+	$(GO) test -race ./internal/cluster -run 'TestRecoveryOracle' -count=1 -oracle.seed $(ORACLE_SEED) -oracle.steps 60
+	$(GO) test -race ./internal/storage -run 'TestStoredReaderMatchesDVStore|TestPlacedRowsReadBack' -count=1
 
 # Fail if the parser accepts a statement keyword docs/SQL.md never mentions,
 # or if a system table's section there does not list exactly its columns

@@ -143,10 +143,8 @@ func ablationFixture(b *testing.B, n int) (*storage.Manager, *txn.EpochManager, 
 	}
 	em := txn.NewEpochManager()
 	tm, err := tuplemover.New(tuplemover.Config{
-		Projection: "p", Mgr: mgr, Epochs: em, SortKey: []int{1, 0},
-		Encodings: map[string]storage.ColumnSpec{
-			"grp": {Name: "grp", Typ: types.Int64, Enc: encoding.RLE},
-		},
+		Mgr: mgr, Epochs: em,
+		Place: storage.NewPlacement("p", schema, []int{1, 0}, map[string]encoding.Kind{"grp": encoding.RLE}),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -344,7 +342,7 @@ func BenchmarkAblationMergeStrata(b *testing.B) {
 			}
 			em := txn.NewEpochManager()
 			tm, err := tuplemover.New(tuplemover.Config{
-				Projection: "p", Mgr: mgr, Epochs: em, SortKey: []int{0},
+				Mgr: mgr, Epochs: em, Place: storage.NewPlacement("p", schema, []int{0}, nil),
 				StrataBase: strataBase,
 			})
 			if err != nil {

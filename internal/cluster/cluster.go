@@ -296,22 +296,22 @@ func (c *Cluster) PrimaryOwner(p *catalog.Projection, row types.Row) (int, error
 
 // LocalSegmentOf splits a node's hash subrange into equal local segments
 // (paper §3.6: "local segments" let the cluster expand by reassigning whole
-// segments).
+// segments). The subrange follows the cluster size at call time, so a tuple
+// mover built before AddNode places rows like the Rebalance after it.
 func (c *Cluster) LocalSegmentOf(p *catalog.Projection) func(types.Row) int {
 	ls := c.cfg.LocalSegments
 	if p.Seg.Replicated || p.Seg.Expr == nil {
 		return func(types.Row) int { return 0 }
 	}
 	seg := p.Seg.Expr
-	n := uint64(c.N())
-	rangeWidth := ^uint64(0)
-	if n > 1 {
-		rangeWidth = ^uint64(0)/n + 1
-	}
 	return func(r types.Row) int {
 		v, err := seg.EvalRow(r)
 		if err != nil {
 			return 0
+		}
+		rangeWidth := ^uint64(0)
+		if n := uint64(c.N()); n > 1 {
+			rangeWidth = ^uint64(0)/n + 1
 		}
 		pos := uint64(v.I) % rangeWidth
 		return int(pos / (rangeWidth/uint64(ls) + 1))

@@ -2,14 +2,12 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
-	"repro/internal/vector"
 )
 
 // DML: row routing and staged application at commit epoch. "Any ROS or WOS
@@ -82,7 +80,7 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 				return err
 			}
 			if direct || mgr.WOS().Saturated() {
-				if err := c.directLoad(tg.node, tg.proj, mgr, trows, epoch, tx); err != nil {
+				if err := c.directLoad(tg.proj, mgr, trows, epoch, tx); err != nil {
 					return err
 				}
 				c.Txn.Epochs.SetLGE(tg.proj.Name, epoch)
@@ -123,113 +121,81 @@ func splitDim(name string) (string, string, bool) {
 	return "", "", false
 }
 
-// directLoad sorts rows and writes them straight to ROS containers grouped
-// by (partition, local segment), bypassing the WOS.
-func (c *Cluster) directLoad(n *Node, p *catalog.Projection, mgr *storage.Manager, rows []types.Row, epoch types.Epoch, tx *txn.Txn) error {
-	t, err := c.cat.Table(p.Anchor)
-	if err != nil {
-		return err
+// directLoad writes rows straight to ROS containers, bypassing the WOS. The
+// containers are published as they stand and discarded if the transaction
+// rolls back.
+func (c *Cluster) directLoad(p *catalog.Projection, mgr *storage.Manager, rows []types.Row, epoch types.Epoch, tx *txn.Txn) error {
+	stored := make([]storage.StoredRow, len(rows))
+	for i, r := range rows {
+		stored[i] = storage.StoredRow{Row: r, Epoch: epoch}
 	}
-	partOf := func(r types.Row) (string, error) { return partitionKey(t, p, r) }
-	segOf := c.LocalSegmentOf(p)
-	type gk struct {
-		part string
-		seg  int
-	}
-	groups := map[gk][]types.Row{}
-	for _, r := range rows {
-		part, err := partOf(r)
-		if err != nil {
-			return err
+	written, err := c.writeStored(p, mgr, stored)
+	tx.StageRollback(func() {
+		for _, w := range written {
+			mgr.Remove(w.Meta.ID)
 		}
-		k := gk{part, segOf(r)}
-		groups[k] = append(groups[k], r)
-	}
-	sortKey := p.SortKey()
-	encs := encodingSpecs(p)
-	for k, g := range groups {
-		sortRows(g, sortKey)
-		id, dir := mgr.NewContainerID()
-		meta := &storage.ContainerMeta{
-			ID: id, Projection: p.Name, Cols: mgr.StoredColumns(encs),
-			Partition: k.part, LocalSegment: k.seg,
-			MinEpoch: epoch, MaxEpoch: epoch,
-		}
-		w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{})
-		if err != nil {
-			return err
-		}
-		batch := newStoredBatch(p, len(g))
-		for _, r := range g {
-			batch.AppendRow(append(r.Clone(), types.NewInt(int64(epoch))))
-		}
-		if err := w.Append(batch); err != nil {
-			w.Abort()
-			return err
-		}
-		if _, err := w.Close(); err != nil {
-			return err
-		}
-		if err := mgr.Publish(meta); err != nil {
-			return err
-		}
-		cid := id
-		m := mgr
-		tx.StageRollback(func() { m.Remove(cid) })
-	}
-	return nil
+	})
+	return err
 }
 
-// partitionKey evaluates the table's PARTITION BY expression over a
-// projection row (the expression references table columns; the projection
-// must store them — super projections always do).
-func partitionKey(t *catalog.Table, p *catalog.Projection, r types.Row) (string, error) {
-	if t.PartitionExpr == nil {
-		return "", nil
+// Placement compiles, from the catalog, how projection p's stored rows become
+// ROS containers on any node: sort key, stored column specs, the anchor
+// table's PARTITION BY expression rewritten onto the projection's columns
+// (which must therefore store them — super projections always do) and the
+// local-segment function. Moveout, mergeout, direct load, recovery, refresh
+// and rebalance all take what this returns.
+func (c *Cluster) Placement(p *catalog.Projection) (*storage.Placement, error) {
+	t, err := c.cat.Table(p.Anchor)
+	if err != nil {
+		return nil, err
 	}
-	// Remap from table columns to projection columns by name.
+	pl := storage.NewPlacement(p.Name, p.Schema, p.SortKey(), p.Encodings)
+	pl.LocalSegmentOf = c.LocalSegmentOf(p)
+	if t.PartitionExpr != nil {
+		pe, err := onProjection(t, p, t.PartitionExpr)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: projection %q cannot evaluate partition expression: %w", p.Name, err)
+		}
+		pl.PartitionOf = func(r types.Row) (string, error) {
+			v, err := pe.EvalRow(r)
+			return v.String(), err
+		}
+	}
+	return pl, nil
+}
+
+// writeStored places rows of projection p and writes and publishes their
+// containers on mgr — the whole of direct load's, recovery's, refresh's and
+// rebalance's way into the ROS.
+func (c *Cluster) writeStored(p *catalog.Projection, mgr *storage.Manager, rows []storage.StoredRow) ([]storage.Written, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	pl, err := c.Placement(p)
+	if err != nil {
+		return nil, err
+	}
+	written, err := pl.WriteRows(mgr, rows)
+	if err != nil {
+		return nil, err
+	}
+	return written, mgr.PublishWritten(written)
+}
+
+// onProjection rewrites an expression over table t's columns (a DML
+// predicate, the PARTITION BY expression) onto projection p's columns,
+// matching by name. nil stays nil.
+func onProjection(t *catalog.Table, p *catalog.Projection, e expr.Expr) (expr.Expr, error) {
+	if e == nil {
+		return nil, nil
+	}
 	m := map[int]int{}
 	for i := 0; i < t.Schema.Len(); i++ {
 		if pi := p.Schema.ColIndex(t.Schema.Col(i).Name); pi >= 0 {
 			m[i] = pi
 		}
 	}
-	re, err := expr.Remap(t.PartitionExpr, m)
-	if err != nil {
-		return "", fmt.Errorf("cluster: projection %q cannot evaluate partition expression: %w", p.Name, err)
-	}
-	v, err := re.EvalRow(r)
-	if err != nil {
-		return "", err
-	}
-	return v.String(), nil
-}
-
-func encodingSpecs(p *catalog.Projection) map[string]storage.ColumnSpec {
-	out := map[string]storage.ColumnSpec{}
-	for name, k := range p.Encodings {
-		i := p.Schema.ColIndex(name)
-		if i < 0 {
-			continue
-		}
-		out[name] = storage.ColumnSpec{Name: name, Typ: p.Schema.Col(i).Typ, Enc: k}
-	}
-	return out
-}
-
-func newStoredBatch(p *catalog.Projection, capacity int) *vector.Batch {
-	cols := append([]types.Column{}, p.Schema.Cols...)
-	cols = append(cols, types.Column{Name: storage.EpochColumn, Typ: types.Int64})
-	return vector.NewBatchForSchema(types.NewSchema(cols...), capacity)
-}
-
-func sortRows(rows []types.Row, key []int) {
-	if len(key) == 0 {
-		return
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return rows[i].Compare(rows[j], key) < 0
-	})
+	return expr.Remap(e, m)
 }
 
 // StageDelete finds rows matching pred in every projection of the table on
@@ -250,21 +216,11 @@ func (c *Cluster) StageDelete(tx *txn.Txn, table string, pred expr.Expr, snapsho
 		if err := c.EnsureStorage(p); err != nil {
 			return 0, err
 		}
-		// Remap the table-schema predicate onto the projection schema.
-		var ppred expr.Expr
-		if pred != nil {
-			m := map[int]int{}
-			for i := 0; i < t.Schema.Len(); i++ {
-				if pi := p.Schema.ColIndex(t.Schema.Col(i).Name); pi >= 0 {
-					m[i] = pi
-				}
-			}
-			ppred, err = expr.Remap(pred, m)
-			if err != nil {
-				// Projection lacks predicate columns: it must still delete
-				// matching rows; unsupported in this reproduction.
-				return 0, fmt.Errorf("cluster: projection %q does not cover DELETE predicate columns: %w", p.Name, err)
-			}
+		ppred, err := onProjection(t, p, pred)
+		if err != nil {
+			// Projection lacks predicate columns: it must still delete
+			// matching rows; unsupported in this reproduction.
+			return 0, fmt.Errorf("cluster: projection %q does not cover DELETE predicate columns: %w", p.Name, err)
 		}
 		if countProj == "" && p.IsSuper && !p.IsBuddy {
 			countProj = p.Name
@@ -274,24 +230,24 @@ func (c *Cluster) StageDelete(tx *txn.Txn, table string, pred expr.Expr, snapsho
 			if err != nil {
 				return 0, err
 			}
-			targets, err := findMatches(mgr, ppred, snapshot)
+			targets := map[string][]int64{}
+			err = forEachMatch(mgr, ppred, snapshot, func(target string, pos int64, _ types.Row) error {
+				targets[target] = append(targets[target], pos)
+				if p.Name == countProj {
+					deleted++
+				}
+				return nil
+			})
 			if err != nil {
 				return 0, err
 			}
-			if p.Name == countProj {
-				for _, entries := range targets {
-					deleted += int64(len(entries))
-				}
-			}
-			m := mgr
-			tg := targets
 			tx.StageCommit(true, func(epoch types.Epoch) error {
-				for target, positions := range tg {
+				for target, positions := range targets {
 					entries := make([]storage.DVEntry, len(positions))
 					for i, pos := range positions {
 						entries[i] = storage.DVEntry{Pos: pos, Epoch: epoch}
 					}
-					m.DVs().Add(target, entries)
+					mgr.DVs().Add(target, entries)
 				}
 				return nil
 			})
@@ -300,70 +256,22 @@ func (c *Cluster) StageDelete(tx *txn.Txn, table string, pred expr.Expr, snapsho
 	return deleted, nil
 }
 
-// findMatches scans a projection's local storage and returns matching row
-// positions per delete-vector target (container ID or the WOS).
-func findMatches(mgr *storage.Manager, pred expr.Expr, snapshot types.Epoch) (map[string][]int64, error) {
-	out := map[string][]int64{}
-	deletedOf := func(target string) map[int64]bool {
-		s := map[int64]bool{}
-		for _, p := range mgr.DVs().DeletedAt(target, snapshot) {
-			s[p] = true
+// forEachMatch calls fn for every row of a projection's local storage that
+// is visible at snapshot and satisfies pred (nil matches every row), with
+// the delete-vector target (container ID or the WOS) and position naming it.
+func forEachMatch(mgr *storage.Manager, pred expr.Expr, snapshot types.Epoch, fn func(target string, pos int64, row types.Row) error) error {
+	return mgr.ForEachStored(0, snapshot, func(target string, pos int64, r storage.StoredRow) error {
+		if r.Deleted != 0 && r.Deleted <= snapshot {
+			return nil
 		}
-		return s
-	}
-	for _, r := range mgr.Containers() {
-		if r.Meta.MinEpoch > snapshot {
-			continue
-		}
-		cols := make([]int, len(r.Meta.Cols))
-		for i := range cols {
-			cols[i] = i
-		}
-		batch, err := r.ReadAll(cols)
-		if err != nil {
-			return nil, err
-		}
-		epochIdx := r.Meta.ColIndex(storage.EpochColumn)
-		dels := deletedOf(r.Meta.ID)
-		rows := batch.Rows()
-		for pos, row := range rows {
-			if dels[int64(pos)] {
-				continue
-			}
-			if epochIdx >= 0 && types.Epoch(row[epochIdx].I) > snapshot {
-				continue
-			}
-			match := true
-			if pred != nil {
-				v, err := pred.EvalRow(row[:len(row)-1])
-				if err != nil {
-					return nil, err
-				}
-				match = v.Bool()
-			}
-			if match {
-				out[r.Meta.ID] = append(out[r.Meta.ID], int64(pos))
-			}
-		}
-	}
-	dels := deletedOf(storage.WOSTarget)
-	for _, wr := range mgr.WOS().Snapshot(snapshot) {
-		if dels[wr.Pos] {
-			continue
-		}
-		match := true
 		if pred != nil {
-			v, err := pred.EvalRow(wr.Row)
-			if err != nil {
-				return nil, err
+			v, err := pred.EvalRow(r.Row)
+			if err != nil || !v.Bool() {
+				return err
 			}
-			match = v.Bool()
 		}
-		if match {
-			out[storage.WOSTarget] = append(out[storage.WOSTarget], wr.Pos)
-		}
-	}
-	return out, nil
+		return fn(target, pos, r.Row)
+	})
 }
 
 // StageUpdate implements UPDATE as DELETE + INSERT (paper §3.7.1): matching
@@ -379,23 +287,23 @@ func (c *Cluster) StageUpdate(tx *txn.Txn, table string, set map[int]expr.Expr, 
 	if err != nil {
 		return 0, err
 	}
+	spred, err := onProjection(t, super, pred)
+	if err != nil {
+		return 0, err
+	}
 	var newRows []types.Row
-	seen := map[int]bool{}
 	for _, n := range c.UpNodes() {
 		mgr, err := n.Mgr(super, c.ManagerOpts())
 		if err != nil {
 			return 0, err
 		}
-		rows, err := collectRows(mgr, pred, snapshot, t, super)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range rows {
+		err = forEachMatch(mgr, spred, snapshot, func(_ string, _ int64, pr types.Row) error {
+			r := projToTableRow(t, super, pr)
 			updated := r.Clone()
 			for ci, e := range set {
 				v, err := e.EvalRow(r)
 				if err != nil {
-					return 0, err
+					return err
 				}
 				if v.Typ != t.Schema.Col(ci).Typ && !(v.Null) {
 					v = coerceTo(v, t.Schema.Col(ci).Typ)
@@ -403,8 +311,11 @@ func (c *Cluster) StageUpdate(tx *txn.Txn, table string, set map[int]expr.Expr, 
 				updated[ci] = v
 			}
 			newRows = append(newRows, updated)
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
-		seen[n.ID] = true
 	}
 	if _, err := c.StageDelete(tx, table, pred, snapshot); err != nil {
 		return 0, err
@@ -427,62 +338,6 @@ func coerceTo(v types.Value, t types.Type) types.Value {
 		v.Typ = t
 		return v
 	}
-}
-
-// collectRows returns visible table rows matching pred from one node's
-// super-projection storage, in table column order.
-func collectRows(mgr *storage.Manager, pred expr.Expr, snapshot types.Epoch, t *catalog.Table, p *catalog.Projection) ([]types.Row, error) {
-	var ppred expr.Expr
-	var err error
-	if pred != nil {
-		m := map[int]int{}
-		for i := 0; i < t.Schema.Len(); i++ {
-			if pi := p.Schema.ColIndex(t.Schema.Col(i).Name); pi >= 0 {
-				m[i] = pi
-			}
-		}
-		if ppred, err = expr.Remap(pred, m); err != nil {
-			return nil, err
-		}
-	}
-	matches, err := findMatches(mgr, ppred, snapshot)
-	if err != nil {
-		return nil, err
-	}
-	var out []types.Row
-	// Re-read matched rows in table order.
-	for target, positions := range matches {
-		if target == storage.WOSTarget {
-			posSet := map[int64]bool{}
-			for _, pos := range positions {
-				posSet[pos] = true
-			}
-			for _, wr := range mgr.WOS().Snapshot(snapshot) {
-				if posSet[wr.Pos] {
-					out = append(out, projToTableRow(t, p, wr.Row))
-				}
-			}
-			continue
-		}
-		r, ok := mgr.Container(target)
-		if !ok {
-			continue
-		}
-		cols := make([]int, len(r.Meta.Cols))
-		for i := range cols {
-			cols[i] = i
-		}
-		batch, err := r.ReadAll(cols)
-		if err != nil {
-			return nil, err
-		}
-		rows := batch.Rows()
-		for _, pos := range positions {
-			row := rows[pos]
-			out = append(out, projToTableRow(t, p, row[:len(row)-1]))
-		}
-	}
-	return out, nil
 }
 
 func projToTableRow(t *catalog.Table, p *catalog.Projection, pr types.Row) types.Row {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
@@ -13,35 +12,24 @@ import (
 
 // Recovery, refresh, rebalance and backup (paper §5.2). Vertica keeps no
 // transaction log: "the data+epoch itself serves as a log of past system
-// activity", so a recovering node replays missed DML by copying epoch ranges
-// from buddy projections in two phases — a lock-free historical phase and a
+// activity", so a recovering node replays missed DML by copying epochs from
+// buddy projections in two phases — a lock-free historical phase and a
 // brief current phase under a Shared lock.
 
-// lastEpochOf returns the newest epoch present in a node's local storage for
-// a projection — the node's per-projection Last Good Epoch after a failure
-// (WOS content is lost with the node, so only ROS epochs count).
-func lastEpochOf(mgr *storage.Manager) types.Epoch {
-	var last types.Epoch
-	for _, r := range mgr.Containers() {
-		if r.Meta.MaxEpoch > last {
-			last = r.Meta.MaxEpoch
-		}
-	}
-	return last
-}
-
-// ClearWOS simulates the memory loss of a node failure: buffered WOS rows
-// that were never moved out are gone (this is why the LGE exists, §5.1).
+// ClearWOS is the memory loss of a node failure: buffered WOS rows that were
+// never moved out, and the delete vectors naming them, are gone (this is why
+// the LGE exists, §5.1).
 func (n *Node) ClearWOS() {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	for _, m := range n.mgrs {
 		m.WOS().DrainUpTo(types.MaxEpoch)
+		m.DVs().Rewrite(storage.WOSTarget, nil)
 	}
 }
 
-// RecoverNode rejoins a failed node: per projection it truncates to the
-// node's local LGE, copies missed epochs from a surviving source in a
+// RecoverNode rejoins a failed node. Its memory died with it, so it starts
+// from its ROS: per projection it catches up from a surviving source in a
 // historical phase (no locks), then a current phase under a Shared lock,
 // and finally rejoins the cluster and releases the AHM.
 func (c *Cluster) RecoverNode(id int) error {
@@ -49,27 +37,22 @@ func (c *Cluster) RecoverNode(id int) error {
 	if n.Up() {
 		return fmt.Errorf("cluster: node %d is not down", id)
 	}
-	current := c.Txn.Epochs.Current()
+	n.ClearWOS()
+	eh := c.Txn.Epochs.Current() - 1
 	for _, p := range c.cat.Projections() {
 		mgr, err := n.Mgr(p, c.ManagerOpts())
 		if err != nil {
 			return err
 		}
-		lge := lastEpochOf(mgr)
-		// Historical phase: copy (lge, Eh] lock-free.
-		eh := current - 1
-		if eh > lge {
-			if err := c.copyMissedRows(n, p, mgr, lge, eh); err != nil {
-				return err
-			}
-			lge = eh
+		if err := c.catchUp(n, p, mgr, eh); err != nil {
+			return err
 		}
 		// Current phase: Shared lock on the anchor table, copy the rest.
 		rtx := c.Txn.Begin(txn.ReadCommitted)
 		if err := c.Txn.Locks.Acquire(rtx.ID, p.Anchor, txn.S); err != nil {
 			return err
 		}
-		err = c.copyMissedRows(n, p, mgr, lge, c.Txn.Epochs.Current())
+		err = c.catchUp(n, p, mgr, c.Txn.Epochs.Current())
 		c.Txn.Locks.ReleaseAll(rtx.ID)
 		if err != nil {
 			return err
@@ -89,12 +72,17 @@ func (c *Cluster) RecoverNode(id int) error {
 	return nil
 }
 
-// copyMissedRows copies projection rows belonging to node n with commit
-// epoch in (lo, hi] from a surviving source, including rows that were later
-// deleted ("an execution plan similar to INSERT ... SELECT ... is used to
+// catchUp brings node n's ROS of projection p up to epoch hi from a
+// surviving source: rows of commit epochs the node holds nothing of are
+// copied with their delete epochs, and rows it holds get the deletes it
+// missed ("an execution plan similar to INSERT ... SELECT ... is used to
 // move rows (including deleted rows) ... a separate plan is used to move
-// delete vectors", §5.2).
-func (c *Cluster) copyMissedRows(n *Node, p *catalog.Projection, dst *storage.Manager, lo, hi types.Epoch) error {
+// delete vectors", §5.2). A commit's rows reach a node's ROS together — one
+// direct load, or one moveout of a WOS prefix — so the epochs present say
+// exactly what is missing, whichever of a direct load and older WOS rows got
+// there first; the newest stored epoch does not. Deletes are matched by
+// value and epoch. Running it twice copies nothing twice.
+func (c *Cluster) catchUp(n *Node, p *catalog.Projection, dst *storage.Manager, hi types.Epoch) error {
 	src, srcProj, err := c.sourceFor(n, p)
 	if err != nil {
 		return err
@@ -106,161 +94,74 @@ func (c *Cluster) copyMissedRows(n *Node, p *catalog.Projection, dst *storage.Ma
 	if err != nil {
 		return err
 	}
-	rows, epochs, delEpochs, err := readRowsInEpochRange(srcMgr, lo, hi)
-	if err != nil {
-		return err
-	}
-	// Replay deletes of rows the node already has: rows inserted at or
-	// before the node's LGE but deleted during the outage need delete
-	// vectors on the node's existing containers.
-	if err := replayMissedDeletes(c, n, p, dst, srcMgr, lo, hi); err != nil {
-		return err
-	}
-	// Keep only rows that belong to node n under projection p.
-	keep := make([]int, 0, len(rows))
-	for i, r := range rows {
-		ids, err := c.RouteRow(p, r)
-		if err != nil {
-			return err
+	key := func(r storage.StoredRow) string { return fmt.Sprintf("%s@%d", r.Row, r.Epoch) }
+	have := map[types.Epoch]bool{}
+	seen := map[string]int{} // deletes the node already has, by row
+	err = dst.ForEachStored(0, types.MaxEpoch, func(_ string, _ int64, r storage.StoredRow) error {
+		have[r.Epoch] = true
+		if r.Deleted != 0 {
+			seen[key(r)]++
 		}
-		for _, id := range ids {
-			if id == n.ID {
-				keep = append(keep, i)
-				break
-			}
-		}
-	}
-	if len(keep) == 0 {
 		return nil
-	}
-	// Sort by the projection sort order and write one container.
-	sort.SliceStable(keep, func(a, b int) bool {
-		return rows[keep[a]].Compare(rows[keep[b]], p.SortKey()) < 0
 	})
-	id, dir := dst.NewContainerID()
-	minE, maxE := epochs[keep[0]], epochs[keep[0]]
-	for _, i := range keep {
-		if epochs[i] < minE {
-			minE = epochs[i]
-		}
-		if epochs[i] > maxE {
-			maxE = epochs[i]
-		}
-	}
-	meta := &storage.ContainerMeta{
-		ID: id, Projection: p.Name, Cols: dst.StoredColumns(encodingSpecs(p)),
-		MinEpoch: minE, MaxEpoch: maxE,
-	}
-	w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{})
 	if err != nil {
 		return err
 	}
-	batch := newStoredBatch(p, len(keep))
-	var dvs []storage.DVEntry
-	for outPos, i := range keep {
-		batch.AppendRow(append(rows[i].Clone(), types.NewInt(int64(epochs[i]))))
-		if delEpochs[i] != 0 {
-			dvs = append(dvs, storage.DVEntry{Pos: int64(outPos), Epoch: delEpochs[i]})
+	var missed []storage.StoredRow
+	want := map[string][]types.Epoch{} // deletes the node missed, by row
+	err = srcMgr.ForEachStored(0, hi, func(_ string, _ int64, r storage.StoredRow) error {
+		mine, err := c.storesRow(n, p, r.Row)
+		switch {
+		case err != nil || !mine:
+		case !have[r.Epoch]:
+			missed = append(missed, r)
+		case r.Deleted != 0:
+			if k := key(r); seen[k] > 0 {
+				seen[k]--
+			} else {
+				want[k] = append(want[k], r.Deleted)
+			}
 		}
-	}
-	if err := w.Append(batch); err != nil {
-		w.Abort()
 		return err
-	}
-	if _, err := w.Close(); err != nil {
-		return err
-	}
-	if err := dst.Publish(meta); err != nil {
-		return err
-	}
-	if len(dvs) > 0 {
-		dst.DVs().Add(id, dvs)
-		if err := dst.DVs().Persist(id); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayMissedDeletes copies delete vectors for rows the recovering node
-// already stores (inserted <= lo, deleted in (lo, hi]). Rows are matched by
-// full-value equality between the source's deleted rows and the local
-// storage — "a separate plan is used to move delete vectors" (§5.2).
-func replayMissedDeletes(c *Cluster, n *Node, p *catalog.Projection, dst *storage.Manager, srcMgr *storage.Manager, lo, hi types.Epoch) error {
-	// Source rows deleted in the window but inserted before it.
-	oldRows, _, oldDels, err := readRowsInEpochRange(srcMgr, 0, lo)
+	})
 	if err != nil {
 		return err
 	}
-	type pendingDel struct {
-		count int
-		epoch types.Epoch
-	}
-	want := map[string]*pendingDel{}
-	total := 0
-	for i, r := range oldRows {
-		if oldDels[i] == 0 || oldDels[i] <= lo || oldDels[i] > hi {
-			continue
-		}
-		ids, err := c.RouteRow(p, r)
+	if len(want) > 0 {
+		stamp := map[string][]storage.DVEntry{}
+		err = dst.ForEachStored(0, types.MaxEpoch, func(target string, pos int64, r storage.StoredRow) error {
+			if r.Deleted != 0 {
+				return nil
+			}
+			if k := key(r); len(want[k]) > 0 {
+				stamp[target] = append(stamp[target], storage.DVEntry{Pos: pos, Epoch: want[k][0]})
+				want[k] = want[k][1:]
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		mine := false
-		for _, id := range ids {
-			if id == n.ID {
-				mine = true
-			}
-		}
-		if !mine {
-			continue
-		}
-		k := r.String()
-		if want[k] == nil {
-			want[k] = &pendingDel{}
-		}
-		want[k].count++
-		want[k].epoch = oldDels[i]
-		total++
-	}
-	if total == 0 {
-		return nil
-	}
-	// Find matching live local positions and stamp delete vectors.
-	for _, cr := range dst.Containers() {
-		cols := make([]int, len(cr.Meta.Cols))
-		for i := range cols {
-			cols[i] = i
-		}
-		batch, err := cr.ReadAll(cols)
-		if err != nil {
-			return err
-		}
-		already := map[int64]bool{}
-		for _, e := range dst.DVs().Get(cr.Meta.ID) {
-			already[e.Pos] = true
-		}
-		var entries []storage.DVEntry
-		for pos, row := range batch.Rows() {
-			if already[int64(pos)] {
-				continue
-			}
-			k := row[:len(row)-1].String()
-			pd := want[k]
-			if pd == nil || pd.count == 0 {
-				continue
-			}
-			pd.count--
-			entries = append(entries, storage.DVEntry{Pos: int64(pos), Epoch: pd.epoch})
-		}
-		if len(entries) > 0 {
-			dst.DVs().Add(cr.Meta.ID, entries)
-			if err := dst.DVs().Persist(cr.Meta.ID); err != nil {
+		for target, entries := range stamp {
+			dst.DVs().Add(target, entries)
+			if err := dst.DVs().Persist(target); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	_, err = c.writeStored(p, dst, missed)
+	return err
+}
+
+// storesRow reports whether node n stores row under projection p.
+func (c *Cluster) storesRow(n *Node, p *catalog.Projection, row types.Row) (bool, error) {
+	ids, err := c.RouteRow(p, row)
+	for _, id := range ids {
+		if id == n.ID {
+			return true, err
+		}
+	}
+	return false, err
 }
 
 // sourceFor finds a surviving node and projection holding the rows node n
@@ -305,57 +206,6 @@ func (c *Cluster) sourceFor(n *Node, p *catalog.Projection) (*Node, *catalog.Pro
 	return host, buddy, nil
 }
 
-// readRowsInEpochRange reads every row of a projection's local storage with
-// commit epoch in (lo, hi], returning rows (user columns), their epochs, and
-// their delete epoch (0 if live).
-func readRowsInEpochRange(mgr *storage.Manager, lo, hi types.Epoch) ([]types.Row, []types.Epoch, []types.Epoch, error) {
-	var rows []types.Row
-	var epochs, delEpochs []types.Epoch
-	for _, r := range mgr.Containers() {
-		if r.Meta.MinEpoch > hi || r.Meta.MaxEpoch <= lo {
-			continue
-		}
-		cols := make([]int, len(r.Meta.Cols))
-		for i := range cols {
-			cols[i] = i
-		}
-		batch, err := r.ReadAll(cols)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		epochIdx := r.Meta.ColIndex(storage.EpochColumn)
-		delOf := map[int64]types.Epoch{}
-		for _, e := range mgr.DVs().Get(r.Meta.ID) {
-			delOf[e.Pos] = e.Epoch
-		}
-		all := batch.Rows()
-		for pos, row := range all {
-			e := types.Epoch(row[epochIdx].I)
-			if e <= lo || e > hi {
-				continue
-			}
-			rows = append(rows, row[:len(row)-1])
-			epochs = append(epochs, e)
-			delEpochs = append(delEpochs, delOf[int64(pos)])
-		}
-	}
-	for _, wr := range mgr.WOS().Snapshot(hi) {
-		if wr.Epoch <= lo {
-			continue
-		}
-		var del types.Epoch
-		for _, e := range mgr.DVs().Get(storage.WOSTarget) {
-			if e.Pos == wr.Pos {
-				del = e.Epoch
-			}
-		}
-		rows = append(rows, wr.Row)
-		epochs = append(epochs, wr.Epoch)
-		delEpochs = append(delEpochs, del)
-	}
-	return rows, epochs, delEpochs, nil
-}
-
 // Refresh populates a projection created after its anchor table was loaded
 // (paper §5.2: "refresh is used to populate new projections"). Rows are read
 // from the anchor's super projection across the cluster, routed by the new
@@ -392,49 +242,42 @@ func (c *Cluster) Refresh(projName string) error {
 	if err != nil {
 		return err
 	}
-	type nodeRows struct {
-		rows   []types.Row
-		epochs []types.Epoch
-	}
-	staged := map[int]*nodeRows{}
-	seen := map[int]bool{}
-	for _, src := range c.UpNodes() {
-		if super.Seg.Replicated && len(seen) > 0 {
+	staged := map[int][]storage.StoredRow{}
+	for i, src := range c.UpNodes() {
+		if super.Seg.Replicated && i > 0 {
 			break // one replica suffices
 		}
-		seen[src.ID] = true
 		mgr, err := src.Mgr(super, c.ManagerOpts())
 		if err != nil {
 			return err
 		}
-		rows, epochs, _, err := readRowsInEpochRange(mgr, 0, c.Txn.Epochs.Current())
+		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
+			pr, err := c.buildProjectionRow(t, super, p, r.Row, dimRows)
+			if err != nil || pr == nil { // nil: the prejoin's inner join dropped the row
+				return err
+			}
+			r.Row = pr
+			return c.stageByNode(p, r, staged)
+		})
 		if err != nil {
 			return err
 		}
-		for i, tr := range rows {
-			pr, err := c.buildProjectionRow(t, super, p, tr, dimRows)
-			if err != nil {
-				return err
-			}
-			if pr == nil {
-				continue // prejoin inner join dropped the row
-			}
-			ids, err := c.RouteRow(p, pr)
-			if err != nil {
-				return err
-			}
-			for _, id := range ids {
-				nr := staged[id]
-				if nr == nil {
-					nr = &nodeRows{}
-					staged[id] = nr
-				}
-				nr.rows = append(nr.rows, pr)
-				nr.epochs = append(nr.epochs, epochs[i])
-			}
-		}
 	}
-	for id, nr := range staged {
+	return c.writeStaged(p, staged)
+}
+
+// stageByNode appends r to the share of every node that stores it under p.
+func (c *Cluster) stageByNode(p *catalog.Projection, r storage.StoredRow, staged map[int][]storage.StoredRow) error {
+	ids, err := c.RouteRow(p, r.Row)
+	for _, id := range ids {
+		staged[id] = append(staged[id], r)
+	}
+	return err
+}
+
+// writeStaged writes each up node's share of projection p into its ROS.
+func (c *Cluster) writeStaged(p *catalog.Projection, staged map[int][]storage.StoredRow) error {
+	for id, rows := range staged {
 		n := c.nodes[id]
 		if !n.Up() {
 			continue
@@ -443,7 +286,7 @@ func (c *Cluster) Refresh(projName string) error {
 		if err != nil {
 			return err
 		}
-		if err := writeRefreshedContainer(mgr, p, nr.rows, nr.epochs); err != nil {
+		if _, err := c.writeStored(p, mgr, rows); err != nil {
 			return err
 		}
 	}
@@ -475,13 +318,13 @@ func (c *Cluster) prejoinDimData(p *catalog.Projection) (map[string]map[string]t
 			if err != nil {
 				return nil, err
 			}
-			rows, _, _, err := readRowsInEpochRange(mgr, 0, c.Txn.Epochs.Current())
+			ki := dimSuper.Schema.ColIndex(pj.DimKey)
+			err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
+				byKey[r.Row[ki].String()] = projToTableRow(dimT, dimSuper, r.Row)
+				return nil
+			})
 			if err != nil {
 				return nil, err
-			}
-			ki := dimSuper.Schema.ColIndex(pj.DimKey)
-			for _, r := range rows {
-				byKey[r[ki].String()] = projToTableRow(dimT, dimSuper, r)
 			}
 			break // replicated: one node is enough
 		}
@@ -525,50 +368,6 @@ func (c *Cluster) buildProjectionRow(t *catalog.Table, super *catalog.Projection
 	return out, nil
 }
 
-func writeRefreshedContainer(mgr *storage.Manager, p *catalog.Projection, rows []types.Row, epochs []types.Epoch) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	key := p.SortKey()
-	sort.SliceStable(idx, func(a, b int) bool {
-		return rows[idx[a]].Compare(rows[idx[b]], key) < 0
-	})
-	id, dir := mgr.NewContainerID()
-	minE, maxE := epochs[0], epochs[0]
-	for _, e := range epochs {
-		if e < minE {
-			minE = e
-		}
-		if e > maxE {
-			maxE = e
-		}
-	}
-	meta := &storage.ContainerMeta{
-		ID: id, Projection: p.Name, Cols: mgr.StoredColumns(encodingSpecs(p)),
-		MinEpoch: minE, MaxEpoch: maxE,
-	}
-	w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{})
-	if err != nil {
-		return err
-	}
-	batch := newStoredBatch(p, len(rows))
-	for _, i := range idx {
-		batch.AppendRow(append(rows[i].Clone(), types.NewInt(int64(epochs[i]))))
-	}
-	if err := w.Append(batch); err != nil {
-		w.Abort()
-		return err
-	}
-	if _, err := w.Close(); err != nil {
-		return err
-	}
-	return mgr.Publish(meta)
-}
-
 // AddNode grows the cluster by one node; call Rebalance to redistribute
 // segments onto it (paper §5.2).
 func (c *Cluster) AddNode() *Node {
@@ -608,65 +407,48 @@ func (c *Cluster) Rebalance() error {
 
 func (c *Cluster) rebalanceReplicated(p *catalog.Projection) error {
 	// Find a node with data and copy everything to nodes without any.
-	var src *Node
+	var rows []storage.StoredRow
+	staged := map[int][]storage.StoredRow{}
 	for _, n := range c.UpNodes() {
 		mgr, err := n.Mgr(p, c.ManagerOpts())
 		if err != nil {
 			return err
 		}
-		if mgr.RowCount() > 0 || mgr.WOS().Len() > 0 {
-			src = n
-			break
-		}
-	}
-	if src == nil {
-		return nil
-	}
-	srcMgr, _ := src.Mgr(p, c.ManagerOpts())
-	rows, epochs, _, err := readRowsInEpochRange(srcMgr, 0, c.Txn.Epochs.Current())
-	if err != nil {
-		return err
-	}
-	for _, n := range c.UpNodes() {
-		mgr, err := n.Mgr(p, c.ManagerOpts())
-		if err != nil {
-			return err
-		}
-		if mgr.RowCount() > 0 || mgr.WOS().Len() > 0 || n.ID == src.ID {
+		if mgr.RowCount() == 0 && mgr.WOS().Len() == 0 {
+			staged[n.ID] = nil
 			continue
 		}
-		if err := writeRefreshedContainer(mgr, p, rows, epochs); err != nil {
+		if rows != nil {
+			continue
+		}
+		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
+			rows = append(rows, r)
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	}
-	return nil
+	for id := range staged {
+		staged[id] = rows
+	}
+	return c.writeStaged(p, staged)
 }
 
 func (c *Cluster) rebalanceSegmented(p *catalog.Projection) error {
 	// Gather all rows cluster-wide, then rewrite each node's storage with
 	// its new share.
-	type stamped struct {
-		row   types.Row
-		epoch types.Epoch
-	}
-	perNode := map[int][]stamped{}
+	staged := map[int][]storage.StoredRow{}
 	for _, n := range c.UpNodes() {
 		mgr, err := n.Mgr(p, c.ManagerOpts())
 		if err != nil {
 			return err
 		}
-		rows, epochs, _, err := readRowsInEpochRange(mgr, 0, c.Txn.Epochs.Current())
+		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
+			return c.stageByNode(p, r, staged)
+		})
 		if err != nil {
 			return err
-		}
-		for i, r := range rows {
-			ids, err := c.RouteRow(p, r)
-			if err != nil {
-				return err
-			}
-			for _, id := range ids {
-				perNode[id] = append(perNode[id], stamped{r, epochs[i]})
-			}
 		}
 		// Clear the node's current storage for this projection.
 		var drop []string
@@ -678,25 +460,7 @@ func (c *Cluster) rebalanceSegmented(p *catalog.Projection) error {
 		}
 		mgr.WOS().DrainUpTo(types.MaxEpoch)
 	}
-	for id, st := range perNode {
-		n := c.nodes[id]
-		if !n.Up() {
-			continue
-		}
-		mgr, err := n.Mgr(p, c.ManagerOpts())
-		if err != nil {
-			return err
-		}
-		rows := make([]types.Row, len(st))
-		epochs := make([]types.Epoch, len(st))
-		for i := range st {
-			rows[i], epochs[i] = st[i].row, st[i].epoch
-		}
-		if err := writeRefreshedContainer(mgr, p, rows, epochs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.writeStaged(p, staged)
 }
 
 // Backup snapshots every node's storage via hard links (paper §5.2): data

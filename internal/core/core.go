@@ -37,7 +37,6 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/resmgr"
 	"repro/internal/sql"
-	"repro/internal/storage"
 	"repro/internal/tuplemover"
 	"repro/internal/txn"
 	"repro/internal/types"
@@ -1470,44 +1469,15 @@ func (db *Database) moverFor(n *cluster.Node, p *catalog.Projection) (*tuplemove
 	if err != nil {
 		return nil, err
 	}
-	t, err := db.cat.Table(p.Anchor)
+	place, err := db.cluster.Placement(p)
 	if err != nil {
 		return nil, err
 	}
-	encs := map[string]storage.ColumnSpec{}
-	for name, k := range p.Encodings {
-		if i := p.Schema.ColIndex(name); i >= 0 {
-			encs[name] = storage.ColumnSpec{Name: name, Typ: p.Schema.Col(i).Typ, Enc: k}
-		}
-	}
-	var partOf func(types.Row) (string, error)
-	if t.PartitionExpr != nil {
-		m := map[int]int{}
-		for i := 0; i < t.Schema.Len(); i++ {
-			if pi := p.Schema.ColIndex(t.Schema.Col(i).Name); pi >= 0 {
-				m[i] = pi
-			}
-		}
-		pe, err := expr.Remap(t.PartitionExpr, m)
-		if err == nil {
-			partOf = func(r types.Row) (string, error) {
-				v, err := pe.EvalRow(r)
-				if err != nil {
-					return "", err
-				}
-				return v.String(), nil
-			}
-		}
-	}
 	tm, err := tuplemover.New(tuplemover.Config{
-		Projection:     p.Name,
-		Mgr:            mgr,
-		Epochs:         db.txns.Epochs,
-		SortKey:        p.SortKey(),
-		Encodings:      encs,
-		PartitionOf:    partOf,
-		LocalSegmentOf: db.cluster.LocalSegmentOf(p),
-		Collector:      db.dcol,
+		Mgr:       mgr,
+		Epochs:    db.txns.Epochs,
+		Place:     place,
+		Collector: db.dcol,
 	})
 	if err != nil {
 		return nil, err

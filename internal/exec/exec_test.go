@@ -35,9 +35,9 @@ func newExecFixture(t testing.TB, n, groups int, loads int) *execFixture {
 		t.Fatal(err)
 	}
 	em := txn.NewEpochManager()
-	tm, err := tuplemover.New(tuplemover.Config{
-		Projection: "p", Mgr: mgr, Epochs: em, SortKey: []int{0}, BlockRows: 64,
-	})
+	place := storage.NewPlacement("p", schema, []int{0}, nil)
+	place.BlockRows = 64
+	tm, err := tuplemover.New(tuplemover.Config{Mgr: mgr, Epochs: em, Place: place})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -960,10 +960,8 @@ func TestGroupByRLEDirect(t *testing.T) {
 	}
 	em := txn.NewEpochManager()
 	tm, _ := tuplemover.New(tuplemover.Config{
-		Projection: "pm", Mgr: mgr, Epochs: em, SortKey: []int{0},
-		Encodings: map[string]storage.ColumnSpec{
-			"metric": {Name: "metric", Typ: types.Varchar, Enc: encoding.RLE},
-		},
+		Mgr: mgr, Epochs: em,
+		Place: storage.NewPlacement("pm", schema, []int{0}, map[string]encoding.Kind{"metric": encoding.RLE}),
 	})
 	var rows []types.Row
 	for i := 0; i < 3000; i++ {

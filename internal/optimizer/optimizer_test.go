@@ -68,7 +68,7 @@ func newFixture(t *testing.T, n int) *fixture {
 		mgrs[pr.Name] = mgr
 		mgr.WOS().Append(rows, em.CommitDML())
 		tm, err := tuplemover.New(tuplemover.Config{
-			Projection: pr.Name, Mgr: mgr, Epochs: em, SortKey: pr.SortKey(),
+			Mgr: mgr, Epochs: em, Place: storage.NewPlacement(pr.Name, pr.Schema, pr.SortKey(), nil),
 		})
 		if err != nil {
 			t.Fatal(err)

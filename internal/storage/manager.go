@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/encoding"
 	"repro/internal/types"
 )
 
@@ -112,25 +111,6 @@ func NewManager(dir string, schema *types.Schema, opts ManagerOpts) (*Manager, e
 // Schema returns the projection schema (without the implicit epoch column).
 func (m *Manager) Schema() *types.Schema { return m.schema }
 
-// StoredColumns returns the full stored column specs including the trailing
-// implicit epoch column, applying the given per-column encodings (Auto when
-// enc is nil or missing a column).
-func (m *Manager) StoredColumns(encs map[string]ColumnSpec) []ColumnSpec {
-	cols := make([]ColumnSpec, 0, m.schema.Len()+1)
-	for _, c := range m.schema.Cols {
-		// Auto is the default encoding (paper §3.4.1): the system picks the
-		// most advantageous scheme from the data itself.
-		spec := ColumnSpec{Name: c.Name, Typ: c.Typ, Enc: encoding.Auto}
-		if e, ok := encs[c.Name]; ok {
-			spec.Enc = e.Enc
-		}
-		cols = append(cols, spec)
-	}
-	// The epoch column is always RLE: commits stamp long runs of equal epochs.
-	cols = append(cols, ColumnSpec{Name: EpochColumn, Typ: types.Int64, Enc: encoding.RLE})
-	return cols
-}
-
 // WOS returns the projection's write-optimized store.
 func (m *Manager) WOS() *WOS { return m.wos }
 
@@ -153,18 +133,6 @@ func (m *Manager) NewContainerID() (string, string) {
 	id := fmt.Sprintf("ros_%08d", m.nextID)
 	m.nextID++
 	return id, filepath.Join(m.dir, id)
-}
-
-// Publish registers a freshly written container.
-func (m *Manager) Publish(meta *ContainerMeta) error {
-	r, err := OpenContainer(filepath.Join(m.dir, meta.ID))
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.containers[meta.ID] = r
-	return nil
 }
 
 // retireLocked detaches a container reader: its caches are preloaded into
@@ -253,7 +221,8 @@ func (m *Manager) CommitMoveout(c MoveoutCommit) error {
 // the output container and its delete vectors become visible in the same
 // critical section that retires the inputs, so no ScanView can double-count
 // (or miss) the merged rows. Input files are deleted only after retirement
-// preloaded them for in-flight scans.
+// preloaded them for in-flight scans. With no inputs to retire it is the
+// plain publication of one container with its delete vector.
 func (m *Manager) SwapContainers(meta *ContainerMeta, outDVs []DVEntry, removeIDs []string) error {
 	r, err := OpenContainer(filepath.Join(m.dir, meta.ID))
 	if err != nil {
@@ -343,6 +312,10 @@ func (m *Manager) ScanView(epoch types.Epoch, includeWOS bool) *ScanView {
 func (m *Manager) Containers() []*ContainerReader {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.containersLocked()
+}
+
+func (m *Manager) containersLocked() []*ContainerReader {
 	out := make([]*ContainerReader, 0, len(m.containers))
 	for _, r := range m.containers {
 		out = append(out, r)

@@ -262,8 +262,9 @@ func (r *ContainerReader) FetchPositions(c int, positions []int64) (*vector.Vect
 	return out, nil
 }
 
-// ReadAll reads entire columns (by container column index) into one batch,
-// for recovery/refresh/mergeout and tests.
+// ReadAll reads entire columns (by container column index) into one batch.
+// It needs no Manager, so it also reads a backup image; whole stored rows
+// with their delete epochs come from Manager.ContainerRows.
 func (r *ContainerReader) ReadAll(cols []int) (*vector.Batch, error) {
 	out := &vector.Batch{Cols: make([]*vector.Vector, len(cols))}
 	for i, c := range cols {

@@ -35,10 +35,25 @@ func buildBatch(n int) *vector.Batch {
 	return vector.NewBatch(a, b, v)
 }
 
+// writeBatch writes a whole in-memory batch as one container.
+func writeBatch(dir string, meta *ContainerMeta, b *vector.Batch, opts WriterOpts) (*ContainerMeta, error) {
+	w, err := NewContainerWriter(dir, meta, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range b.Rows() {
+		if err := w.AppendRow(row); err != nil {
+			w.Abort()
+			return nil, err
+		}
+	}
+	return w.Close()
+}
+
 func writeTestContainer(t *testing.T, dir string, n int) (*ContainerReader, *ContainerMeta) {
 	t.Helper()
 	meta := testMeta("ros_00000001")
-	got, err := WriteContainerFromBatch(filepath.Join(dir, meta.ID), meta, buildBatch(n), WriterOpts{BlockRows: 64})
+	got, err := writeBatch(filepath.Join(dir, meta.ID), meta, buildBatch(n), WriterOpts{BlockRows: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,11 +383,11 @@ func managerAddContainer(t *testing.T, m *Manager, partition string, seg int, n 
 	meta := testMeta(id)
 	meta.Partition = partition
 	meta.LocalSegment = seg
-	got, err := WriteContainerFromBatch(dir, meta, buildBatch(n), WriterOpts{BlockRows: 64})
+	got, err := writeBatch(dir, meta, buildBatch(n), WriterOpts{BlockRows: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Publish(got); err != nil {
+	if err := m.SwapContainers(got, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return got
@@ -513,14 +528,14 @@ func TestFigure2Layout(t *testing.T) {
 		}
 		a := vector.NewFromInts(types.Int64, []int64{1, 2, 3})
 		v := vector.NewFromFloats([]float64{100, 98.5, 99})
-		if _, err := WriteContainerFromBatch(dir, meta, vector.NewBatch(a, v), WriterOpts{}); err != nil {
+		if _, err := writeBatch(dir, meta, vector.NewBatch(a, v), WriterOpts{}); err != nil {
 			t.Fatal(err)
 		}
 		rd, err := OpenContainer(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Publish(rd.Meta); err != nil {
+		if err := m.SwapContainers(rd.Meta, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,9 +10,10 @@ import (
 	"repro/internal/vector"
 )
 
-// ContainerWriter streams sorted batches into a new ROS container directory.
-// The caller is responsible for sort order (moveout/mergeout/bulk load sort
-// before writing) and for supplying the implicit epoch column if desired.
+// ContainerWriter streams rows into a new ROS container directory, a block
+// at a time. It encodes what it is given: sort order, the epoch column and
+// delete vectors are Placement.WriteRun's business, its one caller outside
+// tests.
 //
 // The container is written into a temporary directory and atomically renamed
 // into place on Close, so a crash mid-write never leaves a half-container
@@ -75,70 +76,18 @@ func NewContainerWriter(dir string, meta *ContainerMeta, opts WriterOpts) (*Cont
 	return w, nil
 }
 
-// Append adds a batch (flat or RLE; any selection is honoured). Columns must
-// be positionally aligned with the container spec.
-func (w *ContainerWriter) Append(b *vector.Batch) error {
-	if len(b.Cols) != len(w.meta.Cols) {
-		return fmt.Errorf("storage: batch has %d cols, container expects %d", len(b.Cols), len(w.meta.Cols))
+// AppendRow adds one row: one value per column of the container spec.
+func (w *ContainerWriter) AppendRow(vals []types.Value) error {
+	if len(vals) != len(w.pending) {
+		return fmt.Errorf("storage: row has %d values, container %s expects %d", len(vals), w.meta.ID, len(w.pending))
 	}
-	fb := b
-	if b.Sel != nil {
-		fb = b.Flatten()
-	} else {
-		fb.ExpandRLE()
+	for c, v := range vals {
+		w.pending[c].AppendValue(v)
 	}
-	n := fb.Len()
-	for r := 0; r < n; r++ {
-		for c := range w.pending {
-			col := fb.Cols[c]
-			if col.NullAt(r) {
-				w.pending[c].AppendNull()
-			} else {
-				w.pending[c].AppendValue(col.ValueAt(r))
-			}
-		}
+	w.rows++
+	if w.pending[0].PhysLen() < w.blockRows {
+		return nil
 	}
-	w.rows += int64(n)
-	return w.flushFullBlocks(false)
-}
-
-// AppendColumns adds pre-built column vectors directly (fast path used by
-// bulk load; avoids per-value copies when the caller already has full
-// columns). All vectors must be flat and the same length.
-func (w *ContainerWriter) AppendColumns(cols []*vector.Vector) error {
-	if len(cols) != len(w.meta.Cols) {
-		return fmt.Errorf("storage: got %d cols, container expects %d", len(cols), len(w.meta.Cols))
-	}
-	n := cols[0].Len()
-	for c, col := range cols {
-		if col.IsRLE() {
-			col = col.Expand()
-		}
-		if col.Len() != n {
-			return fmt.Errorf("storage: ragged columns (%d vs %d)", col.Len(), n)
-		}
-		// Append values wholesale into pending.
-		dst := w.pending[c]
-		switch dst.Typ {
-		case types.Float64:
-			dst.Floats = append(dst.Floats, col.Floats...)
-		case types.Varchar:
-			dst.Strs = append(dst.Strs, col.Strs...)
-		default:
-			dst.Ints = append(dst.Ints, col.Ints...)
-		}
-		if col.Nulls != nil || dst.Nulls != nil {
-			if dst.Nulls == nil {
-				dst.Nulls = make([]bool, dst.PhysLen()-col.Len())
-			}
-			if col.Nulls != nil {
-				dst.Nulls = append(dst.Nulls, col.Nulls...)
-			} else {
-				dst.Nulls = append(dst.Nulls, make([]bool, col.Len())...)
-			}
-		}
-	}
-	w.rows += int64(n)
 	return w.flushFullBlocks(false)
 }
 
@@ -281,18 +230,4 @@ func (w *ContainerWriter) abort() {
 		}
 	}
 	os.RemoveAll(w.tmpDir)
-}
-
-// WriteContainerFromBatch is a convenience that writes a whole in-memory
-// batch as one container.
-func WriteContainerFromBatch(dir string, meta *ContainerMeta, b *vector.Batch, opts WriterOpts) (*ContainerMeta, error) {
-	w, err := NewContainerWriter(dir, meta, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Append(b); err != nil {
-		w.Abort()
-		return nil, err
-	}
-	return w.Close()
 }

@@ -18,7 +18,6 @@ package tuplemover
 import (
 	"container/heap"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -27,27 +26,16 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
-	"repro/internal/vector"
 )
 
 // Config wires a tuple mover to one projection's storage on one node.
 type Config struct {
-	Projection string
-	Mgr        *storage.Manager
-	Epochs     *txn.EpochManager
+	Mgr    *storage.Manager
+	Epochs *txn.EpochManager
+	// Place decides which container a row lands in and what it looks like:
+	// sort key, stored columns, partition and local-segment functions.
+	Place *storage.Placement
 
-	// SortKey lists projection column indexes forming the sort order.
-	SortKey []int
-	// Encodings maps column name to its storage spec (Auto when absent).
-	Encodings map[string]storage.ColumnSpec
-	// PartitionOf computes the table's partition key for a row ("" when the
-	// table is unpartitioned).
-	PartitionOf func(types.Row) (string, error)
-	// LocalSegmentOf assigns a row to an intra-node local segment.
-	LocalSegmentOf func(types.Row) int
-
-	// BlockRows overrides the encoded block size (tests).
-	BlockRows int
 	// StrataBase is the size (bytes) of the smallest mergeout stratum.
 	StrataBase int64
 	// MinMergeCount is the minimum number of same-stratum containers that
@@ -69,20 +57,14 @@ type TupleMover struct {
 
 // New validates the configuration and returns a tuple mover.
 func New(cfg Config) (*TupleMover, error) {
-	if cfg.Mgr == nil || cfg.Epochs == nil {
-		return nil, fmt.Errorf("tuplemover: Mgr and Epochs are required")
+	if cfg.Mgr == nil || cfg.Epochs == nil || cfg.Place == nil {
+		return nil, fmt.Errorf("tuplemover: Mgr, Epochs and Place are required")
 	}
 	if cfg.StrataBase <= 0 {
 		cfg.StrataBase = 4 << 10
 	}
 	if cfg.MinMergeCount < 2 {
 		cfg.MinMergeCount = 2
-	}
-	if cfg.PartitionOf == nil {
-		cfg.PartitionOf = func(types.Row) (string, error) { return "", nil }
-	}
-	if cfg.LocalSegmentOf == nil {
-		cfg.LocalSegmentOf = func(types.Row) int { return 0 }
 	}
 	return &TupleMover{cfg: cfg}, nil
 }
@@ -107,140 +89,59 @@ func (tm *TupleMover) moveout() (int, error) {
 	cfg := &tm.cfg
 	start := time.Now()
 	bound := cfg.Epochs.Current()
-	rows := cfg.Mgr.WOS().Snapshot(bound)
+	rows := make([]storage.StoredRow, 0, cfg.Mgr.WOS().Len())
+	commit := storage.MoveoutCommit{DVs: map[string][]storage.DVEntry{}, DrainThrough: -1}
+	err := cfg.Mgr.WOSRows(bound, func(_ string, pos int64, r storage.StoredRow) error {
+		rows = append(rows, r)
+		commit.DrainThrough = pos // positions ascend
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
 	if len(rows) == 0 {
-		cfg.Epochs.SetLGE(cfg.Projection, bound)
+		cfg.Epochs.SetLGE(cfg.Place.Projection, bound)
 		return 0, nil
 	}
-	// Group rows by (partition, local segment).
-	type groupKey struct {
-		part string
-		seg  int
+	written, err := cfg.Place.WriteRows(cfg.Mgr, rows)
+	if err != nil {
+		return 0, fmt.Errorf("tuplemover: %w", err)
 	}
-	groups := map[groupKey][]storage.WOSRow{}
-	for _, r := range rows {
-		part, err := cfg.PartitionOf(r.Row)
-		if err != nil {
-			return 0, fmt.Errorf("tuplemover: partition expression: %w", err)
-		}
-		k := groupKey{part, cfg.LocalSegmentOf(r.Row)}
-		groups[k] = append(groups[k], r)
-	}
-	keys := make([]groupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].part != keys[j].part {
-			return keys[i].part < keys[j].part
-		}
-		return keys[i].seg < keys[j].seg
-	})
-
-	// WOS delete vectors, indexed by position for translation.
-	wosDVs := cfg.Mgr.DVs().Get(storage.WOSTarget)
-	dvByPos := make(map[int64]types.Epoch, len(wosDVs))
-	for _, e := range wosDVs {
-		dvByPos[e.Pos] = e.Epoch
-	}
-	moved := 0
-	translated := map[int64]bool{}
-	commit := storage.MoveoutCommit{DVs: map[string][]storage.DVEntry{}, DrainThrough: -1}
-	var writtenDirs []string
-	cleanup := func() {
-		for _, d := range writtenDirs {
-			os.RemoveAll(d)
+	for _, w := range written {
+		commit.Metas = append(commit.Metas, w.Meta)
+		if len(w.DVs) > 0 {
+			commit.DVs[w.Meta.ID] = w.DVs
 		}
 	}
-	for _, r := range rows {
-		if r.Pos > commit.DrainThrough {
-			commit.DrainThrough = r.Pos
-		}
-	}
-	for _, k := range keys {
-		g := groups[k]
-		// Sort by the projection sort order (stable to keep epoch runs long).
-		sort.SliceStable(g, func(i, j int) bool {
-			return g[i].Row.Compare(g[j].Row, cfg.SortKey) < 0
-		})
-		minE, maxE := g[0].Epoch, g[0].Epoch
-		for _, r := range g {
-			if r.Epoch < minE {
-				minE = r.Epoch
-			}
-			if r.Epoch > maxE {
-				maxE = r.Epoch
-			}
-		}
-		id, dir := cfg.Mgr.NewContainerID()
-		meta := &storage.ContainerMeta{
-			ID:           id,
-			Projection:   cfg.Projection,
-			Cols:         cfg.Mgr.StoredColumns(cfg.Encodings),
-			Partition:    k.part,
-			LocalSegment: k.seg,
-			MinEpoch:     minE,
-			MaxEpoch:     maxE,
-		}
-		w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{BlockRows: cfg.BlockRows})
-		if err != nil {
-			cleanup()
-			return 0, err
-		}
-		batch := vector.NewBatchForSchema(storedSchema(cfg.Mgr.Schema()), len(g))
-		var dvEntries []storage.DVEntry
-		for pos, r := range g {
-			full := append(r.Row.Clone(), types.NewInt(int64(r.Epoch)))
-			batch.AppendRow(full)
-			if de, ok := dvByPos[r.Pos]; ok {
-				dvEntries = append(dvEntries, storage.DVEntry{Pos: int64(pos), Epoch: de})
-				translated[r.Pos] = true
-			}
-		}
-		if err := w.Append(batch); err != nil {
-			w.Abort()
-			cleanup()
-			return 0, err
-		}
-		if _, err := w.Close(); err != nil {
-			cleanup()
-			return 0, err
-		}
-		writtenDirs = append(writtenDirs, dir)
-		commit.Metas = append(commit.Metas, meta)
-		if len(dvEntries) > 0 {
-			commit.DVs[id] = dvEntries
-		}
-		moved += len(g)
-	}
-	// Retain only WOS delete vectors that referenced undrained rows. The
-	// X/T lock conflict guarantees no delete commits during a mover cycle,
-	// so the set computed here is still exact at commit time.
-	for _, e := range wosDVs {
-		if !translated[e.Pos] {
+	// WOS delete vectors of the drained prefix moved with their rows; only
+	// those of rows beyond it stay. The X/T lock conflict guarantees no
+	// delete commits during a mover cycle, so the set is still exact at
+	// commit time.
+	for _, e := range cfg.Mgr.DVs().Get(storage.WOSTarget) {
+		if e.Pos > commit.DrainThrough {
 			commit.WOSRemaining = append(commit.WOSRemaining, e)
 		}
 	}
 	if err := cfg.Mgr.CommitMoveout(commit); err != nil {
-		cleanup()
+		cfg.Mgr.Discard(written)
 		return 0, err
 	}
 	for id := range commit.DVs {
 		if err := cfg.Mgr.DVs().Persist(id); err != nil {
-			return moved, err
+			return len(rows), err
 		}
 	}
-	cfg.Epochs.SetLGE(cfg.Projection, bound)
+	cfg.Epochs.SetLGE(cfg.Place.Projection, bound)
 	// Only cycles that actually wrote containers are recorded: an idle
 	// mover polling an empty WOS would otherwise flood the ring.
 	cfg.Collector.RecordMover(dc.MoverEvent{
 		Op:         "moveout",
-		Projection: cfg.Projection,
-		Containers: len(commit.Metas),
-		Rows:       int64(moved),
+		Projection: cfg.Place.Projection,
+		Containers: len(written),
+		Rows:       int64(len(rows)),
 		Duration:   time.Since(start),
 	})
-	return moved, nil
+	return len(rows), nil
 }
 
 // MoveoutDeleteVectors persists in-memory (DVWOS) delete vectors to DVROS
@@ -257,13 +158,6 @@ func (tm *TupleMover) MoveoutDeleteVectors() error {
 		}
 	}
 	return nil
-}
-
-func storedSchema(s *types.Schema) *types.Schema {
-	cols := make([]types.Column, 0, s.Len()+1)
-	cols = append(cols, s.Cols...)
-	cols = append(cols, types.Column{Name: storage.EpochColumn, Typ: types.Int64})
-	return types.NewSchema(cols...)
 }
 
 // Stratum returns the exponential stratum index of a container size:
@@ -361,15 +255,12 @@ func (tm *TupleMover) pickMergeInputs(rs []*storage.ContainerReader) []*storage.
 	return nil
 }
 
-// containerCursor walks one container's rows in stored order for the k-way
-// merge. Rows are surfaced with their deletion epoch (0 = not deleted).
+// containerCursor walks one input container's rows in stored order for the
+// k-way merge.
 type containerCursor struct {
-	rows    []types.Row // including trailing epoch column
-	deleted map[int64]types.Epoch
-	pos     int
+	rows []storage.StoredRow
+	pos  int
 }
-
-func (c *containerCursor) current() types.Row { return c.rows[c.pos] }
 
 // mergeHeap orders cursors by their current row under the sort key.
 type mergeHeap struct {
@@ -379,7 +270,8 @@ type mergeHeap struct {
 
 func (h *mergeHeap) Len() int { return len(h.cur) }
 func (h *mergeHeap) Less(i, j int) bool {
-	return h.cur[i].current().Compare(h.cur[j].current(), h.sortKey) < 0
+	a, b := h.cur[i], h.cur[j]
+	return a.rows[a.pos].Row.Compare(b.rows[b.pos].Row, h.sortKey) < 0
 }
 func (h *mergeHeap) Swap(i, j int)      { h.cur[i], h.cur[j] = h.cur[j], h.cur[i] }
 func (h *mergeHeap) Push(x interface{}) { h.cur = append(h.cur, x.(*containerCursor)) }
@@ -395,140 +287,66 @@ func (tm *TupleMover) mergeContainers(inputs []*storage.ContainerReader, part st
 	cfg := &tm.cfg
 	start := time.Now()
 	var inBytes int64
-	for _, in := range inputs {
-		inBytes += in.Meta.SizeBytes
-	}
-	nCols := len(inputs[0].Meta.Cols)
-	colIdx := make([]int, nCols)
-	for i := range colIdx {
-		colIdx[i] = i
-	}
-	h := &mergeHeap{sortKey: cfg.SortKey}
-	var minE, maxE types.Epoch
 	maxLevel := 0
-	for _, in := range inputs {
-		batch, err := in.ReadAll(colIdx)
-		if err != nil {
-			return err
-		}
-		cur := &containerCursor{deleted: map[int64]types.Epoch{}}
-		cur.rows = batch.Rows()
-		for _, e := range cfg.Mgr.DVs().Get(in.Meta.ID) {
-			cur.deleted[e.Pos] = e.Epoch
-		}
-		if len(cur.rows) > 0 {
-			// Tag rows with their in-container position via index map: we
-			// walk positions alongside rows using cur.pos, so nothing extra
-			// is needed — position == row index.
-			h.cur = append(h.cur, cur)
-		}
-		if minE == 0 || in.Meta.MinEpoch < minE {
-			minE = in.Meta.MinEpoch
-		}
-		if in.Meta.MaxEpoch > maxE {
-			maxE = in.Meta.MaxEpoch
-		}
-		if in.Meta.MergeLevel > maxLevel {
-			maxLevel = in.Meta.MergeLevel
-		}
-	}
-	heap.Init(h)
-
-	id, dir := cfg.Mgr.NewContainerID()
-	meta := &storage.ContainerMeta{
-		ID:           id,
-		Projection:   cfg.Projection,
-		Cols:         inputs[0].Meta.Cols,
-		Partition:    part,
-		LocalSegment: seg,
-		MinEpoch:     minE,
-		MaxEpoch:     maxE,
-		MergeLevel:   maxLevel + 1,
-	}
-	w, err := storage.NewContainerWriter(dir, meta, storage.WriterOpts{BlockRows: cfg.BlockRows})
-	if err != nil {
-		return err
-	}
-	outSchema := storedSchemaFromCols(inputs[0].Meta.Cols)
-	batch := vector.NewBatchForSchema(outSchema, storage.DefaultBlockRows)
-	var outDVs []storage.DVEntry
-	outPos := int64(0)
-	flush := func() error {
-		if batch.Len() == 0 {
-			return nil
-		}
-		if err := w.Append(batch); err != nil {
-			return err
-		}
-		batch = vector.NewBatchForSchema(outSchema, storage.DefaultBlockRows)
-		return nil
-	}
-	for h.Len() > 0 {
-		cur := h.cur[0]
-		row := cur.current()
-		delEpoch, isDeleted := cur.deleted[int64(cur.pos)]
-		cur.pos++
-		if cur.pos >= len(cur.rows) {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-		if isDeleted && delEpoch <= ahm {
-			// "Whenever the tuple mover observes a row deleted prior to the
-			// AHM, it elides the row from the output" (§5.1).
-			continue
-		}
-		batch.AppendRow(row)
-		if isDeleted {
-			outDVs = append(outDVs, storage.DVEntry{Pos: outPos, Epoch: delEpoch})
-		}
-		outPos++
-		if batch.Len() >= storage.DefaultBlockRows {
-			if err := flush(); err != nil {
-				w.Abort()
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		w.Abort()
-		return err
-	}
-	if _, err := w.Close(); err != nil {
-		return err
-	}
+	h := &mergeHeap{sortKey: cfg.Place.SortKey}
 	ids := make([]string, len(inputs))
 	for i, in := range inputs {
 		ids[i] = in.Meta.ID
+		inBytes += in.Meta.SizeBytes
+		maxLevel = max(maxLevel, in.Meta.MergeLevel)
+		cur := &containerCursor{rows: make([]storage.StoredRow, 0, in.Meta.RowCount)}
+		err := cfg.Mgr.ContainerRows(in, 0, types.MaxEpoch, func(_ string, _ int64, r storage.StoredRow) error {
+			cur.rows = append(cur.rows, r)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if len(cur.rows) > 0 {
+			h.cur = append(h.cur, cur)
+		}
+	}
+	heap.Init(h)
+	merged := func() (storage.StoredRow, bool) {
+		for h.Len() > 0 {
+			cur := h.cur[0]
+			r := cur.rows[cur.pos]
+			cur.pos++
+			if cur.pos >= len(cur.rows) {
+				heap.Pop(h)
+			} else {
+				heap.Fix(h, 0)
+			}
+			// "Whenever the tuple mover observes a row deleted prior to the
+			// AHM, it elides the row from the output" (§5.1).
+			if r.Deleted == 0 || r.Deleted > ahm {
+				return r, true
+			}
+		}
+		return storage.StoredRow{}, false
+	}
+	out, err := cfg.Place.WriteRun(cfg.Mgr, part, seg, maxLevel+1, merged)
+	if err != nil {
+		return err
 	}
 	// Publish the output (with its carried-over delete vectors) and retire
 	// the inputs in one atomic swap, so a concurrent scan view sees the
 	// merged rows exactly once.
-	if err := cfg.Mgr.SwapContainers(meta, outDVs, ids); err != nil {
-		os.RemoveAll(dir)
+	if err := cfg.Mgr.SwapContainers(out.Meta, out.DVs, ids); err != nil {
+		cfg.Mgr.Discard([]storage.Written{out})
 		return err
 	}
-	if len(outDVs) > 0 {
-		if err := cfg.Mgr.DVs().Persist(id); err != nil {
-			return err
-		}
+	if err := cfg.Mgr.DVs().Persist(out.Meta.ID); err != nil {
+		return err
 	}
 	cfg.Collector.RecordMover(dc.MoverEvent{
 		Op:         "mergeout",
-		Projection: cfg.Projection,
+		Projection: cfg.Place.Projection,
 		Containers: len(inputs),
 		Bytes:      inBytes,
 		Duration:   time.Since(start),
 	})
 	return nil
-}
-
-func storedSchemaFromCols(cols []storage.ColumnSpec) *types.Schema {
-	out := make([]types.Column, len(cols))
-	for i, c := range cols {
-		out[i] = types.Column{Name: c.Name, Typ: c.Typ}
-	}
-	return types.NewSchema(out...)
 }
 
 // Run performs one tuple mover cycle: moveout, DV moveout, then repeated

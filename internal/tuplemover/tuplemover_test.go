@@ -26,14 +26,9 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	em := txn.NewEpochManager()
-	tm, err := New(Config{
-		Projection: "p_test",
-		Mgr:        mgr,
-		Epochs:     em,
-		SortKey:    []int{0},
-		BlockRows:  32,
-		StrataBase: 256,
-	})
+	place := storage.NewPlacement("p_test", schema, []int{0}, nil)
+	place.BlockRows = 32
+	tm, err := New(Config{Mgr: mgr, Epochs: em, Place: place, StrataBase: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +148,11 @@ func TestMoveoutPreservesPartitionBoundaries(t *testing.T) {
 	)
 	mgr, _ := storage.NewManager(t.TempDir(), schema, storage.ManagerOpts{})
 	em := txn.NewEpochManager()
-	tm, _ := New(Config{
-		Projection: "p", Mgr: mgr, Epochs: em, SortKey: []int{0},
-		PartitionOf: func(r types.Row) (string, error) {
-			return fmt.Sprintf("m%d", r[1].I), nil
-		},
-	})
+	place := storage.NewPlacement("p", schema, []int{0}, nil)
+	place.PartitionOf = func(r types.Row) (string, error) {
+		return fmt.Sprintf("m%d", r[1].I), nil
+	}
+	tm, _ := New(Config{Mgr: mgr, Epochs: em, Place: place})
 	e := em.CommitDML()
 	var rows []types.Row
 	for i := 0; i < 30; i++ {
@@ -277,11 +271,10 @@ func TestMergeoutPreservesPartitionAndSegmentBoundaries(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "k", Typ: types.Int64})
 	mgr, _ := storage.NewManager(t.TempDir(), schema, storage.ManagerOpts{})
 	em := txn.NewEpochManager()
-	tm, _ := New(Config{
-		Projection: "p", Mgr: mgr, Epochs: em, SortKey: []int{0},
-		PartitionOf:    func(r types.Row) (string, error) { return fmt.Sprintf("m%d", r[0].I%2), nil },
-		LocalSegmentOf: func(r types.Row) int { return int(r[0].I % 3) },
-	})
+	place := storage.NewPlacement("p", schema, []int{0}, nil)
+	place.PartitionOf = func(r types.Row) (string, error) { return fmt.Sprintf("m%d", r[0].I%2), nil }
+	place.LocalSegmentOf = func(r types.Row) int { return int(r[0].I % 3) }
+	tm, _ := New(Config{Mgr: mgr, Epochs: em, Place: place})
 	for i := 0; i < 3; i++ {
 		var rows []types.Row
 		for j := 0; j < 60; j++ {
@@ -355,9 +348,11 @@ func TestStrataBoundsRewrites(t *testing.T) {
 }
 
 func TestStratum(t *testing.T) {
+	mgr := mustMgr(t)
 	tm, _ := New(Config{
-		Mgr:        mustMgr(t),
+		Mgr:        mgr,
 		Epochs:     txn.NewEpochManager(),
+		Place:      storage.NewPlacement("p", mgr.Schema(), nil, nil),
 		StrataBase: 1024,
 	})
 	cases := map[int64]int{0: 0, 1023: 0, 1024: 1, 2047: 1, 2048: 2, 4096: 3}
@@ -412,6 +407,6 @@ func TestMoveoutEmptyWOSStillAdvancesLGE(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Error("New without Mgr/Epochs should fail")
+		t.Error("New without Mgr/Epochs/Place should fail")
 	}
 }
