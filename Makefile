@@ -53,10 +53,12 @@ sqltest-update:
 	$(GO) test ./internal/sqltest -run TestSLTFiles -update
 
 # Metamorphic + scenario oracles under the race detector: the TLP oracle
-# (deterministic seed; override with TLP_SEED, reproduce failures with the
-# seed a failure prints), the continuous-ingest burst, and the recovery
-# differential oracle with the stored-row reader's seeded case (override
-# with ORACLE_SEED; more steps than the tier-1 run takes). Mirrored in CI.
+# with its parallel-vs-serial and seek-off axes (deterministic seed;
+# override with TLP_SEED, reproduce failures with the seed a failure
+# prints), the continuous-ingest burst, the recovery differential oracle
+# with the stored-row reader's seeded case (override with ORACLE_SEED; more
+# steps than the tier-1 run takes), and the predicate oracles of the scan
+# and of the expression evaluators (ORACLE_SEED too). Mirrored in CI.
 TLP_SEED ?= 20120827
 ORACLE_SEED ?= 20120827
 test-metamorphic:
@@ -64,6 +66,8 @@ test-metamorphic:
 	$(GO) test -race ./internal/bench -run 'TestContinuousIngest(Short|DataCollector)' -count=1
 	$(GO) test -race ./internal/cluster -run 'TestRecoveryOracle' -count=1 -oracle.seed $(ORACLE_SEED) -oracle.steps 60
 	$(GO) test -race ./internal/storage -run 'TestStoredReaderMatchesDVStore|TestPlacedRowsReadBack' -count=1
+	$(GO) test -race ./internal/exec -run 'TestPredicateOracle' -count=1 -pred.seed $(ORACLE_SEED) -pred.cases 200
+	$(GO) test -race ./internal/expr -run 'MatchesEvalRow|LikeEvalRow' -count=1 -expr.seed $(ORACLE_SEED)
 
 # Fail if the parser accepts a statement keyword docs/SQL.md never mentions,
 # or if a system table's section there does not list exactly its columns

@@ -224,8 +224,8 @@ func metaCommand(db *core.Database, cmd string) bool {
 }
 
 func printResult(res *core.Result) {
-	if res.Explain != "" && res.Schema == nil {
-		fmt.Print(res.Explain)
+	if plan := res.Explain.String(); plan != "" && res.Schema == nil {
+		fmt.Print(plan)
 		return
 	}
 	if res.Schema == nil {

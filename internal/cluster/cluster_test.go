@@ -306,7 +306,7 @@ func TestInitiatorMergeMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on 3 nodes: %v", name, err)
 		}
-		if !strings.Contains(got.Explain, "distributed over 3 node plan(s)") {
+		if !strings.Contains(got.Explain.String(), "distributed over 3 node plan(s)") {
 			t.Fatalf("%s did not fan out: %s", name, got.Explain)
 		}
 		wantRows, gotRows := vector.Rows(want.Batches), vector.Rows(got.Batches)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,7 +58,8 @@ type QueryResult struct {
 	// batches in result order, columns possibly selected (Sel) or RLE.
 	// vector.Rows pivots them for callers that want rows.
 	Batches []*vector.Batch
-	Explain string
+	// Explain is the first node plan's EXPLAIN tree, rendered when read.
+	Explain resmgr.PlanText
 	Stats   resmgr.QueryStats
 	// Probe echoes the placement-probe metadata the run used (projection
 	// choice, cost estimates) so the plan cache can store it on a miss.
@@ -299,8 +299,9 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 	// Collect per-operator profiles (one cheap walk per plan) and attach
 	// them to the grant, so the governor retains them for PROFILE runs and
 	// queries crossing the slow-query threshold — including failed ones.
-	var opRecs []resmgr.OpProfile
-	for _, r := range runs {
+	opRecs := exec.CollectProfiles(runs[0].plan.Root, runs[0].node.Name)
+	firstPlan := len(opRecs) // EXPLAIN shows the first node plan
+	for _, r := range runs[1:] {
 		opRecs = append(opRecs, exec.CollectProfiles(r.plan.Root, r.node.Name)...)
 	}
 	grant.SetOpProfile(opRecs, opts.Profile)
@@ -318,10 +319,12 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 	}
 	tr.End()
 	grant.ReportRows(int64(vector.NumRows(final)))
-	var explain strings.Builder
-	fmt.Fprintf(&explain, "-- distributed over %d node plan(s); local-final=%v\n", len(runs), localFinal)
-	explain.WriteString(runs[0].plan.Explain())
-	return &QueryResult{Schema: schema, Batches: final, Explain: explain.String(),
+	plan, nPlans := runs[0].plan, len(runs)
+	explain := resmgr.LazyText(func() string {
+		return fmt.Sprintf("-- distributed over %d node plan(s); local-final=%v\n", nPlans, localFinal) +
+			plan.ExplainRecords(opRecs[:firstPlan])
+	})
+	return &QueryResult{Schema: schema, Batches: final, Explain: explain,
 		Stats: grant.Stats(), OpProfiles: opRecs, Probe: probe}, nil
 }
 

@@ -144,8 +144,10 @@ type Result struct {
 	// batches in result order, columns possibly selected (Sel) or RLE.
 	Batches      []*vector.Batch
 	RowsAffected int64
-	Explain      string
-	Message      string
+	// Explain is the statement's plan: the EXPLAIN tree of a SELECT
+	// (rendered when read), the annotated tree of a PROFILE.
+	Explain resmgr.PlanText
+	Message string
 	// Stats carries the statement's resource accounting (SELECTs only).
 	Stats resmgr.QueryStats
 	// OpProfiles are the per-operator execution records of a PROFILE
@@ -1075,14 +1077,14 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *type
 		})
 	}
 	if st.Explain {
-		return &Result{Explain: res.Explain, Message: res.Explain}, nil
+		return &Result{Explain: res.Explain, Message: res.Explain.String()}, nil
 	}
 	if st.Profile {
 		// PROFILE executes normally, then reports the annotated plan
 		// instead of the rows (the records also land in
 		// v_monitor.execution_engine_profiles via the grant).
 		tree := exec.FormatProfiles(res.OpProfiles)
-		return &Result{Explain: tree, Message: tree, OpProfiles: res.OpProfiles, Stats: res.Stats}, nil
+		return &Result{Explain: resmgr.LazyText(func() string { return tree }), Message: tree, OpProfiles: res.OpProfiles, Stats: res.Stats}, nil
 	}
 	return &Result{Schema: res.Schema, Batches: res.Batches, Explain: res.Explain, Stats: res.Stats}, nil
 }

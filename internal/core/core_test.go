@@ -363,7 +363,7 @@ func TestExplain(t *testing.T) {
 	db := openTestDB(t, 1, 0)
 	setupSales(t, db, 100)
 	res := db.MustExecute(`EXPLAIN SELECT cust, COUNT(*) FROM sales WHERE price > 10 GROUP BY cust`)
-	if !strings.Contains(res.Explain, "Scan") || !strings.Contains(res.Explain, "GroupBy") {
+	if !strings.Contains(res.Explain.String(), "Scan") || !strings.Contains(res.Explain.String(), "GroupBy") {
 		t.Errorf("explain = %s", res.Explain)
 	}
 }
@@ -547,7 +547,7 @@ func TestRefreshPopulatesNewProjection(t *testing.T) {
 	}
 	// The narrow projection should now serve cust-grouped queries.
 	res := db.MustExecute(`EXPLAIN SELECT cust, SUM(price) FROM sales GROUP BY cust`)
-	if !strings.Contains(res.Explain, "sales_by_cust") {
+	if !strings.Contains(res.Explain.String(), "sales_by_cust") {
 		t.Errorf("optimizer did not pick the narrow projection:\n%s", res.Explain)
 	}
 }

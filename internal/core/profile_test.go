@@ -73,7 +73,7 @@ func TestProfileParallelCountersConsistent(t *testing.T) {
 		if r.NodeID < 0 {
 			t.Errorf("operator %q has no plan-node id", r.Op)
 		}
-		if !strings.HasPrefix(r.Op, "ParallelUnion") && !strings.Contains(r.Op, "merge") {
+		if !strings.HasPrefix(r.Op.String(), "ParallelUnion") && !strings.Contains(r.Op.String(), "merge") {
 			continue
 		}
 		// Fan-in: output rows must equal the sum over partitions, however
@@ -99,7 +99,7 @@ func TestProfileParallelCountersConsistent(t *testing.T) {
 	var sortRows int64
 	sorts := 0
 	for _, r := range recs {
-		if strings.HasPrefix(r.Op, "Sort") {
+		if strings.HasPrefix(r.Op.String(), "Sort") {
 			sorts++
 			sortRows += r.Rows
 		}

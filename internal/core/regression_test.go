@@ -93,7 +93,7 @@ func TestPrejoinProjectionServesJoin(t *testing.T) {
 	}
 	res := db.MustExecute(`EXPLAIN SELECT region, SUM(price) FROM fact
 		JOIN dim ON cust = cust_id GROUP BY region`)
-	if !containsStr(res.Explain, "prejoin projection fact_prejoin") {
+	if !containsStr(res.Explain.String(), "prejoin projection fact_prejoin") {
 		t.Errorf("join not answered from the prejoin projection:\n%s", res.Explain)
 	}
 	got := db.MustExecute(`SELECT region, SUM(price) FROM fact

@@ -75,7 +75,7 @@ func TestRefreshKeepsDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const byCust = `SELECT cust, COUNT(*) AS n, SUM(price) AS s FROM sales GROUP BY cust ORDER BY cust`
-	if ex := db.MustExecute(`EXPLAIN ` + byCust).Explain; !strings.Contains(ex, "sales_by_cust") {
+	if ex := db.MustExecute(`EXPLAIN ` + byCust).Explain.String(); !strings.Contains(ex, "sales_by_cust") {
 		t.Fatalf("optimizer did not pick the refreshed projection:\n%s", ex)
 	}
 	// The super projection answers the same question when qty is dragged in.

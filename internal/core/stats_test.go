@@ -35,7 +35,7 @@ const flipQuery = `EXPLAIN SELECT price FROM sales WHERE id > 4 AND region = 3`
 func TestAnalyzeFlipsProjectionChoice(t *testing.T) {
 	db := openGovernedDB(t, 1, 64<<20, 8)
 	setupTwoProjections(t, db)
-	before := db.MustExecute(flipQuery).Explain
+	before := db.MustExecute(flipQuery).Explain.String()
 	if !strings.Contains(before, "Scan sales_by_id") || !strings.Contains(before, "heuristic") {
 		t.Fatalf("unanalyzed plan should use the shape heuristics on sales_by_id:\n%s", before)
 	}
@@ -43,7 +43,7 @@ func TestAnalyzeFlipsProjectionChoice(t *testing.T) {
 	if res.RowsAffected != 40 {
 		t.Fatalf("analyze scanned %d rows, want 40", res.RowsAffected)
 	}
-	after := db.MustExecute(flipQuery).Explain
+	after := db.MustExecute(flipQuery).Explain.String()
 	if !strings.Contains(after, "Scan sales_by_region") || !strings.Contains(after, "histogram") {
 		t.Fatalf("analyzed plan should pick sales_by_region via histograms:\n%s", after)
 	}
@@ -76,7 +76,7 @@ func TestStatsSurviveReload(t *testing.T) {
 	if cs := db2.Catalog().ColumnStats("sales", "region"); cs == nil || cs.NDV != 5 || cs.Hist == nil {
 		t.Fatalf("region stats corrupted across reload: %+v", cs)
 	}
-	ex := db2.MustExecute(flipQuery).Explain
+	ex := db2.MustExecute(flipQuery).Explain.String()
 	if !strings.Contains(ex, "Scan sales_by_region") || !strings.Contains(ex, "histogram") {
 		t.Fatalf("reloaded database should plan from persisted statistics:\n%s", ex)
 	}
@@ -194,7 +194,7 @@ func TestPartialAnalyzeFallsBackToHeuristics(t *testing.T) {
 	db := openGovernedDB(t, 1, 64<<20, 8)
 	setupTwoProjections(t, db)
 	db.MustExecute(`ANALYZE_STATISTICS('sales.id')`)
-	ex := db.MustExecute(`EXPLAIN SELECT price FROM sales WHERE region = 3`).Explain
+	ex := db.MustExecute(`EXPLAIN SELECT price FROM sales WHERE region = 3`).Explain.String()
 	if !strings.Contains(ex, "heuristic") || strings.Contains(ex, "(histogram)") {
 		t.Fatalf("partially analyzed table must report heuristic estimates:\n%s", ex)
 	}

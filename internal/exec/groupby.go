@@ -111,15 +111,11 @@ func (s *groupSet) input(in *vector.Batch, partials bool) (groupInput, error) {
 	return gi, err
 }
 
-// hashKeys hashes the rows' keys, HashRow-compatibly. With no keys
-// every row hashes alike and lands in the one global group.
+// hashKeys hashes the rows' keys, HashRow-compatibly; a keyless
+// aggregation has nothing to hash.
 func (s *groupSet) hashKeys(in groupInput) []uint64 {
 	if len(in.keys) == 0 {
-		out := make([]uint64, in.n)
-		for i := range out {
-			out[i] = types.HashSeed
-		}
-		return out
+		return nil
 	}
 	return vector.NewBatch(in.keys...).Hashes(s.table.keys)
 }
@@ -127,7 +123,17 @@ func (s *groupSet) hashKeys(in groupInput) []uint64 {
 // resolveHashed finds or creates the group of each row from lo on,
 // leaving them in gids, and returns the row it stopped before: n, or the
 // first row that needs a new group when maxGroups (> 0) already exist.
+// Without keys every row belongs to the one global group, which is created
+// on the first row and never looked up.
 func (s *groupSet) resolveHashed(in groupInput, hashes []uint64, lo, maxGroups int) int {
+	if len(in.keys) == 0 {
+		if s.table.len() == 0 && in.n > lo {
+			s.addGlobalGroup()
+		}
+		s.gids = s.gids[:in.n-lo]
+		clear(s.gids)
+		return in.n
+	}
 	s.gids = s.gids[:0]
 	for i := lo; i < in.n; i++ {
 		g := s.table.find(hashes[i], in.keys, i)
@@ -141,6 +147,12 @@ func (s *groupSet) resolveHashed(in groupInput, hashes []uint64, lo, maxGroups i
 		s.gids = append(s.gids, int32(g))
 	}
 	return in.n
+}
+
+// addGlobalGroup creates the one group of a keyless aggregation.
+func (s *groupSet) addGlobalGroup() {
+	s.table.add(types.HashSeed, nil, 0)
+	s.accs.addGroup()
 }
 
 // resolveSorted is resolveHashed for key-sorted input: a row either
@@ -419,8 +431,7 @@ func (g *GroupBy) finishHash(ctx *Ctx) error {
 		// SQL semantics: a global aggregate (no GROUP BY) over an empty
 		// input still yields one row (COUNT(*) = 0, SUM = NULL, ...).
 		if len(g.Keys) == 0 && s.table.len() == 0 && len(g.Aggs) > 0 {
-			s.table.add(types.HashSeed, nil, 0)
-			s.accs.addGroup()
+			s.addGlobalGroup()
 		}
 		g.emitGroups(s.table.keyOrder())
 		return nil

@@ -26,7 +26,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/dc"
@@ -170,9 +169,10 @@ type Operator interface {
 // Run pulls every batch from op (Open/Next/Close) and returns the non-empty
 // ones in order: the run loop at plan roots. An operator gives up a batch
 // when it returns it, so the caller may keep the result for as long as it
-// likes. A batch that selects under half of the rows it references — a few
-// survivors over a whole decoded block — is gathered into a dense one first,
-// so a retained result costs memory in proportion to its own rows.
+// likes. A batch that selects under half of the rows it references is
+// gathered into a dense one first. A scan's sort-key range arrives as views
+// of decoded blocks: keeping it keeps those blocks, which the block cache
+// shares with every other scan while they are warm.
 func Run(ctx *Ctx, op Operator) ([]*vector.Batch, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
@@ -216,20 +216,7 @@ func Drain(ctx *Ctx, op Operator) ([]types.Row, error) {
 }
 
 // Describe renders the whole plan tree, one operator per line.
-func Describe(op Operator) string {
-	var sb strings.Builder
-	describeInto(&sb, op, 0)
-	return sb.String()
-}
-
-func describeInto(sb *strings.Builder, op Operator, depth int) {
-	fmt.Fprintf(sb, "%s%s\n", strings.Repeat("  ", depth), op.Describe())
-	if hc, ok := op.(hasChildren); ok {
-		for _, c := range hc.Children() {
-			describeInto(sb, c, depth+1)
-		}
-	}
-}
+func Describe(op Operator) string { return FormatPlan(CollectProfiles(op, "")) }
 
 // single wraps one child; embedded by most unary operators.
 type single struct {

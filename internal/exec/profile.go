@@ -257,12 +257,13 @@ func FinalizeEstimates(root Operator) {
 
 // CollectProfiles flattens a plan's collectors into per-operator records
 // (pre-order, matching EXPLAIN). Always cheap: one walk, a handful of
-// atomic loads per node.
+// atomic loads per node; an operator is described only when its record's Op
+// is read.
 func CollectProfiles(root Operator, node string) []resmgr.OpProfile {
 	var out []resmgr.OpProfile
 	var walk func(op Operator, depth int)
 	walk = func(op Operator, depth int) {
-		rec := resmgr.OpProfile{Node: node, NodeID: -1, Depth: depth, Op: op.Describe()}
+		rec := resmgr.OpProfile{Node: node, NodeID: -1, Depth: depth, Op: resmgr.LazyText(op.Describe)}
 		if p, ok := op.(Profiled); ok {
 			pr := p.Prof()
 			rec.NodeID = pr.NodeID
@@ -286,6 +287,18 @@ func CollectProfiles(root Operator, node string) []resmgr.OpProfile {
 	return out
 }
 
+// FormatPlan renders the records of one plan as the EXPLAIN tree Describe
+// prints: one indented line per operator.
+func FormatPlan(recs []resmgr.OpProfile) string {
+	var sb strings.Builder
+	for _, r := range recs {
+		sb.WriteString(strings.Repeat("  ", r.Depth))
+		sb.WriteString(r.Op.String())
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
 // FormatProfiles renders per-operator records as the PROFILE statement's
 // annotated EXPLAIN tree: one line per operator with actual vs estimated
 // rows, and times/spills/memory when recorded.
@@ -293,7 +306,7 @@ func FormatProfiles(recs []resmgr.OpProfile) string {
 	var sb strings.Builder
 	for _, r := range recs {
 		sb.WriteString(strings.Repeat("  ", r.Depth))
-		sb.WriteString(r.Op)
+		sb.WriteString(r.Op.String())
 		fmt.Fprintf(&sb, " (actual rows=%d est rows=%d batches=%d", r.Rows, r.EstRows, r.Batches)
 		if r.Spills > 0 {
 			fmt.Fprintf(&sb, " spills=%d spilled=%d", r.Spills, r.SpilledBytes)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -47,20 +48,50 @@ type Scan struct {
 	// PreserveRuns requests RLE-form vectors where possible.
 	PreserveRuns bool
 
-	schema      *types.Schema
-	compactPred expr.Expr // predicate remapped onto predCols
-	predCols    []int     // output column indexes the predicate reads
-	containers  []*storage.ContainerReader
-	wosRows     []storage.WOSRow // visible WOS rows captured at Open
-	cur         int
-	curState    *containerScan
-	wosDone     bool
-	merged      *mergedScan
+	schema *types.Schema
+	// The predicate as a block answers it, compiled at Open (docs/
+	// ARCHITECTURE.md, "How the scan filters"): pruners skip blocks by
+	// min/max, keyBounds become a row range by binary search in the sorted
+	// key block, selector narrows it with kernels and the Eval fallback.
+	pruners   []expr.ColConst
+	keyBounds []expr.ColConst
+	selector  *expr.Selector
+	colNames  []string // storage name of each output column
+	// Per-block scratch, reused across blocks and containers, dropped at
+	// Close and never part of an emitted batch: each output column's decoded
+	// block, and the selection every filter step narrows in place.
+	blockCols []*vector.Vector
+	selBuf    []int
+	probe     *ScanProbe
+
+	containers []*storage.ContainerReader
+	wosRows    []storage.WOSRow // visible WOS rows captured at Open
+	cur        int
+	cs         containerScan // the open container's cursor, reused
+	curState   *containerScan
+	wosDone    bool
+	merged     *mergedScan
 	// singleSorted short-circuits MergeSorted when one container holds all
 	// visible rows: its storage order is already the requested order.
 	singleSorted bool
 	prof         OpProf
 }
+
+// ScanProbe is a test seam on the ROS scan's filter step. Only tests install
+// one; no option, statement or environment variable does.
+type ScanProbe struct {
+	// NoSeek sends sort-key conjuncts through the selection kernels instead
+	// (the seek-off axis of the TLP run).
+	NoSeek bool
+	// KeyCompares counts sort-key values a seek compared with a constant;
+	// Gathers the batches emitted as copies rather than as views.
+	KeyCompares, Gathers atomic.Int64
+}
+
+var scanProbe atomic.Pointer[ScanProbe]
+
+// SetScanProbe installs p for every scan opened from now on; nil removes it.
+func SetScanProbe(p *ScanProbe) { scanProbe.Store(p) }
 
 // NewScan builds a scan over the given projection columns.
 func NewScan(projection string, mgr *storage.Manager, schema *types.Schema, cols []int) *Scan {
@@ -101,17 +132,8 @@ func (s *Scan) Children() []Operator { return nil }
 
 // Open implements Operator.
 func (s *Scan) Open(ctx *Ctx) error {
-	if s.Predicate != nil {
-		s.predCols = expr.ColumnsOf(s.Predicate)
-		m := make(map[int]int, len(s.predCols))
-		for i, c := range s.predCols {
-			m[c] = i
-		}
-		cp, err := expr.Remap(s.Predicate, m)
-		if err != nil {
-			return err
-		}
-		s.compactPred = cp
+	if err := s.compileFilter(); err != nil {
+		return err
 	}
 	// One atomic view of containers + WOS: a moveout committing between two
 	// separate reads would show its rows in both stores or in neither.
@@ -163,9 +185,53 @@ func (s *Scan) Open(ctx *Ctx) error {
 	return nil
 }
 
+// compileFilter splits the predicate's conjuncts by how a block answers
+// them. Every <column> <op> <constant> prunes by min/max; those on the
+// leading sort column (but for <> and a NULL constant) bound a row range,
+// because every container is written sorted on SortKey; the rest select.
+func (s *Scan) compileFilter() error {
+	s.pruners, s.keyBounds, s.selector = s.pruners[:0], s.keyBounds[:0], nil
+	s.probe = scanProbe.Load()
+	seekCol := -1
+	if len(s.SortKey) > 0 && (s.probe == nil || !s.probe.NoSeek) {
+		seekCol = s.SortKey[0]
+	}
+	var rest []expr.Expr
+	for _, c := range expr.Conjuncts(s.Predicate) {
+		cc, ok := expr.AsColConst(c)
+		if ok {
+			s.pruners = append(s.pruners, cc)
+		}
+		if ok && cc.Col == seekCol && cc.Op != expr.Ne && !cc.Val.Null {
+			s.keyBounds = append(s.keyBounds, cc)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	if len(rest) > 0 {
+		var err error
+		if s.selector, err = expr.NewSelector(rest); err != nil {
+			return err
+		}
+	}
+	if s.colNames == nil {
+		s.colNames = make([]string, len(s.Columns))
+		for i, pc := range s.Columns {
+			s.colNames[i] = s.Mgr.Schema().Col(pc).Name
+		}
+		s.blockCols = make([]*vector.Vector, len(s.Columns))
+		s.cs.colIdx = make([]int, 0, len(s.Columns))
+		s.cs.pidx = make([][]storage.PidxEntry, 0, len(s.Columns))
+	}
+	return nil
+}
+
 // Close implements Operator.
 func (s *Scan) Close(*Ctx) error {
-	s.curState, s.merged = nil, nil
+	// A kept result's plan text may hold on to the scan: drop what it read.
+	s.curState, s.merged, s.containers, s.wosRows = nil, nil, nil, nil
+	s.cs, s.selBuf = containerScan{}, nil
+	clear(s.blockCols)
 	return nil
 }
 
@@ -217,93 +283,36 @@ type containerScan struct {
 	deleted   []int64 // sorted deleted positions at the snapshot
 	block     int
 	numBlocks int
-	pruners   []blockPruner
+	// keyNullBlocks is how many leading blocks may hold a NULL sort key:
+	// NULLs sort first, so none follows a block with a non-NULL value.
+	keyNullBlocks int
 }
 
-// blockPruner prunes blocks via one predicate conjunct of the form
-// <col> <op> <const>.
-type blockPruner struct {
-	outCol int // index into s.Columns (and pidx)
-	op     expr.CmpOp
-	val    types.Value
-}
-
-func (p *blockPruner) mayMatch(e *storage.PidxEntry) bool {
-	pr := storage.PruneRange{Min: e.Min, Max: e.Max, Valid: true}
-	switch p.op {
-	case expr.Eq:
-		return pr.MayContainEq(p.val)
-	case expr.Lt:
-		return pr.MayContainLt(p.val, false)
-	case expr.Le:
-		return pr.MayContainLt(p.val, true)
-	case expr.Gt:
-		return pr.MayContainGt(p.val, false)
-	case expr.Ge:
-		return pr.MayContainGt(p.val, true)
-	default:
-		return true
-	}
-}
-
-// extractPruners finds prunable conjuncts of the scan predicate.
-func (s *Scan) extractPruners() []blockPruner {
-	var out []blockPruner
-	for _, c := range expr.Conjuncts(s.Predicate) {
-		cmp, ok := c.(*expr.Cmp)
-		if !ok {
-			continue
-		}
-		if col, okL := cmp.L.(*expr.ColRef); okL {
-			if k, okR := cmp.R.(*expr.Const); okR {
-				out = append(out, blockPruner{outCol: col.Idx, op: cmp.Op, val: k.Val})
-			}
-			continue
-		}
-		if k, okL := cmp.L.(*expr.Const); okL {
-			if col, okR := cmp.R.(*expr.ColRef); okR {
-				out = append(out, blockPruner{outCol: col.Idx, op: cmp.Op.Swap(), val: k.Val})
-			}
-		}
-	}
-	return out
-}
-
+// openContainer points the scan's cursor at r.
 func (s *Scan) openContainer(ctx *Ctx, r *storage.ContainerReader) (*containerScan, error) {
-	st := &containerScan{r: r, epochIdx: -1}
-	st.colIdx = make([]int, len(s.Columns))
-	for i, pc := range s.Columns {
-		name := s.Mgr.Schema().Col(pc).Name
+	st := &s.cs
+	*st = containerScan{r: r, epochIdx: -1, colIdx: st.colIdx[:0], pidx: st.pidx[:0]}
+	for _, name := range s.colNames {
 		ci := r.Meta.ColIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("exec: container %s lacks column %q", r.Meta.ID, name)
 		}
-		st.colIdx[i] = ci
-	}
-	st.pidx = make([][]storage.PidxEntry, len(st.colIdx))
-	for i, ci := range st.colIdx {
 		p, err := r.Pidx(ci)
 		if err != nil {
 			return nil, err
 		}
-		st.pidx[i] = p
+		st.colIdx = append(st.colIdx, ci)
+		st.pidx = append(st.pidx, p)
 	}
 	if len(st.pidx) > 0 {
 		st.numBlocks = len(st.pidx[0])
 	}
-	// Container-level pruning: skip the whole container when a prunable
-	// conjunct excludes its full column range (paper §3.5).
-	st.pruners = s.extractPruners()
-	for _, p := range st.pruners {
-		rng, err := r.ColumnRange(st.colIdx[p.outCol])
-		if err != nil {
-			return nil, err
+	if len(s.keyBounds) > 0 {
+		key := st.pidx[s.keyBounds[0].Col]
+		for st.keyNullBlocks < len(key) && key[st.keyNullBlocks].Max.Null {
+			st.keyNullBlocks++
 		}
-		whole := storage.PidxEntry{Min: rng.Min, Max: rng.Max}
-		if rng.Valid && !p.mayMatch(&whole) {
-			ctx.BlocksPruned.Add(int64(st.numBlocks))
-			return nil, nil
-		}
+		st.keyNullBlocks++
 	}
 	// Epoch visibility: read the epoch column only when the container
 	// straddles the snapshot.
@@ -339,71 +348,105 @@ func (s *Scan) openContainer(ctx *Ctx, r *storage.ContainerReader) (*containerSc
 	return st, nil
 }
 
+// scratch returns the scan's selection buffer, at least n long. It is
+// allocated by the first block that has to drop a row from inside its range.
+func (s *Scan) scratch(n int) []int {
+	if cap(s.selBuf) < n {
+		s.selBuf = make([]int, max(n, storage.DefaultBlockRows))
+	}
+	return s.selBuf[:cap(s.selBuf)]
+}
+
+// decode fetches block b of output column i into the scan's per-block
+// scratch, unless a filter step already has.
+func (st *containerScan) decode(s *Scan, i, b int, preserveRuns bool) (*vector.Vector, error) {
+	if s.blockCols[i] == nil {
+		v, err := st.r.DecodeBlock(st.colIdx[i], &st.pidx[i][b], preserveRuns)
+		if err != nil {
+			return nil, err
+		}
+		s.blockCols[i] = v
+	}
+	return s.blockCols[i], nil
+}
+
 // nextBlock produces the batch for the next unpruned, visible block, or nil
-// when the container is exhausted.
+// when the container is exhausted. The rows that pass are the range [lo, hi)
+// of the block while sel is nil, and sel (in the scan's scratch) once a step
+// drops a row from the middle; a range is emitted as views of the decoded
+// blocks, a selection as a gather.
 func (st *containerScan) nextBlock(ctx *Ctx, s *Scan) (*vector.Batch, error) {
+blocks:
 	for st.block < st.numBlocks {
 		b := st.block
 		st.block++
-		pruned := false
-		for _, p := range st.pruners {
-			if !p.mayMatch(&st.pidx[p.outCol][b]) {
-				pruned = true
-				break
+		for _, p := range s.pruners {
+			if e := &st.pidx[p.Col][b]; !p.MayHold(e.Min, e.Max) {
+				ctx.BlocksPruned.Add(1)
+				continue blocks
 			}
-		}
-		if pruned {
-			ctx.BlocksPruned.Add(1)
-			continue
 		}
 		ctx.BlocksRead.Add(1)
-		var firstPos, nRows int64
+		entries := st.epochPidx
 		if len(st.pidx) > 0 {
-			firstPos, nRows = st.pidx[0][b].FirstPos, st.pidx[0][b].RowCount
-		} else {
-			firstPos, nRows = st.epochPidx[b].FirstPos, st.epochPidx[b].RowCount
+			entries = st.pidx[0]
 		}
-		cols := make([]*vector.Vector, len(s.Columns))
-		// Decode predicate columns first and evaluate (late materialization:
-		// remaining columns decode only if any row survives).
-		sel, err := st.evalPredicate(ctx, s, b, cols)
+		firstPos, n := entries[b].FirstPos, int(entries[b].RowCount)
+		clear(s.blockCols)
+		// Seek: the sort-key conjuncts as a row range.
+		lo, hi, err := st.keyRange(s, b, n)
 		if err != nil {
 			return nil, err
 		}
-		if sel != nil && len(sel) == 0 {
+		if lo >= hi {
 			continue
 		}
-		// Visibility: epoch column and delete vector.
-		sel, err = st.applyVisibility(ctx, s, b, firstPos, nRows, sel)
-		if err != nil {
-			return nil, err
-		}
-		if sel != nil && len(sel) == 0 {
-			continue
-		}
-		// Materialize remaining columns.
-		preserve := s.PreserveRuns && sel == nil
-		for i := range cols {
-			if cols[i] != nil {
-				continue
+		// The other conjuncts narrow the range; the columns they read decode
+		// first, the rest only if a row survives (late materialization).
+		var sel []int
+		if s.selector != nil {
+			for _, oc := range s.selector.Columns() {
+				if _, err := st.decode(s, oc, b, false); err != nil {
+					return nil, err
+				}
 			}
-			it := st.r.NewColumnIter(st.colIdx[i], nil)
-			it.PreserveRuns = preserve
-			if err := it.SkipTo(firstPos); err != nil {
+			if sel, err = s.selector.Narrow(s.blockCols, nil, lo, hi, s.scratch(n)); err != nil {
 				return nil, err
 			}
-			v, _, err := it.Next()
+			if len(sel) == 0 {
+				continue
+			}
+			if len(sel) == hi-lo {
+				sel = nil // every row of the range passed: still a range
+			}
+		}
+		// Visibility: delete vector and epoch column narrow the same rows.
+		if sel, err = st.applyVisibility(ctx, s, b, firstPos, lo, hi, sel); err != nil {
+			return nil, err
+		}
+		if sel != nil && len(sel) == 0 {
+			continue
+		}
+		// Materialize the output columns; a block that passes whole may keep
+		// its runs.
+		whole := sel == nil && lo == 0 && hi == n
+		batch := &vector.Batch{Cols: s.blockCols, Sel: sel}
+		if sel == nil {
+			batch.Cols = make([]*vector.Vector, len(s.blockCols))
+		}
+		for i := range s.blockCols {
+			v, err := st.decode(s, i, b, s.PreserveRuns && whole)
 			if err != nil {
 				return nil, err
 			}
-			if v == nil {
-				return nil, fmt.Errorf("exec: short column %d in %s", i, st.r.Meta.ID)
+			if sel == nil {
+				if !v.IsRLE() {
+					v = v.Slice(lo, hi)
+				}
+				batch.Cols[i] = v
 			}
-			cols[i] = v
 		}
-		batch := &vector.Batch{Cols: cols, Sel: sel}
-		// SIP filters: drop probe rows whose keys cannot match the join's
-		// hash table (paper §6.1).
+		// SIP filters drop rows whose keys cannot match the join (paper §6.1).
 		for _, sip := range s.SIPs {
 			before := batch.Len()
 			if err := sip.Apply(batch); err != nil {
@@ -411,98 +454,136 @@ func (st *containerScan) nextBlock(ctx *Ctx, s *Scan) (*vector.Batch, error) {
 			}
 			ctx.SIPFiltered.Add(int64(before - batch.Len()))
 			if batch.Len() == 0 {
-				break
+				continue blocks
 			}
-		}
-		if batch.Len() == 0 {
-			continue
 		}
 		ctx.RowsScanned.Add(int64(batch.Len()))
 		if batch.Sel != nil {
 			batch = batch.Flatten()
+			if s.probe != nil {
+				s.probe.Gathers.Add(1)
+			}
 		}
 		return batch, nil
 	}
 	return nil, nil
 }
 
-// evalPredicate decodes predicate columns into cols and returns the
-// selection (nil means "all rows pass" with no predicate).
-func (st *containerScan) evalPredicate(ctx *Ctx, s *Scan, b int, cols []*vector.Vector) ([]int, error) {
-	if s.compactPred == nil {
-		return nil, nil
+// keyRange answers the sort-key conjuncts for block b of n rows as a row
+// range. The block's min/max settle a bound that every value satisfies
+// without reading the block; any other is a binary search in the decoded
+// key block, which a scan reads anyway to emit the column. Blocks that may
+// start with NULL keys skip that prefix first: a NULL satisfies no bound.
+func (st *containerScan) keyRange(s *Scan, b, n int) (lo, hi int, err error) {
+	lo, hi = 0, n
+	if len(s.keyBounds) == 0 {
+		return lo, hi, nil
 	}
-	compact := make([]*vector.Vector, len(s.predCols))
-	for i, oc := range s.predCols {
-		it := st.r.NewColumnIter(st.colIdx[oc], nil)
-		if err := it.SkipTo(st.pidx[oc][b].FirstPos); err != nil {
-			return nil, err
+	kc := s.keyBounds[0].Col
+	e := &st.pidx[kc][b]
+	var key *vector.Vector
+	probes := 0
+	if b < st.keyNullBlocks {
+		if key, err = st.decode(s, kc, b, false); err != nil {
+			return 0, 0, err
 		}
-		v, _, err := it.Next()
-		if err != nil {
-			return nil, err
+		if key.Nulls != nil {
+			lo = sort.Search(n, func(i int) bool { probes++; return !key.Nulls[i] })
 		}
-		if v == nil {
-			return nil, fmt.Errorf("exec: short predicate column in %s", st.r.Meta.ID)
-		}
-		cols[oc] = v.Expand()
-		compact[i] = cols[oc]
 	}
-	return expr.SelectWhere(&vector.Batch{Cols: compact}, s.compactPred)
+	for _, c := range s.keyBounds {
+		if lo >= hi {
+			break
+		}
+		if c.Holds(e.Min) && c.Holds(e.Max) {
+			continue
+		}
+		if key == nil {
+			if key, err = st.decode(s, kc, b, false); err != nil {
+				return 0, 0, err
+			}
+		}
+		// first is the first row of [lo, hi) whose key is >= the constant,
+		// or > it when strict.
+		first := func(strict bool) int {
+			return lo + sort.Search(hi-lo, func(j int) bool {
+				probes++
+				c := c.CompareAt(key, lo+j)
+				return c > 0 || (c == 0 && !strict)
+			})
+		}
+		switch c.Op {
+		case expr.Eq:
+			lo = first(false)
+			hi = first(true)
+		case expr.Lt:
+			hi = first(false)
+		case expr.Le:
+			hi = first(true)
+		case expr.Gt:
+			lo = first(true)
+		case expr.Ge:
+			lo = first(false)
+		}
+	}
+	if s.probe != nil {
+		s.probe.KeyCompares.Add(int64(probes))
+	}
+	return lo, hi, nil
 }
 
-// applyVisibility intersects sel with epoch-visible, undeleted rows.
-func (st *containerScan) applyVisibility(ctx *Ctx, s *Scan, b int, firstPos, nRows int64, sel []int) ([]int, error) {
-	// Deleted positions within this block.
-	var delSet map[int]bool
-	lo := sort.Search(len(st.deleted), func(i int) bool { return st.deleted[i] >= firstPos })
-	hi := sort.Search(len(st.deleted), func(i int) bool { return st.deleted[i] >= firstPos+nRows })
-	if lo < hi {
-		delSet = make(map[int]bool, hi-lo)
-		for _, p := range st.deleted[lo:hi] {
-			delSet[int(p-firstPos)] = true
+// applyVisibility drops the rows of the range [lo, hi) — of sel, when not
+// nil — that the snapshot must not see: deleted at or before it, or
+// committed after it. The range stays a range (nil) when nothing is dropped.
+func (st *containerScan) applyVisibility(ctx *Ctx, s *Scan, b int, firstPos int64, lo, hi int, sel []int) ([]int, error) {
+	first, end := firstPos+int64(lo), firstPos+int64(hi)
+	if sel != nil {
+		first, end = firstPos+int64(sel[0]), firstPos+int64(sel[len(sel)-1])+1
+	}
+	dlo := sort.Search(len(st.deleted), func(i int) bool { return st.deleted[i] >= first })
+	dhi := dlo + sort.Search(len(st.deleted)-dlo, func(i int) bool { return st.deleted[dlo+i] >= end })
+	// The epoch block is read only when it holds a row newer than the snapshot.
+	newer := st.epochIdx >= 0 && types.Epoch(st.epochPidx[b].Max.I) > ctx.Epoch
+	if dlo == dhi && !newer {
+		return sel, nil
+	}
+	if sel == nil {
+		sel = s.scratch(hi - lo)[:hi-lo]
+		for j := range sel {
+			sel[j] = lo + j
 		}
 	}
-	var epochs *vector.Vector
-	if st.epochIdx >= 0 {
-		it := st.r.NewColumnIter(st.epochIdx, nil)
-		if err := it.SkipTo(firstPos); err != nil {
-			return nil, err
+	// Deleted positions are sorted, as the selection is: one merge.
+	if del := st.deleted[dlo:dhi]; len(del) > 0 {
+		m, d := 0, 0
+		for _, row := range sel {
+			pos := firstPos + int64(row)
+			for d < len(del) && del[d] < pos {
+				d++
+			}
+			if d == len(del) || del[d] != pos {
+				sel[m] = row
+				m++
+			}
 		}
-		v, _, err := it.Next()
+		sel = sel[:m]
+	}
+	if newer && len(sel) > 0 {
+		v, err := st.r.DecodeBlock(st.epochIdx, &st.epochPidx[b], false)
 		if err != nil {
 			return nil, err
 		}
-		epochs = v.Expand()
-	}
-	if delSet == nil && epochs == nil {
-		return sel, nil
-	}
-	visible := func(i int) bool {
-		if delSet != nil && delSet[i] {
-			return false
-		}
-		if epochs != nil && types.Epoch(epochs.Ints[i]) > ctx.Epoch {
-			return false
-		}
-		return true
-	}
-	var out []int
-	if sel == nil {
-		for i := 0; i < int(nRows); i++ {
-			if visible(i) {
-				out = append(out, i)
+		m := 0
+		for _, row := range sel {
+			if types.Epoch(v.Ints[row]) <= ctx.Epoch {
+				sel[m] = row
+				m++
 			}
 		}
-	} else {
-		for _, i := range sel {
-			if visible(i) {
-				out = append(out, i)
-			}
-		}
+		sel = sel[:m]
 	}
-	if out == nil {
-		out = []int{}
+	if len(sel) == hi-lo {
+		return nil, nil // a range went in and nothing was dropped
 	}
-	return out, nil
+	return sel, nil
 }

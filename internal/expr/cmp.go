@@ -141,194 +141,54 @@ func (c *Cmp) Type() types.Type { return types.Bool }
 
 // Eval implements Expr.
 func (c *Cmp) Eval(b *vector.Batch) (*vector.Vector, error) {
-	// Column-vs-constant kernels: comparing against a literal is the common
-	// scan predicate, and materializing the constant as a full vector per
-	// block (allocate + fill) costs more than the comparison itself.
-	if k, ok := c.R.(*Const); ok && !k.Val.Null {
-		lv, err := c.L.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		return c.evalConst(lv, k.Val, c.Op), nil
+	// Comparing against a literal is the common predicate, and materializing
+	// the constant as a full vector per block (allocate + fill) costs more
+	// than the comparison itself: a non-NULL constant stays a scalar, moved
+	// to the right-hand side.
+	l, r, op := c.L, c.R, c.Op
+	if k, ok := l.(*Const); ok && !k.Val.Null {
+		l, r, op = r, l, op.Swap()
 	}
-	if k, ok := c.L.(*Const); ok && !k.Val.Null {
-		rv, err := c.R.Eval(b)
-		if err != nil {
-			return nil, err
-		}
-		return c.evalConst(rv, k.Val, c.Op.Swap()), nil
-	}
-	lv, err := c.L.Eval(b)
+	lv, err := l.Eval(b)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := c.R.Eval(b)
+	if k, ok := r.(*Const); ok && !k.Val.Null {
+		return c.truth(lv, nil, k.Val, op), nil
+	}
+	rv, err := r.Eval(b)
 	if err != nil {
 		return nil, err
 	}
-	n := lv.PhysLen()
-	res := make([]int64, n)
-	nulls := mergeNulls(lv, rv, n)
-	switch c.kind {
-	case cmpInt:
-		li, ri := lv.Ints, rv.Ints
-		op := c.Op
-		// Tight per-type loops with the operator hoisted: the typed-kernel
-		// equivalent of Vertica's JIT-compiled comparisons.
-		switch op {
-		case Eq:
-			for i := 0; i < n; i++ {
-				if li[i] == ri[i] {
-					res[i] = 1
-				}
-			}
-		case Ne:
-			for i := 0; i < n; i++ {
-				if li[i] != ri[i] {
-					res[i] = 1
-				}
-			}
-		case Lt:
-			for i := 0; i < n; i++ {
-				if li[i] < ri[i] {
-					res[i] = 1
-				}
-			}
-		case Le:
-			for i := 0; i < n; i++ {
-				if li[i] <= ri[i] {
-					res[i] = 1
-				}
-			}
-		case Gt:
-			for i := 0; i < n; i++ {
-				if li[i] > ri[i] {
-					res[i] = 1
-				}
-			}
-		default:
-			for i := 0; i < n; i++ {
-				if li[i] >= ri[i] {
-					res[i] = 1
-				}
-			}
-		}
-	case cmpFloat:
-		lf, rf := asFloats(lv), asFloats(rv)
-		for i := 0; i < n; i++ {
-			var cc int
-			switch {
-			case lf[i] < rf[i]:
-				cc = -1
-			case lf[i] > rf[i]:
-				cc = 1
-			}
-			if cmpHolds(c.Op, cc) {
-				res[i] = 1
-			}
-		}
-	case cmpStr:
-		ls, rs := lv.Strs, rv.Strs
-		for i := 0; i < n; i++ {
-			var cc int
-			switch {
-			case ls[i] < rs[i]:
-				cc = -1
-			case ls[i] > rs[i]:
-				cc = 1
-			}
-			if cmpHolds(c.Op, cc) {
-				res[i] = 1
-			}
-		}
-	}
-	out := vector.NewFromInts(types.Bool, res)
-	out.Nulls = nulls
-	return out, nil
+	return c.truth(lv, rv, types.Value{}, op), nil
 }
 
-// evalConst compares vector v against the scalar k with operator op (already
-// swapped when the constant was the left operand). NULL rows of v yield NULL.
-func (c *Cmp) evalConst(v *vector.Vector, k types.Value, op CmpOp) *vector.Vector {
-	n := v.PhysLen()
-	res := make([]int64, n)
-	var nulls []bool
-	if v.Nulls != nil {
-		nulls = make([]bool, n)
-		copy(nulls, v.Nulls)
+// truth compares lv with rv row by row — with the scalar k when rv is nil —
+// into a Bool vector; a NULL operand yields NULL. One typed loop per operand
+// class (kernel.go), chosen at construction: the typed-kernel equivalent of
+// Vertica's JIT-compiled comparisons.
+func (c *Cmp) truth(lv, rv *vector.Vector, k types.Value, op CmpOp) *vector.Vector {
+	n := lv.PhysLen()
+	out := vector.NewFromInts(types.Bool, make([]int64, n))
+	if rv != nil {
+		out.Nulls = mergeNulls(lv, rv, n)
+	} else if lv.Nulls != nil {
+		out.Nulls = append([]bool(nil), lv.Nulls...)
 	}
-	switch c.kind {
-	case cmpInt:
-		li, kv := v.Ints, k.I
-		switch op {
-		case Eq:
-			for i := 0; i < n; i++ {
-				if li[i] == kv {
-					res[i] = 1
-				}
-			}
-		case Ne:
-			for i := 0; i < n; i++ {
-				if li[i] != kv {
-					res[i] = 1
-				}
-			}
-		case Lt:
-			for i := 0; i < n; i++ {
-				if li[i] < kv {
-					res[i] = 1
-				}
-			}
-		case Le:
-			for i := 0; i < n; i++ {
-				if li[i] <= kv {
-					res[i] = 1
-				}
-			}
-		case Gt:
-			for i := 0; i < n; i++ {
-				if li[i] > kv {
-					res[i] = 1
-				}
-			}
-		default:
-			for i := 0; i < n; i++ {
-				if li[i] >= kv {
-					res[i] = 1
-				}
-			}
-		}
-	case cmpFloat:
-		lf, kf := asFloats(v), scalarFloat(k)
-		for i := 0; i < n; i++ {
-			var cc int
-			switch {
-			case lf[i] < kf:
-				cc = -1
-			case lf[i] > kf:
-				cc = 1
-			}
-			if cmpHolds(op, cc) {
-				res[i] = 1
-			}
-		}
-	case cmpStr:
-		ls, ks := v.Strs, k.S
-		for i := 0; i < n; i++ {
-			var cc int
-			switch {
-			case ls[i] < ks:
-				cc = -1
-			case ls[i] > ks:
-				cc = 1
-			}
-			if cmpHolds(op, cc) {
-				res[i] = 1
-			}
-		}
+	r := rv
+	if r == nil {
+		r = &vector.Vector{} // no slices: truthInto compares with the scalar
 	}
-	out := vector.NewFromInts(types.Bool, res)
-	out.Nulls = nulls
+	switch {
+	case c.kind == cmpInt:
+		truthInto(out.Ints, lv.Ints, r.Ints, k.I, op)
+	case c.kind == cmpStr:
+		truthInto(out.Ints, lv.Strs, r.Strs, k.S, op)
+	case rv == nil:
+		truthInto(out.Ints, asFloats(lv), nil, scalarFloat(k), op)
+	default:
+		truthInto(out.Ints, asFloats(lv), asFloats(rv), 0, op)
+	}
 	return out
 }
 

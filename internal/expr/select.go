@@ -4,9 +4,10 @@ import (
 	"repro/internal/vector"
 )
 
-// SelectWhere evaluates a boolean predicate over the batch and returns the
-// selection vector of rows where it is true (intersected with any existing
-// selection on the batch). A nil predicate keeps all live rows.
+// SelectWhere returns the selection vector of the rows where a boolean
+// predicate is true (intersected with any existing selection on the batch).
+// A nil predicate keeps all live rows. The batch's own selection is left
+// untouched.
 func SelectWhere(b *vector.Batch, pred Expr) ([]int, error) {
 	if pred == nil {
 		if b.Sel != nil {
@@ -19,28 +20,13 @@ func SelectWhere(b *vector.Batch, pred Expr) ([]int, error) {
 		return sel, nil
 	}
 	b.ExpandRLE()
-	v, err := pred.Eval(b)
+	s, err := NewSelector(Conjuncts(pred))
 	if err != nil {
 		return nil, err
 	}
 	// The result is never nil on success: callers distinguish "no predicate"
 	// (nil) from "predicate matched zero rows" (empty).
-	out := []int{}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			if (v.Nulls == nil || !v.Nulls[i]) && v.Ints[i] != 0 {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
-	n := v.PhysLen()
-	for i := 0; i < n; i++ {
-		if (v.Nulls == nil || !v.Nulls[i]) && v.Ints[i] != 0 {
-			out = append(out, i)
-		}
-	}
-	return out, nil
+	return s.Narrow(b.Cols, b.Sel, 0, b.FullLen(), nil)
 }
 
 // Conjuncts splits a predicate into its top-level AND terms.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/resmgr"
 	"repro/internal/storage"
 )
 
@@ -179,7 +180,13 @@ type PhysicalPlan struct {
 
 // Explain renders the plan tree plus planner notes.
 func (p *PhysicalPlan) Explain() string {
-	out := exec.Describe(p.Root)
+	return p.ExplainRecords(exec.CollectProfiles(p.Root, ""))
+}
+
+// ExplainRecords is Explain over operator records already collected from
+// the plan, so a statement that keeps them describes each operator once.
+func (p *PhysicalPlan) ExplainRecords(recs []resmgr.OpProfile) string {
+	out := exec.FormatPlan(recs)
 	for _, n := range p.Notes {
 		out += "-- " + n + "\n"
 	}

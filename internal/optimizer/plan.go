@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -276,6 +277,16 @@ func buildTableScan(p Provider, q *LogicalQuery, tblIdx int, needed columnSet, c
 		projCols[i] = pi
 	}
 	scan := exec.NewScan(proj.Name, mgr, proj.Schema, projCols)
+	// The sort key as output columns — the longest prefix the scan reads.
+	// Every container is written in that order, which is what lets a
+	// predicate on the leading column seek (paper §3.1).
+	for _, k := range proj.SortKey() {
+		i := slices.Index(projCols, k)
+		if i < 0 {
+			break
+		}
+		scan.SortKey = append(scan.SortKey, i)
+	}
 	ts := &tableScan{
 		tblIdx: tblIdx, proj: proj, mgr: mgr, cols: cols,
 		colToOut: map[int]int{}, conjuncts: conjuncts,
@@ -728,6 +739,7 @@ func planParallelAggregate(q *LogicalQuery, plan *PhysicalPlan, scan *exec.Scan,
 		ws := exec.NewScan(scan.Projection, scan.Mgr, scanProjSchema(scan), scan.Columns)
 		ws.Predicate = scan.Predicate
 		ws.SIPs = scan.SIPs
+		ws.SortKey = scan.SortKey
 		ws.ContainerIDs = ids
 		if ids == nil {
 			ws.ContainerIDs = []string{}

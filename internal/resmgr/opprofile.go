@@ -1,5 +1,31 @@
 package resmgr
 
+import "sync"
+
+// PlanText is plan display text — one operator's line, or a whole EXPLAIN
+// tree — rendered at most once, and only if somebody reads it: describing
+// an operator costs a fmt.Sprintf per predicate, and most statements' plans
+// are never looked at. The zero value reads as "".
+type PlanText struct{ t *planText }
+
+type planText struct {
+	once   sync.Once
+	render func() string
+	text   string
+}
+
+// LazyText is text that render produces on first read.
+func LazyText(render func() string) PlanText { return PlanText{&planText{render: render}} }
+
+// String implements fmt.Stringer.
+func (p PlanText) String() string {
+	if p.t == nil {
+		return ""
+	}
+	p.t.once.Do(func() { p.t.text, p.t.render = p.t.render(), nil })
+	return p.t.text
+}
+
 // OpProfile is one operator's execution profile record, produced by the
 // execution engine after a query finishes (exec collects it from the plan's
 // collectors; this package only defines the record so the dependency stays
@@ -21,8 +47,9 @@ type OpProfile struct {
 	NodeID int `vt:"plan_node_id"`
 	// Depth is the operator's depth in the plan tree (root = 0).
 	Depth int `vt:"depth"`
-	// Op is the operator's Describe() line.
-	Op string `vt:"operator"`
+	// Op is the operator's Describe() line. Until it is read it holds on to
+	// the operator; the governor reads it when it retains the record.
+	Op PlanText `vt:"operator"`
 	// EstRows is the optimizer's cardinality estimate for this node.
 	EstRows int64 `vt:"est_rows"`
 	// Batches and Rows count the operator's output.

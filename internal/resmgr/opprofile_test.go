@@ -12,7 +12,7 @@ import (
 func opRecs(n int, op string) []OpProfile {
 	out := make([]OpProfile, n)
 	for i := range out {
-		out[i] = OpProfile{NodeID: i, Depth: i, Op: fmt.Sprintf("%s-%d", op, i), Rows: int64(i)}
+		out[i] = OpProfile{NodeID: i, Depth: i, Op: LazyText(func() string { return fmt.Sprintf("%s-%d", op, i) }), Rows: int64(i)}
 	}
 	return out
 }
@@ -38,7 +38,7 @@ func TestOpProfileRetainedWhenProfiled(t *testing.T) {
 		if r.QueryID != wantID {
 			t.Errorf("record %d QueryID = %d, want %d (the query_profiles id)", i, r.QueryID, wantID)
 		}
-		if r.Op != fmt.Sprintf("scan-%d", i) {
+		if r.Op.String() != fmt.Sprintf("scan-%d", i) {
 			t.Errorf("record %d = %+v, out of order", i, r)
 		}
 	}

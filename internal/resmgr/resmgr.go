@@ -605,6 +605,23 @@ func (g *Governor) dispatchLocked() {
 // release returns a grant's resources — the admitted bytes plus every
 // mid-flight extension — records its profile and wakes queues.
 func (g *Governor) release(gr *Grant) {
+	if !g.releaseLocked(gr) {
+		return
+	}
+	// Retain the operator records, stamped with the query id assigned at
+	// admission so the two v_monitor tables join — as text, not as the
+	// executed plan their Op still points into. Describing an operator is
+	// the engine's code: it runs outside the governor's lock.
+	for i := range gr.opRecs {
+		gr.opRecs[i].QueryID = gr.queryID
+		_ = gr.opRecs[i].Op.String()
+	}
+	g.opProfiles.Append(gr.opRecs...)
+}
+
+// releaseLocked is release under the governor's lock; it reports whether
+// the grant's operator records are to be retained.
+func (g *Governor) releaseLocked(gr *Grant) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	p := gr.pool
@@ -658,15 +675,8 @@ func (g *Governor) release(gr *Grant) {
 			"label", gr.label,
 		)
 	}
-	if len(gr.opRecs) > 0 && (gr.opProfiled || slow) {
-		// Stamp the records with the query id assigned at admission so the
-		// two v_monitor tables join, then retain them.
-		for i := range gr.opRecs {
-			gr.opRecs[i].QueryID = gr.queryID
-		}
-		g.opProfiles.Append(gr.opRecs...)
-	}
 	g.dispatchLocked()
+	return len(gr.opRecs) > 0 && (gr.opProfiled || slow)
 }
 
 // RecordFailure retains a query profile for a statement that failed before

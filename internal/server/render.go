@@ -31,8 +31,8 @@ func (st *session) writeResult(res *core.Result) {
 // writeOK renders a row-less statement's reply.
 func (st *session) writeOK(res *core.Result) {
 	st.out = append(st.out, "OK "...)
-	if res.Explain != "" {
-		st.out = appendOneLine(st.out, res.Explain, " | ")
+	if plan := res.Explain.String(); plan != "" {
+		st.out = appendOneLine(st.out, plan, " | ")
 	} else {
 		st.out = appendOneLine(st.out, res.Message, " ")
 	}

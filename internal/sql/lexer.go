@@ -67,7 +67,9 @@ func (l *lexer) error(pos int, format string, args ...interface{}) error {
 
 // lex tokenizes the whole input.
 func (l *lexer) lex() ([]token, error) {
-	var out []token
+	// One allocation for most statements: a token rarely takes fewer than
+	// four bytes of source, blanks included.
+	out := make([]token, 0, len(l.src)/4+2)
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {

@@ -63,6 +63,25 @@ func (g *QGen) boolExpr(t TableProfile, depth int) string {
 	}
 }
 
+// sortKeyPredicate generates a predicate whose first conjunct compares the
+// named column — a table's leading sort column — with a literal.
+func (g *QGen) sortKeyPredicate(t TableProfile, col string) string {
+	for _, c := range t.Cols {
+		if c.Name != col || len(c.Samples) == 0 {
+			continue
+		}
+		pred := fmt.Sprintf("%s %s %s", c.Name, cmpOps[g.rng.Intn(len(cmpOps))], g.literal(c))
+		switch g.rng.Intn(3) {
+		case 0:
+			pred = fmt.Sprintf("%s BETWEEN %s AND %s", c.Name, g.literal(c), g.literal(c))
+		case 1:
+			pred = fmt.Sprintf("(%s AND %s)", pred, g.boolExpr(t, 1))
+		}
+		return pred
+	}
+	return g.boolExpr(t, 2)
+}
+
 var cmpOps = []string{"=", "<>", "<", "<=", ">", ">="}
 
 func (g *QGen) leaf(t TableProfile) string {

@@ -160,8 +160,8 @@ var durTokens = regexp.MustCompile(` (?:time|blocked)=[0-9.]+ms`)
 // for PROFILE — actual-row/batch counters, with duration tokens stripped.
 // An ordinary query with zero matching rows still renders as zero lines.
 func renderRows(res *core.Result) []string {
-	if res.Schema == nil && res.Explain != "" {
-		text := durTokens.ReplaceAllString(strings.TrimRight(res.Explain, "\n"), "")
+	if plan := res.Explain.String(); res.Schema == nil && plan != "" {
+		text := durTokens.ReplaceAllString(strings.TrimRight(plan, "\n"), "")
 		return strings.Split(text, "\n")
 	}
 	out := make([]string, 0, len(res.Rows))

@@ -15,6 +15,12 @@
 // Every partition query additionally runs on a serial AND a parallel
 // (Parallelism=4, ForceParallel) engine and must agree as a multiset, so
 // each generated query is simultaneously a TLP and a differential probe.
+// A third, NoREC-style axis re-runs it on the serial engine with the scan's
+// sort-key seek switched off (exec.ScanProbe, a test-only seam): the same
+// predicate answered by binary search and by the selection kernels must
+// select the same rows. Two thirds into the setup the tuple mover runs on
+// both engines, so the tables the queries read sit partly in sorted ROS
+// containers — where a seek can happen — and partly in the WOS.
 package sqltest
 
 import (
@@ -25,6 +31,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/types"
 )
 
@@ -74,11 +81,18 @@ func RunTLP(t *testing.T, cfg TLPConfig) TLPStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, stmt := range cfg.Setup {
+	for i, stmt := range cfg.Setup {
 		_, errA := serial.Execute(stmt)
 		_, errB := parallel.Execute(stmt)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("TLP setup diverged: serial err=%v, parallel err=%v\n  %s", errA, errB, stmt)
+		}
+		if i == len(cfg.Setup)*2/3 {
+			for _, db := range []*core.Database{serial, parallel} {
+				if _, _, err := db.RunTupleMover(); err != nil {
+					t.Fatalf("TLP setup: tuple mover: %v", err)
+				}
+			}
 		}
 	}
 	profiles := ProfileTables(t, serial)
@@ -95,6 +109,20 @@ func RunTLP(t *testing.T, cfg TLPConfig) TLPStats {
 		} else {
 			run.checkDistinct(i, tp, pred, g)
 		}
+	}
+	// Predicates a scan can seek on: a comparison or a range on the leading
+	// sort column of the table's super projection, alone or ANDed with a
+	// generated predicate. Drawn after the main stream, which they leave as
+	// it was.
+	for i := 0; i < cfg.Predicates/2; i++ {
+		tp := profiles[g.rng.Intn(len(profiles))]
+		proj, err := serial.Catalog().SuperProjection(tp.Name)
+		if err != nil || len(proj.SortOrder) == 0 {
+			continue
+		}
+		pred := g.sortKeyPredicate(tp, proj.SortOrder[0])
+		run.checkRowset(cfg.Predicates+i, tp, pred)
+		run.checkAggregate(cfg.Predicates+i, tp, pred)
 	}
 	return TLPStats{Predicates: cfg.Predicates, Queries: run.queries}
 }
@@ -162,15 +190,26 @@ func (r *tlpRun) rows(idx int, sql string) ([]string, bool) {
 			r.seed, idx, errA, errB, sql, r.repro())
 		return nil, false
 	}
-	a, b := renderRows(resA), renderRows(resB)
-	sort.Strings(a)
-	sort.Strings(b)
-	if strings.Join(a, "\n") != strings.Join(b, "\n") {
-		r.t.Errorf("parallel-vs-serial divergence (seed=%d, predicate #%d):\n  %s\nserial:\n  %s\nparallel:\n  %s\n%s",
-			r.seed, idx, sql, strings.Join(a, "\n  "), strings.Join(b, "\n  "), r.repro())
+	exec.SetScanProbe(&exec.ScanProbe{NoSeek: true})
+	resC, errC := r.serial.Execute(sql)
+	exec.SetScanProbe(nil)
+	if errC != nil {
+		r.t.Errorf("TLP query error with seek off (seed=%d, predicate #%d): %v\n  %s\n%s", r.seed, idx, errC, sql, r.repro())
 		return nil, false
 	}
-	return a, true
+	var got [3][]string
+	for i, res := range []*core.Result{resA, resB, resC} {
+		got[i] = renderRows(res)
+		sort.Strings(got[i])
+	}
+	for i, axis := range []string{"parallel-vs-serial", "seek-vs-kernel"} {
+		if a, b := strings.Join(got[0], "\n  "), strings.Join(got[i+1], "\n  "); a != b {
+			r.t.Errorf("%s divergence (seed=%d, predicate #%d):\n  %s\nserial:\n  %s\nother:\n  %s\n%s",
+				axis, r.seed, idx, sql, a, b, r.repro())
+			return nil, false
+		}
+	}
+	return got[0], true
 }
 
 // partitionSQL renders the unpartitioned query and its three TLP partitions.

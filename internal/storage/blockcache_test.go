@@ -18,11 +18,11 @@ func TestBlockCacheHitOnRepeatedDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits0 := metrics.BlockCacheHits.Value()
-	v1, err := r.decodeBlock(0, &pidx[0], false)
+	v1, err := r.DecodeBlock(0, &pidx[0], false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := r.decodeBlock(0, &pidx[0], false)
+	v2, err := r.DecodeBlock(0, &pidx[0], false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestBlockCacheHitOnRepeatedDecode(t *testing.T) {
 	}
 	// preserveRuns requests a different vector shape: it must not alias the
 	// flat cached entry.
-	v3, err := r.decodeBlock(1, &pidx[0], true)
+	v3, err := r.DecodeBlock(1, &pidx[0], true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4, err := r.decodeBlock(1, &pidx[0], false)
+	v4, err := r.DecodeBlock(1, &pidx[0], false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBlockCacheBudgetAndEviction(t *testing.T) {
 	SetBlockCacheBudget(1200)
 	ev0 := metrics.BlockCacheEvictions.Value()
 	for i := 0; i < len(pidx); i++ {
-		if _, err := r.decodeBlock(0, &pidx[i], false); err != nil {
+		if _, err := r.DecodeBlock(0, &pidx[i], false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func TestBlockCacheBudgetAndEviction(t *testing.T) {
 	if used := BlockCacheUsed(); used != 0 {
 		t.Fatalf("cache not emptied by zero budget: %d bytes", used)
 	}
-	if _, err := r.decodeBlock(0, &pidx[0], false); err != nil {
+	if _, err := r.DecodeBlock(0, &pidx[0], false); err != nil {
 		t.Fatal(err)
 	}
 	if used := BlockCacheUsed(); used != 0 {
@@ -96,14 +96,14 @@ func TestBlockCacheDistinctColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := r.decodeBlock(c, &pidx[0], false)
+		v, err := r.DecodeBlock(c, &pidx[0], false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v.Typ != typ {
 			t.Fatalf("col %d decoded as %s, want %s", c, v.Typ, typ)
 		}
-		again, err := r.decodeBlock(c, &pidx[0], false)
+		again, err := r.DecodeBlock(c, &pidx[0], false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,6 +80,9 @@ func (s *DVStore) Add(target string, entries []DVEntry) {
 func (s *DVStore) Get(target string) []DVEntry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if len(s.mem[target])+len(s.disk[target]) == 0 {
+		return nil // the common case on a scan's path: nothing to copy or sort
+	}
 	out := make([]DVEntry, 0, len(s.mem[target])+len(s.disk[target]))
 	out = append(out, s.disk[target]...)
 	out = append(out, s.mem[target]...)

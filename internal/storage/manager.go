@@ -261,13 +261,16 @@ type ScanView struct {
 	Gen        int64
 	Containers []*ContainerReader
 	WOSRows    []WOSRow
-	byID       map[string]*ContainerReader
 }
 
-// Container resolves a container ID within the view.
+// Container resolves a container ID within the view, whose containers are
+// sorted by ID.
 func (v *ScanView) Container(id string) (*ContainerReader, bool) {
-	r, ok := v.byID[id]
-	return r, ok
+	i := sort.Search(len(v.Containers), func(i int) bool { return v.Containers[i].Meta.ID >= id })
+	if i < len(v.Containers) && v.Containers[i].Meta.ID == id {
+		return v.Containers[i], true
+	}
+	return nil, false
 }
 
 // ScanView captures containers, visible WOS rows and WOS delete vectors
@@ -276,18 +279,7 @@ func (v *ScanView) Container(id string) (*ContainerReader, bool) {
 func (m *Manager) ScanView(epoch types.Epoch, includeWOS bool) *ScanView {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	v := &ScanView{
-		Gen:        m.gen,
-		Containers: make([]*ContainerReader, 0, len(m.containers)),
-		byID:       make(map[string]*ContainerReader, len(m.containers)),
-	}
-	for id, r := range m.containers {
-		v.Containers = append(v.Containers, r)
-		v.byID[id] = r
-	}
-	sort.Slice(v.Containers, func(i, j int) bool {
-		return v.Containers[i].Meta.ID < v.Containers[j].Meta.ID
-	})
+	v := &ScanView{Gen: m.gen, Containers: m.containersLocked()}
 	if includeWOS {
 		rows := m.wos.Snapshot(epoch)
 		if deleted := m.dvs.DeletedAt(WOSTarget, epoch); len(deleted) > 0 {

@@ -86,50 +86,3 @@ func readPidx(path string, t types.Type) ([]PidxEntry, error) {
 	}
 	return out, nil
 }
-
-// PruneRange reports whether a block whose values span [min, max] could
-// contain a value satisfying `op bound` (used for plan-time and scan-time
-// container/block pruning, paper §3.5: "Vertica stores the minimum and
-// maximum values of the column data in each ROS to quickly prune containers
-// ... that can not possibly pass query predicates").
-type PruneRange struct {
-	Min, Max types.Value
-	Valid    bool // false when min/max are unknown (e.g. all-NULL)
-}
-
-// MayContainEq reports whether the range may contain v.
-func (r PruneRange) MayContainEq(v types.Value) bool {
-	if !r.Valid || v.Null {
-		return true
-	}
-	if r.Min.Null || r.Max.Null {
-		return true
-	}
-	return v.Compare(r.Min) >= 0 && v.Compare(r.Max) <= 0
-}
-
-// MayContainLt reports whether the range may contain a value < v (or <= v
-// when orEqual is set).
-func (r PruneRange) MayContainLt(v types.Value, orEqual bool) bool {
-	if !r.Valid || v.Null || r.Min.Null {
-		return true
-	}
-	c := r.Min.Compare(v)
-	if orEqual {
-		return c <= 0
-	}
-	return c < 0
-}
-
-// MayContainGt reports whether the range may contain a value > v (or >= v
-// when orEqual is set).
-func (r PruneRange) MayContainGt(v types.Value, orEqual bool) bool {
-	if !r.Valid || v.Null || r.Max.Null {
-		return true
-	}
-	c := r.Max.Compare(v)
-	if orEqual {
-		return c >= 0
-	}
-	return c > 0
-}

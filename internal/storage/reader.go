@@ -122,32 +122,6 @@ func (r *ContainerReader) RetiredDVs() ([]DVEntry, bool) {
 	return r.retiredDVs, r.retired
 }
 
-// ColumnRange returns the min/max across all blocks of a column, for
-// container-level pruning at plan time.
-func (r *ContainerReader) ColumnRange(c int) (PruneRange, error) {
-	pidx, err := r.Pidx(c)
-	if err != nil {
-		return PruneRange{}, err
-	}
-	var out PruneRange
-	for _, e := range pidx {
-		if e.Min.Null && e.Max.Null {
-			continue // all-NULL block constrains nothing
-		}
-		if !out.Valid {
-			out = PruneRange{Min: e.Min, Max: e.Max, Valid: true}
-			continue
-		}
-		if e.Min.Compare(out.Min) < 0 {
-			out.Min = e.Min
-		}
-		if e.Max.Compare(out.Max) > 0 {
-			out.Max = e.Max
-		}
-	}
-	return out, nil
-}
-
 // BlockFilter decides whether a block may be skipped given its min/max.
 // Returning false prunes the block.
 type BlockFilter func(e *PidxEntry) bool
@@ -181,7 +155,7 @@ func (it *ColumnIter) Next() (*vector.Vector, int64, error) {
 		if it.filter != nil && !it.filter(e) {
 			continue
 		}
-		v, err := it.r.decodeBlock(it.col, e, it.PreserveRuns)
+		v, err := it.r.DecodeBlock(it.col, e, it.PreserveRuns)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -203,7 +177,11 @@ func (it *ColumnIter) SkipTo(p int64) error {
 	return nil
 }
 
-func (r *ContainerReader) decodeBlock(c int, e *PidxEntry, preserveRuns bool) (*vector.Vector, error) {
+// DecodeBlock returns the decoded block a position-index entry of column c
+// describes, through the shared block cache: the vector is read-only. It is
+// random access for a caller that already holds the column's index;
+// ColumnIter walks a column with it.
+func (r *ContainerReader) DecodeBlock(c int, e *PidxEntry, preserveRuns bool) (*vector.Vector, error) {
 	key := blockKey{r: r, col: c, offset: e.Offset, preserveRuns: preserveRuns}
 	if v, ok := sharedBlockCache.get(key); ok {
 		return v, nil
@@ -246,7 +224,7 @@ func (r *ContainerReader) FetchPositions(c int, positions []int64) (*vector.Vect
 			return nil, fmt.Errorf("storage: position %d out of range in %s", p, r.Dir)
 		}
 		if bi != curBlock {
-			cur, err = r.decodeBlock(c, &pidx[bi], false)
+			cur, err = r.DecodeBlock(c, &pidx[bi], false)
 			if err != nil {
 				return nil, err
 			}

@@ -142,10 +142,7 @@ func TestBlockPruning(t *testing.T) {
 	// should be decoded.
 	bound := types.NewInt(200)
 	blocks := 0
-	it := r.NewColumnIter(0, func(e *PidxEntry) bool {
-		pr := PruneRange{Min: e.Min, Max: e.Max, Valid: true}
-		return pr.MayContainGt(bound, true)
-	})
+	it := r.NewColumnIter(0, func(e *PidxEntry) bool { return e.Max.Compare(bound) >= 0 })
 	for {
 		v, first, err := it.Next()
 		if err != nil {
@@ -161,37 +158,6 @@ func TestBlockPruning(t *testing.T) {
 	}
 	if blocks != 1 {
 		t.Errorf("decoded %d blocks, want 1", blocks)
-	}
-}
-
-func TestColumnRangeAndPruneRange(t *testing.T) {
-	dir := t.TempDir()
-	r, _ := writeTestContainer(t, dir, 100)
-	pr, err := r.ColumnRange(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pr.Valid || pr.Min.I != 0 || pr.Max.I != 99 {
-		t.Fatalf("ColumnRange = %+v", pr)
-	}
-	if pr.MayContainEq(types.NewInt(150)) {
-		t.Error("150 cannot be in [0,99]")
-	}
-	if !pr.MayContainEq(types.NewInt(50)) {
-		t.Error("50 must be in [0,99]")
-	}
-	if pr.MayContainGt(types.NewInt(99), false) {
-		t.Error("nothing > 99 in [0,99]")
-	}
-	if !pr.MayContainGt(types.NewInt(99), true) {
-		t.Error(">= 99 must match")
-	}
-	if pr.MayContainLt(types.NewInt(0), false) {
-		t.Error("nothing < 0 in [0,99]")
-	}
-	var invalid PruneRange
-	if !invalid.MayContainEq(types.NewInt(5)) {
-		t.Error("invalid range must never prune")
 	}
 }
 

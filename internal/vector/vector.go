@@ -395,7 +395,10 @@ func cmpOrdered[T int64 | float64 | string](x, y T) int {
 	}
 }
 
-// Slice returns a view of rows [lo, hi) of a flat vector (shares storage).
+// Slice returns a view of rows [lo, hi) of a flat vector. The view shares
+// storage with v but is capped at its own length, so appending to it
+// reallocates instead of writing into v's rows past hi — v may be a decoded
+// block that every scan shares.
 func (v *Vector) Slice(lo, hi int) *Vector {
 	if v.RunLens != nil {
 		panic("vector: Slice on RLE vector")
@@ -403,14 +406,14 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 	out := &Vector{Typ: v.Typ}
 	switch v.Typ {
 	case types.Float64:
-		out.Floats = v.Floats[lo:hi]
+		out.Floats = v.Floats[lo:hi:hi]
 	case types.Varchar:
-		out.Strs = v.Strs[lo:hi]
+		out.Strs = v.Strs[lo:hi:hi]
 	default:
-		out.Ints = v.Ints[lo:hi]
+		out.Ints = v.Ints[lo:hi:hi]
 	}
 	if v.Nulls != nil {
-		out.Nulls = v.Nulls[lo:hi]
+		out.Nulls = v.Nulls[lo:hi:hi]
 	}
 	return out
 }
