@@ -57,8 +57,9 @@ sqltest-update:
 # override with TLP_SEED, reproduce failures with the seed a failure
 # prints), the continuous-ingest burst, the recovery differential oracle
 # with the stored-row reader's seeded case (override with ORACLE_SEED; more
-# steps than the tier-1 run takes), and the predicate oracles of the scan
-# and of the expression evaluators (ORACLE_SEED too). Mirrored in CI.
+# steps than the tier-1 run takes), the predicate oracles of the scan and
+# of the expression evaluators, and the sorted-stream oracle of everything
+# that sorts, merges or spills (ORACLE_SEED too). Mirrored in CI.
 TLP_SEED ?= 20120827
 ORACLE_SEED ?= 20120827
 test-metamorphic:
@@ -67,6 +68,7 @@ test-metamorphic:
 	$(GO) test -race ./internal/cluster -run 'TestRecoveryOracle' -count=1 -oracle.seed $(ORACLE_SEED) -oracle.steps 60
 	$(GO) test -race ./internal/storage -run 'TestStoredReaderMatchesDVStore|TestPlacedRowsReadBack' -count=1
 	$(GO) test -race ./internal/exec -run 'TestPredicateOracle' -count=1 -pred.seed $(ORACLE_SEED) -pred.cases 200
+	$(GO) test -race ./internal/exec -run 'TestSortedStreamOracle' -count=1 -sorted.seed $(ORACLE_SEED) -sorted.cases 200
 	$(GO) test -race ./internal/expr -run 'MatchesEvalRow|LikeEvalRow' -count=1 -expr.seed $(ORACLE_SEED)
 
 # Fail if the parser accepts a statement keyword docs/SQL.md never mentions,

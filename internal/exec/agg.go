@@ -388,15 +388,6 @@ func (t *accTable) appendFinals(cols []*vector.Vector, groups []int) {
 	}
 }
 
-// partialRow appends group g's partial-state values to a row (spill runs).
-func (t *accTable) partialRow(row types.Row, g int) types.Row {
-	na := len(t.specs)
-	for a := 0; a < na; a++ {
-		row = t.accs[g*na+a].partial(row)
-	}
-	return row
-}
-
 // distinctKey canonicalizes a value for distinct-set membership.
 func distinctKey(v types.Value) string {
 	switch v.Typ {

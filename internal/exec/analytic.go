@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -78,16 +77,19 @@ func (a *AnalyticSpec) ResultType(in *types.Schema) types.Type {
 	}
 }
 
-// Analytic computes windowed aggregates. It materializes its input, sorts by
-// (partition, order) and appends one column per spec.
+// Analytic computes windowed aggregates: it sorts its input by (partition,
+// order) with the one sorter (sorted.go) — within the operator's budget,
+// spilling under SORT_SPILLED like any sort — and walks the sorted stream a
+// partition at a time, appending one column per spec. It holds one
+// partition, not its input.
 type Analytic struct {
 	single
 	Specs []AnalyticSpec
 
 	schema *types.Schema
-	out    []types.Row
-	pos    int
-	done   bool
+	runs   runSet
+	in     *cursor     // the sorted input, once the child is consumed
+	out    batchStream // the partition last computed, a batch at a time
 	prof   OpProf
 }
 
@@ -123,100 +125,99 @@ func (a *Analytic) Describe() string {
 
 // Open implements Operator.
 func (a *Analytic) Open(ctx *Ctx) error {
-	a.out, a.pos, a.done = nil, 0, false
+	a.runs.close()
+	a.in, a.out = nil, nil
 	return a.openChild(ctx)
 }
 
 // Close implements Operator.
-func (a *Analytic) Close(ctx *Ctx) error { return a.closeChild(ctx) }
+func (a *Analytic) Close(ctx *Ctx) error {
+	a.runs.close()
+	a.in, a.out = nil, nil
+	return a.closeChild(ctx)
+}
 
 // next is the operator body behind the profiled Next (profile.go).
 func (a *Analytic) next(ctx *Ctx) (*vector.Batch, error) {
-	if !a.done {
-		if err := a.compute(ctx); err != nil {
+	if a.in == nil {
+		spec0 := &a.Specs[0]
+		specs := append(keySpecs(spec0.PartitionCols), spec0.OrderBy...)
+		sorter := newSorter(ctx, a.child.Schema(), specs, &a.runs, &a.prof)
+		if err := sorter.addAll(ctx, a.child); err != nil {
 			return nil, err
 		}
-		a.done = true
+		a.in = &cursor{src: sorter.finish()}
+		if _, err := a.in.load(ctx); err != nil {
+			return nil, err
+		}
 	}
-	if a.pos >= len(a.out) {
-		return nil, nil
+	for {
+		if a.out != nil {
+			if b, err := a.out(ctx); b != nil || err != nil {
+				return b, err
+			}
+		}
+		if a.in.batch == nil {
+			return nil, nil
+		}
+		part, err := a.nextPartition(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out, err := a.computePartition(part)
+		if err != nil {
+			return nil, err
+		}
+		a.out = sliceSource(out)
 	}
-	batch := vector.NewBatchForSchema(a.schema, vector.DefaultBatchSize)
-	for a.pos < len(a.out) && batch.Len() < vector.DefaultBatchSize {
-		batch.AppendRow(a.out[a.pos])
-		a.pos++
-	}
-	return batch, nil
 }
 
-func (a *Analytic) compute(ctx *Ctx) error {
-	var rows []types.Row
-	for {
-		b, err := a.child.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		rows = append(rows, b.Rows()...)
-	}
-	spec0 := a.Specs[0]
-	// Sort by partition columns then window order.
-	sortSpecs := make([]SortSpec, 0, len(spec0.PartitionCols)+len(spec0.OrderBy))
-	for _, p := range spec0.PartitionCols {
-		sortSpecs = append(sortSpecs, SortSpec{Col: p})
-	}
-	sortSpecs = append(sortSpecs, spec0.OrderBy...)
-	sort.SliceStable(rows, func(i, j int) bool {
-		return compareRows(rows[i], rows[j], sortSpecs) < 0
-	})
-	// Process per partition.
-	start := 0
-	for start < len(rows) {
-		end := start + 1
-		for end < len(rows) && samePartition(rows[start], rows[end], spec0.PartitionCols) {
+// nextPartition collects the rows of the sorted input, from the cursor's
+// row on, that share its partition key.
+func (a *Analytic) nextPartition(ctx *Ctx) (*vector.Batch, error) {
+	c, key := a.in, keySpecs(a.Specs[0].PartitionCols)
+	first, part := c.batch.SliceRows(c.pos, c.pos+1), vector.NewBatchForSchema(a.child.Schema(), 0)
+	for c.batch != nil {
+		end := c.pos
+		for end < c.batch.Len() && compareAt(first, 0, c.batch, end, key) == 0 {
 			end++
 		}
-		if err := a.computePartition(rows[start:end]); err != nil {
-			return err
+		if end == c.pos {
+			break
 		}
-		start = end
-	}
-	a.out = rows
-	return nil
-}
-
-func samePartition(a, b types.Row, cols []int) bool {
-	for _, c := range cols {
-		if a[c].Compare(b[c]) != 0 {
-			return false
+		part.AppendRows(c.batch, c.pos, end)
+		if _, err := c.skip(ctx, end-c.pos); err != nil {
+			return nil, err
 		}
 	}
-	return true
+	ctx.noteAlloc(&a.prof, batchBytes(part, 0))
+	return part, nil
 }
 
-// computePartition appends analytic values to each row of one partition
-// (rows are already window-ordered).
-func (a *Analytic) computePartition(part []types.Row) error {
+// computePartition returns the partition (already window-ordered) with each
+// spec's column appended.
+func (a *Analytic) computePartition(part *vector.Batch) (*vector.Batch, error) {
+	n := part.Len()
+	out := &vector.Batch{Cols: append([]*vector.Vector{}, part.Cols...)}
 	for si := range a.Specs {
 		spec := &a.Specs[si]
+		col := vector.New(a.schema.Col(len(out.Cols)).Typ, n)
 		switch spec.Kind {
 		case AnRowNumber:
-			for i := range part {
-				part[i] = append(part[i], types.NewInt(int64(i+1)))
+			for i := range n {
+				col.Ints = append(col.Ints, int64(i+1))
 			}
 		case AnRank, AnDenseRank:
 			rank, dense := int64(1), int64(1)
-			for i := range part {
-				if i > 0 && compareRows(part[i-1], part[i], spec.OrderBy) != 0 {
+			for i := range n {
+				if i > 0 && compareAt(part, i-1, part, i, spec.OrderBy) != 0 {
 					rank = int64(i + 1)
 					dense++
 				}
 				if spec.Kind == AnRank {
-					part[i] = append(part[i], types.NewInt(rank))
+					col.Ints = append(col.Ints, rank)
 				} else {
-					part[i] = append(part[i], types.NewInt(dense))
+					col.Ints = append(col.Ints, dense)
 				}
 			}
 		case AnLag, AnLead:
@@ -224,28 +225,28 @@ func (a *Analytic) computePartition(part []types.Row) error {
 			if off == 0 {
 				off = 1
 			}
-			typ := a.schema.Col(len(part[0])).Typ
-			for i := range part {
-				src := i - off
-				if spec.Kind == AnLead {
-					src = i + off
-				}
-				if src < 0 || src >= len(part) {
-					part[i] = append(part[i], types.NewNull(typ))
+			if spec.Kind == AnLag {
+				off = -off
+			}
+			for i := range n {
+				if src := i + off; src < 0 || src >= n {
+					col.AppendNull()
 				} else {
-					part[i] = append(part[i], part[src][spec.ArgCol])
+					col.AppendEntry(part.Cols[spec.ArgCol], src)
 				}
 			}
 		default:
-			if err := a.runningAgg(part, spec); err != nil {
-				return err
+			if err := runningAgg(part, spec, col); err != nil {
+				return nil, err
 			}
 		}
+		out.Cols = append(out.Cols, col)
 	}
-	return nil
+	return out, nil
 }
 
-func (a *Analytic) runningAgg(part []types.Row, spec *AnalyticSpec) error {
+// runningAgg appends spec's aggregate over the partition to col.
+func runningAgg(part *vector.Batch, spec *AnalyticSpec, col *vector.Vector) error {
 	kindMap := map[AnalyticKind]AggKind{
 		AnSum: AggSum, AnAvg: AggAvg, AnCount: AggCount, AnMin: AggMin, AnMax: AggMax,
 	}
@@ -253,48 +254,28 @@ func (a *Analytic) runningAgg(part []types.Row, spec *AnalyticSpec) error {
 	if !ok {
 		return fmt.Errorf("exec: unsupported analytic %s", spec.Kind)
 	}
-	argType := types.Int64
+	acc := &aggAcc{kind: aggKind, typ: types.Int64}
+	update := func(i int) { acc.update(types.Value{}) }
 	if spec.ArgCol >= 0 {
-		argType = part[0][spec.ArgCol].Typ
-		if argType == types.Invalid {
-			argType = a.child.Schema().Col(spec.ArgCol).Typ
-		}
+		arg := part.Cols[spec.ArgCol]
+		acc.typ = arg.Typ
+		update = func(i int) { acc.update(arg.ValueAt(i)) }
 	}
-	if len(spec.OrderBy) == 0 {
-		// Whole-partition aggregate: one value for every row.
-		acc := &aggAcc{kind: aggKind, typ: argType}
-		for i := range part {
-			if spec.ArgCol >= 0 {
-				acc.update(part[i][spec.ArgCol])
-			} else {
-				acc.update(types.Value{})
-			}
-		}
-		v := acc.final()
-		for i := range part {
-			part[i] = append(part[i], v)
-		}
-		return nil
-	}
-	// Running aggregate with peer-row semantics: rows tied in the window
-	// order share the frame end (RANGE UNBOUNDED PRECEDING .. CURRENT ROW).
-	acc := &aggAcc{kind: aggKind, typ: argType}
-	i := 0
-	for i < len(part) {
+	// With an ORDER BY the aggregate is running, with peer-row semantics:
+	// rows tied in the window order share the frame end (RANGE UNBOUNDED
+	// PRECEDING .. CURRENT ROW). Without one every row is a peer of every
+	// other: one value for the whole partition.
+	n := part.Len()
+	for i := 0; i < n; {
 		j := i
-		for j < len(part) && compareRows(part[i], part[j], spec.OrderBy) == 0 {
-			if spec.ArgCol >= 0 {
-				acc.update(part[j][spec.ArgCol])
-			} else {
-				acc.update(types.Value{})
-			}
+		for j < n && compareAt(part, i, part, j, spec.OrderBy) == 0 {
+			update(j)
 			j++
 		}
 		v := acc.final()
-		for k := i; k < j; k++ {
-			part[k] = append(part[k], v)
+		for ; i < j; i++ {
+			col.AppendValue(v)
 		}
-		i = j
 	}
 	return nil
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
+	"repro/internal/dc"
 	"repro/internal/expr"
 	"repro/internal/resmgr"
 	"repro/internal/types"
@@ -129,52 +131,134 @@ func TestGroupByAndJoinCancel(t *testing.T) {
 	})
 }
 
-// TestSpillReportsToGrant runs a governed, spilling sort on a pool whose
-// MAXMEMORYSIZE equals its grant — every renegotiation is denied, so the
-// sort externalizes and the grant's counters reflect both the spills and
-// the denied extensions.
+// TestSpillReportsToGrant runs a governed, spilling sort — on its own, and
+// inside an Analytic — on a pool whose MAXMEMORYSIZE equals its grant: every
+// renegotiation is denied, so the sorter externalizes, the grant's counters
+// reflect both the spills and the denied extensions, the event ring behind
+// v_monitor.query_events records SORT_SPILLED, and the answer over an input
+// several times the budget is the unbounded-budget answer.
 func TestSpillReportsToGrant(t *testing.T) {
-	gov := resmgr.NewGovernor(resmgr.Config{PoolBytes: 1 << 20, MaxConcurrency: 2})
-	if err := gov.CreatePool(resmgr.PoolConfig{Name: "tight", GrantBytes: 4 << 10, MaxMemBytes: 4 << 10}); err != nil {
-		t.Fatal(err)
+	// 2000 rows of the stream: stop after 4 batches by wrapping with Limit.
+	input := func() Operator {
+		src := &cancelSource{schema: cancelSchema(), rowsPer: 500, cancelAfter: -1, cancel: func() {}}
+		return NewLimit(src, 0, 2000)
 	}
-	grant, err := gov.Admit(resmgr.WithPool(context.Background(), "tight"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer grant.Release()
+	for _, tc := range []struct {
+		name string
+		op   func() Operator
+	}{
+		{"sort", func() Operator { return NewSort(input(), []SortSpec{{Col: 0}}) }},
+		{"analytic", func() Operator {
+			a, err := NewAnalytic(input(), []AnalyticSpec{
+				{Kind: AnRowNumber, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1, Desc: true}}},
+				{Kind: AnCount, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1, Desc: true}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gov := resmgr.NewGovernor(resmgr.Config{PoolBytes: 1 << 20, MaxConcurrency: 2})
+			if err := gov.CreatePool(resmgr.PoolConfig{Name: "tight", GrantBytes: 4 << 10, MaxMemBytes: 4 << 10}); err != nil {
+				t.Fatal(err)
+			}
+			grant, err := gov.Admit(resmgr.WithPool(context.Background(), "tight"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer grant.Release()
+			events := dc.New(64)
 
-	src := &cancelSource{schema: cancelSchema(), rowsPer: 500, cancelAfter: -1, cancel: func() {}}
-	// Bound the stream: stop after 4 batches by wrapping with Limit.
-	lim := NewLimit(src, 0, 2000)
-	s := NewSort(lim, []SortSpec{{Col: 0}})
+			ctx := NewCtx(1)
+			ctx.Grant = grant
+			ctx.Trace = dc.NewTrace(events)
+			ctx.MemBudget = 4 << 10
+			ctx.TempDir = t.TempDir()
+			rows, err := Drain(ctx, tc.op())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Drain(NewCtx(1), tc.op())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameRows(rows, want); err != nil || len(rows) != 2000 {
+				t.Fatalf("%d rows under a 4K budget, %d unbounded: %v", len(rows), len(want), err)
+			}
+			qs := grant.Stats()
+			if qs.Spills == 0 || qs.SpilledBytes == 0 {
+				t.Fatalf("grant did not record spills: %+v", qs)
+			}
+			if qs.DeniedExtensions == 0 {
+				t.Fatalf("spilling sort did not try to renegotiate first: %+v", qs)
+			}
+			if qs.GrantExtensions != 0 {
+				t.Fatalf("capped pool granted an extension: %+v", qs)
+			}
+			if qs.AllocPeak == 0 {
+				t.Fatalf("grant did not record alloc high-water: %+v", qs)
+			}
+			if ctx.SpilledBytes.Load() != qs.SpilledBytes {
+				t.Fatalf("ctx spilled %d bytes, grant %d", ctx.SpilledBytes.Load(), qs.SpilledBytes)
+			}
+			ctx.Trace.Flush()
+			if !slices.ContainsFunc(events.Events(), func(e dc.QueryEvent) bool { return e.Type == "SORT_SPILLED" }) {
+				t.Fatalf("no SORT_SPILLED among the query events: %+v", events.Events())
+			}
+		})
+	}
+}
 
-	ctx := NewCtx(1)
-	ctx.Grant = grant
-	ctx.MemBudget = 4 << 10
-	ctx.TempDir = t.TempDir()
-	rows, err := Drain(ctx, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2000 {
-		t.Fatalf("got %d rows, want 2000", len(rows))
-	}
-	qs := grant.Stats()
-	if qs.Spills == 0 || qs.SpilledBytes == 0 {
-		t.Fatalf("grant did not record spills: %+v", qs)
-	}
-	if qs.DeniedExtensions == 0 {
-		t.Fatalf("spilling sort did not try to renegotiate first: %+v", qs)
-	}
-	if qs.GrantExtensions != 0 {
-		t.Fatalf("capped pool granted an extension: %+v", qs)
-	}
-	if qs.AllocPeak == 0 {
-		t.Fatalf("grant did not record alloc high-water: %+v", qs)
-	}
-	if ctx.SpilledBytes.Load() != qs.SpilledBytes {
-		t.Fatalf("ctx spilled %d bytes, grant %d", ctx.SpilledBytes.Load(), qs.SpilledBytes)
+// TestCancelMidSpillLeavesNoRuns cancels every spilling operator after it
+// has written at least one run: whatever state the cancel finds it in, Close
+// must leave the temp directory empty, because a run belongs to its operator
+// from the moment its file exists. (The hash join used to hand its sorters'
+// runs over only once the switch to sort-merge had succeeded.)
+func TestCancelMidSpillLeavesNoRuns(t *testing.T) {
+	key := []expr.Expr{expr.NewColRef(0, types.Int64, "k")}
+	for _, tc := range []struct {
+		name string
+		op   func(src Operator) (Operator, error)
+	}{
+		{"sort", func(src Operator) (Operator, error) { return NewSort(src, []SortSpec{{Col: 0}}), nil }},
+		{"groupby", func(src Operator) (Operator, error) {
+			return NewGroupBy(src, key, []string{"k"}, []AggSpec{{Kind: AggCountStar, Name: "n"}}), nil
+		}},
+		{"join-switch", func(src Operator) (Operator, error) {
+			outer := &cancelSource{schema: cancelSchema(), rowsPer: 1, cancelAfter: -1, cancel: func() {}}
+			return NewHashJoin(InnerJoin, outer, src, []int{0}, []int{0})
+		}},
+		{"analytic", func(src Operator) (Operator, error) {
+			return NewAnalytic(src, []AnalyticSpec{{Kind: AnRank, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1}}}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cctx, cancel := context.WithCancel(context.Background())
+			src := &cancelSource{schema: cancelSchema(), rowsPer: 500, cancelAfter: 3, cancel: cancel}
+			op, err := tc.op(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := NewCtx(1)
+			ctx.Context = cctx
+			ctx.MemBudget = 4 << 10 // a run per batch
+			ctx.TempDir = t.TempDir()
+			if _, err := Drain(ctx, op); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if ctx.SpilledBytes.Load() == 0 {
+				t.Fatal("cancelled before the first run was written")
+			}
+			ents, err := os.ReadDir(ctx.TempDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) != 0 {
+				t.Fatalf("%d spill files left after Close", len(ents))
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -31,9 +30,10 @@ import (
 //     sort's split step).
 //
 // With SortKey set the exchange retains the sortedness of its input
-// streams: every port heap-merges its per-input substreams on batch
-// cursors, pulling lazily — nothing is materialized beyond one batch per
-// input lane (parallel sort's order-preserving merge step).
+// streams: every port merges its per-input lanes (the one merger of
+// sorted.go, a cursor per lane), pulling lazily — nothing is materialized
+// beyond one batch per input lane (parallel sort's order-preserving merge
+// step).
 //
 // Error and cancel propagation: a worker (input pump) error records the
 // first error and closes the exchange-wide quit channel, which unblocks
@@ -187,14 +187,6 @@ func (e *Exchange) start(ctx *Ctx) error {
 	}
 	go func() {
 		e.wg.Wait()
-		if e.SortKey != nil {
-			for _, row := range e.lanes {
-				for _, ch := range row {
-					close(ch)
-				}
-			}
-			return
-		}
 		for _, ch := range e.ports {
 			close(ch)
 		}
@@ -224,6 +216,13 @@ func (e *Exchange) send(ch chan *vector.Batch, p int, b *vector.Batch) bool {
 // pump drains one input and routes its batches.
 func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 	defer e.wg.Done()
+	// A lane has one sender, this pump, which closes it: a merging port that
+	// has used up this input must see its end while the other pumps still
+	// run — they may be blocked on lanes the port will not read before it
+	// knows this one is done.
+	for p := range e.lanes {
+		defer close(e.lanes[p][idx])
+	}
 	chanFor := func(p int) chan *vector.Batch {
 		if e.SortKey != nil {
 			return e.lanes[p][idx]
@@ -334,11 +333,8 @@ type recvPort struct {
 	ex   *Exchange
 	port int
 
-	// sorted-merge state (SortKey exchanges only)
-	mergeInit bool
-	heap      *cursorHeap
-	selOne    [1]int // scratch selection for single-row output copies
-	prof      OpProf
+	merged *merger // of the port's lanes (SortKey exchanges only)
+	prof   OpProf
 }
 
 // Schema implements Operator.
@@ -366,9 +362,25 @@ func (r *recvPort) abandon() { r.ex.abandonPort(r.port) }
 
 // next is the operator body behind the profiled Next (profile.go).
 func (r *recvPort) next(ctx *Ctx) (*vector.Batch, error) {
-	if r.ex.SortKey != nil {
-		return r.nextMerged(ctx)
+	if r.ex.SortKey == nil {
+		return r.recv(ctx, r.ex.ports[r.port])
 	}
+	if err := ctx.Canceled(); err != nil {
+		return nil, err
+	}
+	if r.merged == nil {
+		lanes := make([]batchStream, len(r.ex.inputs))
+		for i, ch := range r.ex.lanes[r.port] {
+			lanes[i] = func(ctx *Ctx) (*vector.Batch, error) { return r.recv(ctx, ch) }
+		}
+		r.merged = newMerger(r.ex.SortKey, r.Schema(), lanes...)
+	}
+	return r.merged.next(ctx)
+}
+
+// recv takes the next batch off one of the port's channels; nil when the
+// pumps are done with it, or the exchange has failed or been abandoned.
+func (r *recvPort) recv(ctx *Ctx, ch <-chan *vector.Batch) (*vector.Batch, error) {
 	var done <-chan struct{}
 	if ctx.Context != nil {
 		done = ctx.Context.Done()
@@ -380,7 +392,7 @@ func (r *recvPort) next(ctx *Ctx) (*vector.Batch, error) {
 		defer func() { r.prof.BlockedNs.Add(int64(time.Since(start))) }()
 	}
 	select {
-	case b, ok := <-r.ex.ports[r.port]:
+	case b, ok := <-ch:
 		if !ok {
 			return nil, r.ex.firstErr()
 		}
@@ -416,139 +428,4 @@ func (r *recvPort) Close(ctx *Ctx) error {
 		}
 	}
 	return firstErr
-}
-
-// --- sorted merge on batch cursors ---------------------------------------
-
-// mergeCursor walks one input lane's batch stream without materializing
-// rows: comparisons and output copies read vectors in place.
-type mergeCursor struct {
-	ch    <-chan *vector.Batch
-	batch *vector.Batch
-	pos   int
-}
-
-// ready ensures the cursor points at a live row, pulling the next lane
-// batch as needed. Returns false at end of lane (err reports a pump
-// failure).
-func (r *recvPort) ready(ctx *Ctx, c *mergeCursor) (bool, error) {
-	if ctx.ProfTimes {
-		// Lane pulls are where a merging port waits on its producers.
-		start := time.Now()
-		defer func() { r.prof.BlockedNs.Add(int64(time.Since(start))) }()
-	}
-	for c.batch == nil || c.pos >= c.batch.Len() {
-		select {
-		case b, ok := <-c.ch:
-			if !ok {
-				return false, r.ex.firstErr()
-			}
-			if b.Len() == 0 {
-				continue
-			}
-			c.batch = normalizeBatch(b)
-			c.pos = 0
-		case <-r.ex.quit:
-			return false, r.ex.firstErr()
-		}
-	}
-	return true, nil
-}
-
-// normalizeBatch flattens selection vectors and RLE columns so cursor
-// positions index vectors directly.
-func normalizeBatch(b *vector.Batch) *vector.Batch {
-	if b.Sel != nil {
-		return b.Flatten()
-	}
-	for _, c := range b.Cols {
-		if c.IsRLE() {
-			return b.Flatten()
-		}
-	}
-	return b
-}
-
-type cursorHeap struct {
-	cursors []*mergeCursor
-	specs   []SortSpec
-}
-
-func (h *cursorHeap) Len() int { return len(h.cursors) }
-func (h *cursorHeap) Less(i, j int) bool {
-	a, b := h.cursors[i], h.cursors[j]
-	for _, s := range h.specs {
-		c := a.batch.Cols[s.Col].ValueAt(a.pos).Compare(b.batch.Cols[s.Col].ValueAt(b.pos))
-		if c != 0 {
-			if s.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-	}
-	return false
-}
-func (h *cursorHeap) Swap(i, j int) { h.cursors[i], h.cursors[j] = h.cursors[j], h.cursors[i] }
-func (h *cursorHeap) Push(x interface{}) {
-	h.cursors = append(h.cursors, x.(*mergeCursor))
-}
-func (h *cursorHeap) Pop() interface{} {
-	old := h.cursors
-	n := len(old)
-	x := old[n-1]
-	h.cursors = old[:n-1]
-	return x
-}
-
-// nextMerged produces the port's next batch by heap-merging its input
-// lanes' sorted substreams.
-func (r *recvPort) nextMerged(ctx *Ctx) (*vector.Batch, error) {
-	if err := ctx.Canceled(); err != nil {
-		return nil, err
-	}
-	if !r.mergeInit {
-		r.mergeInit = true
-		r.heap = &cursorHeap{specs: r.ex.SortKey}
-		for _, ch := range r.ex.lanes[r.port] {
-			c := &mergeCursor{ch: ch}
-			ok, err := r.ready(ctx, c)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				r.heap.cursors = append(r.heap.cursors, c)
-			}
-		}
-		heap.Init(r.heap)
-	}
-	if r.heap.Len() == 0 {
-		if err := r.ex.firstErr(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	out := vector.NewBatchForSchema(r.Schema(), vector.DefaultBatchSize)
-	for out.Len() < vector.DefaultBatchSize && r.heap.Len() > 0 {
-		c := r.heap.cursors[0]
-		r.selOne[0] = c.pos
-		for i, col := range out.Cols {
-			col.AppendFrom(c.batch.Cols[i], r.selOne[:])
-		}
-		c.pos++
-		if c.pos >= c.batch.Len() {
-			ok, err := r.ready(ctx, c)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				heap.Pop(r.heap)
-				continue
-			}
-		}
-		heap.Fix(r.heap, 0)
-	}
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	return out, nil
 }

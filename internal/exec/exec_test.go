@@ -254,6 +254,52 @@ func TestScanMergeSortedAcrossContainers(t *testing.T) {
 	}
 }
 
+// TestMergedScanHoldsABlockPerContainer is the guard on what a merged scan
+// keeps in memory: over 8 containers of 10 blocks it never has more than 8
+// decoded blocks that it has not passed on — one under each container's
+// cursor — where it used to pivot every row of every container into rows
+// before emitting the first. RowsScanned counts every row once, as before.
+func TestMergedScanHoldsABlockPerContainer(t *testing.T) {
+	const containers, blockRows, total = 8, 64, 8 * 640
+	f := newExecFixture(t, total, 3, containers)
+	peak := trackCursorBatches(t)
+	s := f.scan(0, 1)
+	s.MergeSorted, s.SortKey = true, []int{0}
+	ctx := f.ctx()
+	if err := s.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	emitted, last := int64(0), int64(-1)
+	for {
+		b, err := s.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		for _, r := range b.Rows() {
+			if r[0].I <= last {
+				t.Fatalf("row %d after %d: not sorted", r[0].I, last)
+			}
+			last = r[0].I
+		}
+		emitted += int64(b.Len())
+		if ahead := ctx.RowsScanned.Load() - emitted; ahead > containers*blockRows {
+			t.Fatalf("%d rows read ahead of the %d emitted: more than a block per container", ahead, emitted)
+		}
+	}
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if emitted != total || ctx.RowsScanned.Load() != total {
+		t.Fatalf("emitted %d rows, RowsScanned %d, want %d", emitted, ctx.RowsScanned.Load(), total)
+	}
+	if got := peak(); got != containers {
+		t.Fatalf("cursors held %d blocks at once, want %d (one per container)", got, containers)
+	}
+}
+
 func TestScanSIPFilter(t *testing.T) {
 	f := newExecFixture(t, 200, 2, 1)
 	ctx := f.ctx()

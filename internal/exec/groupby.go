@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"container/heap"
 	"fmt"
-	"io"
 
 	"repro/internal/expr"
 	"repro/internal/types"
@@ -16,8 +14,8 @@ import (
 // (one-pass) aggregates"; this operator implements:
 //
 //   - hash aggregation with externalization: when the hash table exceeds
-//     the memory budget, groups spill to sorted partial runs that are
-//     k-way merged at the end (requires partial-able aggregates);
+//     the memory budget, groups spill as key-sorted runs of partial rows
+//     that are merged at the end (requires partial-able aggregates);
 //   - one-pass (pipelined) aggregation for inputs sorted by the group key,
 //     with an RLE-direct fast path for COUNT(*) over run-length keys;
 //   - a merge mode consuming partial rows produced by Prepass operators.
@@ -39,7 +37,7 @@ type GroupBy struct {
 	groups  *groupSet
 	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
 	extDone bool  // denied with no spill fallback: stop renegotiating
-	spills  []*spillReader
+	runs    runSet
 
 	out    []*vector.Batch
 	opened bool
@@ -241,7 +239,7 @@ func (g *GroupBy) Open(ctx *Ctx) error {
 	g.groups = newGroupSet(g.Keys, g.schema.Cols[:len(g.Keys)], g.Aggs)
 	g.budget = ctx.MemBudget
 	g.extDone = false
-	g.spills = nil
+	g.runs.close()
 	g.out = nil
 	g.opened = false
 	return g.openChild(ctx)
@@ -249,10 +247,7 @@ func (g *GroupBy) Open(ctx *Ctx) error {
 
 // Close implements Operator.
 func (g *GroupBy) Close(ctx *Ctx) error {
-	for _, s := range g.spills {
-		s.close()
-	}
-	g.spills = nil
+	g.runs.close()
 	g.groups = nil
 	return g.closeChild(ctx)
 }
@@ -371,63 +366,41 @@ func (g *GroupBy) canSpill() bool {
 	return true
 }
 
-// partialRows renders the groups as key-sorted partial rows — the form of
-// a spill run.
-func (g *GroupBy) partialRows() []types.Row {
+// partials renders the groups as key-sorted partial rows (keys, then each
+// aggregate's partial columns; in merge mode, the input's layout) — the form
+// of a spill run.
+func (g *GroupBy) partials() (*types.Schema, *vector.Batch) {
 	s := g.groups
-	order := s.table.keyOrder()
-	keys := s.table.rows.Rows() // empty for a global aggregate: no key columns
-	out := make([]types.Row, len(order))
-	for i, grp := range order {
-		var key types.Row
-		if len(g.Keys) > 0 {
-			key = keys[grp]
-		}
-		out[i] = s.accs.partialRow(key, grp)
+	schema := g.child.Schema()
+	if !g.MergePartials {
+		schema = partialSchema(g.schema.Cols[:len(g.Keys)], g.Aggs)
 	}
-	return out
+	cols := append([]*vector.Vector{}, s.table.rows.Cols...)
+	for _, c := range schema.Cols[len(cols):] {
+		cols = append(cols, vector.New(c.Typ, s.table.len()))
+	}
+	s.accs.appendPartials(cols[len(g.Keys):])
+	return schema, (&vector.Batch{Cols: cols, Sel: s.table.keyOrder()}).Flatten()
 }
 
 // spillGroups writes the hash table as a key-sorted partial run and resets.
 func (g *GroupBy) spillGroups(ctx *Ctx) error {
-	w, err := newSpillWriter(spillDir(ctx))
-	if err != nil {
+	schema, rows := g.partials()
+	if _, err := g.runs.spill(ctx, &g.prof, "GROUP_BY_SPILLED", schema, rows); err != nil {
 		return err
 	}
-	for _, row := range g.partialRows() {
-		if err := w.writeRow(row); err != nil {
-			w.abort()
-			return err
-		}
-	}
-	r, err := w.finish()
-	if err != nil {
-		w.abort()
-		return err
-	}
-	g.spills = append(g.spills, r)
 	g.groups.table.release()
 	g.groups.accs.reset()
-	ctx.noteSpill(&g.prof, r.bytes, "GROUP_BY_SPILLED")
 	return nil
 }
 
-// partialSchema is the layout of this operator's partial rows: keys, then
-// each aggregate's partial columns. In merge mode it is the input's.
-func (g *GroupBy) partialSchema() *types.Schema {
-	if g.MergePartials {
-		return g.child.Schema()
-	}
-	return partialSchema(g.schema.Cols[:len(g.Keys)], g.Aggs)
-}
-
 // finishHash produces the final output: the in-memory groups in key order,
-// or, after spills, the k-way merge of the spilled runs and the in-memory
+// or, after spills, the merge of the spilled runs and the in-memory
 // remainder — a key-sorted stream of partial rows, which is folded in the
 // way one-pass aggregation folds sorted partials.
 func (g *GroupBy) finishHash(ctx *Ctx) error {
 	s := g.groups
-	if len(g.spills) == 0 {
+	if len(g.runs.runs) == 0 {
 		// SQL semantics: a global aggregate (no GROUP BY) over an empty
 		// input still yields one row (COUNT(*) = 0, SUM = NULL, ...).
 		if len(g.Keys) == 0 && s.table.len() == 0 && len(g.Aggs) > 0 {
@@ -436,40 +409,20 @@ func (g *GroupBy) finishHash(ctx *Ctx) error {
 		g.emitGroups(s.table.keyOrder())
 		return nil
 	}
-	schema := g.partialSchema()
-	var runs []*partialRun
-	for _, sp := range g.spills {
-		runs = append(runs, &partialRun{src: sp, arity: schema.Len()})
-	}
-	runs = append(runs, &partialRun{mem: g.partialRows(), arity: schema.Len()})
-	h := &partialHeap{nKeys: len(g.Keys)}
-	for _, r := range runs {
-		if err := r.advance(); err != nil {
-			return err
-		}
-		if r.cur != nil {
-			h.runs = append(h.runs, r)
-		}
-	}
-	heap.Init(h)
+	schema, rest := g.partials()
+	merged := mergeRuns(keySpecs(s.table.keys), schema, g.runs.runs, rest)
 	s.table.release()
 	s.accs.reset()
-	for h.Len() > 0 {
+	for {
 		if err := ctx.Canceled(); err != nil {
 			return err
 		}
-		batch := vector.NewBatchForSchema(schema, vector.DefaultBatchSize)
-		for h.Len() > 0 && batch.Len() < vector.DefaultBatchSize {
-			run := h.runs[0]
-			batch.AppendRow(run.cur)
-			if err := run.advance(); err != nil {
-				return err
-			}
-			if run.cur == nil {
-				heap.Pop(h)
-			} else {
-				heap.Fix(h, 0)
-			}
+		batch, err := merged.next(ctx)
+		if err != nil {
+			return err
+		}
+		if batch == nil {
+			break
 		}
 		if err := g.consume(batch, true, true); err != nil {
 			return err
@@ -500,63 +453,6 @@ func (g *GroupBy) emitGroups(order []int) {
 		s.accs.appendFinals(b.Cols[len(g.Keys):], part)
 		g.out = append(g.out, b)
 	}
-}
-
-// partialRun iterates one sorted partial run (spilled or in-memory).
-type partialRun struct {
-	src   *spillReader
-	mem   []types.Row
-	pos   int
-	arity int
-	cur   types.Row
-}
-
-func (r *partialRun) advance() error {
-	if r.src != nil {
-		row, err := r.src.readRow(r.arity)
-		if err == io.EOF {
-			r.cur = nil
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		r.cur = row
-		return nil
-	}
-	if r.pos >= len(r.mem) {
-		r.cur = nil
-		return nil
-	}
-	r.cur = r.mem[r.pos]
-	r.pos++
-	return nil
-}
-
-// partialHeap orders runs by the key prefix of their current rows.
-type partialHeap struct {
-	runs  []*partialRun
-	nKeys int
-}
-
-func (h *partialHeap) Len() int { return len(h.runs) }
-func (h *partialHeap) Less(i, j int) bool {
-	a, b := h.runs[i].cur, h.runs[j].cur
-	for k := 0; k < h.nKeys; k++ {
-		if c := a[k].Compare(b[k]); c != 0 {
-			return c < 0
-		}
-	}
-	return false
-}
-func (h *partialHeap) Swap(i, j int)      { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
-func (h *partialHeap) Push(x interface{}) { h.runs = append(h.runs, x.(*partialRun)) }
-func (h *partialHeap) Pop() interface{} {
-	old := h.runs
-	n := len(old)
-	x := old[n-1]
-	h.runs = old[:n-1]
-	return x
 }
 
 // --- one-pass (pipelined) aggregation ------------------------------------

@@ -148,6 +148,27 @@ func drainCapped(t *testing.T, ctx *Ctx, op Operator) []types.Row {
 
 var allJoinTypes = []JoinType{InnerJoin, LeftOuterJoin, RightOuterJoin, FullOuterJoin, SemiJoin, AntiJoin}
 
+// compareJoinKeys orders an inner row against an outer row by their aligned
+// join key columns; hasNullKey reports a NULL among a row's keys. Both belong
+// to the reference: the engine compares keys in place (mergeWalk).
+func compareJoinKeys(inner, outer types.Row, innerKeys, outerKeys []int) int {
+	for i := range outerKeys {
+		if c := inner[innerKeys[i]].Compare(outer[outerKeys[i]]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+func hasNullKey(r types.Row, keys []int) bool {
+	for _, k := range keys {
+		if r[k].Null {
+			return true
+		}
+	}
+	return false
+}
+
 // refJoin is the nested-loop reference: keys match when both are non-NULL
 // and equal, the residual is evaluated per candidate pair.
 func refJoin(t *testing.T, typ JoinType, outer, inner []types.Row, ok, ik []int, residual expr.Expr, outerW, innerW int) []types.Row {

@@ -74,7 +74,8 @@ type HashJoin struct {
 	unmatchedPos int
 	built        bool
 	spilled      bool
-	merge        *mergeJoinState
+	merge        *mergeWalk // set by the runtime switch to sort-merge
+	runs         runSet     // what its two sorters spilled
 
 	// Probe state. A probe batch is worked off in chunks of at most
 	// vector.DefaultBatchSize output rows, so (pos, chain) can stop in the
@@ -167,6 +168,7 @@ func (j *HashJoin) Describe() string {
 
 // Open implements Operator.
 func (j *HashJoin) Open(ctx *Ctx) error {
+	j.runs.close()
 	j.table, j.matchedBuild, j.merge, j.in = nil, nil, nil, nil
 	j.built, j.spilled = false, false
 	j.unmatchedPos = 0
@@ -178,9 +180,7 @@ func (j *HashJoin) Open(ctx *Ctx) error {
 
 // Close implements Operator.
 func (j *HashJoin) Close(ctx *Ctx) error {
-	if j.merge != nil {
-		j.merge.close()
-	}
+	j.runs.close()
 	if err := j.outer.Close(ctx); err != nil {
 		j.inner.Close(ctx)
 		return err
@@ -247,7 +247,7 @@ func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
 		}
 	}
 	if j.merge != nil {
-		return j.merge.next(ctx, j)
+		return j.merge.next(ctx)
 	}
 	for {
 		if j.in == nil {
@@ -464,139 +464,39 @@ func (j *HashJoin) unmatchedBuild() *vector.Batch {
 
 // --- runtime switch to sort-merge ----------------------------------------
 
-// mergeJoinState performs the sort-merge join after a budget-triggered
-// switch: both sides are externally sorted by their keys, then merged row
-// by row through the same rowJoiner MergeJoin uses.
-type mergeJoinState struct {
-	outerIt, innerIt rowIter
-	outerSorter      *externalSorter
-	innerSorter      *externalSorter
-	joiner           *rowJoiner
-
-	innerBuf  []types.Row // current inner key group
-	innerNext types.Row
-}
-
-func (m *mergeJoinState) close() {
-	if m.outerSorter != nil {
-		m.outerSorter.closeRuns()
-	}
-	if m.innerSorter != nil {
-		m.innerSorter.closeRuns()
-	}
-}
-
-// sortAll feeds every remaining batch of op into the sorter.
-func sortAll(ctx *Ctx, op Operator, s *externalSorter) error {
-	for {
-		in, err := op.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			return nil
-		}
-		for _, r := range in.Rows() {
-			if err := s.add(r); err != nil {
-				return err
-			}
-		}
-	}
-}
-
+// switchToSortMerge abandons the hash table: both sides are sorted by their
+// keys within the budget and joined by the merge-join loop MergeJoin runs
+// over its children. Every run either sorter spills belongs to j.runs from
+// the moment its file exists, so Close removes it however far the switch
+// got.
 func (j *HashJoin) switchToSortMerge(ctx *Ctx, budget int64) error {
 	j.spilled = true
 	ctx.Spills.Add(1)
 	j.prof.Spills.Add(1)
 	metrics.Spills.Inc()
 	ctx.Trace.Event("JOIN_SPILLED", fmt.Sprintf("switched to sort-merge at budget=%d", budget))
-	specsOf := func(keys []int) []SortSpec {
-		out := make([]SortSpec, len(keys))
-		for i, k := range keys {
-			out[i] = SortSpec{Col: k}
-		}
-		return out
-	}
-	m := &mergeJoinState{joiner: newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema)}
 	// The inner sorter takes over the hash table's rows and its (possibly
 	// extended) budget — those bytes are granted to this query and free now
 	// that the table is abandoned. The outer sorter starts fresh at the
 	// operator budget and renegotiates on its own.
-	m.innerSorter = newExternalSorter(ctx, specsOf(j.InnerKeys), j.inner.Schema().Len())
-	m.innerSorter.prof = &j.prof
-	if budget > m.innerSorter.budget {
-		m.innerSorter.budget = budget
-	}
-	// Rows already in the abandoned store move to the sorter, a batch's
-	// worth at a time so the row form never holds the whole build side.
+	inner := newSorter(ctx, j.inner.Schema(), keySpecs(j.InnerKeys), &j.runs, &j.prof)
+	inner.budget = budget
 	stored := j.table.rows
 	j.table = nil
-	for lo := 0; lo < stored.Len(); lo += vector.DefaultBatchSize {
-		hi := lo + vector.DefaultBatchSize
-		if hi > stored.Len() {
-			hi = stored.Len()
-		}
-		for _, r := range stored.SliceRows(lo, hi).Rows() {
-			if err := m.innerSorter.add(r); err != nil {
-				return err
-			}
-		}
-	}
-	if err := sortAll(ctx, j.inner, m.innerSorter); err != nil {
+	if err := inner.add(ctx, stored); err != nil {
 		return err
 	}
-	m.outerSorter = newExternalSorter(ctx, specsOf(j.OuterKeys), j.outer.Schema().Len())
-	m.outerSorter.prof = &j.prof
-	if err := sortAll(ctx, j.outer, m.outerSorter); err != nil {
+	if err := inner.addAll(ctx, j.inner); err != nil {
 		return err
 	}
-	var err error
-	if m.innerIt, err = m.innerSorter.finish(); err != nil {
+	outer := newSorter(ctx, j.outer.Schema(), keySpecs(j.OuterKeys), &j.runs, &j.prof)
+	if err := outer.addAll(ctx, j.outer); err != nil {
 		return err
 	}
-	if m.outerIt, err = m.outerSorter.finish(); err != nil {
-		return err
+	j.merge = &mergeWalk{
+		outer: cursor{src: outer.finish()}, inner: cursor{src: inner.finish()},
+		outerKeys: j.OuterKeys, innerKeys: j.InnerKeys,
+		joiner: newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema),
 	}
-	if m.innerNext, err = m.innerIt.next(); err != nil {
-		return err
-	}
-	j.merge = m
 	return nil
-}
-
-// next produces merge-join output batches. The switch path supports the
-// inner, left-outer, semi and anti flavors (right/full switch back is not
-// required by the planner, which puts the smaller input on the build side).
-func (m *mergeJoinState) next(ctx *Ctx, j *HashJoin) (*vector.Batch, error) {
-	for m.joiner.pending() == 0 {
-		or, err := m.outerIt.next()
-		if err != nil {
-			return nil, err
-		}
-		if or == nil {
-			break
-		}
-		cmp := func(inner types.Row) int { return compareJoinKeys(inner, or, j.InnerKeys, j.OuterKeys) }
-		if hasNullKey(or, j.OuterKeys) {
-			m.innerBuf = m.innerBuf[:0]
-		} else if len(m.innerBuf) == 0 || cmp(m.innerBuf[0]) != 0 {
-			// Advance the inner side to the outer key and load its group.
-			m.innerBuf = m.innerBuf[:0]
-			for m.innerNext != nil && cmp(m.innerNext) < 0 {
-				if m.innerNext, err = m.innerIt.next(); err != nil {
-					return nil, err
-				}
-			}
-			for m.innerNext != nil && cmp(m.innerNext) == 0 {
-				m.innerBuf = append(m.innerBuf, m.innerNext)
-				if m.innerNext, err = m.innerIt.next(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := m.joiner.join(or, m.innerBuf); err != nil {
-			return nil, err
-		}
-	}
-	return m.joiner.take(), nil
 }

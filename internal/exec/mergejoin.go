@@ -24,15 +24,8 @@ type MergeJoin struct {
 	schema    *types.Schema
 	resSchema *types.Schema // outer+inner, for vectorized residual eval
 
-	outerRows []types.Row
-	outerPos  int
-	innerRows []types.Row
-	innerPos  int
-	outerDone bool
-	innerDone bool
-	joiner    *rowJoiner
-	innerBuf  []types.Row
-	prof      OpProf
+	walk *mergeWalk
+	prof OpProf
 }
 
 // NewMergeJoin builds a merge join over key-sorted inputs.
@@ -66,11 +59,11 @@ func (j *MergeJoin) Describe() string {
 
 // Open implements Operator.
 func (j *MergeJoin) Open(ctx *Ctx) error {
-	j.outerRows, j.innerRows = nil, nil
-	j.outerPos, j.innerPos = 0, 0
-	j.outerDone, j.innerDone = false, false
-	j.innerBuf = nil
-	j.joiner = newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema)
+	j.walk = &mergeWalk{
+		outer: cursor{src: j.outer.Next}, inner: cursor{src: j.inner.Next},
+		outerKeys: j.OuterKeys, innerKeys: j.InnerKeys,
+		joiner: newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema),
+	}
 	if err := j.outer.Open(ctx); err != nil {
 		return err
 	}
@@ -79,6 +72,7 @@ func (j *MergeJoin) Open(ctx *Ctx) error {
 
 // Close implements Operator.
 func (j *MergeJoin) Close(ctx *Ctx) error {
+	j.walk = nil
 	if err := j.outer.Close(ctx); err != nil {
 		j.inner.Close(ctx)
 		return err
@@ -86,111 +80,98 @@ func (j *MergeJoin) Close(ctx *Ctx) error {
 	return j.inner.Close(ctx)
 }
 
-func (j *MergeJoin) nextOuterRow(ctx *Ctx) (types.Row, error) {
-	for j.outerPos >= len(j.outerRows) && !j.outerDone {
-		b, err := j.outer.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			j.outerDone = true
-			break
-		}
-		j.outerRows = b.Rows()
-		j.outerPos = 0
-	}
-	if j.outerPos < len(j.outerRows) {
-		r := j.outerRows[j.outerPos]
-		j.outerPos++
-		return r, nil
-	}
-	return nil, nil
-}
-
-func (j *MergeJoin) peekInnerRow(ctx *Ctx) (types.Row, error) {
-	for j.innerPos >= len(j.innerRows) && !j.innerDone {
-		b, err := j.inner.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			j.innerDone = true
-			break
-		}
-		j.innerRows = b.Rows()
-		j.innerPos = 0
-	}
-	if j.innerPos < len(j.innerRows) {
-		return j.innerRows[j.innerPos], nil
-	}
-	return nil, nil
-}
-
 // next is the operator body behind the profiled Next (profile.go).
-func (j *MergeJoin) next(ctx *Ctx) (*vector.Batch, error) {
-	for j.joiner.pending() == 0 {
-		or, err := j.nextOuterRow(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if or == nil {
-			break
-		}
-		if err := j.joinOne(ctx, or); err != nil {
-			return nil, err
-		}
-	}
-	return j.joiner.take(), nil
+func (j *MergeJoin) next(ctx *Ctx) (*vector.Batch, error) { return j.walk.next(ctx) }
+
+// mergeWalk is the merge-join loop: it walks two key-sorted streams on
+// cursors, buffering the inner rows of one key at a time, and hands every
+// outer row and its key group to a rowJoiner. MergeJoin runs it over its
+// children, HashJoin over two sorters after its runtime switch. It joins
+// the INNER, LEFT OUTER, SEMI and ANTI flavors (the planner puts the
+// smaller input on the build side, so a switched hash join needs no other).
+type mergeWalk struct {
+	outer, inner         cursor
+	outerKeys, innerKeys []int
+	joiner               *rowJoiner
+	started              bool
+	group                *vector.Batch // the inner rows of one key, nil when it has none
 }
 
-func (j *MergeJoin) joinOne(ctx *Ctx, or types.Row) error {
-	cmpKey := func(inner types.Row) int { return compareJoinKeys(inner, or, j.InnerKeys, j.OuterKeys) }
-	if hasNullKey(or, j.OuterKeys) {
-		return j.joiner.join(or, nil)
-	}
-	// Refresh the buffered inner group if it no longer matches.
-	if len(j.innerBuf) == 0 || cmpKey(j.innerBuf[0]) != 0 {
-		j.innerBuf = j.innerBuf[:0]
-		for {
-			ir, err := j.peekInnerRow(ctx)
-			if err != nil {
-				return err
-			}
-			if ir == nil || cmpKey(ir) > 0 {
-				break
-			}
-			if cmpKey(ir) == 0 {
-				j.innerBuf = append(j.innerBuf, ir)
-			}
-			j.innerPos++
-		}
-	}
-	return j.joiner.join(or, j.innerBuf)
-}
-
-// compareJoinKeys orders an inner row against an outer row by their aligned
-// join key columns.
-func compareJoinKeys(inner, outer types.Row, innerKeys, outerKeys []int) int {
-	for i := range outerKeys {
-		if c := inner[innerKeys[i]].Compare(outer[outerKeys[i]]); c != 0 {
+// cmpInner orders the inner cursor's row against row oi of ob by the aligned
+// join keys.
+func (m *mergeWalk) cmpInner(ob *vector.Batch, oi int) int {
+	for k, ik := range m.innerKeys {
+		if c := vector.CompareAt(m.inner.batch.Cols[ik], m.inner.pos, ob.Cols[m.outerKeys[k]], oi); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
-func hasNullKey(r types.Row, keys []int) bool {
-	for _, k := range keys {
-		if r[k].Null {
-			return true
+func (m *mergeWalk) next(ctx *Ctx) (*vector.Batch, error) {
+	if !m.started {
+		m.started = true
+		if _, err := m.outer.load(ctx); err != nil {
+			return nil, err
+		}
+		if _, err := m.inner.load(ctx); err != nil {
+			return nil, err
 		}
 	}
-	return false
+	for m.joiner.pending() == 0 && m.outer.batch != nil {
+		if err := m.joinOne(ctx); err != nil {
+			return nil, err
+		}
+		if _, err := m.outer.skip(ctx, 1); err != nil {
+			return nil, err
+		}
+	}
+	return m.joiner.take(), nil
+}
+
+// joinOne joins the outer cursor's row: with nothing when a key is NULL,
+// else with the inner rows of its key — the group buffered for the row
+// before it when that has the same key, else read off the inner stream,
+// which is first moved past every smaller key.
+func (m *mergeWalk) joinOne(ctx *Ctx) error {
+	ob, oi := m.outer.batch, m.outer.pos
+	for _, k := range m.outerKeys {
+		if ob.Cols[k].NullAt(oi) {
+			return m.joiner.join(ob, oi, nil)
+		}
+	}
+	same := m.group != nil
+	for k, ok := range m.outerKeys {
+		same = same && vector.EqualAt(ob.Cols[ok], oi, m.group.Cols[m.innerKeys[k]], 0, false)
+	}
+	if !same {
+		m.group = nil
+		for m.inner.batch != nil {
+			c := m.cmpInner(ob, oi)
+			if c > 0 {
+				break
+			}
+			if c == 0 {
+				if m.group == nil {
+					m.group = vector.NewBatch()
+					for _, col := range m.inner.batch.Cols {
+						m.group.Cols = append(m.group.Cols, vector.New(col.Typ, 1))
+					}
+				}
+				for i, col := range m.group.Cols {
+					col.AppendEntry(m.inner.batch.Cols[i], m.inner.pos)
+				}
+			}
+			if _, err := m.inner.skip(ctx, 1); err != nil {
+				return err
+			}
+		}
+	}
+	return m.joiner.join(ob, oi, m.group)
 }
 
 // rowJoiner joins one outer row with its key-equal inner group for the
-// joins that walk sorted rows (MergeJoin, and HashJoin after its switch to
-// sort-merge) and collects the output column-wise.
+// merge-join loop and collects the output column-wise.
 type rowJoiner struct {
 	typ       JoinType
 	residual  expr.Expr
@@ -205,55 +186,55 @@ func newRowJoiner(t JoinType, residual expr.Expr, schema, resSchema *types.Schem
 		out: vector.NewBatchForSchema(schema, vector.DefaultBatchSize)}
 }
 
-// join emits what one outer row contributes given its key-equal inner group
-// (empty for a NULL or partnerless key). A residual is evaluated once,
-// vectorized, over the group's combined rows; without one a semi/anti row
-// is decided by the group being non-empty and nothing is assembled.
-func (e *rowJoiner) join(or types.Row, group []types.Row) error {
+// join emits what row oi of the outer batch ob contributes given its
+// key-equal inner group (nil for a NULL or partnerless key). The combined
+// rows are appended column-wise: straight to the output, or, under a
+// residual, to a candidate batch the residual is evaluated over once,
+// vectorized. Without a residual a semi/anti row is decided by the group
+// being there and nothing is assembled.
+func (e *rowJoiner) join(ob *vector.Batch, oi int, group *vector.Batch) error {
 	semi := e.typ == SemiJoin || e.typ == AntiJoin
-	matched := false
-	switch {
-	case len(group) == 0:
-	case semi && e.residual == nil:
-		matched = true
-	default:
-		cands := vector.NewBatchForSchema(e.resSchema, len(group))
-		for _, ir := range group {
-			for c, col := range cands.Cols {
-				if c < len(or) {
-					col.AppendValue(or[c])
-				} else {
-					col.AppendValue(ir[c-len(or)])
-				}
+	matched := group != nil
+	if matched && (!semi || e.residual != nil) {
+		dst, n := e.out, group.Len()
+		if e.residual != nil {
+			dst = vector.NewBatchForSchema(e.resSchema, n)
+		}
+		for c, col := range ob.Cols {
+			for range n {
+				dst.Cols[c].AppendEntry(col, oi)
 			}
 		}
+		for c, col := range group.Cols {
+			dst.Cols[len(ob.Cols)+c].AppendFrom(col, nil)
+		}
 		if e.residual != nil {
-			mask, err := residualMask(e.residual, cands)
+			mask, err := residualMask(e.residual, dst)
 			if err != nil {
 				return err
 			}
-			cands.Sel = make([]int, 0, len(mask))
+			dst.Sel = make([]int, 0, n)
 			for i, ok := range mask {
 				if ok {
-					cands.Sel = append(cands.Sel, i)
+					dst.Sel = append(dst.Sel, i)
 				}
 			}
-		}
-		matched = cands.Len() > 0
-		if !semi {
-			e.out.Append(cands)
+			matched = dst.Len() > 0
+			if !semi {
+				e.out.Append(dst)
+			}
 		}
 	}
-	switch {
-	case e.typ == SemiJoin && matched, e.typ == AntiJoin && !matched:
-		e.out.AppendRow(or)
-	case (e.typ == LeftOuterJoin || e.typ == FullOuterJoin) && !matched:
-		for c, col := range e.out.Cols {
-			if c < len(or) {
-				col.AppendValue(or[c])
-			} else {
-				col.AppendNull()
-			}
+	if e.typ == InnerJoin || matched != (e.typ == SemiJoin) {
+		return nil
+	}
+	// A semi join's match, an anti join's miss, or an outer join's miss,
+	// NULL-padded on the inner side.
+	for c, col := range e.out.Cols {
+		if c < len(ob.Cols) {
+			col.AppendEntry(ob.Cols[c], oi)
+		} else {
+			col.AppendNull()
 		}
 	}
 	return nil

@@ -70,7 +70,7 @@ type Scan struct {
 	cs         containerScan // the open container's cursor, reused
 	curState   *containerScan
 	wosDone    bool
-	merged     *mergedScan
+	merged     *merger
 	// singleSorted short-circuits MergeSorted when one container holds all
 	// visible rows: its storage order is already the requested order.
 	singleSorted bool
@@ -241,22 +241,18 @@ func (s *Scan) next(ctx *Ctx) (*vector.Batch, error) {
 		return nil, err
 	}
 	if s.MergeSorted && !s.singleSorted {
-		return s.nextMerged(ctx)
+		return s.merged.next(ctx)
 	}
 	for {
 		if s.curState == nil {
 			if s.cur >= len(s.containers) {
 				return s.nextWOS(ctx)
 			}
-			st, err := s.openContainer(ctx, s.containers[s.cur])
-			if err != nil {
+			if err := s.openContainer(ctx, s.containers[s.cur], &s.cs); err != nil {
 				return nil, err
 			}
 			s.cur++
-			s.curState = st
-			if st == nil {
-				continue
-			}
+			s.curState = &s.cs
 		}
 		b, err := s.curState.nextBlock(ctx, s)
 		if err != nil {
@@ -288,18 +284,18 @@ type containerScan struct {
 	keyNullBlocks int
 }
 
-// openContainer points the scan's cursor at r.
-func (s *Scan) openContainer(ctx *Ctx, r *storage.ContainerReader) (*containerScan, error) {
-	st := &s.cs
+// openContainer points the cursor st (the scan's own, reused from container
+// to container, or one of a merged scan's, one per container) at r.
+func (s *Scan) openContainer(ctx *Ctx, r *storage.ContainerReader, st *containerScan) error {
 	*st = containerScan{r: r, epochIdx: -1, colIdx: st.colIdx[:0], pidx: st.pidx[:0]}
 	for _, name := range s.colNames {
 		ci := r.Meta.ColIndex(name)
 		if ci < 0 {
-			return nil, fmt.Errorf("exec: container %s lacks column %q", r.Meta.ID, name)
+			return fmt.Errorf("exec: container %s lacks column %q", r.Meta.ID, name)
 		}
 		p, err := r.Pidx(ci)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st.colIdx = append(st.colIdx, ci)
 		st.pidx = append(st.pidx, p)
@@ -319,12 +315,12 @@ func (s *Scan) openContainer(ctx *Ctx, r *storage.ContainerReader) (*containerSc
 	if r.Meta.MaxEpoch > ctx.Epoch {
 		ei := r.Meta.ColIndex(storage.EpochColumn)
 		if ei < 0 {
-			return nil, fmt.Errorf("exec: container %s lacks epoch column", r.Meta.ID)
+			return fmt.Errorf("exec: container %s lacks epoch column", r.Meta.ID)
 		}
 		st.epochIdx = ei
 		p, err := r.Pidx(ei)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st.epochPidx = p
 		if st.numBlocks == 0 {
@@ -345,7 +341,7 @@ func (s *Scan) openContainer(ctx *Ctx, r *storage.ContainerReader) (*containerSc
 		}
 		sort.Slice(st.deleted, func(i, j int) bool { return st.deleted[i] < st.deleted[j] })
 	}
-	return st, nil
+	return nil
 }
 
 // scratch returns the scan's selection buffer, at least n long. It is

@@ -1,38 +1,25 @@
 package exec
 
 import (
-	"container/heap"
-	"sort"
-
 	"repro/internal/expr"
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
 // WOS and merge-sorted scan paths.
 
-// projectRow picks the given column indexes out of a row.
-func projectRow(r types.Row, cols []int) types.Row {
-	out := make(types.Row, len(cols))
-	for i, c := range cols {
-		out[i] = r[c]
-	}
-	return out
-}
-
-// nextWOS produces the WOS's visible rows (once), then ends the stream.
-func (s *Scan) nextWOS(ctx *Ctx) (*vector.Batch, error) {
-	if s.wosDone || !s.IncludeWOS {
+// wosBatch returns the WOS's visible rows (already epoch- and DV-filtered:
+// they are captured once at Open as part of the atomic storage ScanView)
+// projected onto the scan's columns, less those the predicate or a SIP
+// filter drops; nil when none is left.
+func (s *Scan) wosBatch(ctx *Ctx) (*vector.Batch, error) {
+	if len(s.wosRows) == 0 {
 		return nil, nil
 	}
-	s.wosDone = true
-	rows := s.wosRows
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	batch := vector.NewBatchForSchema(s.schema, len(rows))
-	for _, r := range rows {
-		batch.AppendRow(projectRow(r.Row, s.Columns))
+	batch := vector.NewBatchForSchema(s.schema, len(s.wosRows))
+	for i, c := range s.Columns {
+		for _, r := range s.wosRows {
+			batch.Cols[i].AppendValue(r.Row[c])
+		}
 	}
 	sel, err := expr.SelectWhere(batch, s.Predicate)
 	if err != nil {
@@ -53,123 +40,38 @@ func (s *Scan) nextWOS(ctx *Ctx) (*vector.Batch, error) {
 	return batch.Flatten(), nil
 }
 
-// Visible WOS rows (already epoch- and DV-filtered) are captured once at
-// Open as part of the atomic storage ScanView; see Scan.Open.
+// nextWOS produces the WOS's rows (once), then ends the stream.
+func (s *Scan) nextWOS(ctx *Ctx) (*vector.Batch, error) {
+	if s.wosDone || !s.IncludeWOS {
+		return nil, nil
+	}
+	s.wosDone = true
+	return s.wosBatch(ctx)
+}
 
-// --- merge-sorted scan -------------------------------------------------
-
-// mergedScan heap-merges per-container sorted streams (plus the sorted WOS
-// snapshot) so the scan emits rows globally ordered by the projection sort
-// key — used under merge joins and one-pass aggregation (paper §6.1:
+// openMerged makes the scan emit rows globally ordered by the projection
+// sort key — used under merge joins and one-pass aggregation (paper §6.1:
 // "Vertica's operators are optimized for the sorted data that the storage
-// system maintains").
-type mergedScan struct {
-	h *rowMergeHeap
-}
-
-// sortedSource is one source's visible, filtered rows (sorted internally).
-type sortedSource struct {
-	rows []types.Row
-	pos  int
-}
-
-type rowMergeHeap struct {
-	src     []*sortedSource
-	sortKey []int
-}
-
-func (h *rowMergeHeap) Len() int { return len(h.src) }
-func (h *rowMergeHeap) Less(i, j int) bool {
-	a := h.src[i].rows[h.src[i].pos]
-	b := h.src[j].rows[h.src[j].pos]
-	return a.Compare(b, h.sortKey) < 0
-}
-func (h *rowMergeHeap) Swap(i, j int)      { h.src[i], h.src[j] = h.src[j], h.src[i] }
-func (h *rowMergeHeap) Push(x interface{}) { h.src = append(h.src, x.(*sortedSource)) }
-func (h *rowMergeHeap) Pop() interface{} {
-	old := h.src
-	n := len(old)
-	x := old[n-1]
-	h.src = old[:n-1]
-	return x
-}
-
+// system maintains"): every container's block stream is in that order
+// already, the WOS rows are sorted once, and the one merger (sorted.go)
+// merges them, holding a decoded block per container at a time.
 func (s *Scan) openMerged(ctx *Ctx) error {
-	var sources []*sortedSource
+	specs := keySpecs(s.SortKey)
+	var srcs []batchStream
 	for _, r := range s.containers {
-		st, err := s.openContainer(ctx, r)
-		if err != nil {
+		st := &containerScan{}
+		if err := s.openContainer(ctx, r, st); err != nil {
 			return err
 		}
-		if st == nil {
-			continue
-		}
-		src := &sortedSource{}
-		for {
-			b, err := st.nextBlock(ctx, s)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			src.rows = append(src.rows, b.Rows()...)
-		}
-		if len(src.rows) > 0 {
-			sources = append(sources, src)
-		}
+		srcs = append(srcs, func(ctx *Ctx) (*vector.Batch, error) { return st.nextBlock(ctx, s) })
 	}
-	if s.IncludeWOS {
-		wosRows := s.wosRows
-		if len(wosRows) > 0 {
-			batch := vector.NewBatchForSchema(s.schema, len(wosRows))
-			for _, r := range wosRows {
-				batch.AppendRow(projectRow(r.Row, s.Columns))
-			}
-			sel, err := expr.SelectWhere(batch, s.Predicate)
-			if err != nil {
-				return err
-			}
-			batch.Sel = sel
-			for _, sip := range s.SIPs {
-				if err := sip.Apply(batch); err != nil {
-					return err
-				}
-			}
-			rows := batch.Rows()
-			sort.SliceStable(rows, func(i, j int) bool {
-				return rows[i].Compare(rows[j], s.SortKey) < 0
-			})
-			if len(rows) > 0 {
-				ctx.RowsScanned.Add(int64(len(rows)))
-				sources = append(sources, &sortedSource{rows: rows})
-			}
-		}
+	wos, err := s.wosBatch(ctx)
+	if err != nil {
+		return err
 	}
-	h := &rowMergeHeap{src: sources, sortKey: s.SortKey}
-	heap.Init(h)
-	s.merged = &mergedScan{h: h}
+	if wos != nil {
+		srcs = append(srcs, sliceSource(sortBatch(wos, specs)))
+	}
+	s.merged = newMerger(specs, s.schema, srcs...)
 	return nil
-}
-
-func (s *Scan) nextMerged(*Ctx) (*vector.Batch, error) {
-	h := s.merged.h
-	if h.Len() == 0 {
-		return nil, nil
-	}
-	batch := vector.NewBatchForSchema(s.schema, vector.DefaultBatchSize)
-	for batch.Len() < vector.DefaultBatchSize && h.Len() > 0 {
-		src := h.src[0]
-		batch.AppendRow(src.rows[src.pos])
-		src.pos++
-		if src.pos >= len(src.rows) {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-	}
-	if batch.Len() == 0 {
-		return nil, nil
-	}
-	return batch, nil
 }

@@ -1,52 +1,22 @@
 package exec
 
 import (
-	"container/heap"
 	"fmt"
-	"io"
-	"sort"
 
 	"repro/internal/types"
 	"repro/internal/vector"
 )
 
-// SortSpec orders one column.
-type SortSpec struct {
-	Col  int
-	Desc bool
-}
-
-// compareRows orders rows by a sort spec (NULLS FIRST ascending).
-func compareRows(a, b types.Row, specs []SortSpec) int {
-	for _, s := range specs {
-		c := a[s.Col].Compare(b[s.Col])
-		if c != 0 {
-			if s.Desc {
-				return -c
-			}
-			return c
-		}
-	}
-	return 0
-}
-
 // Sort sorts its input (paper §6.1 operator 5: "sorts incoming data,
-// externalizing if needed"). Input batches accumulate in memory until the
-// budget is exceeded, at which point sorted runs spill to disk and the final
-// pass is a k-way merge of the runs.
+// externalizing if needed"): it feeds the one sorter (sorted.go) and emits
+// the stream it finishes with.
 type Sort struct {
 	single
 	Specs []SortSpec
 
-	rows    []types.Row
-	memUsed int64
-	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
-	runs    []*spillReader
-	merge   *sortMerge
-	arity   int
-	sorted  bool
-	pos     int
-	prof    OpProf
+	runs runSet
+	out  batchStream // the sorted stream, once the input is consumed
+	prof OpProf
 }
 
 // NewSort builds a sort node.
@@ -72,365 +42,26 @@ func (s *Sort) Describe() string {
 
 // Open implements Operator.
 func (s *Sort) Open(ctx *Ctx) error {
-	s.rows = nil
-	s.memUsed = 0
-	s.budget = ctx.MemBudget
-	s.runs = nil
-	s.merge = nil
-	s.sorted = false
-	s.pos = 0
-	s.arity = s.child.Schema().Len()
+	s.runs.close()
+	s.out = nil
 	return s.openChild(ctx)
 }
 
 // Close implements Operator.
 func (s *Sort) Close(ctx *Ctx) error {
-	for _, r := range s.runs {
-		r.close()
-	}
-	s.runs = nil
+	s.runs.close()
+	s.out = nil
 	return s.closeChild(ctx)
 }
 
 // next is the operator body behind the profiled Next (profile.go).
 func (s *Sort) next(ctx *Ctx) (*vector.Batch, error) {
-	if !s.sorted {
-		if err := s.consume(ctx); err != nil {
+	if s.out == nil {
+		sorter := newSorter(ctx, s.Schema(), s.Specs, &s.runs, &s.prof)
+		if err := sorter.addAll(ctx, s.child); err != nil {
 			return nil, err
 		}
-		s.sorted = true
+		s.out = sorter.finish()
 	}
-	if s.merge != nil {
-		return s.merge.next(s.child.Schema())
-	}
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	batch := vector.NewBatchForSchema(s.child.Schema(), vector.DefaultBatchSize)
-	for s.pos < len(s.rows) && batch.Len() < vector.DefaultBatchSize {
-		batch.AppendRow(s.rows[s.pos])
-		s.pos++
-	}
-	return batch, nil
-}
-
-func (s *Sort) consume(ctx *Ctx) error {
-	for {
-		if err := ctx.Canceled(); err != nil {
-			return err
-		}
-		in, err := s.child.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			break
-		}
-		for _, r := range in.Rows() {
-			s.rows = append(s.rows, r)
-			s.memUsed += rowMemBytes(r)
-		}
-		ctx.noteAlloc(&s.prof, s.memUsed)
-		for s.memUsed > s.budget {
-			// At the spill threshold, renegotiate the grant first: grow in
-			// place while the pool has headroom, externalize only on denial.
-			if ext := ctx.extendBudget(s.budget, s.memUsed); ext > 0 {
-				s.budget += ext
-				continue
-			}
-			if err := s.spillRun(ctx); err != nil {
-				return err
-			}
-			break
-		}
-	}
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		return compareRows(s.rows[i], s.rows[j], s.Specs) < 0
-	})
-	if len(s.runs) == 0 {
-		return nil
-	}
-	// Final pass: merge spilled runs with the in-memory tail.
-	var srcs []*sortedRun
-	for _, r := range s.runs {
-		sr := &sortedRun{src: r, arity: s.arity}
-		if err := sr.advance(); err != nil {
-			return err
-		}
-		if sr.cur != nil {
-			srcs = append(srcs, sr)
-		}
-	}
-	memRun := &sortedRun{mem: s.rows, arity: s.arity}
-	if err := memRun.advance(); err != nil {
-		return err
-	}
-	if memRun.cur != nil {
-		srcs = append(srcs, memRun)
-	}
-	h := &sortRunHeap{runs: srcs, specs: s.Specs}
-	heap.Init(h)
-	s.merge = &sortMerge{h: h}
-	s.rows = nil
-	return nil
-}
-
-func (s *Sort) spillRun(ctx *Ctx) error {
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		return compareRows(s.rows[i], s.rows[j], s.Specs) < 0
-	})
-	w, err := newSpillWriter(spillDir(ctx))
-	if err != nil {
-		return err
-	}
-	for i, r := range s.rows {
-		// Poll cancellation mid-spill: a run can be long and the whole
-		// point of cancel is to stop burning disk and CPU promptly.
-		if i%1024 == 0 {
-			if err := ctx.Canceled(); err != nil {
-				w.abort()
-				return err
-			}
-		}
-		if err := w.writeRow(r); err != nil {
-			w.abort()
-			return err
-		}
-	}
-	rd, err := w.finish()
-	if err != nil {
-		w.abort()
-		return err
-	}
-	s.runs = append(s.runs, rd)
-	s.rows = nil
-	s.memUsed = 0
-	ctx.noteSpill(&s.prof, rd.bytes, "SORT_SPILLED")
-	return nil
-}
-
-func rowMemBytes(r types.Row) int64 {
-	b := int64(24 * len(r))
-	for _, v := range r {
-		if v.Typ == types.Varchar {
-			b += int64(len(v.S))
-		}
-	}
-	return b
-}
-
-// sortedRun iterates one sorted run (spilled or in-memory).
-type sortedRun struct {
-	src   *spillReader
-	mem   []types.Row
-	pos   int
-	arity int
-	cur   types.Row
-}
-
-func (r *sortedRun) advance() error {
-	if r.src != nil {
-		row, err := r.src.readRow(r.arity)
-		if err == io.EOF {
-			r.cur = nil
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		r.cur = row
-		return nil
-	}
-	if r.pos >= len(r.mem) {
-		r.cur = nil
-		return nil
-	}
-	r.cur = r.mem[r.pos]
-	r.pos++
-	return nil
-}
-
-type sortRunHeap struct {
-	runs  []*sortedRun
-	specs []SortSpec
-}
-
-func (h *sortRunHeap) Len() int { return len(h.runs) }
-func (h *sortRunHeap) Less(i, j int) bool {
-	return compareRows(h.runs[i].cur, h.runs[j].cur, h.specs) < 0
-}
-func (h *sortRunHeap) Swap(i, j int)      { h.runs[i], h.runs[j] = h.runs[j], h.runs[i] }
-func (h *sortRunHeap) Push(x interface{}) { h.runs = append(h.runs, x.(*sortedRun)) }
-func (h *sortRunHeap) Pop() interface{} {
-	old := h.runs
-	n := len(old)
-	x := old[n-1]
-	h.runs = old[:n-1]
-	return x
-}
-
-type sortMerge struct {
-	h *sortRunHeap
-}
-
-func (m *sortMerge) next(schema *types.Schema) (*vector.Batch, error) {
-	if m.h.Len() == 0 {
-		return nil, nil
-	}
-	batch := vector.NewBatchForSchema(schema, vector.DefaultBatchSize)
-	for batch.Len() < vector.DefaultBatchSize && m.h.Len() > 0 {
-		run := m.h.runs[0]
-		batch.AppendRow(run.cur)
-		if err := run.advance(); err != nil {
-			return nil, err
-		}
-		if run.cur == nil {
-			heap.Pop(m.h)
-		} else {
-			heap.Fix(m.h, 0)
-		}
-	}
-	if batch.Len() == 0 {
-		return nil, nil
-	}
-	return batch, nil
-}
-
-// externalSortRows sorts an arbitrary row stream with bounded memory,
-// returning an iterator; used by the hash join's runtime switch to
-// sort-merge (paper §6.1: "if Vertica determines at runtime the hash table
-// for a hash join will not fit into memory, we will perform a sort-merge
-// join instead").
-type rowIter interface {
-	next() (types.Row, error) // nil row at end
-}
-
-type sliceRowIter struct {
-	rows []types.Row
-	pos  int
-}
-
-func (s *sliceRowIter) next() (types.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	r := s.rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
-type mergeRowIter struct{ h *sortRunHeap }
-
-func (m *mergeRowIter) next() (types.Row, error) {
-	if m.h.Len() == 0 {
-		return nil, nil
-	}
-	run := m.h.runs[0]
-	row := run.cur
-	if err := run.advance(); err != nil {
-		return nil, err
-	}
-	if run.cur == nil {
-		heap.Pop(m.h)
-	} else {
-		heap.Fix(m.h, 0)
-	}
-	return row, nil
-}
-
-// externalSorter accumulates rows and produces a sorted iterator.
-type externalSorter struct {
-	ctx     *Ctx
-	specs   []SortSpec
-	arity   int
-	rows    []types.Row
-	memUsed int64
-	budget  int64 // starts at Ctx.MemBudget, grows by grant renegotiation
-	runs    []*spillReader
-	// prof is the owning operator's collector (the sorter is internal to a
-	// join's sort-merge switch); nil attributes nothing.
-	prof *OpProf
-}
-
-func newExternalSorter(ctx *Ctx, specs []SortSpec, arity int) *externalSorter {
-	return &externalSorter{ctx: ctx, specs: specs, arity: arity, budget: ctx.MemBudget}
-}
-
-func (e *externalSorter) add(r types.Row) error {
-	e.rows = append(e.rows, r)
-	e.memUsed += rowMemBytes(r)
-	e.ctx.noteAlloc(e.prof, e.memUsed)
-	for e.memUsed > e.budget {
-		// Renegotiate the grant before externalizing; spill on denial.
-		if ext := e.ctx.extendBudget(e.budget, e.memUsed); ext > 0 {
-			e.budget += ext
-			continue
-		}
-		return e.spill()
-	}
-	return nil
-}
-
-func (e *externalSorter) spill() error {
-	if err := e.ctx.Canceled(); err != nil {
-		return err
-	}
-	sort.SliceStable(e.rows, func(i, j int) bool {
-		return compareRows(e.rows[i], e.rows[j], e.specs) < 0
-	})
-	w, err := newSpillWriter(spillDir(e.ctx))
-	if err != nil {
-		return err
-	}
-	for _, r := range e.rows {
-		if err := w.writeRow(r); err != nil {
-			w.abort()
-			return err
-		}
-	}
-	rd, err := w.finish()
-	if err != nil {
-		w.abort()
-		return err
-	}
-	e.runs = append(e.runs, rd)
-	e.rows = nil
-	e.memUsed = 0
-	e.ctx.noteSpill(e.prof, rd.bytes, "SORT_SPILLED")
-	return nil
-}
-
-func (e *externalSorter) finish() (rowIter, error) {
-	sort.SliceStable(e.rows, func(i, j int) bool {
-		return compareRows(e.rows[i], e.rows[j], e.specs) < 0
-	})
-	if len(e.runs) == 0 {
-		return &sliceRowIter{rows: e.rows}, nil
-	}
-	var srcs []*sortedRun
-	for _, r := range e.runs {
-		sr := &sortedRun{src: r, arity: e.arity}
-		if err := sr.advance(); err != nil {
-			return nil, err
-		}
-		if sr.cur != nil {
-			srcs = append(srcs, sr)
-		}
-	}
-	memRun := &sortedRun{mem: e.rows, arity: e.arity}
-	if err := memRun.advance(); err != nil {
-		return nil, err
-	}
-	if memRun.cur != nil {
-		srcs = append(srcs, memRun)
-	}
-	h := &sortRunHeap{runs: srcs, specs: e.specs}
-	heap.Init(h)
-	return &mergeRowIter{h: h}, nil
-}
-
-func (e *externalSorter) closeRuns() {
-	for _, r := range e.runs {
-		r.close()
-	}
+	return s.out(ctx)
 }

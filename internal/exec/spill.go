@@ -5,160 +5,124 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
+	"repro/internal/encoding"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
-// Row spill files: operators externalize arbitrary-size state to disk
-// (paper §6.1: "all operators are capable of handling arbitrary sized
-// inputs, regardless of the memory allocated, by externalizing their buffers
-// to disk"). The format is a stream of length-free self-describing rows:
-// per value, a tag byte (type | null bit) and a type-dependent payload.
+// Spill runs: operators externalize arbitrary-size state to disk (paper
+// §6.1: "all operators are capable of handling arbitrary sized inputs,
+// regardless of the memory allocated, by externalizing their buffers to
+// disk"). A run is a file of frames, one per batch written; a frame is the
+// batch's columns one after another, each a length-prefixed uncompressed
+// block of internal/encoding. Reading a run decodes a frame — a batch — at
+// a time.
 
-type spillWriter struct {
-	f  *os.File
-	cw *countingWriter
-	w  *bufio.Writer
-	n  int64 // rows written
-}
+// runSet owns an operator's runs. A run joins the set when its file is
+// created, before the first frame is written, so whatever stops the operator
+// — an error, a cancel, a switch of algorithm half done — its Close, which
+// closes the set, removes every file.
+type runSet struct{ runs []*spillRun }
 
-// countingWriter tracks bytes externalized so spills can be charged to the
-// query's resource grant.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func newSpillWriter(dir string) (*spillWriter, error) {
-	f, err := os.CreateTemp(dir, "spill-*.run")
+// spill writes the batch as a new run of the set, a frame of
+// vector.DefaultBatchSize rows at a time, polling cancellation between
+// frames (a run can be long, and the point of a cancel is to stop burning
+// disk promptly), and records the externalization under event.
+func (s *runSet) spill(ctx *Ctx, prof *OpProf, event string, schema *types.Schema, b *vector.Batch) (*spillRun, error) {
+	f, err := os.CreateTemp(spillDir(ctx), "spill-*.run")
 	if err != nil {
 		return nil, err
 	}
-	cw := &countingWriter{w: f}
-	return &spillWriter{f: f, cw: cw, w: bufio.NewWriterSize(cw, 1<<16)}, nil
-}
-
-func (s *spillWriter) writeRow(r types.Row) error {
-	var buf [10]byte
-	for _, v := range r {
-		tag := byte(v.Typ)
-		if v.Null {
-			tag |= 0x80
+	run := &spillRun{f: f, schema: schema}
+	s.runs = append(s.runs, run)
+	w := bufio.NewWriterSize(f, 1<<16)
+	for lo, n := 0, b.Len(); lo < n; lo += vector.DefaultBatchSize {
+		if err := ctx.Canceled(); err != nil {
+			return nil, err
 		}
-		if err := s.w.WriteByte(tag); err != nil {
-			return err
-		}
-		if v.Null {
-			continue
-		}
-		switch v.Typ {
-		case types.Float64:
-			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(v.F))
-			if _, err := s.w.Write(buf[:8]); err != nil {
-				return err
-			}
-		case types.Varchar:
-			n := binary.PutUvarint(buf[:], uint64(len(v.S)))
-			if _, err := s.w.Write(buf[:n]); err != nil {
-				return err
-			}
-			if _, err := s.w.WriteString(v.S); err != nil {
-				return err
-			}
-		default:
-			n := binary.PutVarint(buf[:], v.I)
-			if _, err := s.w.Write(buf[:n]); err != nil {
-				return err
-			}
+		if err := run.writeFrame(w, b.SliceRows(lo, min(lo+vector.DefaultBatchSize, n))); err != nil {
+			return nil, err
 		}
 	}
-	s.n++
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	ctx.noteSpill(prof, run.bytes, event)
+	return run, nil
+}
+
+// close removes every run of the set.
+func (s *runSet) close() {
+	for _, r := range s.runs {
+		name := r.f.Name()
+		r.f.Close()
+		os.Remove(name)
+	}
+	s.runs = nil
+}
+
+// spillRun is one sorted run on disk.
+type spillRun struct {
+	f      *os.File
+	r      *bufio.Reader // set by the first read
+	schema *types.Schema
+	bytes  int64  // written to the run (grant accounting)
+	block  []byte // read scratch: DecodeBlock copies what it keeps
+}
+
+func (r *spillRun) writeFrame(w *bufio.Writer, b *vector.Batch) error {
+	var lenBuf [binary.MaxVarintLen64]byte
+	for _, col := range b.Cols {
+		block, err := encoding.EncodeBlock(encoding.None, col)
+		if err != nil {
+			return err
+		}
+		n := binary.PutUvarint(lenBuf[:], uint64(len(block)))
+		if _, err := w.Write(lenBuf[:n]); err != nil {
+			return err
+		}
+		if _, err := w.Write(block); err != nil {
+			return err
+		}
+		r.bytes += int64(n + len(block))
+	}
 	return nil
 }
 
-// abort discards a partially written run (cancellation mid-spill).
-func (s *spillWriter) abort() {
-	name := s.f.Name()
-	s.f.Close()
-	os.Remove(name)
-}
-
-// finish flushes and reopens the run for reading.
-func (s *spillWriter) finish() (*spillReader, error) {
-	if err := s.w.Flush(); err != nil {
-		return nil, err
+// next decodes the run's next frame; nil at the end. It is the run's batch
+// source (see cursor).
+func (r *spillRun) next(*Ctx) (*vector.Batch, error) {
+	if r.r == nil {
+		r.r = bufio.NewReaderSize(r.f, 1<<16)
 	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return &spillReader{f: s.f, r: bufio.NewReaderSize(s.f, 1<<16), rows: s.n, bytes: s.cw.n}, nil
-}
-
-type spillReader struct {
-	f     *os.File
-	r     *bufio.Reader
-	rows  int64
-	read  int64
-	bytes int64 // bytes written to the run (grant accounting)
-}
-
-// readRow reads the next row of the given arity; io.EOF at end.
-func (s *spillReader) readRow(arity int) (types.Row, error) {
-	if s.read >= s.rows {
-		return nil, io.EOF
-	}
-	row := make(types.Row, arity)
-	for i := 0; i < arity; i++ {
-		tag, err := s.r.ReadByte()
+	cols := make([]*vector.Vector, r.schema.Len())
+	for i := range cols {
+		size, err := binary.ReadUvarint(r.r)
+		if err == io.EOF && i == 0 {
+			return nil, nil
+		}
+		if err == nil && size > uint64(r.bytes) {
+			err = fmt.Errorf("block of %d bytes in a run of %d", size, r.bytes)
+		}
+		if err == nil {
+			if uint64(cap(r.block)) < size {
+				r.block = make([]byte, size)
+			}
+			_, err = io.ReadFull(r.r, r.block[:size])
+		}
+		if err == nil {
+			cols[i], err = encoding.DecodeBlock(r.block[:size], r.schema.Col(i).Typ, false)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("exec: corrupt spill run: %w", err)
 		}
-		typ := types.Type(tag & 0x7f)
-		if tag&0x80 != 0 {
-			row[i] = types.NewNull(typ)
-			continue
-		}
-		switch typ {
-		case types.Float64:
-			var b [8]byte
-			if _, err := io.ReadFull(s.r, b[:]); err != nil {
-				return nil, fmt.Errorf("exec: corrupt spill run: %w", err)
-			}
-			row[i] = types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[:])))
-		case types.Varchar:
-			l, err := binary.ReadUvarint(s.r)
-			if err != nil {
-				return nil, fmt.Errorf("exec: corrupt spill run: %w", err)
-			}
-			b := make([]byte, l)
-			if _, err := io.ReadFull(s.r, b); err != nil {
-				return nil, fmt.Errorf("exec: corrupt spill run: %w", err)
-			}
-			row[i] = types.NewString(string(b))
-		default:
-			v, err := binary.ReadVarint(s.r)
-			if err != nil {
-				return nil, fmt.Errorf("exec: corrupt spill run: %w", err)
-			}
-			row[i] = types.Value{Typ: typ, I: v}
-		}
 	}
-	s.read++
-	return row, nil
-}
-
-func (s *spillReader) close() {
-	name := s.f.Name()
-	s.f.Close()
-	os.Remove(name)
+	return vector.NewBatch(cols...), nil
 }
 
 // spillDir resolves the context's temp directory.

@@ -415,7 +415,7 @@ func TestFieldEscaping(t *testing.T) {
 // TestSpillStatsOnWire checks a budget-constrained statement reports spill
 // bytes back to the client.
 func TestSpillStatsOnWire(t *testing.T) {
-	srv, _ := startServer(t, 60_000, 1<<20, 4)
+	srv, _ := startServer(t, 60_000, 1<<19, 4)
 	c := dial(t, srv)
 	res, err := c.Exec(`SELECT sale_id, price FROM sales ORDER BY price`)
 	if err != nil {
@@ -425,7 +425,7 @@ func TestSpillStatsOnWire(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	if res.SpilledBytes == 0 {
-		t.Fatal("expected spill bytes under a 256KB operator budget")
+		t.Fatal("expected spill bytes under a 128KB operator budget")
 	}
 }
 

@@ -203,43 +203,6 @@ func (r *ContainerReader) DecodeBlock(c int, e *PidxEntry, preserveRuns bool) (*
 	return v, nil
 }
 
-// FetchPositions gathers the values of column c at the given ascending
-// positions — the tuple-reconstruction / late-materialization path.
-func (r *ContainerReader) FetchPositions(c int, positions []int64) (*vector.Vector, error) {
-	out := vector.New(r.Meta.Cols[c].Typ, len(positions))
-	if len(positions) == 0 {
-		return out, nil
-	}
-	pidx, err := r.Pidx(c)
-	if err != nil {
-		return nil, err
-	}
-	var cur *vector.Vector
-	curBlock := -1
-	for _, p := range positions {
-		bi := sort.Search(len(pidx), func(i int) bool {
-			return pidx[i].FirstPos+pidx[i].RowCount > p
-		})
-		if bi >= len(pidx) || !pidx[bi].Contains(p) {
-			return nil, fmt.Errorf("storage: position %d out of range in %s", p, r.Dir)
-		}
-		if bi != curBlock {
-			cur, err = r.DecodeBlock(c, &pidx[bi], false)
-			if err != nil {
-				return nil, err
-			}
-			curBlock = bi
-		}
-		idx := int(p - pidx[bi].FirstPos)
-		if cur.NullAt(idx) {
-			out.AppendNull()
-		} else {
-			out.AppendValue(cur.ValueAt(idx))
-		}
-	}
-	return out, nil
-}
-
 // ReadAll reads entire columns (by container column index) into one batch.
 // It needs no Manager, so it also reads a backup image; whole stored rows
 // with their delete epochs come from Manager.ContainerRows.

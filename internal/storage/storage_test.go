@@ -161,24 +161,6 @@ func TestBlockPruning(t *testing.T) {
 	}
 }
 
-func TestFetchPositions(t *testing.T) {
-	dir := t.TempDir()
-	r, _ := writeTestContainer(t, dir, 300)
-	v, err := r.FetchPositions(0, []int64{0, 63, 64, 299})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{0, 63, 64, 299}
-	for i, w := range want {
-		if v.Ints[i] != w {
-			t.Errorf("fetch[%d] = %d, want %d", i, v.Ints[i], w)
-		}
-	}
-	if _, err := r.FetchPositions(0, []int64{300}); err == nil {
-		t.Error("out-of-range position should error")
-	}
-}
-
 func TestColumnIterSkipTo(t *testing.T) {
 	dir := t.TempDir()
 	r, _ := writeTestContainer(t, dir, 256)

@@ -170,8 +170,9 @@ func (v Value) String() string {
 }
 
 // Compare orders v against o. NULL sorts before all non-NULL values
-// (NULLS FIRST), matching the storage sort order. It panics if the types
-// are incomparable.
+// (NULLS FIRST), matching the storage sort order, and a NaN after every
+// number and beside another NaN, so the order is total: a sort and a merge
+// of sorted runs agree. It panics if the types are incomparable.
 func (v Value) Compare(o Value) int {
 	if v.Null || o.Null {
 		switch {
@@ -216,6 +217,12 @@ func (v Value) Compare(o Value) int {
 		case v.F < of:
 			return -1
 		case v.F > of:
+			return 1
+		case v.F == of:
+			return 0
+		case v.F == v.F: // of is a NaN
+			return -1
+		case of == of:
 			return 1
 		default:
 			return 0

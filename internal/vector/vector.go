@@ -390,6 +390,12 @@ func cmpOrdered[T int64 | float64 | string](x, y T) int {
 		return -1
 	case x > y:
 		return 1
+	case x == y:
+		return 0
+	case x == x: // y is a NaN: after every number, beside another NaN
+		return -1
+	case y == y:
+		return 1
 	default:
 		return 0
 	}
