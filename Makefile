@@ -58,8 +58,9 @@ sqltest-update:
 # prints), the continuous-ingest burst, the recovery differential oracle
 # with the stored-row reader's seeded case (override with ORACLE_SEED; more
 # steps than the tier-1 run takes), the predicate oracles of the scan and
-# of the expression evaluators, and the sorted-stream oracle of everything
-# that sorts, merges or spills (ORACLE_SEED too). Mirrored in CI.
+# of the expression evaluators, the sorted-stream oracle of everything
+# that sorts, merges or spills, and the fan oracle of intra-node
+# parallelism against the serial engine (ORACLE_SEED too). Mirrored in CI.
 TLP_SEED ?= 20120827
 ORACLE_SEED ?= 20120827
 test-metamorphic:
@@ -70,6 +71,7 @@ test-metamorphic:
 	$(GO) test -race ./internal/exec -run 'TestPredicateOracle' -count=1 -pred.seed $(ORACLE_SEED) -pred.cases 200
 	$(GO) test -race ./internal/exec -run 'TestSortedStreamOracle' -count=1 -sorted.seed $(ORACLE_SEED) -sorted.cases 200
 	$(GO) test -race ./internal/expr -run 'MatchesEvalRow|LikeEvalRow' -count=1 -expr.seed $(ORACLE_SEED)
+	$(GO) test -race ./internal/sqltest -run 'TestFanOracle' -count=1 -fan.seed $(ORACLE_SEED)
 
 # Fail if the parser accepts a statement keyword docs/SQL.md never mentions,
 # or if a system table's section there does not list exactly its columns

@@ -22,6 +22,7 @@ import (
 	"repro/internal/tuplemover"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // benchScale keeps `go test -bench=.` minutes-fast; cmd/vbench defaults to
@@ -173,7 +174,6 @@ func BenchmarkAblationRLEDirect(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := exec.NewScan("p", mgr, schema, []int{1})
 			s.PreserveRuns = preserveRuns
-			s.IncludeWOS = false
 			g := exec.NewGroupBy(s,
 				[]expr.Expr{expr.NewColRef(0, types.Int64, "grp")}, []string{"grp"},
 				[]exec.AggSpec{{Kind: exec.AggCountStar, Name: "c"}})
@@ -196,13 +196,13 @@ func BenchmarkAblationSIP(b *testing.B) {
 		types.Column{Name: "id", Typ: types.Int64},
 		types.Column{Name: "tag", Typ: types.Varchar},
 	)
-	dimRows := []types.Row{{types.NewInt(3), types.NewString("three")}}
+	dim := vector.NewBatchForSchema(dimSchema, 1)
+	dim.AppendRow(types.Row{types.NewInt(3), types.NewString("three")})
 	run := func(b *testing.B, useSIP bool) {
 		for i := 0; i < b.N; i++ {
 			s := exec.NewScan("p", mgr, schema, []int{1, 2})
-			s.IncludeWOS = false
 			j, err := exec.NewHashJoin(exec.InnerJoin, s,
-				exec.NewValues(dimSchema, dimRows), []int{0}, []int{0})
+				exec.NewBatchValues(dimSchema, []*vector.Batch{dim}), []int{0}, []int{0})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -228,7 +228,6 @@ func BenchmarkAblationPrepass(b *testing.B) {
 	run := func(b *testing.B, usePrepass bool) {
 		for i := 0; i < b.N; i++ {
 			s := exec.NewScan("p", mgr, schema, []int{1, 2})
-			s.IncludeWOS = false
 			keys := []expr.Expr{expr.NewColRef(0, types.Int64, "grp")}
 			aggs := []exec.AggSpec{{Kind: exec.AggSum, Arg: expr.NewColRef(1, types.Float64, "v"), Name: "s"}}
 			var root exec.Operator
@@ -261,7 +260,6 @@ func BenchmarkAblationSortedGroupBy(b *testing.B) {
 	run := func(b *testing.B, sorted bool) {
 		for i := 0; i < b.N; i++ {
 			s := exec.NewScan("p", mgr, schema, []int{1, 2})
-			s.IncludeWOS = false
 			g := exec.NewGroupBy(s,
 				[]expr.Expr{expr.NewColRef(0, types.Int64, "grp")}, []string{"grp"},
 				[]exec.AggSpec{{Kind: exec.AggAvg, Arg: expr.NewColRef(1, types.Float64, "v"), Name: "a"}})

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -302,7 +303,10 @@ func TestInitiatorMergeMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on 1 node: %v", name, err)
 		}
-		got, err := three.Run(build(tbl3), optimizer.PlanOpts{})
+		// Node plans that fan out to worker pipelines merge at the
+		// initiator like serial ones.
+		fanned := optimizer.PlanOpts{Parallelism: 2, ForceParallel: true}
+		got, err := three.RunCtx(context.Background(), build(tbl3), fanned)
 		if err != nil {
 			t.Fatalf("%s on 3 nodes: %v", name, err)
 		}
@@ -321,5 +325,39 @@ func TestInitiatorMergeMatchesSingleNode(t *testing.T) {
 		if got.Schema.String() != want.Schema.String() {
 			t.Fatalf("%s schema: 3 nodes %s, 1 node %s", name, got.Schema, want.Schema)
 		}
+	}
+}
+
+// TestCheckPlacement pins the StarOpt placement rule (paper §6.2) a
+// multi-node join is held to before admission: every projection but the
+// fact's is replicated or segmented exactly as the fact is.
+func TestCheckPlacement(t *testing.T) {
+	c, m := measuresCluster(t, 3)
+	d := &catalog.Table{Name: "d", Schema: types.NewSchema(
+		types.Column{Name: "id", Typ: types.Int64},
+		types.Column{Name: "name", Typ: types.Varchar},
+	)}
+	if err := c.cat.CreateTable(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*catalog.Projection{
+		{Name: "d_rep", Seg: catalog.Segmentation{Replicated: true}},
+		{Name: "d_co", Seg: catalog.Segmentation{ExprText: "HASH(id)"}},
+		{Name: "d_by_name", Seg: catalog.Segmentation{ExprText: "HASH(name)"}},
+	} {
+		p.Anchor, p.Columns, p.SortOrder = "d", []string{"id", "name"}, []string{"id"}
+		if err := c.cat.CreateProjection(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := &optimizer.LogicalQuery{From: []optimizer.TableRef{{Table: m}, {Table: d}}}
+	for projs, ok := range map[string]bool{"d_rep": true, "d_co": true, "d_by_name": false} {
+		err := c.checkPlacement(q, []string{"m_super", projs})
+		if (err == nil) != ok {
+			t.Errorf("m_super joined with %s: err = %v", projs, err)
+		}
+	}
+	if err := c.checkPlacement(&optimizer.LogicalQuery{From: q.From[:1]}, []string{"m_super"}); err != nil {
+		t.Errorf("a one-table query has nothing to place: %v", err)
 	}
 }

@@ -215,87 +215,71 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 		execNodes = up[:1]
 	}
 	type nodeRun struct {
-		node  *Node
-		plan  *optimizer.PhysicalPlan
-		buddy bool
+		node *Node
+		plan *optimizer.PhysicalPlan
 	}
-	var runs []nodeRun
-	var firstErr error
-	var partials []*vector.Batch
-	// Plans that split ROS containers across parallel workers pin the
-	// storage generation they were built from; a tuple-mover moveout
-	// committing before execution invalidates the split (the WOS rows it
-	// moved would be scanned by no worker) and fails the scan with
-	// ErrStorageChanged. The plan is cheap relative to the queue wait, so
-	// just replan against current storage and retry a few times.
-	const maxStorageRetries = 3
 	tr.Begin("execute")
-	for attempt := 0; ; attempt++ {
-		runs, firstErr, partials = nil, nil, nil
-		for _, n := range execNodes {
-			plan, err := optimizer.Plan(&nodeProvider{c, n}, nodeQ, opts)
+	var runs []nodeRun
+	for _, n := range execNodes {
+		plan, err := optimizer.Plan(&nodeProvider{c, n}, nodeQ, opts)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, nodeRun{node: n, plan: plan})
+	}
+	// Buddy coverage for down nodes (skipped when everything is replicated:
+	// any single up node already has full data).
+	if !allReplicated && !allVirtual {
+		for _, n := range c.Nodes() {
+			if n.Up() {
+				continue
+			}
+			plan, host, err := c.planBuddySegment(nodeQ, opts, n.ID)
 			if err != nil {
 				return nil, err
 			}
-			runs = append(runs, nodeRun{node: n, plan: plan})
-		}
-		// Buddy coverage for down nodes (skipped when everything is
-		// replicated: any single up node already has full data).
-		if !allReplicated && !allVirtual {
-			for _, n := range c.Nodes() {
-				if n.Up() {
-					continue
-				}
-				plan, host, err := c.planBuddySegment(nodeQ, opts, n.ID)
-				if err != nil {
-					return nil, err
-				}
-				if plan != nil {
-					runs = append(runs, nodeRun{node: host, plan: plan, buddy: true})
-				}
+			if plan != nil {
+				runs = append(runs, nodeRun{node: host, plan: plan})
 			}
 		}
-
-		// Execute node plans in parallel (the MPP step). Each node pipeline
-		// shares the query's admission grant; the per-operator budget splits
-		// the grant across the concurrent pipelines — and, when a plan fans
-		// out intra-node parallel workers, across those workers too, so a
-		// parallel plan shares one grant instead of multiplying it. The
-		// split is computed once, before any pipeline starts: a pipeline's
-		// mid-flight grant extension belongs to the operator that requested
-		// it, and must not inflate the initial budget of a sibling whose
-		// goroutine happens to start later.
-		workers := 1
-		for _, r := range runs {
-			if r.plan.Workers > workers {
-				workers = r.plan.Workers
-			}
-		}
-		pipelineBudget := grant.OperatorBudget(len(runs) * workers)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for _, r := range runs {
-			wg.Add(1)
-			go func(r nodeRun) {
-				defer wg.Done()
-				ectx := c.execCtx(ctx, epoch, opts, grant, pipelineBudget)
-				batches, err := exec.Run(ectx, r.plan.Root)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("cluster: node %s: %w", r.node.Name, err)
-					return
-				}
-				partials = append(partials, batches...)
-			}(r)
-		}
-		wg.Wait()
-		if firstErr == nil || attempt >= maxStorageRetries || !errors.Is(firstErr, storage.ErrStorageChanged) {
-			break
-		}
-		tr.Event("REPLAN_ON_STORAGE_GENERATION",
-			fmt.Sprintf("attempt=%d: %s", attempt+1, firstErr))
 	}
+
+	// Execute node plans in parallel (the MPP step). Each node pipeline
+	// shares the query's admission grant; the per-operator budget splits the
+	// grant across the concurrent pipelines — and, when a plan fans out
+	// intra-node worker pipelines, across those workers too, so a parallel
+	// plan shares one grant instead of multiplying it. The split is computed
+	// once, before any pipeline starts: a pipeline's mid-flight grant
+	// extension belongs to the operator that requested it, and must not
+	// inflate the initial budget of a sibling whose goroutine happens to
+	// start later.
+	workers := 1
+	for _, r := range runs {
+		if r.plan.Workers > workers {
+			workers = r.plan.Workers
+		}
+	}
+	pipelineBudget := grant.OperatorBudget(len(runs) * workers)
+	var firstErr error
+	var partials []*vector.Batch
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, r := range runs {
+		wg.Add(1)
+		go func(r nodeRun) {
+			defer wg.Done()
+			ectx := c.execCtx(ctx, epoch, opts, grant, pipelineBudget)
+			batches, err := exec.Run(ectx, r.plan.Root)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil && firstErr == nil {
+				firstErr = fmt.Errorf("cluster: node %s: %w", r.node.Name, err)
+				return
+			}
+			partials = append(partials, batches...)
+		}(r)
+	}
+	wg.Wait()
 	// Collect per-operator profiles (one cheap walk per plan) and attach
 	// them to the grant, so the governor retains them for PROFILE runs and
 	// queries crossing the slow-query threshold — including failed ones.

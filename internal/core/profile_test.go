@@ -94,21 +94,23 @@ func TestProfileParallelCountersConsistent(t *testing.T) {
 		t.Fatalf("plan had no fan-in operators — not a parallel plan?\n%s", res.Explain)
 	}
 
-	// The sort partitions together consumed every exchanged row: join + sort
-	// + exchange all agree on the total.
-	var sortRows int64
+	// The fan's worker sorts are one record, their counters summed: they
+	// together consumed every joined row — join, sort and exchange agree on
+	// the total.
 	sorts := 0
 	for _, r := range recs {
 		if strings.HasPrefix(r.Op.String(), "Sort") {
 			sorts++
-			sortRows += r.Rows
+			if !strings.HasSuffix(r.Op.String(), "workers=4") {
+				t.Errorf("sort record %q does not fold the 4 workers", r.Op)
+			}
+			if r.Rows != want {
+				t.Errorf("worker sorts produced %d rows total, want %d", r.Rows, want)
+			}
 		}
 	}
-	if sorts < 2 {
-		t.Fatalf("expected parallel worker sorts, got %d\n%s", sorts, res.Explain)
-	}
-	if sortRows != want {
-		t.Errorf("worker sorts produced %d rows total, want %d", sortRows, want)
+	if sorts != 1 {
+		t.Fatalf("expected one folded worker-sort record, got %d\n%s", sorts, res.Explain)
 	}
 
 	// Timing ran (ProfTimes): the root of a 4000-row sort cannot round to

@@ -242,12 +242,12 @@ func TestPoolParallelismDrivesParallelPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Explain.String(), "parallel distinct") {
+	if !strings.Contains(res.Explain.String(), "fan: 4 worker pipelines") {
 		t.Errorf("pool PARALLELISM 4 did not produce a parallel plan:\n%s", res.Explain)
 	}
 	// Same statement on the general pool (engine default: serial).
 	res2 := db.MustExecute(`EXPLAIN SELECT DISTINCT cust FROM sales`)
-	if strings.Contains(res2.Explain.String(), "parallel distinct") {
+	if strings.Contains(res2.Explain.String(), "fan") {
 		t.Errorf("general pool should stay serial:\n%s", res2.Explain)
 	}
 	// The parallel statement still returns correct rows and the pool knob

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,7 +140,13 @@ func TestRecoveryKeepsPartitions(t *testing.T) {
 	for _, name := range []string{"events_super", "events_super_b1"} {
 		p, _ := db.Catalog().Projection(name)
 		mgr, _ := db.Cluster().Node(2).Mgr(p, db.Cluster().ManagerOpts())
-		if parts := mgr.Partitions(); strings.Join(parts, ",") != "0,1,2" {
+		var parts []string
+		for _, r := range mgr.Containers() {
+			if !slices.Contains(parts, r.Meta.Partition) {
+				parts = append(parts, r.Meta.Partition)
+			}
+		}
+		if slices.Sort(parts); strings.Join(parts, ",") != "0,1,2" {
 			t.Errorf("%s on the recovered node holds partitions %q, want 0,1,2", name, parts)
 		}
 	}

@@ -33,9 +33,9 @@ type PhaseEvent struct {
 }
 
 // QueryEvent records a notable point event during a query's life —
-// GROUP_BY_SPILLED, JOIN_SPILLED, GRANT_EXTENSION_DENIED,
-// RUNTIME_CAP_EXCEEDED, REPLAN_ON_STORAGE_GENERATION — plus session
-// connect/disconnect markers (QueryID 0).
+// GROUP_BY_SPILLED, SORT_SPILLED, JOIN_SPILLED, GRANT_EXTENSION_DENIED,
+// RUNTIME_CAP_EXCEEDED — plus session connect/disconnect markers (QueryID
+// 0).
 type QueryEvent struct {
 	QueryID int64     `vt:"query_id"`
 	Type    string    `vt:"event_type"`

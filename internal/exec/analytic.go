@@ -146,7 +146,8 @@ func (a *Analytic) next(ctx *Ctx) (*vector.Batch, error) {
 		if err := sorter.addAll(ctx, a.child); err != nil {
 			return nil, err
 		}
-		a.in = &cursor{src: sorter.finish()}
+		sorter.finish()
+		a.in = &cursor{src: sorter.stream()}
 		if _, err := a.in.load(ctx); err != nil {
 			return nil, err
 		}

@@ -17,23 +17,18 @@ import (
 // (Batch.Partition) with per-port batch accumulators, so a parallel plan
 // never degrades to row-at-a-time traffic.
 //
-// Routing modes:
+// Its inputs are the worker pipelines of a fan (fan.go), each drained by a
+// pump goroutine of its own. Routing modes:
 //
-//   - segment (Keys set): rows hash-partition on the key columns, so all
-//     alike values reach the same port and each port can compute complete
-//     results independently (the Figure 3 "locally resegments" step, and
-//     both sides of a partitioned parallel join);
-//   - broadcast (Broadcast set): every port sees every batch (shallow
-//     copies — column vectors are shared read-only);
-//   - round-robin (neither): whole batches deal out to ports in turn, the
-//     cheapest way to split one stream across parallel workers (parallel
-//     sort's split step).
-//
-// With SortKey set the exchange retains the sortedness of its input
-// streams: every port merges its per-input lanes (the one merger of
-// sorted.go, a cursor per lane), pulling lazily — nothing is materialized
-// beyond one batch per input lane (parallel sort's order-preserving merge
-// step).
+//   - segment: rows hash-partition on the key columns, so all alike values
+//     reach the same port and each port can compute complete results
+//     independently (the Figure 3 "locally resegments" step: a fan's
+//     partial aggregates, or the rows a parallel DISTINCT dedups);
+//   - single-port + merge (SortKey set, one port): the port merges its
+//     per-input lanes (the one merger of sorted.go, a cursor per lane),
+//     pulling lazily — nothing is materialized beyond one batch per lane —
+//     so the exchange retains the sortedness of its inputs (the fan's
+//     per-worker sorts meeting under ORDER BY).
 //
 // Error and cancel propagation: a worker (input pump) error records the
 // first error and closes the exchange-wide quit channel, which unblocks
@@ -45,21 +40,19 @@ type Exchange struct {
 	inputs []Operator
 	ways   int
 	// Keys are the routing columns: rows hash-partition on them so alike
-	// values reach the same port. Nil means broadcast or round-robin.
+	// values reach the same port.
 	Keys []int
-	// Broadcast sends every batch to every port.
-	Broadcast bool
 	// SortKey, when non-nil, asserts inputs are sorted by these columns and
-	// makes every port merge-preserve that order.
+	// makes the port merge-preserve that order.
 	SortKey []SortSpec
 
 	mu          sync.Mutex
 	started     bool
 	inputsOpen  bool
 	closedPorts int
-	abandoned   int                    // ports whose readers are gone; == ways stops the pumps
-	ports       []chan *vector.Batch   // flat path: one channel per port
-	lanes       [][]chan *vector.Batch // sorted path: [port][input]
+	abandoned   int                  // ports whose readers are gone; == ways stops the pumps
+	ports       []chan *vector.Batch // flat path: one channel per port
+	lanes       []chan *vector.Batch // sorted path: the one port's, one per input
 	portQuit    []chan struct{}
 	portOnce    []sync.Once
 	quit        chan struct{}
@@ -79,18 +72,6 @@ func NewExchange(inputs []Operator, ways int, keys []int) *Exchange {
 	return &Exchange{inputs: inputs, ways: ways, Keys: keys}
 }
 
-// NewBroadcastExchange creates an exchange delivering every batch to every
-// port.
-func NewBroadcastExchange(inputs []Operator, ways int) *Exchange {
-	return &Exchange{inputs: inputs, ways: ways, Broadcast: true}
-}
-
-// NewSplitExchange deals one input stream out to `ways` ports batch by
-// batch (round-robin) — the split step of a parallel sort.
-func NewSplitExchange(input Operator, ways int) *Exchange {
-	return &Exchange{inputs: []Operator{input}, ways: ways}
-}
-
 // NewMergeExchange merges sorted input streams into one port, preserving
 // the order given by sortKey — the merge step of a parallel sort.
 func NewMergeExchange(inputs []Operator, sortKey []SortSpec) *Exchange {
@@ -105,23 +86,6 @@ func (e *Exchange) Ports() []Operator {
 		out[i] = &recvPort{ex: e, port: i}
 	}
 	return out
-}
-
-// mode renders the routing mode for plan display.
-func (e *Exchange) mode() string {
-	var m string
-	switch {
-	case e.Broadcast:
-		m = "broadcast"
-	case e.Keys != nil:
-		m = fmt.Sprintf("segment keys=%v", e.Keys)
-	default:
-		m = "round-robin"
-	}
-	if e.SortKey != nil {
-		m += "+merge"
-	}
-	return m
 }
 
 // fail records the first pump error and releases everything blocked on the
@@ -157,12 +121,9 @@ func (e *Exchange) start(ctx *Ctx) error {
 		e.portQuit[i] = make(chan struct{})
 	}
 	if e.SortKey != nil {
-		e.lanes = make([][]chan *vector.Batch, e.ways)
-		for p := range e.lanes {
-			e.lanes[p] = make([]chan *vector.Batch, len(e.inputs))
-			for i := range e.lanes[p] {
-				e.lanes[p][i] = make(chan *vector.Batch, exchangePortDepth)
-			}
+		e.lanes = make([]chan *vector.Batch, len(e.inputs))
+		for i := range e.lanes {
+			e.lanes[i] = make(chan *vector.Batch, exchangePortDepth)
 		}
 	} else {
 		e.ports = make([]chan *vector.Batch, e.ways)
@@ -220,22 +181,21 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 	// has used up this input must see its end while the other pumps still
 	// run — they may be blocked on lanes the port will not read before it
 	// knows this one is done.
-	for p := range e.lanes {
-		defer close(e.lanes[p][idx])
+	if e.lanes != nil {
+		defer close(e.lanes[idx])
 	}
 	chanFor := func(p int) chan *vector.Batch {
-		if e.SortKey != nil {
-			return e.lanes[p][idx]
+		if e.lanes != nil {
+			return e.lanes[idx]
 		}
 		return e.ports[p]
 	}
 	// Per-port accumulators (segment mode): partition slivers coalesce into
 	// full batches before crossing the channel.
 	var acc []*vector.Batch
-	if e.Keys != nil && e.ways > 1 {
+	if e.ways > 1 {
 		acc = make([]*vector.Batch, e.ways)
 	}
-	rr := idx // stagger round-robin start across inputs
 	for {
 		select {
 		case <-e.quit:
@@ -263,35 +223,25 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 		// shared in-process, so this sizes what a networked exchange would
 		// serialize rather than actual allocation.
 		metrics.ExchangeBytes.Add(int64(b.Len()) * int64(len(b.Cols)) * 16)
-		switch {
-		case e.Broadcast:
-			for p := 0; p < e.ways; p++ {
-				if !e.send(chanFor(p), p, b.ShallowCopy()) {
-					return
-				}
-			}
-		case e.Keys == nil || e.ways == 1:
-			p := rr % e.ways
-			rr++
-			if !e.send(chanFor(p), p, b) {
+		if e.ways == 1 {
+			if !e.send(chanFor(0), 0, b) {
 				return
 			}
-		default:
-			parts := b.Partition(e.Keys, e.ways)
-			for p, part := range parts {
-				if part == nil {
-					continue
+			continue
+		}
+		for p, part := range b.Partition(e.Keys, e.ways) {
+			if part == nil {
+				continue
+			}
+			if acc[p] == nil {
+				acc[p] = vector.NewBatchForSchema(in.Schema(), vector.DefaultBatchSize)
+			}
+			acc[p].Append(part)
+			if acc[p].Len() >= vector.DefaultBatchSize {
+				if !e.send(chanFor(p), p, acc[p]) {
+					return
 				}
-				if acc[p] == nil {
-					acc[p] = vector.NewBatchForSchema(in.Schema(), vector.DefaultBatchSize)
-				}
-				acc[p].Append(part)
-				if acc[p].Len() >= vector.DefaultBatchSize {
-					if !e.send(chanFor(p), p, acc[p]) {
-						return
-					}
-					acc[p] = nil
-				}
+				acc[p] = nil
 			}
 		}
 	}
@@ -342,7 +292,10 @@ func (r *recvPort) Schema() *types.Schema { return r.ex.inputs[0].Schema() }
 
 // Describe implements Operator.
 func (r *recvPort) Describe() string {
-	return fmt.Sprintf("Recv port=%d/%d (%s)", r.port, r.ex.ways, r.ex.mode())
+	if r.ex.SortKey != nil {
+		return fmt.Sprintf("Recv port=%d/%d (single-port+merge)", r.port, r.ex.ways)
+	}
+	return fmt.Sprintf("Recv port=%d/%d (segment keys=%v)", r.port, r.ex.ways, r.ex.Keys)
 }
 
 // Children implements the plan walker: show inputs under port 0 only.
@@ -370,7 +323,7 @@ func (r *recvPort) next(ctx *Ctx) (*vector.Batch, error) {
 	}
 	if r.merged == nil {
 		lanes := make([]batchStream, len(r.ex.inputs))
-		for i, ch := range r.ex.lanes[r.port] {
+		for i, ch := range r.ex.lanes {
 			lanes[i] = func(ctx *Ctx) (*vector.Batch, error) { return r.recv(ctx, ch) }
 		}
 		r.merged = newMerger(r.ex.SortKey, r.Schema(), lanes...)

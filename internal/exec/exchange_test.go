@@ -83,6 +83,7 @@ func (f *failAfter) Next(ctx *Ctx) (*vector.Batch, error) {
 // and requires every port reader to surface the first error instead of
 // deadlocking (run under -race in CI).
 func TestExchangeWorkerErrorPropagation(t *testing.T) {
+	checkGoroutines(t)
 	const ways = 4
 	inputs := make([]Operator, ways)
 	for i := range inputs {
@@ -116,6 +117,7 @@ func TestExchangeWorkerErrorPropagation(t *testing.T) {
 // abandoned port must not wedge the pump, the surviving ports must drain
 // completely, and the consumer's error must surface.
 func TestExchangeConsumerAbandonment(t *testing.T) {
+	checkGoroutines(t)
 	const ways = 4
 	src := &batchSource{schema: exchangeSchema(), batches: 200, rowsPer: 512, failAt: -1}
 	ex := NewExchange([]Operator{src}, ways, []int{0})
@@ -138,6 +140,7 @@ func TestExchangeConsumerAbandonment(t *testing.T) {
 // TestExchangeCancelUnblocksPumps cancels the query context and requires
 // readers and pumps to wind down with the cancellation error.
 func TestExchangeCancelUnblocksPumps(t *testing.T) {
+	checkGoroutines(t)
 	cctx, cancel := context.WithCancel(context.Background())
 	src := &batchSource{schema: exchangeSchema(), batches: 10000, rowsPer: 512, failAt: -1}
 	ex := NewExchange([]Operator{src}, 2, []int{0})
@@ -162,45 +165,11 @@ func TestExchangeCancelUnblocksPumps(t *testing.T) {
 	}
 }
 
-// TestExchangeRoundRobinSplit deals one stream across 4 ports and checks
-// row conservation and that the split actually spreads work.
-func TestExchangeRoundRobinSplit(t *testing.T) {
-	src := &batchSource{schema: exchangeSchema(), batches: 40, rowsPer: 100, failAt: -1}
-	ex := NewSplitExchange(src, 4)
-	ports := ex.Ports()
-	counts := make([]int, len(ports))
-	var wg sync.WaitGroup
-	for i, p := range ports {
-		wg.Add(1)
-		go func(i int, p Operator) {
-			defer wg.Done()
-			rows, err := Drain(NewCtx(1), p)
-			if err != nil {
-				t.Error(err)
-			}
-			counts[i] = len(rows)
-		}(i, p)
-	}
-	wg.Wait()
-	total := 0
-	for i, c := range counts {
-		total += c
-		if c == 0 {
-			t.Errorf("port %d received nothing: split not spreading", i)
-		}
-	}
-	if total != 40*100 {
-		t.Fatalf("split lost rows: %d != %d", total, 40*100)
-	}
-	if !strings.Contains(ports[0].Describe(), "round-robin") {
-		t.Errorf("Describe = %q, want round-robin mode", ports[0].Describe())
-	}
-}
-
 // TestExchangeMergeMultipleInputs merges 3 sorted worker streams through a
 // single port and checks global order and completeness — the parallel
 // sort's merge step, on batch cursors.
 func TestExchangeMergeMultipleInputs(t *testing.T) {
+	checkGoroutines(t)
 	schema := exchangeSchema()
 	const n = 900
 	inputs := make([]Operator, 3)
@@ -229,6 +198,7 @@ func TestExchangeMergeMultipleInputs(t *testing.T) {
 // TestExchangeSegmentManyInputsManyPorts routes 3 inputs into 5 ports and
 // checks conservation plus the co-location invariant.
 func TestExchangeSegmentManyInputsManyPorts(t *testing.T) {
+	checkGoroutines(t)
 	inputs := make([]Operator, 3)
 	for i := range inputs {
 		inputs[i] = &batchSource{schema: exchangeSchema(), batches: 9, rowsPer: 1000, failAt: -1, base: i << 20}
@@ -273,9 +243,7 @@ func TestExchangeDescribeModes(t *testing.T) {
 		want string
 	}{
 		{NewExchange([]Operator{src()}, 2, []int{0}), "segment keys=[0]"},
-		{NewBroadcastExchange([]Operator{src()}, 2), "broadcast"},
-		{NewSplitExchange(src(), 2), "round-robin"},
-		{NewMergeExchange([]Operator{src(), src()}, []SortSpec{{Col: 0}}), "merge"},
+		{NewMergeExchange([]Operator{src(), src()}, []SortSpec{{Col: 0}}), "single-port+merge"},
 	} {
 		d := tc.ex.Ports()[0].Describe()
 		if !strings.Contains(d, tc.want) {
@@ -288,6 +256,7 @@ func TestExchangeDescribeModes(t *testing.T) {
 // must deliver the pump's accumulated batches (few, large), not per-row
 // dribbles.
 func TestExchangeBatchNative(t *testing.T) {
+	checkGoroutines(t)
 	src := &batchSource{schema: exchangeSchema(), batches: 8, rowsPer: vector.DefaultBatchSize, failAt: -1}
 	ex := NewExchange([]Operator{src}, 2, []int{0})
 	p := ex.Ports()[0]
@@ -322,7 +291,7 @@ func TestExchangeBatchNative(t *testing.T) {
 // stop the worker goroutines and the exchange pumps promptly — no leaked
 // goroutines pinning operator state, no residual full-input drain.
 func TestExchangeEarlyCloseStopsPumps(t *testing.T) {
-	before := runtime.NumGoroutine()
+	checkGoroutines(t)
 	src := &batchSource{schema: exchangeSchema(), batches: 100_000, rowsPer: 512, failAt: -1}
 	ex := NewExchange([]Operator{src}, 4, []int{0})
 	u := NewParallelUnion(ex.Ports()...)
@@ -339,17 +308,27 @@ func TestExchangeEarlyCloseStopsPumps(t *testing.T) {
 	if err := u.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// The pump must not have drained the whole 100k-batch input.
+	// The pump must not have drained the whole 100k-batch input; workers
+	// and pumps must be gone (checkGoroutines).
 	if src.produced > 1000 {
 		t.Errorf("pump drained %d batches after early close", src.produced)
 	}
-	// Workers and pumps must be gone (allow scheduler slack).
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+1 {
-			return
+}
+
+// checkGoroutines fails the test unless, after it ends, the goroutine count
+// falls back to what it was when this was called, within a deadline: no
+// pump, worker or build may outlive the plan that started it.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines leaked: %d before, %d after close", before, runtime.NumGoroutine())
+	})
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -689,6 +690,42 @@ func TestHashJoinSwitchesToSortMerge(t *testing.T) {
 	}
 }
 
+// TestOuterHashJoinCannotSwitch pins what a RIGHT or FULL OUTER hash join
+// does when its build side outgrows a budget of a few KiB. The merge-join
+// walk the other flavors switch to pads unmatched outer rows and never
+// emits an unmatched build row, so the switched join answered like a LEFT
+// join: 3 rows where the unbounded join returns 2000. It fails with
+// ErrOuterJoinTooLarge instead.
+func TestOuterHashJoinCannotSwitch(t *testing.T) {
+	f := newExecFixture(t, 2000, 5, 1)
+	for _, typ := range []JoinType{RightOuterJoin, FullOuterJoin} {
+		run := func(budget int64) ([]types.Row, error) {
+			ctx := f.ctx()
+			ctx.MemBudget = budget
+			ctx.TempDir = t.TempDir()
+			// dim ids 0..2 probe a build of the 2000 keys k.
+			j, err := NewHashJoin(typ, dimValues(), f.scan(0, 1), []int{0}, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Drain(ctx, j)
+		}
+		want, err := run(64 << 20)
+		if err != nil || len(want) != 2000 {
+			t.Fatalf("%s join, unbounded: %d rows, err %v", typ, len(want), err)
+		}
+		got, err := run(4 << 10)
+		if err == nil {
+			t.Errorf("%s join at 4 KiB returned %d rows and no error; unbounded it returns %d (first difference: %s)",
+				typ, len(got), len(want), firstDiff(renderSorted(got), renderSorted(want)))
+			continue
+		}
+		if !errors.Is(err, ErrOuterJoinTooLarge) {
+			t.Errorf("%s join at 4 KiB: err = %v, want ErrOuterJoinTooLarge", typ, err)
+		}
+	}
+}
+
 func TestHashJoinPublishesSIP(t *testing.T) {
 	f := newExecFixture(t, 200, 10, 1)
 	ctx := f.ctx()
@@ -899,6 +936,7 @@ func TestAnalyticWholePartitionAndLag(t *testing.T) {
 // --- exchange / unions ------------------------------------------------------
 
 func TestExchangeSegmentRouting(t *testing.T) {
+	checkGoroutines(t)
 	f := newExecFixture(t, 300, 3, 1)
 	ex := NewExchange([]Operator{f.scan(0, 1)}, 3, []int{1})
 	ports := ex.Ports()
@@ -926,29 +964,8 @@ func TestExchangeSegmentRouting(t *testing.T) {
 	}
 }
 
-func TestExchangeBroadcast(t *testing.T) {
-	f := newExecFixture(t, 50, 2, 1)
-	ex := NewBroadcastExchange([]Operator{f.scan(0)}, 2)
-	ports := ex.Ports()
-	var unions []Operator
-	for _, p := range ports {
-		unions = append(unions, NewGroupBy(p, nil, nil, []AggSpec{{Kind: AggCountStar, Name: "c"}}))
-	}
-	rows, err := Drain(f.ctx(), NewParallelUnion(unions...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("results = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r[0].I != 50 {
-			t.Errorf("broadcast port saw %d rows, want 50", r[0].I)
-		}
-	}
-}
-
 func TestExchangePreservesSortedness(t *testing.T) {
+	checkGoroutines(t)
 	f := newExecFixture(t, 200, 2, 2)
 	s := f.scan(0)
 	s.MergeSorted = true
@@ -965,19 +982,6 @@ func TestExchangePreservesSortedness(t *testing.T) {
 		if rows[i-1][0].I > rows[i][0].I {
 			t.Fatal("exchange lost sortedness")
 		}
-	}
-}
-
-func TestSerialUnion(t *testing.T) {
-	schema := types.NewSchema(types.Column{Name: "x", Typ: types.Int64})
-	a := NewValues(schema, []types.Row{{types.NewInt(1)}})
-	b := NewValues(schema, []types.Row{{types.NewInt(2)}})
-	rows, err := Drain(NewCtx(1), NewSerialUnion(a, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0][0].I != 1 || rows[1][0].I != 2 {
-		t.Errorf("serial union = %v", rows)
 	}
 }
 
@@ -1022,7 +1026,6 @@ func TestGroupByRLEDirect(t *testing.T) {
 	}
 	s := NewScan("pm", mgr, schema, []int{0})
 	s.PreserveRuns = true
-	s.IncludeWOS = false
 	g := NewGroupBy(s, []expr.Expr{expr.NewColRef(0, types.Varchar, "metric")}, []string{"metric"},
 		[]AggSpec{{Kind: AggCountStar, Name: "c"}})
 	g.InputSorted = true

@@ -282,37 +282,42 @@ func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 		for _, typ := range allJoinTypes {
 			want := refJoin(t, typ, c.outer, c.inner, c.keys, c.keys, c.residual, 4, 4)
 			for _, shape := range []batchShape{shapeFlat, shapeSel, shapeRLE} {
-				for _, ways := range []int{1, 4} {
-					name := fmt.Sprintf("%s/%s/%s/ways=%d", c.name, typ, shape, ways)
-					// 128 live rows a batch: the 80-row fan-out probes in one
-					// batch, so its 6 400 pairs must split across output batches.
-					outer := Operator(newShapedSource(outerSchema, c.outer, shape, c.keys[0], 128))
-					inner := Operator(newShapedSource(innerSchema, c.inner, shapeFlat, 0, 50))
-					var root Operator
-					if ways == 1 {
-						j, err := NewHashJoin(typ, outer, inner, c.keys, c.keys)
-						if err != nil {
-							t.Fatal(err)
-						}
-						j.Residual = c.residual
-						root = j
-					} else {
-						// Both sides resegmented on the join key, one join per
-						// partition — the planner's parallel hash join.
-						op := NewExchange([]Operator{outer}, ways, c.keys).Ports()
-						ip := NewExchange([]Operator{inner}, ways, c.keys).Ports()
-						joins := make([]Operator, ways)
-						for p := range joins {
-							j, err := NewHashJoin(typ, op[p], ip[p], c.keys, c.keys)
-							if err != nil {
-								t.Fatal(err)
-							}
-							j.Residual = c.residual
-							joins[p] = j
-						}
-						root = NewParallelUnion(joins...)
+				// 128 live rows a batch: the 80-row fan-out probes in one
+				// batch, so its 6 400 pairs must split across output batches.
+				inner := func() Operator { return newShapedSource(innerSchema, c.inner, shapeFlat, 0, 50) }
+				j, err := NewHashJoin(typ, newShapedSource(outerSchema, c.outer, shape, c.keys[0], 128), inner(), c.keys, c.keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j.Residual = c.residual
+				diffRows(t, fmt.Sprintf("%s/%s/%s", c.name, typ, shape), drainCapped(t, NewCtx(1), j), want)
+				if typ == RightOuterJoin || typ == FullOuterJoin {
+					continue // a fan closes before these
+				}
+				// A fan: four workers, each probing its share of the outer rows
+				// against one shared build — in memory, and under a budget so
+				// small that the build switches to sort-merge and every worker
+				// walks the one sorted inner side.
+				for _, budget := range []int64{64 << 20, 512} {
+					const ways = 4
+					outers := make([]Operator, ways)
+					for w := range outers {
+						share := c.outer[w*len(c.outer)/ways : (w+1)*len(c.outer)/ways]
+						outers[w] = newShapedSource(outerSchema, share, shape, c.keys[0], 128)
 					}
-					diffRows(t, name, drainCapped(t, NewCtx(1), root), want)
+					js, err := FanHashJoin(typ, outers, inner(), c.keys, c.keys)
+					if err != nil {
+						t.Fatal(err)
+					}
+					workers := make([]Operator, ways)
+					for w, j := range js {
+						j.Residual = c.residual
+						workers[w] = j
+					}
+					ctx := NewCtx(1)
+					ctx.MemBudget = budget
+					name := fmt.Sprintf("%s/%s/%s/fan/budget=%d", c.name, typ, shape, budget)
+					diffRows(t, name, drainCapped(t, ctx, NewParallelUnion(workers...)), want)
 				}
 			}
 		}
@@ -598,7 +603,7 @@ func TestHashOperatorsHitPathAllocations(t *testing.T) {
 		if err := j.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.build(ctx); err != nil {
+		if _, err := j.build(ctx, &j.runs); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {

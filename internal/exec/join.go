@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/expr"
@@ -72,10 +73,15 @@ type HashJoin struct {
 	// only); unmatchedPos walks it once the outer input is exhausted.
 	matchedBuild []bool
 	unmatchedPos int
-	built        bool
+	ready        bool // the table is built, or merge is set
 	spilled      bool
 	merge        *mergeWalk // set by the runtime switch to sort-merge
-	runs         runSet     // what its two sorters spilled
+	runs         runSet     // what its sorters spilled
+	// share holds the build: the join's own, or the one the hash joins of a
+	// fan's workers probe together (fan.go); sharing is set from Open to
+	// Close.
+	share   *buildShare
+	sharing bool
 
 	// Probe state. A probe batch is worked off in chunks of at most
 	// vector.DefaultBatchSize output rows, so (pos, chain) can stop in the
@@ -105,7 +111,8 @@ func NewHashJoin(t JoinType, outer, inner Operator, outerKeys, innerKeys []int) 
 	if len(outerKeys) != len(innerKeys) || len(outerKeys) == 0 {
 		return nil, fmt.Errorf("exec: join requires aligned, non-empty key lists")
 	}
-	j := &HashJoin{Type: t, outer: outer, inner: inner, OuterKeys: outerKeys, InnerKeys: innerKeys}
+	j := &HashJoin{Type: t, outer: outer, inner: inner, OuterKeys: outerKeys, InnerKeys: innerKeys,
+		share: &buildShare{inner: inner}}
 	j.schema = joinSchema(t, outer.Schema(), inner.Schema())
 	j.resSchema = combinedSchema(outer.Schema(), inner.Schema())
 	return j, nil
@@ -170,39 +177,44 @@ func (j *HashJoin) Describe() string {
 func (j *HashJoin) Open(ctx *Ctx) error {
 	j.runs.close()
 	j.table, j.matchedBuild, j.merge, j.in = nil, nil, nil, nil
-	j.built, j.spilled = false, false
+	j.ready, j.spilled = false, false
 	j.unmatchedPos = 0
 	if err := j.outer.Open(ctx); err != nil {
 		return err
 	}
-	return j.inner.Open(ctx)
+	j.sharing = true
+	return j.share.open(ctx)
 }
 
 // Close implements Operator.
 func (j *HashJoin) Close(ctx *Ctx) error {
 	j.runs.close()
-	if err := j.outer.Close(ctx); err != nil {
-		j.inner.Close(ctx)
-		return err
+	err := j.outer.Close(ctx)
+	if j.sharing {
+		j.sharing = false
+		if innerErr := j.share.close(ctx); err == nil {
+			err = innerErr
+		}
 	}
-	return j.inner.Close(ctx)
+	return err
 }
 
 // build drains the inner input into the hash table, renegotiating the grant
-// at the budget threshold and switching to sort-merge when the governor
-// denies the extension. What is charged is what the columnar store holds:
-// 8 bytes per fixed-width value, header plus payload per string, and the
-// table's hash and chain entries per row.
-func (j *HashJoin) build(ctx *Ctx) error {
+// at the budget threshold; when the governor denies the extension it sorts
+// the inner side instead, its runs owned by runs, and returns that sorter
+// (the table is then nil). What is charged is what the columnar store
+// holds: 8 bytes per fixed-width value, header plus payload per string, and
+// the table's hash and chain entries per row.
+func (j *HashJoin) build(ctx *Ctx, runs *runSet) (*sorter, error) {
 	j.table = newHashTable(j.inner.Schema(), j.InnerKeys, false)
 	budget := ctx.MemBudget
 	for {
 		if err := ctx.Canceled(); err != nil {
-			return err
+			return nil, err
 		}
 		in, err := j.inner.Next(ctx)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if in == nil {
 			break
@@ -221,14 +233,13 @@ func (j *HashJoin) build(ctx *Ctx) error {
 			// sorting both sides. The budget extended so far stays granted,
 			// so the inner sorter inherits it rather than re-requesting
 			// memory the query already holds.
-			return j.switchToSortMerge(ctx, budget)
+			return j.sortInner(ctx, budget, runs)
 		}
 	}
 	j.table.link()
 	if j.Type == RightOuterJoin || j.Type == FullOuterJoin {
 		j.matchedBuild = make([]bool, j.table.len())
 	}
-	j.built = true
 	if j.SIP != nil {
 		keys := make(map[uint64]bool, j.table.len())
 		for _, h := range j.table.hashes {
@@ -236,15 +247,26 @@ func (j *HashJoin) build(ctx *Ctx) error {
 		}
 		j.SIP.Publish(keys)
 	}
-	return nil
+	return nil, nil
 }
 
 // next is the operator body behind the profiled Next (profile.go).
 func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
-	if !j.built && j.merge == nil {
-		if err := j.build(ctx); err != nil {
+	if err := ctx.Canceled(); err != nil {
+		return nil, err
+	}
+	if !j.ready {
+		// The table built — by this join, or by the fan's worker that built
+		// the shared one — or, when the build was denied memory, both sides
+		// sorted for the merge-join loop.
+		inner, err := j.share.acquire(ctx, j)
+		if err == nil && inner != nil {
+			err = j.mergeOuter(ctx, inner)
+		}
+		if err != nil {
 			return nil, err
 		}
+		j.ready = true
 	}
 	if j.merge != nil {
 		return j.merge.next(ctx)
@@ -464,37 +486,53 @@ func (j *HashJoin) unmatchedBuild() *vector.Batch {
 
 // --- runtime switch to sort-merge ----------------------------------------
 
-// switchToSortMerge abandons the hash table: both sides are sorted by their
-// keys within the budget and joined by the merge-join loop MergeJoin runs
-// over its children. Every run either sorter spills belongs to j.runs from
-// the moment its file exists, so Close removes it however far the switch
-// got.
-func (j *HashJoin) switchToSortMerge(ctx *Ctx, budget int64) error {
-	j.spilled = true
+// ErrOuterJoinTooLarge is what a RIGHT or FULL OUTER hash join returns when
+// its build side outgrows every budget it can be granted. The sort-merge
+// switch the other flavors take cannot answer these two: the merge-join loop
+// pads unmatched outer rows only and never emits an unmatched build row.
+var ErrOuterJoinTooLarge = errors.New("exec: RIGHT and FULL OUTER hash joins cannot switch to sort-merge")
+
+// sortInner abandons the hash table: the inner side is sorted by its keys
+// within the budget, its runs owned by runs from the moment each file
+// exists, so Close removes them however far the switch got. The sorter
+// takes over the table's rows and its (possibly extended) budget — those
+// bytes are granted to this query and free now that the table is
+// abandoned.
+func (j *HashJoin) sortInner(ctx *Ctx, budget int64, runs *runSet) (*sorter, error) {
+	if j.Type == RightOuterJoin || j.Type == FullOuterJoin {
+		return nil, fmt.Errorf("%w: the %s join's build side exceeded budget=%d", ErrOuterJoinTooLarge, j.Type, budget)
+	}
 	ctx.Spills.Add(1)
 	j.prof.Spills.Add(1)
 	metrics.Spills.Inc()
 	ctx.Trace.Event("JOIN_SPILLED", fmt.Sprintf("switched to sort-merge at budget=%d", budget))
-	// The inner sorter takes over the hash table's rows and its (possibly
-	// extended) budget — those bytes are granted to this query and free now
-	// that the table is abandoned. The outer sorter starts fresh at the
-	// operator budget and renegotiates on its own.
-	inner := newSorter(ctx, j.inner.Schema(), keySpecs(j.InnerKeys), &j.runs, &j.prof)
+	inner := newSorter(ctx, j.inner.Schema(), keySpecs(j.InnerKeys), runs, &j.prof)
 	inner.budget = budget
 	stored := j.table.rows
 	j.table = nil
 	if err := inner.add(ctx, stored); err != nil {
-		return err
+		return nil, err
 	}
 	if err := inner.addAll(ctx, j.inner); err != nil {
-		return err
+		return nil, err
 	}
+	inner.finish()
+	return inner, nil
+}
+
+// mergeOuter completes the switch to sort-merge: the outer side is sorted
+// by its keys (starting fresh at the operator budget and renegotiating on
+// its own, runs in j.runs) and joined with the sorted inner side by the
+// merge-join loop MergeJoin runs over its children.
+func (j *HashJoin) mergeOuter(ctx *Ctx, inner *sorter) error {
+	j.spilled = true
 	outer := newSorter(ctx, j.outer.Schema(), keySpecs(j.OuterKeys), &j.runs, &j.prof)
 	if err := outer.addAll(ctx, j.outer); err != nil {
 		return err
 	}
+	outer.finish()
 	j.merge = &mergeWalk{
-		outer: cursor{src: outer.finish()}, inner: cursor{src: inner.finish()},
+		outer: cursor{src: outer.stream()}, inner: cursor{src: inner.stream()},
 		outerKeys: j.OuterKeys, innerKeys: j.InnerKeys,
 		joiner: newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema),
 	}

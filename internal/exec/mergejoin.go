@@ -87,8 +87,8 @@ func (j *MergeJoin) next(ctx *Ctx) (*vector.Batch, error) { return j.walk.next(c
 // cursors, buffering the inner rows of one key at a time, and hands every
 // outer row and its key group to a rowJoiner. MergeJoin runs it over its
 // children, HashJoin over two sorters after its runtime switch. It joins
-// the INNER, LEFT OUTER, SEMI and ANTI flavors (the planner puts the
-// smaller input on the build side, so a switched hash join needs no other).
+// the INNER, LEFT OUTER, SEMI and ANTI flavors; a RIGHT or FULL OUTER hash
+// join that would need the switch fails with ErrOuterJoinTooLarge instead.
 type mergeWalk struct {
 	outer, inner         cursor
 	outerKeys, innerKeys []int

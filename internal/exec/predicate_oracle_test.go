@@ -306,7 +306,6 @@ func TestPredicateOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			st := newPredStore(t, rng, lay.sortCol, lay.enc)
 			g := &predGen{rng: rng, samples: st.samples, sortCol: lay.sortCol}
-			containers := st.mgr.Containers()
 			for n := 0; n < *predCases; n++ {
 				pred := g.predicate(2)
 				epoch := st.epochs[rng.Intn(len(st.epochs))]
@@ -317,34 +316,22 @@ func TestPredicateOracle(t *testing.T) {
 					t.Fatalf("%s disagrees with EvalRow (re-run with -pred.seed=%d; layout %s, case %d, epoch %d)\n  %s\ngot  %d rows\nwant %d rows\nfirst difference: %s",
 						how, *predSeed, lay.name, n, epoch, pred, len(got), len(want), firstDiff(got, want))
 				}
-				// The scan, three ways: seeking, kernels only, and split by
-				// container the way parallel workers are.
-				for _, mode := range []string{"seek", "seek+runs", "kernels", "split"} {
-					var scans []*Scan
-					if mode == "split" {
-						for w := 0; w < 2; w++ {
-							s := NewScan("p", st.mgr, predSchema, all)
-							s.ContainerIDs, s.IncludeWOS = []string{}, w == 0
-							for j := w; j < len(containers); j += 2 {
-								s.ContainerIDs = append(s.ContainerIDs, containers[j].Meta.ID)
-							}
-							scans = append(scans, s)
-						}
-					} else {
-						scans = []*Scan{NewScan("p", st.mgr, predSchema, all)}
+				// The scan, four ways: seeking, keeping runs, kernels only, and
+				// fanned out to two workers that claim blocks from one cursor.
+				for _, mode := range []string{"seek", "seek+runs", "kernels", "fan"} {
+					s := NewScan("p", st.mgr, predSchema, all)
+					s.Predicate = pred
+					if mode != "kernels" {
+						s.SortKey = []int{lay.sortCol}
 					}
-					var rows []types.Row
-					for _, s := range scans {
-						s.Predicate = pred
-						if mode != "kernels" {
-							s.SortKey = []int{lay.sortCol}
-						}
-						s.PreserveRuns = mode == "seek+runs"
-						got, err := Drain(&Ctx{Epoch: epoch, MemBudget: 1 << 20}, s)
-						if err != nil {
-							t.Fatalf("scan (%s) of %s: %v", mode, pred, err)
-						}
-						rows = append(rows, got...)
+					s.PreserveRuns = mode == "seek+runs"
+					var op Operator = s
+					if mode == "fan" {
+						op = NewParallelUnion(s.Fan(2)...)
+					}
+					rows, err := Drain(&Ctx{Epoch: epoch, MemBudget: 1 << 20}, op)
+					if err != nil {
+						t.Fatalf("scan (%s) of %s: %v", mode, pred, err)
 					}
 					if got := renderSorted(rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
 						fail("scan ("+mode+")", got)

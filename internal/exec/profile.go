@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -155,12 +156,6 @@ func (u *ParallelUnion) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.obser
 func (u *ParallelUnion) Prof() *OpProf { return &u.prof }
 
 // Next implements Operator.
-func (u *SerialUnion) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.observe(&u.prof, u.next) }
-
-// Prof implements Profiled.
-func (u *SerialUnion) Prof() *OpProf { return &u.prof }
-
-// Next implements Operator.
 func (v *Values) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.observe(&v.prof, v.next) }
 
 // Prof implements Profiled.
@@ -174,23 +169,79 @@ func (r *recvPort) Prof() *OpProf { return &r.prof }
 
 // --- plan-node ids and estimate propagation --------------------------------
 
-// AssignNodeIDs numbers the plan pre-order (the order Describe renders),
-// so profile records line up with EXPLAIN lines. Returns the node count.
-func AssignNodeIDs(root Operator) int {
-	next := 0
-	var walk func(op Operator)
-	walk = func(op Operator) {
-		if p, ok := op.(Profiled); ok {
-			p.Prof().NodeID = next
-		}
-		next++
-		if hc, ok := op.(hasChildren); ok {
-			for _, c := range hc.Children() {
-				walk(c)
+// walkPlan visits a plan pre-order as EXPLAIN shows it, each plan node as
+// the operators it stands for: one, or — for the workers of a fan, which
+// are identical pipelines (fan.go) — the corresponding operator of every
+// worker, folded into one node. An operator the workers share (a shared
+// build's inner input) is one node.
+func walkPlan(root Operator, visit func(ops []Operator, depth int)) {
+	var walk func(ops []Operator, depth int)
+	walk = func(ops []Operator, depth int) {
+		visit(ops, depth)
+		kids := children(ops[0])
+		if len(ops) == 1 {
+			if isFan(kids) {
+				walk(kids, depth+1)
+				return
 			}
+			for i := range kids {
+				walk(kids[i:i+1], depth+1)
+			}
+			return
+		}
+		for i := range kids {
+			var set []Operator
+			for _, op := range ops {
+				if c := children(op)[i]; !slices.Contains(set, c) {
+					set = append(set, c)
+				}
+			}
+			walk(set, depth+1)
 		}
 	}
-	walk(root)
+	walk([]Operator{root}, 0)
+}
+
+func children(op Operator) []Operator {
+	if hc, ok := op.(hasChildren); ok {
+		return hc.Children()
+	}
+	return nil
+}
+
+// isFan reports whether ops are the workers of one fan: pipelines whose
+// driving scans — reached through first children — share a cursor.
+func isFan(ops []Operator) bool {
+	if len(ops) < 2 {
+		return false
+	}
+	var share *scanShare
+	for _, op := range ops {
+		for kids := children(op); len(kids) > 0; kids = children(op) {
+			op = kids[0]
+		}
+		s, ok := op.(*Scan)
+		if !ok || s.share == nil || share != nil && s.share != share {
+			return false
+		}
+		share = s.share
+	}
+	return true
+}
+
+// AssignNodeIDs numbers the plan pre-order (the order Describe renders),
+// so profile records line up with EXPLAIN lines; the operators a node
+// folds share its number. Returns the node count.
+func AssignNodeIDs(root Operator) int {
+	next := 0
+	walkPlan(root, func(ops []Operator, _ int) {
+		for _, op := range ops {
+			if p, ok := op.(Profiled); ok {
+				p.Prof().NodeID = next
+			}
+		}
+		next++
+	})
 	return next
 }
 
@@ -214,8 +265,8 @@ func EstRowsOf(op Operator) int64 {
 // nodes (scans, joins, aggregates, the root): untagged single-child nodes
 // inherit their child's estimate, untagged multi-child nodes take the sum,
 // and exchange receive ports take their exchange's total input estimate
-// divided across ways (broadcast ports see the whole input). The walk is
-// bottom-up so estimates flow from the planner's anchors toward the root.
+// divided across ways. The walk is bottom-up so estimates flow from the
+// planner's anchors toward the root.
 func FinalizeEstimates(root Operator) {
 	var walk func(op Operator) int64
 	walk = func(op Operator) int64 {
@@ -240,7 +291,7 @@ func FinalizeEstimates(root Operator) {
 			for _, in := range r.ex.inputs {
 				total += EstRowsOf(in)
 			}
-			if r.ex.Broadcast || r.ex.ways <= 1 {
+			if r.ex.ways <= 1 {
 				pr.EstRows = total
 			} else {
 				pr.EstRows = total / int64(r.ex.ways)
@@ -256,34 +307,36 @@ func FinalizeEstimates(root Operator) {
 // --- collection and rendering ---------------------------------------------
 
 // CollectProfiles flattens a plan's collectors into per-operator records
-// (pre-order, matching EXPLAIN). Always cheap: one walk, a handful of
-// atomic loads per node; an operator is described only when its record's Op
-// is read.
+// (pre-order, matching EXPLAIN). A node that folds a fan's workers is one
+// record: "workers=<w>" is appended to its operator text and its counters
+// are the sums over the workers. Always cheap: one walk, a handful of
+// atomic loads per operator; an operator is described only when its
+// record's Op is read.
 func CollectProfiles(root Operator, node string) []resmgr.OpProfile {
 	var out []resmgr.OpProfile
-	var walk func(op Operator, depth int)
-	walk = func(op Operator, depth int) {
-		rec := resmgr.OpProfile{Node: node, NodeID: -1, Depth: depth, Op: resmgr.LazyText(op.Describe)}
-		if p, ok := op.(Profiled); ok {
+	walkPlan(root, func(ops []Operator, depth int) {
+		rec := resmgr.OpProfile{Node: node, NodeID: -1, Depth: depth, Op: resmgr.LazyText(ops[0].Describe)}
+		if len(ops) > 1 {
+			rec.Op = resmgr.LazyText(func() string { return fmt.Sprintf("%s workers=%d", ops[0].Describe(), len(ops)) })
+		}
+		for _, op := range ops {
+			p, ok := op.(Profiled)
+			if !ok {
+				continue
+			}
 			pr := p.Prof()
 			rec.NodeID = pr.NodeID
-			rec.EstRows = pr.EstRows
-			rec.Batches = pr.Batches.Load()
-			rec.Rows = pr.Rows.Load()
-			rec.WallUs = pr.WallNs.Load() / 1000
-			rec.BlockedUs = pr.BlockedNs.Load() / 1000
-			rec.Spills = pr.Spills.Load()
-			rec.SpilledBytes = pr.SpilledBytes.Load()
-			rec.AllocPeak = pr.AllocPeak.Load()
+			rec.EstRows += pr.EstRows
+			rec.Batches += pr.Batches.Load()
+			rec.Rows += pr.Rows.Load()
+			rec.WallUs += pr.WallNs.Load() / 1000
+			rec.BlockedUs += pr.BlockedNs.Load() / 1000
+			rec.Spills += pr.Spills.Load()
+			rec.SpilledBytes += pr.SpilledBytes.Load()
+			rec.AllocPeak += pr.AllocPeak.Load()
 		}
 		out = append(out, rec)
-		if hc, ok := op.(hasChildren); ok {
-			for _, c := range hc.Children() {
-				walk(c, depth+1)
-			}
-		}
-	}
-	walk(root, 0)
+	})
 	return out
 }
 

@@ -27,18 +27,6 @@ type Scan struct {
 	// SIPs are sideways-information-passing filters (see sip.go), evaluated
 	// against output columns once their join builds are ready.
 	SIPs []*SIPFilter
-	// ContainerIDs restricts the scan to a subset (StorageUnion workers);
-	// nil scans everything.
-	ContainerIDs []string
-	// StorageGen, when non-zero, is the storage generation the ContainerIDs
-	// split was planned against. If a moveout commits in between (moving
-	// rows from the WOS — owned by one worker — into containers owned by
-	// none), Open fails with storage.ErrStorageChanged and the query layer
-	// replans.
-	StorageGen int64
-	// IncludeWOS scans the write-optimized store too (default true via
-	// NewScan; exactly one worker of a parallel scan includes it).
-	IncludeWOS bool
 	// MergeSorted presents rows globally sorted by SortKey by heap-merging
 	// container streams (used under merge joins and one-pass aggregation).
 	MergeSorted bool
@@ -74,7 +62,11 @@ type Scan struct {
 	// singleSorted short-circuits MergeSorted when one container holds all
 	// visible rows: its storage order is already the requested order.
 	singleSorted bool
-	prof         OpProf
+	// share is the cursor the worker scans of a fan claim their blocks from
+	// (fan.go); claiming is set from Open to Close.
+	share    *scanShare
+	claiming bool
+	prof     OpProf
 }
 
 // ScanProbe is a test seam on the ROS scan's filter step. Only tests install
@@ -103,7 +95,6 @@ func NewScan(projection string, mgr *storage.Manager, schema *types.Schema, cols
 		Projection: projection,
 		Mgr:        mgr,
 		Columns:    cols,
-		IncludeWOS: true,
 		schema:     types.NewSchema(out...),
 	}
 }
@@ -135,45 +126,18 @@ func (s *Scan) Open(ctx *Ctx) error {
 	if err := s.compileFilter(); err != nil {
 		return err
 	}
+	s.cur, s.curState, s.wosDone, s.singleSorted = 0, nil, false, false
+	if s.share != nil {
+		if err := s.share.open(ctx, s); err != nil {
+			return err
+		}
+		s.claiming = true
+		return nil
+	}
 	// One atomic view of containers + WOS: a moveout committing between two
 	// separate reads would show its rows in both stores or in neither.
-	view := s.Mgr.ScanView(ctx.Epoch, s.IncludeWOS)
-	s.wosRows = view.WOSRows
-	s.containers = nil
-	if s.ContainerIDs != nil {
-		// A worker scan owns a plan-time subset. The plan's container split
-		// is only exhaustive at the generation it was computed from: a
-		// moveout in between moved WOS rows (owned by worker 0) into new
-		// containers owned by nobody. Retired (merged-away) containers
-		// still resolve via Container; a vanished one forces a replan too.
-		if s.StorageGen != 0 && view.Gen != s.StorageGen {
-			return fmt.Errorf("exec: scan of %s planned at storage generation %d, now %d: %w",
-				s.Projection, s.StorageGen, view.Gen, storage.ErrStorageChanged)
-		}
-		for _, id := range s.ContainerIDs {
-			r, ok := view.Container(id)
-			if !ok {
-				r, ok = s.Mgr.Container(id) // recently retired readers
-			}
-			if !ok {
-				return fmt.Errorf("exec: container %s of %s is gone: %w",
-					id, s.Projection, storage.ErrStorageChanged)
-			}
-			s.containers = append(s.containers, r)
-		}
-	} else {
-		s.containers = view.Containers
-	}
-	// Snapshot visibility: containers born after the snapshot are invisible.
-	visible := s.containers[:0]
-	for _, r := range s.containers {
-		if r.Meta.MinEpoch <= ctx.Epoch {
-			visible = append(visible, r)
-		}
-	}
-	s.containers = visible
-	s.cur, s.curState, s.wosDone = 0, nil, false
-	s.singleSorted = false
+	view := s.Mgr.ScanView(ctx.Epoch)
+	s.wosRows, s.containers = view.WOSRows, view.Containers
 	if s.MergeSorted {
 		if len(s.containers) <= 1 && len(s.wosRows) == 0 {
 			// A single container is already in projection sort order.
@@ -232,6 +196,10 @@ func (s *Scan) Close(*Ctx) error {
 	s.curState, s.merged, s.containers, s.wosRows = nil, nil, nil, nil
 	s.cs, s.selBuf = containerScan{}, nil
 	clear(s.blockCols)
+	if s.claiming {
+		s.claiming = false
+		s.share.close()
+	}
 	return nil
 }
 
@@ -239,6 +207,9 @@ func (s *Scan) Close(*Ctx) error {
 func (s *Scan) next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Canceled(); err != nil {
 		return nil, err
+	}
+	if s.share != nil {
+		return s.nextClaimed(ctx)
 	}
 	if s.MergeSorted && !s.singleSorted {
 		return s.merged.next(ctx)
@@ -367,102 +338,104 @@ func (st *containerScan) decode(s *Scan, i, b int, preserveRuns bool) (*vector.V
 }
 
 // nextBlock produces the batch for the next unpruned, visible block, or nil
-// when the container is exhausted. The rows that pass are the range [lo, hi)
-// of the block while sel is nil, and sel (in the scan's scratch) once a step
-// drops a row from the middle; a range is emitted as views of the decoded
-// blocks, a selection as a gather.
+// when the container is exhausted.
 func (st *containerScan) nextBlock(ctx *Ctx, s *Scan) (*vector.Batch, error) {
-blocks:
 	for st.block < st.numBlocks {
 		b := st.block
 		st.block++
-		for _, p := range s.pruners {
-			if e := &st.pidx[p.Col][b]; !p.MayHold(e.Min, e.Max) {
-				ctx.BlocksPruned.Add(1)
-				continue blocks
+		if batch, err := st.readBlock(ctx, s, b); err != nil || batch != nil {
+			return batch, err
+		}
+	}
+	return nil, nil
+}
+
+// readBlock produces the batch of block b's rows that pass, or nil when the
+// block is pruned or none does. The rows that pass are the range [lo, hi) of
+// the block while sel is nil, and sel (in the scan's scratch) once a step
+// drops a row from the middle; a range is emitted as views of the decoded
+// blocks, a selection as a gather. The cursor st is only read, so the worker
+// scans of a fan share one per container.
+func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, error) {
+	for _, p := range s.pruners {
+		if e := &st.pidx[p.Col][b]; !p.MayHold(e.Min, e.Max) {
+			ctx.BlocksPruned.Add(1)
+			return nil, nil
+		}
+	}
+	ctx.BlocksRead.Add(1)
+	entries := st.epochPidx
+	if len(st.pidx) > 0 {
+		entries = st.pidx[0]
+	}
+	firstPos, n := entries[b].FirstPos, int(entries[b].RowCount)
+	clear(s.blockCols)
+	// Seek: the sort-key conjuncts as a row range.
+	lo, hi, err := st.keyRange(s, b, n)
+	if err != nil || lo >= hi {
+		return nil, err
+	}
+	// The other conjuncts narrow the range; the columns they read decode
+	// first, the rest only if a row survives (late materialization).
+	var sel []int
+	if s.selector != nil {
+		for _, oc := range s.selector.Columns() {
+			if _, err := st.decode(s, oc, b, false); err != nil {
+				return nil, err
 			}
 		}
-		ctx.BlocksRead.Add(1)
-		entries := st.epochPidx
-		if len(st.pidx) > 0 {
-			entries = st.pidx[0]
+		if sel, err = s.selector.Narrow(s.blockCols, nil, lo, hi, s.scratch(n)); err != nil || len(sel) == 0 {
+			return nil, err
 		}
-		firstPos, n := entries[b].FirstPos, int(entries[b].RowCount)
-		clear(s.blockCols)
-		// Seek: the sort-key conjuncts as a row range.
-		lo, hi, err := st.keyRange(s, b, n)
+		if len(sel) == hi-lo {
+			sel = nil // every row of the range passed: still a range
+		}
+	}
+	// Visibility: delete vector and epoch column narrow the same rows.
+	if sel, err = st.applyVisibility(ctx, s, b, firstPos, lo, hi, sel); err != nil {
+		return nil, err
+	}
+	if sel != nil && len(sel) == 0 {
+		return nil, nil
+	}
+	// Materialize the output columns; a block that passes whole may keep
+	// its runs.
+	whole := sel == nil && lo == 0 && hi == n
+	batch := &vector.Batch{Cols: s.blockCols, Sel: sel}
+	if sel == nil {
+		batch.Cols = make([]*vector.Vector, len(s.blockCols))
+	}
+	for i := range s.blockCols {
+		v, err := st.decode(s, i, b, s.PreserveRuns && whole)
 		if err != nil {
 			return nil, err
 		}
-		if lo >= hi {
-			continue
+		if sel == nil {
+			if !v.IsRLE() {
+				v = v.Slice(lo, hi)
+			}
+			batch.Cols[i] = v
 		}
-		// The other conjuncts narrow the range; the columns they read decode
-		// first, the rest only if a row survives (late materialization).
-		var sel []int
-		if s.selector != nil {
-			for _, oc := range s.selector.Columns() {
-				if _, err := st.decode(s, oc, b, false); err != nil {
-					return nil, err
-				}
-			}
-			if sel, err = s.selector.Narrow(s.blockCols, nil, lo, hi, s.scratch(n)); err != nil {
-				return nil, err
-			}
-			if len(sel) == 0 {
-				continue
-			}
-			if len(sel) == hi-lo {
-				sel = nil // every row of the range passed: still a range
-			}
-		}
-		// Visibility: delete vector and epoch column narrow the same rows.
-		if sel, err = st.applyVisibility(ctx, s, b, firstPos, lo, hi, sel); err != nil {
+	}
+	// SIP filters drop rows whose keys cannot match the join (paper §6.1).
+	for _, sip := range s.SIPs {
+		before := batch.Len()
+		if err := sip.Apply(batch); err != nil {
 			return nil, err
 		}
-		if sel != nil && len(sel) == 0 {
-			continue
+		ctx.SIPFiltered.Add(int64(before - batch.Len()))
+		if batch.Len() == 0 {
+			return nil, nil
 		}
-		// Materialize the output columns; a block that passes whole may keep
-		// its runs.
-		whole := sel == nil && lo == 0 && hi == n
-		batch := &vector.Batch{Cols: s.blockCols, Sel: sel}
-		if sel == nil {
-			batch.Cols = make([]*vector.Vector, len(s.blockCols))
-		}
-		for i := range s.blockCols {
-			v, err := st.decode(s, i, b, s.PreserveRuns && whole)
-			if err != nil {
-				return nil, err
-			}
-			if sel == nil {
-				if !v.IsRLE() {
-					v = v.Slice(lo, hi)
-				}
-				batch.Cols[i] = v
-			}
-		}
-		// SIP filters drop rows whose keys cannot match the join (paper §6.1).
-		for _, sip := range s.SIPs {
-			before := batch.Len()
-			if err := sip.Apply(batch); err != nil {
-				return nil, err
-			}
-			ctx.SIPFiltered.Add(int64(before - batch.Len()))
-			if batch.Len() == 0 {
-				continue blocks
-			}
-		}
-		ctx.RowsScanned.Add(int64(batch.Len()))
-		if batch.Sel != nil {
-			batch = batch.Flatten()
-			if s.probe != nil {
-				s.probe.Gathers.Add(1)
-			}
-		}
-		return batch, nil
 	}
-	return nil, nil
+	ctx.RowsScanned.Add(int64(batch.Len()))
+	if batch.Sel != nil {
+		batch = batch.Flatten()
+		if s.probe != nil {
+			s.probe.Gathers.Add(1)
+		}
+	}
+	return batch, nil
 }
 
 // keyRange answers the sort-key conjuncts for block b of n rows as a row

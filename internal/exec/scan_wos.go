@@ -2,6 +2,7 @@ package exec
 
 import (
 	"repro/internal/expr"
+	"repro/internal/storage"
 	"repro/internal/vector"
 )
 
@@ -11,13 +12,13 @@ import (
 // they are captured once at Open as part of the atomic storage ScanView)
 // projected onto the scan's columns, less those the predicate or a SIP
 // filter drops; nil when none is left.
-func (s *Scan) wosBatch(ctx *Ctx) (*vector.Batch, error) {
-	if len(s.wosRows) == 0 {
+func (s *Scan) wosBatch(ctx *Ctx, rows []storage.WOSRow) (*vector.Batch, error) {
+	if len(rows) == 0 {
 		return nil, nil
 	}
-	batch := vector.NewBatchForSchema(s.schema, len(s.wosRows))
+	batch := vector.NewBatchForSchema(s.schema, len(rows))
 	for i, c := range s.Columns {
-		for _, r := range s.wosRows {
+		for _, r := range rows {
 			batch.Cols[i].AppendValue(r.Row[c])
 		}
 	}
@@ -42,11 +43,11 @@ func (s *Scan) wosBatch(ctx *Ctx) (*vector.Batch, error) {
 
 // nextWOS produces the WOS's rows (once), then ends the stream.
 func (s *Scan) nextWOS(ctx *Ctx) (*vector.Batch, error) {
-	if s.wosDone || !s.IncludeWOS {
+	if s.wosDone {
 		return nil, nil
 	}
 	s.wosDone = true
-	return s.wosBatch(ctx)
+	return s.wosBatch(ctx, s.wosRows)
 }
 
 // openMerged makes the scan emit rows globally ordered by the projection
@@ -65,7 +66,7 @@ func (s *Scan) openMerged(ctx *Ctx) error {
 		}
 		srcs = append(srcs, func(ctx *Ctx) (*vector.Batch, error) { return st.nextBlock(ctx, s) })
 	}
-	wos, err := s.wosBatch(ctx)
+	wos, err := s.wosBatch(ctx, s.wosRows)
 	if err != nil {
 		return err
 	}

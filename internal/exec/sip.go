@@ -24,9 +24,8 @@ type SIPFilter struct {
 	// JoinDesc labels the owning join for plan display.
 	JoinDesc string
 
-	mu    sync.RWMutex
-	ready bool
-	keys  map[uint64]bool
+	mu   sync.RWMutex
+	keys map[uint64]bool // nil until published
 }
 
 // NewSIPFilter creates a filter for the given scan-output key columns.
@@ -39,14 +38,6 @@ func (f *SIPFilter) Publish(keys map[uint64]bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.keys = keys
-	f.ready = true
-}
-
-// Ready reports whether the join build has been published.
-func (f *SIPFilter) Ready() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.ready
 }
 
 // Describe renders the filter for plan display.
@@ -60,9 +51,8 @@ func (f *SIPFilter) Describe() string {
 func (f *SIPFilter) Apply(b *vector.Batch) error {
 	f.mu.RLock()
 	keys := f.keys
-	ready := f.ready
 	f.mu.RUnlock()
-	if !ready {
+	if keys == nil {
 		return nil
 	}
 	for _, kc := range f.KeyCols {

@@ -61,7 +61,8 @@ func (s *Sort) next(ctx *Ctx) (*vector.Batch, error) {
 		if err := sorter.addAll(ctx, s.child); err != nil {
 			return nil, err
 		}
-		s.out = sorter.finish()
+		sorter.finish()
+		s.out = sorter.stream()
 	}
 	return s.out(ctx)
 }

@@ -245,8 +245,9 @@ type sorter struct {
 
 	buf    *vector.Batch
 	mem    int64
-	budget int64       // starts at Ctx.MemBudget, grows by grant renegotiation
-	runs   []*spillRun // this sorter's, in the order written
+	budget int64         // starts at Ctx.MemBudget, grows by grant renegotiation
+	runs   []*spillRun   // this sorter's, in the order written
+	tail   *vector.Batch // the sorted rows that stayed in memory, once finished
 }
 
 func newSorter(ctx *Ctx, schema *types.Schema, specs []SortSpec, owner *runSet, prof *OpProf) *sorter {
@@ -292,15 +293,22 @@ func (s *sorter) add(ctx *Ctx, in *vector.Batch) error {
 	return nil
 }
 
-// finish returns the sorted stream: the sorted buffer when nothing spilled,
-// else the merge of the runs and the buffer.
-func (s *sorter) finish() batchStream {
-	tail := sortBatch(s.buf, s.specs)
+// finish ends the input: the rows that stayed in memory are sorted.
+func (s *sorter) finish() {
+	s.tail = sortBatch(s.buf, s.specs)
 	s.buf = nil
+}
+
+// stream returns the finished sorter's sorted stream from its start: the
+// sorted buffer when nothing spilled, else the merge of the runs and the
+// buffer. Each stream is read on its own (the buffer is shared read-only,
+// the runs are read afresh), so the workers of a fan can each walk one
+// sorted inner side.
+func (s *sorter) stream() batchStream {
 	if len(s.runs) == 0 {
-		return sliceSource(tail)
+		return sliceSource(s.tail)
 	}
-	return mergeRuns(s.specs, s.schema, s.runs, tail).next
+	return mergeRuns(s.specs, s.schema, s.runs, s.tail).next
 }
 
 // mergeRuns merges spilled runs, oldest first, with the sorted rows that
@@ -308,7 +316,7 @@ func (s *sorter) finish() batchStream {
 func mergeRuns(specs []SortSpec, schema *types.Schema, runs []*spillRun, tail *vector.Batch) *merger {
 	srcs := make([]batchStream, 0, len(runs)+1)
 	for _, r := range runs {
-		srcs = append(srcs, r.next)
+		srcs = append(srcs, r.stream())
 	}
 	return newMerger(specs, schema, append(srcs, sliceSource(tail))...)
 }

@@ -49,9 +49,6 @@ func (s *runSet) spill(ctx *Ctx, prof *OpProf, event string, schema *types.Schem
 	if err := w.Flush(); err != nil {
 		return nil, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
 	ctx.noteSpill(prof, run.bytes, event)
 	return run, nil
 }
@@ -69,10 +66,8 @@ func (s *runSet) close() {
 // spillRun is one sorted run on disk.
 type spillRun struct {
 	f      *os.File
-	r      *bufio.Reader // set by the first read
 	schema *types.Schema
-	bytes  int64  // written to the run (grant accounting)
-	block  []byte // read scratch: DecodeBlock copies what it keeps
+	bytes  int64 // written to the run (grant accounting)
 }
 
 func (r *spillRun) writeFrame(w *bufio.Writer, b *vector.Batch) error {
@@ -94,35 +89,37 @@ func (r *spillRun) writeFrame(w *bufio.Writer, b *vector.Batch) error {
 	return nil
 }
 
-// next decodes the run's next frame; nil at the end. It is the run's batch
-// source (see cursor).
-func (r *spillRun) next(*Ctx) (*vector.Batch, error) {
-	if r.r == nil {
-		r.r = bufio.NewReaderSize(r.f, 1<<16)
-	}
-	cols := make([]*vector.Vector, r.schema.Len())
-	for i := range cols {
-		size, err := binary.ReadUvarint(r.r)
-		if err == io.EOF && i == 0 {
-			return nil, nil
-		}
-		if err == nil && size > uint64(r.bytes) {
-			err = fmt.Errorf("block of %d bytes in a run of %d", size, r.bytes)
-		}
-		if err == nil {
-			if uint64(cap(r.block)) < size {
-				r.block = make([]byte, size)
+// stream reads the run from its start, decoding a frame — a batch — per
+// call; nil at the end. Every call is a reader of its own over the file, so
+// the workers of a fan can each walk one run (see sorter.stream).
+func (r *spillRun) stream() batchStream {
+	rd := bufio.NewReaderSize(io.NewSectionReader(r.f, 0, r.bytes), 1<<16)
+	var block []byte // read scratch: DecodeBlock copies what it keeps
+	return func(*Ctx) (*vector.Batch, error) {
+		cols := make([]*vector.Vector, r.schema.Len())
+		for i := range cols {
+			size, err := binary.ReadUvarint(rd)
+			if err == io.EOF && i == 0 {
+				return nil, nil
 			}
-			_, err = io.ReadFull(r.r, r.block[:size])
+			if err == nil && size > uint64(r.bytes) {
+				err = fmt.Errorf("block of %d bytes in a run of %d", size, r.bytes)
+			}
+			if err == nil {
+				if uint64(cap(block)) < size {
+					block = make([]byte, size)
+				}
+				_, err = io.ReadFull(rd, block[:size])
+			}
+			if err == nil {
+				cols[i], err = encoding.DecodeBlock(block[:size], r.schema.Col(i).Typ, false)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("exec: corrupt spill run: %w", err)
+			}
 		}
-		if err == nil {
-			cols[i], err = encoding.DecodeBlock(r.block[:size], r.schema.Col(i).Typ, false)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("exec: corrupt spill run: %w", err)
-		}
+		return vector.NewBatch(cols...), nil
 	}
-	return vector.NewBatch(cols...), nil
 }
 
 // spillDir resolves the context's temp directory.

@@ -157,67 +157,6 @@ func abandonSubtree(op Operator) {
 	}
 }
 
-// SerialUnion concatenates children sequentially (used where determinism
-// matters more than parallelism, e.g. under a Sort).
-type SerialUnion struct {
-	children []Operator
-	cur      int
-	prof     OpProf
-}
-
-// NewSerialUnion builds a sequential union.
-func NewSerialUnion(children ...Operator) *SerialUnion {
-	return &SerialUnion{children: children}
-}
-
-// Schema implements Operator.
-func (u *SerialUnion) Schema() *types.Schema { return u.children[0].Schema() }
-
-// Children implements the plan walker.
-func (u *SerialUnion) Children() []Operator { return u.children }
-
-// Describe implements Operator.
-func (u *SerialUnion) Describe() string {
-	return fmt.Sprintf("SerialUnion ways=%d", len(u.children))
-}
-
-// Open implements Operator.
-func (u *SerialUnion) Open(ctx *Ctx) error {
-	u.cur = 0
-	for _, c := range u.children {
-		if err := c.Open(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// next is the operator body behind the profiled Next (profile.go).
-func (u *SerialUnion) next(ctx *Ctx) (*vector.Batch, error) {
-	for u.cur < len(u.children) {
-		b, err := u.children[u.cur].Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
-		}
-		u.cur++
-	}
-	return nil, nil
-}
-
-// Close implements Operator.
-func (u *SerialUnion) Close(ctx *Ctx) error {
-	var firstErr error
-	for _, c := range u.children {
-		if err := c.Close(ctx); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // Values is an in-memory batch source: the initiator merge reads the node
 // plans' results through it, and tests feed operators from it.
 type Values struct {
@@ -225,20 +164,6 @@ type Values struct {
 	batches []*vector.Batch
 	pos     int
 	prof    OpProf
-}
-
-// NewValues builds a source over rows, pivoted into batches up front.
-func NewValues(schema *types.Schema, rows []types.Row) *Values {
-	var batches []*vector.Batch
-	for lo := 0; lo < len(rows); lo += vector.DefaultBatchSize {
-		hi := min(lo+vector.DefaultBatchSize, len(rows))
-		batch := vector.NewBatchForSchema(schema, hi-lo)
-		for _, r := range rows[lo:hi] {
-			batch.AppendRow(r)
-		}
-		batches = append(batches, batch)
-	}
-	return NewBatchValues(schema, batches)
 }
 
 // NewBatchValues builds a source that replays batches as they are.

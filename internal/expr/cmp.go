@@ -39,24 +39,6 @@ func (op CmpOp) String() string {
 	}
 }
 
-// Negate returns the logically negated operator (for NOT pushdown).
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case Eq:
-		return Ne
-	case Ne:
-		return Eq
-	case Lt:
-		return Ge
-	case Le:
-		return Gt
-	case Gt:
-		return Le
-	default: // Ge
-		return Lt
-	}
-}
-
 // Swap returns the operator with operands exchanged (a op b == b op.Swap() a).
 func (op CmpOp) Swap() CmpOp {
 	switch op {

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -252,21 +253,33 @@ func TestPlanParallelAggregate(t *testing.T) {
 		Where: expr.MustCmp(expr.Ge, expr.NewColRef(0, types.Int64, "sale_id"), expr.NewConst(types.NewInt(0))),
 		Limit: -1,
 	}
-	rows, plan := f.run(t, q, PlanOpts{Parallelism: 3, NoSIP: true})
+	rows, plan := f.run(t, q, PlanOpts{Parallelism: 3, ForceParallel: true})
 	if len(rows) != 20 {
 		t.Fatalf("groups = %d", len(rows))
 	}
 	ex := plan.Explain()
-	// The Figure 3 shape: prepass, Recv (resegment), ParallelUnion.
-	for _, want := range []string{"GroupByPrepass", "Recv", "ParallelUnion"} {
+	// The Figure 3 shape: a prepass per worker, the partials resegmented on
+	// the group key (Recv), merging GroupBys under a ParallelUnion.
+	for _, want := range []string{"GroupByPrepass keys=1 aggs=[AVG(price)] maxGroups=4096 workers=3",
+		"Recv port=0/3 (segment keys=[0])", "ParallelUnion ways=3", "fan closes at the aggregate"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("parallel plan missing %s:\n%s", want, ex)
 		}
 	}
-	// NoPrepass ablation falls back.
-	_, plan2 := f.run(t, q, PlanOpts{Parallelism: 3, NoPrepass: true})
-	if strings.Contains(plan2.Explain(), "GroupByPrepass") {
-		t.Error("NoPrepass did not disable the prepass")
+	if plan.Workers != 3 {
+		t.Errorf("Workers = %d, want 3", plan.Workers)
+	}
+	// NoPrepass ablation: the workers meet in a ParallelUnion under one
+	// GroupBy.
+	_, plan2 := f.run(t, q, PlanOpts{Parallelism: 3, ForceParallel: true, NoPrepass: true})
+	if ex := plan2.Explain(); strings.Contains(ex, "GroupByPrepass") || !strings.Contains(ex, "ParallelUnion") {
+		t.Errorf("NoPrepass did not close the fan with a ParallelUnion:\n%s", ex)
+	}
+	// The cardinality gate keeps the 2000-row scan serial without
+	// ForceParallel.
+	_, gated := f.run(t, q, PlanOpts{Parallelism: 3})
+	if strings.Contains(gated.Explain(), "fan") {
+		t.Errorf("2000-row aggregate should stay serial under the %d-row gate", int(MinParallelRows))
 	}
 }
 
@@ -364,21 +377,27 @@ func parallelJoinQuery(t *testing.T, f *fixture) *LogicalQuery {
 func TestPlanParallelHashJoin(t *testing.T) {
 	f := newFixture(t, 2000)
 	q := parallelJoinQuery(t, f)
-	rows, plan := f.run(t, q, PlanOpts{Parallelism: 4, ForceParallel: true, NoSIP: true})
+	rows, plan := f.run(t, q, PlanOpts{Parallelism: 4, ForceParallel: true})
 	if len(rows) != 2000 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// Every worker probes the one shared build; its SIP filter reaches every
+	// worker scan. No exchange: the fan closes in a ParallelUnion.
 	ex := plan.Explain()
-	for _, want := range []string{"parallel hash join", "segment keys=", "ParallelUnion", "HashJoin"} {
+	for _, want := range []string{"fan: 4 worker pipelines", "ParallelUnion ways=4",
+		"HashJoin INNER outerKeys=[1] innerKeys=[0] +sip workers=4", "sip=SIP(customers_super cols=[1]) workers=4"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("parallel join plan missing %q:\n%s", want, ex)
 		}
+	}
+	if strings.Contains(ex, "Recv") {
+		t.Errorf("parallel join plan routes rows through an exchange:\n%s", ex)
 	}
 	if plan.Workers != 4 {
 		t.Errorf("Workers = %d, want 4", plan.Workers)
 	}
 	// Differential: the parallel plan must produce exactly the serial rows.
-	serial, _ := f.run(t, q, PlanOpts{NoSIP: true})
+	serial, _ := f.run(t, q, PlanOpts{})
 	var sumP, sumS float64
 	for _, r := range rows {
 		sumP += r[1].F
@@ -391,8 +410,8 @@ func TestPlanParallelHashJoin(t *testing.T) {
 			len(rows), sumP, len(serial), sumS)
 	}
 	// The cardinality gate keeps tiny inputs serial without ForceParallel.
-	_, gated := f.run(t, q, PlanOpts{Parallelism: 4, NoSIP: true})
-	if strings.Contains(gated.Explain(), "parallel hash join") {
+	_, gated := f.run(t, q, PlanOpts{Parallelism: 4})
+	if strings.Contains(gated.Explain(), "fan") {
 		t.Errorf("2000-row join should stay serial under the %d-row gate", int(MinParallelRows))
 	}
 }
@@ -420,13 +439,14 @@ func TestPlanParallelSort(t *testing.T) {
 		}
 	}
 	ex := plan.Explain()
-	for _, want := range []string{"parallel sort: 4 worker sorts", "round-robin", "merge"} {
+	for _, want := range []string{"fan closes at ORDER BY: 4 worker sorts", "Sort [$1 desc] workers=4",
+		"Recv port=0/1 (single-port+merge)"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("parallel sort plan missing %q:\n%s", want, ex)
 		}
 	}
 	_, gated := f.run(t, q, PlanOpts{Parallelism: 4})
-	if strings.Contains(gated.Explain(), "parallel sort") {
+	if strings.Contains(gated.Explain(), "fan") {
 		t.Error("3000-row sort should stay serial under the cardinality gate")
 	}
 }
@@ -453,13 +473,75 @@ func TestPlanParallelDistinct(t *testing.T) {
 		seen[r[0].I] = true
 	}
 	ex := plan.Explain()
-	for _, want := range []string{"parallel distinct", "segment keys=", "ParallelUnion"} {
+	for _, want := range []string{"fan closes at DISTINCT", "segment keys=[0]", "ParallelUnion ways=4"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("parallel distinct plan missing %q:\n%s", want, ex)
 		}
 	}
 	_, gated := f.run(t, q, PlanOpts{Parallelism: 4})
-	if strings.Contains(gated.Explain(), "parallel distinct") {
+	if strings.Contains(gated.Explain(), "fan") {
 		t.Error("2000-row distinct should stay serial under the cardinality gate")
+	}
+}
+
+// TestPlanFanClosings pins where a fan closes for the operators that have
+// no exchange of their own, and where none opens — each against the serial
+// plan's rows.
+func TestPlanFanClosings(t *testing.T) {
+	f := newFixture(t, 2000)
+	sales, custs := f.table(t, "sales"), f.table(t, "customers")
+	wide := expr.MustCmp(expr.Ge, expr.NewColRef(0, types.Int64, "sale_id"), expr.NewConst(types.NewInt(0)))
+	cust := expr.NewColRef(1, types.Int64, "cust")
+	fan := PlanOpts{Parallelism: 4, ForceParallel: true}
+	for _, tc := range []struct {
+		name  string
+		q     *LogicalQuery
+		want  []string // in the fanned plan's EXPLAIN
+		noFan bool
+	}{
+		{name: "keyless aggregate", q: &LogicalQuery{
+			From: []TableRef{{Table: sales}}, Where: wide, Limit: -1,
+			Aggs: []exec.AggSpec{{Kind: exec.AggCountStar, Name: "n"}, {Kind: exec.AggSum, Arg: cust, Name: "s"}},
+		}, want: []string{"GroupByPrepass keys=0", "workers=4", "fan closes at the aggregate: 4 worker prepasses, one merging GroupBy"}},
+		{name: "holistic aggregate", q: &LogicalQuery{
+			From: []TableRef{{Table: sales}}, Where: wide, Limit: -1,
+			Aggs: []exec.AggSpec{{Kind: exec.AggCountDistinct, Arg: cust, Name: "n"}},
+		}, want: []string{"fan closes at an aggregate without a prepass: ParallelUnion of 4 workers"}},
+		{name: "right outer join", q: &LogicalQuery{
+			From:        []TableRef{{Table: sales}, {Table: custs}},
+			JoinConds:   []JoinCond{{LeftTbl: 0, LeftCol: 1, RightTbl: 1, RightCol: 0, Type: exec.RightOuterJoin}},
+			Where:       wide,
+			SelectExprs: []expr.Expr{expr.NewColRef(4, types.Varchar, "region"), expr.NewColRef(2, types.Float64, "price")},
+			SelectNames: []string{"region", "price"}, Limit: -1,
+		}, want: []string{"fan closes at RIGHT OUTER join: ParallelUnion of 4 workers", "HashJoin RIGHT OUTER outerKeys=[1] innerKeys=[0] +sip\n"}},
+		{name: "merge join", q: joinQuery(f, t), noFan: true, want: []string{"MergeJoin"}},
+		{name: "one-pass aggregate", q: &LogicalQuery{
+			From: []TableRef{{Table: sales}}, GroupBy: []int{1}, KeyNames: []string{"cust"}, Limit: -1,
+			Aggs: []exec.AggSpec{{Kind: exec.AggSum, Arg: expr.NewColRef(2, types.Float64, "price"), Name: "s"}},
+		}, noFan: true, want: []string{"one-pass"}},
+	} {
+		rows, plan := f.run(t, tc.q, fan)
+		ex := plan.Explain()
+		for _, w := range tc.want {
+			if !strings.Contains(ex, w) {
+				t.Errorf("%s: plan missing %q:\n%s", tc.name, w, ex)
+			}
+		}
+		if opened := strings.Contains(ex, "fan:"); opened == tc.noFan {
+			t.Errorf("%s: fan opened = %v, want %v:\n%s", tc.name, opened, !tc.noFan, ex)
+		}
+		serial, _ := f.run(t, tc.q, PlanOpts{})
+		got, want := make([]string, len(rows)), make([]string, len(serial))
+		for i, r := range rows {
+			got[i] = r.String()
+		}
+		for i, r := range serial {
+			want[i] = r.String()
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: fanned plan returned %d rows, serial %d", tc.name, len(got), len(want))
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/storage"
-	"repro/internal/types"
 )
 
 // tableScan is the planner's working state for one FROM table.
@@ -26,6 +25,28 @@ type tableScan struct {
 	estRows     float64       // rows surviving local predicates
 	scan        *exec.Scan    // nil for virtual tables
 	op          exec.Operator // the table's access path (scan, or virtual pipeline)
+	workers     pipes         // the fan's worker scans, once one opens over scan
+}
+
+// pipes are the stream a plan is built on: one pipeline, or — while a fan
+// is open — the identical worker pipelines over one shared scan
+// (exec/fan.go). Every per-row operator (filter, project, hash-join probe)
+// is added to each of them, until an operator that needs the whole stream
+// closes the fan.
+type pipes []exec.Operator
+
+// each replaces every pipeline by f of it.
+func (ps pipes) each(f func(exec.Operator) exec.Operator) {
+	for i, op := range ps {
+		ps[i] = f(op)
+	}
+}
+
+// setEst tags the pipelines' tops with their shares of est rows.
+func (ps pipes) setEst(est float64) {
+	for _, op := range ps {
+		exec.SetEstRows(op, int64(est/float64(len(ps))+0.5))
+	}
 }
 
 // Plan compiles a logical query into a physical operator tree.
@@ -54,7 +75,7 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 			plan.memAcc = plan.estInput * float64(rowWidthOf(op.Schema()))
 			exec.SetEstRows(op, int64(plan.estInput+0.5))
 		}
-		return finishPlan(p, q, plan, op, colMap, residual, opts)
+		return finishPlan(p, q, plan, pipes{op}, colMap, residual, opts)
 	}
 
 	// Build per-table scans.
@@ -86,7 +107,7 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 			colMap[offs[0]+c] = out
 		}
 		plan.estInput = ts.estRows
-		return finishPlan(p, q, plan, ts.op, colMap, residual, opts)
+		return finishPlan(p, q, plan, pipes{ts.op}, colMap, residual, opts)
 	}
 
 	// Star-style join ordering (paper §6.2): the largest table is the fact;
@@ -117,11 +138,11 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		colMap[offs[factIdx]+c] = out
 	}
 	joined := map[int]bool{factIdx: true}
-	cur := fact.op
+	cur := pipes{fact.op}
 	curWidth := len(fact.cols)
 	runningEst := fact.estRows
 
-	for _, dim := range dims {
+	for i, dim := range dims {
 		conds := condsConnecting(q, joined, dim.tblIdx)
 		if len(conds) == 0 {
 			return nil, fmt.Errorf("optimizer: no join condition connects table %s (cross joins unsupported)",
@@ -154,23 +175,22 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		}
 		// Merge join when both sides are sorted on the join keys
 		// (paper §6.2: merge joins on sorted, compressed columns first).
-		if mj, ok := tryMergeJoin(q, jt, fact, dim, cur, outerKeys, innerKeys); ok {
-			cur = mj
+		if mj, ok := tryMergeJoin(q, jt, fact, dim, cur[0], outerKeys, innerKeys); ok {
+			cur[0] = mj
 			plan.Notes = append(plan.Notes, fmt.Sprintf("merge join with %s (sort orders aligned)", dimDesc))
-		} else if w := parallelWays(opts, runningEst); w > 1 {
-			// Partitioned parallel hash join: both sides resegment on the
-			// join keys across w ways, so each way joins a complete,
-			// disjoint key partition (SIP is skipped — the probe scan sits
-			// behind an exchange and each way holds only a partial key set).
-			pj, err := planParallelHashJoin(plan, jt, cur, dim.op, outerKeys, innerKeys, w)
-			if err != nil {
-				return nil, err
-			}
-			cur = pj
-			plan.Notes = append(plan.Notes, fmt.Sprintf(
-				"parallel hash join with %s: %d ways, both sides resegmented on the join keys", dimDesc, w))
 		} else {
-			hj, err := exec.NewHashJoin(jt, cur, dim.op, outerKeys, innerKeys)
+			if i == 0 && fact.scan != nil {
+				// The fact scan drives a hash join: a fan may open over it.
+				if ws := openFan(plan, fact.scan, fact.estRows, opts); ws != nil {
+					cur, fact.workers = ws, slices.Clone(ws)
+				}
+			}
+			if jt == exec.RightOuterJoin || jt == exec.FullOuterJoin {
+				// Unmatched build rows are a property of the whole probe
+				// stream: these joins probe it serially.
+				cur = closeFan(plan, cur, jt.String()+" join")
+			}
+			hjs, err := exec.FanHashJoin(jt, cur, dim.op, outerKeys, innerKeys)
 			if err != nil {
 				return nil, err
 			}
@@ -179,11 +199,15 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 			// unmatched probe rows.
 			if !opts.NoSIP && (jt == exec.InnerJoin || jt == exec.SemiJoin || jt == exec.RightOuterJoin) {
 				if sip := trySIP(fact, outerKeys, dimDesc); sip != nil {
-					hj.SIP = sip
+					for _, hj := range hjs {
+						hj.SIP = sip
+					}
 					plan.Notes = append(plan.Notes, "SIP filter pushed to scan of "+fact.proj.Name)
 				}
 			}
-			cur = hj
+			for w, hj := range hjs {
+				cur[w] = hj
+			}
 		}
 		if jt != exec.SemiJoin && jt != exec.AntiJoin {
 			for c, out := range dim.colToOut {
@@ -203,12 +227,40 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		ndvOuter := ndvOf(p.Catalog(), q.From[ot].Table, oc)
 		ndvDim := ndvOf(p.Catalog(), q.From[dim.tblIdx].Table, dc)
 		runningEst = estimateJoinRows(runningEst, dim.estRows, ndvOuter, ndvDim)
-		exec.SetEstRows(cur, int64(runningEst+0.5))
+		cur.setEst(runningEst)
 		plan.Notes = append(plan.Notes, fmt.Sprintf("est: join %s ~%s rows (%s)",
 			dimDesc, fmtEst(runningEst), estSource(ndvOuter > 0 || ndvDim > 0)))
 	}
 	plan.estInput = runningEst
 	return finishPlan(p, q, plan, cur, colMap, residual, opts)
+}
+
+// openFan opens a fan over the scan driving the plan (exec/fan.go): w
+// worker scans sharing one cursor, where w is parallelWays of the scan's
+// estimated rows; nil when that is 1. Callers open a fan only under an
+// operator a fan serves — a hash join, an aggregate, DISTINCT or ORDER BY —
+// and never over a merge-sorted scan.
+func openFan(plan *PhysicalPlan, scan *exec.Scan, est float64, opts PlanOpts) pipes {
+	w := parallelWays(opts, est)
+	if w < 2 {
+		return nil
+	}
+	plan.noteWorkers(w)
+	plan.Notes = append(plan.Notes, fmt.Sprintf(
+		"fan: %d worker pipelines claim the blocks of %s from one shared scan", w, scan.Projection))
+	scans := pipes(scan.Fan(w))
+	scans.setEst(est)
+	return scans
+}
+
+// closeFan ends an open fan at an operator that needs the whole stream and
+// no exchange of its own: the workers' streams meet in a ParallelUnion.
+func closeFan(plan *PhysicalPlan, cur pipes, at string) pipes {
+	if len(cur) == 1 {
+		return cur
+	}
+	plan.Notes = append(plan.Notes, fmt.Sprintf("fan closes at %s: ParallelUnion of %d workers", at, len(cur)))
+	return pipes{exec.NewParallelUnion(cur...)}
 }
 
 func dimNames(q *LogicalQuery, dims []*tableScan) []string {
@@ -349,8 +401,8 @@ func buildVirtualScan(q *LogicalQuery, tblIdx int, t *catalog.Table, vt *catalog
 	}, nil
 }
 
-// trySIP attaches a SIP filter to the fact scan when every outer key is one
-// of the scan's own output columns.
+// trySIP attaches a SIP filter to the fact scan — to every worker scan of
+// its fan — when every outer key is one of the scan's own output columns.
 func trySIP(fact *tableScan, outerKeys []int, joinDesc string) *exec.SIPFilter {
 	if fact.scan == nil {
 		return nil // virtual tables have no storage scan to push into
@@ -361,7 +413,13 @@ func trySIP(fact *tableScan, outerKeys []int, joinDesc string) *exec.SIPFilter {
 		}
 	}
 	sip := exec.NewSIPFilter(outerKeys, joinDesc)
-	fact.scan.SIPs = append(fact.scan.SIPs, sip)
+	scans := fact.workers
+	if scans == nil { // no fan opened
+		scans = pipes{fact.scan}
+	}
+	for _, s := range scans {
+		s.(*exec.Scan).SIPs = append(s.(*exec.Scan).SIPs, sip)
+	}
 	return sip
 }
 
@@ -417,12 +475,20 @@ func scanSortedByKeys(q *LogicalQuery, ts *tableScan, keys []int) bool {
 
 // finishPlan adds residual filters, aggregation, post-projection, ordering
 // and limits on top of the joined input, then finalizes the plan's output
-// and memory estimates.
-func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur exec.Operator, colMap map[int]int, residual []expr.Expr, opts PlanOpts) (*PhysicalPlan, error) {
-	// Cardinality through the tail of the plan, computed up front so the
-	// parallel sort/DISTINCT gates can consult it: residual filters shrink
-	// the joined stream, grouping collapses it to (at most) the product of
-	// the key NDVs, LIMIT caps it.
+// and memory estimates. A bare scan under an aggregate (other than a
+// one-pass one), DISTINCT or ORDER BY opens a fan here; an open fan closes
+// at the first operator that needs the whole stream, with the exchange
+// that operator needs.
+func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur pipes, colMap map[int]int, residual []expr.Expr, opts PlanOpts) (*PhysicalPlan, error) {
+	if scan, ok := cur[0].(*exec.Scan); ok && len(cur) == 1 && parallelWays(opts, plan.estInput) > 1 &&
+		(q.IsAggregate() || q.Distinct || len(q.OrderBy) > 0) {
+		if _, onePass := sortedGroupKeys(p, q, scan, colMap); !onePass {
+			cur = openFan(plan, scan, plan.estInput, opts)
+		}
+	}
+	// Cardinality through the tail of the plan: residual filters shrink the
+	// joined stream, grouping collapses it to (at most) the product of the
+	// key NDVs, LIMIT caps it.
 	inEst := plan.estInput
 	for _, c := range residual {
 		inEst *= shapeSelectivity(c)
@@ -432,26 +498,26 @@ func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur exec.Operat
 		if err != nil {
 			return nil, err
 		}
-		cur = exec.NewFilter(cur, pred)
-		exec.SetEstRows(cur, int64(inEst+0.5))
+		cur.each(func(op exec.Operator) exec.Operator { return exec.NewFilter(op, pred) })
+		cur.setEst(inEst)
 	}
 	outEst := inEst
 	if q.IsAggregate() || q.Distinct {
 		outEst = groupCountEstimate(p.Catalog(), q, inEst)
 	}
-	var err error
 	if q.IsAggregate() {
-		cur, err = planAggregate(p, q, plan, cur, colMap, opts)
+		agg, err := planAggregate(p, q, plan, cur, colMap, opts)
 		if err != nil {
 			return nil, err
 		}
-		exec.SetEstRows(cur, int64(outEst+0.5))
+		exec.SetEstRows(agg, int64(outEst+0.5))
 		if q.Having != nil {
-			cur = exec.NewFilter(cur, q.Having)
+			agg = exec.NewFilter(agg, q.Having)
 		}
 		if q.PostProject != nil {
-			cur = exec.NewProject(cur, q.PostProject, q.PostProjectNames)
+			agg = exec.NewProject(agg, q.PostProject, q.PostProjectNames)
 		}
+		cur = pipes{agg}
 	} else {
 		exprs := make([]expr.Expr, len(q.SelectExprs))
 		for i, e := range q.SelectExprs {
@@ -461,45 +527,30 @@ func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur exec.Operat
 			}
 			exprs[i] = re
 		}
-		cur = exec.NewProject(cur, exprs, q.SelectNames)
+		cur.each(func(op exec.Operator) exec.Operator { return exec.NewProject(op, exprs, q.SelectNames) })
 		if q.Distinct {
-			// DISTINCT gates on the rows flowing INTO the dedup, not the
-			// distinct count coming out.
-			if w := parallelWays(opts, inEst); w > 1 {
-				cur = planParallelDistinct(plan, cur, w)
-			} else {
-				keys := make([]expr.Expr, cur.Schema().Len())
-				names := make([]string, cur.Schema().Len())
-				for i := range keys {
-					keys[i] = expr.NewColRef(i, cur.Schema().Col(i).Typ, cur.Schema().Col(i).Name)
-					names[i] = cur.Schema().Col(i).Name
-				}
-				cur = exec.NewGroupBy(cur, keys, names, nil)
-			}
-			exec.SetEstRows(cur, int64(outEst+0.5))
+			cur = planDistinct(plan, cur)
+			exec.SetEstRows(cur[0], int64(outEst+0.5))
 		}
 	}
 	if len(q.OrderBy) > 0 {
-		if w := parallelWays(opts, outEst); w > 1 {
-			cur = planParallelSort(plan, cur, q.OrderBy, w)
-		} else {
-			cur = exec.NewSort(cur, q.OrderBy)
-		}
-		exec.SetEstRows(cur, int64(outEst+0.5))
+		cur = planSort(plan, cur, q.OrderBy)
+		exec.SetEstRows(cur[0], int64(outEst+0.5))
 	}
+	root := closeFan(plan, cur, "the end of the plan")[0]
 	if q.Limit >= 0 || q.Offset > 0 {
 		limit := q.Limit
 		if limit < 0 {
 			limit = -1
 		}
-		cur = exec.NewLimit(cur, q.Offset, limit)
+		root = exec.NewLimit(root, q.Offset, limit)
 	}
-	plan.Root = cur
+	plan.Root = root
 
 	if q.Limit >= 0 && float64(q.Limit) < outEst {
 		outEst = float64(q.Limit)
 	}
-	outBytes := outEst * float64(rowWidthOf(cur.Schema()))
+	outBytes := outEst * float64(rowWidthOf(root.Schema()))
 	plan.EstRows = int64(outEst + 0.5)
 	plan.EstBytes = int64(outBytes + 0.5)
 	plan.EstMemBytes = int64(plan.memAcc + outBytes + 0.5)
@@ -508,22 +559,21 @@ func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur exec.Operat
 	// Profiling metadata: the root carries the plan's output estimate, every
 	// node gets its pre-order id (matching EXPLAIN lines), and nodes between
 	// the anchors tagged above inherit estimates from their children.
-	exec.SetEstRows(cur, plan.EstRows)
-	exec.AssignNodeIDs(cur)
-	exec.FinalizeEstimates(cur)
+	exec.SetEstRows(root, plan.EstRows)
+	exec.AssignNodeIDs(root)
+	exec.FinalizeEstimates(root)
 	return plan, nil
 }
 
-// MinParallelRows gates the intra-node parallel join/sort/DISTINCT shapes:
-// below this estimated input cardinality the exchange setup costs more than
-// the parallelism pays, so tiny inputs stay serial. The estimate is
-// histogram-backed when the tables were ANALYZEd and shape-heuristic
+// MinParallelRows gates the fan: below this estimated cardinality of the
+// scan that would drive it, starting workers and meeting them again costs
+// more than the parallelism pays, so tiny inputs stay serial. The estimate
+// is histogram-backed when the tables were ANALYZEd and shape-heuristic
 // otherwise; PlanOpts.ForceParallel overrides the gate.
 const MinParallelRows = 16384
 
-// parallelWays resolves the degree a parallel shape should plan with:
-// opts.Parallelism when parallelism is on and the input is big enough (or
-// forced), 1 otherwise.
+// parallelWays resolves the width of a fan: opts.Parallelism when
+// parallelism is on and the input is big enough (or forced), 1 otherwise.
 func parallelWays(opts PlanOpts, estRows float64) int {
 	if opts.Parallelism <= 1 {
 		return 1
@@ -534,7 +584,7 @@ func parallelWays(opts PlanOpts, estRows float64) int {
 	return 1
 }
 
-// noteWorkers records a shape's concurrent worker pipelines on the plan so
+// noteWorkers records a fan's concurrent worker pipelines on the plan so
 // admission can split the memory grant per worker.
 func (p *PhysicalPlan) noteWorkers(w int) {
 	if w > p.Workers {
@@ -542,68 +592,51 @@ func (p *PhysicalPlan) noteWorkers(w int) {
 	}
 }
 
-// planParallelHashJoin builds the partitioned parallel join: both sides
-// resegment on the join keys across w ways (batch-native hash-partition
-// exchanges), each way hash-joins a complete key partition, and a
-// ParallelUnion merges the ways. Correct for every join flavor because a
-// key value — NULLs included — lives in exactly one partition on each side.
-func planParallelHashJoin(plan *PhysicalPlan, jt exec.JoinType, outer, inner exec.Operator, outerKeys, innerKeys []int, w int) (exec.Operator, error) {
-	exOuter := exec.NewExchange([]exec.Operator{outer}, w, outerKeys)
-	exInner := exec.NewExchange([]exec.Operator{inner}, w, innerKeys)
-	outerPorts, innerPorts := exOuter.Ports(), exInner.Ports()
-	joins := make([]exec.Operator, w)
-	for i := 0; i < w; i++ {
-		hj, err := exec.NewHashJoin(jt, outerPorts[i], innerPorts[i], outerKeys, innerKeys)
-		if err != nil {
-			return nil, err
-		}
-		joins[i] = hj
+// planSort orders the stream. An open fan closes here: each worker sorts
+// its own share and the order-preserving merge exchange combines them.
+func planSort(plan *PhysicalPlan, cur pipes, specs []exec.SortSpec) pipes {
+	cur.each(func(op exec.Operator) exec.Operator { return exec.NewSort(op, specs) })
+	if len(cur) == 1 {
+		return cur
 	}
-	plan.noteWorkers(w)
-	return exec.NewParallelUnion(joins...), nil
-}
-
-// planParallelSort splits the input round-robin across w worker sorts and
-// recombines them through an order-preserving merge Recv, parallelizing the
-// O(n log n) sort CPU while keeping the output globally ordered.
-func planParallelSort(plan *PhysicalPlan, cur exec.Operator, specs []exec.SortSpec, w int) exec.Operator {
-	split := exec.NewSplitExchange(cur, w)
-	sorters := make([]exec.Operator, w)
-	for i, port := range split.Ports() {
-		sorters[i] = exec.NewSort(port, specs)
-	}
-	merge := exec.NewMergeExchange(sorters, specs)
-	plan.noteWorkers(w)
 	plan.Notes = append(plan.Notes, fmt.Sprintf(
-		"parallel sort: %d worker sorts (round-robin split), order-preserving merge Recv", w))
-	return merge.Ports()[0]
+		"fan closes at ORDER BY: %d worker sorts, order-preserving merge Recv", len(cur)))
+	return pipes{exec.NewMergeExchange(cur, specs).Ports()[0]}
 }
 
-// planParallelDistinct resegments the projected stream on all output
-// columns so each of the w GroupBys deduplicates a complete, disjoint
-// partition of the value space.
-func planParallelDistinct(plan *PhysicalPlan, cur exec.Operator, w int) exec.Operator {
-	n := cur.Schema().Len()
-	ex := exec.NewExchange([]exec.Operator{cur}, w, seq(n))
-	finals := make([]exec.Operator, 0, w)
-	for _, port := range ex.Ports() {
-		keys := make([]expr.Expr, n)
-		names := make([]string, n)
-		for i := range keys {
-			keys[i] = expr.NewColRef(i, cur.Schema().Col(i).Typ, cur.Schema().Col(i).Name)
-			names[i] = cur.Schema().Col(i).Name
+// planDistinct deduplicates the stream by grouping on every column. An open
+// fan closes here: the workers' rows resegment on all columns, so each of w
+// GroupBys deduplicates a complete, disjoint part of the value space.
+func planDistinct(plan *PhysicalPlan, cur pipes) pipes {
+	schema := cur[0].Schema()
+	dedup := func(in exec.Operator) exec.Operator {
+		keys := make([]expr.Expr, schema.Len())
+		names := make([]string, schema.Len())
+		for i, c := range schema.Cols {
+			keys[i] = expr.NewColRef(i, c.Typ, c.Name)
+			names[i] = c.Name
 		}
-		finals = append(finals, exec.NewGroupBy(port, keys, names, nil))
+		return exec.NewGroupBy(in, keys, names, nil)
 	}
-	plan.noteWorkers(w)
+	if len(cur) == 1 {
+		return pipes{dedup(cur[0])}
+	}
+	ports := exec.NewExchange(cur, len(cur), seq(schema.Len())).Ports()
+	for i, port := range ports {
+		ports[i] = dedup(port)
+	}
 	plan.Notes = append(plan.Notes, fmt.Sprintf(
-		"parallel distinct: resegment on all %d columns into %d GroupBys", n, w))
-	return exec.NewParallelUnion(finals...)
+		"fan closes at DISTINCT: resegment on all %d columns into %d GroupBys", schema.Len(), len(cur)))
+	return pipes{exec.NewParallelUnion(ports...)}
 }
 
-// planAggregate builds the grouping pipeline: one-pass over sorted scans,
-// the parallel prepass/resegment shape of Figure 3, or plain hash.
-func planAggregate(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur exec.Operator, colMap map[int]int, opts PlanOpts) (exec.Operator, error) {
+// planAggregate builds the grouping pipeline: one-pass over a sorted scan,
+// prepass partial aggregation with a merging GroupBy, or plain hash. An
+// open fan closes here: with partial forms each worker runs its own
+// prepass and the exchange resegments the partials on the group keys into
+// w merging GroupBys (paper Figure 3); without them the workers' streams
+// meet in a ParallelUnion under one GroupBy.
+func planAggregate(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur pipes, colMap map[int]int, opts PlanOpts) (exec.Operator, error) {
 	keys := make([]expr.Expr, len(q.GroupBy))
 	names := make([]string, len(q.GroupBy))
 	for i, g := range q.GroupBy {
@@ -619,7 +652,7 @@ func planAggregate(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur exec.Ope
 			t, c := q.tableOfFlat(g)
 			name = q.From[t].Table.Schema.Col(c).Name
 		}
-		keys[i] = expr.NewColRef(out, cur.Schema().Col(out).Typ, name)
+		keys[i] = expr.NewColRef(out, cur[0].Schema().Col(out).Typ, name)
 		names[i] = name
 	}
 	aggs := make([]exec.AggSpec, len(q.Aggs))
@@ -635,39 +668,48 @@ func planAggregate(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur exec.Ope
 	}
 	// One-pass aggregation when the (single-table) scan can present rows
 	// sorted by the group keys.
-	if scan, ok := cur.(*exec.Scan); ok && len(keys) > 0 {
-		if keyOuts, ok := keysArePrefixOfSort(p, q, scan, keys); ok {
+	if scan, ok := cur[0].(*exec.Scan); ok && len(cur) == 1 {
+		if keyOuts, ok := sortedGroupKeys(p, q, scan, colMap); ok {
 			scan.MergeSorted = true
 			scan.SortKey = keyOuts
-			g := exec.NewGroupBy(cur, keys, names, aggs)
+			g := exec.NewGroupBy(scan, keys, names, aggs)
 			g.InputSorted = true
 			plan.Notes = append(plan.Notes, "one-pass aggregation on sorted projection")
 			return g, nil
 		}
 	}
-	// Figure 3 shape: parallel worker scans with prepass partial aggregation,
-	// locally resegmented by group key so each final GroupBy computes
-	// complete groups independently.
-	if scan, ok := cur.(*exec.Scan); ok && opts.Parallelism > 1 && !opts.NoPrepass &&
-		len(keys) > 0 && allPartial(aggs) {
-		op, err := planParallelAggregate(q, plan, scan, keys, names, aggs, opts)
-		if err == nil && op != nil {
-			return op, nil
-		}
+	partial := !opts.NoPrepass && allPartial(aggs)
+	switch {
+	case len(cur) == 1 && partial && len(keys) > 0:
+		pre, err := exec.NewPrepass(cur[0], keys, names, aggs)
 		if err != nil {
 			return nil, err
 		}
+		plan.Notes = append(plan.Notes, "prepass partial aggregation enabled")
+		return mergeGroupBy(pre, keys, names, aggs), nil
+	case len(cur) == 1 || !partial:
+		return exec.NewGroupBy(closeFan(plan, cur, "an aggregate without a prepass")[0], keys, names, aggs), nil
 	}
-	// Serial prepass + merging GroupBy when the aggregates allow partials.
-	if !opts.NoPrepass && len(keys) > 0 && allPartial(aggs) {
-		pre, err := exec.NewPrepass(cur, keys, names, aggs)
-		if err == nil {
-			final := mergeGroupBy(pre, keys, names, aggs)
-			plan.Notes = append(plan.Notes, "prepass partial aggregation enabled")
-			return final, nil
+	for i, op := range cur {
+		pre, err := exec.NewPrepass(op, keys, names, aggs)
+		if err != nil {
+			return nil, err
 		}
+		cur[i] = pre
 	}
-	return exec.NewGroupBy(cur, keys, names, aggs), nil
+	if len(keys) == 0 {
+		plan.Notes = append(plan.Notes, fmt.Sprintf(
+			"fan closes at the aggregate: %d worker prepasses, one merging GroupBy", len(cur)))
+		return mergeGroupBy(exec.NewParallelUnion(cur...), keys, names, aggs), nil
+	}
+	ports := exec.NewExchange(cur, len(cur), seq(len(keys))).Ports()
+	for i, port := range ports {
+		ports[i] = mergeGroupBy(port, keys, names, aggs)
+	}
+	plan.Notes = append(plan.Notes, fmt.Sprintf(
+		"fan closes at the aggregate: %d worker prepasses, partials resegmented on the group keys into %d merging GroupBys",
+		len(cur), len(ports)))
+	return exec.NewParallelUnion(ports...), nil
 }
 
 func allPartial(aggs []exec.AggSpec) bool {
@@ -691,81 +733,26 @@ func mergeGroupBy(pre exec.Operator, keys []expr.Expr, names []string, aggs []ex
 	return final
 }
 
-// keysArePrefixOfSort checks whether the group keys are bare columns forming
-// a prefix of the scan projection's sort order, returning their scan output
-// indexes.
-func keysArePrefixOfSort(p Provider, q *LogicalQuery, scan *exec.Scan, keys []expr.Expr) ([]int, bool) {
-	proj, err := p.Catalog().Projection(scan.Projection)
-	if err != nil || len(proj.SortOrder) < len(keys) {
+// sortedGroupKeys checks whether the group keys are columns of the scan
+// forming a prefix of its projection's sort order, returning their scan
+// output indexes: the scan can then present rows sorted by the keys.
+func sortedGroupKeys(p Provider, q *LogicalQuery, scan *exec.Scan, colMap map[int]int) ([]int, bool) {
+	if len(q.GroupBy) == 0 {
 		return nil, false
 	}
-	outs := make([]int, len(keys))
-	for i, k := range keys {
-		cr, ok := k.(*expr.ColRef)
-		if !ok {
+	proj, err := p.Catalog().Projection(scan.Projection)
+	if err != nil || len(proj.SortOrder) < len(q.GroupBy) {
+		return nil, false
+	}
+	outs := make([]int, len(q.GroupBy))
+	for i, g := range q.GroupBy {
+		out, ok := colMap[g]
+		if !ok || scan.Schema().Col(out).Name != proj.SortOrder[i] {
 			return nil, false
 		}
-		if scan.Schema().Col(cr.Idx).Name != proj.SortOrder[i] {
-			return nil, false
-		}
-		outs[i] = cr.Idx
+		outs[i] = out
 	}
 	return outs, true
-}
-
-// planParallelAggregate builds the Figure 3 plan: the StorageUnion dispatches
-// worker scans over disjoint ROS container subsets, each feeding a prepass;
-// the exchange locally resegments partials by group key; parallel final
-// GroupBys compute complete groups; a ParallelUnion merges them.
-func planParallelAggregate(q *LogicalQuery, plan *PhysicalPlan, scan *exec.Scan, keys []expr.Expr, names []string, aggs []exec.AggSpec, opts PlanOpts) (exec.Operator, error) {
-	// Generation before container list: if a moveout commits in between,
-	// the stale generation forces ErrStorageChanged + replan rather than
-	// silently scanning a split that no longer covers the data.
-	gen := scan.Mgr.Gen()
-	containers := scan.Mgr.Containers()
-	w := opts.Parallelism
-	if w > len(containers) && len(containers) > 0 {
-		w = len(containers)
-	}
-	if w < 1 {
-		w = 1
-	}
-	var workers []exec.Operator
-	for i := 0; i < w; i++ {
-		var ids []string
-		for j := i; j < len(containers); j += w {
-			ids = append(ids, containers[j].Meta.ID)
-		}
-		ws := exec.NewScan(scan.Projection, scan.Mgr, scanProjSchema(scan), scan.Columns)
-		ws.Predicate = scan.Predicate
-		ws.SIPs = scan.SIPs
-		ws.SortKey = scan.SortKey
-		ws.ContainerIDs = ids
-		if ids == nil {
-			ws.ContainerIDs = []string{}
-		}
-		ws.StorageGen = gen
-		ws.IncludeWOS = i == 0
-		pre, err := exec.NewPrepass(ws, keys, names, aggs)
-		if err != nil {
-			return nil, err
-		}
-		workers = append(workers, pre)
-	}
-	ex := exec.NewExchange(workers, opts.Parallelism, seq(len(keys)))
-	var finals []exec.Operator
-	for _, port := range ex.Ports() {
-		finals = append(finals, mergeGroupBy(port, keys, names, aggs))
-	}
-	plan.noteWorkers(opts.Parallelism)
-	plan.Notes = append(plan.Notes,
-		fmt.Sprintf("parallel aggregation: %d worker scans, prepass, resegment into %d final GroupBys", w, opts.Parallelism))
-	return exec.NewParallelUnion(finals...), nil
-}
-
-// scanProjSchema reconstructs the projection schema a scan was built from.
-func scanProjSchema(s *exec.Scan) *types.Schema {
-	return s.Mgr.Schema()
 }
 
 func seq(n int) []int {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,17 +10,6 @@ import (
 
 	"repro/internal/types"
 )
-
-// ErrStorageChanged reports that the container set changed since a plan was
-// built (a moveout drained the WOS into new containers, or a retired
-// container aged out of the keep-alive window). Parallel plans that pinned
-// a container split at plan time replan and retry on it.
-var ErrStorageChanged = errors.New("storage: container set changed since plan")
-
-// retiredKeep bounds how many retired container readers are kept resolvable
-// for in-flight scans planned before a mergeout swap. Older entries fall
-// off; a scan that still asks for one gets ErrStorageChanged and replans.
-const retiredKeep = 64
 
 // Manager owns the physical storage of one projection on one node: its ROS
 // containers, WOS and delete vectors. Container layouts are private to each
@@ -38,14 +26,6 @@ type Manager struct {
 	dvs           *DVStore
 	localSegments int
 	maxROSBytes   int64
-
-	// gen counts committed moveouts: any event that changes which store
-	// (WOS vs ROS) holds a row. Plans that split containers across parallel
-	// workers record it and fail with ErrStorageChanged when it moved.
-	gen int64
-	// retired keeps recently swapped-out readers resolvable (bounded FIFO).
-	retired      map[string]*ContainerReader
-	retiredOrder []string
 }
 
 // ManagerOpts configures a projection storage manager.
@@ -80,8 +60,6 @@ func NewManager(dir string, schema *types.Schema, opts ManagerOpts) (*Manager, e
 		dvs:           dvs,
 		localSegments: opts.LocalSegments,
 		maxROSBytes:   opts.MaxROSBytes,
-		gen:           1,
-		retired:       map[string]*ContainerReader{},
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -136,10 +114,10 @@ func (m *Manager) NewContainerID() (string, string) {
 }
 
 // retireLocked detaches a container reader: its caches are preloaded into
-// memory and its delete vectors snapshotted, so queries that resolved the
-// reader before the swap keep a consistent view after the files are
-// deleted. Preload failure is tolerated — a scan needing the missing data
-// fails exactly as it would have without retirement. Callers hold m.mu.
+// memory and its delete vectors snapshotted, so queries whose ScanView holds
+// the reader keep a consistent view after the files are deleted. Preload
+// failure is tolerated — a scan needing the missing data fails exactly as
+// it would have without retirement. Callers hold m.mu.
 func (m *Manager) retireLocked(id string) {
 	r := m.containers[id]
 	if r == nil {
@@ -148,13 +126,6 @@ func (m *Manager) retireLocked(id string) {
 	_ = r.Preload()
 	r.Retire(m.dvs.Get(id))
 	delete(m.containers, id)
-	m.retired[id] = r
-	m.retiredOrder = append(m.retiredOrder, id)
-	for len(m.retiredOrder) > retiredKeep {
-		old := m.retiredOrder[0]
-		m.retiredOrder = m.retiredOrder[1:]
-		delete(m.retired, old)
-	}
 }
 
 // Remove deletes containers (and their delete vectors) from disk; used by
@@ -213,7 +184,6 @@ func (m *Manager) CommitMoveout(c MoveoutCommit) error {
 	}
 	m.wos.DrainThrough(c.DrainThrough)
 	m.dvs.Rewrite(WOSTarget, c.WOSRemaining)
-	m.gen++
 	return nil
 }
 
@@ -246,58 +216,43 @@ func (m *Manager) SwapContainers(meta *ContainerMeta, outDVs []DVEntry, removeID
 	return nil
 }
 
-// Gen returns the storage generation (see ErrStorageChanged).
-func (m *Manager) Gen() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.gen
-}
-
-// ScanView is an atomic snapshot of the stores a scan reads: the registered
-// containers plus the WOS rows visible at the snapshot epoch with WOS
-// delete vectors already applied, and the storage generation they were
-// captured at.
+// ScanView is an atomic snapshot of the stores a scan reads at a snapshot
+// epoch: the containers born by then, sorted by ID, plus the WOS rows
+// visible then with WOS delete vectors already applied. The worker scans of
+// a fan share one (exec/fan.go), so none is split at plan time.
 type ScanView struct {
-	Gen        int64
 	Containers []*ContainerReader
 	WOSRows    []WOSRow
-}
-
-// Container resolves a container ID within the view, whose containers are
-// sorted by ID.
-func (v *ScanView) Container(id string) (*ContainerReader, bool) {
-	i := sort.Search(len(v.Containers), func(i int) bool { return v.Containers[i].Meta.ID >= id })
-	if i < len(v.Containers) && v.Containers[i].Meta.ID == id {
-		return v.Containers[i], true
-	}
-	return nil, false
 }
 
 // ScanView captures containers, visible WOS rows and WOS delete vectors
 // under one lock, so a concurrent moveout commit can never be observed
 // half-applied (rows present in neither store — or in both).
-func (m *Manager) ScanView(epoch types.Epoch, includeWOS bool) *ScanView {
+func (m *Manager) ScanView(epoch types.Epoch) *ScanView {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	v := &ScanView{Gen: m.gen, Containers: m.containersLocked()}
-	if includeWOS {
-		rows := m.wos.Snapshot(epoch)
-		if deleted := m.dvs.DeletedAt(WOSTarget, epoch); len(deleted) > 0 {
-			delSet := make(map[int64]bool, len(deleted))
-			for _, p := range deleted {
-				delSet[p] = true
-			}
-			kept := rows[:0]
-			for _, r := range rows {
-				if !delSet[r.Pos] {
-					kept = append(kept, r)
-				}
-			}
-			rows = kept
+	rows := m.wos.Snapshot(epoch)
+	if deleted := m.dvs.DeletedAt(WOSTarget, epoch); len(deleted) > 0 {
+		delSet := make(map[int64]bool, len(deleted))
+		for _, p := range deleted {
+			delSet[p] = true
 		}
-		v.WOSRows = rows
+		kept := rows[:0]
+		for _, r := range rows {
+			if !delSet[r.Pos] {
+				kept = append(kept, r)
+			}
+		}
+		rows = kept
 	}
-	return v
+	all := m.containersLocked()
+	visible := all[:0]
+	for _, r := range all {
+		if r.Meta.MinEpoch <= epoch {
+			visible = append(visible, r)
+		}
+	}
+	return &ScanView{Containers: visible, WOSRows: rows}
 }
 
 // Containers returns a stable-ordered snapshot of current container readers.
@@ -316,19 +271,6 @@ func (m *Manager) containersLocked() []*ContainerReader {
 	return out
 }
 
-// Container returns the reader for one container ID. Recently retired
-// containers still resolve (to their preloaded, DV-snapshotted readers), so
-// scans planned before a mergeout swap keep their plan-time container set.
-func (m *Manager) Container(id string) (*ContainerReader, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if r, ok := m.containers[id]; ok {
-		return r, ok
-	}
-	r, ok := m.retired[id]
-	return r, ok
-}
-
 // RowCount returns the total ROS row count (not excluding deleted rows).
 func (m *Manager) RowCount() int64 {
 	var n int64
@@ -345,20 +287,6 @@ func (m *Manager) TotalBytes() int64 {
 		n += r.Meta.SizeBytes
 	}
 	return n
-}
-
-// Partitions returns the distinct partition keys present in the ROS.
-func (m *Manager) Partitions() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range m.Containers() {
-		if !seen[r.Meta.Partition] {
-			seen[r.Meta.Partition] = true
-			out = append(out, r.Meta.Partition)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DropPartition removes every container whose partition key matches —

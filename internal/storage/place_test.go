@@ -51,6 +51,15 @@ func randomStored(rng *rand.Rand, n int, maxEpoch int) []StoredRow {
 
 func storedKey(r StoredRow) string { return fmt.Sprintf("%s@%d-%d", r.Row, r.Epoch, r.Deleted) }
 
+func containerByID(m *Manager, id string) *ContainerReader {
+	for _, r := range m.Containers() {
+		if r.Meta.ID == id {
+			return r
+		}
+	}
+	return nil
+}
+
 // TestPlacedRowsReadBack: what Place + WriteRun put into containers is what
 // ForEachStored reads out — same rows, commit and delete epochs — with every
 // container holding one partition × local segment in stable sort order.
@@ -82,7 +91,7 @@ func TestPlacedRowsReadBack(t *testing.T) {
 	prevTarget := ""
 	err = m.ForEachStored(0, types.MaxEpoch, func(target string, pos int64, r StoredRow) error {
 		got = append(got, storedKey(r))
-		c, _ := m.Container(target)
+		c := containerByID(m, target)
 		if part, _ := pl.PartitionOf(r.Row); part != c.Meta.Partition || pl.LocalSegmentOf(r.Row) != c.Meta.LocalSegment {
 			t.Errorf("%s (%s, %d) holds %v", target, c.Meta.Partition, c.Meta.LocalSegment, r.Row)
 		}

@@ -202,33 +202,3 @@ func (r *ContainerReader) DecodeBlock(c int, e *PidxEntry, preserveRuns bool) (*
 	sharedBlockCache.put(key, v)
 	return v, nil
 }
-
-// ReadAll reads entire columns (by container column index) into one batch.
-// It needs no Manager, so it also reads a backup image; whole stored rows
-// with their delete epochs come from Manager.ContainerRows.
-func (r *ContainerReader) ReadAll(cols []int) (*vector.Batch, error) {
-	out := &vector.Batch{Cols: make([]*vector.Vector, len(cols))}
-	for i, c := range cols {
-		full := vector.New(r.Meta.Cols[c].Typ, int(r.Meta.RowCount))
-		it := r.NewColumnIter(c, nil)
-		for {
-			v, _, err := it.Next()
-			if err != nil {
-				return nil, err
-			}
-			if v == nil {
-				break
-			}
-			v = v.Expand()
-			for j := 0; j < v.PhysLen(); j++ {
-				if v.NullAt(j) {
-					full.AppendNull()
-				} else {
-					full.AppendValue(v.ValueAt(j))
-				}
-			}
-		}
-		out.Cols[i] = full
-	}
-	return out, nil
-}

@@ -46,16 +46,19 @@ func (f *fixture) load(t *testing.T, n int, epoch types.Epoch) {
 	}
 }
 
-// readSorted reads all ROS rows (user columns only) merged across containers.
+// rosRows reads every stored ROS row (user columns only), container by
+// container.
 func (f *fixture) rosRows(t *testing.T) []types.Row {
 	t.Helper()
 	var out []types.Row
-	for _, r := range f.mgr.Containers() {
-		b, err := r.ReadAll([]int{0, 1})
-		if err != nil {
-			t.Fatal(err)
+	err := f.mgr.ForEachStored(0, types.MaxEpoch, func(target string, _ int64, r storage.StoredRow) error {
+		if target != storage.WOSTarget {
+			out = append(out, r.Row)
 		}
-		out = append(out, b.Rows()...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -96,18 +99,17 @@ func TestMoveoutStampsEpochColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := f.mgr.Containers()[0]
-	epochIdx := c.Meta.ColIndex(storage.EpochColumn)
-	if epochIdx < 0 {
+	if c.Meta.ColIndex(storage.EpochColumn) < 0 {
 		t.Fatal("no epoch column stored")
 	}
-	b, err := c.ReadAll([]int{epochIdx})
+	err := f.mgr.ContainerRows(c, 0, types.MaxEpoch, func(_ string, pos int64, r storage.StoredRow) error {
+		if r.Epoch != e {
+			t.Fatalf("epoch[%d] = %d, want %d", pos, r.Epoch, e)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < b.Len(); i++ {
-		if got := b.Cols[0].Ints[i]; got != int64(e) {
-			t.Fatalf("epoch[%d] = %d, want %d", i, got, e)
-		}
 	}
 	if c.Meta.MinEpoch != e || c.Meta.MaxEpoch != e {
 		t.Error("container epoch range wrong")
