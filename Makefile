@@ -59,8 +59,10 @@ sqltest-update:
 # with the stored-row reader's seeded case (override with ORACLE_SEED; more
 # steps than the tier-1 run takes), the predicate oracles of the scan and
 # of the expression evaluators, the sorted-stream oracle of everything
-# that sorts, merges or spills, and the fan oracle of intra-node
-# parallelism against the serial engine (ORACLE_SEED too). Mirrored in CI.
+# that sorts, merges or spills, the fan oracle of intra-node parallelism
+# against the serial engine, and the decoder oracle of the Huffman and
+# dictionary kernels against the decoders they replaced (ORACLE_SEED too).
+# Mirrored in CI.
 TLP_SEED ?= 20120827
 ORACLE_SEED ?= 20120827
 test-metamorphic:
@@ -72,6 +74,7 @@ test-metamorphic:
 	$(GO) test -race ./internal/exec -run 'TestSortedStreamOracle' -count=1 -sorted.seed $(ORACLE_SEED) -sorted.cases 200
 	$(GO) test -race ./internal/expr -run 'MatchesEvalRow|LikeEvalRow' -count=1 -expr.seed $(ORACLE_SEED)
 	$(GO) test -race ./internal/sqltest -run 'TestFanOracle' -count=1 -fan.seed $(ORACLE_SEED)
+	$(GO) test -race ./internal/encoding -run 'TestDecodeOracle' -count=1 -decode.seed $(ORACLE_SEED) -decode.cases 20000
 
 # Fail if the parser accepts a statement keyword docs/SQL.md never mentions,
 # or if a system table's section there does not list exactly its columns

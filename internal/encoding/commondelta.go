@@ -99,19 +99,21 @@ func decodeCommonDelta(b []byte, t types.Type, n int) (*vector.Vector, error) {
 		dict[i] = d
 		pos += sz
 	}
+	// The symbols land in the output itself and are prefix-summed in place.
+	// A one-row block has no stream.
 	out := make([]int64, n)
-	out[0] = first
 	if n > 1 {
-		syms, _, err := huffmanDecode(b[pos:], n-1)
-		if err != nil {
+		if _, err := huffmanDecode(b[pos:], out[1:]); err != nil {
 			return nil, err
 		}
-		for i, s := range syms {
-			if s >= ds {
-				return nil, fmt.Errorf("encoding: COMMONDELTA_COMP symbol out of range")
-			}
-			out[i+1] = out[i] + dict[s]
+	}
+	out[0] = first
+	for i := 1; i < n; i++ {
+		s := out[i]
+		if uint64(s) >= uint64(ds) {
+			return nil, fmt.Errorf("encoding: COMMONDELTA_COMP symbol out of range")
 		}
+		out[i] = out[i-1] + dict[s]
 	}
 	return vector.NewFromInts(t, out), nil
 }

@@ -1,0 +1,462 @@
+package encoding
+
+import (
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/types"
+	"repro/internal/vector"
+)
+
+// The decoder differential oracle: the table-driven Huffman decoder and the
+// word-at-a-time dictionary gather against the bit-at-a-time and byte-wise
+// decoders they replaced, kept here as the reference. On random streams both
+// must return the same symbols and consume the same bytes; on corrupted ones
+// (flipped bits, truncation, a wrong symbol count, random tables) the same
+// error. Reproduce a failure with the one-case line it prints.
+
+var (
+	decodeSeed  = flag.Int64("decode.seed", 20120827, "decoder oracle: seed of the first case")
+	decodeCases = flag.Int("decode.cases", 3000, "decoder oracle: number of cases")
+)
+
+// refHuffmanDecode is the bit-at-a-time decoder: every bit read is one loop
+// iteration. Its one change from the original is the bit-count check, which
+// is made before the count becomes an int.
+func refHuffmanDecode(b []byte, n int) ([]int, int, error) {
+	sc64, sz := uvarint(b)
+	if sz <= 0 {
+		return nil, 0, fmt.Errorf("encoding: corrupt huffman symbol count")
+	}
+	if sc64 > uint64(len(b)) {
+		return nil, 0, fmt.Errorf("encoding: huffman symbol count %d exceeds payload", sc64)
+	}
+	pos := sz
+	symCount := int(sc64)
+	lengths := make([]int, symCount)
+	for s := 0; s < symCount; s++ {
+		l, sz := uvarint(b[pos:])
+		if sz <= 0 {
+			return nil, 0, fmt.Errorf("encoding: corrupt huffman length table")
+		}
+		if l > 64 {
+			return nil, 0, fmt.Errorf("encoding: huffman code length %d exceeds 64 bits", l)
+		}
+		lengths[s] = int(l)
+		pos += sz
+	}
+	bits64, sz := uvarint(b[pos:])
+	if sz <= 0 {
+		return nil, 0, fmt.Errorf("encoding: corrupt huffman bit count")
+	}
+	pos += sz
+	if bits64 > uint64(len(b)-pos)*8 {
+		return nil, 0, fmt.Errorf("encoding: truncated huffman bitstream")
+	}
+	totalBits := int(bits64)
+	byteLen := (totalBits + 7) / 8
+	stream := b[pos : pos+byteLen]
+	pos += byteLen
+
+	maxLen := 0
+	for _, l := range lengths {
+		maxLen = max(maxLen, l)
+	}
+	if maxLen == 0 && n > 0 {
+		return nil, 0, fmt.Errorf("encoding: huffman table has no codes")
+	}
+	count := make([]int, maxLen+2)
+	for _, l := range lengths {
+		if l > 0 {
+			count[l]++
+		}
+	}
+	firstCode := make([]uint64, maxLen+2)
+	offset := make([]int, maxLen+2)
+	var code uint64
+	idx := 0
+	for l := 1; l <= maxLen; l++ {
+		firstCode[l] = code
+		offset[l] = idx
+		code = (code + uint64(count[l])) << 1
+		idx += count[l]
+	}
+	symOfRank := make([]int, idx)
+	rank := append([]int(nil), offset...)
+	for s, l := range lengths {
+		if l > 0 {
+			symOfRank[rank[l]] = s
+			rank[l]++
+		}
+	}
+
+	out := make([]int, 0, n)
+	var acc uint64
+	accLen := 0
+	bitPos := 0
+	for len(out) < n {
+		if accLen > maxLen {
+			return nil, 0, fmt.Errorf("encoding: invalid huffman stream")
+		}
+		if bitPos >= totalBits && accLen == 0 {
+			return nil, 0, fmt.Errorf("encoding: huffman stream exhausted after %d of %d symbols", len(out), n)
+		}
+		if bitPos < totalBits {
+			acc = acc<<1 | uint64(stream[bitPos>>3]>>(7-bitPos&7)&1)
+			bitPos++
+			accLen++
+		} else {
+			return nil, 0, fmt.Errorf("encoding: huffman stream exhausted mid-symbol")
+		}
+		if r := acc - firstCode[accLen]; acc >= firstCode[accLen] && r < uint64(count[accLen]) {
+			out = append(out, symOfRank[offset[accLen]+int(r)])
+			acc, accLen = 0, 0
+		}
+	}
+	return out, pos, nil
+}
+
+// refUnpackBits is the byte-wise unpack of n values of the given width;
+// nil when b runs out.
+func refUnpackBits(b []byte, n, width int) ([]int, int) {
+	out := make([]int, n)
+	var cur uint64
+	bits := 0
+	pos := 0
+	mask := uint64(1)<<width - 1
+	for i := 0; i < n; i++ {
+		for bits < width {
+			if pos >= len(b) {
+				return nil, -1
+			}
+			cur |= uint64(b[pos]) << bits
+			pos++
+			bits += 8
+		}
+		out[i] = int(cur & mask)
+		cur >>= width
+		bits -= width
+	}
+	return out, pos
+}
+
+// refGatherDict is the dictionary decode as it was: an index slice first,
+// then a gather through it.
+func refGatherDict[T int64 | float64 | string](dict []T, b []byte, n int) ([]T, error) {
+	idx, _ := refUnpackBits(b, n, bitWidth(len(dict)))
+	if idx == nil {
+		return nil, fmt.Errorf("encoding: truncated BLOCK_DICT indexes")
+	}
+	out := make([]T, n)
+	for i, ix := range idx {
+		if ix >= len(dict) {
+			return nil, fmt.Errorf("encoding: BLOCK_DICT index out of range")
+		}
+		out[i] = dict[ix]
+	}
+	return out, nil
+}
+
+// oracleCounts are the symbol counts a case may ask for: block-boundary
+// sizes, then anything up to a block.
+var oracleCounts = []int{0, 1, 7, 8, 9, 4095, 4096}
+
+func oracleCount(rng *rand.Rand) int {
+	if rng.Intn(3) == 0 {
+		return oracleCounts[rng.Intn(len(oracleCounts))]
+	}
+	return rng.Intn(600)
+}
+
+// oracleAlphabet picks an alphabet size: 0, 1, 2, 2^k, 2^k+1 or any.
+func oracleAlphabet(rng *rand.Rand) int {
+	switch rng.Intn(4) {
+	case 0:
+		return rng.Intn(3)
+	case 1:
+		return 1 << rng.Intn(11)
+	case 2:
+		return 1<<rng.Intn(11) + 1
+	default:
+		return rng.Intn(300)
+	}
+}
+
+// fibSymbols returns n symbols over k whose counts follow the Fibonacci
+// numbers — the most skewed a Huffman code gets, so its longest code is
+// k-1 bits — rarest first kept when n cuts the sequence short, shuffled.
+func fibSymbols(rng *rand.Rand, k, n int) []int {
+	syms := make([]int, 0, n)
+	a, b := 1, 1
+	for s := 0; s < k && len(syms) < n; s++ {
+		for j := 0; j < a && len(syms) < n; j++ {
+			syms = append(syms, s)
+		}
+		a, b = b, a+b
+	}
+	for len(syms) < n && k > 0 {
+		syms = append(syms, k-1)
+	}
+	rng.Shuffle(len(syms), func(i, j int) { syms[i], syms[j] = syms[j], syms[i] })
+	return syms
+}
+
+// corrupt damages a stream one of four ways, or leaves it whole; it may
+// also change the count of values the decoder is asked for.
+func corrupt(rng *rand.Rand, b []byte, n int) ([]byte, int, string) {
+	b = slices.Clone(b)
+	switch rng.Intn(6) {
+	case 0:
+		if len(b) > 0 {
+			for f := 1 + rng.Intn(3); f > 0; f-- {
+				b[rng.Intn(len(b))] ^= 1 << rng.Intn(8)
+			}
+			return b, n, "flip"
+		}
+	case 1:
+		return b[:rng.Intn(len(b)+1)], n, "truncate"
+	case 2:
+		return b, max(0, n+rng.Intn(21)-10), "count"
+	case 3:
+		junk := make([]byte, rng.Intn(40))
+		rng.Read(junk)
+		return junk, n, "junk"
+	}
+	return b, n, "whole"
+}
+
+// TestDecodeOracle runs the differential cases: each draws a Huffman stream
+// and a packed dictionary stream, damages them or not, and decodes both
+// with the old and the new decoder.
+func TestDecodeOracle(t *testing.T) {
+	longCodes, errs := 0, 0
+	for c := 0; c < *decodeCases; c++ {
+		seed := *decodeSeed + int64(c)
+		rng := rand.New(rand.NewSource(seed))
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("case seed %d: %s\nre-run: go test ./internal/encoding -run TestDecodeOracle -decode.seed %d -decode.cases 1",
+				seed, fmt.Sprintf(format, args...), seed)
+		}
+
+		// Huffman: a stream over k symbols, skewed or not.
+		k := max(1, oracleAlphabet(rng))
+		n := oracleCount(rng)
+		var syms []int
+		if rng.Intn(4) == 0 {
+			k = 12 + rng.Intn(9)
+			syms = fibSymbols(rng, k, max(n, 1<<(k-6)))
+		} else {
+			syms = make([]int, n)
+			for i := range syms {
+				syms[i] = rng.Intn(k)
+				if rng.Intn(2) == 0 {
+					syms[i] = min(syms[i], rng.Intn(k)) // a tilt towards small symbols
+				}
+			}
+		}
+		freq := make([]int, k)
+		for _, s := range syms {
+			freq[s]++
+		}
+		lengths, err := huffmanCodeLengths(freq)
+		if err != nil {
+			fail("code lengths: %v", err)
+		}
+		if slices.Max(lengths) > huffTableBits {
+			longCodes++
+		}
+		enc := huffmanEncode(nil, k, lengths, syms)
+		enc = append(enc, make([]byte, rng.Intn(3))...) // what follows the stream is not consumed
+		data, want, how := corrupt(rng, enc, len(syms))
+		refSyms, refUsed, refErr := refHuffmanDecode(data, want)
+		got := make([]int64, want)
+		used, err := huffmanDecode(data, got)
+		if how == "whole" && (err != nil || !slices.Equal(got, int64s(syms))) {
+			fail("huffman round trip: %v", err)
+		}
+		if msg, refMsg := errText(err), errText(refErr); msg != refMsg {
+			fail("huffman %s stream %s, %d symbols: error %q, reference %q", how, hex.EncodeToString(data), want, msg, refMsg)
+		}
+		if err == nil && (used != refUsed || !slices.Equal(got, int64s(refSyms))) {
+			fail("huffman %s stream %s, %d symbols: decoded %v (%d bytes), reference %v (%d bytes)",
+				how, hex.EncodeToString(data), want, got, used, refSyms, refUsed)
+		}
+		if err != nil {
+			errs++
+		}
+
+		// Dictionary: n indexes into a dictionary of ds values.
+		ds, n := oracleAlphabet(rng), oracleCount(rng)
+		dict := make([]int64, ds)
+		for i := range dict {
+			dict[i] = rng.Int63() - rng.Int63()
+		}
+		idx := make([]int, n)
+		for i := range idx {
+			if ds > 0 {
+				idx[i] = rng.Intn(ds)
+			}
+		}
+		packed, want, how := corrupt(rng, packBits(nil, idx, bitWidth(ds)), n)
+		vals, err := gatherDict(dict, packed, want)
+		refVals, refErr := refGatherDict(dict, packed, want)
+		if msg, refMsg := errText(err), errText(refErr); msg != refMsg {
+			fail("dictionary of %d, %s stream %s, %d indexes: error %q, reference %q", ds, how, hex.EncodeToString(packed), want, msg, refMsg)
+		}
+		if !slices.Equal(vals, refVals) {
+			fail("dictionary of %d, %s stream %s, %d indexes: %v, reference %v", ds, how, hex.EncodeToString(packed), want, vals, refVals)
+		}
+		strs := make([]string, ds)
+		for i := range strs {
+			strs[i] = fmt.Sprint(dict[i])
+		}
+		sv, err := gatherDict(strs, packed, want)
+		refSv, refErr := refGatherDict(strs, packed, want)
+		if errText(err) != errText(refErr) || !slices.Equal(sv, refSv) {
+			fail("string dictionary of %d, %s stream %s: %v %v, reference %v %v", ds, how, hex.EncodeToString(packed), sv, err, refSv, refErr)
+		}
+	}
+	if *decodeCases >= 100 && (longCodes == 0 || errs == 0) {
+		t.Errorf("%d cases reached codes longer than %d bits and %d failed to decode: the oracle misses a path",
+			longCodes, huffTableBits, errs)
+	}
+}
+
+func int64s(xs []int) []int64 {
+	out := make([]int64, len(xs))
+	for i, x := range xs {
+		out[i] = int64(x)
+	}
+	return out
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// shapedVector returns n values of type t with ds distinct values — or, as
+// a walk, ds distinct steps between neighbours — each picked once while n
+// allows, the rest with Fibonacci skew; NULL at the rows nulls marks.
+func shapedVector(rng *rand.Rand, t types.Type, n, ds int, walk bool, nulls func(int) bool) *vector.Vector {
+	picks := make([]int, 0, n)
+	for p := 0; p < ds && len(picks) < n; p++ {
+		picks = append(picks, p)
+	}
+	picks = append(picks, fibSymbols(rng, min(ds, 16), n-len(picks))...)
+	rng.Shuffle(n, func(i, j int) { picks[i], picks[j] = picks[j], picks[i] })
+	ints := make([]int64, n)
+	for i, p := range picks {
+		ints[i] = int64(p) * 37
+		if walk && i > 0 {
+			ints[i] += ints[i-1]
+		}
+	}
+	v := vector.New(t, n)
+	for i, x := range ints {
+		switch {
+		case nulls(i):
+			v.AppendNull()
+		case t == types.Float64:
+			v.AppendValue(types.NewFloat(float64(x) / 4))
+		case t == types.Varchar:
+			v.AppendValue(types.NewString(fmt.Sprintf("v%d", x)))
+		case t == types.Bool:
+			v.AppendValue(types.NewBool(x%2 == 0))
+		default:
+			v.AppendValue(types.Value{Typ: t, I: x})
+		}
+	}
+	return v
+}
+
+// TestDecodeRoundTripShapes round-trips every kind, type and NULL pattern
+// over the block-boundary row counts and the dictionary sizes whose index
+// widths change (2^k, 2^k+1), with skewed frequencies that give Compressed
+// Common Delta codes longer than one table lookup.
+func TestDecodeRoundTripShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	nullPatterns := map[string]func(int) bool{
+		"none":   func(int) bool { return false },
+		"every3": func(i int) bool { return i%3 == 1 },
+		"all":    func(int) bool { return true },
+	}
+	kinds := []Kind{None, RLE, DeltaValue, BlockDict, CompressedDeltaRange, CompressedCommonDelta}
+	for _, typ := range []types.Type{types.Int64, types.Timestamp, types.Bool, types.Float64, types.Varchar} {
+		for _, n := range oracleCounts {
+			for _, ds := range []int{1, 2, 16, 17, 256, 257} {
+				for _, walk := range []bool{false, true} {
+					for name, nulls := range nullPatterns {
+						v := shapedVector(rng, typ, n, ds, walk, nulls)
+						for _, k := range kinds {
+							if !k.Applicable(typ) {
+								continue
+							}
+							if _, err := EncodeBlock(k, v); err != nil {
+								continue // a dictionary limit: Choose would pick another kind
+							}
+							t.Run(fmt.Sprintf("%s/%s/n%d/d%d/walk=%v/nulls=%s", typ, k, n, ds, walk, name), func(t *testing.T) {
+								roundTrip(t, k, v)
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHuffmanBitCountOverflowErrors: a bit count of 2^63 or more went
+// negative as an int, passed the bounds check and sliced out of range.
+func TestHuffmanBitCountOverflowErrors(t *testing.T) {
+	block, _ := hex.DecodeString("06020000010001018880808080808080800100")
+	_, err := DecodeBlock(block, types.Int64, false)
+	if err == nil || !strings.Contains(err.Error(), "truncated huffman bitstream") {
+		t.Fatalf("decode = %v, want a truncated-bitstream error", err)
+	}
+}
+
+// TestDecodeAllocationGuard: a 4 096-row BLOCK_DICT or COMMONDELTA block
+// decodes into its output vector and its dictionary, nothing block-sized
+// beside them — no index slice, no symbol slice, no heap decode table.
+func TestDecodeAllocationGuard(t *testing.T) {
+	const n, ds, slack = 4096, 16, 1 << 10
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		kind Kind
+		walk bool
+	}{{BlockDict, false}, {CompressedCommonDelta, true}} {
+		v := shapedVector(rng, types.Int64, n, ds, tc.walk, func(int) bool { return false })
+		enc, err := EncodeBlock(tc.kind, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeBlock(enc, types.Int64, false); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := DecodeBlock(enc, types.Int64, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		if limit := uint64(8*n + 8*ds + slack); per > limit {
+			t.Errorf("%s: a %d-row decode allocates %d bytes, limit %d (output %d + dictionary %d + %d)",
+				tc.kind, n, per, limit, 8*n, 8*ds, slack)
+		}
+	}
+}

@@ -114,18 +114,8 @@ func decodeBlockDict(b []byte, t types.Type, n int) (*vector.Vector, error) {
 			dict[i] = math.Float64frombits(getUint64(b[pos:]))
 			pos += 8
 		}
-		idx, _ := unpackBits(b[pos:], n, bitWidth(ds))
-		if idx == nil {
-			return nil, fmt.Errorf("encoding: truncated BLOCK_DICT indexes")
-		}
-		out := make([]float64, n)
-		for i, ix := range idx {
-			if ix >= ds {
-				return nil, fmt.Errorf("encoding: BLOCK_DICT index out of range")
-			}
-			out[i] = dict[ix]
-		}
-		return vector.NewFromFloats(out), nil
+		out, err := gatherDict(dict, b[pos:], n)
+		return vector.NewFromFloats(out), err
 	case types.Varchar:
 		dict := make([]string, ds)
 		for i := range dict {
@@ -137,18 +127,8 @@ func decodeBlockDict(b []byte, t types.Type, n int) (*vector.Vector, error) {
 			dict[i] = string(b[pos : pos+int(l)])
 			pos += int(l)
 		}
-		idx, _ := unpackBits(b[pos:], n, bitWidth(ds))
-		if idx == nil {
-			return nil, fmt.Errorf("encoding: truncated BLOCK_DICT indexes")
-		}
-		out := make([]string, n)
-		for i, ix := range idx {
-			if ix >= ds {
-				return nil, fmt.Errorf("encoding: BLOCK_DICT index out of range")
-			}
-			out[i] = dict[ix]
-		}
-		return vector.NewFromStrings(out), nil
+		out, err := gatherDict(dict, b[pos:], n)
+		return vector.NewFromStrings(out), err
 	default:
 		dict := make([]int64, ds)
 		for i := range dict {
@@ -159,17 +139,27 @@ func decodeBlockDict(b []byte, t types.Type, n int) (*vector.Vector, error) {
 			dict[i] = x
 			pos += sz
 		}
-		idx, _ := unpackBits(b[pos:], n, bitWidth(ds))
-		if idx == nil {
-			return nil, fmt.Errorf("encoding: truncated BLOCK_DICT indexes")
-		}
-		out := make([]int64, n)
-		for i, ix := range idx {
-			if ix >= ds {
-				return nil, fmt.Errorf("encoding: BLOCK_DICT index out of range")
-			}
-			out[i] = dict[ix]
-		}
-		return vector.NewFromInts(t, out), nil
+		out, err := gatherDict(dict, b[pos:], n)
+		return vector.NewFromInts(t, out), err
 	}
+}
+
+// gatherDict decodes n bit-packed dictionary indexes from b straight into
+// the output values: one little-endian word read per index, no index slice.
+func gatherDict[T int64 | float64 | string](dict []T, b []byte, n int) ([]T, error) {
+	w := bitWidth(len(dict))
+	if (n*w+7)/8 > len(b) {
+		return nil, fmt.Errorf("encoding: truncated BLOCK_DICT indexes")
+	}
+	mask := uint64(1)<<w - 1
+	out := make([]T, n)
+	for i := range out {
+		bit := i * w
+		ix := packedWord(b, bit>>3) >> (bit & 7) & mask
+		if ix >= uint64(len(dict)) {
+			return nil, fmt.Errorf("encoding: BLOCK_DICT index out of range")
+		}
+		out[i] = dict[ix]
+	}
+	return out, nil
 }

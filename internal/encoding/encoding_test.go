@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -381,12 +382,12 @@ func TestHuffmanRoundTrip(t *testing.T) {
 	}
 	syms := []int{0, 1, 2, 3, 4, 0, 0, 1, 2, 0, 4, 3, 2, 1, 0}
 	enc := huffmanEncode(nil, len(freq), lengths, syms)
-	dec, _, err := huffmanDecode(enc, len(syms))
-	if err != nil {
+	dec := make([]int64, len(syms))
+	if _, err := huffmanDecode(enc, dec); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range syms {
-		if dec[i] != s {
+		if dec[i] != int64(s) {
 			t.Fatalf("symbol %d = %d, want %d", i, dec[i], s)
 		}
 	}
@@ -399,30 +400,42 @@ func TestHuffmanSingleSymbol(t *testing.T) {
 	}
 	syms := []int{0, 0, 0, 0}
 	enc := huffmanEncode(nil, 1, lengths, syms)
-	dec, _, err := huffmanDecode(enc, 4)
-	if err != nil || len(dec) != 4 {
-		t.Fatalf("single-symbol decode: %v %v", dec, err)
+	dec := make([]int64, 4)
+	n, err := huffmanDecode(enc, dec)
+	if err != nil || n != len(enc) || !slices.Equal(dec, make([]int64, 4)) {
+		t.Fatalf("single-symbol decode: %v, %d of %d bytes, %v", dec, n, len(enc), err)
 	}
 }
 
+// packBits and the dictionary gather agree at every width: an identity
+// dictionary turns the gather into a plain unpack.
 func TestBitPackRoundTrip(t *testing.T) {
-	f := func(raw []uint8, width8 uint8) bool {
+	f := func(raw []uint16, width8 uint8) bool {
 		width := int(width8%16) + 1
 		vals := make([]int, len(raw))
 		for i, r := range raw {
 			vals[i] = int(r) % (1 << uint(width))
 		}
+		ident := make([]int64, 1<<width)
+		for i := range ident {
+			ident[i] = int64(i)
+		}
 		buf := packBits(nil, vals, width)
-		got, _ := unpackBits(buf, len(vals), width)
-		if len(got) != len(vals) {
+		got, err := gatherDict(ident, buf, len(vals))
+		if err != nil || len(got) != len(vals) {
 			return false
 		}
 		for i := range vals {
-			if got[i] != vals[i] {
+			if got[i] != int64(vals[i]) {
 				return false
 			}
 		}
-		return true
+		// packBits writes no spare byte: one fewer is a truncated stream.
+		if len(buf) == 0 {
+			return len(vals) == 0
+		}
+		_, err = gatherDict(ident, buf[:len(buf)-1], len(vals))
+		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

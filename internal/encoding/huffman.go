@@ -155,67 +155,64 @@ func huffmanEncode(buf []byte, symCount int, lengths []int, syms []int) []byte {
 	return buf
 }
 
-// huffmanDecode reads what huffmanEncode wrote, returning n decoded symbols
-// and the number of payload bytes consumed.
-func huffmanDecode(b []byte, n int) ([]int, int, error) {
+// huffTableBits is how many bits one lookup of the decoder's table covers:
+// every code of up to this length decodes in one step. Longer codes, and the
+// stream's last bits, take the bit-at-a-time path.
+const huffTableBits = 11
+
+// huffmanDecode reads what huffmanEncode wrote, writing len(out) decoded
+// symbols into out and returning the number of payload bytes consumed.
+func huffmanDecode(b []byte, out []int64) (int, error) {
+	n := len(out)
 	sc64, sz := uvarint(b)
 	if sz <= 0 {
-		return nil, 0, fmt.Errorf("encoding: corrupt huffman symbol count")
+		return 0, fmt.Errorf("encoding: corrupt huffman symbol count")
 	}
 	if sc64 > uint64(len(b)) { // every length entry costs ≥ 1 byte
-		return nil, 0, fmt.Errorf("encoding: huffman symbol count %d exceeds payload", sc64)
+		return 0, fmt.Errorf("encoding: huffman symbol count %d exceeds payload", sc64)
 	}
+	// Canonical decode tables: because codes are assigned numerically
+	// increasing by (length, symbol), a code c of length l is valid iff
+	// firstCode[l] <= c < firstCode[l]+count[l], and its symbol is the
+	// (c-firstCode[l])-th symbol of length l in symbol order. One spare slot
+	// past the longest length: the bit-at-a-time accumulator reaches maxLen+1
+	// before its overflow check fires, and must find no match there.
+	var count, offset [66]int
+	var firstCode [66]uint64
+	maxLen := 0
+	lengths := b[sz:]
 	pos := sz
 	symCount := int(sc64)
-	lengths := make([]int, symCount)
 	for s := 0; s < symCount; s++ {
 		l, sz := uvarint(b[pos:])
 		if sz <= 0 {
-			return nil, 0, fmt.Errorf("encoding: corrupt huffman length table")
+			return 0, fmt.Errorf("encoding: corrupt huffman length table")
 		}
 		if l > 64 { // codes are accumulated in a uint64
-			return nil, 0, fmt.Errorf("encoding: huffman code length %d exceeds 64 bits", l)
+			return 0, fmt.Errorf("encoding: huffman code length %d exceeds 64 bits", l)
 		}
-		lengths[s] = int(l)
+		if l > 0 {
+			count[l]++
+			maxLen = max(maxLen, int(l))
+		}
 		pos += sz
 	}
 	bits64, sz := uvarint(b[pos:])
 	if sz <= 0 {
-		return nil, 0, fmt.Errorf("encoding: corrupt huffman bit count")
+		return 0, fmt.Errorf("encoding: corrupt huffman bit count")
 	}
 	pos += sz
+	// Checked before it becomes an int: a count of 2^63 or more would go
+	// negative and slip past the bounds check.
+	if bits64 > uint64(len(b)-pos)*8 {
+		return 0, fmt.Errorf("encoding: truncated huffman bitstream")
+	}
 	totalBits := int(bits64)
-	byteLen := (totalBits + 7) / 8
-	if pos+byteLen > len(b) {
-		return nil, 0, fmt.Errorf("encoding: truncated huffman bitstream")
-	}
-	stream := b[pos : pos+byteLen]
-	pos += byteLen
-
-	// Canonical decode tables: because codes are assigned numerically
-	// increasing by (length, symbol), a code c of length l is valid iff
-	// firstCode[l] <= c < firstCode[l]+count[l], and its symbol is the
-	// (c-firstCode[l])-th symbol of length l in symbol order. Array math per
-	// bit, no per-symbol map probes.
-	maxLen := 0
-	for _, l := range lengths {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
+	stream := b[pos : pos+(totalBits+7)/8]
+	pos += len(stream)
 	if maxLen == 0 && n > 0 {
-		return nil, 0, fmt.Errorf("encoding: huffman table has no codes")
+		return 0, fmt.Errorf("encoding: huffman table has no codes")
 	}
-	// One spare slot past maxLen: the accumulator reaches maxLen+1 before
-	// the top-of-loop overflow check fires, and must find no match there.
-	count := make([]int, maxLen+2)
-	for _, l := range lengths {
-		if l > 0 {
-			count[l]++
-		}
-	}
-	firstCode := make([]uint64, maxLen+2)
-	offset := make([]int, maxLen+2)
 	var code uint64
 	idx := 0
 	for l := 1; l <= maxLen; l++ {
@@ -225,36 +222,62 @@ func huffmanDecode(b []byte, n int) ([]int, int, error) {
 		idx += count[l]
 	}
 	symOfRank := make([]int, idx)
-	rank := append([]int(nil), offset...)
-	for s, l := range lengths {
+	rank := offset
+	for s, p := 0, 0; s < symCount; s++ { // the lengths again, validated above
+		l, sz := uvarint(lengths[p:])
+		p += sz
 		if l > 0 {
 			symOfRank[rank[l]] = s
 			rank[l]++
 		}
 	}
 
-	out := make([]int, 0, n)
-	var acc uint64
-	accLen := 0
+	// The lookup table: entry w of the next tb bits is sym<<5 | length of
+	// the code that is a prefix of w, 0 when none is (a longer code or an
+	// invalid stream, both left to the bit-at-a-time path). Canonical codes
+	// are prefix-free whatever the lengths, so no entry is claimed twice.
+	var table [1 << huffTableBits]uint32
+	tb := min(maxLen, huffTableBits)
+	for l := 1; l <= tb; l++ {
+		for r := 0; r < count[l]; r++ {
+			c, sym := firstCode[l]+uint64(r), symOfRank[offset[l]+r]
+			if c >= 1<<l || sym >= 1<<27 {
+				break // past the codes of this length, or too large for an entry
+			}
+			for w := int(c) << (tb - l); w < int(c+1)<<(tb-l); w++ {
+				table[w] = uint32(sym)<<5 | uint32(l)
+			}
+		}
+	}
+
 	bitPos := 0
-	for len(out) < n {
-		if accLen > maxLen {
-			return nil, 0, fmt.Errorf("encoding: invalid huffman stream")
+	for i := range out {
+		if bitPos+tb <= totalBits {
+			if e := table[streamWord(stream, bitPos>>3)<<(bitPos&7)>>(64-tb)]; e != 0 {
+				out[i] = int64(e >> 5)
+				bitPos += int(e & 31)
+				continue
+			}
 		}
-		if bitPos >= totalBits && accLen == 0 {
-			return nil, 0, fmt.Errorf("encoding: huffman stream exhausted after %d of %d symbols", len(out), n)
-		}
-		if bitPos < totalBits {
+		var acc uint64
+		for accLen := 0; ; {
+			if accLen > maxLen {
+				return 0, fmt.Errorf("encoding: invalid huffman stream")
+			}
+			if bitPos >= totalBits && accLen == 0 {
+				return 0, fmt.Errorf("encoding: huffman stream exhausted after %d of %d symbols", i, n)
+			}
+			if bitPos >= totalBits {
+				return 0, fmt.Errorf("encoding: huffman stream exhausted mid-symbol")
+			}
 			acc = acc<<1 | uint64(stream[bitPos>>3]>>(7-bitPos&7)&1)
 			bitPos++
 			accLen++
-		} else {
-			return nil, 0, fmt.Errorf("encoding: huffman stream exhausted mid-symbol")
-		}
-		if r := acc - firstCode[accLen]; acc >= firstCode[accLen] && r < uint64(count[accLen]) {
-			out = append(out, symOfRank[offset[accLen]+int(r)])
-			acc, accLen = 0, 0
+			if r := acc - firstCode[accLen]; acc >= firstCode[accLen] && r < uint64(count[accLen]) {
+				out[i] = int64(symOfRank[offset[accLen]+int(r)])
+				break
+			}
 		}
 	}
-	return out, pos, nil
+	return pos, nil
 }

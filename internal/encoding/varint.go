@@ -53,25 +53,25 @@ func packBits(buf []byte, vals []int, width int) []byte {
 	return buf
 }
 
-// unpackBits reads n values of the given bit width.
-func unpackBits(b []byte, n, width int) ([]int, int) {
-	out := make([]int, n)
-	var cur uint64
-	bits := 0
-	pos := 0
-	mask := uint64(1)<<width - 1
-	for i := 0; i < n; i++ {
-		for bits < width {
-			if pos >= len(b) {
-				return nil, -1
-			}
-			cur |= uint64(b[pos]) << bits
-			pos++
-			bits += 8
-		}
-		out[i] = int(cur & mask)
-		cur >>= width
-		bits -= width
+// packedWord returns the eight bytes of b from off (< len(b)) as a
+// little-endian word, zero-padded past the end of b: the bits of a packed
+// value that starts in byte off, low bit first.
+func packedWord(b []byte, off int) uint64 {
+	var pad [8]byte
+	if off+8 > len(b) {
+		copy(pad[:], b[off:])
+		b, off = pad[:], 0
 	}
-	return out, pos
+	return binary.LittleEndian.Uint64(b[off:])
+}
+
+// streamWord is packedWord for an MSB-first stream: the next bits from byte
+// off, first bit highest.
+func streamWord(b []byte, off int) uint64 {
+	var pad [8]byte
+	if off+8 > len(b) {
+		copy(pad[:], b[off:])
+		b, off = pad[:], 0
+	}
+	return binary.BigEndian.Uint64(b[off:])
 }

@@ -301,16 +301,17 @@ func TestMergedScanHoldsABlockPerContainer(t *testing.T) {
 	}
 }
 
+// The scan's SIP step looks keys up in the join's table: a key stored twice
+// passes its rows once, and a NULL build key, never linked, passes nothing.
 func TestScanSIPFilter(t *testing.T) {
 	f := newExecFixture(t, 200, 2, 1)
 	ctx := f.ctx()
 	s := f.scan(0)
 	sip := NewSIPFilter([]int{0}, "j1")
-	keys := map[uint64]bool{}
-	for _, k := range []int64{5, 10, 15} {
-		keys[types.HashRow(types.Row{types.NewInt(k)}, []int{0})] = true
-	}
-	sip.Publish(keys)
+	dim := types.NewSchema(types.Column{Name: "id", Typ: types.Int64, Nullable: true})
+	sip.table.Store(builtTable(dim, []int{0}, []types.Row{
+		{types.NewInt(5)}, {types.NewInt(10)}, {types.NewInt(15)}, {types.NewInt(10)}, {types.NewNull(types.Int64)},
+	}))
 	s.SIPs = []*SIPFilter{sip}
 	rows, err := Drain(ctx, s)
 	if err != nil {
@@ -743,6 +744,74 @@ func TestHashJoinPublishesSIP(t *testing.T) {
 	}
 	if ctx.SIPFiltered.Load() != 140 {
 		t.Errorf("SIP filtered %d rows at the scan, want 140", ctx.SIPFiltered.Load())
+	}
+	if sip.table.Load() != nil {
+		t.Error("the closed join left its table with the SIP filter")
+	}
+}
+
+// A build that switches to sort-merge has no hash table to hand the filter:
+// the scan filters nothing, and the join still answers. With the memory to
+// build, the same plan filters every probe row without a partner.
+func TestHashJoinSortMergeLeavesSIPUnpublished(t *testing.T) {
+	f := newExecFixture(t, 2000, 5, 1)
+	for _, tc := range []struct {
+		budget   int64
+		spilled  bool
+		filtered int64
+	}{{2 << 10, true, 0}, {64 << 20, false, 1000}} {
+		ctx := f.ctx()
+		ctx.MemBudget, ctx.TempDir = tc.budget, t.TempDir()
+		probe := f.scan(0, 1)
+		sip := NewSIPFilter([]int{0}, "half")
+		probe.SIPs = []*SIPFilter{sip}
+		inner := f.scan(0, 1)
+		inner.Predicate = cmpLt(intCol(0, "k"), intConst(1000))
+		j, _ := NewHashJoin(InnerJoin, probe, inner, []int{0}, []int{0})
+		j.SIP = sip
+		rows, err := Drain(ctx, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1000 || j.spilled != tc.spilled {
+			t.Fatalf("budget %d: %d rows (want 1000), switched %v (want %v)", tc.budget, len(rows), j.spilled, tc.spilled)
+		}
+		if got := ctx.SIPFiltered.Load(); got != tc.filtered {
+			t.Errorf("budget %d: SIP filtered %d rows, want %d", tc.budget, got, tc.filtered)
+		}
+	}
+}
+
+// The workers of a fan probe one build and carry one SIP filter: it filters
+// every worker's scan, and once the fan has closed it holds no table — a
+// plan kept after its run must not pin the build.
+func TestFanSIPReleasesTableAtClose(t *testing.T) {
+	checkGoroutines(t)
+	f := newExecFixture(t, 2000, 5, 4) // grp in 0..4; dim has 0..2
+	sip := NewSIPFilter([]int{1}, "dim")
+	scans := f.scan(0, 1).Fan(4)
+	for _, s := range scans {
+		s.(*Scan).SIPs = []*SIPFilter{sip}
+	}
+	joins, err := FanHashJoin(InnerJoin, scans, dimValues(), []int{1}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := make([]Operator, len(joins))
+	for w, j := range joins {
+		j.SIP = sip
+		workers[w] = j
+	}
+	ctx := f.ctx()
+	rows, err := Drain(ctx, NewParallelUnion(workers...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1200 || ctx.SIPFiltered.Load() != 800 {
+		t.Fatalf("fan joined %d rows (want 1200), SIP filtered %d (want 800)", len(rows), ctx.SIPFiltered.Load())
+	}
+	if sip.table.Load() != nil {
+		t.Error("the closed fan left the shared build with its SIP filter")
 	}
 }
 

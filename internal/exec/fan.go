@@ -145,8 +145,8 @@ func FanHashJoin(t JoinType, outers []Operator, inner Operator, outerKeys, inner
 
 // buildShare is a hash join's build — for a fan, the one build its
 // workers' joins probe. The first worker to need it builds it, so it is
-// charged to the grant once and its SIP filter, which every worker scan
-// carries, is published once; the others wait, and from then on the table
+// charged to the grant once and handed once to its SIP filter, which every
+// worker scan carries; the others wait, and from then on the table
 // is read-only. A build denied memory is sorted instead, once: every worker
 // then merge-joins its own sorted share of the outer side against its own
 // stream of the one sorted inner.
@@ -192,9 +192,10 @@ func (sh *buildShare) acquire(ctx *Ctx, j *HashJoin) (*sorter, error) {
 	return sh.sorted, sh.err
 }
 
-// close lets a worker go; the last one closes the inner input and removes
-// what sorting it spilled.
-func (sh *buildShare) close(ctx *Ctx) error {
+// close lets a worker go; the last one closes the inner input, removes what
+// sorting it spilled and takes the table back from the joins' SIP filter, so
+// a plan kept after it ran does not hold on to the build.
+func (sh *buildShare) close(ctx *Ctx, sip *SIPFilter) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.opens--; sh.opens > 0 {
@@ -202,5 +203,8 @@ func (sh *buildShare) close(ctx *Ctx) error {
 	}
 	sh.runs.close()
 	sh.table, sh.sorted = nil, nil
+	if sip != nil {
+		sip.table.Store(nil)
+	}
 	return sh.inner.Close(ctx)
 }

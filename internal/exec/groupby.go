@@ -48,11 +48,12 @@ type GroupBy struct {
 // the shared columnar hashTable, accumulators in an accTable, both numbered
 // by the order groups were first seen.
 type groupSet struct {
-	table *hashTable
-	accs  accTable
-	keys  []expr.Expr
-	args  []expr.Expr // each aggregate's argument, nil for COUNT(*)
-	gids  []int32     // scratch: the group of each row being folded in
+	table  *hashTable
+	accs   accTable
+	keys   []expr.Expr
+	args   []expr.Expr // each aggregate's argument, nil for COUNT(*)
+	gids   []int32     // scratch: the group of each row being folded in
+	hashes []uint64    // scratch: the key hash of each row being folded in
 }
 
 func newGroupSet(keys []expr.Expr, keyCols []types.Column, aggs []AggSpec) *groupSet {
@@ -115,7 +116,8 @@ func (s *groupSet) hashKeys(in groupInput) []uint64 {
 	if len(in.keys) == 0 {
 		return nil
 	}
-	return vector.NewBatch(in.keys...).Hashes(s.table.keys)
+	s.hashes = vector.NewBatch(in.keys...).Hashes(s.hashes[:0], s.table.keys)
+	return s.hashes
 }
 
 // resolveHashed finds or creates the group of each row from lo on,

@@ -652,8 +652,23 @@ func TestHashOperatorsHitPathAllocations(t *testing.T) {
 	})
 }
 
-// SIP hashes the probe keys as a vector: the verdicts must be those of
-// HashRow per row, whether the batch is flat, selected or RLE-keyed.
+// builtTable returns the hash table a join builds from rows on keyCols,
+// linked: what a SIP filter is handed.
+func builtTable(schema *types.Schema, keyCols []int, rows []types.Row) *hashTable {
+	b := vector.NewBatchForSchema(schema, len(rows))
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	t := newHashTable(schema, keyCols, false)
+	t.appendBatch(b)
+	t.link()
+	return t
+}
+
+// SIP hashes the probe keys as a vector and looks them up in the join's
+// table: a row passes when HashRow of its key is the hash of a linked build
+// row — one whose key has no NULL — and its own key has no NULL, whether the
+// batch is flat, selected or RLE-keyed.
 func TestSIPFilterApplyMatchesHashRow(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", Typ: types.Int64, Nullable: true},
@@ -669,33 +684,72 @@ func TestSIPFilterApplyMatchesHashRow(t *testing.T) {
 		rows = append(rows, types.Row{k, types.NewString(fmt.Sprintf("s%d", rng.Intn(4)))})
 	}
 	keyCols := []int{0, 1}
-	published := map[uint64]bool{}
-	var want []types.Row
+	var build []types.Row
 	for i, r := range rows {
 		if i%3 == 0 {
-			published[types.HashRow(r, keyCols)] = true
+			build = append(build, r)
 		}
 	}
+	linked := map[uint64]bool{}
+	for _, r := range build {
+		if !r[0].Null {
+			linked[types.HashRow(r, keyCols)] = true
+		}
+	}
+	var want []types.Row
 	for _, r := range rows {
-		if published[types.HashRow(r, keyCols)] {
+		if !r[0].Null && linked[types.HashRow(r, keyCols)] {
 			want = append(want, r)
 		}
 	}
 	for _, shape := range []batchShape{shapeFlat, shapeSel, shapeRLE} {
 		f := NewSIPFilter(keyCols, "test")
-		f.Publish(published)
+		f.table.Store(builtTable(schema, keyCols, build))
 		src := newShapedSource(schema, rows, shape, 0, 128)
 		var got []types.Row
+		var hashes []uint64
+		sel := make([]int, 256)
 		for {
 			b, _ := src.Next(nil)
 			if b == nil {
 				break
 			}
-			if err := f.Apply(b); err != nil {
+			var err error
+			if hashes, err = f.Apply(b, hashes, sel); err != nil {
 				t.Fatal(err)
 			}
 			got = append(got, b.Rows()...)
 		}
 		diffRows(t, "sip/"+shape.String(), got, want)
+	}
+}
+
+// A warmed scan's SIP step allocates nothing: the key hashes and the
+// selection are the scan's scratch, the lookup is in the join's table.
+func TestSIPFilterApplyAllocatesNothing(t *testing.T) {
+	const n = vector.DefaultBatchSize
+	schema := types.NewSchema(types.Column{Name: "k", Typ: types.Int64}, types.Column{Name: "v", Typ: types.Int64})
+	var build []types.Row
+	for i := 0; i < 512; i++ {
+		build = append(build, types.Row{types.NewInt(int64(i * 2)), types.NewInt(0)})
+	}
+	f := NewSIPFilter([]int{0}, "test")
+	f.table.Store(builtTable(schema, []int{0}, build))
+	keys, vals := make([]int64, n), make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i % 1024)
+	}
+	s := &Scan{SIPs: []*SIPFilter{f}}
+	ctx := NewCtx(1)
+	b := vector.NewBatch(vector.NewFromInts(types.Int64, keys), vector.NewFromInts(types.Int64, vals))
+	run := func() {
+		b.Sel = nil
+		if err := s.applySIPs(ctx, b); err != nil || b.Len() != n/2 {
+			t.Fatalf("SIP kept %d of %d rows, want %d; err %v", b.Len(), n, n/2, err)
+		}
+	}
+	run() // grows the scratch
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("the SIP step allocated %.0f times, want 0", allocs)
 	}
 }

@@ -78,13 +78,13 @@ func (t *hashTable) charge(from int) {
 	}
 }
 
-// appendBatch stores every live row of in without linking it; hashes holds
-// one key hash per live row. The join build appends batch by batch and
-// links once, when the row count is known.
-func (t *hashTable) appendBatch(in *vector.Batch, hashes []uint64) {
+// appendBatch stores every live row of in, with its key hash, without
+// linking it. The join build appends batch by batch and links once, when
+// the row count is known.
+func (t *hashTable) appendBatch(in *vector.Batch) {
 	from := t.len()
+	t.hashes = in.Hashes(t.hashes, t.keys)
 	t.rows.Append(in)
-	t.hashes = append(t.hashes, hashes...)
 	t.charge(from)
 }
 
@@ -152,6 +152,18 @@ func (t *hashTable) sameKey(row int, probe []*vector.Vector, i int) bool {
 		}
 	}
 	return true
+}
+
+// hasHash reports whether a linked row has key hash h — the test a SIP
+// filter makes: it may pass a key the table lacks (a hash collision), never
+// drop one it holds.
+func (t *hashTable) hasHash(h uint64) bool {
+	for row := t.head(h); row >= 0; row = t.next[row] {
+		if t.hashes[row] == h {
+			return true
+		}
+	}
+	return false
 }
 
 // find returns the stored row whose key equals entry i of the probe key

@@ -50,8 +50,8 @@ func (t JoinType) String() string {
 // and output is gathered from the two sides by those indexes. If the build
 // side exceeds the memory budget at run time, the operator switches to a
 // sort-merge join ("we will perform a sort-merge join instead", paper
-// §6.1). When a SIP filter is attached, the build-side key hashes are
-// published to the probe-side scan.
+// §6.1). When a SIP filter is attached, the built table is published to the
+// probe-side scan.
 type HashJoin struct {
 	Type  JoinType
 	outer Operator
@@ -62,7 +62,7 @@ type HashJoin struct {
 	// Residual is an extra non-equi predicate over the combined schema
 	// (outer columns then inner columns).
 	Residual expr.Expr
-	// SIP, when set, receives the build-side key set (see sip.go).
+	// SIP, when set, is handed the built table (see sip.go).
 	SIP *SIPFilter
 
 	schema    *types.Schema
@@ -192,7 +192,7 @@ func (j *HashJoin) Close(ctx *Ctx) error {
 	err := j.outer.Close(ctx)
 	if j.sharing {
 		j.sharing = false
-		if innerErr := j.share.close(ctx); err == nil {
+		if innerErr := j.share.close(ctx, j.SIP); err == nil {
 			err = innerErr
 		}
 	}
@@ -219,7 +219,7 @@ func (j *HashJoin) build(ctx *Ctx, runs *runSet) (*sorter, error) {
 		if in == nil {
 			break
 		}
-		j.table.appendBatch(in, in.Hashes(j.InnerKeys))
+		j.table.appendBatch(in)
 		ctx.noteAlloc(&j.prof, j.table.mem)
 		for j.table.mem > budget {
 			// Ask for more memory before abandoning the hash table: the
@@ -241,11 +241,7 @@ func (j *HashJoin) build(ctx *Ctx, runs *runSet) (*sorter, error) {
 		j.matchedBuild = make([]bool, j.table.len())
 	}
 	if j.SIP != nil {
-		keys := make(map[uint64]bool, j.table.len())
-		for _, h := range j.table.hashes {
-			keys[h] = true
-		}
-		j.SIP.Publish(keys)
+		j.SIP.table.Store(j.table)
 	}
 	return nil, nil
 }
@@ -300,7 +296,7 @@ func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
 // startProbe hashes an outer batch's keys as a vector (once per run for RLE
 // key columns, honouring the selection) and readies it for probeChunk.
 func (j *HashJoin) startProbe(in *vector.Batch) {
-	j.hashes = in.Hashes(j.OuterKeys)
+	j.hashes = in.Hashes(j.hashes[:0], j.OuterKeys)
 	in.ExpandRLE() // rows are addressed physically from here on
 	j.in = in
 	j.inKeys = j.inKeys[:0]

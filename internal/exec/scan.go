@@ -47,9 +47,11 @@ type Scan struct {
 	colNames  []string // storage name of each output column
 	// Per-block scratch, reused across blocks and containers, dropped at
 	// Close and never part of an emitted batch: each output column's decoded
-	// block, and the selection every filter step narrows in place.
+	// block, the selection every filter step narrows in place, and the key
+	// hashes of the SIP filters.
 	blockCols []*vector.Vector
 	selBuf    []int
+	sipHashes []uint64
 	probe     *ScanProbe
 
 	containers []*storage.ContainerReader
@@ -194,7 +196,7 @@ func (s *Scan) compileFilter() error {
 func (s *Scan) Close(*Ctx) error {
 	// A kept result's plan text may hold on to the scan: drop what it read.
 	s.curState, s.merged, s.containers, s.wosRows = nil, nil, nil, nil
-	s.cs, s.selBuf = containerScan{}, nil
+	s.cs, s.selBuf, s.sipHashes = containerScan{}, nil, nil
 	clear(s.blockCols)
 	if s.claiming {
 		s.claiming = false
@@ -417,16 +419,8 @@ func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, err
 			batch.Cols[i] = v
 		}
 	}
-	// SIP filters drop rows whose keys cannot match the join (paper §6.1).
-	for _, sip := range s.SIPs {
-		before := batch.Len()
-		if err := sip.Apply(batch); err != nil {
-			return nil, err
-		}
-		ctx.SIPFiltered.Add(int64(before - batch.Len()))
-		if batch.Len() == 0 {
-			return nil, nil
-		}
+	if err := s.applySIPs(ctx, batch); err != nil || batch.Len() == 0 {
+		return nil, err
 	}
 	ctx.RowsScanned.Add(int64(batch.Len()))
 	if batch.Sel != nil {
@@ -436,6 +430,29 @@ func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, err
 		}
 	}
 	return batch, nil
+}
+
+// applySIPs runs the SIP filters (paper §6.1), dropping rows whose keys
+// cannot match their joins. Their scratch is the scan's: a selection they
+// leave is in selBuf, which is safe because the batch is flattened before
+// it is emitted.
+func (s *Scan) applySIPs(ctx *Ctx, batch *vector.Batch) error {
+	for _, sip := range s.SIPs {
+		before := batch.Len()
+		var sel []int // a batch's own selection is narrowed in place
+		if batch.Sel == nil {
+			sel = s.scratch(batch.FullLen())
+		}
+		var err error
+		if s.sipHashes, err = sip.Apply(batch, s.sipHashes, sel); err != nil {
+			return err
+		}
+		ctx.SIPFiltered.Add(int64(before - batch.Len()))
+		if batch.Len() == 0 {
+			return nil
+		}
+	}
+	return nil
 }
 
 // keyRange answers the sort-key conjuncts for block b of n rows as a row

@@ -27,15 +27,8 @@ func (s *Scan) wosBatch(ctx *Ctx, rows []storage.WOSRow) (*vector.Batch, error) 
 		return nil, err
 	}
 	batch.Sel = sel
-	for _, sip := range s.SIPs {
-		before := batch.Len()
-		if err := sip.Apply(batch); err != nil {
-			return nil, err
-		}
-		ctx.SIPFiltered.Add(int64(before - batch.Len()))
-	}
-	if batch.Len() == 0 {
-		return nil, nil
+	if err := s.applySIPs(ctx, batch); err != nil || batch.Len() == 0 {
+		return nil, err
 	}
 	ctx.RowsScanned.Add(int64(batch.Len()))
 	return batch.Flatten(), nil

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -202,18 +203,22 @@ func (b *Batch) SliceRows(lo, hi int) *Batch {
 	return out
 }
 
-// Hashes returns one HashRow-compatible hash per live row over the key
-// columns, computed column at a time. RLE key columns hash once per run
-// (the paper's "operate directly on encoded data").
-func (b *Batch) Hashes(keys []int) []uint64 {
-	out := make([]uint64, b.Len())
+// Hashes appends one HashRow-compatible hash per live row over the key
+// columns to dst and returns the extended slice, computed column at a time;
+// a caller that passes its buffer back allocates nothing once it has grown.
+// RLE key columns hash once per run (the paper's "operate directly on
+// encoded data").
+func (b *Batch) Hashes(dst []uint64, keys []int) []uint64 {
+	from := len(dst)
+	dst = slices.Grow(dst, b.Len())[:from+b.Len()]
+	out := dst[from:]
 	for i := range out {
 		out[i] = types.HashSeed
 	}
 	for _, k := range keys {
 		hashColInto(b.Cols[k], b.Sel, out)
 	}
-	return out
+	return dst
 }
 
 func hashColInto(v *Vector, sel []int, acc []uint64) {
@@ -267,7 +272,7 @@ func (b *Batch) Partition(keys []int, ways int) []*Batch {
 		}
 		return out
 	}
-	hashes := b.Hashes(keys)
+	hashes := b.Hashes(nil, keys)
 	b.ExpandRLE()
 	// Count first so every way's selection is allocated once, carved out of
 	// one backing array.

@@ -206,7 +206,7 @@ func TestBatchHashesMatchHashRow(t *testing.T) {
 		NewFromInts(types.Int64, []int64{1, 2, 1}),
 		NewFromStrings([]string{"x", "y", "x"}),
 	)
-	hs := b.Hashes([]int{0, 1})
+	hs := b.Hashes(nil, []int{0, 1})
 	for i, r := range b.Rows() {
 		if want := types.HashRow(r, []int{0, 1}); hs[i] != want {
 			t.Errorf("row %d: hash %x want %x", i, hs[i], want)
@@ -218,11 +218,19 @@ func TestBatchHashesMatchHashRow(t *testing.T) {
 	// RLE key column: per-run hashing must agree with expanded hashing.
 	rle := NewConst(types.NewString("cpu"), 3)
 	rb := NewBatch(NewFromInts(types.Int64, []int64{5, 5, 6}), rle)
-	rhs := rb.Hashes([]int{0, 1})
+	rhs := rb.Hashes(nil, []int{0, 1})
 	for i, r := range rb.Rows() {
 		if want := types.HashRow(r, []int{0, 1}); rhs[i] != want {
 			t.Errorf("rle row %d: hash %x want %x", i, rhs[i], want)
 		}
+	}
+	// A destination is appended to, and reused once it has room.
+	both := rb.Hashes(b.Hashes(nil, []int{0, 1}), []int{0, 1})
+	if len(both) != 6 || both[0] != hs[0] || both[3] != rhs[0] {
+		t.Errorf("appended hashes = %x", both)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { both = b.Hashes(both[:0], []int{0, 1}) }); allocs != 0 {
+		t.Errorf("hashing into a buffer with room allocated %.0f times", allocs)
 	}
 }
 
