@@ -60,9 +60,10 @@ sqltest-update:
 # steps than the tier-1 run takes), the predicate oracles of the scan and
 # of the expression evaluators, the sorted-stream oracle of everything
 # that sorts, merges or spills, the fan oracle of intra-node parallelism
-# against the serial engine, and the decoder oracle of the Huffman and
-# dictionary kernels against the decoders they replaced (ORACLE_SEED too).
-# Mirrored in CI.
+# against the serial engine, the decoder oracle of the Huffman and
+# dictionary kernels against the decoders they replaced, and the mergeout
+# oracle of the tuple mover's merge against a stable sort of its inputs
+# (ORACLE_SEED too). Mirrored in CI.
 TLP_SEED ?= 20120827
 ORACLE_SEED ?= 20120827
 test-metamorphic:
@@ -75,6 +76,7 @@ test-metamorphic:
 	$(GO) test -race ./internal/expr -run 'MatchesEvalRow|LikeEvalRow' -count=1 -expr.seed $(ORACLE_SEED)
 	$(GO) test -race ./internal/sqltest -run 'TestFanOracle' -count=1 -fan.seed $(ORACLE_SEED)
 	$(GO) test -race ./internal/encoding -run 'TestDecodeOracle' -count=1 -decode.seed $(ORACLE_SEED) -decode.cases 20000
+	$(GO) test -race ./internal/tuplemover -run 'TestMergeoutOracle|TestMergeoutHoldsABlockPerInput' -count=1 -mergeout.seed $(ORACLE_SEED) -mergeout.cases 300
 
 # Fail if the parser accepts a statement keyword docs/SQL.md never mentions,
 # or if a system table's section there does not list exactly its columns

@@ -264,7 +264,7 @@ func TestInitiatorMergeMatchesSingleNode(t *testing.T) {
 				Where:       expr.MustCmp(expr.Ge, col(0, types.Int64, "id"), expr.NewConst(types.NewInt(100))),
 				SelectExprs: []expr.Expr{col(2, types.Float64, "v"), col(0, types.Int64, "id")},
 				SelectNames: []string{"v", "id"},
-				OrderBy:     []exec.SortSpec{{Col: 0, Desc: true}, {Col: 1}},
+				OrderBy:     []vector.SortSpec{{Col: 0, Desc: true}, {Col: 1}},
 				Offset:      3, Limit: 40,
 			}
 		},
@@ -274,7 +274,7 @@ func TestInitiatorMergeMatchesSingleNode(t *testing.T) {
 				SelectExprs: []expr.Expr{col(1, types.Int64, "g")},
 				SelectNames: []string{"g"},
 				Distinct:    true,
-				OrderBy:     []exec.SortSpec{{Col: 0}},
+				OrderBy:     []vector.SortSpec{{Col: 0}},
 				Limit:       -1,
 			}
 		},
@@ -293,7 +293,7 @@ func TestInitiatorMergeMatchesSingleNode(t *testing.T) {
 					{Kind: exec.AggMax, Arg: v, Name: "hi"},
 				},
 				Having:  expr.MustCmp(expr.Gt, col(1, types.Int64, "n"), expr.NewConst(types.NewInt(0))),
-				OrderBy: []exec.SortSpec{{Col: 3, Desc: true}, {Col: 0}},
+				OrderBy: []vector.SortSpec{{Col: 3, Desc: true}, {Col: 0}},
 				Limit:   10,
 			}
 		},

@@ -27,9 +27,10 @@ var updateLayout = flag.Bool("update-layout", false, "rewrite testdata/storage_l
 // order, block size or encodings shows up here before it shows up in the
 // benchmark's stored_bytes_per_user_byte.
 //
-// Every sort key in the script is unique, so the merged order does not depend
-// on container IDs (direct load handed them out in map order when the golden
-// was recorded).
+// Every sort key in the script is unique but the UPDATE's twenty ids, whose
+// deleted old version and new version tie on both ev sort keys: mergeout emits
+// such ties in container-ID order, old version first, so the merged order
+// does not depend on how the inputs were picked.
 func TestStorageLayoutGolden(t *testing.T) {
 	db, err := Open(Options{Dir: t.TempDir(), Nodes: 2, K: 1, LocalSegments: 2})
 	if err != nil {

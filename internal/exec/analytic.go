@@ -60,7 +60,7 @@ type AnalyticSpec struct {
 	Kind          AnalyticKind
 	ArgCol        int // -1 when no argument (ROW_NUMBER, RANK, COUNT(*))
 	PartitionCols []int
-	OrderBy       []SortSpec
+	OrderBy       []vector.SortSpec
 	Name          string
 	Offset        int // LAG/LEAD distance (default 1)
 }
@@ -88,8 +88,8 @@ type Analytic struct {
 
 	schema *types.Schema
 	runs   runSet
-	in     *cursor     // the sorted input, once the child is consumed
-	out    batchStream // the partition last computed, a batch at a time
+	in     *vector.Cursor // the sorted input, once the child is consumed
+	out    vector.Stream  // the partition last computed, a batch at a time
 	prof   OpProf
 }
 
@@ -141,24 +141,24 @@ func (a *Analytic) Close(ctx *Ctx) error {
 func (a *Analytic) next(ctx *Ctx) (*vector.Batch, error) {
 	if a.in == nil {
 		spec0 := &a.Specs[0]
-		specs := append(keySpecs(spec0.PartitionCols), spec0.OrderBy...)
+		specs := append(vector.KeySpecs(spec0.PartitionCols), spec0.OrderBy...)
 		sorter := newSorter(ctx, a.child.Schema(), specs, &a.runs, &a.prof)
 		if err := sorter.addAll(ctx, a.child); err != nil {
 			return nil, err
 		}
 		sorter.finish()
-		a.in = &cursor{src: sorter.stream()}
-		if _, err := a.in.load(ctx); err != nil {
+		a.in = vector.NewCursor(sorter.stream())
+		if _, err := a.in.Load(); err != nil {
 			return nil, err
 		}
 	}
 	for {
 		if a.out != nil {
-			if b, err := a.out(ctx); b != nil || err != nil {
+			if b, err := a.out(); b != nil || err != nil {
 				return b, err
 			}
 		}
-		if a.in.batch == nil {
+		if a.in.Batch == nil {
 			return nil, nil
 		}
 		part, err := a.nextPartition(ctx)
@@ -169,25 +169,25 @@ func (a *Analytic) next(ctx *Ctx) (*vector.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		a.out = sliceSource(out)
+		a.out = vector.SliceStream(out)
 	}
 }
 
 // nextPartition collects the rows of the sorted input, from the cursor's
 // row on, that share its partition key.
 func (a *Analytic) nextPartition(ctx *Ctx) (*vector.Batch, error) {
-	c, key := a.in, keySpecs(a.Specs[0].PartitionCols)
-	first, part := c.batch.SliceRows(c.pos, c.pos+1), vector.NewBatchForSchema(a.child.Schema(), 0)
-	for c.batch != nil {
-		end := c.pos
-		for end < c.batch.Len() && compareAt(first, 0, c.batch, end, key) == 0 {
+	c, key := a.in, vector.KeySpecs(a.Specs[0].PartitionCols)
+	first, part := c.Batch.SliceRows(c.Pos, c.Pos+1), vector.NewBatchForSchema(a.child.Schema(), 0)
+	for c.Batch != nil {
+		end := c.Pos
+		for end < c.Batch.Len() && vector.CompareRows(first, 0, c.Batch, end, key) == 0 {
 			end++
 		}
-		if end == c.pos {
+		if end == c.Pos {
 			break
 		}
-		part.AppendRows(c.batch, c.pos, end)
-		if _, err := c.skip(ctx, end-c.pos); err != nil {
+		part.AppendRows(c.Batch, c.Pos, end)
+		if _, err := c.Skip(end - c.Pos); err != nil {
 			return nil, err
 		}
 	}
@@ -211,7 +211,7 @@ func (a *Analytic) computePartition(part *vector.Batch) (*vector.Batch, error) {
 		case AnRank, AnDenseRank:
 			rank, dense := int64(1), int64(1)
 			for i := range n {
-				if i > 0 && compareAt(part, i-1, part, i, spec.OrderBy) != 0 {
+				if i > 0 && vector.CompareRows(part, i-1, part, i, spec.OrderBy) != 0 {
 					rank = int64(i + 1)
 					dense++
 				}
@@ -269,7 +269,7 @@ func runningAgg(part *vector.Batch, spec *AnalyticSpec, col *vector.Vector) erro
 	n := part.Len()
 	for i := 0; i < n; {
 		j := i
-		for j < n && compareAt(part, i, part, j, spec.OrderBy) == 0 {
+		for j < n && vector.CompareRows(part, i, part, j, spec.OrderBy) == 0 {
 			update(j)
 			j++
 		}

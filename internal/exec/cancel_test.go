@@ -56,7 +56,7 @@ func cancelSchema() *types.Schema {
 func TestSortCancelWhileSpilling(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	src := &cancelSource{schema: cancelSchema(), rowsPer: 500, cancelAfter: 3, cancel: cancel}
-	s := NewSort(src, []SortSpec{{Col: 0}})
+	s := NewSort(src, []vector.SortSpec{{Col: 0}})
 
 	ctx := NewCtx(1)
 	ctx.Context = cctx
@@ -91,7 +91,7 @@ func TestDrainPreCanceled(t *testing.T) {
 	src := &cancelSource{schema: cancelSchema(), rowsPer: 10, cancelAfter: -1, cancel: func() {}}
 	ctx := NewCtx(1)
 	ctx.Context = cctx
-	_, err := Drain(ctx, NewSort(src, []SortSpec{{Col: 0}}))
+	_, err := Drain(ctx, NewSort(src, []vector.SortSpec{{Col: 0}}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -147,11 +147,11 @@ func TestSpillReportsToGrant(t *testing.T) {
 		name string
 		op   func() Operator
 	}{
-		{"sort", func() Operator { return NewSort(input(), []SortSpec{{Col: 0}}) }},
+		{"sort", func() Operator { return NewSort(input(), []vector.SortSpec{{Col: 0}}) }},
 		{"analytic", func() Operator {
 			a, err := NewAnalytic(input(), []AnalyticSpec{
-				{Kind: AnRowNumber, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1, Desc: true}}},
-				{Kind: AnCount, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1, Desc: true}}},
+				{Kind: AnRowNumber, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1, Desc: true}}},
+				{Kind: AnCount, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1, Desc: true}}},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -222,7 +222,7 @@ func TestCancelMidSpillLeavesNoRuns(t *testing.T) {
 		name string
 		op   func(src Operator) (Operator, error)
 	}{
-		{"sort", func(src Operator) (Operator, error) { return NewSort(src, []SortSpec{{Col: 0}}), nil }},
+		{"sort", func(src Operator) (Operator, error) { return NewSort(src, []vector.SortSpec{{Col: 0}}), nil }},
 		{"groupby", func(src Operator) (Operator, error) {
 			return NewGroupBy(src, key, []string{"k"}, []AggSpec{{Kind: AggCountStar, Name: "n"}}), nil
 		}},
@@ -231,7 +231,7 @@ func TestCancelMidSpillLeavesNoRuns(t *testing.T) {
 			return NewHashJoin(InnerJoin, outer, src, []int{0}, []int{0})
 		}},
 		{"analytic", func(src Operator) (Operator, error) {
-			return NewAnalytic(src, []AnalyticSpec{{Kind: AnRank, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1}}}})
+			return NewAnalytic(src, []AnalyticSpec{{Kind: AnRank, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}}})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,7 +25,7 @@ import (
 //     independently (the Figure 3 "locally resegments" step: a fan's
 //     partial aggregates, or the rows a parallel DISTINCT dedups);
 //   - single-port + merge (SortKey set, one port): the port merges its
-//     per-input lanes (the one merger of sorted.go, a cursor per lane),
+//     per-input lanes (the one merger, vector.Merger, a cursor per lane),
 //     pulling lazily — nothing is materialized beyond one batch per lane —
 //     so the exchange retains the sortedness of its inputs (the fan's
 //     per-worker sorts meeting under ORDER BY).
@@ -44,7 +44,7 @@ type Exchange struct {
 	Keys []int
 	// SortKey, when non-nil, asserts inputs are sorted by these columns and
 	// makes the port merge-preserve that order.
-	SortKey []SortSpec
+	SortKey []vector.SortSpec
 
 	mu          sync.Mutex
 	started     bool
@@ -74,7 +74,7 @@ func NewExchange(inputs []Operator, ways int, keys []int) *Exchange {
 
 // NewMergeExchange merges sorted input streams into one port, preserving
 // the order given by sortKey — the merge step of a parallel sort.
-func NewMergeExchange(inputs []Operator, sortKey []SortSpec) *Exchange {
+func NewMergeExchange(inputs []Operator, sortKey []vector.SortSpec) *Exchange {
 	return &Exchange{inputs: inputs, ways: 1, SortKey: sortKey}
 }
 
@@ -283,7 +283,7 @@ type recvPort struct {
 	ex   *Exchange
 	port int
 
-	merged *merger // of the port's lanes (SortKey exchanges only)
+	merged *vector.Merger // of the port's lanes (SortKey exchanges only)
 	prof   OpProf
 }
 
@@ -322,13 +322,13 @@ func (r *recvPort) next(ctx *Ctx) (*vector.Batch, error) {
 		return nil, err
 	}
 	if r.merged == nil {
-		lanes := make([]batchStream, len(r.ex.inputs))
+		lanes := make([]vector.Stream, len(r.ex.inputs))
 		for i, ch := range r.ex.lanes {
-			lanes[i] = func(ctx *Ctx) (*vector.Batch, error) { return r.recv(ctx, ch) }
+			lanes[i] = func() (*vector.Batch, error) { return r.recv(ctx, ch) }
 		}
-		r.merged = newMerger(r.ex.SortKey, r.Schema(), lanes...)
+		r.merged = vector.NewMerger(r.ex.SortKey, lanes...)
 	}
-	return r.merged.next(ctx)
+	return r.merged.Next()
 }
 
 // recv takes the next batch off one of the port's channels; nil when the

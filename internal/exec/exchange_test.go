@@ -180,7 +180,7 @@ func TestExchangeMergeMultipleInputs(t *testing.T) {
 		}
 		inputs[w] = NewValues(schema, rows)
 	}
-	ex := NewMergeExchange(inputs, []SortSpec{{Col: 0}})
+	ex := NewMergeExchange(inputs, []vector.SortSpec{{Col: 0}})
 	rows, err := Drain(NewCtx(1), ex.Ports()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestExchangeDescribeModes(t *testing.T) {
 		want string
 	}{
 		{NewExchange([]Operator{src()}, 2, []int{0}), "segment keys=[0]"},
-		{NewMergeExchange([]Operator{src(), src()}, []SortSpec{{Col: 0}}), "single-port+merge"},
+		{NewMergeExchange([]Operator{src(), src()}, []vector.SortSpec{{Col: 0}}), "single-port+merge"},
 	} {
 		d := tc.ex.Ports()[0].Describe()
 		if !strings.Contains(d, tc.want) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/tuplemover"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // --- fixtures -------------------------------------------------------------
@@ -348,7 +349,7 @@ func TestProjectAndFilter(t *testing.T) {
 
 func TestLimitOffset(t *testing.T) {
 	f := newExecFixture(t, 100, 2, 1)
-	l := NewLimit(NewSort(f.scan(0), []SortSpec{{Col: 0}}), 10, 5)
+	l := NewLimit(NewSort(f.scan(0), []vector.SortSpec{{Col: 0}}), 10, 5)
 	rows, err := Drain(f.ctx(), l)
 	if err != nil {
 		t.Fatal(err)
@@ -870,7 +871,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 
 func TestSortInMemory(t *testing.T) {
 	f := newExecFixture(t, 500, 5, 1)
-	s := NewSort(f.scan(1, 0), []SortSpec{{Col: 0}, {Col: 1, Desc: true}})
+	s := NewSort(f.scan(1, 0), []vector.SortSpec{{Col: 0}, {Col: 1, Desc: true}})
 	rows, err := Drain(f.ctx(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -893,7 +894,7 @@ func TestSortExternal(t *testing.T) {
 	ctx := f.ctx()
 	ctx.MemBudget = 4 << 10
 	ctx.TempDir = t.TempDir()
-	s := NewSort(f.scan(0), []SortSpec{{Col: 0, Desc: true}})
+	s := NewSort(f.scan(0), []vector.SortSpec{{Col: 0, Desc: true}})
 	rows, err := Drain(ctx, s)
 	if err != nil {
 		t.Fatal(err)
@@ -916,8 +917,8 @@ func TestSortExternal(t *testing.T) {
 func TestAnalyticRowNumberRank(t *testing.T) {
 	f := newExecFixture(t, 100, 4, 1)
 	a, err := NewAnalytic(f.scan(1, 2), []AnalyticSpec{
-		{Kind: AnRowNumber, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1}}, Name: "rn"},
-		{Kind: AnRank, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1}}, Name: "rk"},
+		{Kind: AnRowNumber, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}, Name: "rn"},
+		{Kind: AnRank, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}, Name: "rk"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -953,7 +954,7 @@ func TestAnalyticRunningSum(t *testing.T) {
 		{types.NewInt(2), types.NewInt(5)},
 	})
 	a, _ := NewAnalytic(src, []AnalyticSpec{
-		{Kind: AnSum, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1}}, Name: "rsum"},
+		{Kind: AnSum, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}, Name: "rsum"},
 	})
 	rows, err := Drain(NewCtx(1), a)
 	if err != nil {
@@ -979,7 +980,7 @@ func TestAnalyticWholePartitionAndLag(t *testing.T) {
 	})
 	a, _ := NewAnalytic(src, []AnalyticSpec{
 		{Kind: AnAvg, ArgCol: 1, PartitionCols: []int{0}, Name: "pavg"},
-		{Kind: AnLag, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []SortSpec{{Col: 1}}, Name: "prev"},
+		{Kind: AnLag, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}, Name: "prev"},
 	})
 	rows, err := Drain(NewCtx(1), a)
 	if err != nil {
@@ -1039,7 +1040,7 @@ func TestExchangePreservesSortedness(t *testing.T) {
 	s := f.scan(0)
 	s.MergeSorted = true
 	s.SortKey = []int{0}
-	ex := NewMergeExchange([]Operator{s}, []SortSpec{{Col: 0}})
+	ex := NewMergeExchange([]Operator{s}, []vector.SortSpec{{Col: 0}})
 	rows, err := Drain(f.ctx(), ex.Ports()[0])
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,20 @@
 package exec
 
-import "testing"
+import (
+	"testing"
 
-// trackCursorBatches installs the cursor hook (sorted.go) until the test
-// ends and returns a reader of the most batches cursors have held at once.
+	"repro/internal/vector"
+)
+
+// trackCursorBatches installs the cursor hook (vector.CursorHeld) until the
+// test ends and returns a reader of the most batches cursors have held at
+// once.
 func trackCursorBatches(t *testing.T) (peak func() int) {
 	held, most := 0, 0
-	cursorHeld = func(delta int) {
+	vector.CursorHeld = func(delta int) {
 		held += delta
 		most = max(most, held)
 	}
-	t.Cleanup(func() { cursorHeld = nil })
+	t.Cleanup(func() { vector.CursorHeld = nil })
 	return func() int { return most }
 }

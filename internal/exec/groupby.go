@@ -411,15 +411,15 @@ func (g *GroupBy) finishHash(ctx *Ctx) error {
 		g.emitGroups(s.table.keyOrder())
 		return nil
 	}
-	schema, rest := g.partials()
-	merged := mergeRuns(keySpecs(s.table.keys), schema, g.runs.runs, rest)
+	_, rest := g.partials()
+	merged := mergeRuns(vector.KeySpecs(s.table.keys), g.runs.runs, rest)
 	s.table.release()
 	s.accs.reset()
 	for {
 		if err := ctx.Canceled(); err != nil {
 			return err
 		}
-		batch, err := merged.next(ctx)
+		batch, err := merged.Next()
 		if err != nil {
 			return err
 		}

@@ -265,7 +265,7 @@ func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
 		j.ready = true
 	}
 	if j.merge != nil {
-		return j.merge.next(ctx)
+		return j.merge.next()
 	}
 	for {
 		if j.in == nil {
@@ -502,7 +502,7 @@ func (j *HashJoin) sortInner(ctx *Ctx, budget int64, runs *runSet) (*sorter, err
 	j.prof.Spills.Add(1)
 	metrics.Spills.Inc()
 	ctx.Trace.Event("JOIN_SPILLED", fmt.Sprintf("switched to sort-merge at budget=%d", budget))
-	inner := newSorter(ctx, j.inner.Schema(), keySpecs(j.InnerKeys), runs, &j.prof)
+	inner := newSorter(ctx, j.inner.Schema(), vector.KeySpecs(j.InnerKeys), runs, &j.prof)
 	inner.budget = budget
 	stored := j.table.rows
 	j.table = nil
@@ -522,13 +522,13 @@ func (j *HashJoin) sortInner(ctx *Ctx, budget int64, runs *runSet) (*sorter, err
 // merge-join loop MergeJoin runs over its children.
 func (j *HashJoin) mergeOuter(ctx *Ctx, inner *sorter) error {
 	j.spilled = true
-	outer := newSorter(ctx, j.outer.Schema(), keySpecs(j.OuterKeys), &j.runs, &j.prof)
+	outer := newSorter(ctx, j.outer.Schema(), vector.KeySpecs(j.OuterKeys), &j.runs, &j.prof)
 	if err := outer.addAll(ctx, j.outer); err != nil {
 		return err
 	}
 	outer.finish()
 	j.merge = &mergeWalk{
-		outer: cursor{src: outer.stream()}, inner: cursor{src: inner.stream()},
+		outer: vector.NewCursor(outer.stream()), inner: vector.NewCursor(inner.stream()),
 		outerKeys: j.OuterKeys, innerKeys: j.InnerKeys,
 		joiner: newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema),
 	}

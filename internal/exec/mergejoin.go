@@ -60,7 +60,8 @@ func (j *MergeJoin) Describe() string {
 // Open implements Operator.
 func (j *MergeJoin) Open(ctx *Ctx) error {
 	j.walk = &mergeWalk{
-		outer: cursor{src: j.outer.Next}, inner: cursor{src: j.inner.Next},
+		outer:     vector.NewCursor(func() (*vector.Batch, error) { return j.outer.Next(ctx) }),
+		inner:     vector.NewCursor(func() (*vector.Batch, error) { return j.inner.Next(ctx) }),
 		outerKeys: j.OuterKeys, innerKeys: j.InnerKeys,
 		joiner: newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema),
 	}
@@ -81,7 +82,7 @@ func (j *MergeJoin) Close(ctx *Ctx) error {
 }
 
 // next is the operator body behind the profiled Next (profile.go).
-func (j *MergeJoin) next(ctx *Ctx) (*vector.Batch, error) { return j.walk.next(ctx) }
+func (j *MergeJoin) next(*Ctx) (*vector.Batch, error) { return j.walk.next() }
 
 // mergeWalk is the merge-join loop: it walks two key-sorted streams on
 // cursors, buffering the inner rows of one key at a time, and hands every
@@ -90,7 +91,7 @@ func (j *MergeJoin) next(ctx *Ctx) (*vector.Batch, error) { return j.walk.next(c
 // the INNER, LEFT OUTER, SEMI and ANTI flavors; a RIGHT or FULL OUTER hash
 // join that would need the switch fails with ErrOuterJoinTooLarge instead.
 type mergeWalk struct {
-	outer, inner         cursor
+	outer, inner         *vector.Cursor
 	outerKeys, innerKeys []int
 	joiner               *rowJoiner
 	started              bool
@@ -101,28 +102,28 @@ type mergeWalk struct {
 // join keys.
 func (m *mergeWalk) cmpInner(ob *vector.Batch, oi int) int {
 	for k, ik := range m.innerKeys {
-		if c := vector.CompareAt(m.inner.batch.Cols[ik], m.inner.pos, ob.Cols[m.outerKeys[k]], oi); c != 0 {
+		if c := vector.CompareAt(m.inner.Batch.Cols[ik], m.inner.Pos, ob.Cols[m.outerKeys[k]], oi); c != 0 {
 			return c
 		}
 	}
 	return 0
 }
 
-func (m *mergeWalk) next(ctx *Ctx) (*vector.Batch, error) {
+func (m *mergeWalk) next() (*vector.Batch, error) {
 	if !m.started {
 		m.started = true
-		if _, err := m.outer.load(ctx); err != nil {
+		if _, err := m.outer.Load(); err != nil {
 			return nil, err
 		}
-		if _, err := m.inner.load(ctx); err != nil {
+		if _, err := m.inner.Load(); err != nil {
 			return nil, err
 		}
 	}
-	for m.joiner.pending() == 0 && m.outer.batch != nil {
-		if err := m.joinOne(ctx); err != nil {
+	for m.joiner.pending() == 0 && m.outer.Batch != nil {
+		if err := m.joinOne(); err != nil {
 			return nil, err
 		}
-		if _, err := m.outer.skip(ctx, 1); err != nil {
+		if _, err := m.outer.Skip(1); err != nil {
 			return nil, err
 		}
 	}
@@ -133,8 +134,8 @@ func (m *mergeWalk) next(ctx *Ctx) (*vector.Batch, error) {
 // else with the inner rows of its key — the group buffered for the row
 // before it when that has the same key, else read off the inner stream,
 // which is first moved past every smaller key.
-func (m *mergeWalk) joinOne(ctx *Ctx) error {
-	ob, oi := m.outer.batch, m.outer.pos
+func (m *mergeWalk) joinOne() error {
+	ob, oi := m.outer.Batch, m.outer.Pos
 	for _, k := range m.outerKeys {
 		if ob.Cols[k].NullAt(oi) {
 			return m.joiner.join(ob, oi, nil)
@@ -146,7 +147,7 @@ func (m *mergeWalk) joinOne(ctx *Ctx) error {
 	}
 	if !same {
 		m.group = nil
-		for m.inner.batch != nil {
+		for m.inner.Batch != nil {
 			c := m.cmpInner(ob, oi)
 			if c > 0 {
 				break
@@ -154,15 +155,15 @@ func (m *mergeWalk) joinOne(ctx *Ctx) error {
 			if c == 0 {
 				if m.group == nil {
 					m.group = vector.NewBatch()
-					for _, col := range m.inner.batch.Cols {
+					for _, col := range m.inner.Batch.Cols {
 						m.group.Cols = append(m.group.Cols, vector.New(col.Typ, 1))
 					}
 				}
 				for i, col := range m.group.Cols {
-					col.AppendEntry(m.inner.batch.Cols[i], m.inner.pos)
+					col.AppendEntry(m.inner.Batch.Cols[i], m.inner.Pos)
 				}
 			}
-			if _, err := m.inner.skip(ctx, 1); err != nil {
+			if _, err := m.inner.Skip(1); err != nil {
 				return err
 			}
 		}

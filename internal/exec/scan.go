@@ -60,7 +60,7 @@ type Scan struct {
 	cs         containerScan // the open container's cursor, reused
 	curState   *containerScan
 	wosDone    bool
-	merged     *merger
+	merged     *vector.Merger
 	// singleSorted short-circuits MergeSorted when one container holds all
 	// visible rows: its storage order is already the requested order.
 	singleSorted bool
@@ -214,7 +214,7 @@ func (s *Scan) next(ctx *Ctx) (*vector.Batch, error) {
 		return s.nextClaimed(ctx)
 	}
 	if s.MergeSorted && !s.singleSorted {
-		return s.merged.next(ctx)
+		return s.merged.Next()
 	}
 	for {
 		if s.curState == nil {

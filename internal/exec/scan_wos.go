@@ -47,25 +47,25 @@ func (s *Scan) nextWOS(ctx *Ctx) (*vector.Batch, error) {
 // sort key — used under merge joins and one-pass aggregation (paper §6.1:
 // "Vertica's operators are optimized for the sorted data that the storage
 // system maintains"): every container's block stream is in that order
-// already, the WOS rows are sorted once, and the one merger (sorted.go)
+// already, the WOS rows are sorted once, and the one merger (vector.Merger)
 // merges them, holding a decoded block per container at a time.
 func (s *Scan) openMerged(ctx *Ctx) error {
-	specs := keySpecs(s.SortKey)
-	var srcs []batchStream
+	specs := vector.KeySpecs(s.SortKey)
+	var srcs []vector.Stream
 	for _, r := range s.containers {
 		st := &containerScan{}
 		if err := s.openContainer(ctx, r, st); err != nil {
 			return err
 		}
-		srcs = append(srcs, func(ctx *Ctx) (*vector.Batch, error) { return st.nextBlock(ctx, s) })
+		srcs = append(srcs, func() (*vector.Batch, error) { return st.nextBlock(ctx, s) })
 	}
 	wos, err := s.wosBatch(ctx, s.wosRows)
 	if err != nil {
 		return err
 	}
 	if wos != nil {
-		srcs = append(srcs, sliceSource(sortBatch(wos, specs)))
+		srcs = append(srcs, vector.SliceStream(sortBatch(wos, specs)))
 	}
-	s.merged = newMerger(specs, s.schema, srcs...)
+	s.merged = vector.NewMerger(specs, srcs...)
 	return nil
 }

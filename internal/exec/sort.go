@@ -12,15 +12,15 @@ import (
 // the stream it finishes with.
 type Sort struct {
 	single
-	Specs []SortSpec
+	Specs []vector.SortSpec
 
 	runs runSet
-	out  batchStream // the sorted stream, once the input is consumed
+	out  vector.Stream // the sorted stream, once the input is consumed
 	prof OpProf
 }
 
 // NewSort builds a sort node.
-func NewSort(child Operator, specs []SortSpec) *Sort {
+func NewSort(child Operator, specs []vector.SortSpec) *Sort {
 	return &Sort{single: single{child: child}, Specs: specs}
 }
 
@@ -64,5 +64,5 @@ func (s *Sort) next(ctx *Ctx) (*vector.Batch, error) {
 		sorter.finish()
 		s.out = sorter.stream()
 	}
-	return s.out(ctx)
+	return s.out()
 }

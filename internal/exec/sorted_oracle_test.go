@@ -35,7 +35,7 @@ var (
 
 // --- the references ----------------------------------------------------------
 
-func refCompare(a, b types.Row, specs []SortSpec) int {
+func refCompare(a, b types.Row, specs []vector.SortSpec) int {
 	for _, s := range specs {
 		if c := a[s.Col].Compare(b[s.Col]); c != 0 {
 			if s.Desc {
@@ -47,7 +47,7 @@ func refCompare(a, b types.Row, specs []SortSpec) int {
 	return 0
 }
 
-func refSort(rows []types.Row, specs []SortSpec) []types.Row {
+func refSort(rows []types.Row, specs []vector.SortSpec) []types.Row {
 	out := append([]types.Row{}, rows...)
 	sort.SliceStable(out, func(i, j int) bool { return refCompare(out[i], out[j], specs) < 0 })
 	return out
@@ -59,8 +59,8 @@ func refSort(rows []types.Row, specs []SortSpec) []types.Row {
 // set, is outer.id < inner.id.
 func refOrderedJoin(typ JoinType, outer, inner []types.Row, keys []int, residual bool) []types.Row {
 	var out []types.Row
-	inner = refSort(inner, keySpecs(keys))
-	for _, or := range refSort(outer, keySpecs(keys)) {
+	inner = refSort(inner, vector.KeySpecs(keys))
+	for _, or := range refSort(outer, vector.KeySpecs(keys)) {
 		matched := false
 		for _, ir := range inner {
 			if hasNullKey(or, keys) || hasNullKey(ir, keys) || compareJoinKeys(ir, or, keys, keys) != 0 {
@@ -115,9 +115,9 @@ func refGroupBy(rows []types.Row, keys []int, cntCol int) []types.Row {
 		s.sum += r[0].I
 		s.minID, s.maxID = min(s.minID, r[0].I), max(s.maxID, r[0].I)
 	}
-	byKey := make([]SortSpec, len(keys))
+	byKey := make([]vector.SortSpec, len(keys))
 	for i := range byKey {
-		byKey[i] = SortSpec{Col: i}
+		byKey[i] = vector.SortSpec{Col: i}
 	}
 	sort.SliceStable(all, func(i, j int) bool { return refCompare(all[i].key, all[j].key, byKey) < 0 })
 	var out []types.Row
@@ -142,12 +142,12 @@ func sortedAggs(cntCol int, cntTyp types.Type) []AggSpec {
 
 // refAnalytic sorts by (partition, order) and computes every function of
 // sortedAnalytics partition by partition with the plainest loops there are.
-func refAnalytic(rows []types.Row, part []int, order []SortSpec, cntCol int) []types.Row {
-	sorted := refSort(rows, append(keySpecs(part), order...))
+func refAnalytic(rows []types.Row, part []int, order []vector.SortSpec, cntCol int) []types.Row {
+	sorted := refSort(rows, append(vector.KeySpecs(part), order...))
 	var out []types.Row
 	for lo := 0; lo < len(sorted); {
 		hi := lo
-		for hi < len(sorted) && refCompare(sorted[lo], sorted[hi], keySpecs(part)) == 0 {
+		for hi < len(sorted) && refCompare(sorted[lo], sorted[hi], vector.KeySpecs(part)) == 0 {
 			hi++
 		}
 		p := sorted[lo:hi]
@@ -186,7 +186,7 @@ func refAnalytic(rows []types.Row, part []int, order []SortSpec, cntCol int) []t
 	return out
 }
 
-func sortedAnalytics(part []int, order []SortSpec, cntCol int) []AnalyticSpec {
+func sortedAnalytics(part []int, order []vector.SortSpec, cntCol int) []AnalyticSpec {
 	kinds := []struct {
 		kind     AnalyticKind
 		arg, off int
@@ -209,7 +209,7 @@ func sortedAnalytics(part []int, order []SortSpec, cntCol int) []AnalyticSpec {
 type sortedCase struct {
 	schema     *types.Schema
 	rows, more []types.Row // more: a second input for joins, ids continuing
-	specs      []SortSpec
+	specs      []vector.SortSpec
 	shape      batchShape
 	per        int // rows per input batch
 }
@@ -254,7 +254,7 @@ func newSortedCase(rng *rand.Rand) *sortedCase {
 	c.rows = draw(sizes[rng.Intn(4)], 0)
 	c.more = draw(sizes[rng.Intn(4)]/3, len(c.rows)) // a join of low-cardinality keys fans out
 	for _, k := range rng.Perm(len(cols) - 1)[:1+rng.Intn(min(3, len(cols)-1))] {
-		c.specs = append(c.specs, SortSpec{Col: k + 1, Desc: rng.Intn(2) == 0})
+		c.specs = append(c.specs, vector.SortSpec{Col: k + 1, Desc: rng.Intn(2) == 0})
 	}
 	return c
 }
@@ -284,7 +284,7 @@ func anyOrder(rows []types.Row) []types.Row {
 	for i := range all {
 		all[i] = i
 	}
-	return refSort(rows, keySpecs(all))
+	return refSort(rows, vector.KeySpecs(all))
 }
 
 // heldBy is what the columns of rows hold, as the sorter charges it.
@@ -382,7 +382,7 @@ func (c *sortedCase) customers(budget int64, dir string) error {
 		if err != nil {
 			return fmt.Errorf("HashJoin %s keys=%v residual=%v switched=%v: %w", typ, keys, residual != nil, hj.spilled, err)
 		}
-		mj, err := NewMergeJoin(typ, c.source(refSort(c.rows, keySpecs(keys))), c.source(refSort(c.more, keySpecs(keys))), keys, keys)
+		mj, err := NewMergeJoin(typ, c.source(refSort(c.rows, vector.KeySpecs(keys))), c.source(refSort(c.more, vector.KeySpecs(keys))), keys, keys)
 		if err != nil {
 			return err
 		}
@@ -502,7 +502,7 @@ func (c *sortedCase) scan(t *testing.T, rng *rand.Rand) error {
 		err = fmt.Errorf("%d rows, stored %d", len(got), len(c.rows))
 	}
 	if err == nil {
-		err = sameRows(got, refSort(concat, keySpecs(keys)))
+		err = sameRows(got, refSort(concat, vector.KeySpecs(keys)))
 	}
 	if err != nil {
 		return fmt.Errorf("merged Scan, %d loads, sort key %v: %w", loads, keys, err)

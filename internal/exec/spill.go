@@ -92,10 +92,10 @@ func (r *spillRun) writeFrame(w *bufio.Writer, b *vector.Batch) error {
 // stream reads the run from its start, decoding a frame — a batch — per
 // call; nil at the end. Every call is a reader of its own over the file, so
 // the workers of a fan can each walk one run (see sorter.stream).
-func (r *spillRun) stream() batchStream {
+func (r *spillRun) stream() vector.Stream {
 	rd := bufio.NewReaderSize(io.NewSectionReader(r.f, 0, r.bytes), 1<<16)
 	var block []byte // read scratch: DecodeBlock copies what it keeps
-	return func(*Ctx) (*vector.Batch, error) {
+	return func() (*vector.Batch, error) {
 		cols := make([]*vector.Vector, r.schema.Len())
 		for i := range cols {
 			size, err := binary.ReadUvarint(rd)

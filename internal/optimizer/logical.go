@@ -14,6 +14,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/resmgr"
 	"repro/internal/storage"
+	"repro/internal/vector"
 )
 
 // Provider supplies the planner with metadata and per-projection storage.
@@ -67,7 +68,7 @@ type LogicalQuery struct {
 	PostProject      []expr.Expr
 	PostProjectNames []string
 
-	OrderBy []exec.SortSpec // over the final output schema
+	OrderBy []vector.SortSpec // over the final output schema
 	Offset  int64
 	Limit   int64 // -1 = no limit
 

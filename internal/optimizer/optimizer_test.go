@@ -12,6 +12,7 @@ import (
 	"repro/internal/tuplemover"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // mapProvider serves projections from a map of storage managers.
@@ -426,7 +427,7 @@ func TestPlanParallelSort(t *testing.T) {
 			expr.NewColRef(2, types.Float64, "price"),
 		},
 		SelectNames: []string{"sale_id", "price"},
-		OrderBy:     []exec.SortSpec{{Col: 1, Desc: true}},
+		OrderBy:     []vector.SortSpec{{Col: 1, Desc: true}},
 		Limit:       -1,
 	}
 	rows, plan := f.run(t, q, PlanOpts{Parallelism: 4, ForceParallel: true})

@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/storage"
+	"repro/internal/vector"
 )
 
 // tableScan is the planner's working state for one FROM table.
@@ -594,7 +595,7 @@ func (p *PhysicalPlan) noteWorkers(w int) {
 
 // planSort orders the stream. An open fan closes here: each worker sorts
 // its own share and the order-preserving merge exchange combines them.
-func planSort(plan *PhysicalPlan, cur pipes, specs []exec.SortSpec) pipes {
+func planSort(plan *PhysicalPlan, cur pipes, specs []vector.SortSpec) pipes {
 	cur.each(func(op exec.Operator) exec.Operator { return exec.NewSort(op, specs) })
 	if len(cur) == 1 {
 		return cur

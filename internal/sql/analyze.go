@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/optimizer"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // The analyzer binds parsed statements against the catalog, producing
@@ -709,8 +710,8 @@ func (a *aggScope) bind(e AstExpr) (expr.Expr, error) {
 
 // bindOrderBy resolves ORDER BY items against output column names, select
 // aliases or 1-based positions.
-func bindOrderBy(items []OrderItem, names []string, width int, sc *scope, q *optimizer.LogicalQuery) ([]exec.SortSpec, error) {
-	var out []exec.SortSpec
+func bindOrderBy(items []OrderItem, names []string, width int, sc *scope, q *optimizer.LogicalQuery) ([]vector.SortSpec, error) {
+	var out []vector.SortSpec
 	for _, it := range items {
 		switch e := it.Expr.(type) {
 		case *ALit:
@@ -721,7 +722,7 @@ func bindOrderBy(items []OrderItem, names []string, width int, sc *scope, q *opt
 			if pos < 1 || pos > width {
 				return nil, fmt.Errorf("sql: ORDER BY position %d out of range", pos)
 			}
-			out = append(out, exec.SortSpec{Col: pos - 1, Desc: it.Desc})
+			out = append(out, vector.SortSpec{Col: pos - 1, Desc: it.Desc})
 		case *ACol:
 			found := -1
 			for i, n := range names {
@@ -733,7 +734,7 @@ func bindOrderBy(items []OrderItem, names []string, width int, sc *scope, q *opt
 			if found < 0 {
 				return nil, fmt.Errorf("sql: ORDER BY column %q is not in the select list", displayName(e))
 			}
-			out = append(out, exec.SortSpec{Col: found, Desc: it.Desc})
+			out = append(out, vector.SortSpec{Col: found, Desc: it.Desc})
 		default:
 			return nil, fmt.Errorf("sql: ORDER BY supports output columns or positions")
 		}

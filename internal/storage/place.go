@@ -11,12 +11,17 @@ import (
 	"repro/internal/vector"
 )
 
-// This file is the one way into — and the one whole-row way out of — the ROS:
-// how stored rows of one projection on one node become containers (Placement,
+// This file is the one way into — and the one way out of — the ROS: how
+// stored rows of one projection on one node become containers (Placement,
 // Place, WriteRun), and how they are read back with their delete epochs
-// (ForEachStored). Moveout, mergeout, direct load, recovery, refresh and
-// rebalance differ only in where their rows come from and in how they publish
-// what WriteRun returns.
+// (StoredBatches, and ForEachStored over it). Moveout, mergeout, direct load,
+// recovery, refresh and rebalance differ only in where their rows come from
+// and in how they publish what WriteRun returns.
+//
+// Both directions speak the stored-batch form: a container's columns — the
+// user columns, then the epoch — followed by one Int64 column of delete
+// epochs, 0 for a live row. StoredRow is the same thing a row at a time, for
+// the callers that route or match rows one by one.
 
 // StoredRow is one row as a projection's stores hold it: the user columns,
 // the epoch its insert committed in and the epoch its delete committed in
@@ -119,14 +124,14 @@ type Written struct {
 	DVs  []DVEntry
 }
 
-// WriteRun writes one sorted run as a new container of mgr: next yields the
-// rows in sort order until it reports false. Delete epochs become delete
-// vector entries at the rows' output positions; the meta carries the rows'
-// epoch range and the merge level. Nothing is published — the caller makes
-// the container and its delete vector visible under its own atomicity rule
-// (CommitMoveout, PublishWritten, SwapContainers) or calls Discard. A failure
-// leaves no directory behind.
-func (pl *Placement) WriteRun(mgr *Manager, part string, seg, level int, next func() (StoredRow, bool)) (Written, error) {
+// WriteRun writes one sorted run as a new container of mgr: next yields its
+// stored batches in sort order until nil, a selection dropping rows. The
+// user and epoch columns are written, delete epochs become delete vector
+// entries at the rows' output positions, and the meta carries the rows'
+// epoch range and the merge level. Nothing is published — the caller makes the container and its delete
+// vector visible under its own atomicity rule (CommitMoveout, PublishWritten,
+// SwapContainers) or calls Discard. A failure leaves no directory behind.
+func (pl *Placement) WriteRun(mgr *Manager, part string, seg, level int, next vector.Stream) (Written, error) {
 	id, dir := mgr.NewContainerID()
 	meta := &ContainerMeta{
 		ID: id, Projection: pl.Projection, Cols: pl.Cols,
@@ -136,25 +141,35 @@ func (pl *Placement) WriteRun(mgr *Manager, part string, seg, level int, next fu
 	if err != nil {
 		return Written{}, err
 	}
+	fail := func(err error) (Written, error) {
+		w.Abort()
+		return Written{}, err
+	}
 	var dvs []DVEntry
-	var pos int64
-	vals := make([]types.Value, 0, len(pl.Cols))
-	for r, ok := next(); ok; r, ok = next() {
-		vals = append(append(vals[:0], r.Row...), types.NewInt(int64(r.Epoch)))
-		if err := w.AppendRow(vals); err != nil {
-			w.Abort()
-			return Written{}, err
+	nCols := len(pl.Cols)
+	for b, err := next(); b != nil || err != nil; b, err = next() {
+		if err != nil {
+			return fail(err)
 		}
-		if pos == 0 || r.Epoch < meta.MinEpoch {
-			meta.MinEpoch = r.Epoch
+		if b.NumCols() != nCols+1 {
+			return fail(fmt.Errorf("storage: a stored batch of %d columns; container %s expects %d", b.NumCols(), id, nCols+1))
 		}
-		if r.Epoch > meta.MaxEpoch {
-			meta.MaxEpoch = r.Epoch
+		b, pos := b.Flatten(), w.rows
+		if err := w.Append(&vector.Batch{Cols: b.Cols[:nCols]}); err != nil {
+			return fail(err)
 		}
-		if r.Deleted != 0 {
-			dvs = append(dvs, DVEntry{Pos: pos, Epoch: r.Deleted})
+		for i, e := range b.Cols[nCols-1].Ints {
+			epoch := types.Epoch(e)
+			if pos+int64(i) == 0 || epoch < meta.MinEpoch {
+				meta.MinEpoch = epoch
+			}
+			meta.MaxEpoch = max(meta.MaxEpoch, epoch)
 		}
-		pos++
+		for i, d := range b.Cols[nCols].Ints {
+			if d != 0 {
+				dvs = append(dvs, DVEntry{Pos: pos + int64(i), Epoch: types.Epoch(d)})
+			}
+		}
 	}
 	if _, err := w.Close(); err != nil {
 		return Written{}, err
@@ -162,8 +177,9 @@ func (pl *Placement) WriteRun(mgr *Manager, part string, seg, level int, next fu
 	return Written{Meta: meta, DVs: dvs}, nil
 }
 
-// WriteRows places rows and writes every run, at merge level 0. It is all or
-// nothing: a failure discards the containers already written.
+// WriteRows places rows and writes every run, pivoted once into a stored
+// batch, at merge level 0. It is all or nothing: a failure discards the
+// containers already written.
 func (pl *Placement) WriteRows(mgr *Manager, rows []StoredRow) ([]Written, error) {
 	runs, err := pl.Place(rows)
 	if err != nil {
@@ -171,14 +187,11 @@ func (pl *Placement) WriteRows(mgr *Manager, rows []StoredRow) ([]Written, error
 	}
 	out := make([]Written, 0, len(runs))
 	for _, run := range runs {
-		i := 0
-		w, err := pl.WriteRun(mgr, run.Partition, run.LocalSegment, 0, func() (StoredRow, bool) {
-			if i == len(run.Rows) {
-				return StoredRow{}, false
-			}
-			i++
-			return run.Rows[i-1], true
-		})
+		b, err := pl.storedBatch(run.Rows)
+		var w Written
+		if err == nil {
+			w, err = pl.WriteRun(mgr, run.Partition, run.LocalSegment, 0, vector.SliceStream(b))
+		}
 		if err != nil {
 			mgr.Discard(out)
 			return nil, err
@@ -186,6 +199,23 @@ func (pl *Placement) WriteRows(mgr *Manager, rows []StoredRow) ([]Written, error
 		out = append(out, w)
 	}
 	return out, nil
+}
+
+// storedBatch pivots rows into one stored batch.
+func (pl *Placement) storedBatch(rows []StoredRow) (*vector.Batch, error) {
+	b := &vector.Batch{Cols: make([]*vector.Vector, len(pl.Cols)+1)}
+	for c, spec := range pl.Cols {
+		b.Cols[c] = vector.New(spec.Typ, len(rows))
+	}
+	b.Cols[len(pl.Cols)] = vector.New(types.Int64, len(rows))
+	vals := make(types.Row, 0, len(b.Cols))
+	for _, r := range rows {
+		if len(r.Row) != len(pl.Cols)-1 {
+			return nil, fmt.Errorf("storage: a row of %d values; projection %s expects %d", len(r.Row), pl.Projection, len(pl.Cols)-1)
+		}
+		b.AppendRow(append(append(vals[:0], r.Row...), types.NewInt(int64(r.Epoch)), types.NewInt(int64(r.Deleted))))
+	}
+	return b, nil
 }
 
 // Discard removes containers that were written but never published.
@@ -257,8 +287,36 @@ func wosStored(wos []WOSRow, dvs []DVEntry, lo types.Epoch, fn StoredFunc) error
 	return nil
 }
 
-// ContainerRows is ForEachStored over one container.
+// ContainerRows is ForEachStored over one container: the row form of
+// StoredBatches.
 func (m *Manager) ContainerRows(r *ContainerReader, lo, hi types.Epoch, fn StoredFunc) error {
+	next := m.StoredBatches(r)
+	var pos int64
+	for {
+		b, err := next()
+		if b == nil || err != nil {
+			return err
+		}
+		nUser := b.NumCols() - 2
+		epochs, dels := b.Cols[nUser].Ints, b.Cols[nUser+1].Ints
+		// One value slab per block; rows are slices of it.
+		rows := (&vector.Batch{Cols: b.Cols[:nUser]}).Rows()
+		for i, e := range epochs {
+			if e := types.Epoch(e); e > lo && e <= hi {
+				if err := fn(r.Meta.ID, pos+int64(i), StoredRow{Row: rows[i], Epoch: e, Deleted: types.Epoch(dels[i])}); err != nil {
+					return err
+				}
+			}
+		}
+		pos += int64(len(epochs))
+	}
+}
+
+// StoredBatches streams a container a block at a time in the stored-batch
+// form, positions ascending from 0. The delete epochs are those the store
+// holds when it is called — or, for a container mergeout has since retired,
+// the ones it retired with.
+func (m *Manager) StoredBatches(r *ContainerReader) vector.Stream {
 	// Store first, retirement snapshot second: if the reader is not retired
 	// at the second read, the first happened before a swap dropped its
 	// entries (the order exec's scan uses).
@@ -267,51 +325,39 @@ func (m *Manager) ContainerRows(r *ContainerReader, lo, hi types.Epoch, fn Store
 		dv.entries = append([]DVEntry(nil), snap...)
 		sort.Slice(dv.entries, func(i, j int) bool { return dv.entries[i].Pos < dv.entries[j].Pos })
 	}
-	nUser := len(r.Meta.Cols) - 1
-	if r.Meta.ColIndex(EpochColumn) != nUser {
-		return fmt.Errorf("storage: container %s does not end in the epoch column", r.Meta.ID)
+	nCols := len(r.Meta.Cols)
+	if r.Meta.ColIndex(EpochColumn) != nCols-1 {
+		err := fmt.Errorf("storage: container %s does not end in the epoch column", r.Meta.ID)
+		return func() (*vector.Batch, error) { return nil, err }
 	}
-	iters := make([]*ColumnIter, len(r.Meta.Cols))
+	iters := make([]*ColumnIter, nCols)
 	for c := range iters {
 		iters[c] = r.NewColumnIter(c, nil)
 	}
-	block := make([]*vector.Vector, len(iters))
-	for {
+	return func() (*vector.Batch, error) {
+		b := &vector.Batch{Cols: make([]*vector.Vector, nCols+1)}
 		var first int64
 		for c, it := range iters {
 			v, p, err := it.Next()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if v == nil {
-				if c == 0 {
-					return nil
-				}
-				return fmt.Errorf("storage: container %s column %d is short", r.Meta.ID, c)
+			switch {
+			case v == nil && c == 0:
+				return nil, nil
+			case v == nil:
+				return nil, fmt.Errorf("storage: container %s column %d is short", r.Meta.ID, c)
+			case c > 0 && v.Len() != b.Cols[0].Len():
+				return nil, fmt.Errorf("storage: container %s has ragged blocks", r.Meta.ID)
 			}
-			block[c], first = v.Expand(), p
+			b.Cols[c], first = v, p
 		}
-		epochs := block[nUser].Ints
-		// One value slab per block; rows are slices of it.
-		slab := make([]types.Value, len(epochs)*nUser)
-		for c := 0; c < nUser; c++ {
-			if block[c].PhysLen() != len(epochs) {
-				return fmt.Errorf("storage: container %s has ragged blocks", r.Meta.ID)
-			}
-			for i := range epochs {
-				slab[i*nUser+c] = block[c].ValueAt(i)
-			}
+		dels := make([]int64, b.Cols[0].Len())
+		for i := range dels {
+			dels[i] = int64(dv.at(first + int64(i)))
 		}
-		for i := range epochs {
-			e, pos := types.Epoch(epochs[i]), first+int64(i)
-			if e <= lo || e > hi {
-				continue
-			}
-			row := StoredRow{Row: slab[i*nUser : (i+1)*nUser : (i+1)*nUser], Epoch: e, Deleted: dv.at(pos)}
-			if err := fn(r.Meta.ID, pos, row); err != nil {
-				return err
-			}
-		}
+		b.Cols[nCols] = vector.NewFromInts(types.Int64, dels)
+		return b, nil
 	}
 }
 

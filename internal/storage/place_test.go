@@ -262,7 +262,7 @@ func TestWriteRunFailureLeavesNothing(t *testing.T) {
 		{Row: types.Row{types.NewInt(1), types.NewInt(0), types.NewString("a")}, Epoch: 1},
 		{Row: types.Row{types.NewInt(2), types.NewInt(1)}, Epoch: 1}, // short row, later partition
 	}
-	if _, err := pl.WriteRows(m, rows); err == nil || !strings.Contains(err.Error(), "expects 4") {
+	if _, err := pl.WriteRows(m, rows); err == nil || !strings.Contains(err.Error(), "expects 3") {
 		t.Fatalf("err = %v, want the row-width error", err)
 	}
 	pl.PartitionOf = func(types.Row) (string, error) { return "", fmt.Errorf("boom") }

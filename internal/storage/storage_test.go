@@ -77,11 +77,9 @@ func writeBatch(dir string, meta *ContainerMeta, b *vector.Batch, opts WriterOpt
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range b.Rows() {
-		if err := w.AppendRow(row); err != nil {
-			w.Abort()
-			return nil, err
-		}
+	if err := w.Append(b); err != nil {
+		w.Abort()
+		return nil, err
 	}
 	return w.Close()
 }

@@ -10,10 +10,10 @@ import (
 	"repro/internal/vector"
 )
 
-// ContainerWriter streams rows into a new ROS container directory, a block
-// at a time. It encodes what it is given: sort order, the epoch column and
-// delete vectors are Placement.WriteRun's business, its one caller outside
-// tests.
+// ContainerWriter streams batches into a new ROS container directory, a
+// block at a time. It encodes what it is given: sort order, the epoch column
+// and delete vectors are Placement.WriteRun's business, its one caller
+// outside tests.
 //
 // The container is written into a temporary directory and atomically renamed
 // into place on Close, so a crash mid-write never leaves a half-container
@@ -29,8 +29,7 @@ type ContainerWriter struct {
 	bufs      []*bufio.Writer
 	offsets   []int64
 	pidxBufs  [][]byte
-	pending   []*vector.Vector // per-column accumulation toward a block
-	flushed   []int64          // per-column rows already written to blocks
+	pending   []*vector.Vector // per-column rows not yet in a block
 	rows      int64
 	closed    bool
 }
@@ -61,7 +60,6 @@ func NewContainerWriter(dir string, meta *ContainerMeta, opts WriterOpts) (*Cont
 		offsets:   make([]int64, len(meta.Cols)),
 		pidxBufs:  make([][]byte, len(meta.Cols)),
 		pending:   make([]*vector.Vector, len(meta.Cols)),
-		flushed:   make([]int64, len(meta.Cols)),
 	}
 	for i, c := range meta.Cols {
 		f, err := os.Create(meta.dataPath(tmp, i))
@@ -76,77 +74,40 @@ func NewContainerWriter(dir string, meta *ContainerMeta, opts WriterOpts) (*Cont
 	return w, nil
 }
 
-// AppendRow adds one row: one value per column of the container spec.
-func (w *ContainerWriter) AppendRow(vals []types.Value) error {
-	if len(vals) != len(w.pending) {
-		return fmt.Errorf("storage: row has %d values, container %s expects %d", len(vals), w.meta.ID, len(w.pending))
+// Append adds the rows of a flat, unselected batch with one column per
+// column of the container spec.
+func (w *ContainerWriter) Append(b *vector.Batch) error {
+	if b.NumCols() != len(w.pending) {
+		return fmt.Errorf("storage: batch has %d columns, container %s expects %d", b.NumCols(), w.meta.ID, len(w.pending))
 	}
-	for c, v := range vals {
-		w.pending[c].AppendValue(v)
+	for c, v := range b.Cols {
+		w.pending[c].AppendFrom(v, nil)
 	}
-	w.rows++
-	if w.pending[0].PhysLen() < w.blockRows {
-		return nil
-	}
-	return w.flushFullBlocks(false)
+	w.rows += int64(b.Len())
+	return w.flushBlocks(false)
 }
 
-func (w *ContainerWriter) flushFullBlocks(final bool) error {
-	for {
-		n := w.pending[0].PhysLen()
-		if n == 0 || (n < w.blockRows && !final) {
-			return nil
-		}
-		take := n
-		if take > w.blockRows {
-			take = w.blockRows
-		}
-		for c := range w.pending {
-			block := slicePrefix(w.pending[c], take)
-			if err := w.writeBlock(c, block); err != nil {
+// flushBlocks writes the pending rows as blocks of blockRows — the last one
+// shorter, when final — and keeps the rest pending.
+func (w *ContainerWriter) flushBlocks(final bool) error {
+	n, lo := w.pending[0].PhysLen(), 0
+	for ; n-lo >= w.blockRows || (final && lo < n); lo += w.blockRows {
+		hi := min(lo+w.blockRows, n)
+		for c, v := range w.pending {
+			if err := w.writeBlock(c, v.Slice(lo, hi), w.rows-int64(n-lo)); err != nil {
 				return err
 			}
-			w.pending[c] = sliceSuffix(w.pending[c], take)
-		}
-		if take == n && final {
-			return nil
 		}
 	}
+	if lo > 0 {
+		for c, v := range w.pending {
+			w.pending[c] = v.Slice(min(lo, n), n)
+		}
+	}
+	return nil
 }
 
-func slicePrefix(v *vector.Vector, n int) *vector.Vector {
-	out := &vector.Vector{Typ: v.Typ}
-	switch v.Typ {
-	case types.Float64:
-		out.Floats = v.Floats[:n]
-	case types.Varchar:
-		out.Strs = v.Strs[:n]
-	default:
-		out.Ints = v.Ints[:n]
-	}
-	if v.Nulls != nil {
-		out.Nulls = v.Nulls[:n]
-	}
-	return out
-}
-
-func sliceSuffix(v *vector.Vector, n int) *vector.Vector {
-	out := &vector.Vector{Typ: v.Typ}
-	switch v.Typ {
-	case types.Float64:
-		out.Floats = append(out.Floats, v.Floats[n:]...)
-	case types.Varchar:
-		out.Strs = append(out.Strs, v.Strs[n:]...)
-	default:
-		out.Ints = append(out.Ints, v.Ints[n:]...)
-	}
-	if v.Nulls != nil {
-		out.Nulls = append(out.Nulls, v.Nulls[n:]...)
-	}
-	return out
-}
-
-func (w *ContainerWriter) writeBlock(c int, block *vector.Vector) error {
+func (w *ContainerWriter) writeBlock(c int, block *vector.Vector, firstPos int64) error {
 	enc, err := encoding.EncodeBlock(w.meta.Cols[c].Enc, block)
 	if err != nil {
 		return fmt.Errorf("storage: column %s: %w", w.meta.Cols[c].Name, err)
@@ -155,7 +116,6 @@ func (w *ContainerWriter) writeBlock(c int, block *vector.Vector) error {
 	if !ok {
 		mn, mx = types.NewNull(block.Typ), types.NewNull(block.Typ)
 	}
-	firstPos := w.flushed[c]
 	e := PidxEntry{
 		Offset:   w.offsets[c],
 		Length:   int64(len(enc)),
@@ -169,7 +129,6 @@ func (w *ContainerWriter) writeBlock(c int, block *vector.Vector) error {
 		return err
 	}
 	w.offsets[c] += int64(len(enc))
-	w.flushed[c] += int64(block.PhysLen())
 	return nil
 }
 
@@ -181,7 +140,7 @@ func (w *ContainerWriter) Close() (*ContainerMeta, error) {
 		return w.meta, nil
 	}
 	w.closed = true
-	if err := w.flushFullBlocks(true); err != nil {
+	if err := w.flushBlocks(true); err != nil {
 		w.abort()
 		return nil, err
 	}

@@ -16,7 +16,6 @@
 package tuplemover
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -26,6 +25,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Config wires a tuple mover to one projection's storage on one node.
@@ -38,9 +38,6 @@ type Config struct {
 
 	// StrataBase is the size (bytes) of the smallest mergeout stratum.
 	StrataBase int64
-	// MinMergeCount is the minimum number of same-stratum containers that
-	// triggers a mergeout (default 2).
-	MinMergeCount int
 	// Collector receives moveout/mergeout events for the Data Collector's
 	// v_monitor.dc_tuple_mover_events stream. Nil disables recording.
 	Collector *dc.Collector
@@ -62,9 +59,6 @@ func New(cfg Config) (*TupleMover, error) {
 	}
 	if cfg.StrataBase <= 0 {
 		cfg.StrataBase = 4 << 10
-	}
-	if cfg.MinMergeCount < 2 {
-		cfg.MinMergeCount = 2
 	}
 	return &TupleMover{cfg: cfg}, nil
 }
@@ -171,6 +165,10 @@ func (tm *TupleMover) Stratum(size int64) int {
 	return s
 }
 
+// minMergeCount is how many containers of one stratum a mergeout takes at
+// least: the paper's "at least two".
+const minMergeCount = 2
+
 // mergeGroup identifies containers eligible to merge together: same
 // partition and local segment (boundaries are preserved, §4).
 type mergeGroup struct {
@@ -179,7 +177,7 @@ type mergeGroup struct {
 }
 
 // Mergeout performs one round of merging: within each (partition, local
-// segment) group it finds the lowest stratum holding at least MinMergeCount
+// segment) group it finds the lowest stratum holding at least minMergeCount
 // containers and merges those containers into one, eliding rows deleted at
 // or before the AHM. Returns the number of merge operations performed.
 func (tm *TupleMover) Mergeout() (int, error) {
@@ -209,7 +207,7 @@ func (tm *TupleMover) mergeout() (int, error) {
 	merges := 0
 	for _, k := range gks {
 		inputs := tm.pickMergeInputs(groups[k])
-		if len(inputs) < cfg.MinMergeCount {
+		if len(inputs) < minMergeCount {
 			continue
 		}
 		if err := tm.mergeContainers(inputs, k.part, k.seg, ahm); err != nil {
@@ -221,7 +219,7 @@ func (tm *TupleMover) mergeout() (int, error) {
 }
 
 // pickMergeInputs chooses the containers of the lowest stratum with at least
-// MinMergeCount members, capping combined size at MaxROSBytes.
+// minMergeCount members, capping combined size at MaxROSBytes.
 func (tm *TupleMover) pickMergeInputs(rs []*storage.ContainerReader) []*storage.ContainerReader {
 	byStratum := map[int][]*storage.ContainerReader{}
 	for _, r := range rs {
@@ -235,95 +233,65 @@ func (tm *TupleMover) pickMergeInputs(rs []*storage.ContainerReader) []*storage.
 	sort.Ints(strata)
 	for _, s := range strata {
 		cand := byStratum[s]
-		if len(cand) < tm.cfg.MinMergeCount {
+		if len(cand) < minMergeCount {
 			continue
 		}
 		sort.Slice(cand, func(i, j int) bool { return cand[i].Meta.SizeBytes < cand[j].Meta.SizeBytes })
 		var out []*storage.ContainerReader
 		var total int64
 		for _, r := range cand {
-			if total+r.Meta.SizeBytes > tm.cfg.Mgr.MaxROSBytes() && len(out) >= tm.cfg.MinMergeCount {
+			if total+r.Meta.SizeBytes > tm.cfg.Mgr.MaxROSBytes() && len(out) >= minMergeCount {
 				break
 			}
 			out = append(out, r)
 			total += r.Meta.SizeBytes
 		}
-		if len(out) >= tm.cfg.MinMergeCount {
+		if len(out) >= minMergeCount {
 			return out
 		}
 	}
 	return nil
 }
 
-// containerCursor walks one input container's rows in stored order for the
-// k-way merge.
-type containerCursor struct {
-	rows []storage.StoredRow
-	pos  int
-}
-
-// mergeHeap orders cursors by their current row under the sort key.
-type mergeHeap struct {
-	cur     []*containerCursor
-	sortKey []int
-}
-
-func (h *mergeHeap) Len() int { return len(h.cur) }
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.cur[i], h.cur[j]
-	return a.rows[a.pos].Row.Compare(b.rows[b.pos].Row, h.sortKey) < 0
-}
-func (h *mergeHeap) Swap(i, j int)      { h.cur[i], h.cur[j] = h.cur[j], h.cur[i] }
-func (h *mergeHeap) Push(x interface{}) { h.cur = append(h.cur, x.(*containerCursor)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.cur
-	n := len(old)
-	x := old[n-1]
-	h.cur = old[:n-1]
-	return x
-}
-
+// mergeContainers merges the inputs into one container of the next merge
+// level: the one merger over each input's block stream, holding a decoded
+// block per input, with rows deleted at or before the AHM dropped by a
+// selection on the way to the writer. The inputs go in container-ID order,
+// the order they were written in, so rows with equal keys leave in that
+// order whatever order the inputs were picked in.
 func (tm *TupleMover) mergeContainers(inputs []*storage.ContainerReader, part string, seg int, ahm types.Epoch) error {
 	cfg := &tm.cfg
 	start := time.Now()
 	var inBytes int64
 	maxLevel := 0
-	h := &mergeHeap{sortKey: cfg.Place.SortKey}
+	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Meta.ID < inputs[j].Meta.ID })
 	ids := make([]string, len(inputs))
+	srcs := make([]vector.Stream, len(inputs))
 	for i, in := range inputs {
 		ids[i] = in.Meta.ID
 		inBytes += in.Meta.SizeBytes
 		maxLevel = max(maxLevel, in.Meta.MergeLevel)
-		cur := &containerCursor{rows: make([]storage.StoredRow, 0, in.Meta.RowCount)}
-		err := cfg.Mgr.ContainerRows(in, 0, types.MaxEpoch, func(_ string, _ int64, r storage.StoredRow) error {
-			cur.rows = append(cur.rows, r)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if len(cur.rows) > 0 {
-			h.cur = append(h.cur, cur)
-		}
+		srcs[i] = cfg.Mgr.StoredBatches(in)
 	}
-	heap.Init(h)
-	merged := func() (storage.StoredRow, bool) {
-		for h.Len() > 0 {
-			cur := h.cur[0]
-			r := cur.rows[cur.pos]
-			cur.pos++
-			if cur.pos >= len(cur.rows) {
-				heap.Pop(h)
-			} else {
-				heap.Fix(h, 0)
-			}
-			// "Whenever the tuple mover observes a row deleted prior to the
-			// AHM, it elides the row from the output" (§5.1).
-			if r.Deleted == 0 || r.Deleted > ahm {
-				return r, true
+	merger := vector.NewMerger(vector.KeySpecs(cfg.Place.SortKey), srcs...)
+	deleted := len(cfg.Place.Cols) // the stored batch's delete-epoch column
+	merged := func() (*vector.Batch, error) {
+		b, err := merger.Next()
+		if b == nil || err != nil {
+			return nil, err
+		}
+		// "Whenever the tuple mover observes a row deleted prior to the
+		// AHM, it elides the row from the output" (§5.1).
+		sel := make([]int, 0, b.Len())
+		for i, d := range b.Cols[deleted].Ints {
+			if d == 0 || types.Epoch(d) > ahm {
+				sel = append(sel, i)
 			}
 		}
-		return storage.StoredRow{}, false
+		if len(sel) == b.Len() {
+			return b, nil
+		}
+		return &vector.Batch{Cols: b.Cols, Sel: sel}, nil
 	}
 	out, err := cfg.Place.WriteRun(cfg.Mgr, part, seg, maxLevel+1, merged)
 	if err != nil {
