@@ -63,7 +63,13 @@ sqltest-update:
 # against the serial engine, the decoder oracle of the Huffman and
 # dictionary kernels against the decoders they replaced, and the mergeout
 # oracle of the tuple mover's merge against a stable sort of its inputs
-# (ORACLE_SEED too). Mirrored in CI.
+# (ORACLE_SEED too). The TLP, continuous-ingest, predicate, sorted-stream,
+# fan and hash-join oracles also run poisoned (their *Poisoned twins, which
+# each -run pattern below picks up): at a block-cache budget of about one
+# block, with the recycle probe scribbling over every block a scan gives
+# up, so an operator that keeps a batch past its loan without Retain fails
+# them; each asserts that it recycled at all (docs/ARCHITECTURE.md, "Batch
+# lifetime"). Mirrored in CI.
 TLP_SEED ?= 20120827
 ORACLE_SEED ?= 20120827
 test-metamorphic:
@@ -71,7 +77,7 @@ test-metamorphic:
 	$(GO) test -race ./internal/bench -run 'TestContinuousIngest(Short|DataCollector)' -count=1
 	$(GO) test -race ./internal/cluster -run 'TestRecoveryOracle' -count=1 -oracle.seed $(ORACLE_SEED) -oracle.steps 60
 	$(GO) test -race ./internal/storage -run 'TestStoredReaderMatchesDVStore|TestPlacedRowsReadBack' -count=1
-	$(GO) test -race ./internal/exec -run 'TestPredicateOracle' -count=1 -pred.seed $(ORACLE_SEED) -pred.cases 200
+	$(GO) test -race ./internal/exec -run 'TestPredicateOracle|TestHashJoinOraclePoisoned' -count=1 -pred.seed $(ORACLE_SEED) -pred.cases 200
 	$(GO) test -race ./internal/exec -run 'TestSortedStreamOracle' -count=1 -sorted.seed $(ORACLE_SEED) -sorted.cases 200
 	$(GO) test -race ./internal/expr -run 'MatchesEvalRow|LikeEvalRow' -count=1 -expr.seed $(ORACLE_SEED)
 	$(GO) test -race ./internal/sqltest -run 'TestFanOracle' -count=1 -fan.seed $(ORACLE_SEED)

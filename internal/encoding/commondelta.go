@@ -72,48 +72,52 @@ func encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error) {
 	return huffmanEncode(buf, len(dict), lengths, syms), nil
 }
 
-func decodeCommonDelta(b []byte, t types.Type, n int) (*vector.Vector, error) {
+func decodeCommonDelta(b []byte, out *vector.Vector, n int, scratch *vector.Vector) error {
 	if n == 0 {
-		return vector.New(t, 0), nil
+		return nil
 	}
 	first, sz := varint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("encoding: corrupt COMMONDELTA_COMP first value")
+		return fmt.Errorf("encoding: corrupt COMMONDELTA_COMP first value")
 	}
 	pos := sz
 	ds64, sz := uvarint(b[pos:])
 	if sz <= 0 {
-		return nil, fmt.Errorf("encoding: corrupt COMMONDELTA_COMP dict size")
+		return fmt.Errorf("encoding: corrupt COMMONDELTA_COMP dict size")
 	}
 	pos += sz
 	if ds64 > uint64(len(b)) { // every dictionary entry costs ≥ 1 byte
-		return nil, fmt.Errorf("encoding: COMMONDELTA_COMP dict size %d exceeds payload", ds64)
+		return fmt.Errorf("encoding: COMMONDELTA_COMP dict size %d exceeds payload", ds64)
 	}
 	ds := int(ds64)
-	dict := make([]int64, ds)
+	// The scratch holds the dictionary, then the Huffman decoder's table of
+	// symbols by rank: one per dictionary entry in a well-formed block.
+	scratch.Ints = grow(scratch.Ints, 2*ds)
+	dict := scratch.Ints[:ds]
 	for i := range dict {
 		d, sz := varint(b[pos:])
 		if sz <= 0 {
-			return nil, fmt.Errorf("encoding: corrupt COMMONDELTA_COMP dict entry")
+			return fmt.Errorf("encoding: corrupt COMMONDELTA_COMP dict entry")
 		}
 		dict[i] = d
 		pos += sz
 	}
 	// The symbols land in the output itself and are prefix-summed in place.
 	// A one-row block has no stream.
-	out := make([]int64, n)
+	v := grow(out.Ints, n)
 	if n > 1 {
-		if _, err := huffmanDecode(b[pos:], out[1:]); err != nil {
-			return nil, err
+		if _, err := huffmanDecode(b[pos:], v[1:], scratch.Ints[ds:]); err != nil {
+			return err
 		}
 	}
-	out[0] = first
+	v[0] = first
 	for i := 1; i < n; i++ {
-		s := out[i]
+		s := v[i]
 		if uint64(s) >= uint64(ds) {
-			return nil, fmt.Errorf("encoding: COMMONDELTA_COMP symbol out of range")
+			return fmt.Errorf("encoding: COMMONDELTA_COMP symbol out of range")
 		}
-		out[i] = out[i-1] + dict[s]
+		v[i] = v[i-1] + dict[s]
 	}
-	return vector.NewFromInts(t, out), nil
+	out.Ints = v
+	return nil
 }

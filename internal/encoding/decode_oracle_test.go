@@ -277,7 +277,7 @@ func TestDecodeOracle(t *testing.T) {
 		data, want, how := corrupt(rng, enc, len(syms))
 		refSyms, refUsed, refErr := refHuffmanDecode(data, want)
 		got := make([]int64, want)
-		used, err := huffmanDecode(data, got)
+		used, err := huffmanDecode(data, got, nil)
 		if how == "whole" && (err != nil || !slices.Equal(got, int64s(syms))) {
 			fail("huffman round trip: %v", err)
 		}
@@ -305,7 +305,7 @@ func TestDecodeOracle(t *testing.T) {
 			}
 		}
 		packed, want, how := corrupt(rng, packBits(nil, idx, bitWidth(ds)), n)
-		vals, err := gatherDict(dict, packed, want)
+		vals, err := gatherDict(nil, dict, packed, want)
 		refVals, refErr := refGatherDict(dict, packed, want)
 		if msg, refMsg := errText(err), errText(refErr); msg != refMsg {
 			fail("dictionary of %d, %s stream %s, %d indexes: error %q, reference %q", ds, how, hex.EncodeToString(packed), want, msg, refMsg)
@@ -317,7 +317,7 @@ func TestDecodeOracle(t *testing.T) {
 		for i := range strs {
 			strs[i] = fmt.Sprint(dict[i])
 		}
-		sv, err := gatherDict(strs, packed, want)
+		sv, err := gatherDict(nil, strs, packed, want)
 		refSv, refErr := refGatherDict(strs, packed, want)
 		if errText(err) != errText(refErr) || !slices.Equal(sv, refSv) {
 			fail("string dictionary of %d, %s stream %s: %v %v, reference %v %v", ds, how, hex.EncodeToString(packed), sv, err, refSv, refErr)

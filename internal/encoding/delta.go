@@ -32,25 +32,25 @@ func encodeDeltaValue(buf []byte, v *vector.Vector) ([]byte, error) {
 	return buf, nil
 }
 
-func decodeDeltaValue(b []byte, t types.Type, n int) (*vector.Vector, error) {
+func decodeDeltaValue(b []byte, out *vector.Vector, n int) error {
 	mn, sz := varint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("encoding: corrupt DELTAVAL base")
+		return fmt.Errorf("encoding: corrupt DELTAVAL base")
 	}
 	if n > len(b) { // every delta costs at least one payload byte
-		return nil, fmt.Errorf("encoding: DELTAVAL payload too short for %d rows", n)
+		return fmt.Errorf("encoding: DELTAVAL payload too short for %d rows", n)
 	}
 	pos := sz
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
+	out.Ints = grow(out.Ints, n)
+	for i := range out.Ints {
 		d, sz := uvarint(b[pos:])
 		if sz <= 0 {
-			return nil, fmt.Errorf("encoding: corrupt DELTAVAL delta at %d", i)
+			return fmt.Errorf("encoding: corrupt DELTAVAL delta at %d", i)
 		}
 		pos += sz
-		out[i] = mn + int64(d)
+		out.Ints[i] = mn + int64(d)
 	}
-	return vector.NewFromInts(t, out), nil
+	return nil
 }
 
 // CompressedDeltaRange payload: "stores each value as a delta from the
@@ -90,48 +90,50 @@ func encodeDeltaRange(buf []byte, v *vector.Vector) ([]byte, error) {
 	}
 }
 
-func decodeDeltaRange(b []byte, t types.Type, n int) (*vector.Vector, error) {
+func decodeDeltaRange(b []byte, out *vector.Vector, n int) error {
 	if n == 0 {
-		return vector.New(t, 0), nil
+		return nil
 	}
 	if n > len(b) { // first value plus ≥1 byte per delta
-		return nil, fmt.Errorf("encoding: DELTARANGE_COMP payload too short for %d rows", n)
+		return fmt.Errorf("encoding: DELTARANGE_COMP payload too short for %d rows", n)
 	}
-	if t == types.Float64 {
+	if out.Typ == types.Float64 {
 		if len(b) < 8 {
-			return nil, fmt.Errorf("encoding: corrupt DELTARANGE_COMP first value")
+			return fmt.Errorf("encoding: corrupt DELTARANGE_COMP first value")
 		}
-		out := make([]float64, n)
+		f := grow(out.Floats, n)
 		prev := getUint64(b)
-		out[0] = math.Float64frombits(prev)
+		f[0] = math.Float64frombits(prev)
 		pos := 8
 		for i := 1; i < n; i++ {
 			x, sz := uvarint(b[pos:])
 			if sz <= 0 {
-				return nil, fmt.Errorf("encoding: corrupt DELTARANGE_COMP xor at %d", i)
+				return fmt.Errorf("encoding: corrupt DELTARANGE_COMP xor at %d", i)
 			}
 			pos += sz
 			prev ^= reverseBytes(x)
-			out[i] = math.Float64frombits(prev)
+			f[i] = math.Float64frombits(prev)
 		}
-		return vector.NewFromFloats(out), nil
+		out.Floats = f
+		return nil
 	}
-	out := make([]int64, n)
 	first, sz := varint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("encoding: corrupt DELTARANGE_COMP first value")
+		return fmt.Errorf("encoding: corrupt DELTARANGE_COMP first value")
 	}
-	out[0] = first
+	v := grow(out.Ints, n)
+	v[0] = first
 	pos := sz
 	for i := 1; i < n; i++ {
 		d, sz := varint(b[pos:])
 		if sz <= 0 {
-			return nil, fmt.Errorf("encoding: corrupt DELTARANGE_COMP delta at %d", i)
+			return fmt.Errorf("encoding: corrupt DELTARANGE_COMP delta at %d", i)
 		}
 		pos += sz
-		out[i] = out[i-1] + d
+		v[i] = v[i-1] + d
 	}
-	return vector.NewFromInts(t, out), nil
+	out.Ints = v
+	return nil
 }
 
 // reverseBytes flips byte order so that XORs of similar floats (which differ

@@ -94,65 +94,68 @@ func encodeBlockDict(buf []byte, v *vector.Vector) ([]byte, error) {
 	}
 }
 
-func decodeBlockDict(b []byte, t types.Type, n int) (*vector.Vector, error) {
+func decodeBlockDict(b []byte, out *vector.Vector, n int, scratch *vector.Vector) error {
 	ds64, sz := uvarint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("encoding: corrupt BLOCK_DICT size")
+		return fmt.Errorf("encoding: corrupt BLOCK_DICT size")
 	}
 	if ds64 > uint64(len(b)) { // every dictionary entry costs ≥ 1 byte
-		return nil, fmt.Errorf("encoding: BLOCK_DICT size %d exceeds payload", ds64)
+		return fmt.Errorf("encoding: BLOCK_DICT size %d exceeds payload", ds64)
 	}
 	ds := int(ds64)
 	pos := sz
-	switch t {
+	var err error
+	switch out.Typ {
 	case types.Float64:
-		dict := make([]float64, ds)
+		dict := grow(scratch.Floats, ds)
+		scratch.Floats = dict
 		for i := range dict {
 			if pos+8 > len(b) {
-				return nil, fmt.Errorf("encoding: truncated BLOCK_DICT entries")
+				return fmt.Errorf("encoding: truncated BLOCK_DICT entries")
 			}
 			dict[i] = math.Float64frombits(getUint64(b[pos:]))
 			pos += 8
 		}
-		out, err := gatherDict(dict, b[pos:], n)
-		return vector.NewFromFloats(out), err
+		out.Floats, err = gatherDict(out.Floats, dict, b[pos:], n)
 	case types.Varchar:
-		dict := make([]string, ds)
+		dict := grow(scratch.Strs, ds)
+		scratch.Strs = dict
 		for i := range dict {
 			l, sz := uvarint(b[pos:])
 			if sz <= 0 || int(l) < 0 || pos+sz+int(l) > len(b) {
-				return nil, fmt.Errorf("encoding: truncated BLOCK_DICT entries")
+				return fmt.Errorf("encoding: truncated BLOCK_DICT entries")
 			}
 			pos += sz
 			dict[i] = string(b[pos : pos+int(l)])
 			pos += int(l)
 		}
-		out, err := gatherDict(dict, b[pos:], n)
-		return vector.NewFromStrings(out), err
+		out.Strs, err = gatherDict(out.Strs, dict, b[pos:], n)
 	default:
-		dict := make([]int64, ds)
+		dict := grow(scratch.Ints, ds)
+		scratch.Ints = dict
 		for i := range dict {
 			x, sz := varint(b[pos:])
 			if sz <= 0 {
-				return nil, fmt.Errorf("encoding: truncated BLOCK_DICT entries")
+				return fmt.Errorf("encoding: truncated BLOCK_DICT entries")
 			}
 			dict[i] = x
 			pos += sz
 		}
-		out, err := gatherDict(dict, b[pos:], n)
-		return vector.NewFromInts(t, out), err
+		out.Ints, err = gatherDict(out.Ints, dict, b[pos:], n)
 	}
+	return err
 }
 
 // gatherDict decodes n bit-packed dictionary indexes from b straight into
-// the output values: one little-endian word read per index, no index slice.
-func gatherDict[T int64 | float64 | string](dict []T, b []byte, n int) ([]T, error) {
+// the output values, in dst's storage when it has the capacity: one
+// little-endian word read per index, no index slice.
+func gatherDict[T int64 | float64 | string](dst, dict []T, b []byte, n int) ([]T, error) {
 	w := bitWidth(len(dict))
 	if (n*w+7)/8 > len(b) {
 		return nil, fmt.Errorf("encoding: truncated BLOCK_DICT indexes")
 	}
 	mask := uint64(1)<<w - 1
-	out := make([]T, n)
+	out := grow(dst, n)
 	for i := range out {
 		bit := i * w
 		ix := packedWord(b, bit>>3) >> (bit & 7) & mask

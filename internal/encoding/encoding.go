@@ -163,30 +163,42 @@ func EncodeBlock(kind Kind, v *vector.Vector) ([]byte, error) {
 // DecodeBlock decodes one block into a flat vector of type t.
 // RLE blocks decode into run-length form when preserveRuns is true.
 func DecodeBlock(data []byte, t types.Type, preserveRuns bool) (*vector.Vector, error) {
+	v := &vector.Vector{Typ: t}
+	if err := DecodeInto(v, data, preserveRuns, nil); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// DecodeInto is DecodeBlock into dst, of the column's type, reusing its
+// slices where their capacity allows. dict, when not nil, is scratch of the
+// same type for a BLOCK_DICT or COMMONDELTA_COMP block's dictionary.
+func DecodeInto(dst *vector.Vector, data []byte, preserveRuns bool, dict *vector.Vector) error {
+	t := dst.Typ
 	if len(data) < 2 {
-		return nil, fmt.Errorf("encoding: short block (%d bytes)", len(data))
+		return fmt.Errorf("encoding: short block (%d bytes)", len(data))
 	}
 	kind := Kind(data[0])
 	if kind > CompressedCommonDelta {
-		return nil, fmt.Errorf("encoding: unknown block kind %d", kind)
+		return fmt.Errorf("encoding: unknown block kind %d", kind)
 	}
 	if !kind.Applicable(t) {
-		return nil, fmt.Errorf("encoding: block kind %s not applicable to %s", kind, t)
+		return fmt.Errorf("encoding: block kind %s not applicable to %s", kind, t)
 	}
 	pos := 1
 	n64, sz := uvarint(data[pos:])
 	if sz <= 0 {
-		return nil, fmt.Errorf("encoding: corrupt row count")
+		return fmt.Errorf("encoding: corrupt row count")
 	}
 	pos += sz
 	// Harden against corrupt headers: a row count beyond anything the writer
 	// produces is a malformed block, not a request to allocate.
 	if n64 > maxBlockRows {
-		return nil, fmt.Errorf("encoding: block row count %d exceeds limit %d", n64, maxBlockRows)
+		return fmt.Errorf("encoding: block row count %d exceeds limit %d", n64, maxBlockRows)
 	}
 	n := int(n64)
 	if pos >= len(data) {
-		return nil, fmt.Errorf("encoding: truncated block header")
+		return fmt.Errorf("encoding: truncated block header")
 	}
 	nullFlag := data[pos]
 	pos++
@@ -194,42 +206,50 @@ func DecodeBlock(data []byte, t types.Type, preserveRuns bool) (*vector.Vector, 
 	if nullFlag == 1 {
 		bmLen := (n + 7) / 8
 		if pos+bmLen > len(data) {
-			return nil, fmt.Errorf("encoding: truncated null bitmap")
+			return fmt.Errorf("encoding: truncated null bitmap")
 		}
-		nulls = make([]bool, n)
+		nulls = grow(dst.Nulls, n)
 		for i := 0; i < n; i++ {
 			nulls[i] = data[pos+i/8]&(1<<(i%8)) != 0
 		}
 		pos += bmLen
 	}
+	// Emptied, keeping the capacity of its value slices but not their values.
+	*dst = vector.Vector{Typ: t, Ints: dst.Ints[:0], Floats: dst.Floats[:0], Strs: dst.Strs[:0], Owner: dst.Owner}
+	var spare vector.Vector
+	if dict == nil {
+		dict = &spare
+	}
 	payload := data[pos:]
-	var (
-		v   *vector.Vector
-		err error
-	)
+	var err error
 	switch kind {
 	case None:
-		v, err = decodeNone(payload, t, n)
+		err = decodeNone(payload, dst, n)
 	case RLE:
-		v, err = decodeRLE(payload, t, n, preserveRuns && nulls == nil)
+		err = decodeRLE(payload, dst, n, preserveRuns && nulls == nil)
 	case DeltaValue:
-		v, err = decodeDeltaValue(payload, t, n)
+		err = decodeDeltaValue(payload, dst, n)
 	case BlockDict:
-		v, err = decodeBlockDict(payload, t, n)
+		err = decodeBlockDict(payload, dst, n, dict)
 	case CompressedDeltaRange:
-		v, err = decodeDeltaRange(payload, t, n)
+		err = decodeDeltaRange(payload, dst, n)
 	case CompressedCommonDelta:
-		v, err = decodeCommonDelta(payload, t, n)
-	default:
-		err = fmt.Errorf("encoding: unknown block kind %d", kind)
+		err = decodeCommonDelta(payload, dst, n, dict)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if nulls != nil {
-		v.Nulls = nulls
+	dst.Nulls = nulls
+	return nil
+}
+
+// grow returns s resized to n, in its own storage when the capacity allows.
+// The values are not cleared: the caller overwrites every one.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return v, nil
+	return s[:n]
 }
 
 // maxBlockRows bounds the row count a decoder will honor from a block

@@ -383,7 +383,7 @@ func TestHuffmanRoundTrip(t *testing.T) {
 	syms := []int{0, 1, 2, 3, 4, 0, 0, 1, 2, 0, 4, 3, 2, 1, 0}
 	enc := huffmanEncode(nil, len(freq), lengths, syms)
 	dec := make([]int64, len(syms))
-	if _, err := huffmanDecode(enc, dec); err != nil {
+	if _, err := huffmanDecode(enc, dec, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range syms {
@@ -401,7 +401,7 @@ func TestHuffmanSingleSymbol(t *testing.T) {
 	syms := []int{0, 0, 0, 0}
 	enc := huffmanEncode(nil, 1, lengths, syms)
 	dec := make([]int64, 4)
-	n, err := huffmanDecode(enc, dec)
+	n, err := huffmanDecode(enc, dec, nil)
 	if err != nil || n != len(enc) || !slices.Equal(dec, make([]int64, 4)) {
 		t.Fatalf("single-symbol decode: %v, %d of %d bytes, %v", dec, n, len(enc), err)
 	}
@@ -421,7 +421,7 @@ func TestBitPackRoundTrip(t *testing.T) {
 			ident[i] = int64(i)
 		}
 		buf := packBits(nil, vals, width)
-		got, err := gatherDict(ident, buf, len(vals))
+		got, err := gatherDict(nil, ident, buf, len(vals))
 		if err != nil || len(got) != len(vals) {
 			return false
 		}
@@ -434,7 +434,7 @@ func TestBitPackRoundTrip(t *testing.T) {
 		if len(buf) == 0 {
 			return len(vals) == 0
 		}
-		_, err = gatherDict(ident, buf[:len(buf)-1], len(vals))
+		_, err = gatherDict(nil, ident, buf[:len(buf)-1], len(vals))
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -452,5 +452,50 @@ func TestCommonDeltaDictTooLarge(t *testing.T) {
 	}
 	if _, err := EncodeBlock(CompressedCommonDelta, v); err == nil {
 		t.Error("expected dictionary-overflow error on random data")
+	}
+}
+
+// TestDecodeIntoRecycledVector: decoding into a vector that held another
+// block — of another kind, size, type, with or without nulls or runs — and
+// with dirty dictionary scratch yields what DecodeBlock yields afresh.
+func TestDecodeIntoRecycledVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(20120827))
+	dst, dict := &vector.Vector{}, &vector.Vector{}
+	for i := 0; i < 400; i++ {
+		typ := []types.Type{types.Int64, types.Float64, types.Varchar, types.Timestamp}[rng.Intn(4)]
+		kind := Kind(rng.Intn(int(CompressedCommonDelta) + 1))
+		if kind == Auto || !kind.Applicable(typ) {
+			kind = BlockDict
+		}
+		v := vector.New(typ, 0)
+		for n := rng.Intn(300); v.Len() < n; {
+			switch x := int64(rng.Intn(20) * rng.Intn(3)); {
+			case rng.Intn(9) == 0:
+				v.AppendNull()
+			case typ == types.Float64:
+				v.AppendValue(types.NewFloat(float64(x) / 4))
+			case typ == types.Varchar:
+				v.AppendValue(types.NewString(string(rune('a' + x))))
+			default:
+				v.AppendValue(types.Value{Typ: typ, I: x + int64(v.Len())})
+			}
+		}
+		enc, err := EncodeBlock(kind, v)
+		if err != nil {
+			continue // COMMONDELTA_COMP refuses some inputs
+		}
+		runs := rng.Intn(2) == 0
+		want, err := DecodeBlock(enc, typ, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst.Typ = typ
+		if err := DecodeInto(dst, enc, runs, dict); err != nil {
+			t.Fatal(err)
+		}
+		if dst.Len() != want.Len() || !slices.Equal(dst.Ints, want.Ints) || !slices.Equal(dst.Floats, want.Floats) ||
+			!slices.Equal(dst.Strs, want.Strs) || !slices.Equal(dst.Nulls, want.Nulls) || !slices.Equal(dst.RunLens, want.RunLens) {
+			t.Fatalf("case %d (%s %s, runs %v): a recycled decode differs from a fresh one", i, kind, typ, runs)
+		}
 	}
 }

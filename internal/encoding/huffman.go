@@ -161,8 +161,9 @@ func huffmanEncode(buf []byte, symCount int, lengths []int, syms []int) []byte {
 const huffTableBits = 11
 
 // huffmanDecode reads what huffmanEncode wrote, writing len(out) decoded
-// symbols into out and returning the number of payload bytes consumed.
-func huffmanDecode(b []byte, out []int64) (int, error) {
+// symbols into out and returning the number of payload bytes consumed. Its
+// table of symbols by rank goes in scratch when that has the room.
+func huffmanDecode(b []byte, out, scratch []int64) (int, error) {
 	n := len(out)
 	sc64, sz := uvarint(b)
 	if sz <= 0 {
@@ -221,13 +222,13 @@ func huffmanDecode(b []byte, out []int64) (int, error) {
 		code = (code + uint64(count[l])) << 1
 		idx += count[l]
 	}
-	symOfRank := make([]int, idx)
+	symOfRank := grow(scratch, idx)
 	rank := offset
 	for s, p := 0, 0; s < symCount; s++ { // the lengths again, validated above
 		l, sz := uvarint(lengths[p:])
 		p += sz
 		if l > 0 {
-			symOfRank[rank[l]] = s
+			symOfRank[rank[l]] = int64(s)
 			rank[l]++
 		}
 	}
@@ -274,7 +275,7 @@ func huffmanDecode(b []byte, out []int64) (int, error) {
 			bitPos++
 			accLen++
 			if r := acc - firstCode[accLen]; acc >= firstCode[accLen] && r < uint64(count[accLen]) {
-				out[i] = int64(symOfRank[offset[accLen]+int(r)])
+				out[i] = symOfRank[offset[accLen]+int(r)]
 				break
 			}
 		}

@@ -31,43 +31,41 @@ func encodeNone(buf []byte, v *vector.Vector) ([]byte, error) {
 	return buf, nil
 }
 
-func decodeNone(b []byte, t types.Type, n int) (*vector.Vector, error) {
-	switch t {
+func decodeNone(b []byte, out *vector.Vector, n int) error {
+	switch out.Typ {
 	case types.Float64:
 		if len(b) < 8*n {
-			return nil, fmt.Errorf("encoding: raw float payload too short")
+			return fmt.Errorf("encoding: raw float payload too short")
 		}
-		out := make([]float64, n)
-		for i := 0; i < n; i++ {
-			out[i] = math.Float64frombits(getUint64(b[8*i:]))
+		out.Floats = grow(out.Floats, n)
+		for i := range out.Floats {
+			out.Floats[i] = math.Float64frombits(getUint64(b[8*i:]))
 		}
-		return vector.NewFromFloats(out), nil
 	case types.Varchar:
 		if n > len(b) { // every string needs at least its length byte
-			return nil, fmt.Errorf("encoding: raw string payload too short")
+			return fmt.Errorf("encoding: raw string payload too short")
 		}
-		out := make([]string, n)
+		out.Strs = grow(out.Strs, n)
 		pos := 0
-		for i := 0; i < n; i++ {
+		for i := range out.Strs {
 			l, sz := uvarint(b[pos:])
 			if sz <= 0 || int(l) < 0 || pos+sz+int(l) > len(b) {
-				return nil, fmt.Errorf("encoding: raw string payload corrupt")
+				return fmt.Errorf("encoding: raw string payload corrupt")
 			}
 			pos += sz
-			out[i] = string(b[pos : pos+int(l)])
+			out.Strs[i] = string(b[pos : pos+int(l)])
 			pos += int(l)
 		}
-		return vector.NewFromStrings(out), nil
 	default:
 		if len(b) < 8*n {
-			return nil, fmt.Errorf("encoding: raw int payload too short")
+			return fmt.Errorf("encoding: raw int payload too short")
 		}
-		out := make([]int64, n)
-		for i := 0; i < n; i++ {
-			out[i] = int64(getUint64(b[8*i:]))
+		out.Ints = grow(out.Ints, n)
+		for i := range out.Ints {
+			out.Ints[i] = int64(getUint64(b[8*i:]))
 		}
-		return vector.NewFromInts(t, out), nil
 	}
+	return nil
 }
 
 // rawValueAppend encodes a single value in the None per-value format

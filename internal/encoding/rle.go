@@ -52,72 +52,69 @@ func sameSlot(v *vector.Vector, i, j int) bool {
 	}
 }
 
-func decodeRLE(b []byte, t types.Type, n int, preserveRuns bool) (*vector.Vector, error) {
+func decodeRLE(b []byte, out *vector.Vector, n int, preserveRuns bool) error {
 	rc, sz := uvarint(b)
 	if sz <= 0 {
-		return nil, fmt.Errorf("encoding: corrupt RLE run count")
+		return fmt.Errorf("encoding: corrupt RLE run count")
 	}
 	// Every run costs at least two payload bytes (value + length), and no
 	// run may claim more rows than the block holds: reject before any
 	// count-sized allocation or expansion loop.
 	if rc > uint64(len(b))/2 {
-		return nil, fmt.Errorf("encoding: RLE run count %d exceeds payload", rc)
+		return fmt.Errorf("encoding: RLE run count %d exceeds payload", rc)
 	}
 	pos := sz
+	var runs []int
 	if preserveRuns {
-		out := vector.New(t, int(rc))
-		out.RunLens = make([]int, 0, rc)
-		total := 0
-		for r := 0; r < int(rc); r++ {
-			used, err := rawValueDecode(b[pos:], t, out)
-			if err != nil {
-				return nil, err
-			}
-			pos += used
-			rl, sz := uvarint(b[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("encoding: corrupt RLE run length")
-			}
-			if rl > uint64(n) {
-				return nil, fmt.Errorf("encoding: RLE run length %d exceeds row count %d", rl, n)
-			}
-			pos += sz
-			out.RunLens = append(out.RunLens, int(rl))
-			total += int(rl)
-		}
-		if total != n {
-			return nil, fmt.Errorf("encoding: RLE run total %d != row count %d", total, n)
-		}
-		return out, nil
+		runs = make([]int, 0, rc)
+	} else {
+		reserve(out, n)
 	}
-	out := vector.New(t, n)
-	scratch := vector.New(t, 1)
+	var scratch vector.Vector
 	total := 0
 	for r := 0; r < int(rc); r++ {
-		scratch.Ints = scratch.Ints[:0]
-		scratch.Floats = scratch.Floats[:0]
-		scratch.Strs = scratch.Strs[:0]
-		used, err := rawValueDecode(b[pos:], t, scratch)
+		scratch = vector.Vector{Typ: out.Typ, Ints: scratch.Ints[:0], Floats: scratch.Floats[:0], Strs: scratch.Strs[:0]}
+		used, err := rawValueDecode(b[pos:], out.Typ, &scratch)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		pos += used
 		rl, sz := uvarint(b[pos:])
 		if sz <= 0 {
-			return nil, fmt.Errorf("encoding: corrupt RLE run length")
+			return fmt.Errorf("encoding: corrupt RLE run length")
 		}
-		if rl > uint64(n) {
-			return nil, fmt.Errorf("encoding: RLE run length %d exceeds row count %d", rl, n)
+		if rl > uint64(n-total) {
+			return fmt.Errorf("encoding: RLE run total exceeds row count %d", n)
 		}
 		pos += sz
+		reps := int(rl)
+		if preserveRuns {
+			runs, reps = append(runs, reps), 1
+		}
 		val := scratch.ValueAt(0)
-		for k := 0; k < int(rl); k++ {
+		for k := 0; k < reps; k++ {
 			out.AppendValue(val)
 		}
 		total += int(rl)
 	}
 	if total != n {
-		return nil, fmt.Errorf("encoding: RLE run total %d != row count %d", total, n)
+		return fmt.Errorf("encoding: RLE run total %d != row count %d", total, n)
 	}
-	return out, nil
+	if preserveRuns {
+		out.RunLens = runs
+	}
+	return nil
+}
+
+// reserve makes room in out, which is empty, for n values without a
+// reallocation as they are appended.
+func reserve(out *vector.Vector, n int) {
+	switch out.Typ {
+	case types.Float64:
+		out.Floats = grow(out.Floats, n)[:0]
+	case types.Varchar:
+		out.Strs = grow(out.Strs, n)[:0]
+	default:
+		out.Ints = grow(out.Ints, n)[:0]
+	}
 }

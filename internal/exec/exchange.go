@@ -50,9 +50,9 @@ type Exchange struct {
 	started     bool
 	inputsOpen  bool
 	closedPorts int
-	abandoned   int                  // ports whose readers are gone; == ways stops the pumps
-	ports       []chan *vector.Batch // flat path: one channel per port
-	lanes       []chan *vector.Batch // sorted path: the one port's, one per input
+	abandoned   int         // ports whose readers are gone; == ways stops the pumps
+	ports       []chan loan // flat path: one channel per port
+	lanes       []chan loan // sorted path: the one port's, one per input
 	portQuit    []chan struct{}
 	portOnce    []sync.Once
 	quit        chan struct{}
@@ -121,14 +121,14 @@ func (e *Exchange) start(ctx *Ctx) error {
 		e.portQuit[i] = make(chan struct{})
 	}
 	if e.SortKey != nil {
-		e.lanes = make([]chan *vector.Batch, len(e.inputs))
+		e.lanes = make([]chan loan, len(e.inputs))
 		for i := range e.lanes {
-			e.lanes[i] = make(chan *vector.Batch, exchangePortDepth)
+			e.lanes[i] = make(chan loan, exchangePortDepth)
 		}
 	} else {
-		e.ports = make([]chan *vector.Batch, e.ways)
+		e.ports = make([]chan loan, e.ways)
 		for i := range e.ports {
-			e.ports[i] = make(chan *vector.Batch, exchangePortDepth)
+			e.ports[i] = make(chan loan, exchangePortDepth)
 		}
 	}
 	for i, in := range e.inputs {
@@ -158,7 +158,7 @@ func (e *Exchange) start(ctx *Ctx) error {
 // send delivers a batch to port p's channel, giving up when the port was
 // abandoned by its reader (batch dropped) or the exchange failed (pump
 // should exit). Reports whether pumping should continue.
-func (e *Exchange) send(ch chan *vector.Batch, p int, b *vector.Batch) bool {
+func (e *Exchange) send(ch chan loan, p int, b loan) bool {
 	select {
 	case ch <- b:
 		return true
@@ -184,7 +184,7 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 	if e.lanes != nil {
 		defer close(e.lanes[idx])
 	}
-	chanFor := func(p int) chan *vector.Batch {
+	chanFor := func(p int) chan loan {
 		if e.lanes != nil {
 			return e.lanes[idx]
 		}
@@ -224,7 +224,7 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 		// serialize rather than actual allocation.
 		metrics.ExchangeBytes.Add(int64(b.Len()) * int64(len(b.Cols)) * 16)
 		if e.ways == 1 {
-			if !e.send(chanFor(0), 0, b) {
+			if !e.send(chanFor(0), 0, loan{b, b.Retain(nil)}) {
 				return
 			}
 			continue
@@ -238,7 +238,7 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 			}
 			acc[p].Append(part)
 			if acc[p].Len() >= vector.DefaultBatchSize {
-				if !e.send(chanFor(p), p, acc[p]) {
+				if !e.send(chanFor(p), p, loan{b: acc[p]}) {
 					return
 				}
 				acc[p] = nil
@@ -247,7 +247,7 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 	}
 	for p, a := range acc {
 		if a != nil && a.Len() > 0 {
-			if !e.send(chanFor(p), p, a) {
+			if !e.send(chanFor(p), p, loan{b: a}) {
 				return
 			}
 		}
@@ -284,7 +284,10 @@ type recvPort struct {
 	port int
 
 	merged *vector.Merger // of the port's lanes (SortKey exchanges only)
-	prof   OpProf
+	// What the batch last received retained (per lane when merging).
+	lent     []vector.Owner
+	laneLent [][]vector.Owner
+	prof     OpProf
 }
 
 // Schema implements Operator.
@@ -316,24 +319,28 @@ func (r *recvPort) abandon() { r.ex.abandonPort(r.port) }
 // next is the operator body behind the profiled Next (profile.go).
 func (r *recvPort) next(ctx *Ctx) (*vector.Batch, error) {
 	if r.ex.SortKey == nil {
-		return r.recv(ctx, r.ex.ports[r.port])
+		return r.recv(ctx, r.ex.ports[r.port], &r.lent)
 	}
 	if err := ctx.Canceled(); err != nil {
 		return nil, err
 	}
 	if r.merged == nil {
 		lanes := make([]vector.Stream, len(r.ex.inputs))
+		r.laneLent = make([][]vector.Owner, len(lanes))
 		for i, ch := range r.ex.lanes {
-			lanes[i] = func() (*vector.Batch, error) { return r.recv(ctx, ch) }
+			lanes[i] = func() (*vector.Batch, error) { return r.recv(ctx, ch, &r.laneLent[i]) }
 		}
 		r.merged = vector.NewMerger(r.ex.SortKey, lanes...)
 	}
 	return r.merged.Next()
 }
 
-// recv takes the next batch off one of the port's channels; nil when the
-// pumps are done with it, or the exchange has failed or been abandoned.
-func (r *recvPort) recv(ctx *Ctx, ch <-chan *vector.Batch) (*vector.Batch, error) {
+// recv takes the next batch off one of the port's channels, releasing the
+// last one's (*lent); nil when the pumps are done with it, or the exchange
+// has failed or been abandoned.
+func (r *recvPort) recv(ctx *Ctx, ch <-chan loan, lent *[]vector.Owner) (*vector.Batch, error) {
+	vector.Release(*lent)
+	*lent = nil
 	var done <-chan struct{}
 	if ctx.Context != nil {
 		done = ctx.Context.Done()
@@ -345,11 +352,12 @@ func (r *recvPort) recv(ctx *Ctx, ch <-chan *vector.Batch) (*vector.Batch, error
 		defer func() { r.prof.BlockedNs.Add(int64(time.Since(start))) }()
 	}
 	select {
-	case b, ok := <-ch:
+	case l, ok := <-ch:
 		if !ok {
 			return nil, r.ex.firstErr()
 		}
-		return b, nil
+		*lent = l.held
+		return l.b, nil
 	case <-r.ex.quit:
 		return nil, r.ex.firstErr()
 	case <-done:
@@ -362,6 +370,11 @@ func (r *recvPort) recv(ctx *Ctx, ch <-chan *vector.Batch) (*vector.Batch, error
 // would race pumps still calling Next).
 func (r *recvPort) Close(ctx *Ctx) error {
 	r.abandon()
+	vector.Release(r.lent)
+	for _, l := range r.laneLent {
+		vector.Release(l)
+	}
+	r.lent, r.laneLent = nil, nil
 	r.ex.mu.Lock()
 	r.ex.closedPorts++
 	last := r.ex.closedPorts >= r.ex.ways

@@ -167,17 +167,17 @@ type Operator interface {
 }
 
 // Run pulls every batch from op (Open/Next/Close) and returns the non-empty
-// ones in order: the run loop at plan roots. An operator gives up a batch
-// when it returns it, so the caller may keep the result for as long as it
-// likes. A batch that selects under half of the rows it references is
-// gathered into a dense one first. A scan's sort-key range arrives as views
-// of decoded blocks: keeping it keeps those blocks, which the block cache
-// shares with every other scan while they are warm.
+// ones in order: the run loop at plan roots. The caller may keep the result
+// for as long as it likes. A batch that selects under half of the rows it
+// references is gathered into a dense one first. Run retains the rest and
+// never releases them: a kept view of decoded blocks pins them, uncopied,
+// and the block cache never recycles them.
 func Run(ctx *Ctx, op Operator) ([]*vector.Batch, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
 	var out []*vector.Batch
+	var scratch [8]vector.Owner // what Retain took: nothing gives it back
 	for {
 		if err := ctx.Canceled(); err != nil {
 			op.Close(ctx)
@@ -197,6 +197,7 @@ func Run(ctx *Ctx, op Operator) ([]*vector.Batch, error) {
 		if b.Sel != nil && 2*len(b.Sel) < b.FullLen() {
 			b = b.Flatten()
 		}
+		b.Retain(scratch[:0])
 		out = append(out, b)
 	}
 	if err := op.Close(ctx); err != nil {

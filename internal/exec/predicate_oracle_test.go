@@ -283,7 +283,16 @@ func wantRows(t *testing.T, rows []types.Row, pred expr.Expr) []string {
 	return renderSorted(out)
 }
 
-func TestPredicateOracle(t *testing.T) {
+func TestPredicateOracle(t *testing.T) { predicateOracle(t) }
+
+// TestPredicateOraclePoisoned is the oracle with every block a scan gives up
+// scribbled over and decoded into again (poisonBlocks).
+func TestPredicateOraclePoisoned(t *testing.T) {
+	poisonBlocks(t, poisonBudget)
+	predicateOracle(t)
+}
+
+func predicateOracle(t *testing.T) {
 	layouts := []struct {
 		name    string
 		sortCol int

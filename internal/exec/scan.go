@@ -53,22 +53,25 @@ type Scan struct {
 	selBuf    []int
 	sipHashes []uint64
 	probe     *ScanProbe
+	// blockCols (the epoch block in the slot past them) stay pinned until
+	// the consumer's next Next or Close; mergePins, per merged stream.
+	mergePins [][]vector.Owner
 
 	containers []*storage.ContainerReader
 	wosRows    []storage.WOSRow // visible WOS rows captured at Open
 	cur        int
 	cs         containerScan // the open container's cursor, reused
 	curState   *containerScan
-	wosDone    bool
 	merged     *vector.Merger
-	// singleSorted short-circuits MergeSorted when one container holds all
-	// visible rows: its storage order is already the requested order.
-	singleSorted bool
 	// share is the cursor the worker scans of a fan claim their blocks from
 	// (fan.go); claiming is set from Open to Close.
 	share    *scanShare
+	wosDone  bool
 	claiming bool
-	prof     OpProf
+	// singleSorted short-circuits MergeSorted when one container holds all
+	// visible rows: its storage order is already the requested order.
+	singleSorted bool
+	prof         OpProf
 }
 
 // ScanProbe is a test seam on the ROS scan's filter step. Only tests install
@@ -185,7 +188,7 @@ func (s *Scan) compileFilter() error {
 		for i, pc := range s.Columns {
 			s.colNames[i] = s.Mgr.Schema().Col(pc).Name
 		}
-		s.blockCols = make([]*vector.Vector, len(s.Columns))
+		s.blockCols = make([]*vector.Vector, len(s.Columns)+1)
 		s.cs.colIdx = make([]int, 0, len(s.Columns))
 		s.cs.pidx = make([][]storage.PidxEntry, 0, len(s.Columns))
 	}
@@ -197,7 +200,11 @@ func (s *Scan) Close(*Ctx) error {
 	// A kept result's plan text may hold on to the scan: drop what it read.
 	s.curState, s.merged, s.containers, s.wosRows = nil, nil, nil, nil
 	s.cs, s.selBuf, s.sipHashes = containerScan{}, nil, nil
-	clear(s.blockCols)
+	s.dropBlocks(nil)
+	for _, p := range s.mergePins {
+		vector.Release(p)
+	}
+	s.mergePins = nil
 	if s.claiming {
 		s.claiming = false
 		s.share.close()
@@ -330,13 +337,27 @@ func (s *Scan) scratch(n int) []int {
 // scratch, unless a filter step already has.
 func (st *containerScan) decode(s *Scan, i, b int, preserveRuns bool) (*vector.Vector, error) {
 	if s.blockCols[i] == nil {
-		v, err := st.r.DecodeBlock(st.colIdx[i], &st.pidx[i][b], preserveRuns)
+		v, err := st.r.PinBlock(st.colIdx[i], &st.pidx[i][b], preserveRuns)
 		if err != nil {
 			return nil, err
 		}
 		s.blockCols[i] = v
 	}
 	return s.blockCols[i], nil
+}
+
+// dropBlocks lets go of the blocks the last batch was read from, or, with
+// a held, hands their pins to it.
+func (s *Scan) dropBlocks(held *[]vector.Owner) {
+	for i, v := range s.blockCols {
+		switch {
+		case v != nil && held != nil:
+			*held = append(*held, v.Owner)
+		case v != nil:
+			v.Owner.Release()
+		}
+		s.blockCols[i] = nil
+	}
 }
 
 // nextBlock produces the batch for the next unpruned, visible block, or nil
@@ -359,6 +380,7 @@ func (st *containerScan) nextBlock(ctx *Ctx, s *Scan) (*vector.Batch, error) {
 // blocks, a selection as a gather. The cursor st is only read, so the worker
 // scans of a fan share one per container.
 func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, error) {
+	s.dropBlocks(nil) // the consumer has come back for more
 	for _, p := range s.pruners {
 		if e := &st.pidx[p.Col][b]; !p.MayHold(e.Min, e.Max) {
 			ctx.BlocksPruned.Add(1)
@@ -371,7 +393,6 @@ func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, err
 		entries = st.pidx[0]
 	}
 	firstPos, n := entries[b].FirstPos, int(entries[b].RowCount)
-	clear(s.blockCols)
 	// Seek: the sort-key conjuncts as a row range.
 	lo, hi, err := st.keyRange(s, b, n)
 	if err != nil || lo >= hi {
@@ -403,11 +424,11 @@ func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, err
 	// Materialize the output columns; a block that passes whole may keep
 	// its runs.
 	whole := sel == nil && lo == 0 && hi == n
-	batch := &vector.Batch{Cols: s.blockCols, Sel: sel}
+	batch := &vector.Batch{Cols: s.blockCols[:len(s.Columns)], Sel: sel}
 	if sel == nil {
-		batch.Cols = make([]*vector.Vector, len(s.blockCols))
+		batch.Cols = make([]*vector.Vector, len(s.Columns))
 	}
-	for i := range s.blockCols {
+	for i := range s.Columns {
 		v, err := st.decode(s, i, b, s.PreserveRuns && whole)
 		if err != nil {
 			return nil, err
@@ -425,6 +446,7 @@ func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, err
 	ctx.RowsScanned.Add(int64(batch.Len()))
 	if batch.Sel != nil {
 		batch = batch.Flatten()
+		s.dropBlocks(nil) // the copy needs no block
 		if s.probe != nil {
 			s.probe.Gathers.Add(1)
 		}
@@ -555,10 +577,11 @@ func (st *containerScan) applyVisibility(ctx *Ctx, s *Scan, b int, firstPos int6
 		sel = sel[:m]
 	}
 	if newer && len(sel) > 0 {
-		v, err := st.r.DecodeBlock(st.epochIdx, &st.epochPidx[b], false)
+		v, err := st.r.PinBlock(st.epochIdx, &st.epochPidx[b], false)
 		if err != nil {
 			return nil, err
 		}
+		s.blockCols[len(s.Columns)] = v
 		m := 0
 		for _, row := range sel {
 			if types.Epoch(v.Ints[row]) <= ctx.Epoch {

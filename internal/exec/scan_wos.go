@@ -52,12 +52,20 @@ func (s *Scan) nextWOS(ctx *Ctx) (*vector.Batch, error) {
 func (s *Scan) openMerged(ctx *Ctx) error {
 	specs := vector.KeySpecs(s.SortKey)
 	var srcs []vector.Stream
-	for _, r := range s.containers {
+	s.mergePins = make([][]vector.Owner, len(s.containers))
+	for i, r := range s.containers {
 		st := &containerScan{}
 		if err := s.openContainer(ctx, r, st); err != nil {
 			return err
 		}
-		srcs = append(srcs, func() (*vector.Batch, error) { return st.nextBlock(ctx, s) })
+		srcs = append(srcs, func() (*vector.Batch, error) {
+			// Each stream's batch is on loan until that stream is read again.
+			vector.Release(s.mergePins[i])
+			s.mergePins[i] = s.mergePins[i][:0]
+			b, err := st.nextBlock(ctx, s)
+			s.dropBlocks(&s.mergePins[i])
+			return b, err
+		})
 	}
 	wos, err := s.wosBatch(ctx, s.wosRows)
 	if err != nil {

@@ -510,7 +510,16 @@ func (c *sortedCase) scan(t *testing.T, rng *rand.Rand) error {
 	return nil
 }
 
-func TestSortedStreamOracle(t *testing.T) {
+func TestSortedStreamOracle(t *testing.T) { sortedStreamOracle(t) }
+
+// TestSortedStreamOraclePoisoned is the oracle with every block a scan gives
+// up scribbled over and decoded into again (poisonBlocks).
+func TestSortedStreamOraclePoisoned(t *testing.T) {
+	poisonBlocks(t, poisonBudget)
+	sortedStreamOracle(t)
+}
+
+func sortedStreamOracle(t *testing.T) {
 	dir := t.TempDir()
 	for n := 0; n < *sortedCases; n++ {
 		seed := *sortedSeed + int64(n)

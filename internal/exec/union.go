@@ -16,7 +16,8 @@ type ParallelUnion struct {
 
 	mu       sync.Mutex
 	started  bool
-	out      chan *vector.Batch
+	out      chan loan
+	lent     []vector.Owner // what the batch last returned holds
 	errCh    chan error
 	quit     chan struct{} // closed by Close: unblocks senders on early stop
 	quitOnce sync.Once
@@ -49,7 +50,7 @@ func (u *ParallelUnion) Open(ctx *Ctx) error {
 		return nil
 	}
 	u.started = true
-	u.out = make(chan *vector.Batch, len(u.children))
+	u.out = make(chan loan, len(u.children))
 	u.errCh = make(chan error, len(u.children))
 	u.quit = make(chan struct{})
 	for _, c := range u.children {
@@ -82,7 +83,7 @@ func (u *ParallelUnion) Open(ctx *Ctx) error {
 					return
 				}
 				select {
-				case u.out <- b:
+				case u.out <- loan{b, b.Retain(nil)}:
 				case <-u.quit:
 					// Consumer stopped early (LIMIT satisfied, error
 					// above): abandon this pipeline's ports so upstream
@@ -103,10 +104,13 @@ func (u *ParallelUnion) Open(ctx *Ctx) error {
 
 // next is the operator body behind the profiled Next (profile.go).
 func (u *ParallelUnion) next(*Ctx) (*vector.Batch, error) {
-	b, ok := <-u.out
+	vector.Release(u.lent)
+	l, ok := <-u.out
 	if ok {
-		return b, nil
+		u.lent = l.held
+		return l.b, nil
 	}
+	u.lent = nil
 	select {
 	case err, ok := <-u.errCh:
 		if ok && err != nil {
@@ -129,6 +133,8 @@ func (u *ParallelUnion) Close(ctx *Ctx) error {
 		u.quitOnce.Do(func() { close(u.quit) })
 		u.wg.Wait()
 	}
+	vector.Release(u.lent)
+	u.lent = nil
 	var firstErr error
 	for _, c := range u.children {
 		if err := c.Close(ctx); err != nil && firstErr == nil {
@@ -136,6 +142,12 @@ func (u *ParallelUnion) Close(ctx *Ctx) error {
 		}
 	}
 	return firstErr
+}
+
+// loan is a batch sent across goroutines with what its sender retained.
+type loan struct {
+	b    *vector.Batch
+	held []vector.Owner
 }
 
 // abandoner is implemented by operators (exchange receive ports) that can

@@ -10,6 +10,7 @@ import (
 // the rows the text protocol carries, across chunk boundaries (the fixture
 // exceeds binaryBlockRows) and for NULL-bearing and empty result sets.
 func TestBinaryFormatRoundTrip(t *testing.T) {
+	checkGoroutines(t)
 	srv, _ := startServer(t, 10_000, 32<<20, 4)
 	text := dial(t, srv)
 	bin := dial(t, srv)
@@ -51,6 +52,7 @@ func TestBinaryFormatRoundTrip(t *testing.T) {
 // binary mode moves fewer bytes per row than the text frame for the same
 // multi-column scan.
 func TestBinaryFormatBytesPerRow(t *testing.T) {
+	checkGoroutines(t)
 	srv, _ := startServer(t, 20_000, 32<<20, 4)
 	const q = `SELECT sale_id, cust, price FROM sales ORDER BY sale_id`
 
@@ -81,6 +83,7 @@ func TestBinaryFormatBytesPerRow(t *testing.T) {
 // TestFormatNegotiation covers the \format meta command: querying the mode,
 // switching back to text, and rejecting unknown formats.
 func TestFormatNegotiation(t *testing.T) {
+	checkGoroutines(t)
 	srv, _ := startServer(t, 10, 32<<20, 2)
 	c := dial(t, srv)
 
@@ -110,6 +113,7 @@ func TestFormatNegotiation(t *testing.T) {
 // the TCP protocol, including the error replies for unknown names and
 // argument arity mismatches.
 func TestPreparedStatementsOverWire(t *testing.T) {
+	checkGoroutines(t)
 	srv, _ := startServer(t, 1_000, 32<<20, 2)
 	c := dial(t, srv)
 
@@ -163,6 +167,7 @@ func TestPreparedStatementsOverWire(t *testing.T) {
 // session's prepared statements, and a plain SELECT still reads the pinned
 // epoch.
 func TestClassifyPinnedRouting(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 100, 32<<20, 2)
 	c := dial(t, srv)
 

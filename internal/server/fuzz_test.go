@@ -30,6 +30,7 @@ var hostileReplies = []string{
 // TestClientRejectsHostileHeaders checks each lying frame yields an error,
 // not a panic and not a reservation sized by the header.
 func TestClientRejectsHostileHeaders(t *testing.T) {
+	checkGoroutines(t)
 	for _, frame := range hostileReplies {
 		before := totalAlloc()
 		res, err := parse([]byte(frame))

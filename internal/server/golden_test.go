@@ -36,6 +36,7 @@ func maskTimings(reply []byte) []byte {
 // the row-at-a-time renderer this one replaced (testdata/replies_*.golden,
 // timings masked), in text and in binary framing.
 func TestGoldenReplies(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 3, 32<<20, 2)
 	mustExec(t, db, `CREATE TABLE g (id INT, f FLOAT, s VARCHAR, b BOOLEAN, ts TIMESTAMP)`)
 	mustExec(t, db, `CREATE PROJECTION g_super ON g (id, f, s, b, ts) ORDER BY id SEGMENTED BY HASH(id)`)

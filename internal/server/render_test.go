@@ -151,6 +151,7 @@ func referenceLines(rows []types.Row) []string {
 // client: what comes out must be Value.String of what went in, cell for
 // cell, and the text frame's data lines must be the reference renderer's.
 func TestRenderParseProperty(t *testing.T) {
+	checkGoroutines(t)
 	rng := rand.New(rand.NewSource(20120827))
 	for iter := 0; iter < 300; iter++ {
 		var batches []*vector.Batch
@@ -229,6 +230,7 @@ func fetchResult(rows int) *core.Result {
 // the same reply (9 to render, 22 to parse); at 8192 × 4 it spent 32 775 and
 // 106 516.
 func TestRenderParseAllocations(t *testing.T) {
+	checkGoroutines(t)
 	for _, tc := range []struct {
 		rows, render, parse int
 	}{{8192, 8, 16}, {1, 9, 22}} {
@@ -262,6 +264,7 @@ func TestRenderParseAllocations(t *testing.T) {
 // TestClientKeepsRowsApart appends to one parsed row and checks the next is
 // untouched: rows are capped slices of one slab.
 func TestClientKeepsRowsApart(t *testing.T) {
+	checkGoroutines(t)
 	got, err := parse(render(fetchResult(3), false))
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,6 +80,7 @@ func dial(t *testing.T, srv *Server) *Client {
 // even on a single-CPU machine where fast queries would otherwise never
 // overlap.
 func TestEightClientsConstrainedPool(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 5_000, 32<<20, 2)
 	holdA, err := db.Governor().Admit(context.Background())
 	if err != nil {
@@ -169,6 +171,7 @@ func TestEightClientsConstrainedPool(t *testing.T) {
 // statement must fail with a cancellation error and the grant must return
 // to the pool while the session stays usable.
 func TestCancelRunningStatement(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 150_000, 2<<20, 2)
 	c := dial(t, srv)
 
@@ -222,6 +225,7 @@ func TestCancelRunningStatement(t *testing.T) {
 // TestCancelQueuedStatement cancels a statement still waiting in the
 // admission queue.
 func TestCancelQueuedStatement(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 1_000, 1<<20, 1)
 	// Occupy the only slot out-of-band so the client's statement queues.
 	hold, err := db.Governor().Admit(context.Background())
@@ -257,6 +261,7 @@ func TestCancelQueuedStatement(t *testing.T) {
 // TestGracefulDrain lets an in-flight statement finish, then refuses new
 // connections.
 func TestGracefulDrain(t *testing.T) {
+	checkGoroutines(t)
 	srv, _ := startServer(t, 30_000, 32<<20, 2)
 	c := dial(t, srv)
 	done := make(chan *Result, 1)
@@ -294,6 +299,7 @@ func TestGracefulDrain(t *testing.T) {
 // checks the pinned session keeps reading the old epoch while a fresh
 // session sees the new rows.
 func TestPinnedEpochSnapshot(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 100, 32<<20, 2)
 	pinned := dial(t, srv)
 	if _, err := pinned.Meta(`\pin`); err != nil {
@@ -333,6 +339,7 @@ func TestPinnedEpochSnapshot(t *testing.T) {
 // exactly as a plain SELECT does, the statements are counted in
 // v_monitor.sessions like any other, and \unpin returns all three to live reads.
 func TestPinCoversEveryReadPath(t *testing.T) {
+	checkGoroutines(t)
 	srv, _ := startServer(t, 100, 32<<20, 2)
 	a, b := dial(t, srv), dial(t, srv)
 	exec := func(c *Client, q string) *Result {
@@ -395,6 +402,7 @@ func TestPinCoversEveryReadPath(t *testing.T) {
 
 // TestFieldEscaping round-trips values containing protocol delimiters.
 func TestFieldEscaping(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 1, 32<<20, 2)
 	mustExec(t, db, `CREATE TABLE notes (id INT, body VARCHAR)`)
 	mustExec(t, db, `CREATE PROJECTION notes_super ON notes (id, body) ORDER BY id SEGMENTED BY HASH(id)`)
@@ -415,6 +423,7 @@ func TestFieldEscaping(t *testing.T) {
 // TestSpillStatsOnWire checks a budget-constrained statement reports spill
 // bytes back to the client.
 func TestSpillStatsOnWire(t *testing.T) {
+	checkGoroutines(t)
 	srv, _ := startServer(t, 60_000, 1<<19, 4)
 	c := dial(t, srv)
 	res, err := c.Exec(`SELECT sale_id, price FROM sales ORDER BY price`)
@@ -432,6 +441,7 @@ func TestSpillStatsOnWire(t *testing.T) {
 // TestManySequentialStatements exercises statement framing (multi-line,
 // comments in strings, back-to-back statements).
 func TestManySequentialStatements(t *testing.T) {
+	checkGoroutines(t)
 	srv, _ := startServer(t, 1_000, 32<<20, 2)
 	c := dial(t, srv)
 	for i := 0; i < 20; i++ {
@@ -452,6 +462,7 @@ func TestManySequentialStatements(t *testing.T) {
 // INSERT/DELETE replies must carry queue-wait stats on the OK line exactly
 // like SELECT replies carry them on the ROWS header.
 func TestDMLStatsOnWire(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 100, 32<<20, 2)
 	c := dial(t, srv)
 
@@ -514,6 +525,7 @@ func TestDMLStatsOnWire(t *testing.T) {
 // profiles of previously executed statements with pool and queue-wait
 // populated even while the pool is saturated.
 func TestResourcePoolsOverTCP(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 1_000, 32<<20, 4)
 	admin := dial(t, srv)
 
@@ -612,6 +624,7 @@ func TestResourcePoolsOverTCP(t *testing.T) {
 // reply that fits the socket buffers whole fails only on the write after
 // it), the rest of the queue is dropped unrun, and the handler exits.
 func TestSessionStopsForDeadPeer(t *testing.T) {
+	checkGoroutines(t)
 	srv, db := startServer(t, 100_000, 64<<20, 2)
 	admitted := db.Governor().Stats().Admitted
 	conn, err := net.Dial("tcp", srv.Addr().String())
@@ -648,4 +661,24 @@ func TestSessionStopsForDeadPeer(t *testing.T) {
 	if st := db.Governor().Stats(); st.Running != 0 || st.InUseBytes != 0 {
 		t.Fatalf("grants outstanding after the session ended: %+v", st)
 	}
+}
+
+// checkGoroutines fails the test unless, after it ends, the goroutine count
+// falls back to what it was when this was called, within a deadline: no
+// session, reader, drain or client goroutine may outlive the test that
+// started it. Every test here calls it first, so its check runs last.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Errorf("goroutines leaked: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }

@@ -28,7 +28,16 @@ var (
 // reference), fans of 2 and 4 with the cardinality gate dropped, and a fan
 // of 4 in a 64 KiB pool, where the shared build switches to sort-merge.
 // Rows compare as multisets, in order under ORDER BY.
-func TestFanOracle(t *testing.T) {
+func TestFanOracle(t *testing.T) { fanOracle(t) }
+
+// TestFanOraclePoisoned is the fan oracle with every block a scan gives up
+// scribbled over and decoded into again (poisonBlocks).
+func TestFanOraclePoisoned(t *testing.T) {
+	poisonBlocks(t, poisonBudget)
+	fanOracle(t)
+}
+
+func fanOracle(t *testing.T) {
 	for n := 0; n < *fanCases; n++ {
 		seed := *fanSeed + int64(n)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

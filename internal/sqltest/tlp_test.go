@@ -19,7 +19,16 @@ var (
 // on both a serial and a parallel engine — so a single run is a TLP oracle
 // and a differential oracle at once. Failures print the seed and the exact
 // partition SQL; re-run with -tlp.seed=<seed> to reproduce.
-func TestTLPMetamorphic(t *testing.T) {
+func TestTLPMetamorphic(t *testing.T) { tlpMetamorphic(t) }
+
+// TestTLPPoisoned is the TLP run with every block a scan gives up scribbled
+// over and decoded into again (poisonBlocks).
+func TestTLPPoisoned(t *testing.T) {
+	poisonBlocks(t, poisonBudget)
+	tlpMetamorphic(t)
+}
+
+func tlpMetamorphic(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.slt")
 	if err != nil {
 		t.Fatal(err)

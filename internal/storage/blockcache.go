@@ -3,8 +3,11 @@ package storage
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/encoding"
 	"repro/internal/metrics"
+	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -16,9 +19,20 @@ import (
 // hit. The cache is process-wide with a byte budget and LRU eviction; entries
 // are keyed by reader identity, so a container dropped or retired by
 // mergeout simply ages out.
+//
+// A cold working set recycles instead (docs/ARCHITECTURE.md, "Batch
+// lifetime"): an entry counts the cache's reference, a scan's pins and the
+// Retains of batches that view it, and at zero its vector goes to a free
+// list of its type, counted against the budget, for the next decode to
+// overwrite. Vectors handed out unpinned (DecodeBlock) are never recycled.
 
 // DefaultBlockCacheBytes is the initial cache budget.
 const DefaultBlockCacheBytes = 64 << 20
+
+// A decode that would leave less than budget/recycleSlack free first moves
+// up to maxVictims least recently used blocks to the free lists, so that
+// the room blocks of unequal sizes leave behind is not filled by new vectors.
+const recycleSlack, maxVictims = 8, 8
 
 type blockKey struct {
 	r            *ContainerReader
@@ -27,25 +41,42 @@ type blockKey struct {
 	preserveRuns bool
 }
 
+// blockEntry owns one vector for its whole life: cached, pinned or free.
 type blockEntry struct {
 	key  blockKey
 	v    *vector.Vector
 	size int64
+	refs atomic.Int64  // exec.Run never gives its Retains back: 64 bits
+	keep bool          // never to be recycled (guarded by the cache's mutex)
+	el   *list.Element // in the LRU while cached
+}
+
+// Retain implements vector.Owner.
+func (e *blockEntry) Retain() { e.refs.Add(1) }
+
+// Release implements vector.Owner: the last reference frees the vector.
+func (e *blockEntry) Release() {
+	switch n := e.refs.Add(-1); {
+	case n == 0:
+		sharedBlockCache.mu.Lock()
+		sharedBlockCache.freeLocked(e)
+		sharedBlockCache.mu.Unlock()
+	case n < 0:
+		panic("storage: block released more often than it was pinned or retained")
+	}
 }
 
 type blockCache struct {
 	mu      sync.Mutex
 	budget  int64
-	used    int64
-	entries map[blockKey]*list.Element
-	lru     *list.List // front = most recently used
+	used    int64 // bytes of cached and free entries
+	entries map[blockKey]*blockEntry
+	lru     *list.List // of *blockEntry, front = most recently used
+	free    map[types.Type][]*blockEntry
 }
 
-var sharedBlockCache = &blockCache{
-	budget:  DefaultBlockCacheBytes,
-	entries: make(map[blockKey]*list.Element),
-	lru:     list.New(),
-}
+var sharedBlockCache = &blockCache{budget: DefaultBlockCacheBytes, entries: map[blockKey]*blockEntry{},
+	lru: list.New(), free: map[types.Type][]*blockEntry{}}
 
 // SetBlockCacheBudget resizes the decoded-block cache, evicting down to the
 // new budget. A budget <= 0 disables caching entirely.
@@ -54,69 +85,169 @@ func SetBlockCacheBudget(bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.budget = bytes
-	c.evictToLocked(bytes)
+	c.makeRoomLocked(0)
 }
 
-// BlockCacheUsed reports the bytes currently held by the decoded-block cache.
-func BlockCacheUsed() int64 {
-	c := sharedBlockCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.used
+// RecycleProbe is a test seam that only tests install: every vector is
+// scribbled over as it enters a free list, and recycles are counted.
+type RecycleProbe struct {
+	Recycled atomic.Int64 // vectors a decode took off a free list
 }
 
-func (c *blockCache) get(k blockKey) (*vector.Vector, bool) {
+var recycleProbe atomic.Pointer[RecycleProbe]
+
+// SetRecycleProbe installs p; nil removes it.
+func SetRecycleProbe(p *RecycleProbe) { recycleProbe.Store(p) }
+
+// pin looks k up and takes a reference for the caller; keep marks a vector
+// handed out unpinned. nil on a miss.
+func (c *blockCache) pin(k blockKey, keep bool) *blockEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[k]
+	e, ok := c.entries[k]
 	if !ok {
 		metrics.BlockCacheMisses.Inc()
-		return nil, false
+		return nil
 	}
-	c.lru.MoveToFront(el)
 	metrics.BlockCacheHits.Inc()
-	return el.Value.(*blockEntry).v, true
+	c.lru.MoveToFront(e.el)
+	e.refs.Add(1)
+	e.keep = e.keep || keep
+	return e
 }
 
-func (c *blockCache) put(k blockKey, v *vector.Vector) {
-	size := vectorFootprint(v)
+// take returns a free entry of type t with a reference for the caller, nil
+// when there is none, first freeing LRU blocks when the cache is too full
+// for est more bytes (recycleSlack).
+func (c *blockCache) take(t types.Type, est int64) *blockEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if size > c.budget {
-		return // larger than the whole cache; never worth evicting for
+	for i := 0; i < maxVictims && len(c.free[t]) == 0 && c.used+est > c.budget-c.budget/recycleSlack && c.lru.Len() > 0; i++ {
+		c.evictLocked(c.lru.Back().Value.(*blockEntry))
 	}
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
+	fl := c.free[t]
+	if len(fl) == 0 {
+		return nil
+	}
+	e := fl[len(fl)-1]
+	c.free[t] = fl[:len(fl)-1]
+	c.used -= e.size
+	if p := recycleProbe.Load(); p != nil {
+		p.Recycled.Add(1)
+	}
+	e.refs.Store(1)
+	return e
+}
+
+// admit caches e, decoded for k, unless it is larger than the whole budget
+// or a racing decode cached k first; e keeps the caller's reference.
+func (c *blockCache) admit(k blockKey, e *blockEntry) {
+	e.key, e.size = k, vectorFootprint(e.v)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.entries[k]; dup || e.size > c.budget {
 		return
 	}
-	c.evictToLocked(c.budget - size)
-	el := c.lru.PushFront(&blockEntry{key: k, v: v, size: size})
-	c.entries[k] = el
-	c.used += size
+	c.makeRoomLocked(e.size)
+	e.refs.Add(1)
+	c.entries[k], e.el = e, c.lru.PushFront(e)
+	c.used += e.size
 	metrics.BlockCacheBytes.Set(c.used)
 }
 
-// evictToLocked drops least-recently-used entries until used <= target.
-func (c *blockCache) evictToLocked(target int64) {
-	for c.used > target {
-		el := c.lru.Back()
-		if el == nil {
-			break
+// makeRoomLocked frees bytes until n more fit the budget: free vectors
+// first, then LRU blocks. A block nothing else holds is dropped, since
+// freeing it would make no room; a pinned one may be freed when unpinned.
+func (c *blockCache) makeRoomLocked(n int64) {
+	for t, fl := range c.free {
+		for ; c.used+n > c.budget && len(fl) > 0; fl = fl[1:] {
+			c.used -= fl[0].size
+			fl[0] = nil
 		}
-		e := el.Value.(*blockEntry)
-		c.lru.Remove(el)
-		delete(c.entries, e.key)
-		c.used -= e.size
-		metrics.BlockCacheEvictions.Inc()
+		c.free[t] = fl
+	}
+	for c.used+n > c.budget && c.lru.Len() > 0 {
+		e := c.lru.Back().Value.(*blockEntry)
+		e.keep = e.keep || e.refs.Load() == 1
+		c.evictLocked(e)
 	}
 	metrics.BlockCacheBytes.Set(c.used)
+}
+
+// evictLocked takes e out of the cache, dropping the cache's reference.
+func (c *blockCache) evictLocked(e *blockEntry) {
+	c.lru.Remove(e.el)
+	delete(c.entries, e.key)
+	c.used -= e.size
+	metrics.BlockCacheEvictions.Inc()
+	if e.refs.Add(-1) == 0 {
+		c.freeLocked(e)
+	}
+	metrics.BlockCacheBytes.Set(c.used)
+}
+
+// freeLocked puts e, which nothing references any more, on its free list,
+// making room for it, unless it is kept or larger than the budget.
+func (c *blockCache) freeLocked(e *blockEntry) {
+	if e.keep || e.size > c.budget {
+		return
+	}
+	c.makeRoomLocked(e.size)
+	if recycleProbe.Load() != nil {
+		scribble(e.v)
+	}
+	c.free[e.v.Typ] = append(c.free[e.v.Typ], e)
+	c.used += e.size
+}
+
+// scribble overwrites a free vector's values with implausible ones.
+func scribble(v *vector.Vector) {
+	fill(v.Ints, -0x5eed_dead_beef)
+	fill(v.Floats, -1.5e300)
+	fill(v.Strs, "\x00recycled")
+	fill(v.Nulls, true)
+}
+
+func fill[T any](s []T, x T) {
+	for i := range s {
+		s[i] = x
+	}
 }
 
 // vectorFootprint approximates a decoded vector's heap size in bytes.
 func vectorFootprint(v *vector.Vector) int64 {
-	n := int64(len(v.Ints))*8 + int64(len(v.Floats))*8 + int64(len(v.Nulls)) + int64(len(v.RunLens))*8
+	n := int64(cap(v.Ints))*8 + int64(cap(v.Floats))*8 + int64(cap(v.Nulls)) + int64(len(v.RunLens))*8
 	for _, s := range v.Strs {
 		n += int64(len(s)) + 16
 	}
 	return n + 64 // struct overhead
+}
+
+// decode decodes block k of rows rows into a free vector, or a new one, with
+// a free vector, if any, as its dictionary scratch, and admits it; the
+// caller holds a reference.
+func (r *ContainerReader) decode(k blockKey, data []byte, rows int64, keep bool) (*vector.Vector, error) {
+	c, t := sharedBlockCache, r.Meta.Cols[k.col].Typ
+	e := c.take(t, rows*8+64)
+	if e == nil {
+		e = &blockEntry{v: &vector.Vector{Typ: t}}
+		e.v.Owner = e
+		e.refs.Store(1)
+	}
+	var scratch *vector.Vector
+	if kind, _ := encoding.BlockKind(data); kind == encoding.BlockDict || kind == encoding.CompressedCommonDelta {
+		if dict := c.take(t, 0); dict != nil {
+			scratch = dict.v
+			defer func() {
+				dict.size = vectorFootprint(dict.v)
+				dict.Release()
+			}()
+		}
+	}
+	if err := encoding.DecodeInto(e.v, data, k.preserveRuns, scratch); err != nil {
+		return nil, err
+	}
+	e.keep = keep
+	c.admit(k, e)
+	return e.v, nil
 }

@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/metrics"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // TestBlockCacheHitOnRepeatedDecode: decoding the same block twice serves
@@ -65,7 +68,7 @@ func TestBlockCacheBudgetAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if used := BlockCacheUsed(); used > 1200 {
+	if used := cacheUsed(); used > 1200 {
 		t.Fatalf("cache used %d bytes, budget 1200", used)
 	}
 	if metrics.BlockCacheEvictions.Value() == ev0 {
@@ -74,13 +77,13 @@ func TestBlockCacheBudgetAndEviction(t *testing.T) {
 
 	// Zero budget: nothing is retained.
 	SetBlockCacheBudget(0)
-	if used := BlockCacheUsed(); used != 0 {
+	if used := cacheUsed(); used != 0 {
 		t.Fatalf("cache not emptied by zero budget: %d bytes", used)
 	}
 	if _, err := r.DecodeBlock(0, &pidx[0], false); err != nil {
 		t.Fatal(err)
 	}
-	if used := BlockCacheUsed(); used != 0 {
+	if used := cacheUsed(); used != 0 {
 		t.Fatalf("zero-budget cache retained %d bytes", used)
 	}
 }
@@ -111,4 +114,141 @@ func TestBlockCacheDistinctColumns(t *testing.T) {
 			t.Fatalf("col %d second decode missed the cache", c)
 		}
 	}
+}
+
+// TestPinnedBlockRecycles: a pinned block that is evicted goes to the free
+// list once its pin is released, scribbled over while the probe is
+// installed, and the next decode of its type overwrites it.
+func TestPinnedBlockRecycles(t *testing.T) {
+	defer SetBlockCacheBudget(DefaultBlockCacheBytes)
+	p := &RecycleProbe{}
+	SetRecycleProbe(p)
+	defer SetRecycleProbe(nil)
+	r, _ := writeTestContainer(t, t.TempDir(), 640) // 10 blocks of 64 rows
+	pidx, err := r.Pidx(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetBlockCacheBudget(1200) // about two 64-row int blocks
+	v0, err := r.PinBlock(0, &pidx[0], false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 4; i++ { // evicts block 0, which its pin keeps
+		v, err := r.PinBlock(0, &pidx[i], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Owner.Release()
+	}
+	if v0.Ints[5] != 5 || p.Recycled.Load() == 0 {
+		t.Fatalf("pinned block reads %d after evictions (want 5); %d recycled", v0.Ints[5], p.Recycled.Load())
+	}
+	v0.Owner.Release()
+	if v0.Ints[5] == 5 {
+		t.Fatal("an evicted block was not scribbled over when its last pin went")
+	}
+	v, err := r.PinBlock(0, &pidx[9], false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Owner.Release()
+	if v.Ints[0] != 9*64 || v.Ints[63] != 9*64+63 {
+		t.Fatalf("recycled decode reads %d..%d", v.Ints[0], v.Ints[63])
+	}
+}
+
+// TestColumnIterVectorsNeverRecycled: vectors handed out unpinned — by
+// ColumnIter (DecodeBlock) and by encoding.DecodeBlock — keep their values
+// while pinned decodes of ten times the budget recycle around them.
+func TestColumnIterVectorsNeverRecycled(t *testing.T) {
+	defer SetBlockCacheBudget(DefaultBlockCacheBytes)
+	p := &RecycleProbe{}
+	SetRecycleProbe(p)
+	defer SetRecycleProbe(nil)
+	const budget = 2000
+	SetBlockCacheBudget(budget)
+	kept, _ := writeTestContainer(t, t.TempDir(), 640)
+	var vecs []*vector.Vector
+	var want []string
+	for c := 0; c < 3; c++ {
+		it := kept.NewColumnIter(c, nil)
+		for {
+			v, _, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v == nil {
+				break
+			}
+			vecs, want = append(vecs, v), append(want, fmt.Sprint(v.Ints, v.Floats, v.Strs))
+		}
+	}
+	data, err := kept.colData(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pidx, _ := kept.Pidx(0)
+	fresh, err := encoding.DecodeBlock(data[pidx[0].Offset:pidx[0].Offset+pidx[0].Length], types.Int64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Owner != nil {
+		t.Fatal("encoding.DecodeBlock returned a cache-owned vector")
+	}
+	vecs, want = append(vecs, fresh), append(want, fmt.Sprint(fresh.Ints, fresh.Floats, fresh.Strs))
+
+	other, _ := writeTestContainer(t, t.TempDir(), 640)
+	decoded := int64(0)
+	for decoded < 10*budget {
+		for c := 0; c < 3; c++ {
+			pidx, _ := other.Pidx(c)
+			for i := range pidx {
+				v, err := other.PinBlock(c, &pidx[i], false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decoded += vectorFootprint(v)
+				v.Owner.Release()
+			}
+		}
+	}
+	if p.Recycled.Load() == 0 {
+		t.Fatal("the pinned decodes recycled nothing")
+	}
+	for i, v := range vecs {
+		if got := fmt.Sprint(v.Ints, v.Floats, v.Strs); got != want[i] {
+			t.Fatalf("unpinned vector %d changed under recycling:\n got %.80s\nwant %.80s", i, got, want[i])
+		}
+	}
+}
+
+// TestPinCachedBlockAllocatesNothing: pinning a cached block and releasing
+// the pin is a map hit and two atomic adds.
+func TestPinCachedBlockAllocatesNothing(t *testing.T) {
+	defer SetBlockCacheBudget(DefaultBlockCacheBytes)
+	SetBlockCacheBudget(DefaultBlockCacheBytes)
+	r, _ := writeTestContainer(t, t.TempDir(), 200)
+	pidx, err := r.Pidx(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.PinBlock(0, &pidx[0], false); err != nil {
+		t.Fatal(err)
+	} else {
+		v.Owner.Release()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		v, _ := r.PinBlock(0, &pidx[0], false)
+		v.Owner.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("pin + release of a cached block allocates %.1f times", allocs)
+	}
+}
+
+func cacheUsed() int64 {
+	sharedBlockCache.mu.Lock()
+	defer sharedBlockCache.mu.Unlock()
+	return sharedBlockCache.used
 }

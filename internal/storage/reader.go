@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/encoding"
 	"repro/internal/vector"
 )
 
@@ -178,13 +177,30 @@ func (it *ColumnIter) SkipTo(p int64) error {
 }
 
 // DecodeBlock returns the decoded block a position-index entry of column c
-// describes, through the shared block cache: the vector is read-only. It is
+// describes, through the shared block cache: the vector is read-only, and
+// never recycled, so the caller may keep it as long as it likes. It is
 // random access for a caller that already holds the column's index;
 // ColumnIter walks a column with it.
 func (r *ContainerReader) DecodeBlock(c int, e *PidxEntry, preserveRuns bool) (*vector.Vector, error) {
+	v, err := r.pinBlock(c, e, preserveRuns, true)
+	if err == nil {
+		v.Owner.Release()
+	}
+	return v, err
+}
+
+// PinBlock is DecodeBlock for a scan: the vector is valid until the caller
+// drops its pin, v.Owner.Release(), and recycled once nothing holds it.
+func (r *ContainerReader) PinBlock(c int, e *PidxEntry, preserveRuns bool) (*vector.Vector, error) {
+	return r.pinBlock(c, e, preserveRuns, false)
+}
+
+// pinBlock returns the block with a reference for the caller, decoding it on
+// a miss; keep marks it never to be recycled.
+func (r *ContainerReader) pinBlock(c int, e *PidxEntry, preserveRuns, keep bool) (*vector.Vector, error) {
 	key := blockKey{r: r, col: c, offset: e.Offset, preserveRuns: preserveRuns}
-	if v, ok := sharedBlockCache.get(key); ok {
-		return v, nil
+	if be := sharedBlockCache.pin(key, keep); be != nil {
+		return be.v, nil
 	}
 	data, err := r.colData(c)
 	if err != nil {
@@ -193,12 +209,5 @@ func (r *ContainerReader) DecodeBlock(c int, e *PidxEntry, preserveRuns bool) (*
 	if e.Offset+e.Length > int64(len(data)) {
 		return nil, fmt.Errorf("storage: block out of range in %s col %d", r.Dir, c)
 	}
-	v, err := encoding.DecodeBlock(data[e.Offset:e.Offset+e.Length], r.Meta.Cols[c].Typ, preserveRuns)
-	if err != nil {
-		return nil, err
-	}
-	// Scan consumers treat decoded vectors as read-only, so the container's
-	// immutability makes the cached copy safe to share across queries.
-	sharedBlockCache.put(key, v)
-	return v, nil
+	return r.decode(key, data[e.Offset:e.Offset+e.Length], e.RowCount, keep)
 }

@@ -11,11 +11,37 @@ import (
 // same logical length. An optional selection vector (Sel) marks the subset of
 // rows that are live after filtering, which lets predicates avoid copying
 // survivors (qualifying rows flow onward by index).
+//
+// Lifetime (docs/ARCHITECTURE.md, "Batch lifetime"): a batch returned by
+// Next, or by a Stream, is borrowed until the caller's next Next or Close on
+// that operator (or call of that stream). A caller that keeps one longer
+// calls Retain before its producer can advance. Cached blocks are immutable:
+// a borrowed batch's headers (Cols, Sel) are the caller's to edit, its
+// vectors are not.
 type Batch struct {
 	Cols []*Vector
 	// Sel, when non-nil, lists the live row indexes in increasing order.
 	// Vectors must be flat (non-RLE) when Sel is set.
 	Sel []int
+}
+
+// Retain takes a reference on the Owner of each cache-owned column — it
+// copies nothing — and appends the owners to held for Release.
+func (b *Batch) Retain(held []Owner) []Owner {
+	for _, c := range b.Cols {
+		if c.Owner != nil {
+			c.Owner.Retain()
+			held = append(held, c.Owner)
+		}
+	}
+	return held
+}
+
+// Release drops the references Retain recorded in held.
+func Release(held []Owner) {
+	for _, o := range held {
+		o.Release()
+	}
 }
 
 // NewBatch returns a batch over the given column vectors.

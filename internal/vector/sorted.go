@@ -122,6 +122,10 @@ type Merger struct {
 	h       cursorHeap
 	started bool
 	span    []int // 0, 1, 2, …: the rows [lo, hi) as an AppendFrom selection
+	// lent moves lentN rows on at the next Next: the last returned a view
+	// of its batch, and moving may call its stream, which ends the loan.
+	lent  *Cursor
+	lentN int
 }
 
 // NewMerger returns the merge of srcs, each sorted on specs; a row of an
@@ -162,6 +166,12 @@ func (h *cursorHeap) Pop() any {
 // else is pending goes out as a view of that batch, so streams whose key
 // ranges do not interleave are passed on without a copy.
 func (m *Merger) Next() (*Batch, error) {
+	if c := m.lent; c != nil {
+		m.lent = nil
+		if err := m.advance(c, m.lentN); err != nil {
+			return nil, err
+		}
+	}
 	if !m.started {
 		m.started = true
 		h := &m.h
@@ -206,20 +216,29 @@ func (m *Merger) Next() (*Batch, error) {
 			}
 			view = nil
 		}
-		ok, err := c.Skip(end - lo)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			heap.Fix(&m.h, 0)
-		} else {
-			heap.Pop(&m.h)
-		}
 		if view != nil {
+			m.lent, m.lentN = c, end-lo
 			return view, nil
+		}
+		if err := m.advance(c, end-lo); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// advance moves c, the heap's top, n rows on and restores the heap.
+func (m *Merger) advance(c *Cursor, n int) error {
+	ok, err := c.Skip(n)
+	if err != nil {
+		return err
+	}
+	if ok {
+		heap.Fix(&m.h, 0)
+	} else {
+		heap.Pop(&m.h)
+	}
+	return nil
 }
 
 // runEnd returns the end of the rows of c, the heap's top, from its current

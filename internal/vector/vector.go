@@ -25,7 +25,8 @@ const DefaultBatchSize = 4096
 // i represents RunLens[i] consecutive identical rows, and Len() is the sum of
 // the run lengths.
 type Vector struct {
-	Typ types.Type
+	Typ        types.Type
+	logicalLen int32 // cached Len() when RunLens != nil (beside Typ: one size class less)
 
 	Ints    []int64   // Int64, Timestamp, Bool (0/1)
 	Floats  []float64 // Float64
@@ -33,7 +34,16 @@ type Vector struct {
 	Nulls   []bool    // nil if no nulls in this vector
 	RunLens []int     // nil unless in RLE form
 
-	logicalLen int // cached Len() when RunLens != nil
+	// Owner holds the storage of a vector the block cache decoded, and of
+	// the views Slice makes of it; nil for a fresh vector (Batch.Retain).
+	Owner Owner
+}
+
+// Owner is the reference-counted holder of a vector's storage: the block
+// cache's entry, which recycles the vector once nothing references it.
+type Owner interface {
+	Retain()
+	Release()
 }
 
 // New returns an empty vector of the given type with capacity for n rows.
@@ -75,7 +85,7 @@ func NewConst(val types.Value, n int) *Vector {
 	v.AppendValue(val)
 	if n > 1 {
 		v.RunLens = []int{n}
-		v.logicalLen = n
+		v.logicalLen = int32(n)
 	}
 	return v
 }
@@ -99,10 +109,10 @@ func (v *Vector) Len() int {
 	}
 	if v.logicalLen == 0 {
 		for _, r := range v.RunLens {
-			v.logicalLen += r
+			v.logicalLen += int32(r)
 		}
 	}
-	return v.logicalLen
+	return int(v.logicalLen)
 }
 
 // IsRLE reports whether the vector is in run-length form.
@@ -226,7 +236,7 @@ func (v *Vector) RunValues() *Vector {
 	if v.RunLens == nil {
 		return v
 	}
-	return &Vector{Typ: v.Typ, Ints: v.Ints, Floats: v.Floats, Strs: v.Strs, Nulls: v.Nulls}
+	return &Vector{Typ: v.Typ, Ints: v.Ints, Floats: v.Floats, Strs: v.Strs, Nulls: v.Nulls, Owner: v.Owner}
 }
 
 // AppendFrom appends entries of a flat source vector of the same type:
@@ -402,14 +412,14 @@ func cmpOrdered[T int64 | float64 | string](x, y T) int {
 }
 
 // Slice returns a view of rows [lo, hi) of a flat vector. The view shares
-// storage with v but is capped at its own length, so appending to it
-// reallocates instead of writing into v's rows past hi — v may be a decoded
-// block that every scan shares.
+// storage, and owner, with v but is capped at its own length, so appending
+// to it reallocates instead of writing into v's rows past hi — v may be a
+// decoded block that every scan shares.
 func (v *Vector) Slice(lo, hi int) *Vector {
 	if v.RunLens != nil {
 		panic("vector: Slice on RLE vector")
 	}
-	out := &Vector{Typ: v.Typ}
+	out := &Vector{Typ: v.Typ, Owner: v.Owner}
 	switch v.Typ {
 	case types.Float64:
 		out.Floats = v.Floats[lo:hi:hi]
