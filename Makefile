@@ -84,9 +84,10 @@ test-metamorphic:
 	$(GO) test -race ./internal/encoding -run 'TestDecodeOracle' -count=1 -decode.seed $(ORACLE_SEED) -decode.cases 20000
 	$(GO) test -race ./internal/tuplemover -run 'TestMergeoutOracle|TestMergeoutHoldsABlockPerInput' -count=1 -mergeout.seed $(ORACLE_SEED) -mergeout.cases 300
 
-# Fail if the parser accepts a statement keyword docs/SQL.md never mentions,
-# or if a system table's section there does not list exactly its columns
-# (names and types, in order) as registered.
+# Fail if the parser accepts a statement keyword or a system table has a
+# column docs/SQL.md never mentions, or if a system table's section there
+# does not list exactly its columns (names and types, in order) as
+# registered.
 docs-check:
 	sh scripts/check_sql_docs.sh
 	$(GO) test ./internal/core -run '^TestSystemTablesDocumented$$' -count=1

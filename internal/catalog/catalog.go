@@ -48,23 +48,12 @@ type Segmentation struct {
 	Expr   expr.Expr `json:"-"`
 }
 
-// PrejoinDim denormalizes one N:1 dimension join into a prejoin projection
-// (paper §3.3).
-type PrejoinDim struct {
-	DimTable string   `json:"dim_table"`
-	FactKey  string   `json:"fact_key"` // join column on the anchor table
-	DimKey   string   `json:"dim_key"`  // join column on the dimension table
-	DimCols  []string `json:"dim_cols"` // dimension columns stored in the projection
-}
-
 // Projection is the only physical data structure in Vertica (paper §3.1):
 // a sorted subset of a table's columns, segmented across the cluster.
 type Projection struct {
-	Name   string `json:"name"`
-	Anchor string `json:"anchor"` // anchoring table
-	// Columns are anchor-table column names; for prejoin projections,
-	// dimension columns appear as "dimtable.col".
-	Columns   []string                 `json:"columns"`
+	Name      string                   `json:"name"`
+	Anchor    string                   `json:"anchor"`  // anchoring table
+	Columns   []string                 `json:"columns"` // anchor-table column names
 	SortOrder []string                 `json:"sort_order"`
 	Seg       Segmentation             `json:"segmentation"`
 	Encodings map[string]encoding.Kind `json:"encodings,omitempty"`
@@ -76,8 +65,6 @@ type Projection struct {
 	Buddy string `json:"buddy,omitempty"`
 	// IsBuddy marks projections created as buddies of another.
 	IsBuddy bool `json:"is_buddy,omitempty"`
-	// Prejoin lists denormalized dimension joins (nil for plain projections).
-	Prejoin []PrejoinDim `json:"prejoin,omitempty"`
 
 	// Schema is the bound projection schema (derived, not persisted).
 	Schema *types.Schema `json:"-"`
@@ -270,8 +257,7 @@ func (c *Catalog) Tables() []*Table {
 	return out
 }
 
-// bindProjectionSchema derives the projection schema from its anchor (and
-// prejoin dimension) tables.
+// bindProjectionSchema derives the projection schema from its anchor table.
 func (c *Catalog) bindProjectionSchema(p *Projection) error {
 	anchor, ok := c.tables[p.Anchor]
 	if !ok {
@@ -279,20 +265,6 @@ func (c *Catalog) bindProjectionSchema(p *Projection) error {
 	}
 	cols := make([]types.Column, 0, len(p.Columns))
 	for _, name := range p.Columns {
-		if dim, col, isDim := splitDimRef(name); isDim {
-			dt, ok := c.tables[dim]
-			if !ok {
-				return fmt.Errorf("catalog: projection %q references missing dimension table %q", p.Name, dim)
-			}
-			i := dt.Schema.ColIndex(col)
-			if i < 0 {
-				return fmt.Errorf("catalog: projection %q references missing column %q", p.Name, name)
-			}
-			cc := dt.Schema.Col(i)
-			cc.Name = name
-			cols = append(cols, cc)
-			continue
-		}
 		i := anchor.Schema.ColIndex(name)
 		if i < 0 {
 			return fmt.Errorf("catalog: projection %q references missing column %q of %q", p.Name, name, p.Anchor)
@@ -306,15 +278,6 @@ func (c *Catalog) bindProjectionSchema(p *Projection) error {
 		}
 	}
 	return nil
-}
-
-func splitDimRef(name string) (dim, col string, ok bool) {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '.' {
-			return name[:i], name[i+1:], true
-		}
-	}
-	return "", "", false
 }
 
 // CreateProjection validates and registers a projection. A projection is
@@ -407,26 +370,12 @@ func (c *Catalog) Projections() []*Projection {
 	return out
 }
 
-// SuperProjection returns a table's first super projection, preferring
-// plain ones over prejoin projections (a prejoin containing every anchor
-// column is super by the paper's definition, but refresh/update paths need
-// an undecorated source).
+// SuperProjection returns a table's first non-buddy super projection.
 func (c *Catalog) SuperProjection(table string) (*Projection, error) {
-	var prejoinSuper *Projection
 	for _, p := range c.ProjectionsFor(table) {
-		if !p.IsSuper || p.IsBuddy {
-			continue
+		if p.IsSuper && !p.IsBuddy {
+			return p, nil
 		}
-		if len(p.Prejoin) > 0 {
-			if prejoinSuper == nil {
-				prejoinSuper = p
-			}
-			continue
-		}
-		return p, nil
-	}
-	if prejoinSuper != nil {
-		return prejoinSuper, nil
 	}
 	return nil, fmt.Errorf("catalog: table %q has no super projection", table)
 }

@@ -148,40 +148,6 @@ func TestLastSuperProjectionCannotBeDropped(t *testing.T) {
 	}
 }
 
-func TestPrejoinProjectionSchema(t *testing.T) {
-	c := New("")
-	c.CreateTable(salesTable())
-	c.CreateTable(&Table{
-		Name: "customers",
-		Schema: types.NewSchema(
-			types.Column{Name: "cust_id", Typ: types.Varchar},
-			types.Column{Name: "region", Typ: types.Varchar},
-		),
-	})
-	pj := &Projection{
-		Name:      "sales_prejoin",
-		Anchor:    "sales",
-		Columns:   []string{"sale_id", "cust", "price", "customers.region"},
-		SortOrder: []string{"sale_id"},
-		Prejoin: []PrejoinDim{{
-			DimTable: "customers", FactKey: "cust", DimKey: "cust_id",
-			DimCols: []string{"region"},
-		}},
-	}
-	if err := c.CreateProjection(pj); err != nil {
-		t.Fatal(err)
-	}
-	if pj.Schema.Len() != 4 {
-		t.Fatalf("prejoin schema = %v", pj.Schema)
-	}
-	if pj.Schema.Col(3).Name != "customers.region" || pj.Schema.Col(3).Typ != types.Varchar {
-		t.Errorf("dim column = %+v", pj.Schema.Col(3))
-	}
-	if pj.IsSuper {
-		t.Error("prejoin with all anchor columns is still 'super' by the paper's definition")
-	}
-}
-
 func TestPersistAndLoad(t *testing.T) {
 	dir := t.TempDir()
 	c := New(dir)
@@ -199,9 +165,15 @@ func TestPersistAndLoad(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// A second table and projection: the catalog persists both, by name.
+	c.CreateTable(&Table{Name: "customers", Schema: types.NewSchema(types.Column{Name: "cust_id", Typ: types.Varchar})})
+	c.CreateProjection(&Projection{Name: "customers_super", Anchor: "customers", Columns: []string{"cust_id"}})
 	c2, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ts := c2.Tables(); len(ts) != 2 || ts[0].Name != "customers" || ts[1].Name != "sales" {
+		t.Errorf("reloaded tables = %v", ts)
 	}
 	tb, err := c2.Table("sales")
 	if err != nil {
@@ -238,6 +210,25 @@ func TestLoadEmptyDir(t *testing.T) {
 	}
 	if len(c.Tables()) != 0 {
 		t.Error("empty catalog should have no tables")
+	}
+}
+
+func TestPersistFailuresSurface(t *testing.T) {
+	// A catalog directory that cannot be created fails the DDL that persists.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := New(filepath.Join(file, "db")).CreateTable(salesTable()); err == nil {
+		t.Error("CreateTable persisted under a regular file")
+	}
+	// An unreadable catalog.json fails Load rather than opening empty.
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "catalog.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); err == nil {
+		t.Error("Load read a directory as catalog.json")
 	}
 }
 
@@ -394,20 +385,14 @@ func TestPoolDefinitionsPersist(t *testing.T) {
 func TestSuperProjectionPrefersPlain(t *testing.T) {
 	c := New("")
 	c.CreateTable(salesTable())
-	c.CreateTable(&Table{Name: "customers", Schema: types.NewSchema(
-		types.Column{Name: "cust_id", Typ: types.Varchar},
-		types.Column{Name: "region", Typ: types.Varchar},
-	)})
 	if _, err := c.SuperProjection("sales"); err == nil {
 		t.Error("a table without projections has a super projection")
 	}
 	all := []string{"sale_id", "date", "cust", "price"}
-	c.CreateProjection(&Projection{Name: "a_prejoin", Anchor: "sales", Columns: append(all, "customers.region"),
-		Prejoin: []PrejoinDim{{DimTable: "customers", FactKey: "cust", DimKey: "cust_id", DimCols: []string{"region"}}}})
-	if p, err := c.SuperProjection("sales"); err != nil || p.Name != "a_prejoin" {
-		t.Errorf("only a prejoin super: %v, %v", p, err)
-	}
 	c.CreateProjection(&Projection{Name: "b_buddy", Anchor: "sales", Columns: all, IsBuddy: true})
+	if p, err := c.SuperProjection("sales"); err == nil {
+		t.Errorf("only a buddy super: %v is not the table's super projection", p)
+	}
 	c.CreateProjection(&Projection{Name: "c_plain", Anchor: "sales", Columns: all})
 	if p, err := c.SuperProjection("sales"); err != nil || p.Name != "c_plain" {
 		t.Errorf("SuperProjection = %v, %v; want the plain one", p, err)
@@ -416,7 +401,7 @@ func TestSuperProjectionPrefersPlain(t *testing.T) {
 	for _, p := range c.Projections() {
 		names = append(names, p.Name)
 	}
-	if strings.Join(names, ",") != "a_prejoin,b_buddy,c_plain" {
+	if strings.Join(names, ",") != "b_buddy,c_plain" {
 		t.Errorf("Projections = %v", names)
 	}
 }

@@ -215,16 +215,6 @@ func (c *Cluster) DataAvailable() bool {
 	return true
 }
 
-// UpProjectionNames lists the projections with in-memory WOS data for LGE
-// accounting.
-func (c *Cluster) projectionNames() []string {
-	var out []string
-	for _, p := range c.cat.Projections() {
-		out = append(out, p.Name)
-	}
-	return out
-}
-
 // ManagerOpts returns the storage options nodes use.
 func (c *Cluster) ManagerOpts() storage.ManagerOpts {
 	return storage.ManagerOpts{
@@ -232,9 +222,6 @@ func (c *Cluster) ManagerOpts() storage.ManagerOpts {
 		LocalSegments: c.cfg.LocalSegments,
 	}
 }
-
-// K returns the configured K-safety level.
-func (c *Cluster) K() int { return c.cfg.K }
 
 // EnsureStorage materializes storage managers for a projection on every
 // node (idempotent).
@@ -279,19 +266,6 @@ func (c *Cluster) RouteRow(p *catalog.Projection, row types.Row) ([]int, error) 
 		return nil, fmt.Errorf("cluster: segmentation expression must be integral, got %s", v.Typ)
 	}
 	return []int{c.ringNode(uint64(v.I), p.Seg.Offset)}, nil
-}
-
-// PrimaryOwner returns the ring node for a row under a projection ignoring
-// the buddy offset — i.e. which node's primary segment the row belongs to.
-func (c *Cluster) PrimaryOwner(p *catalog.Projection, row types.Row) (int, error) {
-	if p.Seg.Expr == nil {
-		return 0, nil
-	}
-	v, err := p.Seg.Expr.EvalRow(row)
-	if err != nil {
-		return 0, err
-	}
-	return c.ringNode(uint64(v.I), 0), nil
 }
 
 // LocalSegmentOf splits a node's hash subrange into equal local segments

@@ -56,7 +56,7 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 			return err
 		}
 		for _, r := range rows {
-			pr, err := projectTableRow(t, p, r, c.cat)
+			pr, err := projectTableRow(t, p, r)
 			if err != nil {
 				return err
 			}
@@ -95,14 +95,10 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 	return nil
 }
 
-// projectTableRow maps a table row onto a projection's columns (resolving
-// prejoin dimension columns is the caller's concern; plain projections only).
-func projectTableRow(t *catalog.Table, p *catalog.Projection, r types.Row, cat *catalog.Catalog) (types.Row, error) {
+// projectTableRow maps a table row onto a projection's columns.
+func projectTableRow(t *catalog.Table, p *catalog.Projection, r types.Row) (types.Row, error) {
 	out := make(types.Row, p.Schema.Len())
 	for i, name := range p.Columns {
-		if _, _, isDim := splitDim(name); isDim {
-			return nil, fmt.Errorf("cluster: prejoin projection %q must be loaded via refresh", p.Name)
-		}
 		ci := t.Schema.ColIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("cluster: projection %q column %q missing from table", p.Name, name)
@@ -110,15 +106,6 @@ func projectTableRow(t *catalog.Table, p *catalog.Projection, r types.Row, cat *
 		out[i] = r[ci]
 	}
 	return out, nil
-}
-
-func splitDim(name string) (string, string, bool) {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '.' {
-			return name[:i], name[i+1:], true
-		}
-	}
-	return "", "", false
 }
 
 // directLoad writes rows straight to ROS containers, bypassing the WOS. The

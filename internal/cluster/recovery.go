@@ -225,10 +225,6 @@ func (c *Cluster) Refresh(projName string) error {
 	if super.Name == p.Name {
 		return fmt.Errorf("cluster: cannot refresh a projection from itself")
 	}
-	t, err := c.cat.Table(p.Anchor)
-	if err != nil {
-		return err
-	}
 	// Current phase lock: brief S lock while copying (single phase in the
 	// simulation; the historical/current split matters only under
 	// concurrent load).
@@ -238,9 +234,11 @@ func (c *Cluster) Refresh(projName string) error {
 	}
 	defer c.Txn.Locks.ReleaseAll(rtx.ID)
 
-	dimRows, err := c.prejoinDimData(p)
-	if err != nil {
-		return err
+	// The super projection stores every anchor column: map each of its
+	// rows onto p's columns by name.
+	idx := make([]int, len(p.Columns))
+	for i, name := range p.Columns {
+		idx[i] = super.Schema.ColIndex(name)
 	}
 	staged := map[int][]storage.StoredRow{}
 	for i, src := range c.UpNodes() {
@@ -252,9 +250,9 @@ func (c *Cluster) Refresh(projName string) error {
 			return err
 		}
 		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
-			pr, err := c.buildProjectionRow(t, super, p, r.Row, dimRows)
-			if err != nil || pr == nil { // nil: the prejoin's inner join dropped the row
-				return err
+			pr := make(types.Row, len(idx))
+			for i, si := range idx {
+				pr[i] = r.Row[si]
 			}
 			r.Row = pr
 			return c.stageByNode(p, r, staged)
@@ -291,81 +289,6 @@ func (c *Cluster) writeStaged(p *catalog.Projection, staged map[int][]storage.St
 		}
 	}
 	return nil
-}
-
-// prejoinDimData loads each prejoin dimension table into a key->row map
-// using its super projection on the first node that has it.
-func (c *Cluster) prejoinDimData(p *catalog.Projection) (map[string]map[string]types.Row, error) {
-	if len(p.Prejoin) == 0 {
-		return nil, nil
-	}
-	out := map[string]map[string]types.Row{}
-	for _, pj := range p.Prejoin {
-		dimT, err := c.cat.Table(pj.DimTable)
-		if err != nil {
-			return nil, err
-		}
-		dimSuper, err := c.cat.SuperProjection(pj.DimTable)
-		if err != nil {
-			return nil, err
-		}
-		if !dimSuper.Seg.Replicated && c.N() > 1 {
-			return nil, fmt.Errorf("cluster: prejoin dimension %q must be replicated", pj.DimTable)
-		}
-		byKey := map[string]types.Row{}
-		for _, n := range c.UpNodes() {
-			mgr, err := n.Mgr(dimSuper, c.ManagerOpts())
-			if err != nil {
-				return nil, err
-			}
-			ki := dimSuper.Schema.ColIndex(pj.DimKey)
-			err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
-				byKey[r.Row[ki].String()] = projToTableRow(dimT, dimSuper, r.Row)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			break // replicated: one node is enough
-		}
-		out[pj.DimTable] = byKey
-	}
-	return out, nil
-}
-
-// buildProjectionRow maps a table row (from the super projection) onto the
-// target projection's columns, resolving prejoin dimension columns via the
-// N:1 join. Inner-join semantics: a missing dimension row drops the fact row.
-func (c *Cluster) buildProjectionRow(t *catalog.Table, super *catalog.Projection, p *catalog.Projection, superRow types.Row, dims map[string]map[string]types.Row) (types.Row, error) {
-	tableRow := projToTableRow(t, super, superRow)
-	out := make(types.Row, p.Schema.Len())
-	for i, name := range p.Columns {
-		if dim, col, isDim := splitDim(name); isDim {
-			var pj *catalog.PrejoinDim
-			for j := range p.Prejoin {
-				if p.Prejoin[j].DimTable == dim {
-					pj = &p.Prejoin[j]
-					break
-				}
-			}
-			if pj == nil {
-				return nil, fmt.Errorf("cluster: projection %q references %q without a prejoin clause", p.Name, name)
-			}
-			factKeyIdx := t.Schema.ColIndex(pj.FactKey)
-			dimRow, ok := dims[dim][tableRow[factKeyIdx].String()]
-			if !ok {
-				return nil, nil // N:1 inner join miss
-			}
-			dimT, err := c.cat.Table(dim)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = dimRow[dimT.Schema.ColIndex(col)]
-			continue
-		}
-		out[i] = tableRow[t.Schema.ColIndex(name)]
-	}
-	return out, nil
 }
 
 // AddNode grows the cluster by one node; call Rebalance to redistribute

@@ -1022,7 +1022,7 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *type
 		// Exact hit: the cached bound query embeds these very constants, so
 		// analysis is skipped entirely along with the probe plan.
 		q = entry.Query
-		opts.CachedProbe = probeOf(entry)
+		opts.CachedProbe = &entry.Probe
 	case entry != nil:
 		// Shape hit, different literals: the cached LogicalQuery embeds the
 		// old constants and must not run, but analysis (name binding) is the
@@ -1039,11 +1039,11 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *type
 			metrics.PlanCacheReplans.Inc()
 			entry = nil
 		} else {
-			probe := probeOf(entry)
+			probe := entry.Probe
 			if entry.Selectivity > 0 && sel > 0 {
-				probe.EstMemBytes = int64(float64(entry.EstMemBytes) * sel / entry.Selectivity)
+				probe.EstMemBytes = int64(float64(probe.EstMemBytes) * sel / entry.Selectivity)
 			}
-			opts.CachedProbe = probe
+			opts.CachedProbe = &probe
 		}
 	}
 	if q == nil {
@@ -1065,15 +1065,11 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *type
 		// metadata and plan-time selectivity for future divergence checks.
 		sel, _ := optimizer.EstimateSelectivity(db.cat, q)
 		db.plans.Insert(cacheKey, &plancache.Entry{
-			Query:           q,
-			Literals:        cacheLits,
-			ProjectionsUsed: res.Probe.ProjectionsUsed,
-			EstRows:         res.Probe.EstRows,
-			EstMemBytes:     res.Probe.EstMemBytes,
-			StatsBacked:     res.Probe.StatsBacked,
-			Workers:         res.Probe.Workers,
-			Selectivity:     sel,
-			Epochs:          cacheEpochs,
+			Query:       q,
+			Literals:    cacheLits,
+			Probe:       res.Probe,
+			Selectivity: sel,
+			Epochs:      cacheEpochs,
 		})
 	}
 	if st.Explain {
@@ -1087,17 +1083,6 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *type
 		return &Result{Explain: resmgr.LazyText(func() string { return tree }), Message: tree, OpProfiles: res.OpProfiles, Stats: res.Stats}, nil
 	}
 	return &Result{Schema: res.Schema, Batches: res.Batches, Explain: res.Explain, Stats: res.Stats}, nil
-}
-
-// probeOf replays a cache entry's probe metadata into the runner.
-func probeOf(e *plancache.Entry) *optimizer.ProbeInfo {
-	return &optimizer.ProbeInfo{
-		ProjectionsUsed: e.ProjectionsUsed,
-		EstRows:         e.EstRows,
-		EstMemBytes:     e.EstMemBytes,
-		StatsBacked:     e.StatsBacked,
-		Workers:         e.Workers,
-	}
 }
 
 // divergence is the symmetric ratio between two selectivity estimates
@@ -1262,7 +1247,6 @@ func (db *Database) CreateProjection(p *catalog.Projection) error {
 				Offset:   1,
 			},
 			IsBuddy: true,
-			Prejoin: p.Prejoin,
 		}
 		if err := db.cat.CreateProjection(buddy); err != nil {
 			return err

@@ -133,7 +133,6 @@ type (
 		IsSuper   bool     `vt:"is_super"`
 		IsBuddy   bool     `vt:"is_buddy"`
 		Buddy     string   `vt:"buddy"`
-		IsPrejoin bool     `vt:"is_prejoin"`
 	}
 	// v_monitor.projection_storage: ROS/WOS bytes and rows, container and
 	// delete-vector counts per projection and node.
@@ -222,7 +221,7 @@ func (db *Database) projectionRows() []projectionRow {
 		}
 		rows = append(rows, projectionRow{Name: p.Name, Anchor: p.Anchor, Columns: p.Columns,
 			SortOrder: p.SortOrder, Seg: seg, IsSuper: p.IsSuper, IsBuddy: p.IsBuddy,
-			Buddy: p.Buddy, IsPrejoin: len(p.Prejoin) > 0})
+			Buddy: p.Buddy})
 	}
 	return rows
 }

@@ -1,25 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/types"
 )
-
-func newPrejoinProjection() *catalog.Projection {
-	return &catalog.Projection{
-		Name:      "fact_prejoin",
-		Anchor:    "fact",
-		Columns:   []string{"id", "cust", "price", "dim.region"},
-		SortOrder: []string{"id"},
-		Seg:       catalog.Segmentation{ExprText: "HASH(id)"},
-		Prejoin: []catalog.PrejoinDim{{
-			DimTable: "dim", FactKey: "cust", DimKey: "cust_id",
-			DimCols: []string{"region"},
-		}},
-	}
-}
 
 // Regression: a pushed-down predicate matching zero rows of a block must
 // drop the whole block, not pass it through. (SelectWhere used to return a
@@ -53,75 +39,30 @@ func TestZeroMatchBlocksAreDropped(t *testing.T) {
 	}
 }
 
-// TestPrejoinProjectionServesJoin exercises the prejoin path end-to-end
-// (paper §3.3): create a prejoin projection, populate it via refresh, and
-// check the optimizer answers a fact-dimension join from the single scan.
-func TestPrejoinProjectionServesJoin(t *testing.T) {
+// Regression: a projection column qualified by another table ("dim.region")
+// is refused at CREATE PROJECTION. It used to be accepted with no join
+// clause, and from then on every INSERT and UPDATE of the anchor table
+// failed.
+func TestProjectionOfAnotherTablesColumnRefused(t *testing.T) {
 	db := openTestDB(t, 1, 0)
 	db.MustExecute(`CREATE TABLE fact (id INT, cust INT, price FLOAT)`)
 	db.MustExecute(`CREATE TABLE dim (cust_id INT, region VARCHAR)`)
-	db.MustExecute(`CREATE PROJECTION fact_super ON fact (id, cust, price)
-		ORDER BY id SEGMENTED BY HASH(id)`)
-	db.MustExecute(`CREATE PROJECTION dim_super ON dim (cust_id, region)
-		ORDER BY cust_id REPLICATED`)
-	var frows []types.Row
-	for i := 0; i < 400; i++ {
-		frows = append(frows, types.Row{
-			types.NewInt(int64(i)), types.NewInt(int64(i % 4)), types.NewFloat(float64(i)),
-		})
+	db.MustExecute(`CREATE PROJECTION fact_super ON fact (id, cust, price) ORDER BY id SEGMENTED BY HASH(id)`)
+	db.MustExecute(`INSERT INTO fact VALUES (1, 0, 2.5)`)
+	if _, err := db.Execute(`CREATE PROJECTION bad ON fact (id, dim.region)`); err == nil ||
+		!strings.Contains(err.Error(), "dim.region") {
+		t.Errorf("CREATE PROJECTION of dim.region: err = %v, want one naming the column", err)
 	}
-	if err := db.Load("fact", frows, true); err != nil {
-		t.Fatal(err)
+	if _, err := db.Execute(`INSERT INTO fact VALUES (2, 1, 4.5)`); err != nil {
+		t.Errorf("INSERT: %v", err)
 	}
-	var drows []types.Row
-	for i := 0; i < 4; i++ {
-		drows = append(drows, types.Row{
-			types.NewInt(int64(i)), types.NewString([]string{"east", "west"}[i%2]),
-		})
+	if _, err := db.Execute(`UPDATE fact SET price = 3.5 WHERE id = 1`); err != nil {
+		t.Errorf("UPDATE: %v", err)
 	}
-	if err := db.Load("dim", drows, true); err != nil {
-		t.Fatal(err)
+	res := db.MustExecute(`SELECT id, price FROM fact ORDER BY id`)
+	if len(res.Rows) != 2 || res.Rows[0][1].F != 3.5 || res.Rows[1][1].F != 4.5 {
+		t.Errorf("fact after INSERT and UPDATE = %v, want [[1 3.5] [2 4.5]]", res.Rows)
 	}
-	// Prejoin projections are created programmatically (SQL DDL for them is
-	// out of the subset) and populated by refresh.
-	pj := newPrejoinProjection()
-	if err := db.CreateProjection(pj); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Cluster().Refresh("fact_prejoin"); err != nil {
-		t.Fatal(err)
-	}
-	res := db.MustExecute(`EXPLAIN SELECT region, SUM(price) FROM fact
-		JOIN dim ON cust = cust_id GROUP BY region`)
-	if !containsStr(res.Explain.String(), "prejoin projection fact_prejoin") {
-		t.Errorf("join not answered from the prejoin projection:\n%s", res.Explain)
-	}
-	got := db.MustExecute(`SELECT region, SUM(price) FROM fact
-		JOIN dim ON cust = cust_id GROUP BY region ORDER BY region`)
-	if len(got.Rows) != 2 {
-		t.Fatalf("rows = %v", got.Rows)
-	}
-	// east = custs 0,2; west = custs 1,3. Sum over i: i%4 in {0,2} etc.
-	var east, west float64
-	for i := 0; i < 400; i++ {
-		if (i%4)%2 == 0 {
-			east += float64(i)
-		} else {
-			west += float64(i)
-		}
-	}
-	if got.Rows[0][1].F != east || got.Rows[1][1].F != west {
-		t.Errorf("sums = %v, want %v/%v", got.Rows, east, west)
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // TestColocatedCountDistinctMultiNode: COUNT(DISTINCT) works across nodes

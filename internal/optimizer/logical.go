@@ -1,9 +1,8 @@
 // Package optimizer implements the V2Opt-style query planner (paper §6.2):
 // it classifies the query's physical properties (column selectivity,
-// projection sort order, prejoin availability), chooses projections, orders
-// joins star-style (most selective dimension first), pushes predicates into
-// scans, places SIP filters, and costs alternatives with compression-aware
-// I/O estimates.
+// projection sort order), chooses projections, orders joins star-style
+// (most selective dimension first), pushes predicates into scans, places SIP
+// filters, and costs alternatives with compression-aware I/O estimates.
 package optimizer
 
 import (

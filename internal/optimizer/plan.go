@@ -60,25 +60,6 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 	perTable, residual := q.splitConjuncts()
 	offs := q.flatOffsets()
 
-	// Prejoin projection shortcut (paper §3.3): a denormalized projection
-	// can answer a fact-dimension join with a single scan. Prejoin scans
-	// keep the heuristic estimator: their storage mixes two tables' columns,
-	// so per-table statistics do not apply directly.
-	if op, colMap, note, ok := tryPrejoin(p, q, needed, perTable, opts); ok {
-		plan.Notes = append(plan.Notes, note)
-		if scan, isScan := op.(*exec.Scan); isScan {
-			rows := scan.Mgr.RowCount() + int64(scan.Mgr.WOS().Len())
-			sel := 1.0
-			for _, conjs := range perTable {
-				sel *= selectivityScore(conjs)
-			}
-			plan.estInput = float64(rows) * sel
-			plan.memAcc = plan.estInput * float64(rowWidthOf(op.Schema()))
-			exec.SetEstRows(op, int64(plan.estInput+0.5))
-		}
-		return finishPlan(p, q, plan, pipes{op}, colMap, residual, opts)
-	}
-
 	// Build per-table scans.
 	scans := make([]*tableScan, len(q.From))
 	plan.StatsBacked = true
@@ -762,97 +743,4 @@ func seq(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// tryPrejoin answers a 2-table inner equi-join from a prejoin projection on
-// the fact table when it stores every needed dimension column.
-func tryPrejoin(p Provider, q *LogicalQuery, needed columnSet, perTable map[int][]expr.Expr, opts PlanOpts) (exec.Operator, map[int]int, string, bool) {
-	if len(q.From) != 2 || len(q.JoinConds) != 1 || q.JoinConds[0].Type != exec.InnerJoin {
-		return nil, nil, "", false
-	}
-	jc := q.JoinConds[0]
-	offs := q.flatOffsets()
-	// Identify fact (anchor) and dim sides by looking for a matching
-	// prejoin projection either way around.
-	for _, factIdx := range []int{jc.LeftTbl, jc.RightTbl} {
-		dimIdx := jc.LeftTbl
-		if factIdx == jc.LeftTbl {
-			dimIdx = jc.RightTbl
-		}
-		factT := q.From[factIdx].Table
-		dimT := q.From[dimIdx].Table
-		factKey, dimKey := jc.LeftCol, jc.RightCol
-		if factIdx != jc.LeftTbl {
-			factKey, dimKey = jc.RightCol, jc.LeftCol
-		}
-		for _, proj := range p.Catalog().ProjectionsFor(factT.Name) {
-			if opts.ExcludeProjections[proj.Name] || proj.IsBuddy || len(proj.Prejoin) == 0 {
-				continue
-			}
-			match := false
-			for _, pj := range proj.Prejoin {
-				if pj.DimTable == dimT.Name &&
-					pj.FactKey == factT.Schema.Col(factKey).Name &&
-					pj.DimKey == dimT.Schema.Col(dimKey).Name {
-					match = true
-				}
-			}
-			if !match {
-				continue
-			}
-			// Every needed column must exist in the prejoin projection. The
-			// dimension's join key is not stored — by the N:1 join it equals
-			// the fact key column, which serves in its place.
-			colMap := map[int]int{}
-			covers := true
-			var projCols []int
-			addCol := func(flat int, name string) {
-				pi := proj.Schema.ColIndex(name)
-				if pi < 0 {
-					covers = false
-					return
-				}
-				for i, pc := range projCols {
-					if pc == pi {
-						colMap[flat] = i
-						return
-					}
-				}
-				colMap[flat] = len(projCols)
-				projCols = append(projCols, pi)
-			}
-			for _, c := range needed.sorted(factIdx) {
-				addCol(offs[factIdx]+c, factT.Schema.Col(c).Name)
-			}
-			for _, c := range needed.sorted(dimIdx) {
-				if c == dimKey {
-					addCol(offs[dimIdx]+c, factT.Schema.Col(factKey).Name)
-					continue
-				}
-				addCol(offs[dimIdx]+c, dimT.Name+"."+dimT.Schema.Col(c).Name)
-			}
-			if !covers {
-				continue
-			}
-			mgr, err := p.ProjectionData(proj.Name)
-			if err != nil {
-				continue
-			}
-			scan := exec.NewScan(proj.Name, mgr, proj.Schema, projCols)
-			// Push all single-table predicates (both tables' columns are
-			// physically in this projection).
-			var conjs []expr.Expr
-			conjs = append(conjs, perTable[factIdx]...)
-			conjs = append(conjs, perTable[dimIdx]...)
-			if len(conjs) > 0 {
-				pred, err := expr.Remap(expr.MustAnd(conjs...), colMap)
-				if err != nil {
-					continue
-				}
-				scan.Predicate = pred
-			}
-			return scan, colMap, "answered from prejoin projection " + proj.Name, true
-		}
-	}
-	return nil, nil, "", false
 }

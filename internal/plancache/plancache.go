@@ -47,12 +47,8 @@ type Entry struct {
 	Query    *optimizer.LogicalQuery
 	Literals []types.Value
 
-	// Probe metadata from the planning-time physical probe.
-	ProjectionsUsed []string
-	EstRows         int64
-	EstMemBytes     int64
-	StatsBacked     bool
-	Workers         int
+	// Probe is the planning-time physical probe's metadata.
+	Probe optimizer.ProbeInfo
 
 	// Selectivity at plan time; EXECUTE compares its re-bound estimate
 	// against this and replans on ≥10× divergence.
@@ -212,10 +208,10 @@ func (c *Cache) Snapshot() []Info {
 			Pool:        it.key.Pool,
 			Parallelism: it.key.Parallelism,
 			Hits:        e.hits,
-			EstMemBytes: e.EstMemBytes,
-			EstRows:     e.EstRows,
-			StatsBacked: e.StatsBacked,
-			Projections: append([]string{}, e.ProjectionsUsed...),
+			EstMemBytes: e.Probe.EstMemBytes,
+			EstRows:     e.Probe.EstRows,
+			StatsBacked: e.Probe.StatsBacked,
+			Projections: append([]string{}, e.Probe.ProjectionsUsed...),
 			CatalogGen:  e.Epochs.CatalogGen,
 			StatsEpoch:  e.Epochs.StatsEpoch,
 			PoolEpoch:   e.Epochs.PoolEpoch,

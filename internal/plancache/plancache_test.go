@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/optimizer"
 )
 
 func key(fp string) Key { return Key{Fingerprint: fp, Pool: "general", Parallelism: 1} }
 
 func entry(ep Epochs) *Entry {
-	return &Entry{Epochs: ep, Selectivity: 0.5, EstMemBytes: 1 << 20, EstRows: 10,
-		ProjectionsUsed: []string{"t_super"}}
+	return &Entry{Epochs: ep, Selectivity: 0.5, Probe: optimizer.ProbeInfo{EstMemBytes: 1 << 20, EstRows: 10,
+		ProjectionsUsed: []string{"t_super"}}}
 }
 
 func TestLookupHitMissAndCounters(t *testing.T) {
@@ -111,7 +112,7 @@ func TestInsertReplacesAndSnapshotOrder(t *testing.T) {
 	c.Insert(key("a"), entry(ep))
 	c.Insert(key("b"), entry(ep))
 	e2 := entry(ep)
-	e2.EstRows = 99
+	e2.Probe.EstRows = 99
 	c.Insert(key("a"), e2) // replace moves a to front
 	if c.Len() != 2 {
 		t.Fatalf("len = %d", c.Len())

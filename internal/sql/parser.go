@@ -1148,13 +1148,15 @@ func (p *parser) parseCreateProjection() (Statement, error) {
 			return nil, err
 		}
 		col := cn.text
-		// Dimension reference "dim.col" for prejoin projections.
+		// A projection stores only its anchor table's columns; a qualified
+		// name like "dim.col" names another table's.
 		if p.accept(tokSymbol, ".") {
 			c2, err := p.expectIdent()
 			if err != nil {
 				return nil, err
 			}
-			col = col + "." + c2.text
+			return nil, p.lx.error(cn.pos, "projection column %s.%s is not a column of %s: a projection stores only its anchor table's columns",
+				col, c2.text, tbl.text)
 		}
 		s.Columns = append(s.Columns, col)
 		// Optional encoding: col ENCODING RLE (ENCODING parsed as ident).

@@ -168,6 +168,9 @@ func TestParseCreateProjection(t *testing.T) {
 	if stmt.(*CreateProjectionStmt).BuddyOf != "p1" {
 		t.Error("buddy clause lost")
 	}
+	if _, err := Parse(`CREATE PROJECTION bad ON fact (id, dim.region)`); err == nil || !strings.Contains(err.Error(), "dim.region") {
+		t.Errorf("another table's column: err = %v, want one naming dim.region", err)
+	}
 }
 
 func TestParseDML(t *testing.T) {

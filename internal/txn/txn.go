@@ -38,7 +38,7 @@ type Txn struct {
 	mu        sync.Mutex
 	commits   []func(epoch types.Epoch) error
 	rollbacks []func()
-	hasDML    bool
+	dml       bool // DML has been staged
 	done      bool
 }
 
@@ -67,7 +67,7 @@ func (m *Manager) Begin(iso IsolationLevel) *Txn {
 func (t *Txn) StageCommit(dml bool, apply func(epoch types.Epoch) error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.hasDML = t.hasDML || dml
+	t.dml = t.dml || dml
 	if apply != nil {
 		t.commits = append(t.commits, apply)
 	}
@@ -79,13 +79,6 @@ func (t *Txn) StageRollback(undo func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rollbacks = append(t.rollbacks, undo)
-}
-
-// HasDML reports whether DML has been staged.
-func (t *Txn) HasDML() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hasDML
 }
 
 // Commit applies staged effects at a single commit epoch and advances the
@@ -100,17 +93,17 @@ func (m *Manager) Commit(t *Txn) (types.Epoch, error) {
 	}
 	t.done = true
 	commits := t.commits
-	hasDML := t.hasDML
+	dml := t.dml
 	t.mu.Unlock()
 
 	defer m.Locks.ReleaseAll(t.ID)
-	if !hasDML && len(commits) == 0 {
+	if !dml && len(commits) == 0 {
 		return 0, nil
 	}
 	m.commitMu.Lock()
 	defer m.commitMu.Unlock()
 	var epoch types.Epoch
-	if hasDML {
+	if dml {
 		// Stamp now, publish after the applies: the clock advances past the
 		// commit epoch only once every staged effect has landed, so READ
 		// COMMITTED queries (targeting current-1) can never observe a

@@ -6,6 +6,8 @@
 #   - parseCreate / parseDrop introducers (TABLE, PROJECTION, PARTITION,
 #     RESOURCE POOL)
 #   - parsePoolOpts   (MEMORYSIZE, MAXMEMORYSIZE, QUEUETIMEOUT, ...)
+# Every system-table column must be mentioned there too, as `name`: the
+# columns are the vt:"name[,opts]" struct tags of non-test Go under internal/.
 set -eu
 doc="docs/SQL.md"
 parser="internal/sql/parser.go"
@@ -42,5 +44,18 @@ for kw in $kws; do
     fail=1
   fi
 done
-[ "$fail" -eq 0 ] && echo "docs-check: all $(echo "$kws" | wc -l | tr -d ' ') parser keywords documented in $doc"
+
+cols=$(find internal -name '*.go' ! -name '*_test.go' -exec grep -ohE 'vt:"[A-Za-z0-9_-]+[",]' {} + |
+  sed -E 's/vt:"([^",]*).*/\1/' | grep -vx -- '-' | sort -u)
+[ -n "$cols" ] || { echo "docs-check: extracted no vt:\"...\" columns under internal/ (tags moved?)" >&2; exit 1; }
+for col in $cols; do
+  if ! grep -qF "\`$col\`" "$doc"; then
+    echo "docs-check: system-table column \"$col\" is never mentioned as \`$col\` in $doc" >&2
+    fail=1
+  fi
+done
+
+if [ "$fail" -eq 0 ]; then
+  echo "docs-check: all $(echo "$kws" | wc -l | tr -d ' ') parser keywords and $(echo "$cols" | wc -l | tr -d ' ') system-table columns documented in $doc"
+fi
 exit "$fail"
