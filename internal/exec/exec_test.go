@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/expr"
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/tuplemover"
 	"repro/internal/txn"
@@ -323,6 +324,35 @@ func TestScanSIPFilter(t *testing.T) {
 	}
 	if ctx.SIPFiltered.Load() != 197 {
 		t.Errorf("SIPFiltered stat = %d", ctx.SIPFiltered.Load())
+	}
+}
+
+// SIP runs before the payload decodes: a block whose keys all miss the
+// join's table costs the decode of its key block alone. Over ten 64-row
+// blocks sorted on k, with build keys in blocks 0 and 5 only, the scan pins
+// the ten key blocks and the two payload blocks of each survivor.
+func TestScanSIPSparesPayloadOfEmptiedBlocks(t *testing.T) {
+	f := newExecFixture(t, 640, 4, 1)
+	ctx := f.ctx()
+	s := f.scan(0, 1, 2)
+	sip := NewSIPFilter([]int{0}, "j1")
+	dim := types.NewSchema(types.Column{Name: "id", Typ: types.Int64})
+	sip.table.Store(builtTable(dim, []int{0}, []types.Row{{types.NewInt(3)}, {types.NewInt(330)}}))
+	s.SIPs = []*SIPFilter{sip}
+	pins := func() int64 { return metrics.BlockCacheHits.Value() + metrics.BlockCacheMisses.Value() }
+	before := pins()
+	rows, err := Drain(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0][0].I != 3 || rows[1][0].I != 330 {
+		t.Fatalf("SIP passed %v, want the rows of keys 3 and 330", rows)
+	}
+	if read, spared := ctx.BlocksRead.Load(), ctx.BlocksSpared.Load(); read != 10 || spared != 8 {
+		t.Errorf("read %d blocks, SIP spared %d, want 10 and 8", read, spared)
+	}
+	if got := pins() - before; got != 10+2*2 {
+		t.Errorf("the scan pinned %d blocks, want %d: ten key blocks, two payload blocks per survivor", got, 10+2*2)
 	}
 }
 
@@ -724,6 +754,54 @@ func TestOuterHashJoinCannotSwitch(t *testing.T) {
 		}
 		if !errors.Is(err, ErrOuterJoinTooLarge) {
 			t.Errorf("%s join at 4 KiB: err = %v, want ErrOuterJoinTooLarge", typ, err)
+		}
+	}
+}
+
+// Keep narrows a join's output to the columns asked for, in their order,
+// on each path a row leaves by: the probe's gather with outer rows padded
+// (LEFT), unmatched build rows (RIGHT), and the sort-merge switch.
+func TestHashJoinKeepOnEveryPath(t *testing.T) {
+	f := newExecFixture(t, 2000, 5, 1)
+	for _, tc := range []struct {
+		name         string
+		typ          JoinType
+		outer, inner func() Operator
+		outerKey     int
+		budget       int64
+		keep         []int
+	}{
+		{"left", LeftOuterJoin, func() Operator { return f.scan(0, 1) }, func() Operator { return dimValues() }, 1, 64 << 20, []int{3, 0}},
+		{"right", RightOuterJoin, func() Operator { return dimValues() }, func() Operator { return f.scan(1, 0) }, 0, 64 << 20, []int{1, 3}},
+		{"switched", LeftOuterJoin, func() Operator { return f.scan(0, 1) }, func() Operator { return f.scan(0, 2) }, 1, 2 << 10, []int{3, 0}},
+	} {
+		run := func(keep []int) ([]types.Row, *HashJoin) {
+			ctx := f.ctx()
+			ctx.MemBudget, ctx.TempDir = tc.budget, t.TempDir()
+			j, err := NewHashJoin(tc.typ, tc.outer(), tc.inner(), []int{tc.outerKey}, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keep != nil {
+				j.Keep(keep)
+			}
+			rows, err := Drain(ctx, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows, j
+		}
+		all, _ := run(nil)
+		var want []types.Row
+		for _, r := range all {
+			want = append(want, types.Row{r[tc.keep[0]], r[tc.keep[1]]})
+		}
+		got, j := run(tc.keep)
+		if j.Schema().Len() != 2 || j.spilled != (tc.name == "switched") {
+			t.Errorf("%s: schema %v, switched %v", tc.name, j.Schema().Names(), j.spilled)
+		}
+		if g, w := renderSorted(got), renderSorted(want); len(g) != len(w) || firstDiff(g, w) != "none" {
+			t.Errorf("%s: %d rows, want %d; first difference: %s", tc.name, len(g), len(w), firstDiff(g, w))
 		}
 	}
 }

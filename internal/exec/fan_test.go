@@ -247,3 +247,74 @@ func TestFanSharedBuildLeaksNothing(t *testing.T) {
 		}
 	})
 }
+
+// A batch a fan worker's scan emits selects its rows with the worker's own
+// scratch, which the worker's next block overwrites; the ParallelUnion
+// retains the batch before it moves on, and Retain copies the selection.
+// Every batch here is kept to the end of the stream, past every worker's
+// last block, and must still read its own rows. SIP leaves two rows in
+// three of the upper half's blocks (a selection, not a range) and empties
+// the lower half's, whose key blocks, poisoned, recycle.
+func TestRetainedSelectedViewSurvivesItsProducer(t *testing.T) {
+	for _, poisoned := range []bool{false, true} {
+		t.Run(map[bool]string{false: "plain", true: "poisoned"}[poisoned], func(t *testing.T) {
+			checkGoroutines(t)
+			if poisoned {
+				poisonBlocks(t, 1<<10) // one of the fixture's 64-row blocks
+			}
+			f := newExecFixture(t, 2048, 5, 2)
+			dim := types.NewSchema(types.Column{Name: "id", Typ: types.Int64})
+			var build []types.Row
+			want := map[int64]bool{}
+			for k := int64(1024); k < 2048; k++ {
+				if k%3 != 0 {
+					build = append(build, types.Row{types.NewInt(k)})
+					want[k] = true
+				}
+			}
+			sip := NewSIPFilter([]int{0}, "upper")
+			sip.table.Store(builtTable(dim, []int{0}, build))
+			scans := f.scan(0, 1).Fan(4)
+			for _, s := range scans {
+				s.(*Scan).SIPs = []*SIPFilter{sip}
+			}
+			u := NewParallelUnion(scans...)
+			ctx := f.ctx()
+			if err := u.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var kept []*vector.Batch
+			var held []vector.Owner
+			for {
+				b, err := u.Next(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				held = b.Retain(held)
+				kept = append(kept, b)
+			}
+			selected := 0
+			for _, b := range kept {
+				if b.Sel != nil {
+					selected++
+				}
+				for _, r := range b.Rows() {
+					if k := r[0].I; !want[k] || r[1].I != k%5 {
+						t.Fatalf("a kept batch reads row %v, which SIP dropped or its block does not hold", r)
+					}
+					delete(want, r[0].I)
+				}
+			}
+			vector.Release(held)
+			if err := u.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if len(want) != 0 || selected == 0 {
+				t.Errorf("%d rows missing; %d of %d batches selected, want some", len(want), selected, len(kept))
+			}
+		})
+	}
+}

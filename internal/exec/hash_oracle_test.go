@@ -668,7 +668,8 @@ func builtTable(schema *types.Schema, keyCols []int, rows []types.Row) *hashTabl
 // SIP hashes the probe keys as a vector and looks them up in the join's
 // table: a row passes when HashRow of its key is the hash of a linked build
 // row — one whose key has no NULL — and its own key has no NULL, whether the
-// batch is flat, selected or RLE-keyed.
+// batch is flat, selected or RLE-keyed (expanded first: the scan hands SIP
+// flat keys).
 func TestSIPFilterApplyMatchesHashRow(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", Typ: types.Int64, Nullable: true},
@@ -708,16 +709,20 @@ func TestSIPFilterApplyMatchesHashRow(t *testing.T) {
 		src := newShapedSource(schema, rows, shape, 0, 128)
 		var got []types.Row
 		var hashes []uint64
-		sel := make([]int, 256)
 		for {
 			b, _ := src.Next(nil)
 			if b == nil {
 				break
 			}
-			var err error
-			if hashes, err = f.Apply(b, hashes, sel); err != nil {
-				t.Fatal(err)
+			b.ExpandRLE()
+			sel := b.Sel
+			if sel == nil {
+				sel = make([]int, b.FullLen())
+				for i := range sel {
+					sel[i] = i
+				}
 			}
+			b.Sel, hashes = f.Apply(b.Cols, sel, hashes)
 			got = append(got, b.Rows()...)
 		}
 		diffRows(t, "sip/"+shape.String(), got, want)
@@ -741,11 +746,14 @@ func TestSIPFilterApplyAllocatesNothing(t *testing.T) {
 	}
 	s := &Scan{SIPs: []*SIPFilter{f}}
 	ctx := NewCtx(1)
-	b := vector.NewBatch(vector.NewFromInts(types.Int64, keys), vector.NewFromInts(types.Int64, vals))
+	cols := []*vector.Vector{vector.NewFromInts(types.Int64, keys), vector.NewFromInts(types.Int64, vals)}
+	sel := make([]int, n)
 	run := func() {
-		b.Sel = nil
-		if err := s.applySIPs(ctx, b); err != nil || b.Len() != n/2 {
-			t.Fatalf("SIP kept %d of %d rows, want %d; err %v", b.Len(), n, n/2, err)
+		for i := range sel {
+			sel[i] = i
+		}
+		if kept := s.applySIPs(ctx, cols, sel); len(kept) != n/2 {
+			t.Fatalf("SIP kept %d of %d rows, want %d", len(kept), n, n/2)
 		}
 	}
 	run() // grows the scratch

@@ -67,6 +67,9 @@ type HashJoin struct {
 
 	schema    *types.Schema
 	resSchema *types.Schema // outer+inner, for vectorized residual eval
+	// keep lists the columns of the joined row the output carries (Keep);
+	// nil carries them all.
+	keep []int
 
 	table *hashTable
 	// matchedBuild marks build rows that found a partner (right/full outer
@@ -112,7 +115,10 @@ func NewHashJoin(t JoinType, outer, inner Operator, outerKeys, innerKeys []int) 
 		return nil, fmt.Errorf("exec: join requires aligned, non-empty key lists")
 	}
 	j := &HashJoin{Type: t, outer: outer, inner: inner, OuterKeys: outerKeys, InnerKeys: innerKeys,
-		share: &buildShare{inner: inner}}
+		share:    &buildShare{inner: inner},
+		probeIdx: make([]int, 0, vector.DefaultBatchSize),
+		buildIdx: make([]int, 0, vector.DefaultBatchSize),
+		visited:  make([]probedRow, 0, vector.DefaultBatchSize)}
 	j.schema = joinSchema(t, outer.Schema(), inner.Schema())
 	j.resSchema = combinedSchema(outer.Schema(), inner.Schema())
 	return j, nil
@@ -153,6 +159,31 @@ func joinSchema(t JoinType, outer, inner *types.Schema) *types.Schema {
 		out[i].Nullable = true
 	}
 	return types.NewSchema(out...)
+}
+
+// Keep narrows the output of an INNER or OUTER join to the given columns
+// of the joined row (outer columns, then inner), in order: the planner
+// passes the ones read above the join, so the probe gathers nothing else.
+// The residual still sees the whole joined row.
+func (j *HashJoin) Keep(cols []int) {
+	full := joinSchema(j.Type, j.outer.Schema(), j.inner.Schema())
+	out := make([]types.Column, len(cols))
+	for i, c := range cols {
+		out[i] = full.Col(c)
+	}
+	j.keep, j.schema = cols, types.NewSchema(out...)
+}
+
+// kept returns the output's columns of the joined row cols.
+func (j *HashJoin) kept(cols []*vector.Vector) []*vector.Vector {
+	if j.keep == nil {
+		return cols
+	}
+	out := make([]*vector.Vector, len(j.keep))
+	for i, c := range j.keep {
+		out[i] = cols[c]
+	}
+	return out
 }
 
 // Schema implements Operator.
@@ -265,7 +296,11 @@ func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
 		j.ready = true
 	}
 	if j.merge != nil {
-		return j.merge.next()
+		out, err := j.merge.next()
+		if out != nil {
+			out.Cols = j.kept(out.Cols)
+		}
+		return out, err
 	}
 	for {
 		if j.in == nil {
@@ -379,7 +414,7 @@ func (j *HashJoin) probeChunk() (*vector.Batch, error) {
 	var mask []bool
 	if j.Residual != nil && len(pi) > 0 {
 		var err error
-		if mask, err = residualMask(j.Residual, j.gather(j.resSchema, pi, bi, nil)); err != nil {
+		if mask, err = residualMask(j.Residual, j.gather(j.resSchema, nil, pi, bi, nil)); err != nil {
 			return nil, err
 		}
 	}
@@ -421,7 +456,7 @@ func (j *HashJoin) probeChunk() (*vector.Batch, error) {
 	var out *vector.Batch
 	switch {
 	case !semi:
-		out = j.gather(j.schema, pi[:k], bi[:k], unmatched)
+		out = j.gather(j.schema, j.keep, pi[:k], bi[:k], unmatched)
 	case done:
 		out = &vector.Batch{Cols: in.Cols, Sel: j.solo}
 	}
@@ -431,13 +466,18 @@ func (j *HashJoin) probeChunk() (*vector.Batch, error) {
 	return out, nil
 }
 
-// gather assembles rows of the given outer+inner schema column-wise: the
-// outer columns of the current probe batch at probeIdx beside the build
-// columns at buildIdx, then the outer rows in padded beside NULLs.
-func (j *HashJoin) gather(schema *types.Schema, probeIdx, buildIdx, padded []int) *vector.Batch {
+// gather assembles rows of the given schema column-wise, its columns those
+// of the joined row at cols (nil for all of them): the outer columns of the
+// current probe batch at probeIdx beside the build columns at buildIdx, then
+// the outer rows in padded beside NULLs.
+func (j *HashJoin) gather(schema *types.Schema, cols, probeIdx, buildIdx, padded []int) *vector.Batch {
 	out := vector.NewBatchForSchema(schema, len(probeIdx)+len(padded))
 	nOuter := len(j.in.Cols)
-	for c, col := range out.Cols {
+	for i, col := range out.Cols {
+		c := i
+		if cols != nil {
+			c = cols[i]
+		}
 		if c < nOuter {
 			if len(probeIdx) > 0 {
 				col.AppendFrom(j.in.Cols[c], probeIdx)
@@ -470,7 +510,11 @@ func (j *HashJoin) unmatchedBuild() *vector.Batch {
 	}
 	out := vector.NewBatchForSchema(j.schema, len(idx))
 	nOuter := j.outer.Schema().Len()
-	for c, col := range out.Cols {
+	for i, col := range out.Cols {
+		c := i
+		if j.keep != nil {
+			c = j.keep[i]
+		}
 		if c < nOuter {
 			col.AppendNulls(len(idx))
 		} else {
@@ -530,7 +574,7 @@ func (j *HashJoin) mergeOuter(ctx *Ctx, inner *sorter) error {
 	j.merge = &mergeWalk{
 		outer: vector.NewCursor(outer.stream()), inner: vector.NewCursor(inner.stream()),
 		outerKeys: j.OuterKeys, innerKeys: j.InnerKeys,
-		joiner: newRowJoiner(j.Type, j.Residual, j.schema, j.resSchema),
+		joiner: newRowJoiner(j.Type, j.Residual, joinSchema(j.Type, j.outer.Schema(), j.inner.Schema()), j.resSchema),
 	}
 	return nil
 }

@@ -70,6 +70,7 @@ type Ctx struct {
 	RowsScanned     atomic.Int64
 	BlocksPruned    atomic.Int64
 	BlocksRead      atomic.Int64
+	BlocksSpared    atomic.Int64 // read, emptied by SIP before their payload decoded
 	SIPFiltered     atomic.Int64
 	Spills          atomic.Int64
 	SpilledBytes    atomic.Int64

@@ -25,7 +25,8 @@ type Scan struct {
 	// Predicate is over the scan's OUTPUT columns (already remapped).
 	Predicate expr.Expr
 	// SIPs are sideways-information-passing filters (see sip.go), evaluated
-	// against output columns once their join builds are ready.
+	// against output columns once their join builds are ready, before the
+	// columns they do not read decode.
 	SIPs []*SIPFilter
 	// MergeSorted presents rows globally sorted by SortKey by heap-merging
 	// container streams (used under merge joins and one-pass aggregation).
@@ -45,10 +46,10 @@ type Scan struct {
 	keyBounds []expr.ColConst
 	selector  *expr.Selector
 	colNames  []string // storage name of each output column
-	// Per-block scratch, reused across blocks and containers, dropped at
-	// Close and never part of an emitted batch: each output column's decoded
-	// block, the selection every filter step narrows in place, and the key
-	// hashes of the SIP filters.
+	// Per-block scratch, reused across blocks and containers and dropped at
+	// Close: each output column's decoded block, the selection every filter
+	// step narrows in place (an emitted batch's Sel, on loan with it), and
+	// the key hashes of the SIP filters.
 	blockCols []*vector.Vector
 	selBuf    []int
 	sipHashes []uint64
@@ -80,9 +81,8 @@ type ScanProbe struct {
 	// NoSeek sends sort-key conjuncts through the selection kernels instead
 	// (the seek-off axis of the TLP run).
 	NoSeek bool
-	// KeyCompares counts sort-key values a seek compared with a constant;
-	// Gathers the batches emitted as copies rather than as views.
-	KeyCompares, Gathers atomic.Int64
+	// KeyCompares counts sort-key values a seek compared with a constant.
+	KeyCompares atomic.Int64
 }
 
 var scanProbe atomic.Pointer[ScanProbe]
@@ -175,6 +175,13 @@ func (s *Scan) compileFilter() error {
 			s.keyBounds = append(s.keyBounds, cc)
 		} else {
 			rest = append(rest, c)
+		}
+	}
+	for _, sip := range s.SIPs {
+		for _, kc := range sip.KeyCols {
+			if kc >= len(s.Columns) {
+				return fmt.Errorf("exec: SIP key column %d out of range", kc)
+			}
 		}
 	}
 	if len(rest) > 0 {
@@ -376,8 +383,8 @@ func (st *containerScan) nextBlock(ctx *Ctx, s *Scan) (*vector.Batch, error) {
 // readBlock produces the batch of block b's rows that pass, or nil when the
 // block is pruned or none does. The rows that pass are the range [lo, hi) of
 // the block while sel is nil, and sel (in the scan's scratch) once a step
-// drops a row from the middle; a range is emitted as views of the decoded
-// blocks, a selection as a gather. The cursor st is only read, so the worker
+// drops a row from the middle; either way the batch is views of the decoded
+// blocks, a selection its Sel. The cursor st is only read, so the worker
 // scans of a fan share one per container.
 func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, error) {
 	s.dropBlocks(nil) // the consumer has come back for more
@@ -421,60 +428,71 @@ func (st *containerScan) readBlock(ctx *Ctx, s *Scan, b int) (*vector.Batch, err
 	if sel != nil && len(sel) == 0 {
 		return nil, nil
 	}
+	// SIP (paper §6.1): the key columns decode next, so the rows the joins
+	// would discard cost no payload decode; a block SIP empties decodes
+	// nothing more.
+	if s.sipLive() {
+		for _, sip := range s.SIPs {
+			for _, kc := range sip.KeyCols {
+				if _, err := st.decode(s, kc, b, false); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if sel == nil {
+			sel = s.scratch(n)[:hi-lo]
+			for j := range sel {
+				sel[j] = lo + j
+			}
+		}
+		if sel = s.applySIPs(ctx, s.blockCols, sel); len(sel) == 0 {
+			ctx.BlocksSpared.Add(1)
+			return nil, nil
+		}
+		if len(sel) == hi-lo {
+			sel = nil
+		}
+	}
 	// Materialize the output columns; a block that passes whole may keep
 	// its runs.
 	whole := sel == nil && lo == 0 && hi == n
-	batch := &vector.Batch{Cols: s.blockCols[:len(s.Columns)], Sel: sel}
-	if sel == nil {
-		batch.Cols = make([]*vector.Vector, len(s.Columns))
-	}
+	batch := &vector.Batch{Cols: make([]*vector.Vector, len(s.Columns)), Sel: sel}
 	for i := range s.Columns {
 		v, err := st.decode(s, i, b, s.PreserveRuns && whole)
 		if err != nil {
 			return nil, err
 		}
-		if sel == nil {
-			if !v.IsRLE() {
-				v = v.Slice(lo, hi)
-			}
-			batch.Cols[i] = v
+		if sel == nil && !v.IsRLE() {
+			v = v.Slice(lo, hi)
 		}
-	}
-	if err := s.applySIPs(ctx, batch); err != nil || batch.Len() == 0 {
-		return nil, err
+		batch.Cols[i] = v
 	}
 	ctx.RowsScanned.Add(int64(batch.Len()))
-	if batch.Sel != nil {
-		batch = batch.Flatten()
-		s.dropBlocks(nil) // the copy needs no block
-		if s.probe != nil {
-			s.probe.Gathers.Add(1)
-		}
-	}
 	return batch, nil
 }
 
-// applySIPs runs the SIP filters (paper §6.1), dropping rows whose keys
-// cannot match their joins. Their scratch is the scan's: a selection they
-// leave is in selBuf, which is safe because the batch is flattened before
-// it is emitted.
-func (s *Scan) applySIPs(ctx *Ctx, batch *vector.Batch) error {
+// sipLive reports whether some SIP filter has a join table to probe.
+func (s *Scan) sipLive() bool {
 	for _, sip := range s.SIPs {
-		before := batch.Len()
-		var sel []int // a batch's own selection is narrowed in place
-		if batch.Sel == nil {
-			sel = s.scratch(batch.FullLen())
-		}
-		var err error
-		if s.sipHashes, err = sip.Apply(batch, s.sipHashes, sel); err != nil {
-			return err
-		}
-		ctx.SIPFiltered.Add(int64(before - batch.Len()))
-		if batch.Len() == 0 {
-			return nil
+		if sip.table.Load() != nil {
+			return true
 		}
 	}
-	return nil
+	return false
+}
+
+// applySIPs runs the SIP filters (paper §6.1) over sel, the live rows of
+// cols, narrowing it in place to the rows whose keys can match their joins.
+func (s *Scan) applySIPs(ctx *Ctx, cols []*vector.Vector, sel []int) []int {
+	for _, sip := range s.SIPs {
+		before := len(sel)
+		sel, s.sipHashes = sip.Apply(cols, sel, s.sipHashes)
+		ctx.SIPFiltered.Add(int64(before - len(sel)))
+		if len(sel) == 0 {
+			break
+		}
+	}
+	return sel
 }
 
 // keyRange answers the sort-key conjuncts for block b of n rows as a row

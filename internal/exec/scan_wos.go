@@ -26,9 +26,9 @@ func (s *Scan) wosBatch(ctx *Ctx, rows []storage.WOSRow) (*vector.Batch, error) 
 	if err != nil {
 		return nil, err
 	}
-	batch.Sel = sel
-	if err := s.applySIPs(ctx, batch); err != nil || batch.Len() == 0 {
-		return nil, err
+	batch.Sel = s.applySIPs(ctx, batch.Cols, sel)
+	if batch.Len() == 0 {
+		return nil, nil
 	}
 	ctx.RowsScanned.Add(int64(batch.Len()))
 	return batch.Flatten(), nil

@@ -38,50 +38,36 @@ func (f *SIPFilter) Describe() string {
 	return fmt.Sprintf("SIP(%s cols=%v)", f.JoinDesc, f.KeyCols)
 }
 
-// Apply narrows the batch's selection to rows whose key hash is in the
-// join's table. It is a pure filter: false positives are possible (hash
+// Apply narrows sel — live rows of cols, in increasing order — to the rows
+// whose key hash is in the join's table, in place, and returns what is
+// left. It is a pure filter: false positives are possible (hash
 // collisions), false negatives are not, so the join above stays correct. A
 // NULL key never passes: the joins that get SIP — INNER, SEMI and RIGHT
-// OUTER — drop such probe rows.
+// OUTER — drop such probe rows. Only the key columns of cols are read, and
+// they must be flat.
 //
 // The caller owns the scratch: hashes is reused for the key hashes and
-// returned, sel holds the selection when the batch has none (at least its
-// length); a batch's own selection is narrowed in place.
-func (f *SIPFilter) Apply(b *vector.Batch, hashes []uint64, sel []int) ([]uint64, error) {
+// returned.
+func (f *SIPFilter) Apply(cols []*vector.Vector, sel []int, hashes []uint64) ([]int, []uint64) {
 	t := f.table.Load()
 	if t == nil {
-		return hashes, nil
+		return sel, hashes
 	}
-	for _, kc := range f.KeyCols {
-		if kc >= len(b.Cols) {
-			return hashes, fmt.Errorf("exec: SIP key column %d out of range", kc)
-		}
-	}
-	hashes = b.Hashes(hashes[:0], f.KeyCols) // one hash per run for RLE key columns
-	b.ExpandRLE()                            // a selection requires flat columns
-	if b.Sel != nil {
-		sel = b.Sel
-	} else if sel == nil {
-		sel = make([]int, 0, len(hashes))
-	}
+	keys := vector.Batch{Cols: cols, Sel: sel}
+	hashes = keys.Hashes(hashes[:0], f.KeyCols)
 	out := sel[:0]
 	for i, h := range hashes {
-		phys := i
-		if b.Sel != nil {
-			phys = b.Sel[i]
-		}
-		if t.hasHash(h) && !nullKey(b, f.KeyCols, phys) {
+		if phys := sel[i]; t.hasHash(h) && !nullKey(cols, f.KeyCols, phys) {
 			out = append(out, phys)
 		}
 	}
-	b.Sel = out
-	return hashes, nil
+	return out, hashes
 }
 
 // nullKey reports whether row phys has a NULL in any of the key columns.
-func nullKey(b *vector.Batch, keys []int, phys int) bool {
+func nullKey(cols []*vector.Vector, keys []int, phys int) bool {
 	for _, k := range keys {
-		if b.Cols[k].NullAt(phys) {
+		if cols[k].NullAt(phys) {
 			return true
 		}
 	}

@@ -7,6 +7,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/exec"
@@ -250,6 +251,28 @@ func (q *LogicalQuery) neededColumns() columnSet {
 		cs.add(jc.RightTbl, jc.RightCol)
 	}
 	return cs
+}
+
+// readAbove returns the flat columns the operators above a query's joins
+// read: the select list, aggregate arguments, GROUP BY and the residual
+// conjuncts.
+func (q *LogicalQuery) readAbove(residual []expr.Expr) map[int]bool {
+	read := map[int]bool{}
+	for _, g := range q.GroupBy {
+		read[g] = true
+	}
+	exprs := append(slices.Clone(q.SelectExprs), residual...)
+	for i := range q.Aggs {
+		if q.Aggs[i].Arg != nil {
+			exprs = append(exprs, q.Aggs[i].Arg)
+		}
+	}
+	for _, e := range exprs {
+		for _, f := range expr.ColumnsOf(e) {
+			read[f] = true
+		}
+	}
+	return read
 }
 
 // splitConjuncts partitions the WHERE clause into per-table conjuncts (all

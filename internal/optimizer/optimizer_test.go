@@ -231,6 +231,12 @@ func TestPlanStarJoinWithSIP(t *testing.T) {
 	if !strings.Contains(ex, "SIP") {
 		t.Errorf("SIP not placed:\n%s", ex)
 	}
+	// Only region is read above the join: the keys stay behind.
+	if hj := findHashJoin(plan.Root); hj == nil {
+		t.Error("no hash join in the plan")
+	} else if names := hj.Schema().Names(); !slices.Equal(names, []string{"region"}) {
+		t.Errorf("the join outputs %v, want region alone", names)
+	}
 	// Ablation switch must remove it.
 	opts.NoSIP = true
 	_, plan2 := f.run(t, q, opts)
@@ -545,4 +551,19 @@ func TestPlanFanClosings(t *testing.T) {
 			t.Errorf("%s: fanned plan returned %d rows, serial %d", tc.name, len(got), len(want))
 		}
 	}
+}
+
+// findHashJoin returns the first hash join of the plan, in pre-order.
+func findHashJoin(op exec.Operator) *exec.HashJoin {
+	if hj, ok := op.(*exec.HashJoin); ok {
+		return hj
+	}
+	if p, ok := op.(interface{ Children() []exec.Operator }); ok {
+		for _, c := range p.Children() {
+			if hj := findHashJoin(c); hj != nil {
+				return hj
+			}
+		}
+	}
+	return nil
 }

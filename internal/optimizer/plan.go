@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -120,6 +121,7 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		colMap[offs[factIdx]+c] = out
 	}
 	joined := map[int]bool{factIdx: true}
+	above := q.readAbove(residual)
 	cur := pipes{fact.op}
 	curWidth := len(fact.cols)
 	runningEst := fact.estRows
@@ -130,7 +132,7 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 			return nil, fmt.Errorf("optimizer: no join condition connects table %s (cross joins unsupported)",
 				q.From[dim.tblIdx].Table.Name)
 		}
-		var outerKeys, innerKeys []int
+		var outerKeys, innerKeys, sipKeys []int
 		for _, jc := range conds {
 			of, dc := jc.LeftTbl, jc.LeftCol
 			df := jc.RightCol
@@ -146,6 +148,9 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 			}
 			outerKeys = append(outerKeys, out)
 			innerKeys = append(innerKeys, dim.colToOut[df])
+			if of == factIdx {
+				sipKeys = append(sipKeys, fact.colToOut[dc])
+			}
 		}
 		jt := exec.InnerJoin
 		if len(q.From) == 2 {
@@ -157,6 +162,7 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		}
 		// Merge join when both sides are sorted on the join keys
 		// (paper §6.2: merge joins on sorted, compressed columns first).
+		var hjs []*exec.HashJoin
 		if mj, ok := tryMergeJoin(q, jt, fact, dim, cur[0], outerKeys, innerKeys); ok {
 			cur[0] = mj
 			plan.Notes = append(plan.Notes, fmt.Sprintf("merge join with %s (sort orders aligned)", dimDesc))
@@ -172,15 +178,16 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 				// stream: these joins probe it serially.
 				cur = closeFan(plan, cur, jt.String()+" join")
 			}
-			hjs, err := exec.FanHashJoin(jt, cur, dim.op, outerKeys, innerKeys)
-			if err != nil {
+			var err error
+			if hjs, err = exec.FanHashJoin(jt, cur, dim.op, outerKeys, innerKeys); err != nil {
 				return nil, err
 			}
 			// SIP (paper §6.1): push a build-side key filter into the scan
 			// owning every outer key, for join types that discard
 			// unmatched probe rows.
-			if !opts.NoSIP && (jt == exec.InnerJoin || jt == exec.SemiJoin || jt == exec.RightOuterJoin) {
-				if sip := trySIP(fact, outerKeys, dimDesc); sip != nil {
+			if !opts.NoSIP && len(sipKeys) == len(outerKeys) &&
+				(jt == exec.InnerJoin || jt == exec.SemiJoin || jt == exec.RightOuterJoin) {
+				if sip := trySIP(fact, sipKeys, dimDesc); sip != nil {
 					for _, hj := range hjs {
 						hj.SIP = sip
 					}
@@ -198,6 +205,9 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 			curWidth += len(dim.cols)
 		}
 		joined[dim.tblIdx] = true
+		if hjs != nil && jt != exec.SemiJoin && jt != exec.AntiJoin {
+			curWidth = pruneJoin(q, hjs, colMap, joined, above)
+		}
 
 		// Join output cardinality from the key columns' distinct counts
 		// (paper §6.2); unknown NDVs assume the star-schema N:1 shape.
@@ -383,18 +393,53 @@ func buildVirtualScan(q *LogicalQuery, tblIdx int, t *catalog.Table, vt *catalog
 	}, nil
 }
 
-// trySIP attaches a SIP filter to the fact scan — to every worker scan of
-// its fan — when every outer key is one of the scan's own output columns.
-func trySIP(fact *tableScan, outerKeys []int, joinDesc string) *exec.SIPFilter {
+// pruneJoin narrows the output of a hash join — of each worker's, under a
+// fan — to the flat columns still read above it: those in above, and the
+// joined side of every join condition still to come. colMap is remapped to
+// the narrowed output, which keeps at least one column for COUNT(*) to
+// count, and its width returned.
+func pruneJoin(q *LogicalQuery, hjs []*exec.HashJoin, colMap map[int]int, joined, above map[int]bool) int {
+	offs := q.flatOffsets()
+	read := maps.Clone(above)
+	for _, jc := range q.JoinConds {
+		if !joined[jc.LeftTbl] || !joined[jc.RightTbl] {
+			read[offs[jc.LeftTbl]+jc.LeftCol] = true
+			read[offs[jc.RightTbl]+jc.RightCol] = true
+		}
+	}
+	var keep []int
+	for f, out := range colMap {
+		if read[f] {
+			keep = append(keep, out)
+		}
+	}
+	if len(keep) == len(colMap) {
+		return len(keep) // every column is read
+	}
+	if len(keep) == 0 {
+		keep = []int{0}
+	}
+	slices.Sort(keep)
+	for f, out := range colMap {
+		if i, ok := slices.BinarySearch(keep, out); ok {
+			colMap[f] = i
+		} else {
+			delete(colMap, f)
+		}
+	}
+	for _, hj := range hjs {
+		hj.Keep(keep)
+	}
+	return len(keep)
+}
+
+// trySIP attaches a SIP filter over the given output columns to the fact
+// scan — to every worker scan of its fan.
+func trySIP(fact *tableScan, keyCols []int, joinDesc string) *exec.SIPFilter {
 	if fact.scan == nil {
 		return nil // virtual tables have no storage scan to push into
 	}
-	for _, k := range outerKeys {
-		if k >= len(fact.cols) {
-			return nil // key produced by an earlier join, not the base scan
-		}
-	}
-	sip := exec.NewSIPFilter(outerKeys, joinDesc)
+	sip := exec.NewSIPFilter(keyCols, joinDesc)
 	scans := fact.workers
 	if scans == nil { // no fan opened
 		scans = pipes{fact.scan}

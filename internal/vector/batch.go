@@ -17,7 +17,7 @@ import (
 // that operator (or call of that stream). A caller that keeps one longer
 // calls Retain before its producer can advance. Cached blocks are immutable:
 // a borrowed batch's headers (Cols, Sel) are the caller's to edit, its
-// vectors are not.
+// vectors are not, and its Sel may be the producer's scratch.
 type Batch struct {
 	Cols []*Vector
 	// Sel, when non-nil, lists the live row indexes in increasing order.
@@ -26,8 +26,12 @@ type Batch struct {
 }
 
 // Retain takes a reference on the Owner of each cache-owned column — it
-// copies nothing — and appends the owners to held for Release.
+// copies no vector — and appends the owners to held for Release. A
+// selection, which may be its producer's scratch, it copies.
 func (b *Batch) Retain(held []Owner) []Owner {
+	if b.Sel != nil {
+		b.Sel = slices.Clone(b.Sel)
+	}
 	for _, c := range b.Cols {
 		if c.Owner != nil {
 			c.Owner.Retain()
