@@ -24,14 +24,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+# gofmt and vet; CI runs this target.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
+# The paper's Tables 3 and 4 and Figure 3 as metrics and logs (root
+# bench_test.go over internal/bench), plus the ablations; CI runs this target.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
-# Short fuzz smoke, mirroring CI (10s per target).
+# Short fuzz smoke (10s per target); CI runs this target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$'  -fuzztime 10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/encoding

@@ -1,42 +1,16 @@
 // Package bench implements the paper's evaluation harness (§8): it loads
-// the benchmark datasets into both engines and regenerates every table and
-// figure — Table 3 (C-Store vs Vertica on the seven C-Store benchmark
-// queries plus disk footprint), Table 4 (compression on random integers and
-// customer meter data), Tables 1–2 (lock matrices) and Figure 3 (the
-// parallel query plan).
+// the benchmark datasets into both engines and runs the experiments behind
+// Table 3 (C-Store vs Vertica on the seven C-Store benchmark queries plus
+// disk footprint) and Table 4 (compression on random integers and customer
+// meter data). The root benchmarks (`make bench`) report them.
 package bench
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/cstore"
 	"repro/internal/gen"
 	"repro/internal/types"
 )
-
-// Table3Scale is the default lineitem row count (the C-Store paper ran
-// TPC-H scale 10 on 2005 hardware; this scale keeps the comparison
-// laptop-sized while preserving the shape).
-const Table3Scale = 300_000
-
-// QueryResult is one Table 3 row.
-type QueryResult struct {
-	Name      string
-	CStore    time.Duration
-	Vertica   time.Duration
-	GroupRows int // result cardinality (must agree between engines)
-}
-
-// Table3Result is the full Table 3 reproduction.
-type Table3Result struct {
-	Queries     []QueryResult
-	CStoreTime  time.Duration
-	VerticaTime time.Duration
-	CStoreDisk  int64
-	VerticaDisk int64
-}
 
 // day thresholds for the seven queries (out of 730 generated days).
 var (
@@ -173,70 +147,9 @@ func RunCStoreQuery(st *cstore.Store, i int) (int, error) {
 	}
 }
 
-// Table3 runs the full comparison at the given scale. iterations > 1 takes
-// the minimum time per query (warm cache, as both engines are memory-hot
-// after the first pass).
-func Table3(dir string, nLineitem, iterations, parallelism int) (*Table3Result, error) {
-	if iterations < 1 {
-		iterations = 1
-	}
-	db, err := SetupVertica(dir+"/vertica", nLineitem, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	st := SetupCStore(nLineitem)
-	out := &Table3Result{}
-	for q := 0; q < 7; q++ {
-		name := fmt.Sprintf("Q%d", q+1)
-		// Warmup + verification: both engines must agree on cardinality.
-		vRows, err := RunVerticaQuery(db, q)
-		if err != nil {
-			return nil, fmt.Errorf("bench: vertica %s: %w", name, err)
-		}
-		cRows, err := RunCStoreQuery(st, q)
-		if err != nil {
-			return nil, fmt.Errorf("bench: cstore %s: %w", name, err)
-		}
-		if vRows != cRows {
-			return nil, fmt.Errorf("bench: %s cardinality mismatch: vertica %d, cstore %d", name, vRows, cRows)
-		}
-		qr := QueryResult{Name: name, GroupRows: vRows}
-		qr.Vertica = minDuration(iterations, func() error {
-			_, err := RunVerticaQuery(db, q)
-			return err
-		})
-		qr.CStore = minDuration(iterations, func() error {
-			_, err := RunCStoreQuery(st, q)
-			return err
-		})
-		out.Queries = append(out.Queries, qr)
-		out.VerticaTime += qr.Vertica
-		out.CStoreTime += qr.CStore
-	}
-	// Disk footprints.
-	if out.CStoreDisk, err = st.WriteDisk(dir + "/cstore"); err != nil {
-		return nil, err
-	}
-	out.VerticaDisk = verticaDiskBytes(db)
-	return out, nil
-}
-
-func minDuration(iterations int, f func() error) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < iterations; i++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// verticaDiskBytes sums the encoded data bytes of every projection.
-func verticaDiskBytes(db *core.Database) int64 {
+// VerticaDiskBytes sums the encoded data bytes of every projection: the
+// engine's side of Table 3's disk row.
+func VerticaDiskBytes(db *core.Database) int64 {
 	var total int64
 	for _, p := range db.Catalog().Projections() {
 		for _, n := range db.Cluster().Nodes() {
@@ -248,26 +161,4 @@ func verticaDiskBytes(db *core.Database) int64 {
 		}
 	}
 	return total
-}
-
-// Format renders the result in the paper's Table 3 layout.
-func (r *Table3Result) Format() string {
-	out := "Metric          C-Store      Vertica\n"
-	for _, q := range r.Queries {
-		out += fmt.Sprintf("%-15s %-12s %s\n", q.Name, fmtDur(q.CStore), fmtDur(q.Vertica))
-	}
-	out += fmt.Sprintf("%-15s %-12s %s\n", "Total Query Time", fmtDur(r.CStoreTime), fmtDur(r.VerticaTime))
-	out += fmt.Sprintf("%-15s %-12s %s\n", "Disk Space", fmtMB(r.CStoreDisk), fmtMB(r.VerticaDisk))
-	out += fmt.Sprintf("speedup: %.2fx, disk ratio: %.2fx\n",
-		float64(r.CStoreTime)/float64(r.VerticaTime),
-		float64(r.CStoreDisk)/float64(r.VerticaDisk))
-	return out
-}
-
-func fmtDur(d time.Duration) string {
-	return fmt.Sprintf("%.1f ms", float64(d.Microseconds())/1000)
-}
-
-func fmtMB(b int64) string {
-	return fmt.Sprintf("%.1f MB", float64(b)/(1<<20))
 }

@@ -1,37 +1,44 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
+// TestTable3SmallScale runs Table 3's seven queries on both engines: each
+// returns groups, the engines agree on every cardinality, and Vertica's
+// disk footprint is the smaller.
 func TestTable3SmallScale(t *testing.T) {
-	res, err := Table3(t.TempDir(), 30_000, 1, 0)
+	const n = 30_000
+	db, err := SetupVertica(t.TempDir(), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Queries) != 7 {
-		t.Fatalf("queries = %d", len(res.Queries))
-	}
-	for _, q := range res.Queries {
-		if q.GroupRows == 0 {
-			t.Errorf("%s returned no groups", q.Name)
+	st := SetupCStore(n)
+	for q := 0; q < 7; q++ {
+		vRows, err := RunVerticaQuery(db, q)
+		if err != nil {
+			t.Fatalf("Q%d vertica: %v", q+1, err)
 		}
-		if q.Vertica <= 0 || q.CStore <= 0 {
-			t.Errorf("%s has zero timing", q.Name)
+		cRows, err := RunCStoreQuery(st, q)
+		if err != nil {
+			t.Fatalf("Q%d cstore: %v", q+1, err)
+		}
+		if vRows == 0 {
+			t.Errorf("Q%d returned no groups", q+1)
+		}
+		if vRows != cRows {
+			t.Errorf("Q%d cardinality: vertica %d, cstore %d", q+1, vRows, cRows)
 		}
 	}
-	if res.VerticaDisk <= 0 || res.CStoreDisk <= 0 {
+	cDisk, err := st.WriteDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vDisk := VerticaDiskBytes(db)
+	if vDisk <= 0 || cDisk <= 0 {
 		t.Error("disk sizes missing")
 	}
 	// The paper's shape: Vertica uses less disk than C-Store.
-	if res.VerticaDisk >= res.CStoreDisk {
-		t.Errorf("vertica disk %d >= cstore disk %d: compression advantage lost",
-			res.VerticaDisk, res.CStoreDisk)
-	}
-	out := res.Format()
-	if !strings.Contains(out, "Q7") || !strings.Contains(out, "Total") {
-		t.Errorf("format output wrong:\n%s", out)
+	if vDisk >= cDisk {
+		t.Errorf("vertica disk %d >= cstore disk %d: compression advantage lost", vDisk, cDisk)
 	}
 }
 
@@ -51,8 +58,7 @@ func TestTable4IntsShape(t *testing.T) {
 	}
 	// Paper: Vertica ~12.5x vs raw (0.6 MB from 7.5 MB) at 1M rows; at this
 	// reduced scale the delta-dictionary overhead per block is relatively
-	// larger, so require >4x (the full-scale run in EXPERIMENTS.md shows
-	// ~9x).
+	// larger, so require >4x.
 	if vertica.Ratio < 4 {
 		t.Errorf("vertica ratio = %.1f, want > 4", vertica.Ratio)
 	}
@@ -81,9 +87,5 @@ func TestTable4MeterShape(t *testing.T) {
 	metric, value := perCol[0], perCol[3]
 	if metric.Bytes*10 > value.Bytes {
 		t.Errorf("metric (%d B) should be far smaller than value (%d B)", metric.Bytes, value.Bytes)
-	}
-	out := FormatCompression("meter data", summary)
-	if !strings.Contains(out, "Vertica") {
-		t.Error("format output wrong")
 	}
 }

@@ -177,28 +177,3 @@ func gzipBytes(b []byte) ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
-
-// FormatCompression renders Table 4 style output.
-func FormatCompression(title string, rows []CompressionRow) string {
-	out := title + "\n"
-	out += fmt.Sprintf("%-12s %12s %8s %10s\n", "", "Size", "Ratio", "Bytes/Row")
-	for _, r := range rows {
-		ratio := "-"
-		if r.Ratio > 0 {
-			ratio = fmt.Sprintf("%.1f", r.Ratio)
-		}
-		out += fmt.Sprintf("%-12s %12s %8s %10.2f\n", r.Label, fmtSize(r.Bytes), ratio, r.BytesPerRow)
-	}
-	return out
-}
-
-func fmtSize(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1f MB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", b)
-	}
-}

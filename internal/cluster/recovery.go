@@ -208,8 +208,10 @@ func (c *Cluster) sourceFor(n *Node, p *catalog.Projection) (*Node, *catalog.Pro
 
 // Refresh populates a projection created after its anchor table was loaded
 // (paper §5.2: "refresh is used to populate new projections"). Rows are read
-// from the anchor's super projection across the cluster, routed by the new
-// projection's segmentation and written with their original epochs.
+// from another non-buddy super projection of the anchor across the cluster,
+// routed by the new projection's segmentation and written with their
+// original epochs. The caller holds the anchor's S lock, so no DML commits
+// while the rows are copied.
 func (c *Cluster) Refresh(projName string) error {
 	p, err := c.cat.Projection(projName)
 	if err != nil {
@@ -218,21 +220,16 @@ func (c *Cluster) Refresh(projName string) error {
 	if err := c.EnsureStorage(p); err != nil {
 		return err
 	}
-	super, err := c.cat.SuperProjection(p.Anchor)
-	if err != nil {
-		return err
+	var super *catalog.Projection
+	for _, q := range c.cat.ProjectionsFor(p.Anchor) {
+		if q.IsSuper && !q.IsBuddy && q.Name != p.Name {
+			super = q
+			break
+		}
 	}
-	if super.Name == p.Name {
-		return fmt.Errorf("cluster: cannot refresh a projection from itself")
+	if super == nil {
+		return fmt.Errorf("cluster: table %q has no super projection to refresh %q from", p.Anchor, p.Name)
 	}
-	// Current phase lock: brief S lock while copying (single phase in the
-	// simulation; the historical/current split matters only under
-	// concurrent load).
-	rtx := c.Txn.Begin(txn.ReadCommitted)
-	if err := c.Txn.Locks.Acquire(rtx.ID, p.Anchor, txn.S); err != nil {
-		return err
-	}
-	defer c.Txn.Locks.ReleaseAll(rtx.ID)
 
 	// The super projection stores every anchor column: map each of its
 	// rows onto p's columns by name.

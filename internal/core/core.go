@@ -119,6 +119,10 @@ type Database struct {
 	moverMu sync.Mutex
 	movers  map[string]*tuplemover.TupleMover // "node/projection"
 
+	// projMu serializes CREATE PROJECTION, so a refresh never copies from
+	// a projection another one is still populating.
+	projMu sync.Mutex
+
 	// Session registry backing v_monitor.sessions.
 	sessMu   sync.Mutex
 	sessSeq  int64
@@ -1189,6 +1193,12 @@ func (db *Database) execCreateTable(st *sql.CreateTableStmt) (*Result, error) {
 	return &Result{Message: "CREATE TABLE"}, nil
 }
 
+// execCreateProjection registers a projection, with its buddy when
+// K-safety requires one, and populates both from the anchor's other data
+// (paper §5.2: "refresh is used to populate new projections"). The anchor's
+// S lock is taken before the projection becomes visible to DML and held
+// until the copy is written: S admits no INSERT, UPDATE or DELETE (Table 1),
+// so no row is both copied and inserted, and none is neither.
 func (db *Database) execCreateProjection(st *sql.CreateProjectionStmt) (*Result, error) {
 	p := &catalog.Projection{
 		Name:      st.Name,
@@ -1202,6 +1212,18 @@ func (db *Database) execCreateProjection(st *sql.CreateProjectionStmt) (*Result,
 	} else if len(st.SegCols) > 0 {
 		p.Seg.ExprText = st.SegText
 	}
+	db.projMu.Lock()
+	defer db.projMu.Unlock()
+	// The anchor's first projection has nothing to copy from, and no lock
+	// to take: an INSERT into a table without projections fails.
+	refresh := slices.ContainsFunc(db.cat.ProjectionsFor(st.Table), func(q *catalog.Projection) bool { return !q.IsBuddy })
+	if refresh {
+		rtx := db.txns.Begin(txn.ReadCommitted)
+		defer db.txns.Locks.ReleaseAll(rtx.ID)
+		if err := db.txns.Locks.Acquire(rtx.ID, st.Table, txn.S); err != nil {
+			return nil, err
+		}
+	}
 	if st.BuddyOf != "" {
 		primary, err := db.cat.Projection(st.BuddyOf)
 		if err != nil {
@@ -1211,18 +1233,29 @@ func (db *Database) execCreateProjection(st *sql.CreateProjectionStmt) (*Result,
 		p.Seg.Offset = 1
 		primary.Buddy = p.Name
 	}
-	if err := db.CreateProjection(p); err != nil {
+	if err := db.createProjection(p); err != nil {
 		return nil, err
+	}
+	if refresh {
+		names := []string{p.Name}
+		if p.Buddy != "" {
+			names = append(names, p.Buddy)
+		}
+		for _, name := range names {
+			if err := db.cluster.Refresh(name); err != nil {
+				return nil, err
+			}
+		}
 	}
 	db.sweepPlans()
 	return &Result{Message: "CREATE PROJECTION"}, nil
 }
 
-// CreateProjection registers a projection (programmatic API), binding its
-// segmentation expression and auto-creating a buddy when K-safety requires
-// one (paper §5.2: "each projection must have at least one buddy projection
-// ... such that no row is stored on the same node by both").
-func (db *Database) CreateProjection(p *catalog.Projection) error {
+// createProjection registers a projection, binding its segmentation
+// expression and auto-creating a buddy when K-safety requires one (paper
+// §5.2: "each projection must have at least one buddy projection ... such
+// that no row is stored on the same node by both").
+func (db *Database) createProjection(p *catalog.Projection) error {
 	if err := db.cat.CreateProjection(p); err != nil {
 		return err
 	}

@@ -537,9 +537,6 @@ func TestRefreshPopulatesNewProjection(t *testing.T) {
 	db.RunTupleMover()
 	db.MustExecute(`CREATE PROJECTION sales_by_cust ON sales (cust, price)
 		ORDER BY cust SEGMENTED BY HASH(cust)`)
-	if err := db.Cluster().Refresh("sales_by_cust"); err != nil {
-		t.Fatal(err)
-	}
 	p, _ := db.Catalog().Projection("sales_by_cust")
 	mgr, _ := db.Cluster().Node(0).Mgr(p, db.Cluster().ManagerOpts())
 	if mgr.RowCount() != 100 {

@@ -72,9 +72,6 @@ func TestRefreshKeepsDeletes(t *testing.T) {
 	db.MustExecute(`DELETE FROM sales WHERE sale_id < 40`)
 	db.MustExecute(`CREATE PROJECTION sales_by_cust ON sales (cust, price)
 		ORDER BY cust SEGMENTED BY HASH(cust)`)
-	if err := db.Cluster().Refresh("sales_by_cust"); err != nil {
-		t.Fatal(err)
-	}
 	const byCust = `SELECT cust, COUNT(*) AS n, SUM(price) AS s FROM sales GROUP BY cust ORDER BY cust`
 	if ex := db.MustExecute(`EXPLAIN ` + byCust).Explain.String(); !strings.Contains(ex, "sales_by_cust") {
 		t.Fatalf("optimizer did not pick the refreshed projection:\n%s", ex)

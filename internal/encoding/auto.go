@@ -47,8 +47,7 @@ func Choose(v *vector.Vector) Kind {
 }
 
 // TrialSizes encodes the block with every applicable scheme and returns the
-// encoded size per kind; used by the Database Designer's empirical encoding
-// experiments and by tests.
+// encoded size per kind: the reference the tests hold Choose to.
 func TrialSizes(v *vector.Vector) map[Kind]int {
 	out := make(map[Kind]int)
 	for _, k := range candidateKinds(v.Typ) {

@@ -131,12 +131,12 @@ func TestGroupByAndJoinCancel(t *testing.T) {
 	})
 }
 
-// TestSpillReportsToGrant runs a governed, spilling sort — on its own, and
-// inside an Analytic — on a pool whose MAXMEMORYSIZE equals its grant: every
-// renegotiation is denied, so the sorter externalizes, the grant's counters
-// reflect both the spills and the denied extensions, the event ring behind
-// v_monitor.query_events records SORT_SPILLED, and the answer over an input
-// several times the budget is the unbounded-budget answer.
+// TestSpillReportsToGrant runs a governed, spilling sort on a pool whose
+// MAXMEMORYSIZE equals its grant: every renegotiation is denied, so the
+// sorter externalizes, the grant's counters reflect both the spills and the
+// denied extensions, the event ring behind v_monitor.query_events records
+// SORT_SPILLED, and the answer over an input several times the budget is the
+// unbounded-budget answer.
 func TestSpillReportsToGrant(t *testing.T) {
 	// 2000 rows of the stream: stop after 4 batches by wrapping with Limit.
 	input := func() Operator {
@@ -148,16 +148,6 @@ func TestSpillReportsToGrant(t *testing.T) {
 		op   func() Operator
 	}{
 		{"sort", func() Operator { return NewSort(input(), []vector.SortSpec{{Col: 0}}) }},
-		{"analytic", func() Operator {
-			a, err := NewAnalytic(input(), []AnalyticSpec{
-				{Kind: AnRowNumber, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1, Desc: true}}},
-				{Kind: AnCount, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1, Desc: true}}},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gov := resmgr.NewGovernor(resmgr.Config{PoolBytes: 1 << 20, MaxConcurrency: 2})
@@ -229,9 +219,6 @@ func TestCancelMidSpillLeavesNoRuns(t *testing.T) {
 		{"join-switch", func(src Operator) (Operator, error) {
 			outer := &cancelSource{schema: cancelSchema(), rowsPer: 1, cancelAfter: -1, cancel: func() {}}
 			return NewHashJoin(InnerJoin, outer, src, []int{0}, []int{0})
-		}},
-		{"analytic", func(src Operator) (Operator, error) {
-			return NewAnalytic(src, []AnalyticSpec{{Kind: AnRank, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}}})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -990,97 +990,6 @@ func TestSortExternal(t *testing.T) {
 	}
 }
 
-// --- analytic ------------------------------------------------------------------
-
-func TestAnalyticRowNumberRank(t *testing.T) {
-	f := newExecFixture(t, 100, 4, 1)
-	a, err := NewAnalytic(f.scan(1, 2), []AnalyticSpec{
-		{Kind: AnRowNumber, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}, Name: "rn"},
-		{Kind: AnRank, ArgCol: -1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}, Name: "rk"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Drain(f.ctx(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 100 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Every partition has 25 rows; max row_number must be 25.
-	maxRN := int64(0)
-	for _, r := range rows {
-		if r[2].I > maxRN {
-			maxRN = r[2].I
-		}
-	}
-	if maxRN != 25 {
-		t.Errorf("max row_number = %d, want 25", maxRN)
-	}
-}
-
-func TestAnalyticRunningSum(t *testing.T) {
-	schema := types.NewSchema(
-		types.Column{Name: "g", Typ: types.Int64},
-		types.Column{Name: "x", Typ: types.Int64},
-	)
-	src := NewValues(schema, []types.Row{
-		{types.NewInt(1), types.NewInt(10)},
-		{types.NewInt(1), types.NewInt(20)},
-		{types.NewInt(1), types.NewInt(30)},
-		{types.NewInt(2), types.NewInt(5)},
-	})
-	a, _ := NewAnalytic(src, []AnalyticSpec{
-		{Kind: AnSum, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}, Name: "rsum"},
-	})
-	rows, err := Drain(NewCtx(1), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int64]int64{10: 10, 20: 30, 30: 60, 5: 5}
-	for _, r := range rows {
-		if r[2].I != want[r[1].I] {
-			t.Errorf("running sum at x=%d: %d, want %d", r[1].I, r[2].I, want[r[1].I])
-		}
-	}
-}
-
-func TestAnalyticWholePartitionAndLag(t *testing.T) {
-	schema := types.NewSchema(
-		types.Column{Name: "g", Typ: types.Int64},
-		types.Column{Name: "x", Typ: types.Int64},
-	)
-	src := NewValues(schema, []types.Row{
-		{types.NewInt(1), types.NewInt(10)},
-		{types.NewInt(1), types.NewInt(20)},
-		{types.NewInt(2), types.NewInt(7)},
-	})
-	a, _ := NewAnalytic(src, []AnalyticSpec{
-		{Kind: AnAvg, ArgCol: 1, PartitionCols: []int{0}, Name: "pavg"},
-		{Kind: AnLag, ArgCol: 1, PartitionCols: []int{0}, OrderBy: []vector.SortSpec{{Col: 1}}, Name: "prev"},
-	})
-	rows, err := Drain(NewCtx(1), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		switch r[0].I {
-		case 1:
-			if r[2].F != 15 {
-				t.Errorf("partition avg = %v", r[2])
-			}
-		case 2:
-			if r[2].F != 7 {
-				t.Errorf("partition avg = %v", r[2])
-			}
-			if !r[3].Null {
-				t.Error("first row LAG should be NULL")
-			}
-		}
-	}
-}
-
 // --- exchange / unions ------------------------------------------------------
 
 func TestExchangeSegmentRouting(t *testing.T) {

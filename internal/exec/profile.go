@@ -144,12 +144,6 @@ func (j *MergeJoin) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.observe(&
 func (j *MergeJoin) Prof() *OpProf { return &j.prof }
 
 // Next implements Operator.
-func (a *Analytic) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.observe(&a.prof, a.next) }
-
-// Prof implements Profiled.
-func (a *Analytic) Prof() *OpProf { return &a.prof }
-
-// Next implements Operator.
 func (u *ParallelUnion) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.observe(&u.prof, u.next) }
 
 // Prof implements Profiled.

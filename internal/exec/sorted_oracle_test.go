@@ -19,7 +19,7 @@ import (
 )
 
 // Sorted-stream differential oracle: every customer of the sorted-stream
-// spine (sorted.go) — Sort, Analytic, HashJoin forced to switch, MergeJoin,
+// spine (sorted.go) — Sort, HashJoin forced to switch, MergeJoin,
 // spilling GroupBy with and without MergePartials, the merge Exchange, the
 // merged Scan — is driven over random schemas, sort specs and input shapes
 // at three budgets (ample; forcing at least two runs; forcing a run per
@@ -138,67 +138,6 @@ func sortedAggs(cntCol int, cntTyp types.Type) []AggSpec {
 		{Kind: AggMax, Arg: id, Name: "mx"},
 		{Kind: AggAvg, Arg: id, Name: "av"},
 	}
-}
-
-// refAnalytic sorts by (partition, order) and computes every function of
-// sortedAnalytics partition by partition with the plainest loops there are.
-func refAnalytic(rows []types.Row, part []int, order []vector.SortSpec, cntCol int) []types.Row {
-	sorted := refSort(rows, append(vector.KeySpecs(part), order...))
-	var out []types.Row
-	for lo := 0; lo < len(sorted); {
-		hi := lo
-		for hi < len(sorted) && refCompare(sorted[lo], sorted[hi], vector.KeySpecs(part)) == 0 {
-			hi++
-		}
-		p := sorted[lo:hi]
-		rank, dense := 1, 1
-		for i, r := range p {
-			if i > 0 && refCompare(p[i-1], r, order) != 0 {
-				rank, dense = i+1, dense+1
-			}
-			// The frame of a running aggregate ends with the row's last peer.
-			end := i
-			for end+1 < len(p) && refCompare(r, p[end+1], order) == 0 {
-				end++
-			}
-			var sum, cnt int64
-			minID := p[0][0].I
-			for _, f := range p[:end+1] {
-				sum += f[0].I
-				minID = min(minID, f[0].I)
-				if !f[cntCol].Null {
-					cnt++
-				}
-			}
-			lag, lead := types.NewNull(types.Int64), types.NewNull(types.Int64)
-			if i >= 1 {
-				lag = p[i-1][0]
-			}
-			if i+2 < len(p) {
-				lead = p[i+2][0]
-			}
-			out = append(out, append(r.Clone(), types.NewInt(int64(i+1)), types.NewInt(int64(rank)),
-				types.NewInt(int64(dense)), types.NewInt(sum), types.NewInt(cnt), types.NewInt(minID),
-				types.NewFloat(float64(sum)/float64(end+1)), lag, lead))
-		}
-		lo = hi
-	}
-	return out
-}
-
-func sortedAnalytics(part []int, order []vector.SortSpec, cntCol int) []AnalyticSpec {
-	kinds := []struct {
-		kind     AnalyticKind
-		arg, off int
-	}{
-		{AnRowNumber, -1, 0}, {AnRank, -1, 0}, {AnDenseRank, -1, 0}, {AnSum, 0, 0}, {AnCount, cntCol, 0},
-		{AnMin, 0, 0}, {AnAvg, 0, 0}, {AnLag, 0, 0}, {AnLead, 0, 2},
-	}
-	specs := make([]AnalyticSpec, len(kinds))
-	for i, k := range kinds {
-		specs[i] = AnalyticSpec{Kind: k.kind, ArgCol: k.arg, PartitionCols: part, OrderBy: order, Offset: k.off}
-	}
-	return specs
 }
 
 // --- the cases ---------------------------------------------------------------
@@ -345,18 +284,6 @@ func (c *sortedCase) customers(budget int64, dir string) error {
 	}
 	if err != nil {
 		return fmt.Errorf("Sort: %w", err)
-	}
-
-	part, order := keys[:len(keys)/2], c.specs[len(keys)/2:]
-	an, err := NewAnalytic(c.source(c.rows), sortedAnalytics(part, order, cntCol))
-	if err != nil {
-		return err
-	}
-	if _, got, err = c.run(budget, dir, an); err == nil {
-		err = sameRows(got, refAnalytic(c.rows, part, order, cntCol))
-	}
-	if err != nil {
-		return fmt.Errorf("Analytic partition=%v order=%v: %w", part, order, err)
 	}
 
 	residual := expr.Expr(nil)

@@ -85,17 +85,6 @@ func LineitemOrders(nLine int, seed int64) (lineitem, orders []types.Row) {
 	return lineitem, orders
 }
 
-// MeterSchema returns the §8.2.2 customer schema: metric, meter,
-// collection timestamp and 64-bit float value.
-func MeterSchema() *types.Schema {
-	return types.NewSchema(
-		types.Column{Name: "metric", Typ: types.Varchar},
-		types.Column{Name: "meter", Typ: types.Int64},
-		types.Column{Name: "ts", Typ: types.Timestamp},
-		types.Column{Name: "value", Typ: types.Float64},
-	)
-}
-
 // meterBehavior classifies a metric's value process per the paper: trending,
 // mostly-zero, or random.
 type meterBehavior int

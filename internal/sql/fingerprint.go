@@ -395,44 +395,3 @@ func copyStatement(st Statement, subst func(AstExpr) AstExpr) Statement {
 		return st
 	}
 }
-
-// StatementClass distinguishes wire-protocol reply shapes by statement kind.
-type StatementClass int
-
-const (
-	// ClassOther covers DDL, DML and utility statements: an OK frame.
-	ClassOther StatementClass = iota
-	// ClassSelect is a plain SELECT: a ROWS result frame.
-	ClassSelect
-	// ClassExplain is EXPLAIN/PROFILE: plan text in an OK frame.
-	ClassExplain
-	// ClassExecute is EXECUTE: the frame depends on the prepared body.
-	ClassExecute
-)
-
-// Classify parses the statement and reports its reply shape. Unparseable
-// input classifies as ClassOther; execution will surface the parse error.
-// This replaces prefix-sniffing ("does it start with SELECT"), which
-// misclassified EXPLAIN/PROFILE-prefixed selects and comment-led text.
-func Classify(text string) StatementClass {
-	st, err := Parse(text)
-	if err != nil {
-		return ClassOther
-	}
-	return ClassifyStmt(st)
-}
-
-// ClassifyStmt reports the reply shape of an already-parsed statement.
-func ClassifyStmt(st Statement) StatementClass {
-	switch s := st.(type) {
-	case *SelectStmt:
-		if s.Explain || s.Profile {
-			return ClassExplain
-		}
-		return ClassSelect
-	case *ExecuteStmt:
-		return ClassExecute
-	default:
-		return ClassOther
-	}
-}

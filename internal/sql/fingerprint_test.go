@@ -253,27 +253,6 @@ func TestSubstituteParamsDML(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	for src, want := range map[string]StatementClass{
-		`SELECT a FROM t`:                     ClassSelect,
-		`EXPLAIN SELECT a FROM t`:             ClassExplain,
-		`PROFILE SELECT a FROM t`:             ClassExplain,
-		`EXECUTE q (1)`:                       ClassExecute,
-		`INSERT INTO t VALUES (1)`:            ClassOther,
-		`PREPARE q AS SELECT a FROM t`:        ClassOther,
-		`CREATE TABLE t (a INT)`:              ClassOther,
-		`SELEKT nonsense`:                     ClassOther,
-		`  select a from t where a = 'x'  `:   ClassSelect,
-		`DEALLOCATE PREPARE q`:                ClassOther,
-		`SET RESOURCE POOL general`:           ClassOther,
-		`EXPLAIN SELECT a FROM t WHERE a = 1`: ClassExplain,
-	} {
-		if got := Classify(src); got != want {
-			t.Errorf("Classify(%q) = %d, want %d", src, got, want)
-		}
-	}
-}
-
 func TestBindHelpers(t *testing.T) {
 	tbl, err := testCatalog(t).Table("sales")
 	if err != nil {

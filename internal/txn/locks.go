@@ -107,41 +107,3 @@ func Convert(req, granted LockMode) LockMode {
 	}
 	return convert[req][granted]
 }
-
-// CompatibilityTable renders Table 1 for display (cmd/vbench -exp locks).
-func CompatibilityTable() string {
-	out := "Requested\\Granted"
-	for _, g := range Modes {
-		out += "\t" + g.String()
-	}
-	out += "\n"
-	for _, r := range Modes {
-		out += r.String()
-		for _, g := range Modes {
-			if Compatible(r, g) {
-				out += "\tYes"
-			} else {
-				out += "\tNo"
-			}
-		}
-		out += "\n"
-	}
-	return out
-}
-
-// ConversionTable renders Table 2 for display.
-func ConversionTable() string {
-	out := "Requested\\Granted"
-	for _, g := range Modes {
-		out += "\t" + g.String()
-	}
-	out += "\n"
-	for _, r := range Modes {
-		out += r.String()
-		for _, g := range Modes {
-			out += "\t" + Convert(r, g).String()
-		}
-		out += "\n"
-	}
-	return out
-}

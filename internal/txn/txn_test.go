@@ -1,7 +1,6 @@
 package txn
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -72,17 +71,6 @@ func TestCompatibilitySymmetryWhereExpected(t *testing.T) {
 	// granted X = Yes. So X/U is symmetric too.
 	if !Compatible(X, U) || !Compatible(U, X) {
 		t.Error("X and U should be mutually compatible per Table 1")
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	ct := CompatibilityTable()
-	if !strings.Contains(ct, "Yes") || !strings.Contains(ct, "No") {
-		t.Error("compatibility table not rendered")
-	}
-	cv := ConversionTable()
-	if !strings.Contains(cv, "SI") {
-		t.Error("conversion table not rendered")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // are "optimized for the sorted data that the storage system maintains") and
 // this file is where it is written down: a cursor is the current row of a
 // stream of sorted batches, a merger makes one sorted stream of several. The
-// executor's sorter, Sort, Analytic, the merge join, the group-by spill, the
+// executor's sorter, Sort, the merge join, the group-by spill, the
 // merge exchange and the merged scan are customers, and so is mergeout in the
 // tuple mover. Everything compares rows in place with CompareAt.
 

@@ -392,8 +392,8 @@ func TestRowsShareOneBackingArrayButNotCapacity(t *testing.T) {
 	if len(rows) != 2 || rows[1][0].I != 3 || rows[1][1].S != "z" {
 		t.Fatalf("Rows = %v", rows)
 	}
-	// Appending to a row (Analytic adds its result column this way) must
-	// not write into the next row's values.
+	// Appending to a row (a caller extending a row does this) must not
+	// write into the next row's values.
 	_ = append(rows[0], types.NewInt(99))
 	if rows[1][0].I != 3 {
 		t.Errorf("append to row 0 clobbered row 1: %v", rows[1])
