@@ -88,11 +88,13 @@ test-metamorphic:
 	$(GO) test -race ./internal/tuplemover -run 'TestMergeoutOracle|TestMergeoutHoldsABlockPerInput' -count=1 -mergeout.seed $(ORACLE_SEED) -mergeout.cases 300
 
 # Fail if the parser accepts a statement keyword or a system table has a
-# column docs/SQL.md never mentions, or if a system table's section there
+# column docs/SQL.md never mentions, if a system table's section there
 # does not list exactly its columns (names and types, in order) as
-# registered.
+# registered, or if README.md or docs/*.md names an internal/ or cmd/
+# path that does not exist.
 docs-check:
 	sh scripts/check_sql_docs.sh
+	sh scripts/check_doc_paths.sh
 	$(GO) test ./internal/core -run '^TestSystemTablesDocumented$$' -count=1
 
 serve:

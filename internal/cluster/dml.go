@@ -80,7 +80,7 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 				return err
 			}
 			if direct || mgr.WOS().Saturated() {
-				if err := c.directLoad(tg.proj, mgr, trows, epoch, tx); err != nil {
+				if err := c.directLoad(tg.proj, mgr, trows, epoch); err != nil {
 					return err
 				}
 				c.Txn.Epochs.SetLGE(tg.proj.Name, epoch)
@@ -108,21 +108,15 @@ func projectTableRow(t *catalog.Table, p *catalog.Projection, r types.Row) (type
 	return out, nil
 }
 
-// directLoad writes rows straight to ROS containers, bypassing the WOS. The
-// containers are published as they stand and discarded if the transaction
-// rolls back.
-func (c *Cluster) directLoad(p *catalog.Projection, mgr *storage.Manager, rows []types.Row, epoch types.Epoch, tx *txn.Txn) error {
+// directLoad writes rows straight to ROS containers, bypassing the WOS. It
+// runs inside a commit apply, so the containers are published at once; a
+// failed write is returned and fails the commit.
+func (c *Cluster) directLoad(p *catalog.Projection, mgr *storage.Manager, rows []types.Row, epoch types.Epoch) error {
 	stored := make([]storage.StoredRow, len(rows))
 	for i, r := range rows {
 		stored[i] = storage.StoredRow{Row: r, Epoch: epoch}
 	}
-	written, err := c.writeStored(p, mgr, stored)
-	tx.StageRollback(func() {
-		for _, w := range written {
-			mgr.Remove(w.Meta.ID)
-		}
-	})
-	return err
+	return c.writeStored(p, mgr, stored)
 }
 
 // Placement compiles, from the catalog, how projection p's stored rows become
@@ -154,19 +148,19 @@ func (c *Cluster) Placement(p *catalog.Projection) (*storage.Placement, error) {
 // writeStored places rows of projection p and writes and publishes their
 // containers on mgr — the whole of direct load's, recovery's, refresh's and
 // rebalance's way into the ROS.
-func (c *Cluster) writeStored(p *catalog.Projection, mgr *storage.Manager, rows []storage.StoredRow) ([]storage.Written, error) {
+func (c *Cluster) writeStored(p *catalog.Projection, mgr *storage.Manager, rows []storage.StoredRow) error {
 	if len(rows) == 0 {
-		return nil, nil
+		return nil
 	}
 	pl, err := c.Placement(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	written, err := pl.WriteRows(mgr, rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return written, mgr.PublishWritten(written)
+	return mgr.PublishWritten(written)
 }
 
 // onProjection rewrites an expression over table t's columns (a DML

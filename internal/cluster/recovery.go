@@ -149,8 +149,7 @@ func (c *Cluster) catchUp(n *Node, p *catalog.Projection, dst *storage.Manager, 
 			}
 		}
 	}
-	_, err = c.writeStored(p, dst, missed)
-	return err
+	return c.writeStored(p, dst, missed)
 }
 
 // storesRow reports whether node n stores row under projection p.
@@ -281,7 +280,7 @@ func (c *Cluster) writeStaged(p *catalog.Projection, staged map[int][]storage.St
 		if err != nil {
 			return err
 		}
-		if _, err := c.writeStored(p, mgr, rows); err != nil {
+		if err := c.writeStored(p, mgr, rows); err != nil {
 			return err
 		}
 	}

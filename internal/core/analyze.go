@@ -74,10 +74,6 @@ func (db *Database) execAnalyze(ctx context.Context, st *sql.AnalyzeStmt) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	buckets := int(st.Buckets)
-	if buckets <= 0 {
-		buckets = db.opts.StatsBuckets
-	}
 	builders := make([]*stats.Builder, len(cols))
 	for i, c := range cols {
 		builders[i] = stats.NewBuilder(t.Schema.Col(c).Name, t.Schema.Col(c).Typ)
@@ -91,7 +87,7 @@ func (db *Database) execAnalyze(ctx context.Context, st *sql.AnalyzeStmt) (*Resu
 	}
 	out := make([]*stats.ColumnStats, len(builders))
 	for i, b := range builders {
-		out[i] = b.Build(buckets)
+		out[i] = b.Build(int(st.Buckets))
 	}
 	if err := db.cat.SetTableStats(table, out); err != nil {
 		return nil, err

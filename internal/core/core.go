@@ -90,9 +90,6 @@ type Options struct {
 	// were prefixed with PROFILE — a benchmarking/testing knob; interactive
 	// use profiles per statement with the PROFILE verb.
 	Profile bool
-	// StatsBuckets is the histogram bucket count ANALYZE_STATISTICS builds
-	// when the statement does not name one (0 = stats.DefaultBuckets).
-	StatsBuckets int
 	// DCCapacity bounds each Data Collector ring (phases, events, mover,
 	// locks, errors). 0 = dc.DefaultCapacity; negative disables the Data
 	// Collector entirely (the v_monitor dc tables stay registered but

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/resmgr"
+	"repro/internal/stats"
 )
 
 // setupTwoProjections creates a table whose two projections lead with
@@ -118,6 +119,10 @@ func TestAnalyzeMultiNode(t *testing.T) {
 	cs := db.Catalog().ColumnStats("sales", "cust")
 	if cs == nil || cs.RowCount != 900 || cs.NDV < 9 || cs.NDV > 11 {
 		t.Fatalf("cluster-wide stats wrong: %+v", cs)
+	}
+	// Without a bucket count the statement builds stats.DefaultBuckets.
+	if id := db.Catalog().ColumnStats("sales", "sale_id"); id == nil || len(id.Hist.Buckets) != stats.DefaultBuckets {
+		t.Fatalf("sale_id histogram should have %d buckets: %+v", stats.DefaultBuckets, id)
 	}
 }
 

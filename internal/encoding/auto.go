@@ -8,10 +8,11 @@ import (
 // Auto encoding selection (paper §3.4.1: "the system automatically picks the
 // most advantageous encoding type based on properties of the data itself").
 //
-// Like the Database Designer's storage-optimization phase (paper §6.3), the
-// choice is empirical: encode the block with every applicable candidate and
-// keep the smallest. Ties favour the cheaper-to-decode scheme (declaration
-// order below).
+// The choice is empirical, as in the storage-optimization phase of paper §6.3
+// ("empirical encoding experiments on the sample data"), but run on every
+// block in its real sort order: encode the block with every applicable
+// candidate and keep the smallest. Ties favour the cheaper-to-decode scheme
+// (declaration order below).
 
 // candidateKinds returns the encodings worth trying for a column type, in
 // decode-cost order (cheapest first, used to break size ties).

@@ -47,7 +47,7 @@ const (
 	CompressedCommonDelta
 )
 
-// String returns the DBD-style name of the encoding.
+// String returns the encoding's name as the ENCODING clause spells it.
 func (k Kind) String() string {
 	switch k {
 	case None:

@@ -203,6 +203,27 @@ func TestAutoNeverReturnsAuto(t *testing.T) {
 	}
 }
 
+// TestAutoAvoidsRLEForUniqueInts: a column of unique values, random or
+// ascending, has one run per row, so the storage experiment never keeps RLE
+// for it (paper §6.3: the encoding is picked by trying it on the data).
+func TestAutoAvoidsRLEForUniqueInts(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	v := vector.New(types.Int64, 100)
+	for i := 0; i < 100; i++ {
+		v.AppendValue(types.NewInt(rng.Int63()))
+	}
+	if k := Choose(v); k == RLE {
+		t.Error("Choose picked RLE for unique random data")
+	}
+	asc := vector.New(types.Int64, 1000)
+	for i := 0; i < 1000; i++ {
+		asc.AppendValue(types.NewInt(int64(i)))
+	}
+	if k := Choose(asc); k == RLE {
+		t.Error("Choose picked RLE for unique ascending data")
+	}
+}
+
 func TestAutoEncodeBlockResolves(t *testing.T) {
 	v := intVec(1, 1, 1, 1, 1, 1)
 	enc, err := EncodeBlock(Auto, v)

@@ -222,7 +222,7 @@ type SetStmt struct {
 // count: ANALYZE_STATISTICS('table', 64).
 type AnalyzeStmt struct {
 	Target  string // 'table' or 'table.column'
-	Buckets int64  // 0 = engine default
+	Buckets int64  // 0 = stats.DefaultBuckets
 }
 
 // PrepareStmt is PREPARE name AS <statement>. The body may contain $n

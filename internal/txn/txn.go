@@ -35,11 +35,10 @@ type Txn struct {
 	ID        TxnID
 	Isolation IsolationLevel
 
-	mu        sync.Mutex
-	commits   []func(epoch types.Epoch) error
-	rollbacks []func()
-	dml       bool // DML has been staged
-	done      bool
+	mu      sync.Mutex
+	commits []func(epoch types.Epoch) error
+	dml     bool // DML has been staged
+	done    bool
 }
 
 // Manager creates transactions and coordinates their commit with the epoch
@@ -71,14 +70,6 @@ func (t *Txn) StageCommit(dml bool, apply func(epoch types.Epoch) error) {
 	if apply != nil {
 		t.commits = append(t.commits, apply)
 	}
-}
-
-// StageRollback registers cleanup run if the transaction rolls back (e.g.
-// removing direct-loaded ROS containers).
-func (t *Txn) StageRollback(undo func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rollbacks = append(t.rollbacks, undo)
 }
 
 // Commit applies staged effects at a single commit epoch and advances the
@@ -126,7 +117,7 @@ func (m *Manager) Commit(t *Txn) (types.Epoch, error) {
 	return epoch, nil
 }
 
-// Rollback discards the transaction, running staged cleanup in reverse.
+// Rollback discards the transaction: its staged effects never run.
 func (m *Manager) Rollback(t *Txn) {
 	t.mu.Lock()
 	if t.done {
@@ -134,10 +125,6 @@ func (m *Manager) Rollback(t *Txn) {
 		return
 	}
 	t.done = true
-	rollbacks := t.rollbacks
 	t.mu.Unlock()
-	for i := len(rollbacks) - 1; i >= 0; i-- {
-		rollbacks[i]()
-	}
 	m.Locks.ReleaseAll(t.ID)
 }
