@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/expr"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -122,18 +121,12 @@ type Catalog struct {
 	tables      map[string]*Table
 	projections map[string]*Projection
 	virtual     map[string]*VirtualTable
-	// colStats holds per-table, per-column optimizer statistics written by
-	// ANALYZE_STATISTICS. Kept beside (not inside) Table so planner reads
-	// and ANALYZE writes synchronize on the catalog lock.
-	colStats map[string]map[string]*stats.ColumnStats
-	pools    map[string]*PoolDef
-	// generation counts schema mutations (CREATE/DROP TABLE/PROJECTION) and
-	// statsEpoch counts ANALYZE_STATISTICS writes. Both are monotonic and
-	// in-memory only: they exist so the plan cache can key entries on the
-	// catalog state they were planned against — a bump lazily invalidates
-	// every cached plan without touching the cache.
+	pools       map[string]*PoolDef
+	// generation counts schema mutations (CREATE/DROP TABLE/PROJECTION). It
+	// is monotonic and in-memory only: it exists so the plan cache can key
+	// entries on the catalog state they were planned against — a bump
+	// lazily invalidates every cached plan without touching the cache.
 	generation int64
-	statsEpoch int64
 }
 
 // Generation returns the schema-mutation counter (bumped by CREATE/DROP of
@@ -144,14 +137,6 @@ func (c *Catalog) Generation() int64 {
 	return c.generation
 }
 
-// StatsEpoch returns the statistics-write counter (bumped by
-// ANALYZE_STATISTICS via SetTableStats).
-func (c *Catalog) StatsEpoch() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.statsEpoch
-}
-
 // New creates an empty catalog persisted under dir ("" keeps it in memory).
 func New(dir string) *Catalog {
 	return &Catalog{
@@ -159,7 +144,6 @@ func New(dir string) *Catalog {
 		tables:      map[string]*Table{},
 		projections: map[string]*Projection{},
 		virtual:     map[string]*VirtualTable{},
-		colStats:    map[string]map[string]*stats.ColumnStats{},
 		pools:       map[string]*PoolDef{},
 	}
 }
@@ -196,6 +180,10 @@ func (c *Catalog) VirtualNames() []string {
 	return out
 }
 
+// Every mutator below that persists applies its change in memory, persists,
+// and undoes the change when the write fails: a DDL that returns an error
+// leaves the catalog, its generation included, as it was.
+
 // CreateTable registers a table.
 func (c *Catalog) CreateTable(t *Table) error {
 	if t.Schema == nil || t.Schema.Len() == 0 {
@@ -208,26 +196,39 @@ func (c *Catalog) CreateTable(t *Table) error {
 	}
 	t.Cols = t.Schema.Cols
 	c.tables[t.Name] = t
+	if err := c.persistLocked(); err != nil {
+		delete(c.tables, t.Name)
+		return err
+	}
 	c.generation++
-	return c.persistLocked()
+	return nil
 }
 
 // DropTable removes a table and all of its projections.
 func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
+	t, ok := c.tables[name]
+	if !ok {
 		return fmt.Errorf("catalog: table %q does not exist", name)
 	}
 	delete(c.tables, name)
-	delete(c.colStats, name)
+	var dropped []*Projection
 	for pn, p := range c.projections {
 		if p.Anchor == name {
+			dropped = append(dropped, p)
 			delete(c.projections, pn)
 		}
 	}
+	if err := c.persistLocked(); err != nil {
+		c.tables[name] = t
+		for _, p := range dropped {
+			c.projections[p.Name] = p
+		}
+		return err
+	}
 	c.generation++
-	return c.persistLocked()
+	return nil
 }
 
 // Table resolves a table by name; virtual (system) tables resolve after
@@ -303,8 +304,12 @@ func (c *Catalog) CreateProjection(p *Projection) error {
 		p.Encodings = map[string]encoding.Kind{}
 	}
 	c.projections[p.Name] = p
+	if err := c.persistLocked(); err != nil {
+		delete(c.projections, p.Name)
+		return err
+	}
 	c.generation++
-	return c.persistLocked()
+	return nil
 }
 
 // DropProjection removes a projection. The last super projection of a table
@@ -329,8 +334,12 @@ func (c *Catalog) DropProjection(name string) error {
 		}
 	}
 	delete(c.projections, name)
+	if err := c.persistLocked(); err != nil {
+		c.projections[name] = p
+		return err
+	}
 	c.generation++
-	return c.persistLocked()
+	return nil
 }
 
 // Projection resolves a projection by name.
@@ -380,53 +389,6 @@ func (c *Catalog) SuperProjection(table string) (*Projection, error) {
 	return nil, fmt.Errorf("catalog: table %q has no super projection", table)
 }
 
-// --- column statistics -------------------------------------------------------
-
-// SetTableStats merges per-column statistics for a table (ANALYZE of a
-// single column replaces only that column's record) and persists the
-// catalog, so statistics survive restart next to their table.
-func (c *Catalog) SetTableStats(table string, cols []*stats.ColumnStats) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[table]; !ok {
-		return fmt.Errorf("catalog: table %q does not exist", table)
-	}
-	m := c.colStats[table]
-	if m == nil {
-		m = map[string]*stats.ColumnStats{}
-		c.colStats[table] = m
-	}
-	for _, cs := range cols {
-		m[cs.Column] = cs
-	}
-	c.statsEpoch++
-	return c.persistLocked()
-}
-
-// TableStats snapshots a table's column statistics (nil when unanalyzed).
-// ColumnStats records are immutable once stored; the returned map is a
-// private copy the caller may hold without locking.
-func (c *Catalog) TableStats(table string) map[string]*stats.ColumnStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	m := c.colStats[table]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make(map[string]*stats.ColumnStats, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// ColumnStats returns one column's statistics (nil when unanalyzed).
-func (c *Catalog) ColumnStats(table, column string) *stats.ColumnStats {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.colStats[table][column]
-}
-
 // --- resource pool definitions ----------------------------------------------
 
 // SavePool upserts a persisted resource-pool definition.
@@ -436,9 +398,18 @@ func (c *Catalog) SavePool(def PoolDef) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	old, had := c.pools[def.Name]
 	d := def
 	c.pools[def.Name] = &d
-	return c.persistLocked()
+	if err := c.persistLocked(); err != nil {
+		if had {
+			c.pools[def.Name] = old
+		} else {
+			delete(c.pools, def.Name)
+		}
+		return err
+	}
+	return nil
 }
 
 // DropPool removes a persisted pool definition (no error when absent: the
@@ -446,11 +417,16 @@ func (c *Catalog) SavePool(def PoolDef) error {
 func (c *Catalog) DropPool(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.pools[name]; !ok {
+	d, ok := c.pools[name]
+	if !ok {
 		return nil
 	}
 	delete(c.pools, name)
-	return c.persistLocked()
+	if err := c.persistLocked(); err != nil {
+		c.pools[name] = d
+		return err
+	}
+	return nil
 }
 
 // PoolDef returns one persisted pool definition.
@@ -480,10 +456,7 @@ func (c *Catalog) PoolDefs() []PoolDef {
 type persisted struct {
 	Tables      []*Table      `json:"tables"`
 	Projections []*Projection `json:"projections"`
-	// Stats maps table -> column -> statistics, "next to tables" as the
-	// paper keeps optimizer statistics in the catalog.
-	Stats map[string]map[string]*stats.ColumnStats `json:"column_statistics,omitempty"`
-	Pools []PoolDef                                `json:"resource_pools,omitempty"`
+	Pools       []PoolDef     `json:"resource_pools,omitempty"`
 }
 
 func (c *Catalog) persistLocked() error {
@@ -499,9 +472,6 @@ func (c *Catalog) persistLocked() error {
 	}
 	sort.Slice(p.Tables, func(i, j int) bool { return p.Tables[i].Name < p.Tables[j].Name })
 	sort.Slice(p.Projections, func(i, j int) bool { return p.Projections[i].Name < p.Projections[j].Name })
-	if len(c.colStats) > 0 {
-		p.Stats = c.colStats
-	}
 	for _, d := range c.pools {
 		p.Pools = append(p.Pools, *d)
 	}
@@ -545,11 +515,6 @@ func Load(dir string) (*Catalog, error) {
 			return nil, err
 		}
 		c.projections[pr.Name] = pr
-	}
-	for table, m := range p.Stats {
-		if _, ok := c.tables[table]; ok {
-			c.colStats[table] = m
-		}
 	}
 	for i := range p.Pools {
 		d := p.Pools[i]

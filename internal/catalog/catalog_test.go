@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/expr"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -203,6 +203,53 @@ func TestPersistAndLoad(t *testing.T) {
 	}
 }
 
+// TestLoadIgnoresUnknownKeys: a catalog.json holding a section this version
+// no longer keeps (an older catalog's per-column statistics, say) still
+// loads; the key is ignored and the next write drops it.
+func TestLoadIgnoresUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	c := New(dir)
+	if err := c.CreateTable(salesTable()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateProjection(&Projection{Name: "p", Anchor: "sales", Columns: []string{"sale_id", "date", "cust", "price"}}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "catalog.json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["retired_section"] = json.RawMessage(`{"sales": {"cust": {"column": "cust", "row_count": 900,
+		"null_count": 0, "ndv": 10, "histogram": {"buckets": [{"upper": 9, "count": 900, "ndv": 10}]}}}}`)
+	if b, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := Load(dir)
+	if err != nil {
+		t.Fatalf("a catalog.json with an unknown key failed to load: %v", err)
+	}
+	if _, err := c2.Table("sales"); err != nil || len(c2.ProjectionsFor("sales")) != 1 {
+		t.Fatalf("reloaded catalog lost sales or its projection: %v, %d", err, len(c2.ProjectionsFor("sales")))
+	}
+	if err := c2.SavePool(PoolDef{Name: "etl"}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "retired_section") {
+		t.Error("a rewrite kept the unknown key")
+	}
+}
+
 func TestLoadEmptyDir(t *testing.T) {
 	c, err := Load(t.TempDir())
 	if err != nil {
@@ -213,14 +260,91 @@ func TestLoadEmptyDir(t *testing.T) {
 	}
 }
 
+// TestPersistFailuresSurface checks that a catalog write that fails fails
+// its DDL and leaves the catalog as it was: in memory (lookups and
+// generation) and on disk, so a retry after the fault clears succeeds and a
+// restart sees the last good catalog. The write fails two ways: the catalog
+// directory cannot be created, and catalog.json.tmp is a directory.
 func TestPersistFailuresSurface(t *testing.T) {
-	// A catalog directory that cannot be created fails the DDL that persists.
 	file := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := New(filepath.Join(file, "db")).CreateTable(salesTable()); err == nil {
 		t.Error("CreateTable persisted under a regular file")
+	}
+	for _, fault := range []struct {
+		name        string
+		inject, fix func(c *Catalog)
+	}{
+		{"mkdir", func(c *Catalog) { c.dir = filepath.Join(file, "db") }, nil},
+		{"tmp is a directory",
+			func(c *Catalog) { os.Mkdir(filepath.Join(c.dir, "catalog.json.tmp"), 0o755) },
+			func(c *Catalog) { os.Remove(filepath.Join(c.dir, "catalog.json.tmp")) }},
+	} {
+		t.Run(fault.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := New(dir)
+			all := []string{"sale_id", "date", "cust", "price"}
+			for _, err := range []error{
+				c.CreateTable(salesTable()),
+				c.CreateProjection(&Projection{Name: "p_super", Anchor: "sales", Columns: all}),
+				c.CreateProjection(&Projection{Name: "p_cust", Anchor: "sales", Columns: []string{"cust"}}),
+				c.SavePool(PoolDef{Name: "etl", MaxConcurrency: 2}),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			fault.inject(c)
+			gen := c.Generation()
+			fails := func(op string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Errorf("%s succeeded with the catalog unwritable", op)
+				}
+				if c.Generation() != gen {
+					t.Errorf("a failed %s moved the generation %d -> %d", op, gen, c.Generation())
+				}
+			}
+			other := &Table{Name: "other", Schema: types.NewSchema(types.Column{Name: "k", Typ: types.Int64})}
+			fails("CreateTable", c.CreateTable(other))
+			if _, err := c.Table("other"); err == nil {
+				t.Error("a failed CreateTable left its table")
+			}
+			fails("CreateProjection", c.CreateProjection(&Projection{Name: "p_price", Anchor: "sales", Columns: []string{"price"}}))
+			if _, err := c.Projection("p_price"); err == nil {
+				t.Error("a failed CreateProjection left its projection")
+			}
+			fails("DropProjection", c.DropProjection("p_cust"))
+			if _, err := c.Projection("p_cust"); err != nil {
+				t.Error("a failed DropProjection dropped the projection")
+			}
+			fails("DropTable", c.DropTable("sales"))
+			if _, err := c.Table("sales"); err != nil || len(c.ProjectionsFor("sales")) != 2 {
+				t.Errorf("a failed DropTable dropped the table or its projections: %v, %d", err, len(c.ProjectionsFor("sales")))
+			}
+			fails("SavePool (new)", c.SavePool(PoolDef{Name: "reports"}))
+			fails("SavePool (update)", c.SavePool(PoolDef{Name: "etl", MaxConcurrency: 9}))
+			fails("DropPool", c.DropPool("etl"))
+			if defs := c.PoolDefs(); len(defs) != 1 || defs[0].Name != "etl" || defs[0].MaxConcurrency != 2 {
+				t.Errorf("failed pool writes changed the pools: %+v", defs)
+			}
+			reloaded, err := Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reloaded.Tables()) != 1 || len(reloaded.Projections()) != 2 || len(reloaded.PoolDefs()) != 1 {
+				t.Errorf("the last good catalog on disk changed: %d tables, %d projections, %d pools",
+					len(reloaded.Tables()), len(reloaded.Projections()), len(reloaded.PoolDefs()))
+			}
+			if fault.fix != nil {
+				fault.fix(c)
+				if err := c.CreateTable(other); err != nil {
+					t.Errorf("retrying CreateTable after the fault cleared: %v", err)
+				}
+			}
+		})
 	}
 	// An unreadable catalog.json fails Load rather than opening empty.
 	dir := t.TempDir()
@@ -288,62 +412,18 @@ func TestVirtualTables(t *testing.T) {
 	}
 }
 
-func TestGenerationAndStatsEpoch(t *testing.T) {
+func TestGeneration(t *testing.T) {
 	c := New("")
-	g0, s0 := c.Generation(), c.StatsEpoch()
+	g0 := c.Generation()
 	c.CreateTable(salesTable())
 	c.CreateProjection(&Projection{Name: "p", Anchor: "sales", Columns: []string{"cust"}})
 	c.DropProjection("p")
 	if g := c.Generation(); g != g0+3 {
 		t.Errorf("generation moved %d times for three schema changes", g-g0)
 	}
-	if c.StatsEpoch() != s0 {
-		t.Error("a schema change moved the statistics epoch")
-	}
-	if err := c.SetTableStats("sales", []*stats.ColumnStats{{Column: "cust", RowCount: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	if c.StatsEpoch() != s0+1 || c.Generation() != g0+3 {
-		t.Error("ANALYZE moved the wrong counter")
-	}
-	if err := c.SetTableStats("nosuch", nil); err == nil {
-		t.Error("statistics for a missing table were accepted")
-	}
-}
-
-func TestColumnStatsMergeAndPersist(t *testing.T) {
-	dir := t.TempDir()
-	c := New(dir)
-	c.CreateTable(salesTable())
-	if c.TableStats("sales") != nil || c.ColumnStats("sales", "cust") != nil {
-		t.Fatal("an unanalyzed table has statistics")
-	}
-	c.SetTableStats("sales", []*stats.ColumnStats{{Column: "cust", RowCount: 3, NDV: 2}, {Column: "price", RowCount: 3}})
-	// Analyzing one column replaces only that column's record.
-	c.SetTableStats("sales", []*stats.ColumnStats{{Column: "cust", RowCount: 5, NDV: 4}})
-	all := c.TableStats("sales")
-	if len(all) != 2 || all["cust"].NDV != 4 || all["price"].RowCount != 3 {
-		t.Fatalf("TableStats = %v", all)
-	}
-	delete(all, "cust") // the snapshot is the caller's
-	if c.ColumnStats("sales", "cust") == nil {
-		t.Error("editing a TableStats snapshot changed the catalog")
-	}
-	c2, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs := c2.ColumnStats("sales", "cust"); cs == nil || cs.NDV != 4 || cs.RowCount != 5 {
-		t.Errorf("reloaded statistics = %+v", cs)
-	}
-	// Dropping the table drops its statistics, on disk too.
-	c.DropTable("sales")
-	if c.TableStats("sales") != nil {
-		t.Error("statistics outlived their table")
-	}
-	c3, _ := Load(dir)
-	if c3.TableStats("sales") != nil {
-		t.Error("statistics of a dropped table were reloaded")
+	c.SavePool(PoolDef{Name: "etl"})
+	if c.Generation() != g0+3 {
+		t.Error("a pool definition moved the schema generation")
 	}
 }
 

@@ -286,10 +286,7 @@ func (c *Cluster) StageUpdate(tx *txn.Txn, table string, set map[int]expr.Expr, 
 				if err != nil {
 					return err
 				}
-				if v.Typ != t.Schema.Col(ci).Typ && !(v.Null) {
-					v = coerceTo(v, t.Schema.Col(ci).Typ)
-				}
-				updated[ci] = v
+				updated[ci] = types.Coerce(v, t.Schema.Col(ci).Typ)
 			}
 			newRows = append(newRows, updated)
 			return nil
@@ -307,18 +304,6 @@ func (c *Cluster) StageUpdate(tx *txn.Txn, table string, set map[int]expr.Expr, 
 		}
 	}
 	return int64(len(newRows)), nil
-}
-
-func coerceTo(v types.Value, t types.Type) types.Value {
-	switch {
-	case t == types.Float64 && v.Typ.IsIntegral():
-		return types.NewFloat(float64(v.I))
-	case t.IsIntegral() && v.Typ == types.Float64:
-		return types.Value{Typ: t, I: int64(v.F)}
-	default:
-		v.Typ = t
-		return v
-	}
 }
 
 func projToTableRow(t *catalog.Table, p *catalog.Projection, pr types.Row) types.Row {

@@ -114,11 +114,9 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 		return nil, fmt.Errorf("cluster: no nodes available")
 	}
 	// Probe plan on the first up node, BEFORE admission: it determines
-	// projection choices, placement validity, and — when every base table
-	// has statistics — the memory estimate the admission request is sized
-	// from (dynamic grant sizing; planning itself consumes no governed
-	// memory). Per-node plans are rebuilt after admission, so a long queue
-	// wait cannot execute a stale probe. A plan-cache hit supplies the
+	// projection choices and placement validity (planning itself consumes
+	// no governed memory). Per-node plans are rebuilt after admission, so a
+	// long queue wait cannot execute a stale probe. A plan-cache hit supplies the
 	// probe metadata directly (opts.CachedProbe) and skips the probe Plan
 	// call — the expensive half of short-query planning — while placement
 	// checks and admission still run against live state.
@@ -134,7 +132,6 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 				ProjectionsUsed: pp.ProjectionsUsed,
 				EstRows:         pp.EstRows,
 				EstMemBytes:     pp.EstMemBytes,
-				StatsBacked:     pp.StatsBacked,
 				Workers:         pp.Workers,
 			}
 		}
@@ -152,9 +149,8 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 	}
 	var grant *resmgr.Grant
 	if gov := c.cfg.Governor; gov != nil && !allVirtual {
-		poolName := resmgr.PoolFromContext(ctx)
 		tr.Begin("queue")
-		grant, err = admitSized(ctx, gov, poolName, c.grantRequest(poolName, probe))
+		grant, err = gov.Admit(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -310,73 +306,6 @@ func (c *Cluster) RunAtCtx(ctx context.Context, q *optimizer.LogicalQuery, opts 
 	})
 	return &QueryResult{Schema: schema, Batches: final, Explain: explain,
 		Stats: grant.Stats(), OpProfiles: opRecs, Probe: probe}, nil
-}
-
-// grantRequest sizes the admission request from the probe plan (the
-// roadmap's "dynamic grant sizing"): a statistics-backed plan requests its
-// estimated working memory instead of the static pool/concurrency split, so
-// well-estimated small queries stop reserving the full slice and more of
-// them run concurrently under memory pressure. Plans estimating above the
-// pool's default grant are no longer clamped down: resmgr.SizeGrant raises
-// the request into whatever pool headroom exists right now (bounded by
-// MAXMEMORYSIZE), and any residual estimate error is covered by mid-flight
-// renegotiation (Grant.Request) at the operators' spill thresholds.
-// Returning 0 keeps the pool's default (heuristic-only plans, unknown
-// pools).
-func (c *Cluster) grantRequest(poolName string, probe optimizer.ProbeInfo) int64 {
-	if !probe.StatsBacked {
-		return 0
-	}
-	return c.cfg.Governor.SizeGrant(poolName, probe.EstMemBytes)
-}
-
-// admitSized admits with the plan-sized grant request (0 = pool default).
-// SizeGrant sizes above-default requests from the headroom visible at probe
-// time; if that headroom is taken — by a concurrent admission, or by a
-// CREATE/ALTER RESOURCE POOL reshaping reservations — before this query
-// reaches the front of the queue, the oversized request can time out or
-// become infeasible where the pre-renegotiation behavior (clamp to default)
-// would have admitted. So an above-default request that fails falls back to
-// one admission at the pool default — mid-flight renegotiation covers the
-// estimate gap once memory frees up, and spilling covers it when it does
-// not. An infeasible request failed fast, so its fallback queues normally;
-// a timed-out request already consumed the pool's queue budget, so its
-// fallback is a single non-queueing attempt (TryAdmitSince — no second
-// wait, no double-counted queue statistics) and the original timeout error
-// surfaces if the default does not fit right now. Both fallbacks keep the
-// original enqueue time so the grant's queue-wait accounting covers the
-// whole stall, not just the final attempt.
-//
-// Deliberate trade-off: if the pool stays saturated for the whole timeout
-// (or other statements queued up behind the oversized request), the
-// fallback declines and the statement pays a queue-timeout failure the old
-// always-clamp behavior avoided. Overtaking those waiters would break the
-// pool's FIFO fairness — the same head-blocking policy Admit itself
-// enforces — and a pool that busy is exactly what admission control exists
-// to push back on.
-func admitSized(ctx context.Context, gov *resmgr.Governor, poolName string, req int64) (*resmgr.Grant, error) {
-	enqueued := time.Now()
-	grant, err := gov.AdmitPoolBytes(ctx, poolName, req)
-	var inf *resmgr.InfeasibleError
-	timedOut := errors.Is(err, resmgr.ErrQueueTimeout)
-	if err == nil || req <= 0 || (!timedOut && !errors.As(err, &inf)) {
-		return grant, err
-	}
-	name := poolName
-	if name == "" {
-		name = resmgr.GeneralPool
-	}
-	st, ok := gov.PoolStatus(name)
-	if !ok || req <= st.EffGrantBytes {
-		return grant, err
-	}
-	if !timedOut {
-		return gov.AdmitPoolBytesSince(ctx, poolName, 0, enqueued)
-	}
-	if g2, ok := gov.TryAdmitSince(ctx, poolName, 0, enqueued); ok {
-		return g2, nil
-	}
-	return nil, err
 }
 
 // execCtx builds one pipeline's execution context: snapshot epoch, the

@@ -570,7 +570,7 @@ func (s *Session) dispatch(ctx context.Context, stmt sql.Statement, at *types.Ep
 	case *sql.SetStmt:
 		return s.execSet(st)
 	case *sql.AnalyzeStmt:
-		return s.db.execAnalyze(ctx, st)
+		return s.db.execAnalyze(st)
 	case *sql.DropStmt:
 		return s.db.execDrop(st)
 	case *sql.InsertStmt:
@@ -608,9 +608,8 @@ func (s *Session) execPrepare(st *sql.PrepareStmt) (*Result, error) {
 // prepared body and dispatches it like any other statement. A prepared
 // SELECT therefore flows through the plan cache: its fingerprint normalizes
 // the substituted values just like ad-hoc literals, so repeated EXECUTEs
-// with different parameters share one cache entry — re-binding selectivity
-// (and with it, grant size) at each execution without replanning, unless
-// the estimate diverges far enough that execSelect forces a replan.
+// with different parameters share one cache entry and re-bind at each
+// execution without replanning.
 func (s *Session) execExecute(ctx context.Context, st *sql.ExecuteStmt, at *types.Epoch) (*Result, error) {
 	s.mu.Lock()
 	ps := s.prepared[st.Name]
@@ -976,11 +975,6 @@ func (s *Session) execSetPool(st *sql.SetStmt) (*Result, error) {
 
 // --- statement implementations ---------------------------------------------
 
-// divergenceThreshold is the selectivity ratio past which a cached plan's
-// probe metadata is considered wrong for the incoming literal values and
-// the statement replans from scratch (the "≥10×" rule for EXECUTE).
-const divergenceThreshold = 10.0
-
 // execSelect plans (or replays from the plan cache) and runs one SELECT at
 // snapshot epoch *at, or at the live read epoch when at is nil.
 func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *types.Epoch) (*Result, error) {
@@ -1028,24 +1022,13 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *type
 		// Shape hit, different literals: the cached LogicalQuery embeds the
 		// old constants and must not run, but analysis (name binding) is the
 		// cheap half — re-analyze for correct constants and reuse the probe
-		// metadata, re-sizing the grant by how much the fresh literals move
-		// the selectivity estimate. Past divergenceThreshold the projection
-		// choice itself is suspect: drop the entry and replan.
+		// metadata. Estimates depend on the predicates' shapes, not their
+		// literals, so the probe holds for the fresh constants too.
 		q, err = sql.AnalyzeSelect(st, db.cat)
 		if err != nil {
 			return nil, err
 		}
-		sel, _ := optimizer.EstimateSelectivity(db.cat, q)
-		if ratio := divergence(sel, entry.Selectivity); ratio >= divergenceThreshold {
-			metrics.PlanCacheReplans.Inc()
-			entry = nil
-		} else {
-			probe := entry.Probe
-			if entry.Selectivity > 0 && sel > 0 {
-				probe.EstMemBytes = int64(float64(probe.EstMemBytes) * sel / entry.Selectivity)
-			}
-			opts.CachedProbe = &probe
-		}
+		opts.CachedProbe = &entry.Probe
 	}
 	if q == nil {
 		q, err = sql.AnalyzeSelect(st, db.cat)
@@ -1062,15 +1045,12 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *type
 		return nil, err
 	}
 	if cacheable && opts.CachedProbe == nil {
-		// Miss (or forced replan): record the plan with its fresh probe
-		// metadata and plan-time selectivity for future divergence checks.
-		sel, _ := optimizer.EstimateSelectivity(db.cat, q)
+		// Miss: record the plan with its fresh probe metadata.
 		db.plans.Insert(cacheKey, &plancache.Entry{
-			Query:       q,
-			Literals:    cacheLits,
-			Probe:       res.Probe,
-			Selectivity: sel,
-			Epochs:      cacheEpochs,
+			Query:    q,
+			Literals: cacheLits,
+			Probe:    res.Probe,
+			Epochs:   cacheEpochs,
 		})
 	}
 	if st.Explain {
@@ -1086,22 +1066,6 @@ func (db *Database) execSelect(ctx context.Context, st *sql.SelectStmt, at *type
 	return &Result{Schema: res.Schema, Batches: res.Batches, Explain: res.Explain, Stats: res.Stats}, nil
 }
 
-// divergence is the symmetric ratio between two selectivity estimates
-// (always ≥ 1; a non-positive estimate on either side counts as fully
-// diverged).
-func divergence(a, b float64) float64 {
-	if a == b {
-		return 1
-	}
-	if a <= 0 || b <= 0 {
-		return divergenceThreshold // treat sign flips as fully diverged
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a / b
-}
-
 // usesVirtual reports whether the SELECT reads any system table.
 func (db *Database) usesVirtual(st *sql.SelectStmt) bool {
 	for _, te := range st.From {
@@ -1112,12 +1076,11 @@ func (db *Database) usesVirtual(st *sql.SelectStmt) bool {
 	return false
 }
 
-// planEpochs snapshots the three epoch counters a cached plan's validity
+// planEpochs snapshots the two epoch counters a cached plan's validity
 // depends on.
 func (db *Database) planEpochs() plancache.Epochs {
 	return plancache.Epochs{
 		CatalogGen: db.cat.Generation(),
-		StatsEpoch: db.cat.StatsEpoch(),
 		PoolEpoch:  db.poolEpoch.Load(),
 	}
 }
@@ -1125,7 +1088,7 @@ func (db *Database) planEpochs() plancache.Epochs {
 // sweepPlans eagerly retires cache entries invalidated by an epoch bump.
 // Lookup would retire them lazily anyway; the sweep keeps
 // v_monitor.plan_cache and the invalidation counters current the moment
-// DDL/ANALYZE/pool changes commit.
+// DDL/pool changes commit.
 func (db *Database) sweepPlans() {
 	if db.plans != nil {
 		db.plans.InvalidateStale(db.planEpochs())
@@ -1395,7 +1358,7 @@ func (db *Database) execInsert(tx *txn.Txn, st *sql.InsertStmt) (int64, error) {
 			if err != nil {
 				return 0, err
 			}
-			row[colIdx[i]] = coerceValue(v, t.Schema.Col(colIdx[i]).Typ)
+			row[colIdx[i]] = types.Coerce(v, t.Schema.Col(colIdx[i]).Typ)
 		}
 		rows = append(rows, row)
 	}
@@ -1550,28 +1513,4 @@ func evalLiteral(a sql.AstExpr) (types.Value, error) {
 		return types.Value{}, err
 	}
 	return e.EvalRow(nil)
-}
-
-func coerceValue(v types.Value, t types.Type) types.Value {
-	if v.Null {
-		return types.NewNull(t)
-	}
-	switch {
-	case v.Typ == t:
-		return v
-	case t == types.Float64 && v.Typ.IsIntegral():
-		return types.NewFloat(float64(v.I))
-	case t.IsIntegral() && v.Typ == types.Float64:
-		return types.Value{Typ: t, I: int64(v.F)}
-	case t == types.Timestamp && v.Typ == types.Varchar:
-		if tv, err := sql.ParseTimestamp(v.S); err == nil {
-			return tv
-		}
-		return v
-	case t.IsIntegral() && v.Typ.IsIntegral():
-		v.Typ = t
-		return v
-	default:
-		return v
-	}
 }

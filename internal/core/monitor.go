@@ -112,17 +112,6 @@ func snapshot[T any](f func() []T) func() ([]T, error) {
 // in core.go). Every other table's declaration is its tagged source type in
 // resmgr, metrics, dc, plancache or txn.
 type (
-	// v_catalog.column_statistics: what ANALYZE_STATISTICS wrote, per column.
-	columnStatsRow struct {
-		Table   string      `vt:"table_name"`
-		Column  string      `vt:"column_name"`
-		Rows    int64       `vt:"row_count"`
-		Nulls   int64       `vt:"null_count"`
-		NDV     int64       `vt:"ndv"`
-		Min     types.Value `vt:"min_value"`
-		Max     types.Value `vt:"max_value"`
-		Buckets int         `vt:"histogram_buckets"`
-	}
 	// v_catalog.projections: the physical design, one row per projection.
 	projectionRow struct {
 		Name      string   `vt:"projection_name"`
@@ -180,7 +169,6 @@ func (db *Database) registerMonitorTables() error {
 		registerTable(cat, "v_monitor.data_collector", func() ([]dc.RingStats, error) {
 			return append(db.dcol.Stats(), gov.RingStats()...), nil
 		}),
-		registerTable(cat, "v_catalog.column_statistics", snapshot(db.columnStatsRows)),
 		registerTable(cat, "v_catalog.projections", snapshot(db.projectionRows)),
 		registerTable(cat, "v_monitor.projection_storage", db.projectionStorageRows),
 		registerTable(cat, "v_catalog.tables", func() (rows []tableRow, _ error) {
@@ -192,24 +180,6 @@ func (db *Database) registerMonitorTables() error {
 		}),
 		registerTable(cat, "v_monitor.sessions", snapshot(db.sessionRows)),
 	)
-}
-
-// columnStatsRows lists each table's analyzed columns in name order.
-func (db *Database) columnStatsRows() []columnStatsRow {
-	var rows []columnStatsRow
-	for _, t := range db.cat.Tables() {
-		first := len(rows)
-		for _, cs := range db.cat.TableStats(t.Name) {
-			row := columnStatsRow{Table: t.Name, Column: cs.Column, Rows: cs.RowCount,
-				Nulls: cs.NullCount, NDV: cs.NDV, Min: cs.Min, Max: cs.Max}
-			if cs.Hist != nil {
-				row.Buckets = len(cs.Hist.Buckets)
-			}
-			rows = append(rows, row)
-		}
-		slices.SortFunc(rows[first:], func(a, b columnStatsRow) int { return cmp.Compare(a.Column, b.Column) })
-	}
-	return rows
 }
 
 func (db *Database) projectionRows() []projectionRow {

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/types"
 )
@@ -96,5 +97,35 @@ func TestColocatedCountDistinctMultiNode(t *testing.T) {
 	// Non-co-located distinct is rejected, not answered wrongly.
 	if _, err := db.Execute(`SELECT val % 2, COUNT(DISTINCT grp) FROM t GROUP BY val % 2`); err == nil {
 		t.Error("non-co-located COUNT DISTINCT should be rejected on a multi-node cluster")
+	}
+}
+
+// Regression: INSERT and UPDATE coerce a value into its column's type by one
+// rule. UPDATE used to relabel a string as a TIMESTAMP without parsing it,
+// storing 1970-01-01 00:00:00 for '2012-06-01 12:00:00'.
+func TestInsertAndUpdateCoerceAlike(t *testing.T) {
+	db := openTestDB(t, 1, 0)
+	db.MustExecute(`CREATE TABLE e (id INT, ts TIMESTAMP, n INT, f FLOAT)`)
+	db.MustExecute(`CREATE PROJECTION e_super ON e (id, ts, n, f) ORDER BY id`)
+	db.MustExecute(`INSERT INTO e VALUES (1, '2011-01-01 00:00:00', 1, 1.5)`)
+	// The same literals reach row 1 through UPDATE and row 2 through INSERT:
+	// string -> TIMESTAMP, FLOAT -> INT, INT -> FLOAT.
+	db.MustExecute(`UPDATE e SET ts = '2012-06-01 12:00:00', n = 7.9, f = 3 WHERE id = 1`)
+	db.MustExecute(`INSERT INTO e VALUES (2, '2012-06-01 12:00:00', 7.9, 3)`)
+	res := db.MustExecute(`SELECT id, ts, n, f FROM e ORDER BY id`)
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+	want := types.Row{types.NewInt(0), types.NewTimestamp(time.Date(2012, 6, 1, 12, 0, 0, 0, time.UTC)),
+		types.NewInt(7), types.NewFloat(3)}
+	for _, r := range res.Rows {
+		for c := 1; c < len(want); c++ {
+			if r[c].Typ != want[c].Typ || r[c].String() != want[c].String() {
+				t.Errorf("row %d column %d: stored %v (%s), want %v (%s)", r[0].I, c, r[c], r[c].Typ, want[c], want[c].Typ)
+			}
+		}
+	}
+	if n := db.MustExecute(`SELECT COUNT(*) FROM e WHERE ts > '2012-01-01'`).Rows[0][0].I; n != 2 {
+		t.Errorf("ts > '2012-01-01' counts %d rows, want 2", n)
 	}
 }

@@ -270,3 +270,98 @@ func TestPoolParallelismDrivesParallelPlan(t *testing.T) {
 		t.Errorf("after ALTER, parallelism = %v", mon.Rows)
 	}
 }
+
+// TestPoolDefsSurviveReload: CREATE/ALTER RESOURCE POOL definitions persist
+// in the catalog and re-register with the governor on open; DROP removes
+// the definition.
+func TestPoolDefsSurviveReload(t *testing.T) {
+	dir, tmp := t.TempDir(), t.TempDir()
+	opts := Options{Dir: dir, TempDir: tmp, MemPoolBytes: 64 << 20}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExecute(`CREATE RESOURCE POOL etl MEMORYSIZE '8M' MAXCONCURRENCY 2 PRIORITY -3 RUNTIMECAP 45000`)
+	db.MustExecute(`CREATE RESOURCE POOL scratch`)
+	db.MustExecute(`ALTER RESOURCE POOL etl PLANNEDCONCURRENCY 2 QUEUETIMEOUT 1500`)
+	db.MustExecute(`ALTER RESOURCE POOL general PRIORITY 1`)
+	db.MustExecute(`DROP RESOURCE POOL scratch`)
+
+	db2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := db2.Governor().PoolStatus("etl")
+	if !ok {
+		t.Fatal("etl pool not restored on open")
+	}
+	if cfg := st.Config; cfg.MemBytes != 8<<20 || cfg.MaxConcurrency != 2 || cfg.Priority != -3 ||
+		cfg.RuntimeCap.Milliseconds() != 45000 || cfg.PlannedConcurrency != 2 ||
+		cfg.QueueTimeout.Milliseconds() != 1500 {
+		t.Fatalf("etl pool restored with wrong knobs: %+v", cfg)
+	}
+	if gen, _ := db2.Governor().PoolStatus(resmgr.GeneralPool); gen.Priority != 1 {
+		t.Fatalf("general pool ALTER not restored: %+v", gen.Config)
+	}
+	if db2.Governor().HasPool("scratch") {
+		t.Fatal("dropped pool resurrected on open")
+	}
+	// PRIORITY and RUNTIMECAP read back through SQL as well.
+	res := db2.MustExecute(`SELECT priority, runtimecap_ms FROM v_monitor.resource_pools WHERE name = 'etl'`)
+	if len(res.Rows) != 1 || res.Rows[0][0].I != -3 || res.Rows[0][1].I != 45000 {
+		t.Fatalf("v_monitor.resource_pools etl = %v", res.Rows)
+	}
+}
+
+// TestRuntimeCapCancelsRunaway: a statement in a RUNTIMECAP pool is
+// cancelled at a batch boundary and releases its slot and memory.
+func TestRuntimeCapCancelsRunaway(t *testing.T) {
+	db := openGovernedDB(t, 1, 64<<20, 4)
+	setupSales(t, db, 60000)
+	db.MustExecute(`CREATE RESOURCE POOL capped RUNTIMECAP 1`)
+	s := db.NewSession()
+	defer s.Close()
+	if _, err := s.Execute(`SET RESOURCE POOL capped`); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.Execute(`SELECT cust, COUNT(*) AS n, SUM(price) AS s FROM sales GROUP BY cust ORDER BY s`)
+	if err == nil {
+		t.Skip("query finished inside a 1ms runtime cap; machine too fast for this test")
+	}
+	if !strings.Contains(err.Error(), "runtime cap") {
+		t.Fatalf("expected a runtime-cap error, got: %v", err)
+	}
+	st := db.Governor().Stats()
+	if st.Running != 0 || st.InUseBytes != 0 {
+		t.Fatalf("cancelled statement did not release its grant: %+v", st)
+	}
+	// The pool is usable again afterwards.
+	db.MustExecute(`ALTER RESOURCE POOL capped RUNTIMECAP NONE`)
+	if _, err := s.Execute(`SELECT COUNT(*) AS n FROM sales`); err != nil {
+		t.Fatalf("pool unusable after runtime-cap cancellation: %v", err)
+	}
+}
+
+// TestPlanFailureLeavesProfile: statements that fail before admission
+// (planning/placement errors) still land in v_monitor.query_profiles.
+func TestPlanFailureLeavesProfile(t *testing.T) {
+	db := openGovernedDB(t, 3, 64<<20, 8)
+	db.MustExecute(`CREATE TABLE f (fk INT, v INT)`)
+	db.MustExecute(`CREATE PROJECTION f_super ON f (fk, v) ORDER BY fk SEGMENTED BY HASH(fk)`)
+	db.MustExecute(`CREATE TABLE d (dk INT, w INT)`)
+	db.MustExecute(`CREATE PROJECTION d_super ON d (dk, w) ORDER BY dk SEGMENTED BY HASH(w)`)
+	stmt := `SELECT v, w FROM f JOIN d ON fk = dk`
+	if _, err := db.Execute(stmt); err == nil {
+		t.Fatal("expected a placement error for non-co-located projections")
+	}
+	res := db.MustExecute(`SELECT statement, status FROM v_monitor.query_profiles WHERE status = 'error'`)
+	found := false
+	for _, r := range res.Rows {
+		if r[0].S == stmt {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("placement failure missing from query_profiles: %v", res.Rows)
+	}
+}

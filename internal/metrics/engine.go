@@ -35,14 +35,13 @@ var (
 	ActiveSessions = Default.NewGauge("core.active_sessions")
 
 	// Plan cache. Invalidations count entries swept after an epoch bump
-	// (DDL, ANALYZE_STATISTICS, pool changes); StaleHits counts lookups
+	// (DDL, pool changes); StaleHits counts lookups
 	// that matched a fingerprint planned under an older epoch — always a
 	// miss, the counter exists so tests can assert no stale plan ran.
 	PlanCacheHits          = Default.NewCounter("plancache.hits")
 	PlanCacheMisses        = Default.NewCounter("plancache.misses")
 	PlanCacheEvictions     = Default.NewCounter("plancache.evictions")
 	PlanCacheInvalidations = Default.NewCounter("plancache.invalidations")
-	PlanCacheReplans       = Default.NewCounter("plancache.replans")
 
 	// Latency histograms (µs). Each renders as .count/.sum/.p50/.p95/.p99
 	// samples in every snapshot sink.

@@ -145,7 +145,6 @@ type ProbeInfo struct {
 	ProjectionsUsed []string
 	EstRows         int64
 	EstMemBytes     int64
-	StatsBacked     bool
 	Workers         int
 }
 
@@ -160,14 +159,10 @@ type PhysicalPlan struct {
 	Notes []string
 
 	// EstRows and EstBytes are the estimated output cardinality and size;
-	// EstMemBytes is the estimated working memory of the whole plan, the
-	// basis for plan-derived admission grants. StatsBacked reports whether
-	// every base table had ANALYZE_STATISTICS records (estimates from shape
-	// heuristics alone are too crude to size memory grants with).
+	// EstMemBytes is the estimated working memory of the whole plan.
 	EstRows     int64
 	EstBytes    int64
 	EstMemBytes int64
-	StatsBacked bool
 
 	// Workers is the largest number of worker pipelines any parallel shape
 	// in the plan runs concurrently (1 = fully serial). Admission uses it
@@ -301,27 +296,13 @@ func (q *LogicalQuery) splitConjuncts() (perTable map[int][]expr.Expr, residual 
 	return perTable, residual
 }
 
-// selectivityScore estimates the fraction of rows surviving a table's local
-// predicates from conjunct shapes alone — the fallback classifier for
-// unanalyzed tables (paper §6.2 uses equi-height histograms; see
-// estimate.go for the histogram-backed path).
-func selectivityScore(conjuncts []expr.Expr) float64 {
-	s := 1.0
-	for _, c := range conjuncts {
-		s *= shapeSelectivity(c)
-	}
-	return s
-}
-
 var errNoProjection = fmt.Errorf("optimizer: no projection covers the required columns")
 
 // chooseProjection picks the best projection of a table for the needed
 // columns and local predicates: it must cover the columns; ties break by
-// (1) sort-order match with predicate/grouping columns — weighted, when the
-// table is analyzed, by how selective the leading column's predicates are
-// (histogram-backed block pruning pays off most on selective leads) —
-// then (2) narrowness.
-func chooseProjection(p Provider, t *catalog.Table, needed []int, predCols map[int]bool, preferSortCols []int, est tableEstimate, opts PlanOpts) (*catalog.Projection, *storage.Manager, error) {
+// (1) sort-order match with predicate/grouping columns, then (2)
+// narrowness.
+func chooseProjection(p Provider, t *catalog.Table, needed []int, predCols map[int]bool, preferSortCols []int, opts PlanOpts) (*catalog.Projection, *storage.Manager, error) {
 	var best *catalog.Projection
 	var bestMgr *storage.Manager
 	bestScore := -1.0
@@ -351,14 +332,6 @@ func chooseProjection(p Provider, t *catalog.Table, needed []int, predCols map[i
 			leadIdx := t.Schema.ColIndex(lead)
 			if predCols[leadIdx] {
 				score += 10
-				if est.analyzed {
-					if sel, ok := est.colSel[leadIdx]; ok {
-						// Statistics break the tie between projections that
-						// each lead with some predicate column: the more
-						// selective lead prunes more blocks.
-						score += 8 * (1 - sel)
-					}
-				}
 			}
 			for i, pc := range preferSortCols {
 				if i < len(proj.SortOrder) && t.Schema.ColIndex(proj.SortOrder[i]) == pc {

@@ -23,7 +23,6 @@ type tableScan struct {
 	conjuncts   []expr.Expr         // flat-schema local predicates
 	selectivity float64
 	rows        int64
-	est         tableEstimate // statistics-backed estimation state
 	estRows     float64       // rows surviving local predicates
 	scan        *exec.Scan    // nil for virtual tables
 	op          exec.Operator // the table's access path (scan, or virtual pipeline)
@@ -63,7 +62,6 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 
 	// Build per-table scans.
 	scans := make([]*tableScan, len(q.From))
-	plan.StatsBacked = true
 	for i := range q.From {
 		ts, err := buildTableScan(p, q, i, needed, perTable[i], opts)
 		if err != nil {
@@ -73,11 +71,8 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 		if ts.proj != nil {
 			plan.ProjectionsUsed = append(plan.ProjectionsUsed, ts.proj.Name)
 			plan.EstCost += estimateScanCost(ts.mgr, ts.proj, len(ts.cols), ts.selectivity)
-			plan.Notes = append(plan.Notes, fmt.Sprintf("est: scan %s ~%s of %d rows (%s)",
-				ts.proj.Name, fmtEst(ts.estRows), ts.rows, estSource(ts.est.analyzed)))
-		}
-		if !ts.est.analyzed {
-			plan.StatsBacked = false
+			plan.Notes = append(plan.Notes, fmt.Sprintf("est: scan %s ~%s of %d rows (heuristic)",
+				ts.proj.Name, fmtEst(ts.estRows), ts.rows))
 		}
 		// Every scanned stream occupies operator memory downstream.
 		plan.memAcc += ts.estRows * float64(rowWidthOf(ts.op.Schema()))
@@ -124,7 +119,6 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 	above := q.readAbove(residual)
 	cur := pipes{fact.op}
 	curWidth := len(fact.cols)
-	runningEst := fact.estRows
 
 	for i, dim := range dims {
 		conds := condsConnecting(q, joined, dim.tblIdx)
@@ -209,21 +203,12 @@ func Plan(p Provider, q *LogicalQuery, opts PlanOpts) (*PhysicalPlan, error) {
 			curWidth = pruneJoin(q, hjs, colMap, joined, above)
 		}
 
-		// Join output cardinality from the key columns' distinct counts
-		// (paper §6.2); unknown NDVs assume the star-schema N:1 shape.
-		jc := conds[0]
-		ot, oc, dc := jc.LeftTbl, jc.LeftCol, jc.RightCol
-		if jc.RightTbl != dim.tblIdx {
-			ot, oc, dc = jc.RightTbl, jc.RightCol, jc.LeftCol
-		}
-		ndvOuter := ndvOf(p.Catalog(), q.From[ot].Table, oc)
-		ndvDim := ndvOf(p.Catalog(), q.From[dim.tblIdx].Table, dc)
-		runningEst = estimateJoinRows(runningEst, dim.estRows, ndvOuter, ndvDim)
-		cur.setEst(runningEst)
-		plan.Notes = append(plan.Notes, fmt.Sprintf("est: join %s ~%s rows (%s)",
-			dimDesc, fmtEst(runningEst), estSource(ndvOuter > 0 || ndvDim > 0)))
+		// The star schema's N:1 shape: a join keeps the outer's rows.
+		cur.setEst(fact.estRows)
+		plan.Notes = append(plan.Notes, fmt.Sprintf("est: join %s ~%s rows (heuristic)",
+			dimDesc, fmtEst(fact.estRows)))
 	}
-	plan.estInput = runningEst
+	plan.estInput = fact.estRows
 	return finishPlan(p, q, plan, cur, colMap, residual, opts)
 }
 
@@ -306,8 +291,7 @@ func buildTableScan(p Provider, q *LogicalQuery, tblIdx int, needed columnSet, c
 			preferSort = append(preferSort, cc)
 		}
 	}
-	est := estimateTable(p.Catalog(), t, conjuncts, offs[tblIdx])
-	proj, mgr, err := chooseProjection(p, t, cols, predCols, preferSort, est, opts)
+	proj, mgr, err := chooseProjection(p, t, cols, predCols, preferSort, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -334,12 +318,11 @@ func buildTableScan(p Provider, q *LogicalQuery, tblIdx int, needed columnSet, c
 	ts := &tableScan{
 		tblIdx: tblIdx, proj: proj, mgr: mgr, cols: cols,
 		colToOut: map[int]int{}, conjuncts: conjuncts,
-		selectivity: est.sel,
+		selectivity: selectivityScore(conjuncts),
 		rows:        mgr.RowCount() + int64(mgr.WOS().Len()),
-		est:         est,
 		scan:        scan,
 	}
-	ts.estRows = float64(ts.rows) * est.sel
+	ts.estRows = float64(ts.rows) * ts.selectivity
 	exec.SetEstRows(scan, int64(ts.estRows+0.5))
 	for i, c := range cols {
 		ts.colToOut[c] = i
@@ -388,7 +371,6 @@ func buildVirtualScan(q *LogicalQuery, tblIdx int, t *catalog.Table, vt *catalog
 	return &tableScan{
 		tblIdx: tblIdx, cols: cols, colToOut: colToOut, conjuncts: conjuncts,
 		selectivity: selectivityScore(conjuncts),
-		est:         tableEstimate{sel: selectivityScore(conjuncts)},
 		op:          op,
 	}, nil
 }
@@ -514,8 +496,8 @@ func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur pipes, colM
 		}
 	}
 	// Cardinality through the tail of the plan: residual filters shrink the
-	// joined stream, grouping collapses it to (at most) the product of the
-	// key NDVs, LIMIT caps it.
+	// joined stream, a global aggregate collapses it to one row, LIMIT caps
+	// it.
 	inEst := plan.estInput
 	for _, c := range residual {
 		inEst *= shapeSelectivity(c)
@@ -529,8 +511,8 @@ func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur pipes, colM
 		cur.setEst(inEst)
 	}
 	outEst := inEst
-	if q.IsAggregate() || q.Distinct {
-		outEst = groupCountEstimate(p.Catalog(), q, inEst)
+	if q.IsAggregate() && len(q.GroupBy) == 0 {
+		outEst = 1 // a global aggregate returns one row
 	}
 	if q.IsAggregate() {
 		agg, err := planAggregate(p, q, plan, cur, colMap, opts)
@@ -581,8 +563,8 @@ func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur pipes, colM
 	plan.EstRows = int64(outEst + 0.5)
 	plan.EstBytes = int64(outBytes + 0.5)
 	plan.EstMemBytes = int64(plan.memAcc + outBytes + 0.5)
-	plan.Notes = append(plan.Notes, fmt.Sprintf("est: output ~%s rows, ~%d bytes (plan memory ~%d bytes, %s)",
-		fmtEst(outEst), plan.EstBytes, plan.EstMemBytes, estSource(plan.StatsBacked)))
+	plan.Notes = append(plan.Notes, fmt.Sprintf("est: output ~%s rows, ~%d bytes (plan memory ~%d bytes, heuristic)",
+		fmtEst(outEst), plan.EstBytes, plan.EstMemBytes))
 	// Profiling metadata: the root carries the plan's output estimate, every
 	// node gets its pre-order id (matching EXPLAIN lines), and nodes between
 	// the anchors tagged above inherit estimates from their children.
@@ -595,8 +577,8 @@ func finishPlan(p Provider, q *LogicalQuery, plan *PhysicalPlan, cur pipes, colM
 // MinParallelRows gates the fan: below this estimated cardinality of the
 // scan that would drive it, starting workers and meeting them again costs
 // more than the parallelism pays, so tiny inputs stay serial. The estimate
-// is histogram-backed when the tables were ANALYZEd and shape-heuristic
-// otherwise; PlanOpts.ForceParallel overrides the gate.
+// is the scan's stored rows times its predicates' shape selectivity
+// (estimate.go); PlanOpts.ForceParallel overrides the gate.
 const MinParallelRows = 16384
 
 // parallelWays resolves the width of a fan: opts.Parallelism when

@@ -3,10 +3,9 @@
 // analyze/probe-plan work that dominates short-query latency. Entries are
 // keyed on a literal-normalized AST fingerprint plus the session knobs that
 // change planning (pool, parallelism), and each entry records the catalog
-// generation, statistics epoch and pool epoch it was planned under — any
-// epoch bump (DDL, ANALYZE_STATISTICS, pool changes) makes the entry stale,
-// so invalidation is a single atomic increment elsewhere and staleness is
-// detected lazily at lookup. Cached plans never bypass admission: the
+// generation and pool epoch it was planned under — any epoch bump (DDL,
+// pool changes) makes the entry stale, so invalidation is a single atomic
+// increment elsewhere and staleness is detected lazily at lookup. Cached plans never bypass admission: the
 // caller re-admits every execution, the cache only skips planning.
 package plancache
 
@@ -31,10 +30,9 @@ type Key struct {
 	ForceParallel bool
 }
 
-// Epochs snapshots the catalog/stats/pool state a plan was built under.
+// Epochs snapshots the catalog/pool state a plan was built under.
 type Epochs struct {
 	CatalogGen int64
-	StatsEpoch int64
 	PoolEpoch  int64
 }
 
@@ -49,10 +47,6 @@ type Entry struct {
 
 	// Probe is the planning-time physical probe's metadata.
 	Probe optimizer.ProbeInfo
-
-	// Selectivity at plan time; EXECUTE compares its re-bound estimate
-	// against this and replans on ≥10× divergence.
-	Selectivity float64
 
 	Epochs Epochs
 
@@ -186,10 +180,8 @@ type Info struct {
 	Hits        int64     `vt:"hits"`
 	EstRows     int64     `vt:"est_rows"`
 	EstMemBytes int64     `vt:"est_mem_bytes"`
-	StatsBacked bool      `vt:"stats_backed"`
 	Projections []string  `vt:"projections,csv"`
 	CatalogGen  int64     `vt:"catalog_generation"`
-	StatsEpoch  int64     `vt:"stats_epoch"`
 	PoolEpoch   int64     `vt:"pool_epoch"`
 	Inserted    time.Time `vt:"-"`
 	LastHit     time.Time `vt:"-"`
@@ -210,10 +202,8 @@ func (c *Cache) Snapshot() []Info {
 			Hits:        e.hits,
 			EstMemBytes: e.Probe.EstMemBytes,
 			EstRows:     e.Probe.EstRows,
-			StatsBacked: e.Probe.StatsBacked,
 			Projections: append([]string{}, e.Probe.ProjectionsUsed...),
 			CatalogGen:  e.Epochs.CatalogGen,
-			StatsEpoch:  e.Epochs.StatsEpoch,
 			PoolEpoch:   e.Epochs.PoolEpoch,
 			Inserted:    e.inserted,
 			LastHit:     e.lastHit,

@@ -11,7 +11,7 @@ import (
 func key(fp string) Key { return Key{Fingerprint: fp, Pool: "general", Parallelism: 1} }
 
 func entry(ep Epochs) *Entry {
-	return &Entry{Epochs: ep, Selectivity: 0.5, Probe: optimizer.ProbeInfo{EstMemBytes: 1 << 20, EstRows: 10,
+	return &Entry{Epochs: ep, Probe: optimizer.ProbeInfo{EstMemBytes: 1 << 20, EstRows: 10,
 		ProjectionsUsed: []string{"t_super"}}}
 }
 
@@ -79,11 +79,7 @@ func TestStaleEntryRetiredOnLookup(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatal("stale entry not retired")
 	}
-	// Stats-epoch and pool-epoch bumps are equally invalidating.
-	c.Insert(key("q"), entry(now))
-	if c.Lookup(key("q"), Epochs{CatalogGen: 2, StatsEpoch: 1}) != nil {
-		t.Fatal("stats-stale entry served")
-	}
+	// A pool-epoch bump is equally invalidating.
 	c.Insert(key("q"), entry(now))
 	if c.Lookup(key("q"), Epochs{CatalogGen: 2, PoolEpoch: 1}) != nil {
 		t.Fatal("pool-stale entry served")
@@ -92,8 +88,8 @@ func TestStaleEntryRetiredOnLookup(t *testing.T) {
 
 func TestInvalidateStaleSweep(t *testing.T) {
 	c := New(8)
-	old := Epochs{StatsEpoch: 1}
-	now := Epochs{StatsEpoch: 2}
+	old := Epochs{PoolEpoch: 1}
+	now := Epochs{PoolEpoch: 2}
 	for i := 0; i < 3; i++ {
 		c.Insert(key(fmt.Sprintf("old%d", i)), entry(old))
 	}

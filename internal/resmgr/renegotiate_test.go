@@ -321,83 +321,6 @@ func TestExtensionVsAlterShrink(t *testing.T) {
 	}
 }
 
-// TestSizeGrant covers admission sizing above the pool default: raised into
-// live headroom, bounded by MAXMEMORYSIZE, never below the static split.
-func TestSizeGrant(t *testing.T) {
-	g := NewGovernor(Config{PoolBytes: 1024 * kib, MaxConcurrency: 4, GrantBytes: 128 * kib})
-	if err := g.CreatePool(PoolConfig{Name: "capped", MemBytes: 128 * kib, MaxMemBytes: 256 * kib, PlannedConcurrency: 2}); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := g.SizeGrant("", 0); got != 0 {
-		t.Fatalf("SizeGrant(0) = %d, want 0 (pool default)", got)
-	}
-	if got := g.SizeGrant("nosuch", 1*kib); got != 0 {
-		t.Fatalf("unknown pool = %d, want 0", got)
-	}
-	// Below the default: request as estimated (floored at MinGrantBytes).
-	if got := g.SizeGrant("", 80*kib); got != 80*kib {
-		t.Fatalf("below-default want = %d, want %d", got, 80*kib)
-	}
-	if got := g.SizeGrant("", 1); got != MinGrantBytes {
-		t.Fatalf("tiny want = %d, want floor %d", got, MinGrantBytes)
-	}
-	// Above the default with a free pool: granted in full.
-	if got := g.SizeGrant("", 512*kib); got != 512*kib {
-		t.Fatalf("above-default want = %d, want %d", got, 512*kib)
-	}
-	// Bounded by the pool's MAXMEMORYSIZE.
-	if got := g.SizeGrant("capped", 512*kib); got != 256*kib {
-		t.Fatalf("capped want = %d, want %d", got, 256*kib)
-	}
-	// With the headroom held by a running query, sizing falls back toward
-	// the default instead of requesting memory that is not there.
-	gr, err := g.AdmitBytes(context.Background(), 768*kib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.SizeGrant("", 512*kib); got != 128*kib {
-		t.Fatalf("saturated want = %d, want pool default %d", got, 128*kib)
-	}
-	gr.Release()
-}
-
-// TestTryAdmitSince: the non-queueing admission either places the grant
-// immediately (crediting the caller's enqueue time as queue wait) or
-// declines without touching the queue statistics — no queued, timed-out or
-// canceled counts for a declined try.
-func TestTryAdmitSince(t *testing.T) {
-	g := NewGovernor(Config{PoolBytes: 512 * kib, MaxConcurrency: 1, GrantBytes: 128 * kib})
-	ctx := context.Background()
-
-	if _, ok := g.TryAdmitSince(ctx, "nosuch", 0, time.Now()); ok {
-		t.Fatal("TryAdmitSince admitted on an unknown pool")
-	}
-	enq := time.Now().Add(-40 * time.Millisecond) // stall of a failed prior attempt
-	gr, ok := g.TryAdmitSince(ctx, "", 0, enq)
-	if !ok {
-		t.Fatal("TryAdmitSince declined an idle pool")
-	}
-	if gr.Bytes() != 128*kib {
-		t.Fatalf("try-admitted bytes = %d, want pool default %d", gr.Bytes(), 128*kib)
-	}
-	if gr.QueueWait() < 40*time.Millisecond {
-		t.Fatalf("queue wait %s does not credit the prior stall", gr.QueueWait())
-	}
-	// Slots exhausted: decline, and leave the queue counters untouched.
-	if _, ok := g.TryAdmitSince(ctx, "", 0, time.Now()); ok {
-		t.Fatal("TryAdmitSince admitted past the concurrency bound")
-	}
-	st := g.Stats()
-	if st.Queued != 0 || st.TimedOut != 0 || st.Canceled != 0 {
-		t.Fatalf("declined try polluted queue counters: %+v", st)
-	}
-	if st.Admitted != 1 {
-		t.Fatalf("admitted = %d, want 1", st.Admitted)
-	}
-	gr.Release()
-}
-
 // TestGrantRequestMisuse: non-positive sizes and released grants error
 // without touching the accounting; a nil grant reports a plain denial so
 // ungoverned operators just spill.

@@ -251,24 +251,11 @@ func (g *Governor) AdmitBytes(ctx context.Context, bytes int64) (*Grant, error) 
 }
 
 // AdmitPoolBytes admits against a named pool ("" = general) with an explicit
-// grant size (<= 0 takes the pool default).
+// grant size (<= 0 takes the pool default). An immediate admission records
+// zero queue wait: queue_wait_us means time spent queued, not lock or set-up
+// noise.
 func (g *Governor) AdmitPoolBytes(ctx context.Context, poolName string, bytes int64) (*Grant, error) {
-	return g.admitSince(ctx, poolName, bytes, time.Now(), false)
-}
-
-// AdmitPoolBytesSince is AdmitPoolBytes with a caller-supplied enqueue time,
-// so an admission retried after a failed attempt (e.g. a plan-sized request
-// falling back to the pool default) charges the whole stall to the grant's
-// queue-wait accounting instead of just the final attempt.
-func (g *Governor) AdmitPoolBytesSince(ctx context.Context, poolName string, bytes int64, enqueued time.Time) (*Grant, error) {
-	return g.admitSince(ctx, poolName, bytes, enqueued, true)
-}
-
-// admitSince implements admission. credit selects whether an immediate
-// (fast-path) admission still charges time.Since(enqueued) as queue wait:
-// plain admissions record zero — queue_wait_us means time spent queued, not
-// lock/setup noise — while retried admissions carry their prior stall.
-func (g *Governor) admitSince(ctx context.Context, poolName string, bytes int64, enqueued time.Time, credit bool) (*Grant, error) {
+	enqueued := time.Now()
 	if poolName == "" {
 		poolName = GeneralPool
 	}
@@ -303,11 +290,7 @@ func (g *Governor) admitSince(ctx context.Context, poolName string, bytes int64,
 	// Fast path: nothing queued ahead in this pool and resources free.
 	if len(p.queue) == 0 && g.canAdmitLocked(p, bytes) {
 		g.reserveLocked(p, bytes)
-		var wait time.Duration
-		if credit {
-			wait = time.Since(enqueued)
-		}
-		gr := g.newGrantLocked(p, bytes, wait, label)
+		gr := g.newGrantLocked(p, bytes, 0, label)
 		g.mu.Unlock()
 		return gr, nil
 	}
@@ -352,94 +335,6 @@ func (g *Governor) admitSince(ctx context.Context, poolName string, bytes int64,
 		}
 		return take(), nil // granted just as the timer fired: run it
 	}
-}
-
-// TryAdmitSince admits immediately if the pool can place the grant right
-// now — a free slot, memory available, nobody queued ahead — and reports
-// false otherwise without ever enqueueing. Fallback admissions (a
-// plan-sized request retrying at the pool default after a queue timeout)
-// use it so the retry cannot double-count queue statistics or record a
-// phantom cancellation; the enqueue time carries the stall of the failed
-// first attempt into the grant's queue-wait accounting.
-func (g *Governor) TryAdmitSince(ctx context.Context, poolName string, bytes int64, enqueued time.Time) (*Grant, bool) {
-	if poolName == "" {
-		poolName = GeneralPool
-	}
-	if ctx.Err() != nil {
-		return nil, false // canceled caller: don't admit a dead statement
-	}
-	label := LabelFromContext(ctx)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	p, ok := g.pools[poolName]
-	if !ok {
-		return nil, false
-	}
-	if bytes <= 0 {
-		bytes = p.grantSize(g)
-	}
-	if len(p.queue) > 0 || !g.canAdmitLocked(p, bytes) {
-		return nil, false
-	}
-	g.reserveLocked(p, bytes)
-	return g.newGrantLocked(p, bytes, time.Since(enqueued), label), true
-}
-
-// SizeGrant sizes an admission request for a plan that estimated its working
-// memory: a want at or below the pool's default grant is requested as-is
-// (small well-estimated queries leave room for more concurrency), while a
-// want above the default is raised into whatever headroom exists right now —
-// the pool's own unfilled reservation plus free borrowable general memory —
-// instead of being clamped down to the default, bounded by the pool's
-// MAXMEMORYSIZE. Large plans therefore admit with a grant they can actually
-// run in and renegotiate (Grant.Request) only for estimate error, not for
-// the whole overshoot. Returns 0 (meaning "use the pool default") for
-// unknown pools or non-positive wants; results are floored at MinGrantBytes
-// and at the pool default, so sizing never regresses below what the static
-// split would have granted.
-func (g *Governor) SizeGrant(poolName string, want int64) int64 {
-	if want <= 0 {
-		return 0
-	}
-	if poolName == "" {
-		poolName = GeneralPool
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	p, ok := g.pools[poolName]
-	if !ok {
-		return 0
-	}
-	if want < MinGrantBytes {
-		want = MinGrantBytes
-	}
-	def := p.grantSize(g)
-	if want <= def {
-		return want
-	}
-	// Headroom right now: free global memory after honoring every *other*
-	// pool's unfilled reservation. By the governor invariant (in-use plus
-	// all unfilled reservations ≤ PoolBytes) this is never less than the
-	// pool's own unfilled reservation, so the one quantity covers both the
-	// reservation-first and borrow-from-general sources.
-	free := g.cfg.PoolBytes - g.inUse - g.reservationShortfallLocked(p)
-	max := def
-	if free > max {
-		max = free
-	}
-	// The pool ceiling binds on live use, not the configured cap alone: a
-	// request sized past capBytes - inUse would just queue behind the
-	// pool's own running queries for the full timeout.
-	if c := p.capBytes(g) - p.inUse; max > c {
-		max = c
-	}
-	if want > max {
-		want = max
-	}
-	if want < def {
-		want = def // never below the static split the pool would grant anyway
-	}
-	return want
 }
 
 // reservationShortfallLocked sums every pool's unfilled reservation

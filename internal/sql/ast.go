@@ -218,11 +218,10 @@ type SetStmt struct {
 }
 
 // AnalyzeStmt is ANALYZE_STATISTICS('table') or
-// ANALYZE_STATISTICS('table.column') with an optional histogram bucket
-// count: ANALYZE_STATISTICS('table', 64).
+// ANALYZE_STATISTICS('table.column'). The engine keeps no column
+// statistics: the statement only checks that its target exists.
 type AnalyzeStmt struct {
-	Target  string // 'table' or 'table.column'
-	Buckets int64  // 0 = stats.DefaultBuckets
+	Target string // 'table' or 'table.column'
 }
 
 // PrepareStmt is PREPARE name AS <statement>. The body may contain $n

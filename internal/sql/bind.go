@@ -3,7 +3,6 @@ package sql
 import (
 	"repro/internal/catalog"
 	"repro/internal/expr"
-	"repro/internal/types"
 )
 
 // Binding helpers exposed to the engine layer.
@@ -20,9 +19,4 @@ func BindExprToTable(a AstExpr, t *catalog.Table) (expr.Expr, error) {
 // values, constants).
 func BindLiteralExpr(a AstExpr) (expr.Expr, error) {
 	return bindExpr(a, &scope{})
-}
-
-// ParseTimestamp parses a SQL timestamp/date literal string.
-func ParseTimestamp(s string) (types.Value, error) {
-	return parseTimestampLiteral(s)
 }

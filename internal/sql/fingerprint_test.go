@@ -280,11 +280,11 @@ func TestBindHelpers(t *testing.T) {
 	if _, err := BindLiteralExpr(parseSelect(t, `SELECT a FROM t WHERE a + 1`).Where); err == nil {
 		t.Error("a column reference must not bind as a literal")
 	}
-	ts, err := ParseTimestamp("2012-08-27 10:30:00")
+	ts, err := parseTimestampLiteral("2012-08-27 10:30:00")
 	if err != nil || ts.Typ != types.Timestamp {
-		t.Errorf("ParseTimestamp = %v, %v", ts, err)
+		t.Errorf("parseTimestampLiteral = %v, %v", ts, err)
 	}
-	if _, err := ParseTimestamp("27/08/2012"); err == nil {
+	if _, err := parseTimestampLiteral("27/08/2012"); err == nil {
 		t.Error("a malformed timestamp must fail")
 	}
 }

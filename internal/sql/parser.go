@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/encoding"
 	"repro/internal/types"
@@ -727,10 +726,8 @@ func (p *parser) parseLiteralValue() (types.Value, error) {
 
 // parseTimestampLiteral accepts 'YYYY-MM-DD' or 'YYYY-MM-DD HH:MM:SS'.
 func parseTimestampLiteral(s string) (types.Value, error) {
-	for _, layout := range []string{"2006-01-02 15:04:05", "2006-01-02"} {
-		if t, err := time.Parse(layout, s); err == nil {
-			return types.NewTimestamp(t.UTC()), nil
-		}
+	if v, ok := types.ParseTimestamp(s); ok {
+		return v, nil
 	}
 	return types.Value{}, fmt.Errorf("sql: bad timestamp literal %q", s)
 }
@@ -790,8 +787,8 @@ func (p *parser) parseAlter() (Statement, error) {
 	return &AlterPoolStmt{Name: name.text, Opts: opts}, nil
 }
 
-// parseAnalyze parses ANALYZE_STATISTICS('table'[, buckets]) and
-// ANALYZE_STATISTICS('table.column'[, buckets]).
+// parseAnalyze parses ANALYZE_STATISTICS('table') and
+// ANALYZE_STATISTICS('table.column').
 func (p *parser) parseAnalyze() (Statement, error) {
 	p.next() // analyze_statistics
 	if _, err := p.expect(tokSymbol, "("); err != nil {
@@ -805,16 +802,6 @@ func (p *parser) parseAnalyze() (Statement, error) {
 		return nil, p.errHere("ANALYZE_STATISTICS needs a table or table.column name")
 	}
 	st := &AnalyzeStmt{Target: strings.TrimSpace(strings.ToLower(target.text))}
-	if p.accept(tokSymbol, ",") {
-		n, err := p.parseIntLiteral()
-		if err != nil {
-			return nil, err
-		}
-		if n <= 0 {
-			return nil, p.errHere("histogram bucket count must be positive")
-		}
-		st.Buckets = n
-	}
 	if _, err := p.expect(tokSymbol, ")"); err != nil {
 		return nil, err
 	}

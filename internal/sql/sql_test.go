@@ -527,23 +527,22 @@ func TestParseAnalyzeStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, ok := st.(*AnalyzeStmt)
-	if !ok || a.Target != "sales" || a.Buckets != 0 {
+	if !ok || a.Target != "sales" {
 		t.Fatalf("parsed %+v", st)
 	}
-	st, err = Parse(`analyze_statistics('sales.price', 64);`)
+	st, err = Parse(`analyze_statistics('sales.price');`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a = st.(*AnalyzeStmt)
-	if a.Target != "sales.price" || a.Buckets != 64 {
+	if a.Target != "sales.price" {
 		t.Fatalf("parsed %+v", a)
 	}
 	for _, bad := range []string{
 		`ANALYZE_STATISTICS()`,
 		`ANALYZE_STATISTICS('')`,
 		`ANALYZE_STATISTICS(sales)`,
-		`ANALYZE_STATISTICS('sales', 0)`,
-		`ANALYZE_STATISTICS('sales', -1)`,
+		`ANALYZE_STATISTICS('sales', 64)`,
 		`ANALYZE_STATISTICS('sales'`,
 	} {
 		if _, err := Parse(bad); err == nil {

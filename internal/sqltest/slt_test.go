@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestSLTFiles runs every golden file under testdata against a fresh
@@ -57,6 +59,21 @@ func TestHarnessRejectsMalformed(t *testing.T) {
 		if _, _, err := parseFile(path); err == nil {
 			t.Errorf("expected parse error for %q", bad)
 		}
+	}
+}
+
+// TestRenderRowsZeroRows: a query matching nothing renders zero lines, not
+// its plan text.
+func TestRenderRowsZeroRows(t *testing.T) {
+	db, err := core.Open(DefaultOptions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustExecute(`CREATE TABLE t (a INT)`)
+	db.MustExecute(`CREATE PROJECTION t_super ON t (a) ORDER BY a`)
+	db.MustExecute(`INSERT INTO t VALUES (1)`)
+	if got := renderRows(db.MustExecute(`SELECT a FROM t WHERE a = 99`)); len(got) != 0 {
+		t.Fatalf("zero-row result rendered %q", got)
 	}
 }
 

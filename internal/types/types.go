@@ -116,6 +116,45 @@ func NewTimestampMicros(us int64) Value { return Value{Typ: Timestamp, I: us} }
 // NewNull returns the NULL value of type t.
 func NewNull(t Type) Value { return Value{Typ: t, Null: true} }
 
+// ParseTimestamp parses a timestamp ("2012-08-27 10:30:00") or date
+// ("2012-08-27") literal as UTC.
+func ParseTimestamp(s string) (Value, bool) {
+	for _, layout := range [...]string{timestampLayout, "2006-01-02"} {
+		if t, err := time.Parse(layout, s); err == nil {
+			return NewTimestamp(t), true
+		}
+	}
+	return Value{}, false
+}
+
+// Coerce converts a value to a column's type on its way into storage, the
+// one rule INSERT and UPDATE share: NULL takes the column's type, an integer
+// widens to FLOAT, a FLOAT truncates toward zero to an integral type, a
+// string that parses as a timestamp becomes one, and integral types
+// relabel. Any other value is returned unchanged.
+func Coerce(v Value, t Type) Value {
+	switch {
+	case v.Null:
+		return NewNull(t)
+	case v.Typ == t:
+		return v
+	case t == Float64 && v.Typ.IsIntegral():
+		return NewFloat(float64(v.I))
+	case t.IsIntegral() && v.Typ == Float64:
+		return Value{Typ: t, I: int64(v.F)}
+	case t == Timestamp && v.Typ == Varchar:
+		if tv, ok := ParseTimestamp(v.S); ok {
+			return tv
+		}
+		return v
+	case t.IsIntegral() && v.Typ.IsIntegral():
+		v.Typ = t
+		return v
+	default:
+		return v
+	}
+}
+
 // Bool reports the boolean interpretation of the value.
 func (v Value) Bool() bool { return !v.Null && v.I != 0 }
 

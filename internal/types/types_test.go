@@ -210,3 +210,58 @@ func TestIsIntegralIsNumeric(t *testing.T) {
 		t.Error("IsNumeric misclassified")
 	}
 }
+
+func TestParseTimestamp(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		want     time.Time
+		ok       bool
+	}{
+		{"timestamp", "2012-08-27 10:30:05", time.Date(2012, 8, 27, 10, 30, 5, 0, time.UTC), true},
+		{"date", "2012-08-27", time.Date(2012, 8, 27, 0, 0, 0, 0, time.UTC), true},
+		{"empty", "", time.Time{}, false},
+		{"bad month", "2012-13-01", time.Time{}, false},
+		{"trailing text", "2012-08-27 10:30:05 PST", time.Time{}, false},
+		{"slashes", "2012/08/27", time.Time{}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, ok := ParseTimestamp(tc.in)
+			if ok != tc.ok {
+				t.Fatalf("ParseTimestamp(%q) ok = %v, want %v", tc.in, ok, tc.ok)
+			}
+			if ok && (v.Typ != Timestamp || v.Null || !v.Time().Equal(tc.want)) {
+				t.Errorf("ParseTimestamp(%q) = %v (%s), want %v", tc.in, v, v.Typ, tc.want)
+			}
+		})
+	}
+}
+
+// TestCoerce covers each rule of the one conversion INSERT and UPDATE share.
+func TestCoerce(t *testing.T) {
+	ts := NewTimestamp(time.Date(2012, 6, 1, 12, 0, 0, 0, time.UTC))
+	for _, tc := range []struct {
+		name string
+		in   Value
+		to   Type
+		want Value
+	}{
+		{"null takes the column type", NewNull(Varchar), Int64, NewNull(Int64)},
+		{"same type unchanged", NewString("x"), Varchar, NewString("x")},
+		{"int widens to float", NewInt(3), Float64, NewFloat(3)},
+		{"float truncates to int", NewFloat(7.9), Int64, NewInt(7)},
+		{"negative float truncates toward zero", NewFloat(-7.9), Int64, NewInt(-7)},
+		{"timestamp string", NewString("2012-06-01 12:00:00"), Timestamp, ts},
+		{"date string", NewString("2012-06-01"), Timestamp, NewTimestamp(time.Date(2012, 6, 1, 0, 0, 0, 0, time.UTC))},
+		{"unparsable string unchanged", NewString("June"), Timestamp, NewString("June")},
+		{"int relabels as timestamp", NewInt(ts.I), Timestamp, ts},
+		{"bool relabels as int", NewBool(true), Int64, NewInt(1)},
+		{"string into int unchanged", NewString("12"), Int64, NewString("12")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Coerce(tc.in, tc.to)
+			if got.Typ != tc.want.Typ || got.Null != tc.want.Null || (!got.Null && got.Compare(tc.want) != 0) {
+				t.Errorf("Coerce(%v (%s), %s) = %v (%s), want %v (%s)", tc.in, tc.in.Typ, tc.to, got, got.Typ, tc.want, tc.want.Typ)
+			}
+		})
+	}
+}
