@@ -28,20 +28,24 @@ func candidateKinds(t types.Type) []Kind {
 }
 
 // Choose picks the most advantageous concrete encoding for the block by
-// trial encoding. It never returns Auto.
+// trial encoding: the kind AppendBlock(Auto) stores. It never returns Auto.
 func Choose(v *vector.Vector) Kind {
-	if v.IsRLE() {
-		return RLE
-	}
-	best := None
-	bestSize := -1
+	var e Encoder
+	return e.experiment(v.Expand())
+}
+
+// experiment encodes the flat vector v with every candidate kind, keeps the
+// smallest block in e.kept, the earlier candidate on a tie, and returns its
+// kind. The loser's buffer takes the next candidate, so nothing is encoded
+// twice and, once the buffers have grown, nothing is allocated.
+func (e *Encoder) experiment(v *vector.Vector) Kind {
+	best := Auto
 	for _, k := range candidateKinds(v.Typ) {
-		enc, err := EncodeBlock(k, v)
-		if err != nil {
-			continue
-		}
-		if bestSize < 0 || len(enc) < bestSize {
-			best, bestSize = k, len(enc)
+		var err error
+		e.trial, err = e.appendBlock(e.trial[:0], k, v)
+		if err == nil && (best == Auto || len(e.trial) < len(e.kept)) {
+			e.kept, e.trial = e.trial, e.kept
+			best = k
 		}
 	}
 	return best

@@ -2,9 +2,7 @@ package encoding
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
@@ -22,34 +20,20 @@ import (
 // via Auto (direct encode requests get an error).
 const maxCommonDeltaDict = 4096
 
-func encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error) {
-	if v.Typ == types.Float64 || v.Typ == types.Varchar {
-		return nil, fmt.Errorf("encoding: COMMONDELTA_COMP requires integral column, got %s", v.Typ)
-	}
+func (e *Encoder) encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error) {
 	n := len(v.Ints)
 	if n == 0 {
 		return buf, nil
 	}
 	buf = appendVarint(buf, v.Ints[0])
-	deltas := make([]int64, n-1)
-	dictIdx := map[int64]int{}
-	for i := 1; i < n; i++ {
-		d := v.Ints[i] - v.Ints[i-1]
-		deltas[i-1] = d
-		if _, ok := dictIdx[d]; !ok {
-			if len(dictIdx) >= maxCommonDeltaDict {
-				return nil, fmt.Errorf("encoding: COMMONDELTA_COMP delta dictionary exceeds %d entries", maxCommonDeltaDict)
-			}
-			dictIdx[d] = 0
-		}
+	e.deltas = grow(e.deltas, n-1)
+	for i := range e.deltas {
+		e.deltas[i] = v.Ints[i+1] - v.Ints[i]
 	}
-	dict := make([]int64, 0, len(dictIdx))
-	for d := range dictIdx {
-		dict = append(dict, d)
-	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	for i, d := range dict {
-		dictIdx[d] = i
+	e.intKeys = dictKeys(&e.ints, e.intKeys, e.deltas)
+	dict := e.intKeys
+	if len(dict) > maxCommonDeltaDict {
+		return buf, fmt.Errorf("encoding: COMMONDELTA_COMP delta dictionary exceeds %d entries", maxCommonDeltaDict)
 	}
 	buf = appendUvarint(buf, uint64(len(dict)))
 	for _, d := range dict {
@@ -58,18 +42,17 @@ func encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error) {
 	if len(dict) == 0 {
 		return buf, nil
 	}
-	freq := make([]int, len(dict))
-	syms := make([]int, len(deltas))
-	for i, d := range deltas {
-		s := dictIdx[d]
-		syms[i] = s
-		freq[s]++
+	e.idx = dictIndexes(e.idx, e.ints, e.deltas)
+	e.freq = grow(e.freq, len(dict))
+	clear(e.freq)
+	for _, s := range e.idx {
+		e.freq[s]++
 	}
-	lengths, err := huffmanCodeLengths(freq)
+	lengths, err := e.huff.codeLengths(e.freq)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
-	return huffmanEncode(buf, len(dict), lengths, syms), nil
+	return e.huff.encode(buf, len(dict), lengths, e.idx), nil
 }
 
 func decodeCommonDelta(b []byte, out *vector.Vector, n int, scratch *vector.Vector) error {

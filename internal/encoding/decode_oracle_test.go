@@ -265,14 +265,15 @@ func TestDecodeOracle(t *testing.T) {
 		for _, s := range syms {
 			freq[s]++
 		}
-		lengths, err := huffmanCodeLengths(freq)
+		var h huffScratch
+		lengths, err := h.codeLengths(freq)
 		if err != nil {
 			fail("code lengths: %v", err)
 		}
 		if slices.Max(lengths) > huffTableBits {
 			longCodes++
 		}
-		enc := huffmanEncode(nil, k, lengths, syms)
+		enc := h.encode(nil, k, lengths, syms)
 		enc = append(enc, make([]byte, rng.Intn(3))...) // what follows the stream is not consumed
 		data, want, how := corrupt(rng, enc, len(syms))
 		refSyms, refUsed, refErr := refHuffmanDecode(data, want)
@@ -457,6 +458,50 @@ func TestDecodeAllocationGuard(t *testing.T) {
 		if limit := uint64(8*n + 8*ds + slack); per > limit {
 			t.Errorf("%s: a %d-row decode allocates %d bytes, limit %d (output %d + dictionary %d + %d)",
 				tc.kind, n, per, limit, 8*n, 8*ds, slack)
+		}
+	}
+}
+
+// TestEncodeAllocationGuard: a warm Encoder Auto-encodes a 4 096-row INT,
+// FLOAT or VARCHAR block into a reused buffer without allocating anything
+// block-sized — no trial buffer per candidate, no second encode of the
+// winner, no run, index, delta, key or Huffman slice, no map.
+func TestEncodeAllocationGuard(t *testing.T) {
+	const n, slack = 4096, 256
+	rng := rand.New(rand.NewSource(13))
+	every7 := func(i int) bool { return i%7 == 3 }
+	for _, tc := range []struct {
+		typ   types.Type
+		ds    int
+		walk  bool
+		nulls func(int) bool
+	}{
+		{types.Int64, 64, true, func(int) bool { return false }},
+		{types.Int64, 1000, false, every7},
+		{types.Float64, 256, false, every7},
+		{types.Varchar, 300, false, func(int) bool { return false }},
+	} {
+		v := shapedVector(rng, tc.typ, n, tc.ds, tc.walk, tc.nulls)
+		var e Encoder
+		var buf []byte
+		var err error
+		for range 5 { // the two trial buffers swap, so both grow to fit in turn
+			if buf, err = e.AppendBlock(buf[:0], Auto, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if buf, err = e.AppendBlock(buf[:0], Auto, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > slack {
+			t.Errorf("%s (%d distinct): a warm %d-row Auto encode allocates %d bytes, limit %d", tc.typ, tc.ds, n, per, slack)
 		}
 	}
 }

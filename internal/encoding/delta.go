@@ -12,10 +12,7 @@ import (
 // uvarint(v - blockMin). "Data is recorded as a difference from the smallest
 // value in a data block" (paper §3.4.1).
 
-func encodeDeltaValue(buf []byte, v *vector.Vector) ([]byte, error) {
-	if v.Typ == types.Float64 || v.Typ == types.Varchar {
-		return nil, fmt.Errorf("encoding: DELTAVAL requires integral column, got %s", v.Typ)
-	}
+func encodeDeltaValue(buf []byte, v *vector.Vector) []byte {
 	mn := int64(math.MaxInt64)
 	for _, x := range v.Ints {
 		if x < mn {
@@ -29,7 +26,7 @@ func encodeDeltaValue(buf []byte, v *vector.Vector) ([]byte, error) {
 	for _, x := range v.Ints {
 		buf = appendUvarint(buf, uint64(x-mn))
 	}
-	return buf, nil
+	return buf
 }
 
 func decodeDeltaValue(b []byte, out *vector.Vector, n int) error {
@@ -60,11 +57,10 @@ func decodeDeltaValue(b []byte, out *vector.Vector, n int) error {
 //	float:    8-byte first value, then uvarint(bits(v[i]) XOR bits(v[i-1]))
 //	          per value — the XOR of similar floats has mostly-zero high
 //	          bits after byte reversal, so we reverse bytes before varint.
-func encodeDeltaRange(buf []byte, v *vector.Vector) ([]byte, error) {
-	switch v.Typ {
-	case types.Float64:
+func encodeDeltaRange(buf []byte, v *vector.Vector) []byte {
+	if v.Typ == types.Float64 {
 		if len(v.Floats) == 0 {
-			return buf, nil
+			return buf
 		}
 		buf = appendUint64(buf, math.Float64bits(v.Floats[0]))
 		prev := math.Float64bits(v.Floats[0])
@@ -73,21 +69,18 @@ func encodeDeltaRange(buf []byte, v *vector.Vector) ([]byte, error) {
 			buf = appendUvarint(buf, reverseBytes(cur^prev))
 			prev = cur
 		}
-		return buf, nil
-	case types.Varchar:
-		return nil, fmt.Errorf("encoding: DELTARANGE_COMP requires numeric column, got %s", v.Typ)
-	default:
-		if len(v.Ints) == 0 {
-			return buf, nil
-		}
-		buf = appendVarint(buf, v.Ints[0])
-		prev := v.Ints[0]
-		for _, x := range v.Ints[1:] {
-			buf = appendVarint(buf, x-prev)
-			prev = x
-		}
-		return buf, nil
+		return buf
 	}
+	if len(v.Ints) == 0 {
+		return buf
+	}
+	buf = appendVarint(buf, v.Ints[0])
+	prev := v.Ints[0]
+	for _, x := range v.Ints[1:] {
+		buf = appendVarint(buf, x-prev)
+		prev = x
+	}
+	return buf
 }
 
 func decodeDeltaRange(b []byte, out *vector.Vector, n int) error {

@@ -1,9 +1,10 @@
 package encoding
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -15,83 +16,63 @@ import (
 // are stored in a dictionary and actual values are replaced with references"
 // (paper §3.4.1).
 
-func encodeBlockDict(buf []byte, v *vector.Vector) ([]byte, error) {
-	n := v.PhysLen()
+func (e *Encoder) encodeBlockDict(buf []byte, v *vector.Vector) []byte {
+	var width int
 	switch v.Typ {
 	case types.Float64:
-		dict := map[float64]int{}
-		for _, f := range v.Floats {
-			if _, ok := dict[f]; !ok {
-				dict[f] = 0
-			}
-		}
-		keys := make([]float64, 0, len(dict))
-		for k := range dict {
-			keys = append(keys, k)
-		}
-		sort.Float64s(keys)
-		for i, k := range keys {
-			dict[k] = i
-		}
-		buf = appendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
+		e.floatKeys = dictKeys(&e.floats, e.floatKeys, v.Floats)
+		buf = appendUvarint(buf, uint64(len(e.floatKeys)))
+		for _, k := range e.floatKeys {
 			buf = appendUint64(buf, math.Float64bits(k))
 		}
-		idx := make([]int, n)
-		for i, f := range v.Floats {
-			idx[i] = dict[f]
-		}
-		return packBits(buf, idx, bitWidth(len(keys))), nil
+		e.idx, width = dictIndexes(e.idx, e.floats, v.Floats), bitWidth(len(e.floatKeys))
 	case types.Varchar:
-		dict := map[string]int{}
-		for _, s := range v.Strs {
-			if _, ok := dict[s]; !ok {
-				dict[s] = 0
-			}
-		}
-		keys := make([]string, 0, len(dict))
-		for k := range dict {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			dict[k] = i
-		}
-		buf = appendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
+		e.strKeys = dictKeys(&e.strs, e.strKeys, v.Strs)
+		buf = appendUvarint(buf, uint64(len(e.strKeys)))
+		for _, k := range e.strKeys {
 			buf = appendUvarint(buf, uint64(len(k)))
 			buf = append(buf, k...)
 		}
-		idx := make([]int, n)
-		for i, s := range v.Strs {
-			idx[i] = dict[s]
-		}
-		return packBits(buf, idx, bitWidth(len(keys))), nil
+		e.idx, width = dictIndexes(e.idx, e.strs, v.Strs), bitWidth(len(e.strKeys))
 	default:
-		dict := map[int64]int{}
-		for _, x := range v.Ints {
-			if _, ok := dict[x]; !ok {
-				dict[x] = 0
-			}
-		}
-		keys := make([]int64, 0, len(dict))
-		for k := range dict {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for i, k := range keys {
-			dict[k] = i
-		}
-		buf = appendUvarint(buf, uint64(len(keys)))
-		for _, k := range keys {
+		e.intKeys = dictKeys(&e.ints, e.intKeys, v.Ints)
+		buf = appendUvarint(buf, uint64(len(e.intKeys)))
+		for _, k := range e.intKeys {
 			buf = appendVarint(buf, k)
 		}
-		idx := make([]int, n)
-		for i, x := range v.Ints {
-			idx[i] = dict[x]
-		}
-		return packBits(buf, idx, bitWidth(len(keys))), nil
+		e.idx, width = dictIndexes(e.idx, e.ints, v.Ints), bitWidth(len(e.intKeys))
 	}
+	return packBits(buf, e.idx, width)
+}
+
+// dictKeys resets *m, making it on first use, to the distinct values of vals
+// each mapped to its rank, and returns them sorted, in keys' storage.
+func dictKeys[T cmp.Ordered](m *map[T]int, keys, vals []T) []T {
+	if *m == nil {
+		*m = make(map[T]int)
+	}
+	clear(*m)
+	keys = keys[:0]
+	for _, x := range vals {
+		if _, ok := (*m)[x]; !ok {
+			(*m)[x] = 0
+			keys = append(keys, x)
+		}
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		(*m)[k] = i
+	}
+	return keys
+}
+
+// dictIndexes returns the rank m gives each of vals, in idx's storage.
+func dictIndexes[T cmp.Ordered](idx []int, m map[T]int, vals []T) []int {
+	idx = grow(idx, len(vals))
+	for i, x := range vals {
+		idx[i] = m[x]
+	}
+	return idx
 }
 
 func decodeBlockDict(b []byte, out *vector.Vector, n int, scratch *vector.Vector) error {

@@ -10,6 +10,7 @@ package encoding
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -109,55 +110,88 @@ func (k Kind) Applicable(t types.Type) bool {
 // The payload that follows is kind-specific and always encodes rowCount
 // logical slots (null slots carry zero values).
 
-// EncodeBlock encodes a flat vector as one block. kind must not be Auto
-// (resolve Auto with Choose first) and must be applicable to v's type.
+// EncodeBlock encodes a vector as one block of the given kind, which must be
+// applicable to v's type. Auto runs the storage experiment (see Choose) and
+// returns the bytes it keeps. It is AppendBlock on a throwaway Encoder.
 func EncodeBlock(kind Kind, v *vector.Vector) ([]byte, error) {
+	var e Encoder
+	return e.AppendBlock(nil, kind, v)
+}
+
+// Encoder encodes blocks, keeping the scratch its encoders build from one
+// block to the next: the Auto experiment's two buffers, the dictionary maps
+// and their key, index, delta and Huffman slices. The zero value is ready to
+// use; an Encoder is not safe for concurrent use.
+type Encoder struct {
+	kept, trial []byte // Auto: the smallest block so far, the candidate being tried
+
+	ints      map[int64]int
+	floats    map[float64]int
+	strs      map[string]int
+	intKeys   []int64
+	floatKeys []float64
+	strKeys   []string
+	deltas    []int64
+	idx       []int // dictionary indexes, Huffman symbols
+	freq      []int
+	huff      huffScratch
+}
+
+// AppendBlock appends v encoded as one block of the given kind to dst; a
+// run-length vector is expanded first. On error it returns dst unchanged.
+func (e *Encoder) AppendBlock(dst []byte, kind Kind, v *vector.Vector) ([]byte, error) {
 	if v.IsRLE() {
 		v = v.Expand()
 	}
 	if kind == Auto {
-		kind = Choose(v)
+		e.experiment(v)
+		return append(dst, e.kept...), nil
 	}
+	buf, err := e.appendBlock(dst, kind, v)
+	if err != nil {
+		return dst, err
+	}
+	return buf, nil
+}
+
+// appendBlock is AppendBlock for a concrete kind and a flat vector. On error
+// it still returns the buffer, holding a partial block, for its capacity.
+func (e *Encoder) appendBlock(buf []byte, kind Kind, v *vector.Vector) ([]byte, error) {
 	if !kind.Applicable(v.Typ) {
-		return nil, fmt.Errorf("encoding: %s not applicable to %s", kind, v.Typ)
+		return buf, fmt.Errorf("encoding: %s not applicable to %s", kind, v.Typ)
 	}
 	n := v.PhysLen()
-	buf := make([]byte, 0, n)
 	buf = append(buf, byte(kind))
 	buf = appendUvarint(buf, uint64(n))
 	if v.HasNulls() {
 		buf = append(buf, 1)
-		bm := make([]byte, (n+7)/8)
+		bm := len(buf)
+		buf = slices.Grow(buf, (n+7)/8)[:bm+(n+7)/8]
+		clear(buf[bm:])
 		for i := 0; i < n; i++ {
 			if v.Nulls[i] {
-				bm[i/8] |= 1 << (i % 8)
+				buf[bm+i/8] |= 1 << (i % 8)
 			}
 		}
-		buf = append(buf, bm...)
 	} else {
 		buf = append(buf, 0)
 	}
-	var err error
 	switch kind {
 	case None:
-		buf, err = encodeNone(buf, v)
+		return encodeNone(buf, v), nil
 	case RLE:
-		buf, err = encodeRLE(buf, v)
+		return encodeRLE(buf, v), nil
 	case DeltaValue:
-		buf, err = encodeDeltaValue(buf, v)
+		return encodeDeltaValue(buf, v), nil
 	case BlockDict:
-		buf, err = encodeBlockDict(buf, v)
+		return e.encodeBlockDict(buf, v), nil
 	case CompressedDeltaRange:
-		buf, err = encodeDeltaRange(buf, v)
+		return encodeDeltaRange(buf, v), nil
 	case CompressedCommonDelta:
-		buf, err = encodeCommonDelta(buf, v)
+		return e.encodeCommonDelta(buf, v)
 	default:
-		err = fmt.Errorf("encoding: cannot encode with kind %s", kind)
+		return buf, fmt.Errorf("encoding: cannot encode with kind %s", kind)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // DecodeBlock decodes one block into a flat vector of type t.

@@ -1,6 +1,9 @@
 package encoding
 
 import (
+	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/types"
@@ -60,5 +63,68 @@ func FuzzDecode(f *testing.F) {
 			_ = v.ValueAt(i)
 		}
 		_ = v.Len()
+	})
+}
+
+// FuzzEncodeAuto builds a block from arbitrary bytes — its type from the
+// first byte, then one (control, value) pair per entry, where the control
+// byte marks NULLs and, for a run-length vector, the run's length — and
+// holds Auto to two things: its block decodes back to the input, and it is
+// the block of the kind Choose names.
+func FuzzEncodeAuto(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 0, 4})
+	f.Add([]byte{8 | 0, 14, 1, 14, 1, 0, 200, 3, 7})
+	f.Add([]byte{3, 1, 0, 0, 9, 0, 9, 0, 9, 0, 250})
+	f.Add([]byte{8 | 4, 4, 1, 4, 2, 1, 0, 4, 3})
+	f.Add([]byte{2, 0, 5, 0, 5, 0, 6, 0, 255, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		typ := []types.Type{types.Int64, types.Float64, types.Varchar, types.Bool, types.Timestamp}[data[0]%8%5]
+		v := &vector.Vector{Typ: typ}
+		if data[0]&8 != 0 {
+			v.RunLens = []int{}
+		}
+		var nulls []bool
+		for i := 1; i+1 < len(data); i += 2 {
+			ctl, x := data[i], data[i+1]
+			nulls = append(nulls, ctl&1 != 0)
+			switch typ {
+			case types.Float64:
+				v.Floats = append(v.Floats, float64(int8(x))/4)
+			case types.Varchar:
+				v.Strs = append(v.Strs, strings.Repeat("ab", int(x%4))+string(rune('a'+x%26)))
+			case types.Bool:
+				v.Ints = append(v.Ints, int64(x&1))
+			default:
+				v.Ints = append(v.Ints, int64(int8(x))<<(ctl>>5))
+			}
+			if v.RunLens != nil {
+				v.RunLens = append(v.RunLens, 1+int(ctl>>1&15))
+			}
+		}
+		if slices.Contains(nulls, true) {
+			v.Nulls = nulls
+		}
+		auto, err := EncodeBlock(Auto, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chosen, err := EncodeBlock(Choose(v), v)
+		if err != nil || !bytes.Equal(auto, chosen) {
+			t.Fatalf("Choose = %s: %d bytes (%v), Auto stored %d", Choose(v), len(chosen), err, len(auto))
+		}
+		want := v.Expand()
+		got, err := DecodeBlock(auto, typ, false)
+		if err != nil || got.Len() != want.Len() {
+			t.Fatalf("decode: %v, %d rows of %d", err, got.Len(), want.Len())
+		}
+		for i := range want.Len() {
+			w, g := want.ValueAt(i), got.ValueAt(i)
+			if w.Null != g.Null || !w.Null && w.Compare(g) != 0 {
+				t.Fatalf("row %d = %v, want %v", i, g, w)
+			}
+		}
 	})
 }

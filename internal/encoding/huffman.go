@@ -1,9 +1,9 @@
 package encoding
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Canonical Huffman coding over small symbol alphabets, used by the
@@ -12,58 +12,13 @@ import (
 
 const maxHuffmanCodeLen = 56 // fits in a uint64 accumulator with room to spare
 
-// huffmanCodeLengths computes canonical code lengths for the given symbol
-// frequencies (freq[i] > 0 for used symbols). Single-symbol alphabets get
-// length 1.
-func huffmanCodeLengths(freq []int) ([]int, error) {
-	var nodes []huffNode
-	var live []int
-	for s, f := range freq {
-		if f > 0 {
-			nodes = append(nodes, huffNode{weight: f, sym: s, left: -1, right: -1})
-			live = append(live, len(nodes)-1)
-		}
-	}
-	if len(live) == 0 {
-		return make([]int, len(freq)), nil
-	}
-	if len(live) == 1 {
-		out := make([]int, len(freq))
-		out[nodes[live[0]].sym] = 1
-		return out, nil
-	}
-	h := &nodeHeap{nodes: &nodes, idx: live}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
-		nodes = append(nodes, huffNode{
-			weight: nodes[a].weight + nodes[b].weight,
-			sym:    -1, left: a, right: b,
-		})
-		heap.Push(h, len(nodes)-1)
-	}
-	root := h.idx[0]
-	out := make([]int, len(freq))
-	var walk func(n, depth int) error
-	walk = func(n, depth int) error {
-		if depth > maxHuffmanCodeLen {
-			return fmt.Errorf("encoding: huffman code too long (%d)", depth)
-		}
-		nd := nodes[n]
-		if nd.sym >= 0 {
-			out[nd.sym] = depth
-			return nil
-		}
-		if err := walk(nd.left, depth+1); err != nil {
-			return err
-		}
-		return walk(nd.right, depth+1)
-	}
-	if err := walk(root, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
+// huffScratch is the encoder's scratch for building codes: the construction
+// forest, the leaves in queue order, and the lengths and codes per symbol.
+type huffScratch struct {
+	nodes   []huffNode
+	queue   []int
+	lengths []int
+	codes   []uint64
 }
 
 // huffNode is one node of the Huffman construction forest; leaves carry a
@@ -72,67 +27,93 @@ type huffNode struct {
 	weight      int
 	sym         int
 	left, right int
+	depth       int
 }
 
-type nodeHeap struct {
-	nodes *[]huffNode
-	idx   []int
-}
-
-func (h *nodeHeap) Len() int { return len(h.idx) }
-func (h *nodeHeap) Less(i, j int) bool {
-	a, b := (*h.nodes)[h.idx[i]], (*h.nodes)[h.idx[j]]
-	if a.weight != b.weight {
-		return a.weight < b.weight
-	}
-	return h.idx[i] < h.idx[j] // deterministic tie-break
-}
-func (h *nodeHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *nodeHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
-}
-
-// canonicalCodes assigns canonical codes (numerically increasing with length,
-// then symbol order) from code lengths. Returns code bits per symbol.
-func canonicalCodes(lengths []int) []uint64 {
-	type sl struct{ sym, length int }
-	var syms []sl
-	for s, l := range lengths {
-		if l > 0 {
-			syms = append(syms, sl{s, l})
+// codeLengths computes canonical code lengths for the given symbol
+// frequencies (freq[i] > 0 for used symbols), in h's storage. Single-symbol
+// alphabets get length 1.
+//
+// The forest merges its two lightest nodes until one is left, the lower node
+// index first among equal weights. Merged weights never decrease, so the
+// merged nodes queue up in that order as they are made, and the leaves,
+// sorted once, are the other queue: the lightest node is at one of the two
+// heads.
+func (h *huffScratch) codeLengths(freq []int) ([]int, error) {
+	h.lengths = grow(h.lengths, len(freq))
+	clear(h.lengths)
+	nodes := h.nodes[:0]
+	for s, f := range freq {
+		if f > 0 {
+			nodes = append(nodes, huffNode{weight: f, sym: s, left: -1, right: -1})
 		}
 	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].length != syms[j].length {
-			return syms[i].length < syms[j].length
-		}
-		return syms[i].sym < syms[j].sym
-	})
-	codes := make([]uint64, len(lengths))
-	var code uint64
-	prevLen := 0
-	for _, s := range syms {
-		code <<= uint(s.length - prevLen)
-		codes[s.sym] = code
-		code++
-		prevLen = s.length
+	leaves := len(nodes)
+	if leaves == 0 {
+		return h.lengths, nil
 	}
-	return codes
+	if leaves == 1 {
+		h.lengths[nodes[0].sym] = 1
+		return h.lengths, nil
+	}
+	queue := grow(h.queue, leaves)
+	for i := range queue {
+		queue[i] = i
+	}
+	slices.SortStableFunc(queue, func(a, b int) int { return cmp.Compare(nodes[a].weight, nodes[b].weight) })
+	head, merged := 0, leaves
+	pop := func() int {
+		// A leaf's index is below every merged node's, so it wins a tie.
+		if head < leaves && (merged == len(nodes) || nodes[queue[head]].weight <= nodes[merged].weight) {
+			head++
+			return queue[head-1]
+		}
+		merged++
+		return merged - 1
+	}
+	for range leaves - 1 {
+		a, b := pop(), pop()
+		nodes = append(nodes, huffNode{weight: nodes[a].weight + nodes[b].weight, sym: -1, left: a, right: b})
+	}
+	// Children come before their parent, so one pass down from the root
+	// gives every node its depth.
+	for i := len(nodes) - 1; i >= leaves; i-- {
+		nodes[nodes[i].left].depth = nodes[i].depth + 1
+		nodes[nodes[i].right].depth = nodes[i].depth + 1
+	}
+	for _, nd := range nodes[:leaves] {
+		if nd.depth > maxHuffmanCodeLen {
+			return nil, fmt.Errorf("encoding: huffman code too long (%d)", nd.depth)
+		}
+		h.lengths[nd.sym] = nd.depth
+	}
+	h.nodes, h.queue = nodes, queue
+	return h.lengths, nil
 }
 
-// huffmanEncode writes lengths table (uvarint per symbol) + uvarint bit count
-// + MSB-first bitstream of the symbols.
-func huffmanEncode(buf []byte, symCount int, lengths []int, syms []int) []byte {
+// encode writes lengths table (uvarint per symbol) + uvarint bit count +
+// MSB-first bitstream of the symbols. Codes are canonical: numerically
+// increasing with length, then symbol order, as huffmanDecode rebuilds them.
+func (h *huffScratch) encode(buf []byte, symCount int, lengths []int, syms []int) []byte {
 	buf = appendUvarint(buf, uint64(symCount))
+	var next [maxHuffmanCodeLen + 2]uint64
 	for s := 0; s < symCount; s++ {
 		buf = appendUvarint(buf, uint64(lengths[s]))
+		next[lengths[s]]++
 	}
-	codes := canonicalCodes(lengths)
+	var code uint64
+	for l := 1; l < len(next); l++ {
+		count := next[l]
+		next[l] = code
+		code = (code + count) << 1
+	}
+	h.codes = grow(h.codes, symCount)
+	for s, l := range lengths[:symCount] {
+		if l > 0 {
+			h.codes[s] = next[l]
+			next[l]++
+		}
+	}
 	totalBits := 0
 	for _, s := range syms {
 		totalBits += lengths[s]
@@ -142,7 +123,7 @@ func huffmanEncode(buf []byte, symCount int, lengths []int, syms []int) []byte {
 	accBits := 0
 	for _, s := range syms {
 		l := lengths[s]
-		acc = acc<<uint(l) | codes[s]
+		acc = acc<<uint(l) | h.codes[s]
 		accBits += l
 		for accBits >= 8 {
 			buf = append(buf, byte(acc>>uint(accBits-8)))

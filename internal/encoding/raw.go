@@ -12,7 +12,7 @@ import (
 // floats as 8-byte IEEE bits, strings as uvarint length + bytes. This is the
 // "uncompressed" baseline the paper's Table 4 compares against.
 
-func encodeNone(buf []byte, v *vector.Vector) ([]byte, error) {
+func encodeNone(buf []byte, v *vector.Vector) []byte {
 	switch v.Typ {
 	case types.Float64:
 		for _, f := range v.Floats {
@@ -28,7 +28,7 @@ func encodeNone(buf []byte, v *vector.Vector) ([]byte, error) {
 			buf = appendUint64(buf, uint64(i))
 		}
 	}
-	return buf, nil
+	return buf
 }
 
 func decodeNone(b []byte, out *vector.Vector, n int) error {

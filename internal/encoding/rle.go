@@ -12,26 +12,28 @@ import (
 // block header restores them (null runs therefore compress exactly like value
 // runs when the column is sorted NULLS FIRST).
 
-func encodeRLE(buf []byte, v *vector.Vector) ([]byte, error) {
-	n := v.PhysLen()
-	type run struct {
-		start int
-		count int
+func encodeRLE(buf []byte, v *vector.Vector) []byte {
+	n, runs := v.PhysLen(), 0
+	for i := 0; i < n; i = runEnd(v, i) {
+		runs++
 	}
-	var runs []run
-	for i := 0; i < n; i++ {
-		if len(runs) > 0 && sameSlot(v, runs[len(runs)-1].start, i) {
-			runs[len(runs)-1].count++
-			continue
-		}
-		runs = append(runs, run{start: i, count: 1})
+	buf = appendUvarint(buf, uint64(runs))
+	for i := 0; i < n; {
+		end := runEnd(v, i)
+		buf = rawValueAppend(buf, v.Typ, v, i)
+		buf = appendUvarint(buf, uint64(end-i))
+		i = end
 	}
-	buf = appendUvarint(buf, uint64(len(runs)))
-	for _, r := range runs {
-		buf = rawValueAppend(buf, v.Typ, v, r.start)
-		buf = appendUvarint(buf, uint64(r.count))
+	return buf
+}
+
+// runEnd returns the end of the run that starts at physical slot start.
+func runEnd(v *vector.Vector, start int) int {
+	end := start + 1
+	for end < v.PhysLen() && sameSlot(v, start, end) {
+		end++
 	}
-	return buf, nil
+	return end
 }
 
 // sameSlot reports whether physical slots i and j hold identical content

@@ -171,6 +171,7 @@ func encodeBlocks(schema *types.Schema, batches []*vector.Batch) ([][]byte, erro
 	var blocks [][]byte
 	left := vector.NumRows(batches)
 	var chunk *vector.Batch
+	var enc encoding.Encoder
 	for _, b := range batches {
 		for lo, n := 0, b.Len(); lo < n; {
 			if chunk == nil {
@@ -184,7 +185,7 @@ func encodeBlocks(schema *types.Schema, batches []*vector.Batch) ([][]byte, erro
 				continue
 			}
 			for _, col := range chunk.Cols {
-				blob, err := encoding.EncodeBlock(encoding.Auto, col)
+				blob, err := enc.AppendBlock(nil, encoding.Auto, col)
 				if err != nil {
 					return nil, err
 				}

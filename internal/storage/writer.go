@@ -32,6 +32,9 @@ type ContainerWriter struct {
 	pending   []*vector.Vector // per-column rows not yet in a block
 	rows      int64
 	closed    bool
+
+	enc   encoding.Encoder
+	block []byte // each encoded block in turn, until it is written
 }
 
 // WriterOpts configures container writing.
@@ -108,8 +111,8 @@ func (w *ContainerWriter) flushBlocks(final bool) error {
 }
 
 func (w *ContainerWriter) writeBlock(c int, block *vector.Vector, firstPos int64) error {
-	enc, err := encoding.EncodeBlock(w.meta.Cols[c].Enc, block)
-	if err != nil {
+	var err error
+	if w.block, err = w.enc.AppendBlock(w.block[:0], w.meta.Cols[c].Enc, block); err != nil {
 		return fmt.Errorf("storage: column %s: %w", w.meta.Cols[c].Name, err)
 	}
 	mn, mx, ok := block.MinMax()
@@ -118,17 +121,17 @@ func (w *ContainerWriter) writeBlock(c int, block *vector.Vector, firstPos int64
 	}
 	e := PidxEntry{
 		Offset:   w.offsets[c],
-		Length:   int64(len(enc)),
+		Length:   int64(len(w.block)),
 		FirstPos: firstPos,
 		RowCount: int64(block.PhysLen()),
 		Min:      mn,
 		Max:      mx,
 	}
 	w.pidxBufs[c] = appendPidxEntry(w.pidxBufs[c], &e)
-	if _, err := w.bufs[c].Write(enc); err != nil {
+	if _, err := w.bufs[c].Write(w.block); err != nil {
 		return err
 	}
-	w.offsets[c] += int64(len(enc))
+	w.offsets[c] += int64(len(w.block))
 	return nil
 }
 

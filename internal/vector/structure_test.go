@@ -13,12 +13,11 @@ import (
 
 // TestOneMergeHeap keeps the sorted-stream spine the module's one merge heap
 // (docs/ARCHITECTURE.md, "Sorted streams"): among the module's non-test Go
-// files only this package's sorted.go imports container/heap, bar one named
-// exception — the Huffman encoder's code-length build, which is not a merge.
-// A k-way merge anywhere else would be a second spine to keep correct.
+// files only this package's sorted.go imports container/heap. A k-way merge
+// anywhere else would be a second spine to keep correct.
 func TestOneMergeHeap(t *testing.T) {
 	const root = "../.."
-	allowed := []string{"internal/encoding/huffman.go", "internal/vector/sorted.go"}
+	allowed := []string{"internal/vector/sorted.go"}
 	var users []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -55,6 +54,6 @@ func TestOneMergeHeap(t *testing.T) {
 	}
 	slices.Sort(users)
 	if !slices.Equal(users, allowed) {
-		t.Errorf("container/heap is imported by %v; the merger in internal/vector/sorted.go is the one merge heap (and %s the one exception)", users, allowed[0])
+		t.Errorf("container/heap is imported by %v; want only the merger in %s", users, allowed[0])
 	}
 }
