@@ -19,7 +19,7 @@ import (
 func candidateKinds(t types.Type) []Kind {
 	switch {
 	case t == types.Float64:
-		return []Kind{RLE, CompressedDeltaRange, BlockDict, None}
+		return []Kind{RLE, CompressedDeltaRange, BlockDict, Scaled, None}
 	case t == types.Varchar:
 		return []Kind{RLE, BlockDict, None}
 	default:
@@ -36,19 +36,28 @@ func Choose(v *vector.Vector) Kind {
 
 // experiment encodes the flat vector v with every candidate kind, keeps the
 // smallest block in e.kept, the earlier candidate on a tie, and returns its
-// kind. The loser's buffer takes the next candidate, so nothing is encoded
-// twice and, once the buffers have grown, nothing is allocated.
+// kind.
 func (e *Encoder) experiment(v *vector.Vector) Kind {
+	var best Kind
+	e.kept, e.trial, best = e.trialLoop(v, e.kept, e.trial)
+	return best
+}
+
+// trialLoop is the experiment on a pair of buffers: it returns the one that
+// holds the smallest block, the other, and the smallest block's kind. The
+// loser's buffer takes the next candidate, so nothing is encoded twice and,
+// once the buffers have grown, nothing is allocated.
+func (e *Encoder) trialLoop(v *vector.Vector, kept, trial []byte) ([]byte, []byte, Kind) {
 	best := Auto
 	for _, k := range candidateKinds(v.Typ) {
 		var err error
-		e.trial, err = e.appendBlock(e.trial[:0], k, v)
-		if err == nil && (best == Auto || len(e.trial) < len(e.kept)) {
-			e.kept, e.trial = e.trial, e.kept
+		trial, err = e.appendBlock(trial[:0], k, v)
+		if err == nil && (best == Auto || len(trial) < len(kept)) {
+			kept, trial = trial, kept
 			best = k
 		}
 	}
-	return best
+	return kept, trial, best
 }
 
 // TrialSizes encodes the block with every applicable scheme and returns the

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/vector"
 )
@@ -30,7 +31,7 @@ func (e *Encoder) encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error
 	for i := range e.deltas {
 		e.deltas[i] = v.Ints[i+1] - v.Ints[i]
 	}
-	e.intKeys = dictKeys(&e.ints, e.intKeys, e.deltas)
+	e.intKeys, e.idx = dictionary(&e.intDict, e.intKeys, e.idx, e.deltas, hashInt64, slices.Sort)
 	dict := e.intKeys
 	if len(dict) > maxCommonDeltaDict {
 		return buf, fmt.Errorf("encoding: COMMONDELTA_COMP delta dictionary exceeds %d entries", maxCommonDeltaDict)
@@ -42,7 +43,6 @@ func (e *Encoder) encodeCommonDelta(buf []byte, v *vector.Vector) ([]byte, error
 	if len(dict) == 0 {
 		return buf, nil
 	}
-	e.idx = dictIndexes(e.idx, e.ints, e.deltas)
 	e.freq = grow(e.freq, len(dict))
 	clear(e.freq)
 	for _, s := range e.idx {

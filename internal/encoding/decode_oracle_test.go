@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -233,9 +234,11 @@ func corrupt(rng *rand.Rand, b []byte, n int) ([]byte, int, string) {
 
 // TestDecodeOracle runs the differential cases: each draws a Huffman stream
 // and a packed dictionary stream, damages them or not, and decodes both
-// with the old and the new decoder.
+// with the old and the new decoder. Each also draws a FLOAT block of odd
+// floats among decimals, which every FLOAT kind must return bit for bit.
 func TestDecodeOracle(t *testing.T) {
 	longCodes, errs := 0, 0
+	scaled := map[bool]int{}
 	for c := 0; c < *decodeCases; c++ {
 		seed := *decodeSeed + int64(c)
 		rng := rand.New(rand.NewSource(seed))
@@ -323,10 +326,117 @@ func TestDecodeOracle(t *testing.T) {
 		if errText(err) != errText(refErr) || !slices.Equal(sv, refSv) {
 			fail("string dictionary of %d, %s stream %s: %v %v, reference %v %v", ds, how, hex.EncodeToString(packed), sv, err, refSv, refErr)
 		}
+
+		// Floats: the reference is the input, bit for bit. (Auto stores one
+		// of these; TestQuickAutoAlwaysSmallestOrTied holds it to which.)
+		fv := oracleFloats(rng, oracleCount(rng))
+		for _, k := range []Kind{None, RLE, BlockDict, CompressedDeltaRange, Scaled} {
+			enc, err := EncodeBlock(k, fv)
+			if k == Scaled {
+				scaled[err == nil]++
+			}
+			if err != nil {
+				if k == Scaled {
+					continue
+				}
+				fail("%s: %v", k, err)
+			}
+			got, err := DecodeBlock(enc, types.Float64, false)
+			if err != nil || got.Len() != fv.Len() {
+				fail("%s block of %d floats: %v", k, fv.Len(), err)
+			}
+			for i := range fv.Len() {
+				if w, g := fv.ValueAt(i), got.ValueAt(i); !sameValue(w, g) {
+					fail("%s block of %d floats: row %d = %v (%x), want %v (%x)", k, fv.Len(), i, g, math.Float64bits(g.F), w, math.Float64bits(w.F))
+				}
+			}
+		}
 	}
-	if *decodeCases >= 100 && (longCodes == 0 || errs == 0) {
-		t.Errorf("%d cases reached codes longer than %d bits and %d failed to decode: the oracle misses a path",
-			longCodes, huffTableBits, errs)
+	if *decodeCases >= 100 && (longCodes == 0 || errs == 0 || scaled[true] == 0 || scaled[false] == 0) {
+		t.Errorf("%d cases reached codes longer than %d bits, %d failed to decode, %d floats were stored scaled and %d not: the oracle misses a path",
+			longCodes, huffTableBits, errs, scaled[true], scaled[false])
+	}
+}
+
+// oddFloats are the floats a codec can get wrong: both zeros, NaNs of
+// other payloads and signs, the infinities, subnormals, the smallest
+// normal, a sum that is no decimal, and the integers and hundredths at the
+// edges of the range a float64 holds exactly.
+var oddFloats = func() []float64 {
+	sum := 0.1
+	sum += 0.2
+	return []float64{
+		math.Copysign(0, -1), 0, math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001),
+		math.Float64frombits(0xfff0_0000_0000_0100), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 3 * 5e-324, 0x1p-1022, sum, 0.3,
+		1<<53 - 1, 1 << 53, 1<<53 + 2, -(1<<53 - 1), -(1 << 53),
+		(1<<53 - 1) / 100.0, (1 << 53) / 100.0, math.MaxFloat64,
+	}
+}()
+
+// oracleFloats returns n floats, NULL or not: per block, decimals of one
+// scale up to 10^-16 (of a few distinct values or many), full-precision
+// values, or either with odd floats among them.
+func oracleFloats(rng *rand.Rand, n int) *vector.Vector {
+	div, ds := math.Pow(10, float64(rng.Intn(17))), 1+rng.Intn(1000)
+	odd, random, nulls := rng.Intn(3) == 0, rng.Intn(4) == 0, rng.Intn(3) == 0
+	v := vector.New(types.Float64, n)
+	for i := 0; i < n; i++ {
+		switch {
+		case nulls && rng.Intn(5) == 0:
+			v.AppendNull()
+		case odd && rng.Intn(8) == 0:
+			v.AppendValue(types.NewFloat(oddFloats[rng.Intn(len(oddFloats))]))
+		case random:
+			v.AppendValue(types.NewFloat(rng.NormFloat64() * 1e6))
+		default:
+			v.AppendValue(types.NewFloat(float64(rng.Intn(ds)-ds/4) / div))
+		}
+	}
+	return v
+}
+
+// scaledBlock builds a SCALED block header for n rows, no NULLs, with
+// exponent exp and the given bytes as its integer block.
+func scaledBlock(n int, exp byte, inner []byte) []byte {
+	b := appendUvarint([]byte{byte(Scaled)}, uint64(n))
+	return append(append(b, 0, exp), inner...)
+}
+
+// scaledCorruptions are SCALED blocks the encoder never writes, each with
+// the error its decode must give.
+func scaledCorruptions() map[string]struct {
+	block []byte
+	err   string
+} {
+	ints := make([]int64, 40)
+	for i := range ints {
+		ints[i] = int64(i % 7 * 25)
+	}
+	inner, _ := EncodeBlock(CompressedCommonDelta, intVec(ints...))
+	short, _ := EncodeBlock(DeltaValue, intVec(ints[:39]...))
+	floats := make([]float64, 40)
+	for i := range floats {
+		floats[i] = float64(i) / 4
+	}
+	nested, _ := EncodeBlock(Scaled, vector.NewFromFloats(floats))
+	nulls, _ := EncodeBlock(None, &vector.Vector{Typ: types.Int64, Ints: ints, Nulls: make([]bool, 40)})
+	nulls[len(appendUvarint(nil, 40))+1] = 1 // the null flag, set
+	return map[string]struct {
+		block []byte
+		err   string
+	}{
+		"exponent 16":          {scaledBlock(40, 16, inner), "exponent"},
+		"no exponent":          {scaledBlock(40, 0, nil)[:3], "exponent"},
+		"39 integers for 40":   {scaledBlock(40, 2, short), "holds 39 integers"},
+		"nested SCALED":        {scaledBlock(40, 2, nested), "not applicable to INTEGER"},
+		"integers with NULLs":  {scaledBlock(40, 2, nulls), "null bitmap"},
+		"truncated integers":   {scaledBlock(40, 2, inner[:len(inner)/2]), "huffman"},
+		"no integer block":     {scaledBlock(40, 2, inner[:1]), "short block"},
+		"integer kind 99":      {scaledBlock(40, 2, []byte{99, 40, 0}), "unknown block kind"},
+		"integer header cut":   {scaledBlock(40, 2, inner[:2]), "truncated block header"},
+		"integer kind AUTO":    {scaledBlock(40, 2, []byte{byte(Auto), 40, 0}), "unknown block kind"},
+		"integer rows too big": {scaledBlock(40, 2, []byte{byte(None), 0xff, 0xff, 0xff, 0xff, 0x0f, 0}), "exceeds limit"},
 	}
 }
 
@@ -391,7 +501,7 @@ func TestDecodeRoundTripShapes(t *testing.T) {
 		"every3": func(i int) bool { return i%3 == 1 },
 		"all":    func(int) bool { return true },
 	}
-	kinds := []Kind{None, RLE, DeltaValue, BlockDict, CompressedDeltaRange, CompressedCommonDelta}
+	kinds := []Kind{None, RLE, DeltaValue, BlockDict, CompressedDeltaRange, CompressedCommonDelta, Scaled}
 	for _, typ := range []types.Type{types.Int64, types.Timestamp, types.Bool, types.Float64, types.Varchar} {
 		for _, n := range oracleCounts {
 			for _, ds := range []int{1, 2, 16, 17, 256, 257} {
@@ -403,7 +513,7 @@ func TestDecodeRoundTripShapes(t *testing.T) {
 								continue
 							}
 							if _, err := EncodeBlock(k, v); err != nil {
-								continue // a dictionary limit: Choose would pick another kind
+								continue // a dictionary limit, or no decimals: Choose would pick another kind
 							}
 							t.Run(fmt.Sprintf("%s/%s/n%d/d%d/walk=%v/nulls=%s", typ, k, n, ds, walk, name), func(t *testing.T) {
 								roundTrip(t, k, v)
@@ -470,6 +580,17 @@ func TestEncodeAllocationGuard(t *testing.T) {
 	const n, slack = 4096, 256
 	rng := rand.New(rand.NewSource(13))
 	every7 := func(i int) bool { return i%7 == 3 }
+	cents := vector.New(types.Float64, n) // prices k/100, NULL at every seventh row
+	for i := 0; i < n; i++ {
+		if every7(i) {
+			cents.AppendNull()
+		} else {
+			cents.AppendValue(types.NewFloat(float64(rng.Intn(100_000)) / 100))
+		}
+	}
+	if k := Choose(cents); k != Scaled {
+		t.Fatalf("cents stored as %s, want %s", k, Scaled)
+	}
 	for _, tc := range []struct {
 		typ   types.Type
 		ds    int
@@ -480,8 +601,12 @@ func TestEncodeAllocationGuard(t *testing.T) {
 		{types.Int64, 1000, false, every7},
 		{types.Float64, 256, false, every7},
 		{types.Varchar, 300, false, func(int) bool { return false }},
+		{types.Float64, 0, false, every7}, // cents
 	} {
-		v := shapedVector(rng, tc.typ, n, tc.ds, tc.walk, tc.nulls)
+		v := cents
+		if tc.ds > 0 {
+			v = shapedVector(rng, tc.typ, n, tc.ds, tc.walk, tc.nulls)
+		}
 		var e Encoder
 		var buf []byte
 		var err error

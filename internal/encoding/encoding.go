@@ -1,6 +1,7 @@
 // Package encoding implements Vertica's column encoding schemes (paper
 // §3.4.1): Auto, RLE, Delta Value, Block Dictionary, Compressed Delta Range
-// and Compressed Common Delta, plus an uncompressed None baseline.
+// and Compressed Common Delta, plus an uncompressed None baseline and
+// Scaled, Auto's store for a FLOAT block of decimals.
 //
 // Encoding operates block-at-a-time: the storage layer hands each block of a
 // column (a flat vector) to EncodeBlock and stores the resulting bytes; reads
@@ -46,6 +47,10 @@ const (
 	// data with predictable sequences and occasional breaks, e.g. periodic
 	// timestamps or primary keys.
 	CompressedCommonDelta
+	// Scaled stores a FLOAT block whose values are all decimals k/10^e as
+	// the integers k, in a block of their own that Auto's experiment picks,
+	// behind one byte of e. Only Auto stores it: no ENCODING clause names it.
+	Scaled
 )
 
 // String returns the encoding's name as the ENCODING clause spells it.
@@ -65,12 +70,14 @@ func (k Kind) String() string {
 		return "DELTARANGE_COMP"
 	case CompressedCommonDelta:
 		return "COMMONDELTA_COMP"
+	case Scaled:
+		return "SCALED"
 	default:
 		return fmt.Sprintf("KIND(%d)", k)
 	}
 }
 
-// ParseKind parses an encoding name.
+// ParseKind parses an encoding name, as the ENCODING clause spells it.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "NONE", "RAW":
@@ -101,6 +108,8 @@ func (k Kind) Applicable(t types.Type) bool {
 		return t.IsIntegral()
 	case CompressedDeltaRange:
 		return t.IsIntegral() || t == types.Float64
+	case Scaled:
+		return t == types.Float64
 	default:
 		return false
 	}
@@ -119,18 +128,22 @@ func EncodeBlock(kind Kind, v *vector.Vector) ([]byte, error) {
 }
 
 // Encoder encodes blocks, keeping the scratch its encoders build from one
-// block to the next: the Auto experiment's two buffers, the dictionary maps
-// and their key, index, delta and Huffman slices. The zero value is ready to
-// use; an Encoder is not safe for concurrent use.
+// block to the next: the Auto experiment's two buffers and the scaled
+// block's two for its integer experiment, the dictionary tables and their
+// key, index, delta and Huffman slices. The zero value is ready to use; an
+// Encoder is not safe for concurrent use.
 type Encoder struct {
-	kept, trial []byte // Auto: the smallest block so far, the candidate being tried
+	kept, trial       []byte // Auto: the smallest block so far, the candidate being tried
+	keptInt, trialInt []byte // the same for a scaled block's integers
+	scaled            []int64
 
-	ints      map[int64]int
-	floats    map[float64]int
-	strs      map[string]int
+	intDict   dictTable[int64]
+	floatDict dictTable[uint64] // keyed on the bits, so that -0 is not 0
+	strDict   dictTable[string]
 	intKeys   []int64
-	floatKeys []float64
+	floatKeys []uint64
 	strKeys   []string
+	bits      []uint64 // a block's floats as bits
 	deltas    []int64
 	idx       []int // dictionary indexes, Huffman symbols
 	freq      []int
@@ -189,6 +202,8 @@ func (e *Encoder) appendBlock(buf []byte, kind Kind, v *vector.Vector) ([]byte, 
 		return encodeDeltaRange(buf, v), nil
 	case CompressedCommonDelta:
 		return e.encodeCommonDelta(buf, v)
+	case Scaled:
+		return e.encodeScaled(buf, v)
 	default:
 		return buf, fmt.Errorf("encoding: cannot encode with kind %s", kind)
 	}
@@ -206,36 +221,14 @@ func DecodeBlock(data []byte, t types.Type, preserveRuns bool) (*vector.Vector, 
 
 // DecodeInto is DecodeBlock into dst, of the column's type, reusing its
 // slices where their capacity allows. dict, when not nil, is scratch of the
-// same type for a BLOCK_DICT or COMMONDELTA_COMP block's dictionary.
+// same type for a BLOCK_DICT or COMMONDELTA_COMP block's dictionary, or a
+// SCALED block's.
 func DecodeInto(dst *vector.Vector, data []byte, preserveRuns bool, dict *vector.Vector) error {
 	t := dst.Typ
-	if len(data) < 2 {
-		return fmt.Errorf("encoding: short block (%d bytes)", len(data))
+	kind, n, nullFlag, pos, err := decodeHeader(data, t)
+	if err != nil {
+		return err
 	}
-	kind := Kind(data[0])
-	if kind > CompressedCommonDelta {
-		return fmt.Errorf("encoding: unknown block kind %d", kind)
-	}
-	if !kind.Applicable(t) {
-		return fmt.Errorf("encoding: block kind %s not applicable to %s", kind, t)
-	}
-	pos := 1
-	n64, sz := uvarint(data[pos:])
-	if sz <= 0 {
-		return fmt.Errorf("encoding: corrupt row count")
-	}
-	pos += sz
-	// Harden against corrupt headers: a row count beyond anything the writer
-	// produces is a malformed block, not a request to allocate.
-	if n64 > maxBlockRows {
-		return fmt.Errorf("encoding: block row count %d exceeds limit %d", n64, maxBlockRows)
-	}
-	n := int(n64)
-	if pos >= len(data) {
-		return fmt.Errorf("encoding: truncated block header")
-	}
-	nullFlag := data[pos]
-	pos++
 	var nulls []bool
 	if nullFlag == 1 {
 		bmLen := (n + 7) / 8
@@ -254,27 +247,62 @@ func DecodeInto(dst *vector.Vector, data []byte, preserveRuns bool, dict *vector
 	if dict == nil {
 		dict = &spare
 	}
-	payload := data[pos:]
-	var err error
-	switch kind {
-	case None:
-		err = decodeNone(payload, dst, n)
-	case RLE:
-		err = decodeRLE(payload, dst, n, preserveRuns && nulls == nil)
-	case DeltaValue:
-		err = decodeDeltaValue(payload, dst, n)
-	case BlockDict:
-		err = decodeBlockDict(payload, dst, n, dict)
-	case CompressedDeltaRange:
-		err = decodeDeltaRange(payload, dst, n)
-	case CompressedCommonDelta:
-		err = decodeCommonDelta(payload, dst, n, dict)
-	}
-	if err != nil {
+	if err := decodePayload(kind, data[pos:], dst, n, preserveRuns && nulls == nil, dict); err != nil {
 		return err
 	}
 	dst.Nulls = nulls
 	return nil
+}
+
+// decodeHeader reads a block header up to its null bitmap: the kind, which
+// must be a stored one applicable to t, the row count, the null flag and
+// the offset of what follows it.
+func decodeHeader(data []byte, t types.Type) (kind Kind, n int, nullFlag byte, pos int, err error) {
+	if len(data) < 2 {
+		return 0, 0, 0, 0, fmt.Errorf("encoding: short block (%d bytes)", len(data))
+	}
+	kind = Kind(data[0])
+	if kind == Auto || kind > Scaled {
+		return 0, 0, 0, 0, fmt.Errorf("encoding: unknown block kind %d", kind)
+	}
+	if !kind.Applicable(t) {
+		return 0, 0, 0, 0, fmt.Errorf("encoding: block kind %s not applicable to %s", kind, t)
+	}
+	n64, sz := uvarint(data[1:])
+	if sz <= 0 {
+		return 0, 0, 0, 0, fmt.Errorf("encoding: corrupt row count")
+	}
+	// Harden against corrupt headers: a row count beyond anything the writer
+	// produces is a malformed block, not a request to allocate.
+	if n64 > maxBlockRows {
+		return 0, 0, 0, 0, fmt.Errorf("encoding: block row count %d exceeds limit %d", n64, maxBlockRows)
+	}
+	pos = 1 + sz
+	if pos >= len(data) {
+		return 0, 0, 0, 0, fmt.Errorf("encoding: truncated block header")
+	}
+	return kind, int(n64), data[pos], pos + 1, nil
+}
+
+// decodePayload decodes the payload of a block of kind and n rows into
+// out, which is empty.
+func decodePayload(kind Kind, payload []byte, out *vector.Vector, n int, preserveRuns bool, dict *vector.Vector) error {
+	switch kind {
+	case None:
+		return decodeNone(payload, out, n)
+	case RLE:
+		return decodeRLE(payload, out, n, preserveRuns)
+	case DeltaValue:
+		return decodeDeltaValue(payload, out, n)
+	case BlockDict:
+		return decodeBlockDict(payload, out, n, dict)
+	case CompressedDeltaRange:
+		return decodeDeltaRange(payload, out, n)
+	case CompressedCommonDelta:
+		return decodeCommonDelta(payload, out, n, dict)
+	default:
+		return decodeScaled(payload, out, n, dict)
+	}
 }
 
 // grow returns s resized to n, in its own storage when the capacity allows.

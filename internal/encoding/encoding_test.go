@@ -2,8 +2,12 @@ package encoding
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"os"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +15,8 @@ import (
 	"repro/internal/vector"
 )
 
-// roundTrip encodes v with kind, decodes it back, and compares every value.
+// roundTrip encodes v with kind, decodes it back, and compares every value,
+// floats bit for bit.
 func roundTrip(t *testing.T, kind Kind, v *vector.Vector) []byte {
 	t.Helper()
 	enc, err := EncodeBlock(kind, v)
@@ -26,12 +31,24 @@ func roundTrip(t *testing.T, kind Kind, v *vector.Vector) []byte {
 		t.Fatalf("%s: decoded %d rows, want %d", kind, dec.Len(), v.Len())
 	}
 	for i := 0; i < v.Len(); i++ {
-		want, got := v.ValueAt(i), dec.ValueAt(i)
-		if want.Null != got.Null || (!want.Null && want.Compare(got) != 0) {
+		if want, got := v.ValueAt(i), dec.ValueAt(i); !sameValue(want, got) {
 			t.Fatalf("%s: row %d = %v, want %v", kind, i, got, want)
 		}
 	}
 	return enc
+}
+
+// sameValue reports whether a and b are both NULL or the same value, a
+// float the same bits.
+func sameValue(a, b types.Value) bool {
+	switch {
+	case a.Null || b.Null:
+		return a.Null == b.Null
+	case a.Typ == types.Float64:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	default:
+		return a.Compare(b) == 0
+	}
 }
 
 func intVec(vals ...int64) *vector.Vector { return vector.NewFromInts(types.Int64, vals) }
@@ -45,8 +62,97 @@ func TestRoundTripAllKindsInt(t *testing.T) {
 
 func TestRoundTripAllKindsFloat(t *testing.T) {
 	data := vector.NewFromFloats([]float64{1.5, 1.5, 2.25, 100.0, 98.5, 0, -3.75})
-	for _, k := range []Kind{None, RLE, BlockDict, CompressedDeltaRange} {
+	for _, k := range []Kind{None, RLE, BlockDict, CompressedDeltaRange, Scaled} {
 		roundTrip(t, k, data)
+	}
+}
+
+// TestFloatsRoundTripBitForBit: RLE and BLOCK_DICT compared floats with ==,
+// so a run or a dictionary entry of 0 took in -0 (and a NaN never joined
+// one): [-0, 0, 0, 0] decoded as four -0, and [0, -0, -0, 0] as four 0.
+// Every FLOAT kind, Auto's pick among them too, must return the bits it
+// was given.
+func TestFloatsRoundTripBitForBit(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan := math.Float64frombits(0x7ff8_0000_0000_0002)
+	for _, vals := range [][]float64{
+		{negZero, 0, 0, 0},
+		{0, negZero, negZero, 0},
+		{math.NaN(), nan, nan, math.NaN(), 1},
+		{0.5, negZero, 0.25, 0.25},
+		oddFloats,
+	} {
+		v := vector.NewFromFloats(vals)
+		for _, k := range []Kind{None, RLE, BlockDict, CompressedDeltaRange, Auto} {
+			roundTrip(t, k, v)
+		}
+		if _, err := EncodeBlock(Scaled, v); err == nil {
+			t.Errorf("%v stored as %s", vals, Scaled)
+		}
+	}
+}
+
+// TestScaledQualifies: a block is stored scaled at the smallest exponent its
+// values all need, and refused when one value is no decimal of at most
+// maxScale digits or its integer would not be exact.
+func TestScaledQualifies(t *testing.T) {
+	sum := 0.1
+	sum += 0.2 // 0.30000000000000004: no decimal of 15 digits
+	for _, tc := range []struct {
+		vals []float64
+		exp  int // -1: refused
+	}{
+		{[]float64{1, 2, -7, 1e15}, 0},
+		{[]float64{0.5, 12.25, 99.99}, 2},
+		{[]float64{0.001, 1e-15}, 15},
+		{[]float64{1e-16}, -1},
+		{[]float64{1.25, sum}, -1},
+		{[]float64{1 << 53}, -1},
+		{[]float64{1<<53 - 1, -(1<<53 - 1)}, 0},
+		{[]float64{(1<<53 - 1) / 100.0}, 1}, // 90071992547409.9 is the same float
+		{[]float64{(1 << 53) / 100.0}, -1},
+		{[]float64{0.1, math.Copysign(0, -1)}, -1},
+		{[]float64{0.1, math.Inf(1)}, -1},
+		{[]float64{5e-324}, -1},
+		{nil, 0},
+	} {
+		v := vector.NewFromFloats(tc.vals)
+		enc, err := EncodeBlock(Scaled, v)
+		if tc.exp < 0 {
+			if err == nil {
+				t.Errorf("%v stored as %s", tc.vals, Scaled)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", tc.vals, err)
+		}
+		if got := int(enc[3]); got != tc.exp { // kind, one-byte row count, null flag
+			t.Errorf("%v stored at exponent %d, want %d", tc.vals, got, tc.exp)
+		}
+		roundTrip(t, Scaled, v)
+	}
+	// NULL slots are left out of the test and store k = 0.
+	v := &vector.Vector{Typ: types.Float64, Floats: []float64{math.NaN(), 2.5, 0.125}, Nulls: []bool{true, false, false}}
+	if enc := roundTrip(t, Scaled, v); enc[4] != 3 { // kind, row count, null flag, bitmap
+		t.Errorf("exponent %d, want 3", enc[4])
+	}
+}
+
+// TestScaledDecodeRejects: the decoder refuses what the encoder never
+// writes inside a SCALED block.
+func TestScaledDecodeRejects(t *testing.T) {
+	for name, tc := range scaledCorruptions() {
+		_, err := DecodeBlock(tc.block, types.Float64, false)
+		if err == nil || !strings.Contains(err.Error(), tc.err) {
+			t.Errorf("%s: decode = %v, want an error with %q", name, err, tc.err)
+		}
+	}
+	if _, err := DecodeBlock([]byte{byte(Scaled), 1, 0, 0, byte(None), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, types.Int64, false); err == nil {
+		t.Error("a SCALED block decoded as INTEGER")
+	}
+	if _, err := DecodeBlock([]byte{byte(Auto), 0, 0}, types.Int64, false); err == nil {
+		t.Error("a block of kind AUTO decoded")
 	}
 }
 
@@ -266,8 +372,36 @@ func TestParseKindRoundTrip(t *testing.T) {
 			t.Errorf("ParseKind(%s) = %v, %v", k, got, err)
 		}
 	}
-	if _, err := ParseKind("LZ4"); err == nil {
-		t.Error("ParseKind(LZ4) should fail")
+	for _, s := range []string{"LZ4", Scaled.String()} {
+		if _, err := ParseKind(s); err == nil {
+			t.Errorf("ParseKind(%s) should fail", s)
+		}
+	}
+}
+
+// TestSQLDocListsParsableKinds: docs/SQL.md names exactly the encodings
+// ParseKind accepts, each of whose kinds it lists by its String name.
+func TestSQLDocListsParsableKinds(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/SQL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile("(?s)`ENCODING` kinds:(.*?)\\.\n").FindSubmatch(doc)
+	if line == nil {
+		t.Fatal("docs/SQL.md has no `ENCODING` kinds: list")
+	}
+	listed := map[Kind]bool{}
+	for _, m := range regexp.MustCompile("`([A-Z_]+)`").FindAllSubmatch(line[1], -1) {
+		k, err := ParseKind(string(m[1]))
+		if err != nil {
+			t.Errorf("docs/SQL.md lists %s: %v", m[1], err)
+		}
+		listed[k] = listed[k] || string(m[1]) == k.String()
+	}
+	for _, k := range []Kind{None, Auto, RLE, DeltaValue, BlockDict, CompressedDeltaRange, CompressedCommonDelta} {
+		if !listed[k] {
+			t.Errorf("docs/SQL.md does not list %s", k)
+		}
 	}
 }
 
@@ -370,6 +504,7 @@ func TestQuickRoundTripStrings(t *testing.T) {
 // Choose names that candidate — over random int slices and over shaped INT,
 // FLOAT and VARCHAR blocks, with and without NULLs.
 func TestQuickAutoAlwaysSmallestOrTied(t *testing.T) {
+	picked := map[Kind]int{}
 	check := func(v *vector.Vector) bool {
 		sizes := TrialSizes(v)
 		want := Auto
@@ -378,6 +513,7 @@ func TestQuickAutoAlwaysSmallestOrTied(t *testing.T) {
 				want = k
 			}
 		}
+		picked[want]++
 		auto, err := EncodeBlock(Auto, v)
 		if err != nil {
 			t.Fatal(err)
@@ -399,6 +535,19 @@ func TestQuickAutoAlwaysSmallestOrTied(t *testing.T) {
 	}
 	if err := quick.Check(shaped, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	// Floats of every shape the decode oracle draws: decimals, odd floats
+	// and full-precision ones, with and without NULLs.
+	floats := func(seed int64, n uint16) bool {
+		return check(oracleFloats(rand.New(rand.NewSource(seed)), int(n%4097)))
+	}
+	if err := quick.Check(floats, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	for _, k := range []Kind{Scaled, None, BlockDict, CompressedCommonDelta} {
+		if picked[k] == 0 {
+			t.Errorf("no block was smallest as %s: %v", k, picked)
+		}
 	}
 }
 
@@ -450,17 +599,25 @@ func TestEncoderReusesScratch(t *testing.T) {
 		shapedVector(rng, types.Varchar, 7, 2, false, func(i int) bool { return i%2 == 0 }),
 		shapedVector(rng, types.Float64, 4096, 4096, true, none),
 		shapedVector(rng, types.Float64, 3, 1, false, none),
+		oracleFloats(rng, 4096),
+		oracleFloats(rng, 300),
 		shapedVector(rng, types.Timestamp, 1000, 17, true, func(i int) bool { return i%5 == 0 }),
 		shapedVector(rng, types.Int64, 0, 1, false, none),
 	}
 	var e Encoder
 	buf := []byte("prefix")
 	for i, v := range blocks {
-		for _, k := range []Kind{Auto, None, RLE, DeltaValue, BlockDict, CompressedDeltaRange, CompressedCommonDelta} {
+		for _, k := range []Kind{Auto, None, RLE, DeltaValue, BlockDict, CompressedDeltaRange, CompressedCommonDelta, Scaled} {
 			if !k.Applicable(v.Typ) {
 				continue
 			}
 			want, err := EncodeBlock(k, v)
+			if k == Scaled && err != nil {
+				if _, err := e.AppendBlock(buf[:6], k, v); err == nil {
+					t.Errorf("block %d: a reused Encoder stored %s, a fresh one refused", i, k)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -497,6 +654,34 @@ func BenchmarkEncodeAuto(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkDecodeFloat: one 4 096-row block of prices k/100 (256 distinct,
+// unsorted) stored as NONE, BLOCK_DICT, DELTARANGE_COMP and SCALED, decoded
+// into a reused vector and dictionary scratch as the block cache decodes,
+// in ns a value.
+func BenchmarkDecodeFloat(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	prices := make([]float64, 4096)
+	for i := range prices {
+		prices[i] = float64(999+rng.Intn(256)*25) / 100
+	}
+	for _, k := range []Kind{None, BlockDict, CompressedDeltaRange, Scaled} {
+		enc, err := EncodeBlock(k, vector.NewFromFloats(prices))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(k.String(), func(b *testing.B) {
+			dst, dict := &vector.Vector{Typ: types.Float64}, &vector.Vector{}
+			b.ReportAllocs()
+			for range b.N {
+				if err := DecodeInto(dst, enc, false, dict); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(prices)), "ns/value")
 		})
 	}
 }
@@ -602,7 +787,7 @@ func TestDecodeIntoRecycledVector(t *testing.T) {
 	dst, dict := &vector.Vector{}, &vector.Vector{}
 	for i := 0; i < 400; i++ {
 		typ := []types.Type{types.Int64, types.Float64, types.Varchar, types.Timestamp}[rng.Intn(4)]
-		kind := Kind(rng.Intn(int(CompressedCommonDelta) + 1))
+		kind := Kind(rng.Intn(int(Scaled) + 1))
 		if kind == Auto || !kind.Applicable(typ) {
 			kind = BlockDict
 		}

@@ -31,7 +31,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	floatVec := vector.NewFromFloats(floats)
 
-	kinds := []Kind{None, RLE, DeltaValue, BlockDict, CompressedDeltaRange, CompressedCommonDelta}
+	kinds := []Kind{None, RLE, DeltaValue, BlockDict, CompressedDeltaRange, CompressedCommonDelta, Scaled}
 	for _, kind := range kinds {
 		for _, v := range []*vector.Vector{intVec, strVec, floatVec} {
 			if !kind.Applicable(v.Typ) {
@@ -45,6 +45,12 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{}, uint8(types.Int64), false)
 	f.Add([]byte{0xff, 0x00, 0x01}, uint8(types.Varchar), true)
+	// SCALED blocks the encoder never writes: an exponent above 15, an inner
+	// row count off by one, a nested SCALED (the FLOAT-only kind), integers
+	// with a null bitmap, a truncated inner block.
+	for _, c := range scaledCorruptions() {
+		f.Add(c.block, uint8(types.Float64), false)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, typ uint8, preserveRuns bool) {
 		tt := types.Type(typ)
@@ -68,15 +74,19 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzEncodeAuto builds a block from arbitrary bytes — its type from the
 // first byte, then one (control, value) pair per entry, where the control
-// byte marks NULLs and, for a run-length vector, the run's length — and
-// holds Auto to two things: its block decodes back to the input, and it is
-// the block of the kind Choose names.
+// byte marks NULLs and, for a run-length vector, the run's length, and
+// picks a float's shape (quarters, hundredths, thousandths by multiplying,
+// or one of oddFloats) — and holds Auto to two things: its block decodes
+// back to the input, floats bit for bit, and it is the block of the kind
+// Choose names.
 func FuzzEncodeAuto(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 0, 4})
 	f.Add([]byte{8 | 0, 14, 1, 14, 1, 0, 200, 3, 7})
 	f.Add([]byte{3, 1, 0, 0, 9, 0, 9, 0, 9, 0, 250})
 	f.Add([]byte{8 | 4, 4, 1, 4, 2, 1, 0, 4, 3})
 	f.Add([]byte{2, 0, 5, 0, 5, 0, 6, 0, 255, 0, 0})
+	f.Add([]byte{1, 0x60, 7, 0x60, 250, 0x80, 3, 0xe0, 0, 0x60, 9})
+	f.Add([]byte{1, 0xe0, 0, 0xe0, 1, 0xe0, 1, 0xe0, 2, 0xe0, 3, 0xe0, 12, 0xe0, 13, 0xe0, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -92,7 +102,11 @@ func FuzzEncodeAuto(f *testing.F) {
 			nulls = append(nulls, ctl&1 != 0)
 			switch typ {
 			case types.Float64:
-				v.Floats = append(v.Floats, float64(int8(x))/4)
+				v.Floats = append(v.Floats, []float64{
+					float64(int8(x)) / 4, float64(int8(x)) / 4, float64(int8(x)) / 4,
+					float64(int8(x)) / 100, float64(int8(x)) / 100, float64(int8(x)) * 1e-3,
+					float64(x) * 1e13, oddFloats[int(x)%len(oddFloats)],
+				}[ctl>>5])
 			case types.Varchar:
 				v.Strs = append(v.Strs, strings.Repeat("ab", int(x%4))+string(rune('a'+x%26)))
 			case types.Bool:
@@ -121,8 +135,7 @@ func FuzzEncodeAuto(f *testing.F) {
 			t.Fatalf("decode: %v, %d rows of %d", err, got.Len(), want.Len())
 		}
 		for i := range want.Len() {
-			w, g := want.ValueAt(i), got.ValueAt(i)
-			if w.Null != g.Null || !w.Null && w.Compare(g) != 0 {
+			if w, g := want.ValueAt(i), got.ValueAt(i); !sameValue(w, g) {
 				t.Fatalf("row %d = %v, want %v", i, g, w)
 			}
 		}

@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -38,7 +39,8 @@ func runEnd(v *vector.Vector, start int) int {
 
 // sameSlot reports whether physical slots i and j hold identical content
 // (treating any two NULL slots as equal for run purposes only when their
-// zero values also match, which they always do).
+// zero values also match, which they always do). Floats compare by their
+// bits: -0 is not 0, and a NaN is itself.
 func sameSlot(v *vector.Vector, i, j int) bool {
 	ni, nj := v.NullAt(i), v.NullAt(j)
 	if ni != nj {
@@ -46,7 +48,7 @@ func sameSlot(v *vector.Vector, i, j int) bool {
 	}
 	switch v.Typ {
 	case types.Float64:
-		return v.Floats[i] == v.Floats[j]
+		return math.Float64bits(v.Floats[i]) == math.Float64bits(v.Floats[j])
 	case types.Varchar:
 		return v.Strs[i] == v.Strs[j]
 	default:

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 
@@ -46,9 +45,10 @@ type blockEntry struct {
 	key  blockKey
 	v    *vector.Vector
 	size int64
-	refs atomic.Int64  // exec.Run never gives its Retains back: 64 bits
-	keep bool          // never to be recycled (guarded by the cache's mutex)
-	el   *list.Element // in the LRU while cached
+	refs atomic.Int64 // exec.Run never gives its Retains back: 64 bits
+	keep bool         // never to be recycled (guarded by the cache's mutex)
+
+	prev, next *blockEntry // its neighbours in the LRU while cached
 }
 
 // Retain implements vector.Owner.
@@ -71,12 +71,38 @@ type blockCache struct {
 	budget  int64
 	used    int64 // bytes of cached and free entries
 	entries map[blockKey]*blockEntry
-	lru     *list.List // of *blockEntry, front = most recently used
-	free    map[types.Type][]*blockEntry
+	// The LRU, linked through the entries so that caching one allocates
+	// nothing: head is the most recently used.
+	head, tail *blockEntry
+	free       map[types.Type][]*blockEntry
 }
 
 var sharedBlockCache = &blockCache{budget: DefaultBlockCacheBytes, entries: map[blockKey]*blockEntry{},
-	lru: list.New(), free: map[types.Type][]*blockEntry{}}
+	free: map[types.Type][]*blockEntry{}}
+
+func (c *blockCache) pushFrontLocked(e *blockEntry) {
+	e.prev, e.next = nil, c.head
+	if c.head != nil {
+		c.head.prev = e
+	} else {
+		c.tail = e
+	}
+	c.head = e
+}
+
+func (c *blockCache) unlinkLocked(e *blockEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+}
 
 // SetBlockCacheBudget resizes the decoded-block cache, evicting down to the
 // new budget. A budget <= 0 disables caching entirely.
@@ -110,7 +136,8 @@ func (c *blockCache) pin(k blockKey, keep bool) *blockEntry {
 		return nil
 	}
 	metrics.BlockCacheHits.Inc()
-	c.lru.MoveToFront(e.el)
+	c.unlinkLocked(e)
+	c.pushFrontLocked(e)
 	e.refs.Add(1)
 	e.keep = e.keep || keep
 	return e
@@ -122,8 +149,8 @@ func (c *blockCache) pin(k blockKey, keep bool) *blockEntry {
 func (c *blockCache) take(t types.Type, est int64) *blockEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := 0; i < maxVictims && len(c.free[t]) == 0 && c.used+est > c.budget-c.budget/recycleSlack && c.lru.Len() > 0; i++ {
-		c.evictLocked(c.lru.Back().Value.(*blockEntry))
+	for i := 0; i < maxVictims && len(c.free[t]) == 0 && c.used+est > c.budget-c.budget/recycleSlack && c.tail != nil; i++ {
+		c.evictLocked(c.tail)
 	}
 	fl := c.free[t]
 	if len(fl) == 0 {
@@ -150,7 +177,8 @@ func (c *blockCache) admit(k blockKey, e *blockEntry) {
 	}
 	c.makeRoomLocked(e.size)
 	e.refs.Add(1)
-	c.entries[k], e.el = e, c.lru.PushFront(e)
+	c.entries[k] = e
+	c.pushFrontLocked(e)
 	c.used += e.size
 	metrics.BlockCacheBytes.Set(c.used)
 }
@@ -166,8 +194,8 @@ func (c *blockCache) makeRoomLocked(n int64) {
 		}
 		c.free[t] = fl
 	}
-	for c.used+n > c.budget && c.lru.Len() > 0 {
-		e := c.lru.Back().Value.(*blockEntry)
+	for c.used+n > c.budget && c.tail != nil {
+		e := c.tail
 		e.keep = e.keep || e.refs.Load() == 1
 		c.evictLocked(e)
 	}
@@ -176,7 +204,7 @@ func (c *blockCache) makeRoomLocked(n int64) {
 
 // evictLocked takes e out of the cache, dropping the cache's reference.
 func (c *blockCache) evictLocked(e *blockEntry) {
-	c.lru.Remove(e.el)
+	c.unlinkLocked(e)
 	delete(c.entries, e.key)
 	c.used -= e.size
 	metrics.BlockCacheEvictions.Inc()
@@ -223,9 +251,14 @@ func vectorFootprint(v *vector.Vector) int64 {
 	return n + 64 // struct overhead
 }
 
-// decode decodes block k of rows rows into a free vector, or a new one, with
-// a free vector, if any, as its dictionary scratch, and admits it; the
-// caller holds a reference.
+// dictScratch lends a decode the scratch for its block's dictionary
+// (BLOCK_DICT's values, Compressed Common Delta's deltas and symbols, a
+// SCALED block's integer dictionary): nothing keeps a dictionary past its
+// decode, so warm scratch serves one decode after another.
+var dictScratch = sync.Pool{New: func() any { return new(vector.Vector) }}
+
+// decode decodes block k of rows rows into a free vector, or a new one, and
+// admits it; the caller holds a reference.
 func (r *ContainerReader) decode(k blockKey, data []byte, rows int64, keep bool) (*vector.Vector, error) {
 	c, t := sharedBlockCache, r.Meta.Cols[k.col].Typ
 	e := c.take(t, rows*8+64)
@@ -235,14 +268,9 @@ func (r *ContainerReader) decode(k blockKey, data []byte, rows int64, keep bool)
 		e.refs.Store(1)
 	}
 	var scratch *vector.Vector
-	if kind, _ := encoding.BlockKind(data); kind == encoding.BlockDict || kind == encoding.CompressedCommonDelta {
-		if dict := c.take(t, 0); dict != nil {
-			scratch = dict.v
-			defer func() {
-				dict.size = vectorFootprint(dict.v)
-				dict.Release()
-			}()
-		}
+	if kind, _ := encoding.BlockKind(data); kind == encoding.BlockDict || kind == encoding.CompressedCommonDelta || kind == encoding.Scaled {
+		scratch = dictScratch.Get().(*vector.Vector)
+		defer dictScratch.Put(scratch)
 	}
 	if err := encoding.DecodeInto(e.v, data, k.preserveRuns, scratch); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/encoding"
@@ -251,4 +252,68 @@ func cacheUsed() int64 {
 	sharedBlockCache.mu.Lock()
 	defer sharedBlockCache.mu.Unlock()
 	return sharedBlockCache.used
+}
+
+// TestWarmScaledDecodeAllocatesNothing: a SCALED block (prices in cents,
+// NULLs among them, their integers stored with a dictionary) decodes through
+// the block cache into a recycled vector and a recycled dictionary scratch
+// without allocating: the integers land in the vector's own Ints, which it
+// keeps from one block to the next, and are divided in place.
+func TestWarmScaledDecodeAllocatesNothing(t *testing.T) {
+	defer SetBlockCacheBudget(DefaultBlockCacheBytes)
+	const rows, blockRows = 640, 64
+	price := vector.New(types.Float64, rows)
+	for i := 0; i < rows; i++ {
+		if i%7 == 3 {
+			price.AppendNull()
+		} else {
+			price.AppendValue(types.NewFloat(float64(999+i%37*25) / 100))
+		}
+	}
+	meta := &ContainerMeta{ID: "ros_00000001", Projection: "p1", MinEpoch: 1, MaxEpoch: 1,
+		Cols: []ColumnSpec{{Name: "price", Typ: types.Float64, Enc: encoding.Auto}}}
+	dir := filepath.Join(t.TempDir(), meta.ID)
+	if _, err := writeBatch(dir, meta, vector.NewBatch(price), WriterOpts{BlockRows: blockRows}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenContainer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pidx, _ := r.Pidx(0)
+	data, _ := r.colData(0)
+	for _, e := range pidx {
+		// kind, row count, null flag, bitmap, exponent, then the integers' kind
+		outer, _ := encoding.BlockKind(data[e.Offset:])
+		inner, _ := encoding.BlockKind(data[e.Offset+1+1+1+blockRows/8+1:])
+		if outer != encoding.Scaled || inner != encoding.BlockDict && inner != encoding.CompressedCommonDelta {
+			t.Fatalf("block at %d stored as %s of %s, want %s of a dictionary kind", e.Offset, outer, inner, encoding.Scaled)
+		}
+	}
+	SetBlockCacheBudget(4 * (2*8*blockRows + blockRows + 64)) // about four decoded blocks of the ten
+	p := &RecycleProbe{}
+	SetRecycleProbe(p)
+	defer SetRecycleProbe(nil)
+	i := 0
+	decode := func() {
+		b := i % len(pidx)
+		v, err := r.PinBlock(0, &pidx[b], false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range v.Len() {
+			if row := b*blockRows + j; v.NullAt(j) != price.NullAt(row) || !v.NullAt(j) && v.Floats[j] != price.Floats[row] {
+				t.Fatalf("block %d row %d = %v, want %v", b, j, v.ValueAt(j), price.ValueAt(row))
+			}
+		}
+		v.Owner.Release()
+		i++
+	}
+	for range 3 * len(pidx) {
+		decode()
+	}
+	recycled := p.Recycled.Load()
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 || p.Recycled.Load() == recycled {
+		t.Fatalf("a warm decode of a %s block allocates %.1f times (%d recycled)", encoding.Scaled, allocs, p.Recycled.Load()-recycled)
+	}
 }

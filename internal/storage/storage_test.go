@@ -119,6 +119,41 @@ func TestContainerWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterGivesEncoderBack: a writer hands its pooled Encoder back once,
+// whether it closes, aborts, or fails to close.
+func TestWriterGivesEncoderBack(t *testing.T) {
+	dir := t.TempDir()
+	closed, err := NewContainerWriter(filepath.Join(dir, "a"), testMeta("a"), WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.Append(buildBatch(10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	aborted, err := NewContainerWriter(filepath.Join(dir, "b"), testMeta("b"), WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aborted.Abort()
+	aborted.Abort()
+	failed, err := NewContainerWriter(filepath.Join(dir, "c"), testMeta("c"), WriterOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.RemoveAll(filepath.Join(dir, "c.tmp")) // the rename into place fails
+	if _, err := failed.Close(); err == nil {
+		t.Fatal("Close published a container whose directory is gone")
+	}
+	for name, w := range map[string]*ContainerWriter{"closed": closed, "aborted": aborted, "failed": failed} {
+		if w.enc != nil {
+			t.Errorf("%s writer still holds its Encoder", name)
+		}
+	}
+}
+
 func TestContainerTwoFilesPerColumn(t *testing.T) {
 	// Paper §3.7: "Vertica stores two files per column within a ROS
 	// container: one with the actual column data, and one with a position

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"sync"
 
 	"repro/internal/encoding"
 	"repro/internal/types"
@@ -33,9 +34,20 @@ type ContainerWriter struct {
 	rows      int64
 	closed    bool
 
-	enc   encoding.Encoder
-	block []byte // each encoded block in turn, until it is written
+	enc *blockEncoder // from encoders until Close or Abort
 }
+
+// blockEncoder is a writer's encoding scratch: the Encoder, and the buffer
+// each block is encoded into until it is written.
+type blockEncoder struct {
+	encoding.Encoder
+	block []byte
+}
+
+// encoders keeps the scratch of finished writers warm for the next, so that
+// a moveout's writer does not grow a cold Encoder's buffers, tables and
+// slices again.
+var encoders = sync.Pool{New: func() any { return new(blockEncoder) }}
 
 // WriterOpts configures container writing.
 type WriterOpts struct {
@@ -63,6 +75,7 @@ func NewContainerWriter(dir string, meta *ContainerMeta, opts WriterOpts) (*Cont
 		offsets:   make([]int64, len(meta.Cols)),
 		pidxBufs:  make([][]byte, len(meta.Cols)),
 		pending:   make([]*vector.Vector, len(meta.Cols)),
+		enc:       encoders.Get().(*blockEncoder),
 	}
 	for i, c := range meta.Cols {
 		f, err := os.Create(meta.dataPath(tmp, i))
@@ -112,7 +125,8 @@ func (w *ContainerWriter) flushBlocks(final bool) error {
 
 func (w *ContainerWriter) writeBlock(c int, block *vector.Vector, firstPos int64) error {
 	var err error
-	if w.block, err = w.enc.AppendBlock(w.block[:0], w.meta.Cols[c].Enc, block); err != nil {
+	enc := w.enc
+	if enc.block, err = enc.AppendBlock(enc.block[:0], w.meta.Cols[c].Enc, block); err != nil {
 		return fmt.Errorf("storage: column %s: %w", w.meta.Cols[c].Name, err)
 	}
 	mn, mx, ok := block.MinMax()
@@ -121,17 +135,17 @@ func (w *ContainerWriter) writeBlock(c int, block *vector.Vector, firstPos int64
 	}
 	e := PidxEntry{
 		Offset:   w.offsets[c],
-		Length:   int64(len(w.block)),
+		Length:   int64(len(enc.block)),
 		FirstPos: firstPos,
 		RowCount: int64(block.PhysLen()),
 		Min:      mn,
 		Max:      mx,
 	}
 	w.pidxBufs[c] = appendPidxEntry(w.pidxBufs[c], &e)
-	if _, err := w.bufs[c].Write(w.block); err != nil {
+	if _, err := w.bufs[c].Write(enc.block); err != nil {
 		return err
 	}
-	w.offsets[c] += int64(len(w.block))
+	w.offsets[c] += int64(len(enc.block))
 	return nil
 }
 
@@ -173,6 +187,7 @@ func (w *ContainerWriter) Close() (*ContainerMeta, error) {
 		w.abort()
 		return nil, err
 	}
+	w.releaseEncoder()
 	return w.meta, nil
 }
 
@@ -192,4 +207,13 @@ func (w *ContainerWriter) abort() {
 		}
 	}
 	os.RemoveAll(w.tmpDir)
+	w.releaseEncoder()
+}
+
+// releaseEncoder gives the writer's scratch back to encoders, once.
+func (w *ContainerWriter) releaseEncoder() {
+	if w.enc != nil {
+		encoders.Put(w.enc)
+		w.enc = nil
+	}
 }
