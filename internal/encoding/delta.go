@@ -3,6 +3,7 @@ package encoding
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -66,7 +67,7 @@ func encodeDeltaRange(buf []byte, v *vector.Vector) []byte {
 		prev := math.Float64bits(v.Floats[0])
 		for _, f := range v.Floats[1:] {
 			cur := math.Float64bits(f)
-			buf = appendUvarint(buf, reverseBytes(cur^prev))
+			buf = appendUvarint(buf, bits.ReverseBytes64(cur^prev))
 			prev = cur
 		}
 		return buf
@@ -104,7 +105,7 @@ func decodeDeltaRange(b []byte, out *vector.Vector, n int) error {
 				return fmt.Errorf("encoding: corrupt DELTARANGE_COMP xor at %d", i)
 			}
 			pos += sz
-			prev ^= reverseBytes(x)
+			prev ^= bits.ReverseBytes64(x)
 			f[i] = math.Float64frombits(prev)
 		}
 		out.Floats = f
@@ -127,15 +128,4 @@ func decodeDeltaRange(b []byte, out *vector.Vector, n int) error {
 	}
 	out.Ints = v
 	return nil
-}
-
-// reverseBytes flips byte order so that XORs of similar floats (which differ
-// in low mantissa bytes) present their zero bytes to the varint encoder last.
-func reverseBytes(v uint64) uint64 {
-	var out uint64
-	for i := 0; i < 8; i++ {
-		out = out<<8 | v&0xff
-		v >>= 8
-	}
-	return out
 }

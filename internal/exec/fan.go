@@ -15,13 +15,13 @@ import (
 // pipelines — scan, filter, project, hash-join probe — run concurrently by
 // the operator that closes them (a ParallelUnion, or an exchange whose
 // inputs they are). The workers share only the scan's cursor, from which
-// each claims a morsel at a time — a block of a container, or the WOS
-// batch — and each hash join's build, which one worker makes and all probe.
+// each claims a morsel at a time — a block of a container, or a chunk of
+// the WOS — and each hash join's build, which one worker makes and all probe.
 // EXPLAIN and PROFILE show the workers once (profile.go: walkPlan).
 
 // Fan returns w scans that share one cursor: together they produce what s
-// alone would, each block and the WOS batch read by whichever worker claims
-// it first. s is the first of them. A merge-sorted scan cannot be fanned.
+// alone would, each block and WOS chunk read by whichever worker claims it
+// first. s is the first of them. A merge-sorted scan cannot be fanned.
 func (s *Scan) Fan(w int) []Operator {
 	s.share = &scanShare{}
 	out := []Operator{s}
@@ -38,12 +38,12 @@ func (s *Scan) Fan(w int) []Operator {
 
 // scanShare is the cursor of a fan's worker scans.
 type scanShare struct {
-	mu         sync.Mutex
-	opens      int              // worker scans between Open and Close
-	states     []*containerScan // one per visible container, read-only once opened
-	wos        []storage.WOSRow
-	wosClaimed bool
-	c, b       int // the next block morsel: block b of container c
+	mu     sync.Mutex
+	opens  int              // worker scans between Open and Close
+	states []*containerScan // one per visible container, read-only once opened
+	wos    *storage.WOSView
+	w      int // the next WOS morsel: chunk view w
+	c, b   int // the next block morsel: block b of container c
 }
 
 // open joins a worker to the cursor; the first one builds it from one
@@ -64,8 +64,8 @@ func (sh *scanShare) open(ctx *Ctx, s *Scan) error {
 		}
 		states = append(states, st)
 	}
-	sh.opens, sh.states, sh.wos = 1, states, view.WOSRows
-	sh.wosClaimed, sh.c, sh.b = len(sh.wos) == 0, 0, 0
+	sh.opens, sh.states, sh.wos = 1, states, view.WOS
+	sh.w, sh.c, sh.b = 0, 0, 0
 	return nil
 }
 
@@ -78,24 +78,23 @@ func (sh *scanShare) close() {
 	}
 }
 
-// claim hands the calling worker its next morsel: the WOS batch first (the
-// largest and slowest to produce, so it starts while the other workers
-// take blocks), then block b of container cursor st. Nothing is left when
-// st is nil and wos false.
-func (sh *scanShare) claim() (st *containerScan, b int, wos bool) {
+// claim hands the calling worker its next morsel: a WOS chunk view while
+// any is left, then block b of container cursor st. Nothing is left when
+// both st and wos are nil.
+func (sh *scanShare) claim() (st *containerScan, b int, wos *storage.WOSChunk) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if !sh.wosClaimed {
-		sh.wosClaimed = true
-		return nil, 0, true
+	if sh.wos != nil && sh.w < len(sh.wos.Chunks) {
+		sh.w++
+		return nil, 0, &sh.wos.Chunks[sh.w-1]
 	}
 	for ; sh.c < len(sh.states); sh.c, sh.b = sh.c+1, 0 {
 		if st := sh.states[sh.c]; sh.b < st.numBlocks {
 			sh.b++
-			return st, sh.b - 1, false
+			return st, sh.b - 1, nil
 		}
 	}
-	return nil, 0, false
+	return nil, 0, nil
 }
 
 // nextClaimed is a fan worker scan's body: it claims morsels until one
@@ -105,8 +104,8 @@ func (s *Scan) nextClaimed(ctx *Ctx) (*vector.Batch, error) {
 		var batch *vector.Batch
 		var err error
 		switch st, b, wos := s.share.claim(); {
-		case wos:
-			batch, err = s.wosBatch(ctx, s.share.wos)
+		case wos != nil:
+			batch, err = s.wosBatch(ctx, wos, s.share.wos.Deleted)
 		case st == nil:
 			return nil, nil
 		default:

@@ -19,7 +19,7 @@ import (
 )
 
 // Seeded predicate oracle: whatever way a predicate is applied — a seek on
-// the sort key, the selection kernels, the Eval fallback, SelectWhere over
+// the sort key, the selection kernels, the Eval fallback, a Selector over
 // an incoming selection — the rows that survive must be the rows on which
 // EvalRow says TRUE, among those the snapshot sees. The reference reads the
 // stored rows with their commit and delete epochs through the stored-row
@@ -346,8 +346,8 @@ func predicateOracle(t *testing.T) {
 						fail("scan ("+mode+")", got)
 					}
 				}
-				// SelectWhere over an incoming selection: what Filter and the
-				// WOS path run.
+				// A compiled Selector over an incoming selection: what Filter
+				// and the WOS path run.
 				batch := vector.NewBatchForSchema(predSchema, len(visible))
 				var in []types.Row
 				keep := []int{}
@@ -359,20 +359,24 @@ func predicateOracle(t *testing.T) {
 					}
 				}
 				batch.Sel = append([]int{}, keep...)
-				sel, err := expr.SelectWhere(batch, pred)
+				selector, err := expr.NewSelector(expr.Conjuncts(pred))
 				if err != nil {
-					t.Fatalf("SelectWhere(%s): %v", pred, err)
+					t.Fatalf("NewSelector(%s): %v", pred, err)
+				}
+				sel, err := selector.Narrow(batch.Cols, batch.Sel, 0, batch.FullLen(), nil)
+				if err != nil {
+					t.Fatalf("Narrow(%s): %v", pred, err)
 				}
 				var picked []types.Row
 				for _, i := range sel {
 					picked = append(picked, visible[i])
 				}
 				if got, want := renderSorted(picked), wantRows(t, in, pred); strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Fatalf("SelectWhere over a selection disagrees with EvalRow (-pred.seed=%d; layout %s, case %d)\n  %s\ngot %d rows, want %d",
+					t.Fatalf("a Selector over a selection disagrees with EvalRow (-pred.seed=%d; layout %s, case %d)\n  %s\ngot %d rows, want %d",
 						*predSeed, lay.name, n, pred, len(got), len(want))
 				}
 				if fmt.Sprint(keep) != fmt.Sprint(batch.Sel) {
-					t.Fatalf("SelectWhere(%s) wrote into the batch's own selection", pred)
+					t.Fatalf("Narrow(%s) wrote into the batch's own selection", pred)
 				}
 			}
 		})

@@ -85,6 +85,9 @@ type Filter struct {
 	single
 	Pred expr.Expr
 	prof OpProf
+
+	selector *expr.Selector // Pred, compiled at Open
+	selBuf   []int          // the selection Narrow fills, reused batch to batch
 }
 
 // NewFilter builds a filter node.
@@ -99,10 +102,19 @@ func (f *Filter) Schema() *types.Schema { return f.child.Schema() }
 func (f *Filter) Describe() string { return "Filter " + f.Pred.String() }
 
 // Open implements Operator.
-func (f *Filter) Open(ctx *Ctx) error { return f.openChild(ctx) }
+func (f *Filter) Open(ctx *Ctx) error {
+	var err error
+	if f.selector, err = expr.NewSelector(expr.Conjuncts(f.Pred)); err != nil {
+		return err
+	}
+	return f.openChild(ctx)
+}
 
 // Close implements Operator.
-func (f *Filter) Close(ctx *Ctx) error { return f.closeChild(ctx) }
+func (f *Filter) Close(ctx *Ctx) error {
+	f.selBuf = nil
+	return f.closeChild(ctx)
+}
 
 // next is the operator body behind the profiled Next (profile.go).
 func (f *Filter) next(ctx *Ctx) (*vector.Batch, error) {
@@ -111,15 +123,17 @@ func (f *Filter) next(ctx *Ctx) (*vector.Batch, error) {
 		if err != nil || in == nil {
 			return nil, err
 		}
-		sel, err := expr.SelectWhere(in, f.Pred)
+		in.ExpandRLE()
+		sel, err := f.selector.Narrow(in.Cols, in.Sel, 0, in.FullLen(), f.selBuf)
 		if err != nil {
 			return nil, err
 		}
+		f.selBuf = sel
 		if len(sel) == 0 {
 			continue
 		}
 		in.Sel = sel
-		return in.Flatten(), nil
+		return in.Flatten(), nil // copies: the selection stays the filter's
 	}
 }
 

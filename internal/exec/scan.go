@@ -42,10 +42,13 @@ type Scan struct {
 	// ARCHITECTURE.md, "How the scan filters"): pruners skip blocks by
 	// min/max, keyBounds become a row range by binary search in the sorted
 	// key block, selector narrows it with kernels and the Eval fallback.
-	pruners   []expr.ColConst
-	keyBounds []expr.ColConst
-	selector  *expr.Selector
-	colNames  []string // storage name of each output column
+	// wosSelector is every conjunct, for the unsorted WOS: the selector
+	// when there are no key bounds, else compiled by the first WOS view.
+	pruners     []expr.ColConst
+	keyBounds   []expr.ColConst
+	selector    *expr.Selector
+	wosSelector *expr.Selector
+	colNames    []string // storage name of each output column
 	// Per-block scratch, reused across blocks and containers and dropped at
 	// Close: each output column's decoded block, the selection every filter
 	// step narrows in place (an emitted batch's Sel, on loan with it), and
@@ -59,7 +62,8 @@ type Scan struct {
 	mergePins [][]vector.Owner
 
 	containers []*storage.ContainerReader
-	wosRows    []storage.WOSRow // visible WOS rows captured at Open
+	wos        *storage.WOSView // the visible WOS rows, taken at Open
+	wosNext    int              // the next WOS chunk view to read
 	cur        int
 	cs         containerScan // the open container's cursor, reused
 	curState   *containerScan
@@ -67,7 +71,6 @@ type Scan struct {
 	// share is the cursor the worker scans of a fan claim their blocks from
 	// (fan.go); claiming is set from Open to Close.
 	share    *scanShare
-	wosDone  bool
 	claiming bool
 	// singleSorted short-circuits MergeSorted when one container holds all
 	// visible rows: its storage order is already the requested order.
@@ -131,7 +134,7 @@ func (s *Scan) Open(ctx *Ctx) error {
 	if err := s.compileFilter(); err != nil {
 		return err
 	}
-	s.cur, s.curState, s.wosDone, s.singleSorted = 0, nil, false, false
+	s.cur, s.curState, s.wosNext, s.singleSorted = 0, nil, 0, false
 	if s.share != nil {
 		if err := s.share.open(ctx, s); err != nil {
 			return err
@@ -142,9 +145,9 @@ func (s *Scan) Open(ctx *Ctx) error {
 	// One atomic view of containers + WOS: a moveout committing between two
 	// separate reads would show its rows in both stores or in neither.
 	view := s.Mgr.ScanView(ctx.Epoch)
-	s.wosRows, s.containers = view.WOSRows, view.Containers
+	s.wos, s.containers = view.WOS, view.Containers
 	if s.MergeSorted {
-		if len(s.containers) <= 1 && len(s.wosRows) == 0 {
+		if len(s.containers) <= 1 && s.wos == nil {
 			// A single container is already in projection sort order.
 			s.singleSorted = true
 			return nil
@@ -158,8 +161,9 @@ func (s *Scan) Open(ctx *Ctx) error {
 // them. Every <column> <op> <constant> prunes by min/max; those on the
 // leading sort column (but for <> and a NULL constant) bound a row range,
 // because every container is written sorted on SortKey; the rest select.
+// In the WOS, which is not sorted, every conjunct selects.
 func (s *Scan) compileFilter() error {
-	s.pruners, s.keyBounds, s.selector = s.pruners[:0], s.keyBounds[:0], nil
+	s.pruners, s.keyBounds, s.selector, s.wosSelector = s.pruners[:0], s.keyBounds[:0], nil, nil
 	s.probe = scanProbe.Load()
 	seekCol := -1
 	if len(s.SortKey) > 0 && (s.probe == nil || !s.probe.NoSeek) {
@@ -190,6 +194,9 @@ func (s *Scan) compileFilter() error {
 			return err
 		}
 	}
+	if len(s.keyBounds) == 0 {
+		s.wosSelector = s.selector
+	}
 	if s.colNames == nil {
 		s.colNames = make([]string, len(s.Columns))
 		for i, pc := range s.Columns {
@@ -205,7 +212,7 @@ func (s *Scan) compileFilter() error {
 // Close implements Operator.
 func (s *Scan) Close(*Ctx) error {
 	// A kept result's plan text may hold on to the scan: drop what it read.
-	s.curState, s.merged, s.containers, s.wosRows = nil, nil, nil, nil
+	s.curState, s.merged, s.containers, s.wos = nil, nil, nil, nil
 	s.cs, s.selBuf, s.sipHashes = containerScan{}, nil, nil
 	s.dropBlocks(nil)
 	for _, p := range s.mergePins {

@@ -330,9 +330,33 @@ func TestFuncMisc(t *testing.T) {
 	}
 }
 
+// selectWhere returns the selection vector of the rows where a boolean
+// predicate is true (intersected with any existing selection on the batch),
+// through a Selector compiled for the call. A nil predicate keeps all live
+// rows. The batch's own selection is left untouched; the result is never
+// nil on success.
+func selectWhere(b *vector.Batch, pred Expr) ([]int, error) {
+	if pred == nil {
+		if b.Sel != nil {
+			return b.Sel, nil
+		}
+		sel := make([]int, b.FullLen())
+		for i := range sel {
+			sel[i] = i
+		}
+		return sel, nil
+	}
+	b.ExpandRLE()
+	s, err := NewSelector(Conjuncts(pred))
+	if err != nil {
+		return nil, err
+	}
+	return s.Narrow(b.Cols, b.Sel, 0, b.FullLen(), nil)
+}
+
 func TestSelectWhere(t *testing.T) {
 	b := intBatch([]int64{5, 15, 25, 35})
-	sel, err := SelectWhere(b, MustCmp(Gt, col(0), lit(10)))
+	sel, err := selectWhere(b, MustCmp(Gt, col(0), lit(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +365,7 @@ func TestSelectWhere(t *testing.T) {
 	}
 	// Composition with an existing selection.
 	b.Sel = []int{0, 2}
-	sel2, err := SelectWhere(b, MustCmp(Gt, col(0), lit(10)))
+	sel2, err := selectWhere(b, MustCmp(Gt, col(0), lit(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +373,7 @@ func TestSelectWhere(t *testing.T) {
 		t.Errorf("composed sel = %v", sel2)
 	}
 	// nil predicate keeps everything live.
-	sel3, _ := SelectWhere(b, nil)
+	sel3, _ := selectWhere(b, nil)
 	if len(sel3) != 2 {
 		t.Errorf("nil-pred sel = %v", sel3)
 	}

@@ -15,8 +15,8 @@ import (
 
 // Seeded oracle for the package's three evaluators: over random typed
 // expression trees and random batches — NULLs, run-length columns, incoming
-// selections — Eval must give, entry by entry, and SelectWhere and
-// Selector.Narrow must select, row by row, what EvalRow says. EvalRow is the
+// selections — Eval must give, entry by entry, and Selector.Narrow (also
+// through the selectWhere helper) must select, row by row, what EvalRow says. EvalRow is the
 // reference: it boxes one row at a time and shares no loop with the others.
 
 var exprSeed = flag.Int64("expr.seed", 20120827, "seed of the expr oracles (a failure prints the seed to re-run)")
@@ -281,18 +281,18 @@ func TestSelectionMatchesEvalRow(t *testing.T) {
 		}
 		// Flat, then with a run-length column, then under a selection.
 		b := batchOf(rows)
-		got, err := SelectWhere(b, pred)
+		got, err := selectWhere(b, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("SelectWhere", got, all)
+		check("selectWhere", got, all)
 		b = batchOf(rows)
 		c := rng.Intn(len(b.Cols))
 		b.Cols[c] = rleOf(b.Cols[c])
-		if got, err = SelectWhere(b, pred); err != nil {
+		if got, err = selectWhere(b, pred); err != nil {
 			t.Fatal(err)
 		}
-		check("SelectWhere over runs", got, all)
+		check("selectWhere over runs", got, all)
 		b = batchOf(rows)
 		in := []int{}
 		for i := range rows {
@@ -301,12 +301,12 @@ func TestSelectionMatchesEvalRow(t *testing.T) {
 			}
 		}
 		b.Sel = append([]int{}, in...)
-		if got, err = SelectWhere(b, pred); err != nil {
+		if got, err = selectWhere(b, pred); err != nil {
 			t.Fatal(err)
 		}
-		check("SelectWhere over a selection", got, in)
+		check("selectWhere over a selection", got, in)
 		if fmt.Sprint(b.Sel) != fmt.Sprint(in) {
-			t.Fatalf("SelectWhere(%s) changed the batch's selection", pred)
+			t.Fatalf("selectWhere(%s) changed the batch's selection", pred)
 		}
 		// The compiled form over a row range, into a buffer that is reused
 		// and then narrowed again in place.
@@ -332,8 +332,8 @@ func TestSelectionMatchesEvalRow(t *testing.T) {
 			}
 		}
 	}
-	if got, err := SelectWhere(batchOf(randomRows(rng, 5)), nil); err != nil || len(got) != 5 {
-		t.Errorf("SelectWhere without a predicate kept %v (err %v), want every row", got, err)
+	if got, err := selectWhere(batchOf(randomRows(rng, 5)), nil); err != nil || len(got) != 5 {
+		t.Errorf("selectWhere without a predicate kept %v (err %v), want every row", got, err)
 	}
 }
 

@@ -217,12 +217,19 @@ func (m *Manager) SwapContainers(meta *ContainerMeta, outDVs []DVEntry, removeID
 }
 
 // ScanView is an atomic snapshot of the stores a scan reads at a snapshot
-// epoch: the containers born by then, sorted by ID, plus the WOS rows
-// visible then with WOS delete vectors already applied. The worker scans of
-// a fan share one (exec/fan.go), so none is split at plan time.
+// epoch: the containers born by then, sorted by ID, and the WOS rows
+// committed by then. The worker scans of a fan share one (exec/fan.go), so
+// none is split at plan time.
 type ScanView struct {
 	Containers []*ContainerReader
-	WOSRows    []WOSRow
+	WOS        *WOSView // nil when the snapshot sees no WOS row
+}
+
+// WOSView is the WOS at a snapshot: views of its rows, one per chunk, and
+// the sorted positions of those deleted by then.
+type WOSView struct {
+	Chunks  []WOSChunk
+	Deleted []int64
 }
 
 // ScanView captures containers, visible WOS rows and WOS delete vectors
@@ -231,20 +238,6 @@ type ScanView struct {
 func (m *Manager) ScanView(epoch types.Epoch) *ScanView {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	rows := m.wos.Snapshot(epoch)
-	if deleted := m.dvs.DeletedAt(WOSTarget, epoch); len(deleted) > 0 {
-		delSet := make(map[int64]bool, len(deleted))
-		for _, p := range deleted {
-			delSet[p] = true
-		}
-		kept := rows[:0]
-		for _, r := range rows {
-			if !delSet[r.Pos] {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
 	all := m.containersLocked()
 	visible := all[:0]
 	for _, r := range all {
@@ -252,7 +245,11 @@ func (m *Manager) ScanView(epoch types.Epoch) *ScanView {
 			visible = append(visible, r)
 		}
 	}
-	return &ScanView{Containers: visible, WOSRows: rows}
+	view := &ScanView{Containers: visible}
+	if chunks := m.wos.Chunks(epoch); len(chunks) > 0 {
+		view.WOS = &WOSView{Chunks: chunks, Deleted: m.dvs.DeletedAt(WOSTarget, epoch)}
+	}
+	return view
 }
 
 // Containers returns a stable-ordered snapshot of current container readers.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/encoding"
@@ -13,10 +14,10 @@ import (
 
 // This file is the one way into — and the one way out of — the ROS: how
 // stored rows of one projection on one node become containers (Placement,
-// Place, WriteRun), and how they are read back with their delete epochs
-// (StoredBatches, and ForEachStored over it). Moveout, mergeout, direct load,
-// recovery, refresh and rebalance differ only in where their rows come from
-// and in how they publish what WriteRun returns.
+// WriteBatches, WriteRun), and how they are read back with their delete
+// epochs (StoredBatches, and ForEachStored over it). Moveout, mergeout,
+// direct load, recovery, refresh and rebalance differ only in where their
+// rows come from and in how they publish what WriteRun returns.
 //
 // Both directions speak the stored-batch form: a container's columns — the
 // user columns, then the epoch — followed by one Int64 column of delete
@@ -70,51 +71,6 @@ func NewPlacement(projection string, schema *types.Schema, sortKey []int, encs m
 	// The epoch column is always RLE: commits stamp long runs of equal epochs.
 	cols = append(cols, ColumnSpec{Name: EpochColumn, Typ: types.Int64, Enc: encoding.RLE})
 	return &Placement{Projection: projection, SortKey: sortKey, Cols: cols}
-}
-
-// Run is the content of one container: the rows of one partition × local
-// segment in sort order.
-type Run struct {
-	Partition    string
-	LocalSegment int
-	Rows         []StoredRow
-}
-
-// Place groups rows by partition × local segment and sorts each group on the
-// sort key — stably, which keeps equal-epoch runs long. Runs come back in
-// (partition, local segment) order.
-func (pl *Placement) Place(rows []StoredRow) ([]Run, error) {
-	type groupKey struct {
-		part string
-		seg  int
-	}
-	groups := map[groupKey][]StoredRow{}
-	for _, r := range rows {
-		var k groupKey
-		if pl.PartitionOf != nil {
-			part, err := pl.PartitionOf(r.Row)
-			if err != nil {
-				return nil, fmt.Errorf("storage: partition expression of %q: %w", pl.Projection, err)
-			}
-			k.part = part
-		}
-		if pl.LocalSegmentOf != nil {
-			k.seg = pl.LocalSegmentOf(r.Row)
-		}
-		groups[k] = append(groups[k], r)
-	}
-	runs := make([]Run, 0, len(groups))
-	for k, g := range groups {
-		sort.SliceStable(g, func(i, j int) bool { return g[i].Row.Compare(g[j].Row, pl.SortKey) < 0 })
-		runs = append(runs, Run{Partition: k.part, LocalSegment: k.seg, Rows: g})
-	}
-	sort.Slice(runs, func(i, j int) bool {
-		if runs[i].Partition != runs[j].Partition {
-			return runs[i].Partition < runs[j].Partition
-		}
-		return runs[i].LocalSegment < runs[j].LocalSegment
-	})
-	return runs, nil
 }
 
 // Written is a container WriteRun finished but nobody can see yet, with the
@@ -177,21 +133,25 @@ func (pl *Placement) WriteRun(mgr *Manager, part string, seg, level int, next ve
 	return Written{Meta: meta, DVs: dvs}, nil
 }
 
-// WriteRows places rows and writes every run, pivoted once into a stored
-// batch, at merge level 0. It is all or nothing: a failure discards the
-// containers already written.
-func (pl *Placement) WriteRows(mgr *Manager, rows []StoredRow) ([]Written, error) {
-	runs, err := pl.Place(rows)
+// WriteBatches places stored batches — flat, unselected, in the order their
+// rows were stored — and writes each partition × local segment as one
+// container at merge level 0, in (partition, local segment) order. Each
+// run is sorted on the sort key, stably, which keeps equal-epoch runs long.
+// It is all or nothing: a failure discards the containers already written.
+func (pl *Placement) WriteBatches(mgr *Manager, batches []*vector.Batch) ([]Written, error) {
+	runs, err := pl.place(batches)
 	if err != nil {
 		return nil, err
 	}
+	specs := vector.KeySpecs(pl.SortKey)
 	out := make([]Written, 0, len(runs))
 	for _, run := range runs {
-		b, err := pl.storedBatch(run.Rows)
-		var w Written
-		if err == nil {
-			w, err = pl.WriteRun(mgr, run.Partition, run.LocalSegment, 0, vector.SliceStream(b))
+		if len(specs) > 0 {
+			slices.SortStableFunc(run.rows, func(x, y rowRef) int {
+				return vector.CompareRows(batches[x.b], x.i, batches[y.b], y.i, specs)
+			})
 		}
+		w, err := pl.WriteRun(mgr, run.part, run.seg, 0, vector.SliceStream(gather(batches, run.rows)))
 		if err != nil {
 			mgr.Discard(out)
 			return nil, err
@@ -199,6 +159,89 @@ func (pl *Placement) WriteRows(mgr *Manager, rows []StoredRow) ([]Written, error
 		out = append(out, w)
 	}
 	return out, nil
+}
+
+// rowRef is row i of stored batch b.
+type rowRef struct{ b, i int }
+
+// placedRun is the rows of one container before they are sorted.
+type placedRun struct {
+	part string
+	seg  int
+	rows []rowRef
+}
+
+// place groups the rows of batches by partition × local segment, each
+// row's keys computed on one scratch row. Runs come back in (partition,
+// local segment) order.
+func (pl *Placement) place(batches []*vector.Batch) ([]placedRun, error) {
+	type groupKey struct {
+		part string
+		seg  int
+	}
+	groups := map[groupKey]int{}
+	var runs []placedRun
+	row := make(types.Row, len(pl.Cols)-1)
+	for bi, b := range batches {
+		if b.NumCols() != len(pl.Cols)+1 {
+			return nil, fmt.Errorf("storage: a stored batch of %d columns; projection %s expects %d", b.NumCols(), pl.Projection, len(pl.Cols)+1)
+		}
+		for i := range b.Len() {
+			var k groupKey
+			if pl.PartitionOf != nil || pl.LocalSegmentOf != nil {
+				for c := range row {
+					row[c] = b.Cols[c].ValueAt(i)
+				}
+			}
+			if pl.PartitionOf != nil {
+				part, err := pl.PartitionOf(row)
+				if err != nil {
+					return nil, fmt.Errorf("storage: partition expression of %q: %w", pl.Projection, err)
+				}
+				k.part = part
+			}
+			if pl.LocalSegmentOf != nil {
+				k.seg = pl.LocalSegmentOf(row)
+			}
+			g, ok := groups[k]
+			if !ok {
+				g = len(runs)
+				groups[k] = g
+				runs = append(runs, placedRun{part: k.part, seg: k.seg})
+			}
+			runs[g].rows = append(runs[g].rows, rowRef{bi, i})
+		}
+	}
+	sort.Slice(runs, func(i, j int) bool {
+		if runs[i].part != runs[j].part {
+			return runs[i].part < runs[j].part
+		}
+		return runs[i].seg < runs[j].seg
+	})
+	return runs, nil
+}
+
+// gather copies the referenced rows of batches, in order, into one stored
+// batch.
+func gather(batches []*vector.Batch, rows []rowRef) *vector.Batch {
+	out := &vector.Batch{Cols: make([]*vector.Vector, batches[0].NumCols())}
+	for c := range out.Cols {
+		v := vector.New(batches[0].Cols[c].Typ, len(rows))
+		for _, r := range rows {
+			v.AppendEntry(batches[r.b].Cols[c], r.i)
+		}
+		out.Cols[c] = v
+	}
+	return out
+}
+
+// WriteRows is WriteBatches over rows, pivoted once into a stored batch.
+func (pl *Placement) WriteRows(mgr *Manager, rows []StoredRow) ([]Written, error) {
+	b, err := pl.storedBatch(rows)
+	if err != nil {
+		return nil, err
+	}
+	return pl.WriteBatches(mgr, []*vector.Batch{b})
 }
 
 // storedBatch pivots rows into one stored batch.
@@ -247,13 +290,13 @@ type StoredFunc func(target string, pos int64, r StoredRow) error
 
 // ForEachStored calls fn for every row the manager stores with commit epoch
 // in (lo, hi]: container by container in ID order, positions ascending, then
-// the WOS. The container set, the WOS rows and the WOS delete vector are
+// the WOS. The container set, the WOS views and the WOS delete vector are
 // captured under one lock, so a concurrent moveout cannot show a row twice or
 // not at all. Rows handed to fn may be kept.
 func (m *Manager) ForEachStored(lo, hi types.Epoch, fn StoredFunc) error {
 	m.mu.RLock()
 	containers := m.containersLocked()
-	wos, wosDVs := m.wos.Snapshot(hi), m.dvs.Get(WOSTarget)
+	wos, wosDVs := m.wos.Chunks(hi), m.dvs.Get(WOSTarget)
 	m.mu.RUnlock()
 	for _, r := range containers {
 		if r.Meta.MinEpoch > hi || r.Meta.MaxEpoch <= lo {
@@ -263,28 +306,40 @@ func (m *Manager) ForEachStored(lo, hi types.Epoch, fn StoredFunc) error {
 			return err
 		}
 	}
-	return wosStored(wos, wosDVs, lo, fn)
-}
-
-// WOSRows is ForEachStored over the WOS alone: moveout's input.
-func (m *Manager) WOSRows(hi types.Epoch, fn StoredFunc) error {
-	m.mu.RLock()
-	wos, wosDVs := m.wos.Snapshot(hi), m.dvs.Get(WOSTarget)
-	m.mu.RUnlock()
-	return wosStored(wos, wosDVs, 0, fn)
-}
-
-func wosStored(wos []WOSRow, dvs []DVEntry, lo types.Epoch, fn StoredFunc) error {
-	dv := dvCursor{entries: dvs}
-	for _, wr := range wos {
-		if wr.Epoch <= lo {
-			continue
-		}
-		if err := fn(WOSTarget, wr.Pos, StoredRow{Row: wr.Row, Epoch: wr.Epoch, Deleted: dv.at(wr.Pos)}); err != nil {
-			return err
+	dv := dvCursor{entries: wosDVs}
+	for _, c := range wos {
+		rows := (&vector.Batch{Cols: c.Cols}).Rows()
+		for i, e := range c.Epochs.Ints {
+			if e := types.Epoch(e); e > lo {
+				pos := c.First + int64(i)
+				if err := fn(WOSTarget, pos, StoredRow{Row: rows[i], Epoch: e, Deleted: dv.at(pos)}); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
+}
+
+// WOSBatches returns the WOS rows committed at or before hi in the
+// stored-batch form, one batch per chunk, and the WOS position of the last
+// of them (-1 for none): moveout's input. The batches are views of the WOS
+// but for their delete epochs.
+func (m *Manager) WOSBatches(hi types.Epoch) ([]*vector.Batch, int64) {
+	m.mu.RLock()
+	wos, wosDVs := m.wos.Chunks(hi), m.dvs.Get(WOSTarget)
+	m.mu.RUnlock()
+	dv := dvCursor{entries: wosDVs}
+	out := make([]*vector.Batch, len(wos))
+	for k, c := range wos {
+		cols := make([]*vector.Vector, 0, len(c.Cols)+2)
+		dels := make([]int64, c.Len())
+		for i := range dels {
+			dels[i] = int64(dv.at(c.First + int64(i)))
+		}
+		out[k] = &vector.Batch{Cols: append(append(cols, c.Cols...), c.Epochs, vector.NewFromInts(types.Int64, dels))}
+	}
+	return out, viewsEnd(wos) - 1
 }
 
 // ContainerRows is ForEachStored over one container: the row form of

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/encoding"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 func placeFixture(t *testing.T) (*Manager, *Placement) {
@@ -60,13 +63,18 @@ func containerByID(m *Manager, id string) *ContainerReader {
 	return nil
 }
 
-// TestPlacedRowsReadBack: what Place + WriteRun put into containers is what
+// TestPlacedRowsReadBack: what WriteRows puts into containers is what
 // ForEachStored reads out — same rows, commit and delete epochs — with every
-// container holding one partition × local segment in stable sort order.
+// container holding one partition × local segment in stable sort order. The
+// same rows moved out of a WOS, across a chunk boundary and from a partly
+// drained chunk, with delete vectors on WOS positions, make byte-identical
+// containers.
 func TestPlacedRowsReadBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, pl := placeFixture(t)
-	in := randomStored(rng, 300, 9)
+	in := randomStored(rng, vector.DefaultBatchSize+300, 9)
+	// Commits reach the WOS in epoch order.
+	sort.SliceStable(in, func(i, j int) bool { return in[i].Epoch < in[j].Epoch })
 	written, err := pl.WriteRows(m, in)
 	if err != nil {
 		t.Fatal(err)
@@ -130,29 +138,108 @@ func TestPlacedRowsReadBack(t *testing.T) {
 	if n != wantN {
 		t.Errorf("window (3,5] yielded %d rows, want %d", n, wantN)
 	}
+
+	wm, _ := placeFixture(t)
+	const drained = 10 // rows moved out before: the first chunk is drained in part
+	pad := make([]types.Row, drained)
+	for i := range pad {
+		pad[i] = in[0].Row
+	}
+	if _, err := wm.WOS().Append(pad, 0); err != nil {
+		t.Fatal(err)
+	}
+	wm.WOS().DrainThrough(drained - 1)
+	var dvs []DVEntry
+	for lo := 0; lo < len(in); {
+		hi := lo
+		var rows []types.Row
+		for ; hi < len(in) && in[hi].Epoch == in[lo].Epoch; hi++ {
+			rows = append(rows, in[hi].Row)
+		}
+		first, err := wm.WOS().Append(rows, in[lo].Epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := lo; i < hi; i++ {
+			if in[i].Deleted != 0 {
+				dvs = append(dvs, DVEntry{Pos: first + int64(i-lo), Epoch: in[i].Deleted})
+			}
+		}
+		lo = hi
+	}
+	wm.DVs().Add(WOSTarget, dvs)
+	batches, through := wm.WOSBatches(types.MaxEpoch)
+	if len(batches) != 2 || through != int64(drained+len(in)-1) {
+		t.Fatalf("WOSBatches: %d batches through %d, want 2 through %d", len(batches), through, drained+len(in)-1)
+	}
+	// The containers' IDs come from the manager's counter: the two managers
+	// name theirs alike.
+	fromWOS, err := pl.WriteBatches(wm, batches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromWOS) != len(written) {
+		t.Fatalf("the WOS path wrote %d containers, the row path %d", len(fromWOS), len(written))
+	}
+	for i, w := range written {
+		if !reflect.DeepEqual(fromWOS[i].DVs, w.DVs) {
+			t.Errorf("container %s: the WOS path's delete vector differs", w.Meta.ID)
+		}
+		sameFiles(t, filepath.Join(m.Dir(), w.Meta.ID), filepath.Join(wm.Dir(), fromWOS[i].Meta.ID))
+	}
+}
+
+// sameFiles fails unless directories a and b hold the same files, byte for
+// byte.
+func sameFiles(t *testing.T, a, b string) {
+	t.Helper()
+	ents, err := os.ReadDir(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, err := os.ReadDir(b); err != nil || len(other) != len(ents) {
+		t.Fatalf("%s holds %d files, %s %d (%v)", a, len(ents), b, len(other), err)
+	}
+	for _, e := range ents {
+		x, err := os.ReadFile(filepath.Join(a, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, err := os.ReadFile(filepath.Join(b, e.Name()))
+		if err != nil || !bytes.Equal(x, y) {
+			t.Errorf("%s differs between %s and %s (%v)", e.Name(), a, b, err)
+		}
+	}
 }
 
 // TestPlaceIsStable: equal sort keys keep their input order, so a commit's
 // rows stay together and the epoch column keeps its long runs.
 func TestPlaceIsStable(t *testing.T) {
-	_, pl := placeFixture(t)
+	m, pl := placeFixture(t)
 	pl.PartitionOf, pl.LocalSegmentOf = nil, nil
 	var in []StoredRow
 	for i := 0; i < 40; i++ {
 		in = append(in, StoredRow{Row: types.Row{types.NewInt(int64(i % 4)), types.NewInt(0), types.NewString(fmt.Sprint(i))}, Epoch: 1})
 	}
-	runs, err := pl.Place(in)
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("runs = %d, err = %v", len(runs), err)
+	written, err := pl.WriteRows(m, in)
+	if err != nil || len(written) != 1 {
+		t.Fatalf("containers = %d, err = %v", len(written), err)
+	}
+	if err := m.PublishWritten(written); err != nil {
+		t.Fatal(err)
 	}
 	last := map[int64]int{}
-	for _, r := range runs[0].Rows {
+	err = m.ForEachStored(0, types.MaxEpoch, func(_ string, _ int64, r StoredRow) error {
 		var seq int
 		fmt.Sscan(r.Row[2].S, &seq)
 		if prev, ok := last[r.Row[0].I]; ok && seq < prev {
 			t.Fatalf("key %d: input order %d came after %d", r.Row[0].I, seq, prev)
 		}
 		last[r.Row[0].I] = seq
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -265,6 +352,17 @@ func TestWriteRunFailureLeavesNothing(t *testing.T) {
 	if _, err := pl.WriteRows(m, rows); err == nil || !strings.Contains(err.Error(), "expects 3") {
 		t.Fatalf("err = %v, want the row-width error", err)
 	}
+	// The second container cannot start: its temporary directory's name is
+	// taken by a file. The first, written already, is discarded.
+	rows[1].Row = append(rows[1].Row, types.NewString("b"))
+	taken := filepath.Join(m.Dir(), "ros_00000001.tmp")
+	if err := os.WriteFile(taken, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.WriteRows(m, rows); err == nil {
+		t.Fatal("a container whose directory cannot be made was written")
+	}
+	os.Remove(taken)
 	pl.PartitionOf = func(types.Row) (string, error) { return "", fmt.Errorf("boom") }
 	if _, err := pl.WriteRows(m, rows[:1]); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want the partition error", err)

@@ -269,23 +269,22 @@ func TestWOSAppendSnapshotDrain(t *testing.T) {
 	if p1 != 2 {
 		t.Fatalf("second Append pos = %d", p1)
 	}
-	if got := len(w.Snapshot(5)); got != 2 {
-		t.Errorf("Snapshot(5) = %d rows", got)
+	if got := wosRows(w.Chunks(5)); got != 2 {
+		t.Errorf("Chunks(5) = %d rows", got)
 	}
-	if got := len(w.Snapshot(7)); got != 3 {
-		t.Errorf("Snapshot(7) = %d rows", got)
+	if got := wosRows(w.Chunks(7)); got != 3 {
+		t.Errorf("Chunks(7) = %d rows", got)
 	}
-	drained := w.DrainUpTo(5)
-	if len(drained) != 2 || drained[0].Pos != 0 || drained[1].Epoch != 5 {
-		t.Errorf("DrainUpTo = %+v", drained)
+	if drained := w.DrainUpTo(5); drained != 2 {
+		t.Errorf("DrainUpTo = %d", drained)
 	}
 	if w.Len() != 1 {
 		t.Errorf("post-drain Len = %d", w.Len())
 	}
 	// Remaining row keeps its position.
-	snap := w.Snapshot(types.MaxEpoch)
-	if len(snap) != 1 || snap[0].Pos != 2 {
-		t.Errorf("post-drain snapshot = %+v", snap)
+	snap := w.Chunks(types.MaxEpoch)
+	if len(snap) != 1 || snap[0].First != 2 || snap[0].Len() != 1 || snap[0].Cols[0].Ints[0] != 3 {
+		t.Errorf("post-drain views = %+v", snap)
 	}
 }
 

@@ -27,21 +27,40 @@ type ContainerWriter struct {
 
 	blockRows int
 	files     []*os.File
-	bufs      []*bufio.Writer
 	offsets   []int64
 	pidxBufs  [][]byte
-	pending   []*vector.Vector // per-column rows not yet in a block
 	rows      int64
 	closed    bool
 
 	enc *blockEncoder // from encoders until Close or Abort
 }
 
-// blockEncoder is a writer's encoding scratch: the Encoder, and the buffer
-// each block is encoded into until it is written.
+// blockEncoder is a writer's scratch: the Encoder, the buffer each block is
+// encoded into until it is written, and per column the file's write buffer
+// and the rows not yet in a block.
 type blockEncoder struct {
 	encoding.Encoder
-	block []byte
+	block   []byte
+	bufs    []*bufio.Writer
+	pending []*vector.Vector
+}
+
+// reset readies the scratch for a container of cols, its write buffers on
+// files: buffers and vectors of earlier containers are reused, truncated.
+func (e *blockEncoder) reset(cols []ColumnSpec, files []*os.File, blockRows int) {
+	for len(e.bufs) < len(cols) {
+		e.bufs = append(e.bufs, bufio.NewWriterSize(nil, 1<<16))
+		e.pending = append(e.pending, nil)
+	}
+	e.bufs, e.pending = e.bufs[:len(cols)], e.pending[:len(cols)]
+	for i, c := range cols {
+		e.bufs[i].Reset(files[i])
+		if v := e.pending[i]; v == nil || v.Typ != c.Typ || v.Cap() < blockRows {
+			e.pending[i] = vector.New(c.Typ, blockRows)
+		} else {
+			v.Reset()
+		}
+	}
 }
 
 // encoders keeps the scratch of finished writers warm for the next, so that
@@ -71,53 +90,51 @@ func NewContainerWriter(dir string, meta *ContainerMeta, opts WriterOpts) (*Cont
 		tmpDir:    tmp,
 		blockRows: opts.BlockRows,
 		files:     make([]*os.File, len(meta.Cols)),
-		bufs:      make([]*bufio.Writer, len(meta.Cols)),
 		offsets:   make([]int64, len(meta.Cols)),
 		pidxBufs:  make([][]byte, len(meta.Cols)),
-		pending:   make([]*vector.Vector, len(meta.Cols)),
 		enc:       encoders.Get().(*blockEncoder),
 	}
-	for i, c := range meta.Cols {
+	for i := range meta.Cols {
 		f, err := os.Create(meta.dataPath(tmp, i))
 		if err != nil {
 			w.abort()
 			return nil, err
 		}
 		w.files[i] = f
-		w.bufs[i] = bufio.NewWriterSize(f, 1<<16)
-		w.pending[i] = vector.New(c.Typ, opts.BlockRows)
 	}
+	w.enc.reset(meta.Cols, w.files, opts.BlockRows)
 	return w, nil
 }
 
 // Append adds the rows of a flat, unselected batch with one column per
 // column of the container spec.
 func (w *ContainerWriter) Append(b *vector.Batch) error {
-	if b.NumCols() != len(w.pending) {
-		return fmt.Errorf("storage: batch has %d columns, container %s expects %d", b.NumCols(), w.meta.ID, len(w.pending))
+	if b.NumCols() != len(w.meta.Cols) {
+		return fmt.Errorf("storage: batch has %d columns, container %s expects %d", b.NumCols(), w.meta.ID, len(w.meta.Cols))
 	}
 	for c, v := range b.Cols {
-		w.pending[c].AppendFrom(v, nil)
+		w.enc.pending[c].AppendFrom(v, nil)
 	}
 	w.rows += int64(b.Len())
 	return w.flushBlocks(false)
 }
 
 // flushBlocks writes the pending rows as blocks of blockRows — the last one
-// shorter, when final — and keeps the rest pending.
+// shorter, when final — and moves the rest to the front of their vectors.
 func (w *ContainerWriter) flushBlocks(final bool) error {
-	n, lo := w.pending[0].PhysLen(), 0
+	pending := w.enc.pending
+	n, lo := pending[0].PhysLen(), 0
 	for ; n-lo >= w.blockRows || (final && lo < n); lo += w.blockRows {
 		hi := min(lo+w.blockRows, n)
-		for c, v := range w.pending {
+		for c, v := range pending {
 			if err := w.writeBlock(c, v.Slice(lo, hi), w.rows-int64(n-lo)); err != nil {
 				return err
 			}
 		}
 	}
-	if lo > 0 {
-		for c, v := range w.pending {
-			w.pending[c] = v.Slice(min(lo, n), n)
+	if lo = min(lo, n); lo > 0 {
+		for _, v := range pending {
+			v.DropFront(lo)
 		}
 	}
 	return nil
@@ -142,7 +159,7 @@ func (w *ContainerWriter) writeBlock(c int, block *vector.Vector, firstPos int64
 		Max:      mx,
 	}
 	w.pidxBufs[c] = appendPidxEntry(w.pidxBufs[c], &e)
-	if _, err := w.bufs[c].Write(enc.block); err != nil {
+	if _, err := enc.bufs[c].Write(enc.block); err != nil {
 		return err
 	}
 	w.offsets[c] += int64(len(enc.block))
@@ -163,7 +180,7 @@ func (w *ContainerWriter) Close() (*ContainerMeta, error) {
 	}
 	var total int64
 	for c := range w.meta.Cols {
-		if err := w.bufs[c].Flush(); err != nil {
+		if err := w.enc.bufs[c].Flush(); err != nil {
 			w.abort()
 			return nil, err
 		}
@@ -210,9 +227,13 @@ func (w *ContainerWriter) abort() {
 	w.releaseEncoder()
 }
 
-// releaseEncoder gives the writer's scratch back to encoders, once.
+// releaseEncoder gives the writer's scratch back to encoders, once, its
+// write buffers detached from the writer's files.
 func (w *ContainerWriter) releaseEncoder() {
 	if w.enc != nil {
+		for _, b := range w.enc.bufs {
+			b.Reset(nil)
+		}
 		encoders.Put(w.enc)
 		w.enc = nil
 	}

@@ -69,9 +69,9 @@ func New(cfg Config) (*TupleMover, error) {
 // projection's Last Good Epoch. It returns the number of rows moved.
 //
 // Moveout runs concurrently with inserts (T and I locks are compatible) and
-// lock-free readers: it snapshots the WOS, writes containers outside any
+// lock-free readers: it takes views of the WOS, writes containers outside any
 // lock, then publishes containers + translated delete vectors and drains
-// the snapshotted WOS prefix in one atomic Manager.CommitMoveout — a reader
+// the viewed WOS prefix in one atomic Manager.CommitMoveout — a reader
 // always sees each row in exactly one store.
 func (tm *TupleMover) Moveout() (int, error) {
 	tm.mu.Lock()
@@ -83,21 +83,14 @@ func (tm *TupleMover) moveout() (int, error) {
 	cfg := &tm.cfg
 	start := time.Now()
 	bound := cfg.Epochs.Current()
-	rows := make([]storage.StoredRow, 0, cfg.Mgr.WOS().Len())
-	commit := storage.MoveoutCommit{DVs: map[string][]storage.DVEntry{}, DrainThrough: -1}
-	err := cfg.Mgr.WOSRows(bound, func(_ string, pos int64, r storage.StoredRow) error {
-		rows = append(rows, r)
-		commit.DrainThrough = pos // positions ascend
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	if len(rows) == 0 {
+	batches, through := cfg.Mgr.WOSBatches(bound)
+	commit := storage.MoveoutCommit{DVs: map[string][]storage.DVEntry{}, DrainThrough: through}
+	rows := vector.NumRows(batches)
+	if rows == 0 {
 		cfg.Epochs.SetLGE(cfg.Place.Projection, bound)
 		return 0, nil
 	}
-	written, err := cfg.Place.WriteRows(cfg.Mgr, rows)
+	written, err := cfg.Place.WriteBatches(cfg.Mgr, batches)
 	if err != nil {
 		return 0, fmt.Errorf("tuplemover: %w", err)
 	}
@@ -122,7 +115,7 @@ func (tm *TupleMover) moveout() (int, error) {
 	}
 	for id := range commit.DVs {
 		if err := cfg.Mgr.DVs().Persist(id); err != nil {
-			return len(rows), err
+			return rows, err
 		}
 	}
 	cfg.Epochs.SetLGE(cfg.Place.Projection, bound)
@@ -132,10 +125,10 @@ func (tm *TupleMover) moveout() (int, error) {
 		Op:         "moveout",
 		Projection: cfg.Place.Projection,
 		Containers: len(written),
-		Rows:       int64(len(rows)),
+		Rows:       int64(rows),
 		Duration:   time.Since(start),
 	})
-	return len(rows), nil
+	return rows, nil
 }
 
 // MoveoutDeleteVectors persists in-memory (DVWOS) delete vectors to DVROS

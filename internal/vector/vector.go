@@ -434,6 +434,41 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 	return out
 }
 
+// Cap returns how many entries a flat vector holds before it reallocates.
+func (v *Vector) Cap() int {
+	switch v.Typ {
+	case types.Float64:
+		return cap(v.Floats)
+	case types.Varchar:
+		return cap(v.Strs)
+	default:
+		return cap(v.Ints)
+	}
+}
+
+// Reset empties a flat vector for reuse, keeping its arrays and letting go
+// of the strings it held. No view of it may be in use.
+func (v *Vector) Reset() {
+	clear(v.Strs[:cap(v.Strs)])
+	v.Ints, v.Floats, v.Strs, v.Nulls = v.Ints[:0], v.Floats[:0], v.Strs[:0], nil
+}
+
+// DropFront removes the first n entries of a flat vector in place, moving
+// the rest to the front of its arrays. No view of it may be in use.
+func (v *Vector) DropFront(n int) {
+	switch v.Typ {
+	case types.Float64:
+		v.Floats = v.Floats[:copy(v.Floats, v.Floats[n:])]
+	case types.Varchar:
+		v.Strs = v.Strs[:copy(v.Strs, v.Strs[n:])]
+	default:
+		v.Ints = v.Ints[:copy(v.Ints, v.Ints[n:])]
+	}
+	if v.Nulls != nil {
+		v.Nulls = v.Nulls[:copy(v.Nulls, v.Nulls[n:])]
+	}
+}
+
 // HasNulls reports whether any entry is NULL.
 func (v *Vector) HasNulls() bool {
 	for _, n := range v.Nulls {

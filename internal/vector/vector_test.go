@@ -402,3 +402,26 @@ func TestRowsShareOneBackingArrayButNotCapacity(t *testing.T) {
 		t.Errorf("Rows allocated %.0f times for 2 rows; want one value array and one row slice", allocs)
 	}
 }
+
+// TestDropFrontAndReset: DropFront keeps the later entries, NULLs with them,
+// in the same arrays; Reset empties a vector without giving its arrays up.
+func TestDropFrontAndReset(t *testing.T) {
+	v := New(types.Varchar, 8)
+	v.AppendValue(types.NewString("a"))
+	v.AppendNull()
+	v.AppendValue(types.NewString("c"))
+	v.AppendValue(types.NewString("d"))
+	v.DropFront(1)
+	if v.Len() != 3 || !v.NullAt(0) || v.ValueAt(1).S != "c" || v.ValueAt(2).S != "d" || v.Cap() != 8 {
+		t.Fatalf("after DropFront(1): %v, cap %d", v, v.Cap())
+	}
+	v.Reset()
+	if v.Len() != 0 || v.Nulls != nil || v.Cap() != 8 || v.Strs[:3][1] != "" {
+		t.Fatalf("after Reset: len %d, nulls %v, cap %d, old strings %q", v.Len(), v.Nulls, v.Cap(), v.Strs[:3])
+	}
+	f := NewFromFloats([]float64{1, 2, 3})
+	f.DropFront(2)
+	if f.Len() != 1 || f.Floats[0] != 3 {
+		t.Fatalf("float DropFront(2) = %v", f)
+	}
+}
