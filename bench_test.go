@@ -25,6 +25,12 @@ import (
 	"repro/internal/vector"
 )
 
+// appendRows pivots rows into one batch of the WOS's schema and appends it
+// at epoch e.
+func appendRows(w *storage.WOS, rows []types.Row, e types.Epoch) (int64, error) {
+	return w.AppendBatch(vector.BatchFromRows(w.Schema(), rows), e)
+}
+
 // benchScale keeps `go test -bench=.` minutes-fast.
 const benchScale = 60_000
 
@@ -180,7 +186,7 @@ func ablationFixture(b *testing.B, n int) (*storage.Manager, *txn.EpochManager, 
 			types.NewFloat(float64(i)),
 		}
 	}
-	mgr.WOS().Append(rows, em.CommitDML())
+	appendRows(mgr.WOS(), rows, em.CommitDML())
 	if _, err := tm.Moveout(); err != nil {
 		b.Fatal(err)
 	}
@@ -373,7 +379,7 @@ func BenchmarkAblationMergeStrata(b *testing.B) {
 				for j := range rows {
 					rows[j] = types.Row{types.NewInt(int64(l*4000 + j))}
 				}
-				mgr.WOS().Append(rows, em.CommitDML())
+				appendRows(mgr.WOS(), rows, em.CommitDML())
 				if _, err := tm.Moveout(); err != nil {
 					b.Fatal(err)
 				}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Node is one cluster member: private storage per projection plus liveness.
@@ -234,16 +235,34 @@ func (c *Cluster) EnsureStorage(p *catalog.Projection) error {
 	return nil
 }
 
-// ringNode maps an unsigned segmentation value to its ring node index with
-// the projection's offset applied (paper §3.6's range mapping).
-func (c *Cluster) ringNode(hash uint64, offset int) int {
-	n := uint64(c.N())
-	if n == 1 {
-		return 0
+// segments evaluates p's segmentation expression over every physical row of
+// b, in p's column order, and returns each row's ring node (moved by p's
+// offset) and its local segment there (paper §3.6), for the cluster size at
+// call time. Replicated and unsegmented projections put every row on node 0,
+// segment 0.
+func (c *Cluster) segments(p *catalog.Projection, b *vector.Batch) (nodes, segs []int, err error) {
+	nodes, segs = make([]int, b.FullLen()), make([]int, b.FullLen())
+	if p.Seg.Replicated || p.Seg.Expr == nil {
+		return nodes, segs, nil
 	}
-	// Contiguous ranges of the hash space, CMAX/N wide.
-	idx := int(hash / (^uint64(0)/n + 1))
-	return (idx + offset) % c.N()
+	v, err := p.Seg.Expr.Eval(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: segmentation expression: %w", err)
+	}
+	if !v.Typ.IsIntegral() {
+		return nil, nil, fmt.Errorf("cluster: segmentation expression must be integral, got %s", v.Typ)
+	}
+	v, n := v.Expand(), c.N()
+	for i := range nodes {
+		var h uint64
+		if !v.NullAt(i) {
+			h = uint64(v.Ints[i])
+		}
+		node, off, width := types.Ring(h, ^uint64(0), n)
+		nodes[i] = (node + p.Seg.Offset) % n
+		segs[i], _, _ = types.Ring(off, width, c.cfg.LocalSegments)
+	}
+	return nodes, segs, nil
 }
 
 // RouteRow returns the node IDs that must store a row of projection p.
@@ -255,39 +274,6 @@ func (c *Cluster) RouteRow(p *catalog.Projection, row types.Row) ([]int, error) 
 		}
 		return out, nil
 	}
-	if p.Seg.Expr == nil {
-		return []int{0}, nil
-	}
-	v, err := p.Seg.Expr.EvalRow(row)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: segmentation expression: %w", err)
-	}
-	if !v.Typ.IsIntegral() {
-		return nil, fmt.Errorf("cluster: segmentation expression must be integral, got %s", v.Typ)
-	}
-	return []int{c.ringNode(uint64(v.I), p.Seg.Offset)}, nil
-}
-
-// LocalSegmentOf splits a node's hash subrange into equal local segments
-// (paper §3.6: "local segments" let the cluster expand by reassigning whole
-// segments). The subrange follows the cluster size at call time, so a tuple
-// mover built before AddNode places rows like the Rebalance after it.
-func (c *Cluster) LocalSegmentOf(p *catalog.Projection) func(types.Row) int {
-	ls := c.cfg.LocalSegments
-	if p.Seg.Replicated || p.Seg.Expr == nil {
-		return func(types.Row) int { return 0 }
-	}
-	seg := p.Seg.Expr
-	return func(r types.Row) int {
-		v, err := seg.EvalRow(r)
-		if err != nil {
-			return 0
-		}
-		rangeWidth := ^uint64(0)
-		if n := uint64(c.N()); n > 1 {
-			rangeWidth = ^uint64(0)/n + 1
-		}
-		pos := uint64(v.I) % rangeWidth
-		return int(pos / (rangeWidth/uint64(ls) + 1))
-	}
+	nodes, _, err := c.segments(p, vector.BatchFromRows(p.Schema, []types.Row{row}))
+	return nodes, err
 }

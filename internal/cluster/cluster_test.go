@@ -53,20 +53,25 @@ func segProjection(t *testing.T, cat *catalog.Catalog, name string, offset int) 
 	return p
 }
 
+// tRows returns a batch of n rows of table t: id = 0..n-1, v = 0.
+func tRows(n int) *vector.Batch {
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return vector.NewBatch(vector.NewFromInts(types.Int64, ids), vector.NewFromFloats(make([]float64, n)))
+}
+
 func TestRouteRowSegmented(t *testing.T) {
 	c, cat := testCluster(t, 4, 0)
 	p := segProjection(t, cat, "p", 0)
+	nodes, _, err := c.segments(p, tRows(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	counts := make([]int, 4)
-	for i := 0; i < 4000; i++ {
-		row := types.Row{types.NewInt(int64(i)), types.NewFloat(0)}
-		ids, err := c.RouteRow(p, row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) != 1 {
-			t.Fatalf("segmented row routed to %d nodes", len(ids))
-		}
-		counts[ids[0]]++
+	for _, id := range nodes {
+		counts[id]++
 	}
 	for n, cnt := range counts {
 		if cnt < 500 || cnt > 1500 {
@@ -80,19 +85,21 @@ func TestRouteRowBuddyOffset(t *testing.T) {
 	p := segProjection(t, cat, "p", 0)
 	b := segProjection(t, cat, "p_b1", 1)
 	p.Buddy = "p_b1"
-	for i := 0; i < 300; i++ {
-		row := types.Row{types.NewInt(int64(i)), types.NewFloat(0)}
-		pid, _ := c.RouteRow(p, row)
-		bid, _ := c.RouteRow(b, row)
-		if pid[0] == bid[0] {
+	rows := tRows(300)
+	pid, _, _ := c.segments(p, rows)
+	bid, _, _ := c.segments(b, rows)
+	for i := range pid {
+		if pid[i] == bid[i] {
 			t.Fatalf("row %d stored on the same node by both projections (K-safety violated)", i)
 		}
-		if bid[0] != (pid[0]+1)%3 {
-			t.Fatalf("buddy offset wrong: primary %d buddy %d", pid[0], bid[0])
+		if bid[i] != (pid[i]+1)%3 {
+			t.Fatalf("buddy offset wrong: primary %d buddy %d", pid[i], bid[i])
 		}
 	}
 }
 
+// TestRouteRowReplicated: every node stores every row of a replicated
+// projection.
 func TestRouteRowReplicated(t *testing.T) {
 	c, cat := testCluster(t, 3, 0)
 	p := &catalog.Projection{
@@ -100,6 +107,22 @@ func TestRouteRowReplicated(t *testing.T) {
 		Seg: catalog.Segmentation{Replicated: true},
 	}
 	cat.CreateProjection(p)
+	tx := c.Txn.Begin()
+	if err := c.StageInsert(tx, "t", tRows(5), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Txn.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes() {
+		mgr, err := n.Mgr(p, c.ManagerOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mgr.WOS().Len(); got != 5 {
+			t.Errorf("node %d holds %d rows of the replicated projection, want 5", n.ID, got)
+		}
+	}
 	ids, err := c.RouteRow(p, types.Row{types.NewInt(1), types.NewFloat(0)})
 	if err != nil || len(ids) != 3 {
 		t.Errorf("replicated row routed to %v (%v)", ids, err)
@@ -162,10 +185,16 @@ func TestDataUnavailableWithoutBuddies(t *testing.T) {
 func TestLocalSegmentOf(t *testing.T) {
 	c, cat := testCluster(t, 2, 0)
 	p := segProjection(t, cat, "p", 0)
-	segOf := c.LocalSegmentOf(p)
+	pl, err := c.Placement(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := pl.LocalSegmentOf(tRows(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	counts := map[int]int{}
-	for i := 0; i < 3000; i++ {
-		s := segOf(types.Row{types.NewInt(int64(i)), types.NewFloat(0)})
+	for _, s := range segs {
 		if s < 0 || s >= 3 {
 			t.Fatalf("local segment %d out of range", s)
 		}
@@ -189,8 +218,11 @@ func TestStageInsertRejectsNullInNotNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat.CreateProjection(&catalog.Projection{Name: "nn_s", Anchor: "nn", Columns: []string{"id"}})
-	tx := c.Txn.Begin(txn.ReadCommitted)
-	err = c.StageInsert(tx, "nn", []types.Row{{types.NewNull(types.Int64)}}, false)
+	tx := c.Txn.Begin()
+	ids := vector.New(types.Int64, 2)
+	ids.AppendValue(types.NewInt(1))
+	ids.AppendNull()
+	err = c.StageInsert(tx, "nn", vector.NewBatch(ids), false)
 	if err == nil {
 		t.Error("NULL into NOT NULL column should fail")
 	}
@@ -237,8 +269,8 @@ func measuresCluster(t *testing.T, nodes int) (*Cluster, *catalog.Table) {
 		}
 		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 13)), v}
 	}
-	tx := c.Txn.Begin(txn.ReadCommitted)
-	if err := c.StageInsert(tx, "m", rows, false); err != nil {
+	tx := c.Txn.Begin()
+	if err := c.StageInsert(tx, "m", vector.BatchFromRows(tbl.Schema, rows), false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Txn.Commit(tx); err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // DML: row routing and staged application at commit epoch. "Any ROS or WOS
@@ -15,11 +16,11 @@ import (
 // transactions when the commit completes" (paper §5) — so all effects are
 // staged on the transaction and applied under the commit epoch.
 
-// StageInsert routes rows to every projection of the table (including
-// buddies) and stages per-node WOS appends. When direct is true (or a WOS is
-// saturated) the rows bypass the WOS and are written straight to new ROS
-// containers at commit — the paper's "Direct Loading to the ROS" (§7).
-func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direct bool) error {
+// StageInsert routes a flat, unselected batch of table rows to every
+// projection of the table (including buddies) and stages each node's share —
+// b's columns and a selection — as a WOS append or, when direct is true (or a
+// WOS is saturated), as new ROS containers: "Direct Loading to the ROS" (§7).
+func (c *Cluster) StageInsert(tx *txn.Txn, table string, b *vector.Batch, direct bool) error {
 	if c.IsShutdown() {
 		return fmt.Errorf("cluster: database is shut down")
 	}
@@ -35,43 +36,61 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 		return fmt.Errorf("cluster: table %q has no projections; create a super projection first", table)
 	}
 	// Validate NOT NULL and arity once against the table schema.
-	for _, r := range rows {
-		if len(r) != t.Schema.Len() {
-			return fmt.Errorf("cluster: row arity %d != table %s arity %d", len(r), table, t.Schema.Len())
-		}
-		for i, v := range r {
-			col := t.Schema.Col(i)
-			if v.Null && !col.Nullable {
-				return fmt.Errorf("cluster: NULL in NOT NULL column %q", col.Name)
-			}
+	if b.NumCols() != t.Schema.Len() {
+		return fmt.Errorf("cluster: row arity %d != table %s arity %d", b.NumCols(), table, t.Schema.Len())
+	}
+	for i, col := range t.Schema.Cols {
+		if !col.Nullable && b.Cols[i].HasNulls() {
+			return fmt.Errorf("cluster: NULL in NOT NULL column %q", col.Name)
 		}
 	}
 	type target struct {
 		proj *catalog.Projection
 		node *Node
 	}
-	staged := map[target][]types.Row{}
+	staged := map[target]*vector.Batch{}
 	for _, p := range projs {
 		if err := c.EnsureStorage(p); err != nil {
 			return err
 		}
-		for _, r := range rows {
-			pr, err := projectTableRow(t, p, r)
-			if err != nil {
-				return err
+		pb := &vector.Batch{Cols: make([]*vector.Vector, p.Schema.Len())}
+		for i, name := range p.Columns {
+			ci := t.Schema.ColIndex(name)
+			if ci < 0 {
+				return fmt.Errorf("cluster: projection %q column %q missing from table", p.Name, name)
 			}
-			nodeIDs, err := c.RouteRow(p, pr)
-			if err != nil {
-				return err
-			}
-			for _, id := range nodeIDs {
-				tg := target{proj: p, node: c.nodes[id]}
-				staged[tg] = append(staged[tg], pr)
+			pb.Cols[i] = b.Cols[ci]
+		}
+		nodes, _, err := c.segments(p, pb)
+		if err != nil {
+			return err
+		}
+		counts := make([]int, c.N())
+		for _, id := range nodes {
+			counts[id]++
+		}
+		for id, k := range counts {
+			switch {
+			case k == 0:
+			case p.Seg.Replicated: // every node stores a replicated projection whole
+				for _, n := range c.nodes {
+					staged[target{p, n}] = pb
+				}
+			case k == len(nodes):
+				staged[target{p, c.nodes[id]}] = pb
+			default:
+				sel := make([]int, 0, k)
+				for i, to := range nodes {
+					if to == id {
+						sel = append(sel, i)
+					}
+				}
+				staged[target{p, c.nodes[id]}] = &vector.Batch{Cols: pb.Cols, Sel: sel}
 			}
 		}
 	}
 	tx.StageCommit(true, func(epoch types.Epoch) error {
-		for tg, trows := range staged {
+		for tg, share := range staged {
 			if !tg.node.Up() {
 				continue // down nodes miss the DML; recovery replays it
 			}
@@ -80,13 +99,13 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 				return err
 			}
 			if direct || mgr.WOS().Saturated() {
-				if err := c.directLoad(tg.proj, mgr, trows, epoch); err != nil {
+				if err := c.directLoad(tg.proj, mgr, share, epoch); err != nil {
 					return err
 				}
 				c.Txn.Epochs.SetLGE(tg.proj.Name, epoch)
 				continue
 			}
-			if _, err := mgr.WOS().Append(trows, epoch); err != nil {
+			if _, err := mgr.WOS().AppendBatch(share, epoch); err != nil {
 				return err
 			}
 		}
@@ -95,63 +114,53 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, rows []types.Row, direc
 	return nil
 }
 
-// projectTableRow maps a table row onto a projection's columns.
-func projectTableRow(t *catalog.Table, p *catalog.Projection, r types.Row) (types.Row, error) {
-	out := make(types.Row, p.Schema.Len())
-	for i, name := range p.Columns {
-		ci := t.Schema.ColIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("cluster: projection %q column %q missing from table", p.Name, name)
-		}
-		out[i] = r[ci]
-	}
-	return out, nil
-}
-
-// directLoad writes rows straight to ROS containers, bypassing the WOS. It
-// runs inside a commit apply, so the containers are published at once; a
+// directLoad writes a share straight to ROS containers, bypassing the WOS.
+// It runs inside a commit apply, so the containers are published at once; a
 // failed write is returned and fails the commit.
-func (c *Cluster) directLoad(p *catalog.Projection, mgr *storage.Manager, rows []types.Row, epoch types.Epoch) error {
-	stored := make([]storage.StoredRow, len(rows))
-	for i, r := range rows {
-		stored[i] = storage.StoredRow{Row: r, Epoch: epoch}
+func (c *Cluster) directLoad(p *catalog.Projection, mgr *storage.Manager, share *vector.Batch, epoch types.Epoch) error {
+	share, n := share.Flatten(), share.Len()
+	stored := append(share.Cols, vector.NewConst(types.NewInt(int64(epoch)), n).Expand(), vector.NewFromInts(types.Int64, make([]int64, n)))
+	pl, err := c.Placement(p)
+	if err != nil {
+		return err
 	}
-	return c.writeStored(p, mgr, stored)
+	written, err := pl.WriteBatches(mgr, []*vector.Batch{{Cols: stored}})
+	if err != nil {
+		return err
+	}
+	return mgr.PublishWritten(written)
 }
 
 // Placement compiles, from the catalog, how projection p's stored rows become
 // ROS containers on any node: sort key, stored column specs, the anchor
 // table's PARTITION BY expression rewritten onto the projection's columns
 // (which must therefore store them — super projections always do) and the
-// local-segment function. Moveout, mergeout, direct load, recovery, refresh
-// and rebalance all take what this returns.
+// local segments the segmentation kernel assigns. Moveout, mergeout, direct
+// load, recovery, refresh and rebalance all take what this returns.
 func (c *Cluster) Placement(p *catalog.Projection) (*storage.Placement, error) {
 	t, err := c.cat.Table(p.Anchor)
 	if err != nil {
 		return nil, err
 	}
 	pl := storage.NewPlacement(p.Name, p.Schema, p.SortKey(), p.Encodings)
-	pl.LocalSegmentOf = c.LocalSegmentOf(p)
+	pl.LocalSegmentOf = func(b *vector.Batch) ([]int, error) {
+		_, segs, err := c.segments(p, b)
+		return segs, err
+	}
 	if t.PartitionExpr != nil {
 		pe, err := onProjection(t, p, t.PartitionExpr)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: projection %q cannot evaluate partition expression: %w", p.Name, err)
 		}
-		pl.PartitionOf = func(r types.Row) (string, error) {
-			v, err := pe.EvalRow(r)
-			return v.String(), err
-		}
+		pl.PartitionOf = pe.Eval
 	}
 	return pl, nil
 }
 
 // writeStored places rows of projection p and writes and publishes their
-// containers on mgr — the whole of direct load's, recovery's, refresh's and
-// rebalance's way into the ROS.
+// containers on mgr — the whole of recovery's, refresh's and rebalance's way
+// into the ROS.
 func (c *Cluster) writeStored(p *catalog.Projection, mgr *storage.Manager, rows []storage.StoredRow) error {
-	if len(rows) == 0 {
-		return nil
-	}
 	pl, err := c.Placement(p)
 	if err != nil {
 		return err
@@ -299,7 +308,7 @@ func (c *Cluster) StageUpdate(tx *txn.Txn, table string, set map[int]expr.Expr, 
 		return 0, err
 	}
 	if len(newRows) > 0 {
-		if err := c.StageInsert(tx, table, newRows, false); err != nil {
+		if err := c.StageInsert(tx, table, vector.BatchFromRows(t.Schema, newRows), false); err != nil {
 			return 0, err
 		}
 	}

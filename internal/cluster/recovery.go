@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
@@ -48,7 +49,7 @@ func (c *Cluster) RecoverNode(id int) error {
 			return err
 		}
 		// Current phase: Shared lock on the anchor table, copy the rest.
-		rtx := c.Txn.Begin(txn.ReadCommitted)
+		rtx := c.Txn.Begin()
 		if err := c.Txn.Locks.Acquire(rtx.ID, p.Anchor, txn.S); err != nil {
 			return err
 		}
@@ -155,12 +156,7 @@ func (c *Cluster) catchUp(n *Node, p *catalog.Projection, dst *storage.Manager, 
 // storesRow reports whether node n stores row under projection p.
 func (c *Cluster) storesRow(n *Node, p *catalog.Projection, row types.Row) (bool, error) {
 	ids, err := c.RouteRow(p, row)
-	for _, id := range ids {
-		if id == n.ID {
-			return true, err
-		}
-	}
-	return false, err
+	return slices.Contains(ids, n.ID), err
 }
 
 // sourceFor finds a surviving node and projection holding the rows node n

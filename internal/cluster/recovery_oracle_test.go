@@ -307,11 +307,16 @@ func (o *recoveryOracle) checkContainers() {
 func (o *recoveryOracle) checkContainer(p *catalog.Projection, place *storage.Placement, mgr *storage.Manager, r *storage.ContainerReader, node int) {
 	var prev types.Row
 	err := mgr.ContainerRows(r, 0, types.MaxEpoch, func(_ string, pos int64, sr storage.StoredRow) error {
-		part, err := place.PartitionOf(sr.Row)
+		b := vector.BatchFromRows(p.Schema, []types.Row{sr.Row})
+		parts, err := place.PartitionOf(b)
 		if err != nil {
 			return err
 		}
-		if seg := place.LocalSegmentOf(sr.Row); part != r.Meta.Partition || seg != r.Meta.LocalSegment {
+		segs, err := place.LocalSegmentOf(b)
+		if err != nil {
+			return err
+		}
+		if part, seg := parts.ValueAt(0).String(), segs[0]; part != r.Meta.Partition || seg != r.Meta.LocalSegment {
 			o.t.Errorf("%s node %d %s (partition %q, segment %d) holds at %d a row of partition %q, segment %d",
 				p.Name, node, r.Meta.ID, r.Meta.Partition, r.Meta.LocalSegment, pos, part, seg)
 		}

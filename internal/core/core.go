@@ -661,7 +661,7 @@ func (s *Session) execTxnStmt(st *sql.TxnStmt) (*Result, error) {
 		if s.tx != nil {
 			return nil, fmt.Errorf("core: transaction already open")
 		}
-		s.setTx(s.db.txns.Begin(txn.ReadCommitted))
+		s.setTx(s.db.txns.Begin())
 		return &Result{Message: "BEGIN"}, nil
 	case "COMMIT":
 		if s.tx == nil {
@@ -705,7 +705,7 @@ func (s *Session) autocommitDML(ctx context.Context, stage func(tx *txn.Txn) (in
 	auto := s.tx == nil
 	tx := s.tx
 	if auto {
-		tx = s.db.txns.Begin(txn.ReadCommitted)
+		tx = s.db.txns.Begin()
 	}
 	n, err := stage(tx)
 	if err != nil {
@@ -1178,7 +1178,7 @@ func (db *Database) execCreateProjection(st *sql.CreateProjectionStmt) (*Result,
 	// to take: an INSERT into a table without projections fails.
 	refresh := slices.ContainsFunc(db.cat.ProjectionsFor(st.Table), func(q *catalog.Projection) bool { return !q.IsBuddy })
 	if refresh {
-		rtx := db.txns.Begin(txn.ReadCommitted)
+		rtx := db.txns.Begin()
 		defer db.txns.Locks.ReleaseAll(rtx.ID)
 		if err := db.txns.Locks.Acquire(rtx.ID, st.Table, txn.S); err != nil {
 			return nil, err
@@ -1296,7 +1296,7 @@ func (db *Database) execDrop(st *sql.DropStmt) (*Result, error) {
 		return &Result{Message: "DROP RESOURCE POOL"}, nil
 	default: // PARTITION: fast bulk deletion by dropping container files
 		// (paper §3.5). Requires an Owner lock.
-		otx := db.txns.Begin(txn.ReadCommitted)
+		otx := db.txns.Begin()
 		if err := db.txns.Locks.Acquire(otx.ID, st.Name, txn.O); err != nil {
 			return nil, err
 		}
@@ -1330,42 +1330,38 @@ func (db *Database) execInsert(tx *txn.Txn, st *sql.InsertStmt) (int64, error) {
 	if err := db.txns.Locks.Acquire(tx.ID, st.Table, txn.I); err != nil {
 		return 0, err
 	}
-	colIdx := make([]int, 0, t.Schema.Len())
+	b := vector.NewBatchForSchema(t.Schema, len(st.Rows))
+	targets := b.Cols
 	if len(st.Cols) > 0 {
-		for _, cn := range st.Cols {
+		targets = make([]*vector.Vector, len(st.Cols))
+		for pos, cn := range st.Cols {
 			i := t.Schema.ColIndex(cn)
 			if i < 0 {
 				return 0, fmt.Errorf("core: unknown column %q", cn)
 			}
-			colIdx = append(colIdx, i)
-		}
-	} else {
-		for i := 0; i < t.Schema.Len(); i++ {
-			colIdx = append(colIdx, i)
+			targets[pos] = b.Cols[i]
 		}
 	}
-	rows := make([]types.Row, 0, len(st.Rows))
-	for _, astRow := range st.Rows {
-		if len(astRow) != len(colIdx) {
-			return 0, fmt.Errorf("core: INSERT arity mismatch")
-		}
-		row := make(types.Row, t.Schema.Len())
-		for i := range row {
-			row[i] = types.NewNull(t.Schema.Col(i).Typ)
-		}
-		for i, ae := range astRow {
-			v, err := evalLiteral(ae)
+	for pos, v := range targets {
+		v.Reset() // a column named twice takes its last values
+		for _, astRow := range st.Rows {
+			if len(astRow) != len(targets) {
+				return 0, fmt.Errorf("core: INSERT arity mismatch")
+			}
+			val, err := evalLiteral(astRow[pos])
 			if err != nil {
 				return 0, err
 			}
-			row[colIdx[i]] = types.Coerce(v, t.Schema.Col(colIdx[i]).Typ)
+			v.AppendValue(types.Coerce(val, v.Typ))
 		}
-		rows = append(rows, row)
 	}
-	if err := db.cluster.StageInsert(tx, st.Table, rows, false); err != nil {
+	for _, v := range b.Cols {
+		v.AppendNulls(len(st.Rows) - v.Len()) // a column left out is NULL
+	}
+	if err := db.cluster.StageInsert(tx, st.Table, b, false); err != nil {
 		return 0, err
 	}
-	return int64(len(rows)), nil
+	return int64(len(st.Rows)), nil
 }
 
 func (db *Database) execDelete(tx *txn.Txn, st *sql.DeleteStmt) (int64, error) {
@@ -1421,16 +1417,25 @@ func (db *Database) execUpdate(tx *txn.Txn, st *sql.UpdateStmt) (int64, error) {
 // more (or with direct=true) bypass the WOS and write ROS containers
 // immediately.
 func (db *Database) Load(table string, rows []types.Row, direct bool) error {
-	tx := db.txns.Begin(txn.ReadCommitted)
+	t, err := db.cat.Table(table)
+	if err != nil {
+		return err
+	}
+	for _, r := range rows {
+		if len(r) != t.Schema.Len() {
+			return fmt.Errorf("core: row arity %d != table %s arity %d", len(r), table, t.Schema.Len())
+		}
+	}
+	tx := db.txns.Begin()
 	if err := db.txns.Locks.Acquire(tx.ID, table, txn.I); err != nil {
 		return err
 	}
 	direct = direct || len(rows) >= db.opts.DirectLoadRowThreshold
-	if err := db.cluster.StageInsert(tx, table, rows, direct); err != nil {
+	if err := db.cluster.StageInsert(tx, table, vector.BatchFromRows(t.Schema, rows), direct); err != nil {
 		db.txns.Rollback(tx)
 		return err
 	}
-	_, err := db.txns.Commit(tx)
+	_, err = db.txns.Commit(tx)
 	return err
 }
 
@@ -1474,7 +1479,7 @@ func (db *Database) RunTupleMover() (int, int, error) {
 	defer func() { metrics.MoverCycleUs.Observe(time.Since(start).Microseconds()) }()
 	// Tuple mover operations take the T lock, compatible with queries and
 	// loads but not X (paper §5, Table 1).
-	ttx := db.txns.Begin(txn.ReadCommitted)
+	ttx := db.txns.Begin()
 	defer db.txns.Locks.ReleaseAll(ttx.ID)
 	totalMoved, totalMerged := 0, 0
 	for _, p := range db.cat.Projections() {
@@ -1508,6 +1513,9 @@ func (db *Database) RunTupleMover() (int, int, error) {
 
 // evalLiteral evaluates a literal-only AST expression (INSERT values).
 func evalLiteral(a sql.AstExpr) (types.Value, error) {
+	if lit, ok := a.(*sql.ALit); ok {
+		return lit.Val, nil // what binding it to a constant would return
+	}
 	e, err := sql.BindLiteralExpr(a)
 	if err != nil {
 		return types.Value{}, err

@@ -15,6 +15,12 @@ import (
 	"repro/internal/vector"
 )
 
+// appendRows pivots rows into one batch of the WOS's schema and appends it
+// at epoch e.
+func appendRows(w *storage.WOS, rows []types.Row, e types.Epoch) (int64, error) {
+	return w.AppendBatch(vector.BatchFromRows(w.Schema(), rows), e)
+}
+
 // --- fixtures -------------------------------------------------------------
 
 type execFixture struct {
@@ -54,7 +60,7 @@ func newExecFixture(t testing.TB, n, groups int, loads int) *execFixture {
 				types.NewFloat(float64(i)),
 			})
 		}
-		if _, err := mgr.WOS().Append(rows, em.CommitDML()); err != nil {
+		if _, err := appendRows(mgr.WOS(), rows, em.CommitDML()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tm.Moveout(); err != nil {
@@ -154,7 +160,7 @@ func TestScanSeesWOS(t *testing.T) {
 	for i := 1000; i < 1010; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewInt(0), types.NewFloat(0)})
 	}
-	f.mgr.WOS().Append(rows, f.em.CommitDML())
+	appendRows(f.mgr.WOS(), rows, f.em.CommitDML())
 	got, err := Drain(f.ctx(), f.scan(0))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +174,7 @@ func TestScanEpochSnapshotIsolation(t *testing.T) {
 	f := newExecFixture(t, 100, 2, 1)
 	oldEpoch := f.em.ReadEpoch()
 	// New rows committed after the snapshot must be invisible at oldEpoch.
-	f.mgr.WOS().Append([]types.Row{{types.NewInt(9999), types.NewInt(0), types.NewFloat(0)}}, f.em.CommitDML())
+	appendRows(f.mgr.WOS(), []types.Row{{types.NewInt(9999), types.NewInt(0), types.NewFloat(0)}}, f.em.CommitDML())
 	rows, err := Drain(NewCtx(oldEpoch), f.scan(0))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +200,7 @@ func TestScanEpochColumnStraddling(t *testing.T) {
 	for i := 100; i < 105; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewInt(0), types.NewFloat(0)})
 	}
-	f.mgr.WOS().Append(rows, f.em.CommitDML())
+	appendRows(f.mgr.WOS(), rows, f.em.CommitDML())
 	if _, err := f.tm.Moveout(); err != nil {
 		t.Fatal(err)
 	}
@@ -1077,7 +1083,7 @@ func TestGroupByRLEDirect(t *testing.T) {
 			types.NewFloat(float64(i)),
 		})
 	}
-	mgr.WOS().Append(rows, em.CommitDML())
+	appendRows(mgr.WOS(), rows, em.CommitDML())
 	if _, err := tm.Moveout(); err != nil {
 		t.Fatal(err)
 	}

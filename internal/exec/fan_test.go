@@ -24,7 +24,7 @@ func TestFanScanReadsEachMorselOnce(t *testing.T) {
 	for i := 5000; i < 5100; i++ {
 		wos = append(wos, types.Row{types.NewInt(int64(i)), types.NewInt(1), types.NewFloat(1)})
 	}
-	f.mgr.WOS().Append(wos, f.em.CommitDML())
+	appendRows(f.mgr.WOS(), wos, f.em.CommitDML())
 	f.mgr.DVs().Add(f.mgr.Containers()[1].Meta.ID, []storage.DVEntry{{Pos: 3, Epoch: f.em.CommitDML()}})
 	serial := f.ctx()
 	want, err := Drain(serial, f.scan(0, 1))

@@ -56,7 +56,7 @@ func storedScan(t *testing.T, schema *types.Schema, rows []types.Row, key, block
 		if len(part) == 0 {
 			continue
 		}
-		if _, err := mgr.WOS().Append(part, em.CommitDML()); err != nil {
+		if _, err := appendRows(mgr.WOS(), part, em.CommitDML()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tm.Moveout(); err != nil {

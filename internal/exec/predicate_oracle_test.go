@@ -99,7 +99,7 @@ func newPredStore(t *testing.T, rng *rand.Rand, sortCol int, enc encoding.Kind) 
 		}
 		e := em.CommitDML()
 		st.epochs = append(st.epochs, e)
-		if _, err := mgr.WOS().Append(rows, e); err != nil {
+		if _, err := appendRows(mgr.WOS(), rows, e); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -160,7 +160,7 @@ func TestScanEpochStraddle(t *testing.T) {
 	for i := 0; i < 64; i++ { // keys 1000.. sort behind everything loaded so far
 		rows = append(rows, types.Row{types.NewInt(int64(1000 + i)), types.NewInt(0), types.NewFloat(0)})
 	}
-	if _, err := f.mgr.WOS().Append(rows, f.em.CommitDML()); err != nil {
+	if _, err := appendRows(f.mgr.WOS(), rows, f.em.CommitDML()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.tm.Moveout(); err != nil {

@@ -64,7 +64,7 @@ func (f *wosFixture) commit(t testing.TB, lo, hi int) (types.Epoch, int64) {
 		rows = append(rows, wosTestRow(k))
 	}
 	e := f.em.CommitDML()
-	pos, err := f.mgr.WOS().Append(rows, e)
+	pos, err := appendRows(f.mgr.WOS(), rows, e)
 	if err != nil {
 		t.Fatal(err)
 	}

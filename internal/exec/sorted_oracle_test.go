@@ -401,7 +401,7 @@ func (c *sortedCase) scan(t *testing.T, rng *rand.Rand) error {
 	loads := 2 + rng.Intn(6) // the last one stays in the WOS
 	for l := 0; l < loads; l++ {
 		lo, hi := l*len(c.rows)/loads, (l+1)*len(c.rows)/loads
-		if _, err := mgr.WOS().Append(c.rows[lo:hi], em.CommitDML()); err != nil {
+		if _, err := appendRows(mgr.WOS(), c.rows[lo:hi], em.CommitDML()); err != nil {
 			return err
 		}
 		if l < loads-1 {

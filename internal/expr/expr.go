@@ -8,7 +8,7 @@
 // dispatch (see arith.go and cmp.go).
 //
 // Expressions evaluate over a vector.Batch (column-at-a-time) and over a
-// single types.Row (for WOS rows and segmentation routing).
+// single types.Row (for DML's row matching and constant folding).
 package expr
 
 import (

@@ -62,12 +62,11 @@ func NewFunc(name string, args ...Expr) (*Func, error) {
 			if vs[0].Null || vs[1].Null {
 				return types.NewNull(types.Int64), nil
 			}
-			n := uint64(vs[0].I)
-			if n == 0 {
+			if vs[0].I < 1 {
 				return types.Value{}, fmt.Errorf("expr: RING_NODE with zero nodes")
 			}
-			width := ^uint64(0)/n + 1
-			return types.NewInt(int64(uint64(vs[1].I) / width)), nil
+			idx, _, _ := types.Ring(uint64(vs[1].I), ^uint64(0), int(vs[0].I))
+			return types.NewInt(int64(idx)), nil
 		}
 	case "EXTRACT_YEAR", "EXTRACT_MONTH", "EXTRACT_DAY":
 		if err := argc(1); err != nil {

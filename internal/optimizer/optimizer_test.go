@@ -15,6 +15,12 @@ import (
 	"repro/internal/vector"
 )
 
+// appendRows pivots rows into one batch of the WOS's schema and appends it
+// at epoch e.
+func appendRows(w *storage.WOS, rows []types.Row, e types.Epoch) (int64, error) {
+	return w.AppendBatch(vector.BatchFromRows(w.Schema(), rows), e)
+}
+
 // mapProvider serves projections from a map of storage managers.
 type mapProvider struct {
 	cat  *catalog.Catalog
@@ -68,7 +74,7 @@ func newFixture(t *testing.T, n int) *fixture {
 			t.Fatal(err)
 		}
 		mgrs[pr.Name] = mgr
-		mgr.WOS().Append(rows, em.CommitDML())
+		appendRows(mgr.WOS(), rows, em.CommitDML())
 		tm, err := tuplemover.New(tuplemover.Config{
 			Mgr: mgr, Epochs: em, Place: storage.NewPlacement(pr.Name, pr.Schema, pr.SortKey(), nil),
 		})

@@ -215,7 +215,8 @@ func TestPoolReservationOverCommit(t *testing.T) {
 // behaviour itself is tested once, on dc.Ring).
 func TestProfileRetained(t *testing.T) {
 	g := NewGovernor(Config{PoolBytes: 1024 * kib})
-	gr, err := g.AdmitBytes(WithLabel(context.Background(), "q0"), 64*kib)
+	ctx := WithLabel(context.Background(), "q0")
+	gr, err := g.AdmitPoolBytes(ctx, PoolFromContext(ctx), 64*kib)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestGrantRequestDeniedThenRetriable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr2, err := g.AdmitBytes(ctx, 384*kib) // pool now full
+	gr2, err := g.AdmitPoolBytes(ctx, PoolFromContext(ctx), 384*kib) // pool now full
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestExtensionCountsAgainstAdmission(t *testing.T) {
 	if err := gr.Request(256 * kib); err != nil { // 384K now in use
 		t.Fatal(err)
 	}
-	if _, err := g.AdmitBytes(ctx, 256*kib); !errors.Is(err, ErrQueueTimeout) {
+	if _, err := g.AdmitPoolBytes(ctx, PoolFromContext(ctx), 256*kib); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("admission ignoring outstanding extension: err = %v, want timeout", err)
 	}
 	gr.Release()
-	gr2, err := g.AdmitBytes(ctx, 256*kib)
+	gr2, err := g.AdmitPoolBytes(ctx, PoolFromContext(ctx), 256*kib)
 	if err != nil {
 		t.Fatalf("admission after release failed: %v", err)
 	}

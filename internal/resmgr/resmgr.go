@@ -244,12 +244,6 @@ func (g *Governor) Admit(ctx context.Context) (*Grant, error) {
 	return g.AdmitPoolBytes(ctx, PoolFromContext(ctx), 0)
 }
 
-// AdmitBytes admits with an explicit grant size (workload classes wanting
-// bigger or smaller grants than the pool default).
-func (g *Governor) AdmitBytes(ctx context.Context, bytes int64) (*Grant, error) {
-	return g.AdmitPoolBytes(ctx, PoolFromContext(ctx), bytes)
-}
-
 // AdmitPoolBytes admits against a named pool ("" = general) with an explicit
 // grant size (<= 0 takes the pool default). An immediate admission records
 // zero queue wait: queue_wait_us means time spent queued, not lock or set-up

@@ -132,14 +132,14 @@ func TestAbandonedHeadUnblocksQueue(t *testing.T) {
 	// A large queued grant at the head must not strand a smaller one behind
 	// it forever once the head gives up.
 	g := NewGovernor(Config{PoolBytes: 1 << 20, MaxConcurrency: 4, QueueTimeout: -1, GrantBytes: 256 << 10})
-	hold, err := g.AdmitBytes(context.Background(), 900<<10)
+	hold, err := g.AdmitPoolBytes(context.Background(), PoolFromContext(context.Background()), 900<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bigCtx, cancelBig := context.WithCancel(context.Background())
 	bigDone := make(chan error, 1)
 	go func() {
-		_, err := g.AdmitBytes(bigCtx, 1<<20)
+		_, err := g.AdmitPoolBytes(bigCtx, PoolFromContext(bigCtx), 1<<20)
 		bigDone <- err
 	}()
 	for g.Stats().Waiting != 1 {
@@ -147,7 +147,7 @@ func TestAbandonedHeadUnblocksQueue(t *testing.T) {
 	}
 	smallDone := make(chan *Grant, 1)
 	go func() {
-		gr, err := g.AdmitBytes(context.Background(), 64<<10)
+		gr, err := g.AdmitPoolBytes(context.Background(), PoolFromContext(context.Background()), 64<<10)
 		if err != nil {
 			t.Error(err)
 		}
@@ -219,7 +219,7 @@ func TestOperatorBudgetSplit(t *testing.T) {
 		t.Fatalf("budget(0) = %d, want %d", b, 16<<20)
 	}
 	// Tiny grants never divide below the floor.
-	tiny, err := g.AdmitBytes(context.Background(), 128<<10)
+	tiny, err := g.AdmitPoolBytes(context.Background(), PoolFromContext(context.Background()), 128<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestOperatorBudgetSplit(t *testing.T) {
 
 func TestGrantTooLarge(t *testing.T) {
 	g := NewGovernor(Config{PoolBytes: 1 << 20, MaxConcurrency: 2})
-	if _, err := g.AdmitBytes(context.Background(), 2<<20); err == nil {
+	if _, err := g.AdmitPoolBytes(context.Background(), PoolFromContext(context.Background()), 2<<20); err == nil {
 		t.Fatal("expected error for grant larger than pool")
 	}
 }

@@ -22,7 +22,7 @@ import (
 // Both directions speak the stored-batch form: a container's columns — the
 // user columns, then the epoch — followed by one Int64 column of delete
 // epochs, 0 for a live row. StoredRow is the same thing a row at a time, for
-// the callers that route or match rows one by one.
+// DML's row matching, recovery, refresh and rebalance.
 
 // StoredRow is one row as a projection's stores hold it: the user columns,
 // the epoch its insert committed in and the epoch its delete committed in
@@ -44,12 +44,12 @@ type Placement struct {
 	SortKey []int
 	// Cols are the stored column specs: the user columns, then the epoch.
 	Cols []ColumnSpec
-	// PartitionOf computes the table's partition key of a row; nil when the
-	// table is unpartitioned.
-	PartitionOf func(types.Row) (string, error)
-	// LocalSegmentOf assigns a row to an intra-node local segment; nil puts
-	// every row in segment 0.
-	LocalSegmentOf func(types.Row) int
+	// PartitionOf evaluates the partition expression over a stored batch,
+	// a value's String being its key; nil when the table is unpartitioned.
+	PartitionOf func(*vector.Batch) (*vector.Vector, error)
+	// LocalSegmentOf assigns each row of a stored batch to an intra-node
+	// local segment; nil puts every row in segment 0.
+	LocalSegmentOf func(*vector.Batch) ([]int, error)
 	// BlockRows overrides the encoded block size (tests).
 	BlockRows int
 }
@@ -171,37 +171,47 @@ type placedRun struct {
 	rows []rowRef
 }
 
-// place groups the rows of batches by partition × local segment, each
-// row's keys computed on one scratch row. Runs come back in (partition,
-// local segment) order.
+// place groups the rows of batches by partition × local segment, both
+// computed once per batch, each partition key once per distinct value. Runs
+// come back in (partition, local segment) order.
 func (pl *Placement) place(batches []*vector.Batch) ([]placedRun, error) {
 	type groupKey struct {
 		part string
 		seg  int
 	}
 	groups := map[groupKey]int{}
+	keys := map[types.Value]string{}
 	var runs []placedRun
-	row := make(types.Row, len(pl.Cols)-1)
 	for bi, b := range batches {
 		if b.NumCols() != len(pl.Cols)+1 {
 			return nil, fmt.Errorf("storage: a stored batch of %d columns; projection %s expects %d", b.NumCols(), pl.Projection, len(pl.Cols)+1)
 		}
+		var parts *vector.Vector
+		var segs []int
+		var err error
+		if pl.PartitionOf != nil {
+			if parts, err = pl.PartitionOf(b); err != nil {
+				return nil, fmt.Errorf("storage: partition expression of %q: %w", pl.Projection, err)
+			}
+		}
+		if pl.LocalSegmentOf != nil {
+			if segs, err = pl.LocalSegmentOf(b); err != nil {
+				return nil, err
+			}
+		}
 		for i := range b.Len() {
 			var k groupKey
-			if pl.PartitionOf != nil || pl.LocalSegmentOf != nil {
-				for c := range row {
-					row[c] = b.Cols[c].ValueAt(i)
-				}
-			}
-			if pl.PartitionOf != nil {
-				part, err := pl.PartitionOf(row)
-				if err != nil {
-					return nil, fmt.Errorf("storage: partition expression of %q: %w", pl.Projection, err)
+			if parts != nil {
+				v := parts.ValueAt(i)
+				part, ok := keys[v]
+				if !ok {
+					part = v.String()
+					keys[v] = part
 				}
 				k.part = part
 			}
-			if pl.LocalSegmentOf != nil {
-				k.seg = pl.LocalSegmentOf(row)
+			if segs != nil {
+				k.seg = segs[i]
 			}
 			g, ok := groups[k]
 			if !ok {
@@ -237,15 +247,6 @@ func gather(batches []*vector.Batch, rows []rowRef) *vector.Batch {
 
 // WriteRows is WriteBatches over rows, pivoted once into a stored batch.
 func (pl *Placement) WriteRows(mgr *Manager, rows []StoredRow) ([]Written, error) {
-	b, err := pl.storedBatch(rows)
-	if err != nil {
-		return nil, err
-	}
-	return pl.WriteBatches(mgr, []*vector.Batch{b})
-}
-
-// storedBatch pivots rows into one stored batch.
-func (pl *Placement) storedBatch(rows []StoredRow) (*vector.Batch, error) {
 	b := &vector.Batch{Cols: make([]*vector.Vector, len(pl.Cols)+1)}
 	for c, spec := range pl.Cols {
 		b.Cols[c] = vector.New(spec.Typ, len(rows))
@@ -258,7 +259,7 @@ func (pl *Placement) storedBatch(rows []StoredRow) (*vector.Batch, error) {
 		}
 		b.AppendRow(append(append(vals[:0], r.Row...), types.NewInt(int64(r.Epoch)), types.NewInt(int64(r.Deleted))))
 	}
-	return b, nil
+	return pl.WriteBatches(mgr, []*vector.Batch{b})
 }
 
 // Discard removes containers that were written but never published.

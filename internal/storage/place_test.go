@@ -29,9 +29,33 @@ func placeFixture(t *testing.T) (*Manager, *Placement) {
 	}
 	pl := NewPlacement("p", schema, []int{0}, map[string]encoding.Kind{"month": encoding.RLE})
 	pl.BlockRows = 16
-	pl.PartitionOf = func(r types.Row) (string, error) { return fmt.Sprintf("m%d", r[1].I), nil }
-	pl.LocalSegmentOf = func(r types.Row) int { return int(r[0].I % 2) }
+	pl.PartitionOf = func(b *vector.Batch) (*vector.Vector, error) {
+		parts := vector.New(types.Varchar, b.Len())
+		for _, month := range b.Cols[1].Ints {
+			parts.AppendValue(types.NewString(fmt.Sprintf("m%d", month)))
+		}
+		return parts, nil
+	}
+	pl.LocalSegmentOf = func(b *vector.Batch) ([]int, error) {
+		segs := make([]int, b.Len())
+		for i, k := range b.Cols[0].Ints {
+			segs[i] = int(k % 2)
+		}
+		return segs, nil
+	}
 	return m, pl
+}
+
+// placeOf returns the partition key and the local segment pl gives row r.
+func placeOf(pl *Placement, r types.Row) (string, int) {
+	b := &vector.Batch{Cols: make([]*vector.Vector, len(r))}
+	for c, v := range r {
+		b.Cols[c] = vector.New(v.Typ, 1)
+		b.Cols[c].AppendValue(v)
+	}
+	parts, _ := pl.PartitionOf(b)
+	segs, _ := pl.LocalSegmentOf(b)
+	return parts.ValueAt(0).String(), segs[0]
 }
 
 func randomStored(rng *rand.Rand, n int, maxEpoch int) []StoredRow {
@@ -100,7 +124,7 @@ func TestPlacedRowsReadBack(t *testing.T) {
 	err = m.ForEachStored(0, types.MaxEpoch, func(target string, pos int64, r StoredRow) error {
 		got = append(got, storedKey(r))
 		c := containerByID(m, target)
-		if part, _ := pl.PartitionOf(r.Row); part != c.Meta.Partition || pl.LocalSegmentOf(r.Row) != c.Meta.LocalSegment {
+		if part, seg := placeOf(pl, r.Row); part != c.Meta.Partition || seg != c.Meta.LocalSegment {
 			t.Errorf("%s (%s, %d) holds %v", target, c.Meta.Partition, c.Meta.LocalSegment, r.Row)
 		}
 		if r.Epoch < c.Meta.MinEpoch || r.Epoch > c.Meta.MaxEpoch {
@@ -145,7 +169,7 @@ func TestPlacedRowsReadBack(t *testing.T) {
 	for i := range pad {
 		pad[i] = in[0].Row
 	}
-	if _, err := wm.WOS().Append(pad, 0); err != nil {
+	if _, err := appendRows(wm.WOS(), pad, 0); err != nil {
 		t.Fatal(err)
 	}
 	wm.WOS().DrainThrough(drained - 1)
@@ -156,7 +180,7 @@ func TestPlacedRowsReadBack(t *testing.T) {
 		for ; hi < len(in) && in[hi].Epoch == in[lo].Epoch; hi++ {
 			rows = append(rows, in[hi].Row)
 		}
-		first, err := wm.WOS().Append(rows, in[lo].Epoch)
+		first, err := appendRows(wm.WOS(), rows, in[lo].Epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +288,7 @@ func TestStoredReaderMatchesDVStore(t *testing.T) {
 		for _, r := range randomStored(rng, 25, 1) {
 			rows = append(rows, r.Row)
 		}
-		if _, err := m.WOS().Append(rows, e); err != nil {
+		if _, err := appendRows(m.WOS(), rows, e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,7 +387,7 @@ func TestWriteRunFailureLeavesNothing(t *testing.T) {
 		t.Fatal("a container whose directory cannot be made was written")
 	}
 	os.Remove(taken)
-	pl.PartitionOf = func(types.Row) (string, error) { return "", fmt.Errorf("boom") }
+	pl.PartitionOf = func(*vector.Batch) (*vector.Vector, error) { return nil, fmt.Errorf("boom") }
 	if _, err := pl.WriteRows(m, rows[:1]); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want the partition error", err)
 	}

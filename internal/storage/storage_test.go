@@ -261,11 +261,11 @@ func TestWOSAppendSnapshotDrain(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "a", Typ: types.Int64})
 	w := NewWOS(schema, 1<<20)
 	rows := []types.Row{{types.NewInt(1)}, {types.NewInt(2)}}
-	p0, err := w.Append(rows, 5)
+	p0, err := appendRows(w, rows, 5)
 	if err != nil || p0 != 0 {
 		t.Fatalf("Append: %d, %v", p0, err)
 	}
-	p1, _ := w.Append([]types.Row{{types.NewInt(3)}}, 7)
+	p1, _ := appendRows(w, []types.Row{{types.NewInt(3)}}, 7)
 	if p1 != 2 {
 		t.Fatalf("second Append pos = %d", p1)
 	}
@@ -291,8 +291,8 @@ func TestWOSAppendSnapshotDrain(t *testing.T) {
 func TestWOSTruncate(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "a", Typ: types.Int64})
 	w := NewWOS(schema, 1<<20)
-	w.Append([]types.Row{{types.NewInt(1)}}, 3)
-	w.Append([]types.Row{{types.NewInt(2)}}, 9)
+	appendRows(w, []types.Row{{types.NewInt(1)}}, 3)
+	appendRows(w, []types.Row{{types.NewInt(2)}}, 9)
 	if removed := w.Truncate(5); removed != 1 {
 		t.Errorf("Truncate removed %d, want 1", removed)
 	}
@@ -307,7 +307,7 @@ func TestWOSSaturation(t *testing.T) {
 	if w.Saturated() {
 		t.Error("empty WOS saturated")
 	}
-	w.Append([]types.Row{{types.NewString("0123456789012345678901234567890123456789012345678901234567890123456789012345678901234567890123456789")}}, 1)
+	appendRows(w, []types.Row{{types.NewString("0123456789012345678901234567890123456789012345678901234567890123456789012345678901234567890123456789")}}, 1)
 	if !w.Saturated() {
 		t.Error("WOS should be saturated")
 	}
@@ -316,7 +316,8 @@ func TestWOSSaturation(t *testing.T) {
 func TestWOSArityCheck(t *testing.T) {
 	schema := types.NewSchema(types.Column{Name: "a", Typ: types.Int64})
 	w := NewWOS(schema, 0)
-	if _, err := w.Append([]types.Row{{types.NewInt(1), types.NewInt(2)}}, 1); err == nil {
+	two := vector.NewBatch(vector.NewFromInts(types.Int64, []int64{1}), vector.NewFromInts(types.Int64, []int64{2}))
+	if _, err := w.AppendBatch(two, 1); err == nil {
 		t.Error("arity mismatch should error")
 	}
 }

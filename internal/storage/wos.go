@@ -16,7 +16,7 @@ import (
 //
 // The WOS is columnar: a list of chunks of up to vector.DefaultBatchSize
 // rows, one vector per projection column plus the epoch column, each grown
-// by append. Append pivots a statement's rows into the last chunk once;
+// by append. AppendBatch copies a statement's columns into the last chunk;
 // readers take views of the chunks (Chunks) and read them as they would a
 // decoded block, with no copy and no lock held. The paper notes Vertica
 // moved between row and column WOS layouts with "no significant performance
@@ -82,14 +82,12 @@ func NewWOS(schema *types.Schema, maxBytes int64) *WOS {
 // Schema returns the projection schema (without the implicit epoch column).
 func (w *WOS) Schema() *types.Schema { return w.schema }
 
-// Append adds committed rows at the given epoch and returns the WOS position
-// of the first appended row. The epoch may not be older than the last
-// append's: visibility is a prefix of the WOS.
-func (w *WOS) Append(rows []types.Row, epoch types.Epoch) (int64, error) {
-	for _, r := range rows {
-		if len(r) != w.schema.Len() {
-			return 0, fmt.Errorf("storage: WOS row arity %d != schema %d", len(r), w.schema.Len())
-		}
+// AppendBatch adds the live rows of a flat batch, committed at epoch, and
+// returns the WOS position of the first. The epoch may not be older than the
+// last append's: visibility is a prefix of the WOS.
+func (w *WOS) AppendBatch(b *vector.Batch, epoch types.Epoch) (int64, error) {
+	if b.NumCols() != w.schema.Len() {
+		return 0, fmt.Errorf("storage: WOS batch of %d columns != schema %d", b.NumCols(), w.schema.Len())
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -98,21 +96,17 @@ func (w *WOS) Append(rows []types.Row, epoch types.Epoch) (int64, error) {
 	}
 	w.last = epoch
 	start := w.next
-	for len(rows) > 0 {
+	for lo, rows := 0, b.Len(); lo < rows; {
 		c := w.tail()
-		n := min(len(rows), vector.DefaultBatchSize-c.len())
-		for i, v := range c.cols {
-			for _, r := range rows[:n] {
-				v.AppendValue(r[i])
-			}
-		}
+		n := min(rows-lo, vector.DefaultBatchSize-c.len())
+		(&vector.Batch{Cols: c.cols}).AppendRows(b, lo, lo+n)
 		for range n {
 			c.epochs.Ints = append(c.epochs.Ints, int64(epoch))
 		}
 		w.bytes += chunkBytes(c, c.len()-n, c.len())
 		w.rows += n
 		w.next += int64(n)
-		rows = rows[n:]
+		lo += n
 	}
 	return start, nil
 }

@@ -13,6 +13,12 @@ import (
 	"repro/internal/vector"
 )
 
+// appendRows pivots rows into one batch of the WOS's schema and appends it
+// at epoch e.
+func appendRows(w *WOS, rows []types.Row, e types.Epoch) (int64, error) {
+	return w.AppendBatch(vector.BatchFromRows(w.Schema(), rows), e)
+}
+
 func wosRows(views []WOSChunk) int {
 	n := 0
 	for i := range views {
@@ -63,7 +69,7 @@ func TestWOSViewUnderAppend(t *testing.T) {
 		for i := range rows {
 			rows[i] = wosRow(next + i)
 		}
-		if _, err := w.Append(rows, e); err != nil {
+		if _, err := appendRows(w, rows, e); err != nil {
 			t.Error(err)
 		}
 		next += n
@@ -111,10 +117,10 @@ func TestWOSEpochsRiseWithPosition(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 50 {
-				tx := tm.Begin(txn.ReadCommitted)
+				tx := tm.Begin()
 				rows := []types.Row{wosRow(g*1000 + i), wosRow(g*1000 + i + 500)}
 				tx.StageCommit(true, func(e types.Epoch) error {
-					_, err := w.Append(rows, e)
+					_, err := appendRows(w, rows, e)
 					return err
 				})
 				if _, err := tm.Commit(tx); err != nil {
@@ -138,7 +144,7 @@ func TestWOSEpochsRiseWithPosition(t *testing.T) {
 	if got := wosRows(views); got != 400 {
 		t.Fatalf("%d rows, want 400", got)
 	}
-	if _, err := w.Append([]types.Row{wosRow(0)}, types.Epoch(prev-1)); err == nil {
+	if _, err := appendRows(w, []types.Row{wosRow(0)}, types.Epoch(prev-1)); err == nil {
 		t.Fatal("an append at an older epoch was accepted")
 	}
 }
@@ -155,7 +161,7 @@ func TestWOSDrainKeepsPositions(t *testing.T) {
 		for i := lo; i < min(lo+500, n); i++ {
 			rows = append(rows, wosRow(i))
 		}
-		if _, err := w.Append(rows, types.Epoch(1+lo/500)); err != nil {
+		if _, err := appendRows(w, rows, types.Epoch(1+lo/500)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +198,7 @@ func TestWOSDrainKeepsPositions(t *testing.T) {
 		}
 	}
 	// The partly drained chunk still takes rows, at the next position.
-	if p, err := w.Append([]types.Row{wosRow(n)}, 99); err != nil || p != n {
+	if p, err := appendRows(w, []types.Row{wosRow(n)}, 99); err != nil || p != n {
 		t.Fatalf("Append after drains: position %d (%v), want %d", p, err, n)
 	}
 }
@@ -208,7 +214,7 @@ func TestWOSTruncateAcrossChunks(t *testing.T) {
 		for i := lo; i < min(lo+500, n); i++ {
 			rows = append(rows, wosRow(i))
 		}
-		if _, err := w.Append(rows, types.Epoch(1+lo/500)); err != nil {
+		if _, err := appendRows(w, rows, types.Epoch(1+lo/500)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +226,7 @@ func TestWOSTruncateAcrossChunks(t *testing.T) {
 	if w.Len() != wosRows(kept) || w.Bytes() != chunkBytes(w.chunks[0], 0, vector.DefaultBatchSize)+chunkBytes(w.chunks[1], 0, w.chunks[1].len()) {
 		t.Fatalf("after Truncate: Len %d, Bytes %d", w.Len(), w.Bytes())
 	}
-	p, err := w.Append([]types.Row{{types.NewInt(-1), types.NewString("new")}}, 10)
+	p, err := appendRows(w, []types.Row{{types.NewInt(-1), types.NewString("new")}}, 10)
 	if err != nil || p != n {
 		t.Fatalf("Append after Truncate: position %d (%v), want %d", p, err, n)
 	}
@@ -249,7 +255,7 @@ func TestWOSSmallAppendIsSmall(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		w := NewWOS(wosSchema(), 0)
-		if _, err := w.Append(row, 1); err != nil {
+		if _, err := appendRows(w, row, 1); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

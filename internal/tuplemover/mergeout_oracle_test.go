@@ -158,8 +158,7 @@ func (c *mergeoutCase) run(rng *rand.Rand, dir string) error {
 	}
 	place := storage.NewPlacement("p", c.schema, c.keys(), c.encs)
 	place.BlockRows = 16
-	place.PartitionOf = func(r types.Row) (string, error) { return fmt.Sprintf("p%d", r[1].I%2), nil }
-	place.LocalSegmentOf = func(r types.Row) int { return int(r[1].I / 2) }
+	rowKeys(place, func(r types.Row) string { return fmt.Sprintf("p%d", r[1].I%2) }, func(r types.Row) int { return int(r[1].I / 2) })
 	tm, err := New(Config{Mgr: mgr, Epochs: txn.NewEpochManager(), Place: place})
 	if err != nil {
 		return err

@@ -7,7 +7,37 @@ import (
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
+
+// rowKeys sets pl's partition and local-segment functions from row-at-a-time
+// ones; a nil one leaves its function unset.
+func rowKeys(pl *storage.Placement, part func(types.Row) string, seg func(types.Row) int) {
+	if part != nil {
+		pl.PartitionOf = func(b *vector.Batch) (*vector.Vector, error) {
+			parts := vector.New(types.Varchar, b.Len())
+			for _, r := range b.Rows() {
+				parts.AppendValue(types.NewString(part(r)))
+			}
+			return parts, nil
+		}
+	}
+	if seg != nil {
+		pl.LocalSegmentOf = func(b *vector.Batch) ([]int, error) {
+			segs := make([]int, b.Len())
+			for i, r := range b.Rows() {
+				segs[i] = seg(r)
+			}
+			return segs, nil
+		}
+	}
+}
+
+// appendRows pivots rows into one batch of the WOS's schema and appends it
+// at epoch e.
+func appendRows(w *storage.WOS, rows []types.Row, e types.Epoch) (int64, error) {
+	return w.AppendBatch(vector.BatchFromRows(w.Schema(), rows), e)
+}
 
 type fixture struct {
 	mgr *storage.Manager
@@ -41,7 +71,7 @@ func (f *fixture) load(t *testing.T, n int, epoch types.Epoch) {
 	for i := range rows {
 		rows[i] = types.Row{types.NewInt(int64(n - i)), types.NewString(fmt.Sprintf("v%d", i))}
 	}
-	if _, err := f.mgr.WOS().Append(rows, epoch); err != nil {
+	if _, err := appendRows(f.mgr.WOS(), rows, epoch); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,16 +181,14 @@ func TestMoveoutPreservesPartitionBoundaries(t *testing.T) {
 	mgr, _ := storage.NewManager(t.TempDir(), schema, storage.ManagerOpts{})
 	em := txn.NewEpochManager()
 	place := storage.NewPlacement("p", schema, []int{0}, nil)
-	place.PartitionOf = func(r types.Row) (string, error) {
-		return fmt.Sprintf("m%d", r[1].I), nil
-	}
+	rowKeys(place, func(r types.Row) string { return fmt.Sprintf("m%d", r[1].I) }, nil)
 	tm, _ := New(Config{Mgr: mgr, Epochs: em, Place: place})
 	e := em.CommitDML()
 	var rows []types.Row
 	for i := 0; i < 30; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 3))})
 	}
-	mgr.WOS().Append(rows, e)
+	appendRows(mgr.WOS(), rows, e)
 	if _, err := tm.Moveout(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,15 +302,14 @@ func TestMergeoutPreservesPartitionAndSegmentBoundaries(t *testing.T) {
 	mgr, _ := storage.NewManager(t.TempDir(), schema, storage.ManagerOpts{})
 	em := txn.NewEpochManager()
 	place := storage.NewPlacement("p", schema, []int{0}, nil)
-	place.PartitionOf = func(r types.Row) (string, error) { return fmt.Sprintf("m%d", r[0].I%2), nil }
-	place.LocalSegmentOf = func(r types.Row) int { return int(r[0].I % 3) }
+	rowKeys(place, func(r types.Row) string { return fmt.Sprintf("m%d", r[0].I%2) }, func(r types.Row) int { return int(r[0].I % 3) })
 	tm, _ := New(Config{Mgr: mgr, Epochs: em, Place: place})
 	for i := 0; i < 3; i++ {
 		var rows []types.Row
 		for j := 0; j < 60; j++ {
 			rows = append(rows, types.Row{types.NewInt(int64(j))})
 		}
-		mgr.WOS().Append(rows, em.CommitDML())
+		appendRows(mgr.WOS(), rows, em.CommitDML())
 		if _, err := tm.Moveout(); err != nil {
 			t.Fatal(err)
 		}

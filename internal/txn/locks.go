@@ -13,7 +13,7 @@ const (
 	// NoLock is the absence of a lock (zero value).
 	NoLock LockMode = iota
 	// S (Shared): while held, prevents concurrent modification of the
-	// table. Used to implement SERIALIZABLE isolation.
+	// table.
 	S
 	// I (Insert): required to insert data into a table. Compatible with
 	// itself, enabling simultaneous bulk loads — "critical to maintain high

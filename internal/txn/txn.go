@@ -8,32 +8,12 @@ import (
 	"repro/internal/types"
 )
 
-// IsolationLevel selects the snapshot behaviour of reads.
-type IsolationLevel uint8
-
-const (
-	// ReadCommitted is Vertica's default: each query targets the latest
-	// epoch (current - 1) with no locks (paper §5).
-	ReadCommitted IsolationLevel = iota
-	// Serializable takes S locks on read tables, pinning a snapshot for the
-	// whole transaction.
-	Serializable
-)
-
-func (l IsolationLevel) String() string {
-	if l == Serializable {
-		return "SERIALIZABLE"
-	}
-	return "READ COMMITTED"
-}
-
 // Txn is one transaction's bookkeeping. Effects are staged as callbacks and
 // applied only at commit, mirroring Vertica's model where "transaction
 // rollback simply entails discarding any ROS container or WOS data created
 // by the transaction" (§5) — nothing is visible until commit.
 type Txn struct {
-	ID        TxnID
-	Isolation IsolationLevel
+	ID TxnID
 
 	mu      sync.Mutex
 	commits []func(epoch types.Epoch) error
@@ -56,9 +36,9 @@ func NewManager() *Manager {
 	return &Manager{Locks: NewLockManager(0), Epochs: NewEpochManager()}
 }
 
-// Begin starts a transaction.
-func (m *Manager) Begin(iso IsolationLevel) *Txn {
-	return &Txn{ID: TxnID(m.nextID.Add(1)), Isolation: iso}
+// Begin starts a transaction; its queries read committed data (paper §5).
+func (m *Manager) Begin() *Txn {
+	return &Txn{ID: TxnID(m.nextID.Add(1))}
 }
 
 // StageCommit registers an effect applied at commit with the commit epoch.

@@ -242,7 +242,7 @@ func TestAHMAdvancement(t *testing.T) {
 
 func TestTxnCommitAppliesAtSingleEpoch(t *testing.T) {
 	m := NewManager()
-	tx := m.Begin(ReadCommitted)
+	tx := m.Begin()
 	var got []types.Epoch
 	tx.StageCommit(true, func(e types.Epoch) error { got = append(got, e); return nil })
 	tx.StageCommit(true, func(e types.Epoch) error { got = append(got, e); return nil })
@@ -265,7 +265,7 @@ func TestTxnCommitAppliesAtSingleEpoch(t *testing.T) {
 func TestReadOnlyCommitDoesNotAdvanceEpoch(t *testing.T) {
 	m := NewManager()
 	before := m.Epochs.Current()
-	tx := m.Begin(ReadCommitted)
+	tx := m.Begin()
 	if _, err := m.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestReadOnlyCommitDoesNotAdvanceEpoch(t *testing.T) {
 
 func TestTxnRollbackDiscardsStagedEffects(t *testing.T) {
 	m := NewManager()
-	tx := m.Begin(ReadCommitted)
+	tx := m.Begin()
 	tx.StageCommit(true, func(types.Epoch) error { t.Error("commit effect ran on rollback"); return nil })
 	m.Rollback(tx)
 	if m.Epochs.Current() != 1 {
@@ -291,7 +291,7 @@ func TestTxnRollbackDiscardsStagedEffects(t *testing.T) {
 
 func TestCommitReleasesLocks(t *testing.T) {
 	m := NewManager()
-	tx := m.Begin(ReadCommitted)
+	tx := m.Begin()
 	m.Locks.TryAcquire(tx.ID, "t", X)
 	m.Commit(tx)
 	if m.Locks.Held(tx.ID, "t") != NoLock {
@@ -308,7 +308,7 @@ func TestConcurrentCommitsGetDistinctEpochs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tx := m.Begin(ReadCommitted)
+			tx := m.Begin()
 			tx.StageCommit(true, func(types.Epoch) error { return nil })
 			e, err := m.Commit(tx)
 			if err != nil {
@@ -324,11 +324,5 @@ func TestConcurrentCommitsGetDistinctEpochs(t *testing.T) {
 			t.Fatalf("epoch %d assigned twice", e)
 		}
 		seen[e] = true
-	}
-}
-
-func TestIsolationString(t *testing.T) {
-	if ReadCommitted.String() != "READ COMMITTED" || Serializable.String() != "SERIALIZABLE" {
-		t.Error("isolation names wrong")
 	}
 }

@@ -94,3 +94,16 @@ func float64Bits(f float64) uint64 {
 	}
 	return math.Float64bits(f)
 }
+
+// Ring maps a segmentation value v onto one of n ≥ 1 contiguous ranges,
+// span/n+1 wide, and returns the range, v's offset in it and the width
+// (paper §3.6): nodes split the hash space (span 2^64−1), local segments a
+// node's range (span its width). One range over the whole space is 2^64−1
+// wide, so 2^64−1 itself takes offset 0.
+func Ring(v, span uint64, n int) (idx int, off, width uint64) {
+	width = span/uint64(n) + 1
+	if width == 0 {
+		width = span
+	}
+	return int(min(v/width, uint64(n-1))), v % width, width
+}

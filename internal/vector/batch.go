@@ -342,6 +342,18 @@ func NewBatchForSchema(s *types.Schema, capacity int) *Batch {
 	return &Batch{Cols: cols}
 }
 
+// BatchFromRows pivots rows, each of the schema's arity, into a flat batch
+// shaped like the schema, column at a time.
+func BatchFromRows(s *types.Schema, rows []types.Row) *Batch {
+	b := NewBatchForSchema(s, len(rows))
+	for c, v := range b.Cols {
+		for _, r := range rows {
+			v.AppendValue(r[c])
+		}
+	}
+	return b
+}
+
 // String renders a short description for debugging.
 func (b *Batch) String() string {
 	return fmt.Sprintf("Batch{cols=%d, rows=%d, sel=%v}", len(b.Cols), b.Len(), b.Sel != nil)
