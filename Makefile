@@ -64,9 +64,13 @@ sqltest-update:
 # Metamorphic + scenario oracles under the race detector: the TLP oracle
 # with its parallel-vs-serial and seek-off axes (deterministic seed;
 # override with TLP_SEED, reproduce failures with the seed a failure
-# prints), the continuous-ingest burst, the recovery differential oracle
-# with the stored-row reader's seeded case (override with ORACLE_SEED; more
-# steps than the tier-1 run takes), the predicate oracles of the scan and
+# prints), the continuous-ingest burst, the recovery differential oracle,
+# whose container check reads every node through the stored-batch reader
+# (ForEachStored), with that reader's seeded case against the delete-vector
+# store (override with ORACLE_SEED; more steps than the tier-1 run takes),
+# the DML differential test of DELETE and UPDATE against a row-at-a-time
+# model (ORACLE_SEED too; more tables than tier-1), the predicate oracles
+# of the scan and
 # of the expression evaluators, the sorted-stream oracle of everything
 # that sorts, merges or spills, the fan oracle of intra-node parallelism
 # against the serial engine, the decoder oracle of the Huffman and
@@ -86,6 +90,7 @@ test-metamorphic:
 	$(GO) test -race ./internal/bench -run 'TestContinuousIngest(Short|DataCollector)' -count=1
 	$(GO) test -race ./internal/cluster -run 'TestRecoveryOracle' -count=1 -oracle.seed $(ORACLE_SEED) -oracle.steps 60
 	$(GO) test -race ./internal/storage -run 'TestStoredReaderMatchesDVStore|TestPlacedRowsReadBack' -count=1
+	$(GO) test -race ./internal/core -run 'TestDMLMatchesModel' -count=1 -dml.seed $(ORACLE_SEED) -dml.cases 12
 	$(GO) test -race ./internal/exec -run 'TestPredicateOracle|TestHashJoinOraclePoisoned' -count=1 -pred.seed $(ORACLE_SEED) -pred.cases 200
 	$(GO) test -race ./internal/exec -run 'TestSortedStreamOracle' -count=1 -sorted.seed $(ORACLE_SEED) -sorted.cases 200
 	$(GO) test -race ./internal/expr -run 'MatchesEvalRow|LikeEvalRow' -count=1 -expr.seed $(ORACLE_SEED)

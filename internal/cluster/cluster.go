@@ -99,15 +99,8 @@ func New(cfg Config, cat *catalog.Catalog, tm *txn.Manager) (*Cluster, error) {
 		cfg.LocalSegments = 3
 	}
 	c := &Cluster{cfg: cfg, cat: cat, Txn: tm}
-	for i := 0; i < cfg.Nodes; i++ {
-		n := &Node{
-			ID:   i,
-			Name: fmt.Sprintf("node%04d", i+1),
-			Dir:  filepath.Join(cfg.Dir, fmt.Sprintf("node%04d", i+1)),
-			up:   true,
-			mgrs: map[string]*storage.Manager{},
-		}
-		c.nodes = append(c.nodes, n)
+	for range cfg.Nodes {
+		c.AddNode()
 	}
 	return c, nil
 }
@@ -265,15 +258,37 @@ func (c *Cluster) segments(p *catalog.Projection, b *vector.Batch) (nodes, segs 
 	return nodes, segs, nil
 }
 
-// RouteRow returns the node IDs that must store a row of projection p.
-func (c *Cluster) RouteRow(p *catalog.Projection, row types.Row) ([]int, error) {
-	if p.Seg.Replicated {
-		out := make([]int, c.N())
-		for i := range out {
-			out[i] = i
-		}
-		return out, nil
+// shares splits the live rows of b (p's columns, then any others) by the node
+// storing them under p: out[id] is b itself if node id stores every one, a
+// view with a selection if some, nil if none; a replicated p goes everywhere.
+func (c *Cluster) shares(p *catalog.Projection, b *vector.Batch) ([]*vector.Batch, error) {
+	out := make([]*vector.Batch, c.N())
+	nodes, _, err := c.segments(p, b)
+	if err != nil || b.Len() == 0 {
+		return out, err
 	}
-	nodes, _, err := c.segments(p, vector.BatchFromRows(p.Schema, []types.Row{row}))
-	return nodes, err
+	phys := func(j int) int {
+		if b.Sel != nil {
+			return b.Sel[j]
+		}
+		return j
+	}
+	counts := make([]int, c.N())
+	for j := range b.Len() {
+		counts[nodes[phys(j)]]++
+	}
+	for id, k := range counts {
+		switch {
+		case p.Seg.Replicated || k == b.Len():
+			out[id] = b
+		case k > 0:
+			out[id] = &vector.Batch{Cols: b.Cols, Sel: make([]int, 0, k)}
+		}
+	}
+	for j := range b.Len() {
+		if i := phys(j); out[nodes[i]] != b {
+			out[nodes[i]].Sel = append(out[nodes[i]].Sel, i)
+		}
+	}
+	return out, nil
 }

@@ -65,16 +65,12 @@ func tRows(n int) *vector.Batch {
 func TestRouteRowSegmented(t *testing.T) {
 	c, cat := testCluster(t, 4, 0)
 	p := segProjection(t, cat, "p", 0)
-	nodes, _, err := c.segments(p, tRows(4000))
+	shares, err := c.shares(p, tRows(4000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]int, 4)
-	for _, id := range nodes {
-		counts[id]++
-	}
-	for n, cnt := range counts {
-		if cnt < 500 || cnt > 1500 {
+	for n, share := range shares {
+		if cnt := share.Len(); cnt < 500 || cnt > 1500 {
 			t.Errorf("node %d got %d rows: ring badly skewed", n, cnt)
 		}
 	}
@@ -86,8 +82,7 @@ func TestRouteRowBuddyOffset(t *testing.T) {
 	b := segProjection(t, cat, "p_b1", 1)
 	p.Buddy = "p_b1"
 	rows := tRows(300)
-	pid, _, _ := c.segments(p, rows)
-	bid, _, _ := c.segments(b, rows)
+	pid, bid := nodeOfRow(t, c, p, rows), nodeOfRow(t, c, b, rows)
 	for i := range pid {
 		if pid[i] == bid[i] {
 			t.Fatalf("row %d stored on the same node by both projections (K-safety violated)", i)
@@ -96,6 +91,28 @@ func TestRouteRowBuddyOffset(t *testing.T) {
 			t.Fatalf("buddy offset wrong: primary %d buddy %d", pid[i], bid[i])
 		}
 	}
+}
+
+// nodeOfRow runs the split over b and returns the node each row went to.
+func nodeOfRow(t *testing.T, c *Cluster, p *catalog.Projection, b *vector.Batch) []int {
+	shares, err := c.shares(p, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int, b.Len())
+	for id, share := range shares {
+		if share == nil {
+			continue
+		}
+		for j := range share.Len() {
+			i := j
+			if share.Sel != nil {
+				i = share.Sel[j]
+			}
+			out[i] = id
+		}
+	}
+	return out
 }
 
 // TestRouteRowReplicated: every node stores every row of a replicated
@@ -123,9 +140,14 @@ func TestRouteRowReplicated(t *testing.T) {
 			t.Errorf("node %d holds %d rows of the replicated projection, want 5", n.ID, got)
 		}
 	}
-	ids, err := c.RouteRow(p, types.Row{types.NewInt(1), types.NewFloat(0)})
-	if err != nil || len(ids) != 3 {
-		t.Errorf("replicated row routed to %v (%v)", ids, err)
+	shares, err := c.shares(p, tRows(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, share := range shares {
+		if share == nil || share.Len() != 1 {
+			t.Errorf("replicated row not routed to node %d (%v)", id, share)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -44,11 +45,7 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, b *vector.Batch, direct
 			return fmt.Errorf("cluster: NULL in NOT NULL column %q", col.Name)
 		}
 	}
-	type target struct {
-		proj *catalog.Projection
-		node *Node
-	}
-	staged := map[target]*vector.Batch{}
+	staged := map[*catalog.Projection][]*vector.Batch{}
 	for _, p := range projs {
 		if err := c.EnsureStorage(p); err != nil {
 			return err
@@ -61,52 +58,31 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, b *vector.Batch, direct
 			}
 			pb.Cols[i] = b.Cols[ci]
 		}
-		nodes, _, err := c.segments(p, pb)
-		if err != nil {
+		if staged[p], err = c.shares(p, pb); err != nil {
 			return err
-		}
-		counts := make([]int, c.N())
-		for _, id := range nodes {
-			counts[id]++
-		}
-		for id, k := range counts {
-			switch {
-			case k == 0:
-			case p.Seg.Replicated: // every node stores a replicated projection whole
-				for _, n := range c.nodes {
-					staged[target{p, n}] = pb
-				}
-			case k == len(nodes):
-				staged[target{p, c.nodes[id]}] = pb
-			default:
-				sel := make([]int, 0, k)
-				for i, to := range nodes {
-					if to == id {
-						sel = append(sel, i)
-					}
-				}
-				staged[target{p, c.nodes[id]}] = &vector.Batch{Cols: pb.Cols, Sel: sel}
-			}
 		}
 	}
 	tx.StageCommit(true, func(epoch types.Epoch) error {
-		for tg, share := range staged {
-			if !tg.node.Up() {
-				continue // down nodes miss the DML; recovery replays it
-			}
-			mgr, err := tg.node.Mgr(tg.proj, c.ManagerOpts())
-			if err != nil {
-				return err
-			}
-			if direct || mgr.WOS().Saturated() {
-				if err := c.directLoad(tg.proj, mgr, share, epoch); err != nil {
+		for p, shares := range staged {
+			for id, share := range shares {
+				n := c.nodes[id]
+				if share == nil || !n.Up() {
+					continue // down nodes miss the DML; recovery replays it
+				}
+				mgr, err := n.Mgr(p, c.ManagerOpts())
+				if err != nil {
 					return err
 				}
-				c.Txn.Epochs.SetLGE(tg.proj.Name, epoch)
-				continue
-			}
-			if _, err := mgr.WOS().AppendBatch(share, epoch); err != nil {
-				return err
+				if direct || mgr.WOS().Saturated() {
+					if err := c.directLoad(p, mgr, share, epoch); err != nil {
+						return err
+					}
+					c.Txn.Epochs.SetLGE(p.Name, epoch)
+					continue
+				}
+				if _, err := mgr.WOS().AppendBatch(share, epoch); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -120,15 +96,7 @@ func (c *Cluster) StageInsert(tx *txn.Txn, table string, b *vector.Batch, direct
 func (c *Cluster) directLoad(p *catalog.Projection, mgr *storage.Manager, share *vector.Batch, epoch types.Epoch) error {
 	share, n := share.Flatten(), share.Len()
 	stored := append(share.Cols, vector.NewConst(types.NewInt(int64(epoch)), n).Expand(), vector.NewFromInts(types.Int64, make([]int64, n)))
-	pl, err := c.Placement(p)
-	if err != nil {
-		return err
-	}
-	written, err := pl.WriteBatches(mgr, []*vector.Batch{{Cols: stored}})
-	if err != nil {
-		return err
-	}
-	return mgr.PublishWritten(written)
+	return c.writeStored(p, mgr, []*vector.Batch{{Cols: stored}})
 }
 
 // Placement compiles, from the catalog, how projection p's stored rows become
@@ -157,15 +125,15 @@ func (c *Cluster) Placement(p *catalog.Projection) (*storage.Placement, error) {
 	return pl, nil
 }
 
-// writeStored places rows of projection p and writes and publishes their
-// containers on mgr — the whole of recovery's, refresh's and rebalance's way
+// writeStored places, writes and publishes stored batches of projection p on
+// mgr — the whole of direct load's, recovery's, refresh's and rebalance's way
 // into the ROS.
-func (c *Cluster) writeStored(p *catalog.Projection, mgr *storage.Manager, rows []storage.StoredRow) error {
+func (c *Cluster) writeStored(p *catalog.Projection, mgr *storage.Manager, batches []*vector.Batch) error {
 	pl, err := c.Placement(p)
 	if err != nil {
 		return err
 	}
-	written, err := pl.WriteRows(mgr, rows)
+	written, err := pl.WriteBatches(mgr, batches)
 	if err != nil {
 		return err
 	}
@@ -220,11 +188,13 @@ func (c *Cluster) StageDelete(tx *txn.Txn, table string, pred expr.Expr, snapsho
 			if err != nil {
 				return 0, err
 			}
-			targets := map[string][]int64{}
-			err = forEachMatch(mgr, ppred, snapshot, func(target string, pos int64, _ types.Row) error {
-				targets[target] = append(targets[target], pos)
+			targets := map[string][]storage.DVEntry{}
+			err = forEachMatch(mgr, ppred, snapshot, func(target string, first int64, b *vector.Batch) error {
+				for _, i := range b.Sel {
+					targets[target] = append(targets[target], storage.DVEntry{Pos: first + int64(i)})
+				}
 				if p.Name == countProj {
-					deleted++
+					deleted += int64(len(b.Sel))
 				}
 				return nil
 			})
@@ -232,10 +202,9 @@ func (c *Cluster) StageDelete(tx *txn.Txn, table string, pred expr.Expr, snapsho
 				return 0, err
 			}
 			tx.StageCommit(true, func(epoch types.Epoch) error {
-				for target, positions := range targets {
-					entries := make([]storage.DVEntry, len(positions))
-					for i, pos := range positions {
-						entries[i] = storage.DVEntry{Pos: pos, Epoch: epoch}
+				for target, entries := range targets {
+					for i := range entries {
+						entries[i].Epoch = epoch
 					}
 					mgr.DVs().Add(target, entries)
 				}
@@ -246,21 +215,33 @@ func (c *Cluster) StageDelete(tx *txn.Txn, table string, pred expr.Expr, snapsho
 	return deleted, nil
 }
 
-// forEachMatch calls fn for every row of a projection's local storage that
-// is visible at snapshot and satisfies pred (nil matches every row), with
-// the delete-vector target (container ID or the WOS) and position naming it.
-func forEachMatch(mgr *storage.Manager, pred expr.Expr, snapshot types.Epoch, fn func(target string, pos int64, row types.Row) error) error {
-	return mgr.ForEachStored(0, snapshot, func(target string, pos int64, r storage.StoredRow) error {
-		if r.Deleted != 0 && r.Deleted <= snapshot {
-			return nil
+// forEachMatch calls fn for each stored batch of a projection's local storage,
+// its selection narrowed to the rows visible at snapshot that satisfy pred
+// (nil matches every row) and skipped when that leaves none.
+func forEachMatch(mgr *storage.Manager, pred expr.Expr, snapshot types.Epoch, fn func(target string, first int64, b *vector.Batch) error) error {
+	var sel *expr.Selector
+	if pred != nil {
+		var err error
+		if sel, err = expr.NewSelector(expr.Conjuncts(pred)); err != nil {
+			return err
 		}
-		if pred != nil {
-			v, err := pred.EvalRow(r.Row)
-			if err != nil || !v.Bool() {
-				return err
+	}
+	return mgr.ForEachStored(0, snapshot, func(target string, first int64, b *vector.Batch) error {
+		dels, live := b.Cols[b.NumCols()-1].Ints, b.Sel[:0]
+		for _, i := range b.Sel {
+			if d := types.Epoch(dels[i]); d == 0 || d > snapshot {
+				live = append(live, i)
 			}
 		}
-		return fn(target, pos, r.Row)
+		var err error
+		if sel != nil && len(live) > 0 {
+			live, err = sel.Narrow(b.Cols, live, 0, b.FullLen(), live)
+		}
+		if err != nil || len(live) == 0 {
+			return err
+		}
+		b.Sel = live
+		return fn(target, first, b)
 	})
 }
 
@@ -272,7 +253,8 @@ func (c *Cluster) StageUpdate(tx *txn.Txn, table string, set map[int]expr.Expr, 
 	if err != nil {
 		return 0, err
 	}
-	// Gather current matching rows from a super projection across up nodes.
+	// Gather the matching rows from a super projection across up nodes, its
+	// columns put in table order.
 	super, err := c.cat.SuperProjection(table)
 	if err != nil {
 		return 0, err
@@ -281,45 +263,49 @@ func (c *Cluster) StageUpdate(tx *txn.Txn, table string, set map[int]expr.Expr, 
 	if err != nil {
 		return 0, err
 	}
-	var newRows []types.Row
+	order := make([]int, t.Schema.Len())
+	for i := range order {
+		order[i] = super.Schema.ColIndex(t.Schema.Col(i).Name)
+	}
+	matched := vector.NewBatchForSchema(t.Schema, 0)
 	for _, n := range c.UpNodes() {
 		mgr, err := n.Mgr(super, c.ManagerOpts())
 		if err != nil {
 			return 0, err
 		}
-		err = forEachMatch(mgr, spred, snapshot, func(_ string, _ int64, pr types.Row) error {
-			r := projToTableRow(t, super, pr)
-			updated := r.Clone()
-			for ci, e := range set {
-				v, err := e.EvalRow(r)
-				if err != nil {
-					return err
-				}
-				updated[ci] = types.Coerce(v, t.Schema.Col(ci).Typ)
+		err = forEachMatch(mgr, spred, snapshot, func(_ string, _ int64, b *vector.Batch) error {
+			for i, si := range order {
+				matched.Cols[i].AppendFrom(b.Cols[si], b.Sel)
 			}
-			newRows = append(newRows, updated)
 			return nil
 		})
 		if err != nil {
 			return 0, err
 		}
 	}
+	n := matched.Len()
+	updated := &vector.Batch{Cols: slices.Clone(matched.Cols)}
+	for ci, e := range set {
+		v, err := e.Eval(matched)
+		if err != nil {
+			return 0, err
+		}
+		if typ := t.Schema.Col(ci).Typ; v.Typ != typ {
+			cv := vector.New(typ, n)
+			for i := range n {
+				cv.AppendValue(types.Coerce(v.ValueAt(i), typ))
+			}
+			v = cv
+		}
+		updated.Cols[ci] = v
+	}
 	if _, err := c.StageDelete(tx, table, pred, snapshot); err != nil {
 		return 0, err
 	}
-	if len(newRows) > 0 {
-		if err := c.StageInsert(tx, table, vector.BatchFromRows(t.Schema, newRows), false); err != nil {
+	if n > 0 {
+		if err := c.StageInsert(tx, table, updated, false); err != nil {
 			return 0, err
 		}
 	}
-	return int64(len(newRows)), nil
-}
-
-func projToTableRow(t *catalog.Table, p *catalog.Projection, pr types.Row) types.Row {
-	out := make(types.Row, t.Schema.Len())
-	for i := 0; i < t.Schema.Len(); i++ {
-		pi := p.Schema.ColIndex(t.Schema.Col(i).Name)
-		out[i] = pr[pi]
-	}
-	return out
+	return int64(n), nil
 }

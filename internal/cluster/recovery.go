@@ -3,12 +3,12 @@ package cluster
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // Recovery, refresh, rebalance and backup (paper §5.2). Vertica keeps no
@@ -95,48 +95,61 @@ func (c *Cluster) catchUp(n *Node, p *catalog.Projection, dst *storage.Manager, 
 	if err != nil {
 		return err
 	}
-	key := func(r storage.StoredRow) string { return fmt.Sprintf("%s@%d", r.Row, r.Epoch) }
 	have := map[types.Epoch]bool{}
 	seen := map[string]int{} // deletes the node already has, by row
-	err = dst.ForEachStored(0, types.MaxEpoch, func(_ string, _ int64, r storage.StoredRow) error {
-		have[r.Epoch] = true
-		if r.Deleted != 0 {
-			seen[key(r)]++
+	err = dst.ForEachStored(0, types.MaxEpoch, func(_ string, _ int64, b *vector.Batch) error {
+		epochs, dels := b.Cols[b.NumCols()-2].Ints, b.Cols[b.NumCols()-1].Ints
+		for _, i := range b.Sel {
+			have[types.Epoch(epochs[i])] = true
+			if dels[i] != 0 {
+				seen[rowKey(b, i)]++
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	var missed []storage.StoredRow
+	var missed []*vector.Batch
 	want := map[string][]types.Epoch{} // deletes the node missed, by row
-	err = srcMgr.ForEachStored(0, hi, func(_ string, _ int64, r storage.StoredRow) error {
-		mine, err := c.storesRow(n, p, r.Row)
-		switch {
-		case err != nil || !mine:
-		case !have[r.Epoch]:
-			missed = append(missed, r)
-		case r.Deleted != 0:
-			if k := key(r); seen[k] > 0 {
-				seen[k]--
-			} else {
-				want[k] = append(want[k], r.Deleted)
+	err = srcMgr.ForEachStored(0, hi, func(_ string, _ int64, b *vector.Batch) error {
+		shares, err := c.shares(p, b)
+		if err != nil || shares[n.ID] == nil {
+			return err
+		}
+		epochs, dels := b.Cols[b.NumCols()-2].Ints, b.Cols[b.NumCols()-1].Ints
+		var sel []int
+		for _, i := range shares[n.ID].Sel {
+			switch {
+			case !have[types.Epoch(epochs[i])]:
+				sel = append(sel, i)
+			case dels[i] != 0:
+				if k := rowKey(b, i); seen[k] > 0 {
+					seen[k]--
+				} else {
+					want[k] = append(want[k], types.Epoch(dels[i]))
+				}
 			}
 		}
-		return err
+		if sel != nil {
+			missed = append(missed, &vector.Batch{Cols: b.Cols, Sel: sel})
+		}
+		return nil
 	})
 	if err != nil {
 		return err
 	}
 	if len(want) > 0 {
 		stamp := map[string][]storage.DVEntry{}
-		err = dst.ForEachStored(0, types.MaxEpoch, func(target string, pos int64, r storage.StoredRow) error {
-			if r.Deleted != 0 {
-				return nil
-			}
-			if k := key(r); len(want[k]) > 0 {
-				stamp[target] = append(stamp[target], storage.DVEntry{Pos: pos, Epoch: want[k][0]})
-				want[k] = want[k][1:]
+		err = dst.ForEachStored(0, types.MaxEpoch, func(target string, first int64, b *vector.Batch) error {
+			for _, i := range b.Sel {
+				if b.Cols[b.NumCols()-1].Ints[i] != 0 {
+					continue
+				}
+				if k := rowKey(b, i); len(want[k]) > 0 {
+					stamp[target] = append(stamp[target], storage.DVEntry{Pos: first + int64(i), Epoch: want[k][0]})
+					want[k] = want[k][1:]
+				}
 			}
 			return nil
 		})
@@ -153,10 +166,14 @@ func (c *Cluster) catchUp(n *Node, p *catalog.Projection, dst *storage.Manager, 
 	return c.writeStored(p, dst, missed)
 }
 
-// storesRow reports whether node n stores row under projection p.
-func (c *Cluster) storesRow(n *Node, p *catalog.Projection, row types.Row) (bool, error) {
-	ids, err := c.RouteRow(p, row)
-	return slices.Contains(ids, n.ID), err
+// rowKey names physical row i of a stored batch by its user values and
+// commit epoch: how catchUp matches deletes.
+func rowKey(b *vector.Batch, i int) string {
+	r := make(types.Row, b.NumCols()-1)
+	for c := range r {
+		r[c] = b.Cols[c].ValueAt(i)
+	}
+	return fmt.Sprint(r)
 }
 
 // sourceFor finds a surviving node and projection holding the rows node n
@@ -226,13 +243,13 @@ func (c *Cluster) Refresh(projName string) error {
 		return fmt.Errorf("cluster: table %q has no super projection to refresh %q from", p.Anchor, p.Name)
 	}
 
-	// The super projection stores every anchor column: map each of its
-	// rows onto p's columns by name.
-	idx := make([]int, len(p.Columns))
+	// A super projection stores all of p's columns: pick them, then both epochs.
+	idx := make([]int, len(p.Columns), len(p.Columns)+2)
 	for i, name := range p.Columns {
 		idx[i] = super.Schema.ColIndex(name)
 	}
-	staged := map[int][]storage.StoredRow{}
+	idx = append(idx, super.Schema.Len(), super.Schema.Len()+1)
+	staged := map[int][]*vector.Batch{}
 	for i, src := range c.UpNodes() {
 		if super.Seg.Replicated && i > 0 {
 			break // one replica suffices
@@ -241,13 +258,12 @@ func (c *Cluster) Refresh(projName string) error {
 		if err != nil {
 			return err
 		}
-		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
-			pr := make(types.Row, len(idx))
+		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, b *vector.Batch) error {
+			pb := &vector.Batch{Cols: make([]*vector.Vector, len(idx)), Sel: b.Sel}
 			for i, si := range idx {
-				pr[i] = r.Row[si]
+				pb.Cols[i] = b.Cols[si]
 			}
-			r.Row = pr
-			return c.stageByNode(p, r, staged)
+			return c.stageShares(p, pb, staged)
 		})
 		if err != nil {
 			return err
@@ -256,27 +272,28 @@ func (c *Cluster) Refresh(projName string) error {
 	return c.writeStaged(p, staged)
 }
 
-// stageByNode appends r to the share of every node that stores it under p.
-func (c *Cluster) stageByNode(p *catalog.Projection, r storage.StoredRow, staged map[int][]storage.StoredRow) error {
-	ids, err := c.RouteRow(p, r.Row)
-	for _, id := range ids {
-		staged[id] = append(staged[id], r)
+// stageShares stages each node's share of stored batch b under p.
+func (c *Cluster) stageShares(p *catalog.Projection, b *vector.Batch, staged map[int][]*vector.Batch) error {
+	shares, err := c.shares(p, b)
+	for id, share := range shares {
+		if share != nil {
+			staged[id] = append(staged[id], share)
+		}
 	}
 	return err
 }
 
 // writeStaged writes each up node's share of projection p into its ROS.
-func (c *Cluster) writeStaged(p *catalog.Projection, staged map[int][]storage.StoredRow) error {
-	for id, rows := range staged {
-		n := c.nodes[id]
-		if !n.Up() {
+func (c *Cluster) writeStaged(p *catalog.Projection, staged map[int][]*vector.Batch) error {
+	for id, batches := range staged {
+		if !c.nodes[id].Up() {
 			continue
 		}
-		mgr, err := n.Mgr(p, c.ManagerOpts())
+		mgr, err := c.nodes[id].Mgr(p, c.ManagerOpts())
 		if err != nil {
 			return err
 		}
-		if err := c.writeStored(p, mgr, rows); err != nil {
+		if err := c.writeStored(p, mgr, batches); err != nil {
 			return err
 		}
 	}
@@ -322,8 +339,8 @@ func (c *Cluster) Rebalance() error {
 
 func (c *Cluster) rebalanceReplicated(p *catalog.Projection) error {
 	// Find a node with data and copy everything to nodes without any.
-	var rows []storage.StoredRow
-	staged := map[int][]storage.StoredRow{}
+	var batches []*vector.Batch
+	staged := map[int][]*vector.Batch{}
 	for _, n := range c.UpNodes() {
 		mgr, err := n.Mgr(p, c.ManagerOpts())
 		if err != nil {
@@ -333,19 +350,18 @@ func (c *Cluster) rebalanceReplicated(p *catalog.Projection) error {
 			staged[n.ID] = nil
 			continue
 		}
-		if rows != nil {
-			continue
+		if batches == nil {
+			err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, b *vector.Batch) error {
+				batches = append(batches, b)
+				return nil
+			})
 		}
-		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
-			rows = append(rows, r)
-			return nil
-		})
 		if err != nil {
 			return err
 		}
 	}
 	for id := range staged {
-		staged[id] = rows
+		staged[id] = batches
 	}
 	return c.writeStaged(p, staged)
 }
@@ -353,14 +369,14 @@ func (c *Cluster) rebalanceReplicated(p *catalog.Projection) error {
 func (c *Cluster) rebalanceSegmented(p *catalog.Projection) error {
 	// Gather all rows cluster-wide, then rewrite each node's storage with
 	// its new share.
-	staged := map[int][]storage.StoredRow{}
+	staged := map[int][]*vector.Batch{}
 	for _, n := range c.UpNodes() {
 		mgr, err := n.Mgr(p, c.ManagerOpts())
 		if err != nil {
 			return err
 		}
-		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, r storage.StoredRow) error {
-			return c.stageByNode(p, r, staged)
+		err = mgr.ForEachStored(0, c.Txn.Epochs.Current(), func(_ string, _ int64, b *vector.Batch) error {
+			return c.stageShares(p, b, staged)
 		})
 		if err != nil {
 			return err

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/optimizer"
 	"repro/internal/sql"
@@ -297,39 +298,45 @@ func (o *recoveryOracle) checkContainers() {
 			if err != nil {
 				o.t.Fatal(err)
 			}
+			rows, err := cluster.ReadRows(mgr)
+			if err != nil {
+				o.t.Fatal(err)
+			}
+			byTarget := map[string][]cluster.TestRow{}
+			for _, r := range rows {
+				byTarget[r.Target] = append(byTarget[r.Target], r)
+			}
 			for _, r := range mgr.Containers() {
-				o.checkContainer(p, place, mgr, r, n.ID)
+				o.checkContainer(p, place, r, n.ID, byTarget[r.Meta.ID])
 			}
 		}
 	}
 }
 
-func (o *recoveryOracle) checkContainer(p *catalog.Projection, place *storage.Placement, mgr *storage.Manager, r *storage.ContainerReader, node int) {
+func (o *recoveryOracle) checkContainer(p *catalog.Projection, place *storage.Placement, r *storage.ContainerReader, node int, rows []cluster.TestRow) {
 	var prev types.Row
-	err := mgr.ContainerRows(r, 0, types.MaxEpoch, func(_ string, pos int64, sr storage.StoredRow) error {
+	for _, sr := range rows {
 		b := vector.BatchFromRows(p.Schema, []types.Row{sr.Row})
 		parts, err := place.PartitionOf(b)
 		if err != nil {
-			return err
+			o.t.Error(err)
+			return
 		}
 		segs, err := place.LocalSegmentOf(b)
 		if err != nil {
-			return err
+			o.t.Error(err)
+			return
 		}
 		if part, seg := parts.ValueAt(0).String(), segs[0]; part != r.Meta.Partition || seg != r.Meta.LocalSegment {
 			o.t.Errorf("%s node %d %s (partition %q, segment %d) holds at %d a row of partition %q, segment %d",
-				p.Name, node, r.Meta.ID, r.Meta.Partition, r.Meta.LocalSegment, pos, part, seg)
+				p.Name, node, r.Meta.ID, r.Meta.Partition, r.Meta.LocalSegment, sr.Pos, part, seg)
 		}
 		if prev != nil && prev.Compare(sr.Row, place.SortKey) > 0 {
-			o.t.Errorf("%s node %d %s is not sorted at position %d", p.Name, node, r.Meta.ID, pos)
+			o.t.Errorf("%s node %d %s is not sorted at position %d", p.Name, node, r.Meta.ID, sr.Pos)
 		}
 		if sr.Epoch < r.Meta.MinEpoch || sr.Epoch > r.Meta.MaxEpoch {
 			o.t.Errorf("%s node %d %s: epoch %d outside the meta's %d..%d", p.Name, node, r.Meta.ID, sr.Epoch, r.Meta.MinEpoch, r.Meta.MaxEpoch)
 		}
 		prev = sr.Row
-		return nil
-	})
-	if err != nil {
-		o.t.Error(err)
 	}
 }

@@ -167,19 +167,19 @@ func checkSegments(t *testing.T, rng *rand.Rand, typ types.Type, identity bool, 
 		for _, cr := range mgr.Containers() {
 			segOf[cr.Meta.ID] = cr.Meta.LocalSegment
 		}
-		err = mgr.ForEachStored(0, types.MaxEpoch, func(target string, _ int64, r storage.StoredRow) error {
+		got, err := ReadRows(mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range got {
 			node, lseg := want(r.Row)
 			if node != n.ID {
 				t.Errorf("row %v stored on node %d, reference node %d", r.Row, n.ID, node)
 			}
-			if target != storage.WOSTarget && segOf[target] != lseg {
-				t.Errorf("row %v in local segment %d, reference %d", r.Row, segOf[target], lseg)
+			if r.Target != storage.WOSTarget && segOf[r.Target] != lseg {
+				t.Errorf("row %v in local segment %d, reference %d", r.Row, segOf[r.Target], lseg)
 			}
 			stored[fmt.Sprint(r.Row)]++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 	for _, r := range rows {

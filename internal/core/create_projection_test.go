@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
 // loadedS opens a database of the given size (K=1 on more than one node)
@@ -35,17 +36,38 @@ func storedRows(t *testing.T, db *Database, name string) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = mgr.ForEachStored(0, types.MaxEpoch, func(_ string, _ int64, r storage.StoredRow) error {
+		for _, r := range readStored(t, mgr) {
 			if r.Deleted == 0 {
 				n++
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 	return n
+}
+
+// storedRow is one stored row as the tests see it: the user columns and the
+// commit and delete epochs.
+type storedRow struct {
+	Row            types.Row
+	Epoch, Deleted types.Epoch
+}
+
+// readStored reads everything mgr stores through ForEachStored and pivots
+// each batch's selected rows with Batch.Rows.
+func readStored(t *testing.T, mgr *storage.Manager) []storedRow {
+	t.Helper()
+	var out []storedRow
+	err := mgr.ForEachStored(0, types.MaxEpoch, func(_ string, _ int64, b *vector.Batch) error {
+		for _, r := range b.Rows() {
+			n := len(r) - 2
+			out = append(out, storedRow{r[:n:n], types.Epoch(r[n].I), types.Epoch(r[n+1].I)})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestCreateProjectionOnLoadedTableAnswers creates a projection that sorts

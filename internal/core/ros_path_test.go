@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/storage"
 	"repro/internal/types"
 )
 
@@ -46,16 +45,15 @@ func TestRebalanceKeepsDeletes(t *testing.T) {
 	p, _ := db.Catalog().Projection("dim_super")
 	mgr, _ := db.Cluster().Node(2).Mgr(p, db.Cluster().ManagerOpts())
 	live, dead := 0, 0
-	err := mgr.ForEachStored(0, types.MaxEpoch, func(_ string, _ int64, r storage.StoredRow) error {
+	for _, r := range readStored(t, mgr) {
 		if r.Deleted == 0 {
 			live++
 		} else {
 			dead++
 		}
-		return nil
-	})
-	if err != nil || live != 3 || dead != 1 {
-		t.Errorf("new replica holds %d live and %d deleted rows (err %v), want 3 and 1", live, dead, err)
+	}
+	if live != 3 || dead != 1 {
+		t.Errorf("new replica holds %d live and %d deleted rows, want 3 and 1", live, dead)
 	}
 	// The delete vectors were persisted, not just held in memory.
 	if mem := mgr.DVs().MemTargets(); len(mem) != 0 {

@@ -147,11 +147,21 @@ func newPredStore(t *testing.T, rng *rand.Rand, sortCol int, enc encoding.Kind) 
 
 // visible returns the stored rows a snapshot at epoch sees.
 func (st *predStore) visible(t *testing.T, epoch types.Epoch) []types.Row {
+	return visibleRows(t, st.mgr, epoch)
+}
+
+// visibleRows reads what mgr stores through ForEachStored, pivots each
+// batch with Batch.Rows and keeps the user columns of the rows a snapshot at
+// epoch sees: the references' row view of the stored-batch form.
+func visibleRows(t *testing.T, mgr *storage.Manager, epoch types.Epoch) []types.Row {
 	t.Helper()
 	var out []types.Row
-	err := st.mgr.ForEachStored(0, epoch, func(_ string, _ int64, r storage.StoredRow) error {
-		if r.Deleted == 0 || r.Deleted > epoch {
-			out = append(out, r.Row)
+	err := mgr.ForEachStored(0, epoch, func(_ string, _ int64, b *vector.Batch) error {
+		for _, r := range b.Rows() {
+			n := len(r) - 2
+			if d := types.Epoch(r[n+1].I); d == 0 || d > epoch {
+				out = append(out, r[:n:n])
+			}
 		}
 		return nil
 	})

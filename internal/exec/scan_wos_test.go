@@ -114,16 +114,7 @@ func TestScanWOSChunks(t *testing.T) {
 		expr.MustCmp(expr.Lt, k, intConst(-1)),
 	}
 	for _, snap := range []types.Epoch{pinned, f.em.ReadEpoch()} {
-		var visible []types.Row
-		err := f.mgr.ForEachStored(0, snap, func(_ string, _ int64, r storage.StoredRow) error {
-			if r.Deleted == 0 || r.Deleted > snap {
-				visible = append(visible, r.Row)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		visible := visibleRows(t, f.mgr, snap)
 		for _, pred := range preds {
 			want := renderSorted(visible)
 			if pred != nil {

@@ -15,24 +15,14 @@ import (
 // This file is the one way into — and the one way out of — the ROS: how
 // stored rows of one projection on one node become containers (Placement,
 // WriteBatches, WriteRun), and how they are read back with their delete
-// epochs (StoredBatches, and ForEachStored over it). Moveout, mergeout,
-// direct load, recovery, refresh and rebalance differ only in where their
-// rows come from and in how they publish what WriteRun returns.
+// epochs (StoredBatches, WOSBatches, and ForEachStored over both). Moveout,
+// mergeout, direct load, recovery, refresh and rebalance differ only in where
+// their rows come from and in how they publish what WriteRun returns.
 //
 // Both directions speak the stored-batch form: a container's columns — the
 // user columns, then the epoch — followed by one Int64 column of delete
-// epochs, 0 for a live row. StoredRow is the same thing a row at a time, for
-// DML's row matching, recovery, refresh and rebalance.
-
-// StoredRow is one row as a projection's stores hold it: the user columns,
-// the epoch its insert committed in and the epoch its delete committed in
-// (0 while live). Readers yield it and writers take it, so a delete epoch
-// cannot be dropped on the way from one container to another.
-type StoredRow struct {
-	Row     types.Row
-	Epoch   types.Epoch
-	Deleted types.Epoch
-}
+// epochs, 0 for a live row. Readers yield it and writers take it, so a delete
+// epoch cannot be dropped on the way from one container to another.
 
 // Placement is everything that decides which container a stored row lands in
 // and what that container looks like: a ROS container holds one partition
@@ -133,11 +123,12 @@ func (pl *Placement) WriteRun(mgr *Manager, part string, seg, level int, next ve
 	return Written{Meta: meta, DVs: dvs}, nil
 }
 
-// WriteBatches places stored batches — flat, unselected, in the order their
-// rows were stored — and writes each partition × local segment as one
-// container at merge level 0, in (partition, local segment) order. Each
-// run is sorted on the sort key, stably, which keeps equal-epoch runs long.
-// It is all or nothing: a failure discards the containers already written.
+// WriteBatches places stored batches — flat, in the order their rows were
+// stored, a selection dropping rows — and writes each partition × local
+// segment as one container at merge level 0, in (partition, local segment)
+// order. Each run is sorted on the sort key, stably, which keeps equal-epoch
+// runs long. It is all or nothing: a failure discards the containers already
+// written.
 func (pl *Placement) WriteBatches(mgr *Manager, batches []*vector.Batch) ([]Written, error) {
 	runs, err := pl.place(batches)
 	if err != nil {
@@ -161,7 +152,7 @@ func (pl *Placement) WriteBatches(mgr *Manager, batches []*vector.Batch) ([]Writ
 	return out, nil
 }
 
-// rowRef is row i of stored batch b.
+// rowRef is physical row i of stored batch b.
 type rowRef struct{ b, i int }
 
 // placedRun is the rows of one container before they are sorted.
@@ -199,7 +190,11 @@ func (pl *Placement) place(batches []*vector.Batch) ([]placedRun, error) {
 				return nil, err
 			}
 		}
-		for i := range b.Len() {
+		for j := range b.Len() {
+			i := j
+			if b.Sel != nil {
+				i = b.Sel[j]
+			}
 			var k groupKey
 			if parts != nil {
 				v := parts.ValueAt(i)
@@ -245,23 +240,6 @@ func gather(batches []*vector.Batch, rows []rowRef) *vector.Batch {
 	return out
 }
 
-// WriteRows is WriteBatches over rows, pivoted once into a stored batch.
-func (pl *Placement) WriteRows(mgr *Manager, rows []StoredRow) ([]Written, error) {
-	b := &vector.Batch{Cols: make([]*vector.Vector, len(pl.Cols)+1)}
-	for c, spec := range pl.Cols {
-		b.Cols[c] = vector.New(spec.Typ, len(rows))
-	}
-	b.Cols[len(pl.Cols)] = vector.New(types.Int64, len(rows))
-	vals := make(types.Row, 0, len(b.Cols))
-	for _, r := range rows {
-		if len(r.Row) != len(pl.Cols)-1 {
-			return nil, fmt.Errorf("storage: a row of %d values; projection %s expects %d", len(r.Row), pl.Projection, len(pl.Cols)-1)
-		}
-		b.AppendRow(append(append(vals[:0], r.Row...), types.NewInt(int64(r.Epoch)), types.NewInt(int64(r.Deleted))))
-	}
-	return pl.WriteBatches(mgr, []*vector.Batch{b})
-}
-
 // Discard removes containers that were written but never published.
 func (m *Manager) Discard(written []Written) {
 	for _, w := range written {
@@ -285,38 +263,49 @@ func (m *Manager) PublishWritten(written []Written) error {
 	return nil
 }
 
-// StoredFunc receives one stored row and where a delete vector for it goes:
-// target is a container ID or WOSTarget, pos the row's position in it.
-type StoredFunc func(target string, pos int64, r StoredRow) error
-
-// ForEachStored calls fn for every row the manager stores with commit epoch
-// in (lo, hi]: container by container in ID order, positions ascending, then
-// the WOS. The container set, the WOS views and the WOS delete vector are
-// captured under one lock, so a concurrent moveout cannot show a row twice or
-// not at all. Rows handed to fn may be kept.
-func (m *Manager) ForEachStored(lo, hi types.Epoch, fn StoredFunc) error {
+// ForEachStored calls fn for every stored batch — each container's blocks in
+// ID order, then the WOS chunks — whose selection, never empty, keeps the
+// rows with commit epoch in (lo, hi]; target names where a delete vector for
+// them goes (a container ID or WOSTarget), first the position of b's row 0
+// there. The containers, WOS views and WOS delete vector are captured under
+// one lock, so a concurrent moveout cannot show a row twice or not at all.
+// fn may keep b: decoded blocks are never recycled, WOS views outlive drains.
+func (m *Manager) ForEachStored(lo, hi types.Epoch, fn func(target string, first int64, b *vector.Batch) error) error {
 	m.mu.RLock()
 	containers := m.containersLocked()
 	wos, wosDVs := m.wos.Chunks(hi), m.dvs.Get(WOSTarget)
 	m.mu.RUnlock()
+	each := func(target string, first int64, b *vector.Batch) error {
+		b.Sel = make([]int, 0, b.Len())
+		for i, e := range b.Cols[b.NumCols()-2].Ints {
+			if e := types.Epoch(e); e > lo && e <= hi {
+				b.Sel = append(b.Sel, i)
+			}
+		}
+		if len(b.Sel) == 0 {
+			return nil
+		}
+		return fn(target, first, b)
+	}
 	for _, r := range containers {
 		if r.Meta.MinEpoch > hi || r.Meta.MaxEpoch <= lo {
 			continue
 		}
-		if err := m.ContainerRows(r, lo, hi, fn); err != nil {
-			return err
+		next, first := m.StoredBatches(r), int64(0)
+		for b, err := next(); b != nil || err != nil; b, err = next() {
+			if err != nil {
+				return err
+			}
+			if err := each(r.Meta.ID, first, b); err != nil {
+				return err
+			}
+			first += int64(b.FullLen())
 		}
 	}
 	dv := dvCursor{entries: wosDVs}
 	for _, c := range wos {
-		rows := (&vector.Batch{Cols: c.Cols}).Rows()
-		for i, e := range c.Epochs.Ints {
-			if e := types.Epoch(e); e > lo {
-				pos := c.First + int64(i)
-				if err := fn(WOSTarget, pos, StoredRow{Row: rows[i], Epoch: e, Deleted: dv.at(pos)}); err != nil {
-					return err
-				}
-			}
+		if err := each(WOSTarget, c.First, wosBatch(c, &dv)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -333,39 +322,20 @@ func (m *Manager) WOSBatches(hi types.Epoch) ([]*vector.Batch, int64) {
 	dv := dvCursor{entries: wosDVs}
 	out := make([]*vector.Batch, len(wos))
 	for k, c := range wos {
-		cols := make([]*vector.Vector, 0, len(c.Cols)+2)
-		dels := make([]int64, c.Len())
-		for i := range dels {
-			dels[i] = int64(dv.at(c.First + int64(i)))
-		}
-		out[k] = &vector.Batch{Cols: append(append(cols, c.Cols...), c.Epochs, vector.NewFromInts(types.Int64, dels))}
+		out[k] = wosBatch(c, &dv)
 	}
 	return out, viewsEnd(wos) - 1
 }
 
-// ContainerRows is ForEachStored over one container: the row form of
-// StoredBatches.
-func (m *Manager) ContainerRows(r *ContainerReader, lo, hi types.Epoch, fn StoredFunc) error {
-	next := m.StoredBatches(r)
-	var pos int64
-	for {
-		b, err := next()
-		if b == nil || err != nil {
-			return err
-		}
-		nUser := b.NumCols() - 2
-		epochs, dels := b.Cols[nUser].Ints, b.Cols[nUser+1].Ints
-		// One value slab per block; rows are slices of it.
-		rows := (&vector.Batch{Cols: b.Cols[:nUser]}).Rows()
-		for i, e := range epochs {
-			if e := types.Epoch(e); e > lo && e <= hi {
-				if err := fn(r.Meta.ID, pos+int64(i), StoredRow{Row: rows[i], Epoch: e, Deleted: types.Epoch(dels[i])}); err != nil {
-					return err
-				}
-			}
-		}
-		pos += int64(len(epochs))
+// wosBatch is a WOS chunk in the stored-batch form: views of its columns and
+// epochs, and its delete epochs from dv, which walks the chunks in order.
+func wosBatch(c WOSChunk, dv *dvCursor) *vector.Batch {
+	cols := make([]*vector.Vector, 0, len(c.Cols)+2)
+	dels := make([]int64, c.Len())
+	for i := range dels {
+		dels[i] = int64(dv.at(c.First + int64(i)))
 	}
+	return &vector.Batch{Cols: append(append(cols, c.Cols...), c.Epochs, vector.NewFromInts(types.Int64, dels))}
 }
 
 // StoredBatches streams a container a block at a time in the stored-batch

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -58,14 +59,72 @@ func placeOf(pl *Placement, r types.Row) (string, int) {
 	return parts.ValueAt(0).String(), segs[0]
 }
 
-func randomStored(rng *rand.Rand, n int, maxEpoch int) []StoredRow {
-	rows := make([]StoredRow, n)
+// testRow is one stored row as the tests see it: the user columns and the
+// commit and delete epochs.
+type testRow struct {
+	Row            types.Row
+	Epoch, Deleted types.Epoch
+}
+
+// readRow is a testRow read back, with the target and position it was read
+// from.
+type readRow struct {
+	target string
+	pos    int64
+	testRow
+}
+
+// storedBatch pivots rows into one stored batch of pl's columns.
+func storedBatch(pl *Placement, rows []testRow) *vector.Batch {
+	b := &vector.Batch{Cols: make([]*vector.Vector, len(pl.Cols)+1)}
+	for c, spec := range pl.Cols {
+		b.Cols[c] = vector.New(spec.Typ, len(rows))
+	}
+	b.Cols[len(pl.Cols)] = vector.New(types.Int64, len(rows))
+	for _, r := range rows {
+		b.AppendRow(append(slices.Clone(r.Row), types.NewInt(int64(r.Epoch)), types.NewInt(int64(r.Deleted))))
+	}
+	return b
+}
+
+// pivot appends the live rows of stored batch b, whose row 0 is at position
+// first of target, to out, pivoted with Batch.Rows: the tests' row view of
+// the stored-batch form.
+func pivot(out []readRow, target string, first int64, b *vector.Batch) []readRow {
+	for k, r := range b.Rows() {
+		i := k
+		if b.Sel != nil {
+			i = b.Sel[k]
+		}
+		n := len(r) - 2
+		out = append(out, readRow{target, first + int64(i), testRow{r[:n:n], types.Epoch(r[n].I), types.Epoch(r[n+1].I)}})
+	}
+	return out
+}
+
+// readRows reads the rows m stores with commit epoch in (lo, hi] through
+// ForEachStored.
+func readRows(t *testing.T, m *Manager, lo, hi types.Epoch) []readRow {
+	t.Helper()
+	var out []readRow
+	err := m.ForEachStored(lo, hi, func(target string, first int64, b *vector.Batch) error {
+		out = pivot(out, target, first, b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func randomStored(rng *rand.Rand, n int, maxEpoch int) []testRow {
+	rows := make([]testRow, n)
 	for i := range rows {
 		name := types.NewString(fmt.Sprintf("n%d", rng.Intn(7)))
 		if rng.Intn(6) == 0 {
 			name = types.NewNull(types.Varchar)
 		}
-		rows[i] = StoredRow{
+		rows[i] = testRow{
 			Row:   types.Row{types.NewInt(int64(rng.Intn(50))), types.NewInt(int64(rng.Intn(3))), name},
 			Epoch: types.Epoch(1 + rng.Intn(maxEpoch)),
 		}
@@ -76,7 +135,7 @@ func randomStored(rng *rand.Rand, n int, maxEpoch int) []StoredRow {
 	return rows
 }
 
-func storedKey(r StoredRow) string { return fmt.Sprintf("%s@%d-%d", r.Row, r.Epoch, r.Deleted) }
+func storedKey(r testRow) string { return fmt.Sprintf("%s@%d-%d", r.Row, r.Epoch, r.Deleted) }
 
 func containerByID(m *Manager, id string) *ContainerReader {
 	for _, r := range m.Containers() {
@@ -87,7 +146,7 @@ func containerByID(m *Manager, id string) *ContainerReader {
 	return nil
 }
 
-// TestPlacedRowsReadBack: what WriteRows puts into containers is what
+// TestPlacedRowsReadBack: what WriteBatches puts into containers is what
 // ForEachStored reads out — same rows, commit and delete epochs — with every
 // container holding one partition × local segment in stable sort order. The
 // same rows moved out of a WOS, across a chunk boundary and from a partly
@@ -99,7 +158,7 @@ func TestPlacedRowsReadBack(t *testing.T) {
 	in := randomStored(rng, vector.DefaultBatchSize+300, 9)
 	// Commits reach the WOS in epoch order.
 	sort.SliceStable(in, func(i, j int) bool { return in[i].Epoch < in[j].Epoch })
-	written, err := pl.WriteRows(m, in)
+	written, err := pl.WriteBatches(m, []*vector.Batch{storedBatch(pl, in)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +166,7 @@ func TestPlacedRowsReadBack(t *testing.T) {
 		t.Fatalf("wrote %d containers, want 3 partitions x 2 segments", len(written))
 	}
 	if got := len(m.Containers()); got != 0 {
-		t.Fatalf("WriteRows published %d containers; publishing is the caller's", got)
+		t.Fatalf("WriteBatches published %d containers; publishing is the caller's", got)
 	}
 	if err := m.PublishWritten(written); err != nil {
 		t.Fatal(err)
@@ -119,10 +178,10 @@ func TestPlacedRowsReadBack(t *testing.T) {
 	for _, r := range in {
 		want = append(want, storedKey(r))
 	}
-	var prev StoredRow
-	prevTarget := ""
-	err = m.ForEachStored(0, types.MaxEpoch, func(target string, pos int64, r StoredRow) error {
-		got = append(got, storedKey(r))
+	var prev readRow
+	for _, r := range readRows(t, m, 0, types.MaxEpoch) {
+		target, pos := r.target, r.pos
+		got = append(got, storedKey(r.testRow))
 		c := containerByID(m, target)
 		if part, seg := placeOf(pl, r.Row); part != c.Meta.Partition || seg != c.Meta.LocalSegment {
 			t.Errorf("%s (%s, %d) holds %v", target, c.Meta.Partition, c.Meta.LocalSegment, r.Row)
@@ -130,14 +189,10 @@ func TestPlacedRowsReadBack(t *testing.T) {
 		if r.Epoch < c.Meta.MinEpoch || r.Epoch > c.Meta.MaxEpoch {
 			t.Errorf("%s: epoch %d outside meta %d..%d", target, r.Epoch, c.Meta.MinEpoch, c.Meta.MaxEpoch)
 		}
-		if target == prevTarget && prev.Row.Compare(r.Row, pl.SortKey) > 0 {
+		if target == prev.target && prev.Row.Compare(r.Row, pl.SortKey) > 0 {
 			t.Errorf("%s not sorted at %d", target, pos)
 		}
-		prev, prevTarget = r, target
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		prev = r
 	}
 	sort.Strings(want)
 	sort.Strings(got)
@@ -146,13 +201,12 @@ func TestPlacedRowsReadBack(t *testing.T) {
 	}
 	// The epoch window filters on commit epoch and prunes by container meta.
 	n := 0
-	m.ForEachStored(3, 5, func(_ string, _ int64, r StoredRow) error {
+	for _, r := range readRows(t, m, 3, 5) {
 		if r.Epoch <= 3 || r.Epoch > 5 {
 			t.Errorf("epoch %d outside (3,5]", r.Epoch)
 		}
 		n++
-		return nil
-	})
+	}
 	wantN := 0
 	for _, r := range in {
 		if r.Epoch > 3 && r.Epoch <= 5 {
@@ -241,11 +295,11 @@ func sameFiles(t *testing.T, a, b string) {
 func TestPlaceIsStable(t *testing.T) {
 	m, pl := placeFixture(t)
 	pl.PartitionOf, pl.LocalSegmentOf = nil, nil
-	var in []StoredRow
+	var in []testRow
 	for i := 0; i < 40; i++ {
-		in = append(in, StoredRow{Row: types.Row{types.NewInt(int64(i % 4)), types.NewInt(0), types.NewString(fmt.Sprint(i))}, Epoch: 1})
+		in = append(in, testRow{Row: types.Row{types.NewInt(int64(i % 4)), types.NewInt(0), types.NewString(fmt.Sprint(i))}, Epoch: 1})
 	}
-	written, err := pl.WriteRows(m, in)
+	written, err := pl.WriteBatches(m, []*vector.Batch{storedBatch(pl, in)})
 	if err != nil || len(written) != 1 {
 		t.Fatalf("containers = %d, err = %v", len(written), err)
 	}
@@ -253,17 +307,13 @@ func TestPlaceIsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := map[int64]int{}
-	err = m.ForEachStored(0, types.MaxEpoch, func(_ string, _ int64, r StoredRow) error {
+	for _, r := range readRows(t, m, 0, types.MaxEpoch) {
 		var seq int
 		fmt.Sscan(r.Row[2].S, &seq)
 		if prev, ok := last[r.Row[0].I]; ok && seq < prev {
 			t.Fatalf("key %d: input order %d came after %d", r.Row[0].I, seq, prev)
 		}
 		last[r.Row[0].I] = seq
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -275,7 +325,7 @@ func TestStoredReaderMatchesDVStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(20120827))
 	m, pl := placeFixture(t)
 	for i := 0; i < 3; i++ {
-		written, err := pl.WriteRows(m, randomStored(rng, 120, 6))
+		written, err := pl.WriteBatches(m, []*vector.Batch{storedBatch(pl, randomStored(rng, 120, 6))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +370,8 @@ func TestStoredReaderMatchesDVStore(t *testing.T) {
 	for snap := types.Epoch(0); snap <= 15; snap++ {
 		got := map[string][]int64{}
 		seen := map[string]int64{}
-		err := m.ForEachStored(0, types.MaxEpoch, func(target string, pos int64, r StoredRow) error {
+		for _, r := range readRows(t, m, 0, types.MaxEpoch) {
+			target, pos := r.target, r.pos
 			if pos != seen[target] {
 				t.Fatalf("%s: position %d follows %d", target, pos, seen[target]-1)
 			}
@@ -328,10 +379,6 @@ func TestStoredReaderMatchesDVStore(t *testing.T) {
 			if r.Deleted != 0 && r.Deleted <= snap {
 				got[target] = append(got[target], pos)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		targets := []string{WOSTarget}
 		for _, c := range m.Containers() {
@@ -353,42 +400,48 @@ func TestStoredReaderMatchesDVStore(t *testing.T) {
 	if err := m.Remove(c.Meta.ID); err != nil {
 		t.Fatal(err)
 	}
+	var rows []readRow
+	next := m.StoredBatches(c)
+	b, err := next()
+	for ; b != nil; b, err = next() {
+		rows = pivot(rows, c.Meta.ID, int64(len(rows)), b)
+	}
 	var gotDVs []DVEntry
-	err := m.ContainerRows(c, 0, types.MaxEpoch, func(_ string, pos int64, r StoredRow) error {
+	for _, r := range rows {
 		if r.Deleted != 0 {
-			gotDVs = append(gotDVs, DVEntry{Pos: pos, Epoch: r.Deleted})
+			gotDVs = append(gotDVs, DVEntry{Pos: r.pos, Epoch: r.Deleted})
 		}
-		return nil
-	})
+	}
 	if err != nil || !reflect.DeepEqual(gotDVs, want) {
 		t.Errorf("retired container: reader says %v (err %v), retired with %v", gotDVs, err, want)
 	}
 }
 
 // TestWriteRunFailureLeavesNothing: a run that cannot be written removes its
-// directory, and WriteRows discards the runs written before it.
+// directory, and WriteBatches discards the runs written before it.
 func TestWriteRunFailureLeavesNothing(t *testing.T) {
 	m, pl := placeFixture(t)
-	rows := []StoredRow{
+	rows := []testRow{
 		{Row: types.Row{types.NewInt(1), types.NewInt(0), types.NewString("a")}, Epoch: 1},
-		{Row: types.Row{types.NewInt(2), types.NewInt(1)}, Epoch: 1}, // short row, later partition
+		{Row: types.Row{types.NewInt(2), types.NewInt(1), types.NewString("b")}, Epoch: 1}, // later partition
 	}
-	if _, err := pl.WriteRows(m, rows); err == nil || !strings.Contains(err.Error(), "expects 3") {
-		t.Fatalf("err = %v, want the row-width error", err)
+	short := storedBatch(pl, rows) // without its delete epochs
+	short.Cols = short.Cols[:len(pl.Cols)]
+	if _, err := pl.WriteBatches(m, []*vector.Batch{short}); err == nil || !strings.Contains(err.Error(), "expects 5") {
+		t.Fatalf("err = %v, want the batch-width error", err)
 	}
 	// The second container cannot start: its temporary directory's name is
 	// taken by a file. The first, written already, is discarded.
-	rows[1].Row = append(rows[1].Row, types.NewString("b"))
 	taken := filepath.Join(m.Dir(), "ros_00000001.tmp")
 	if err := os.WriteFile(taken, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.WriteRows(m, rows); err == nil {
+	if _, err := pl.WriteBatches(m, []*vector.Batch{storedBatch(pl, rows)}); err == nil {
 		t.Fatal("a container whose directory cannot be made was written")
 	}
 	os.Remove(taken)
 	pl.PartitionOf = func(*vector.Batch) (*vector.Vector, error) { return nil, fmt.Errorf("boom") }
-	if _, err := pl.WriteRows(m, rows[:1]); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := pl.WriteBatches(m, []*vector.Batch{storedBatch(pl, rows[:1])}); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want the partition error", err)
 	}
 	ents, err := os.ReadDir(m.Dir())

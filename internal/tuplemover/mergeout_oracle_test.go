@@ -56,7 +56,7 @@ func mergeoutValue(rng *rand.Rand, typ types.Type) types.Value {
 type mergeoutCase struct {
 	schema *types.Schema
 	encs   map[string]encoding.Kind
-	loads  [][]storage.StoredRow // load l commits at epoch l+1
+	loads  [][]storedRow // load l commits at epoch l+1
 	ahm    types.Epoch
 }
 
@@ -82,13 +82,13 @@ func newMergeoutCase(rng *rand.Rand) *mergeoutCase {
 	c.ahm = types.Epoch(1 + rng.Intn(loads+2))
 	id := 0
 	for l := range loads {
-		rows := make([]storage.StoredRow, []int{0, 1 + rng.Intn(20), 20 + rng.Intn(150)}[rng.Intn(3)])
+		rows := make([]storedRow, []int{0, 1 + rng.Intn(20), 20 + rng.Intn(150)}[rng.Intn(3)])
 		for i := range rows {
 			r := types.Row{types.NewInt(int64(id)), types.NewInt(int64(rng.Intn(4)))}
 			for _, col := range cols[2:] {
 				r = append(r, mergeoutValue(rng, col.Typ))
 			}
-			rows[i] = storage.StoredRow{Row: r, Epoch: types.Epoch(l + 1)}
+			rows[i] = storedRow{Row: r, Epoch: types.Epoch(l + 1)}
 			if rng.Intn(5) == 0 {
 				rows[i].Deleted = c.deleteEpoch(rng, rows[i].Epoch)
 			}
@@ -109,30 +109,63 @@ func (c *mergeoutCase) keys() []int {
 
 // refMergeout is the reference: rows concatenated in container-ID order, the
 // ones deleted at or before the AHM dropped, stably sorted on the key.
-func refMergeout(concat []storage.StoredRow, keys []int, ahm types.Epoch) []storage.StoredRow {
-	var out []storage.StoredRow
+func refMergeout(concat []storedRow, keys []int, ahm types.Epoch) []storedRow {
+	var out []storedRow
 	for _, r := range concat {
 		if r.Deleted == 0 || r.Deleted > ahm {
 			out = append(out, r)
 		}
 	}
-	slices.SortStableFunc(out, func(a, b storage.StoredRow) int { return a.Row.Compare(b.Row, keys) })
+	slices.SortStableFunc(out, func(a, b storedRow) int { return a.Row.Compare(b.Row, keys) })
 	return out
 }
 
-// storedRows reads a container through the row reader.
-func storedRows(mgr *storage.Manager, r *storage.ContainerReader) ([]storage.StoredRow, error) {
-	var out []storage.StoredRow
-	err := mgr.ContainerRows(r, 0, types.MaxEpoch, func(_ string, _ int64, sr storage.StoredRow) error {
-		out = append(out, sr)
-		return nil
-	})
-	return out, err
+// storedRow is one stored row as the tests see it: the user columns and the
+// commit and delete epochs.
+type storedRow struct {
+	Row            types.Row
+	Epoch, Deleted types.Epoch
+}
+
+// pivot appends the live rows of stored batch b to out, pivoted with
+// Batch.Rows: the tests' row view of the stored-batch form.
+func pivot(out []storedRow, b *vector.Batch) []storedRow {
+	for _, r := range b.Rows() {
+		n := len(r) - 2
+		out = append(out, storedRow{r[:n:n], types.Epoch(r[n].I), types.Epoch(r[n+1].I)})
+	}
+	return out
+}
+
+// storedRows reads a container through the batch reader.
+func storedRows(mgr *storage.Manager, r *storage.ContainerReader) ([]storedRow, error) {
+	var out []storedRow
+	next := mgr.StoredBatches(r)
+	for {
+		b, err := next()
+		if b == nil || err != nil {
+			return out, err
+		}
+		out = pivot(out, b)
+	}
+}
+
+// storedBatch pivots rows into one stored batch of place's columns.
+func storedBatch(place *storage.Placement, rows []storedRow) *vector.Batch {
+	b := &vector.Batch{Cols: make([]*vector.Vector, len(place.Cols)+1)}
+	for c, spec := range place.Cols {
+		b.Cols[c] = vector.New(spec.Typ, len(rows))
+	}
+	b.Cols[len(place.Cols)] = vector.New(types.Int64, len(rows))
+	for _, r := range rows {
+		b.AppendRow(append(slices.Clone(r.Row), types.NewInt(int64(r.Epoch)), types.NewInt(int64(r.Deleted))))
+	}
+	return b
 }
 
 // sameStored compares two row lists row for row, epochs included; a NaN
 // equals a NaN.
-func sameStored(got, want []storage.StoredRow) error {
+func sameStored(got, want []storedRow) error {
 	for i := 0; i < len(got) && i < len(want); i++ {
 		g, w := got[i], want[i]
 		same := len(g.Row) == len(w.Row) && g.Epoch == w.Epoch && g.Deleted == w.Deleted
@@ -164,7 +197,7 @@ func (c *mergeoutCase) run(rng *rand.Rand, dir string) error {
 		return err
 	}
 	for _, rows := range c.loads {
-		written, err := place.WriteRows(mgr, rows)
+		written, err := place.WriteBatches(mgr, []*vector.Batch{storedBatch(place, rows)})
 		if err == nil {
 			err = mgr.PublishWritten(written)
 		}
@@ -194,7 +227,7 @@ func (c *mergeoutCase) run(rng *rand.Rand, dir string) error {
 		groups[k] = append(groups[k], r)
 	}
 	for k, inputs := range groups {
-		var concat []storage.StoredRow
+		var concat []storedRow
 		for _, r := range inputs { // Containers() is in ID order
 			rows, err := storedRows(mgr, r)
 			if err != nil {
@@ -236,7 +269,7 @@ func (c *mergeoutCase) run(rng *rand.Rand, dir string) error {
 }
 
 // checkMeta holds an output's meta to its rows.
-func checkMeta(m *storage.ContainerMeta, k mergeGroup, rows []storage.StoredRow) error {
+func checkMeta(m *storage.ContainerMeta, k mergeGroup, rows []storedRow) error {
 	if m.Partition != k.part || m.LocalSegment != k.seg || m.MergeLevel != 1 || m.RowCount != int64(len(rows)) {
 		return fmt.Errorf("meta says (%q, %d) level %d, %d rows", m.Partition, m.LocalSegment, m.MergeLevel, m.RowCount)
 	}

@@ -81,9 +81,11 @@ func (f *fixture) load(t *testing.T, n int, epoch types.Epoch) {
 func (f *fixture) rosRows(t *testing.T) []types.Row {
 	t.Helper()
 	var out []types.Row
-	err := f.mgr.ForEachStored(0, types.MaxEpoch, func(target string, _ int64, r storage.StoredRow) error {
+	err := f.mgr.ForEachStored(0, types.MaxEpoch, func(target string, _ int64, b *vector.Batch) error {
 		if target != storage.WOSTarget {
-			out = append(out, r.Row)
+			for _, r := range pivot(nil, b) {
+				out = append(out, r.Row)
+			}
 		}
 		return nil
 	})
@@ -132,14 +134,14 @@ func TestMoveoutStampsEpochColumn(t *testing.T) {
 	if c.Meta.ColIndex(storage.EpochColumn) < 0 {
 		t.Fatal("no epoch column stored")
 	}
-	err := f.mgr.ContainerRows(c, 0, types.MaxEpoch, func(_ string, pos int64, r storage.StoredRow) error {
+	rows, err := storedRows(f.mgr, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos, r := range rows {
 		if r.Epoch != e {
 			t.Fatalf("epoch[%d] = %d, want %d", pos, r.Epoch, e)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if c.Meta.MinEpoch != e || c.Meta.MaxEpoch != e {
 		t.Error("container epoch range wrong")
