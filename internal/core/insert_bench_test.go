@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/types"
 )
 
 // BenchmarkInsertValues runs the ingest statement of the benchmark's
@@ -57,4 +59,38 @@ func BenchmarkInsertValues(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rowsPerStmt), "ns/row")
+}
+
+// BenchmarkReaderGroupBy runs the reader statement of the benchmark's
+// ingest_query workload — GROUP BY grp (16 groups) over the newest 50 000
+// ids — against 200 000 direct-loaded rows of the same table on one node.
+// Run it with -benchmem.
+func BenchmarkReaderGroupBy(b *testing.B) {
+	const n, window = 200_000, 50_000
+	db := openTestDB(b, 1, 0)
+	db.MustExecute(`CREATE TABLE events (id INT, grp INT, val FLOAT, ts TIMESTAMP, note VARCHAR)
+		PARTITION BY id / 40000`)
+	db.MustExecute(`CREATE PROJECTION events_super ON events (id, grp, val, ts, note)
+		ORDER BY id SEGMENTED BY HASH(id)`)
+	notes := [4]string{"alpha", "beta", "gamma", "delta-long-note"}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64((i * 7) % 16)),
+			types.NewFloat(float64((i*13)%1000) / 8), types.NewTimestampMicros(1_293_840_000_000_000 + int64(i)*1_000_000),
+			types.NewString(notes[i%4])}
+	}
+	if err := db.Load("events", rows, true); err != nil {
+		b.Fatal(err)
+	}
+	stmt := fmt.Sprintf(`SELECT grp, COUNT(*), AVG(val) FROM events WHERE id >= %d AND id < %d GROUP BY grp`, n-window, n)
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := db.Execute(stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := len(res.Rows); got != 16 {
+			b.Fatalf("%d groups, want 16", got)
+		}
+	}
 }

@@ -75,7 +75,7 @@ func newGroupSet(keys []expr.Expr, keyCols []types.Column, aggs []AggSpec) *grou
 
 // memBytes is what the key store, its hash chains and the accumulators
 // hold, for the operator's grant.
-func (s *groupSet) memBytes() int64 { return s.table.mem + s.accs.memBytes() }
+func (s *groupSet) memBytes() int64 { return s.table.mem() + s.accs.memBytes() }
 
 // groupInput is one batch readied for folding in: n rows of flat key and
 // argument vectors (partial-state columns in partials mode).
@@ -110,13 +110,13 @@ func (s *groupSet) input(in *vector.Batch, partials bool) (groupInput, error) {
 	return gi, err
 }
 
-// hashKeys hashes the rows' keys, HashRow-compatibly; a keyless
+// hashKeys takes the rows' key hashes (vector.Batch.KeyHashes); a keyless
 // aggregation has nothing to hash.
 func (s *groupSet) hashKeys(in groupInput) []uint64 {
 	if len(in.keys) == 0 {
 		return nil
 	}
-	s.hashes = vector.NewBatch(in.keys...).Hashes(s.hashes[:0], s.table.keys)
+	s.hashes = vector.NewBatch(in.keys...).KeyHashes(s.hashes[:0], s.table.keys)
 	return s.hashes
 }
 
@@ -134,24 +134,31 @@ func (s *groupSet) resolveHashed(in groupInput, hashes []uint64, lo, maxGroups i
 		clear(s.gids)
 		return in.n
 	}
+	t := s.table
+	ints := t.intKey(in.keys)
 	s.gids = s.gids[:0]
 	for i := lo; i < in.n; i++ {
-		g := s.table.find(hashes[i], in.keys, i)
-		if g < 0 {
-			if maxGroups > 0 && s.table.len() >= maxGroups {
-				return i
+		if ints != nil {
+			// The typed loop resolves rows until one needs a new group.
+			if s.gids, i = t.findInts(hashes, ints, i, in.n, s.gids); i == in.n {
+				break
 			}
-			g = s.table.add(hashes[i], in.keys, i)
-			s.accs.addGroup()
+		} else if g := t.find(hashes[i], in.keys, i); g >= 0 {
+			s.gids = append(s.gids, int32(g))
+			continue
 		}
-		s.gids = append(s.gids, int32(g))
+		if maxGroups > 0 && t.len() >= maxGroups {
+			return i
+		}
+		s.gids = append(s.gids, int32(t.add(hashes[i], in.keys, i)))
+		s.accs.addGroup()
 	}
 	return in.n
 }
 
 // addGlobalGroup creates the one group of a keyless aggregation.
 func (s *groupSet) addGlobalGroup() {
-	s.table.add(types.HashSeed, nil, 0)
+	s.table.add(0, nil, 0)
 	s.accs.addGroup()
 }
 

@@ -251,12 +251,13 @@ func (j *HashJoin) build(ctx *Ctx, runs *runSet) (*sorter, error) {
 			break
 		}
 		j.table.appendBatch(in)
-		ctx.noteAlloc(&j.prof, j.table.mem)
-		for j.table.mem > budget {
+		mem := j.table.mem()
+		ctx.noteAlloc(&j.prof, mem)
+		for mem > budget {
 			// Ask for more memory before abandoning the hash table: the
 			// sort-merge switch rereads the whole inner side, so growing in
 			// place is strictly cheaper while the pool has headroom.
-			if ext := ctx.extendBudget(budget, j.table.mem); ext > 0 {
+			if ext := ctx.extendBudget(budget, mem); ext > 0 {
 				budget += ext
 				continue
 			}
@@ -331,7 +332,7 @@ func (j *HashJoin) next(ctx *Ctx) (*vector.Batch, error) {
 // startProbe hashes an outer batch's keys as a vector (once per run for RLE
 // key columns, honouring the selection) and readies it for probeChunk.
 func (j *HashJoin) startProbe(in *vector.Batch) {
-	j.hashes = in.Hashes(j.hashes[:0], j.OuterKeys)
+	j.hashes = in.KeyHashes(j.hashes[:0], j.OuterKeys)
 	in.ExpandRLE() // rows are addressed physically from here on
 	j.in = in
 	j.inKeys = j.inKeys[:0]
@@ -348,13 +349,20 @@ func (j *HashJoin) startProbe(in *vector.Batch) {
 // batch — the first key match settles a row, no candidates are gathered —
 // and returns the batch with its selection narrowed to the rows kept.
 func (j *HashJoin) probeExists() *vector.Batch {
-	in := j.in
+	in, t := j.in, j.table
+	ints := t.intKey(j.inKeys)
 	for i, h := range j.hashes {
 		phys := i
 		if in.Sel != nil {
 			phys = in.Sel[i]
 		}
-		if found := j.table.find(h, j.inKeys, phys) >= 0; found == (j.Type == SemiJoin) {
+		var row int
+		if ints != nil {
+			row = t.findInt(h, ints, phys)
+		} else {
+			row = t.find(h, j.inKeys, phys)
+		}
+		if found := row >= 0; found == (j.Type == SemiJoin) {
 			j.solo = append(j.solo, phys)
 		}
 	}
@@ -373,6 +381,7 @@ func (j *HashJoin) probeExists() *vector.Batch {
 // output is the probe batch itself, selection narrowed, once it is done.
 func (j *HashJoin) probeChunk() (*vector.Batch, error) {
 	t, in := j.table, j.in
+	ints := t.intKey(j.inKeys)
 	semi := j.Type == SemiJoin || j.Type == AntiJoin
 	pi, bi, visited := j.probeIdx[:0], j.buildIdx[:0], j.visited[:0]
 	carried := j.chain != chainStart && j.rowMatched
@@ -392,7 +401,7 @@ func (j *HashJoin) probeChunk() (*vector.Batch, error) {
 		}
 		start := len(pi)
 		for ; c >= 0 && room > 0; c = t.next[c] {
-			if t.matches(c, h, j.inKeys, phys) {
+			if ints != nil && t.matchesInt(c, h, ints, phys) || ints == nil && t.matches(c, h, j.inKeys, phys) {
 				pi, bi = append(pi, phys), append(bi, int(c))
 				room--
 			}

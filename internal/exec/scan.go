@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
@@ -51,8 +52,9 @@ type Scan struct {
 	colNames    []string // storage name of each output column
 	// Per-block scratch, reused across blocks and containers and dropped at
 	// Close: each output column's decoded block, the selection every filter
-	// step narrows in place (an emitted batch's Sel, on loan with it), and
-	// the key hashes of the SIP filters.
+	// step narrows in place (an emitted batch's Sel, on loan with it; from
+	// selBufs, and back to it at Close), and the key hashes of the SIP
+	// filters.
 	blockCols []*vector.Vector
 	selBuf    []int
 	sipHashes []uint64
@@ -213,7 +215,8 @@ func (s *Scan) compileFilter() error {
 func (s *Scan) Close(*Ctx) error {
 	// A kept result's plan text may hold on to the scan: drop what it read.
 	s.curState, s.merged, s.containers, s.wos = nil, nil, nil, nil
-	s.cs, s.selBuf, s.sipHashes = containerScan{}, nil, nil
+	s.putScratch()
+	s.cs, s.sipHashes = containerScan{}, nil
 	s.dropBlocks(nil)
 	for _, p := range s.mergePins {
 		vector.Release(p)
@@ -338,13 +341,47 @@ func (s *Scan) openContainer(ctx *Ctx, r *storage.ContainerReader, st *container
 	return nil
 }
 
-// scratch returns the scan's selection buffer, at least n long. It is
-// allocated by the first block that has to drop a row from inside its range.
+// selBufs keeps the selection buffers of closed scans for the next scans
+// to take, up to maxSelBufs of them. A buffer outlives its scan's Close,
+// which ends every loan of a batch the scan emitted; a consumer that keeps
+// such a batch longer has Retain copy its selection. (A sync.Pool would
+// do, but under -race it drops a share of what it is handed, so a scan's
+// allocations would vary run to run.)
+var selBufs struct {
+	sync.Mutex
+	free [][]int
+}
+
+const maxSelBufs = 16
+
+// scratch returns the scan's selection buffer, at least n long. The first
+// block that has to drop a row from inside its range takes one from
+// selBufs, or allocates it.
 func (s *Scan) scratch(n int) []int {
+	if s.selBuf == nil {
+		selBufs.Lock()
+		if k := len(selBufs.free); k > 0 {
+			s.selBuf, selBufs.free = selBufs.free[k-1], selBufs.free[:k-1]
+		}
+		selBufs.Unlock()
+	}
 	if cap(s.selBuf) < n {
 		s.selBuf = make([]int, max(n, storage.DefaultBlockRows))
 	}
 	return s.selBuf[:cap(s.selBuf)]
+}
+
+// putScratch hands the scan's selection buffer to selBufs.
+func (s *Scan) putScratch() {
+	if s.selBuf == nil {
+		return
+	}
+	selBufs.Lock()
+	if len(selBufs.free) < maxSelBufs {
+		selBufs.free = append(selBufs.free, s.selBuf)
+	}
+	selBufs.Unlock()
+	s.selBuf = nil
 }
 
 // decode fetches block b of output column i into the scan's per-block

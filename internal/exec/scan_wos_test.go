@@ -160,7 +160,7 @@ func TestScanWOSChunks(t *testing.T) {
 // TestScanWOSAllocatesNoRows: a warm scan of a WOS chunk under a range
 // predicate allocates a small constant — the view headers, the compiled
 // predicate, the batch — and nothing a row: a chunk of 4 096 rows costs what
-// one of 1 024 does.
+// one of 1 024 does, and neither allocates a selection buffer.
 func TestScanWOSAllocatesNoRows(t *testing.T) {
 	scanBytes := func(n int) (allocs float64, bytes uint64) {
 		f := newWOSFixture(t)
@@ -208,5 +208,10 @@ func TestScanWOSAllocatesNoRows(t *testing.T) {
 	}
 	if full > quarter+1024 {
 		t.Errorf("a warm WOS scan allocates %d bytes for %d rows, %d for a quarter of them: a per-row cost", full, vector.DefaultBatchSize, quarter)
+	}
+	// The selection buffer (storage.DefaultBlockRows ints, 32 KiB) goes back
+	// to a free list at Close, so a warm scan does not allocate it.
+	if full > 4<<10 {
+		t.Errorf("a warm WOS scan allocates %d bytes, more than 4 KiB: its selection buffer is not reused", full)
 	}
 }

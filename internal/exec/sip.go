@@ -39,12 +39,12 @@ func (f *SIPFilter) Describe() string {
 }
 
 // Apply narrows sel — live rows of cols, in increasing order — to the rows
-// whose key hash is in the join's table, in place, and returns what is
-// left. It is a pure filter: false positives are possible (hash
-// collisions), false negatives are not, so the join above stays correct. A
-// NULL key never passes: the joins that get SIP — INNER, SEMI and RIGHT
-// OUTER — drop such probe rows. Only the key columns of cols are read, and
-// they must be flat.
+// whose key hash (vector.Batch.KeyHashes, the hash the join's table keeps)
+// is in the join's table, in place, and returns what is left. It is a pure
+// filter: false positives are possible (hash collisions), false negatives
+// are not, so the join above stays correct. A NULL key never passes: the
+// joins that get SIP — INNER, SEMI and RIGHT OUTER — drop such probe rows.
+// Only the key columns of cols are read, and they must be flat.
 //
 // The caller owns the scratch: hashes is reused for the key hashes and
 // returned.
@@ -54,7 +54,7 @@ func (f *SIPFilter) Apply(cols []*vector.Vector, sel []int, hashes []uint64) ([]
 		return sel, hashes
 	}
 	keys := vector.Batch{Cols: cols, Sel: sel}
-	hashes = keys.Hashes(hashes[:0], f.KeyCols)
+	hashes = keys.KeyHashes(hashes[:0], f.KeyCols)
 	out := sel[:0]
 	for i, h := range hashes {
 		if phys := sel[i]; t.hasHash(h) && !nullKey(cols, f.KeyCols, phys) {

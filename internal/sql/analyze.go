@@ -398,6 +398,12 @@ func asJoinCond(q *optimizer.LogicalQuery, c expr.Expr) (optimizer.JoinCond, boo
 	if !lok || !rok {
 		return optimizer.JoinCond{}, false
 	}
+	// A join compares its keys as stored (vector.EqualAt, CompareAt), so
+	// both must be stored alike: integer-backed, FLOAT or VARCHAR. An
+	// equality across them (INT = FLOAT) is no join key.
+	if l.Type() != r.Type() && !(l.Type().IsIntegral() && r.Type().IsIntegral()) {
+		return optimizer.JoinCond{}, false
+	}
 	lt, lc := tableOf(q, l.Idx)
 	rt, rc := tableOf(q, r.Idx)
 	if lt < 0 || rt < 0 || lt == rt {

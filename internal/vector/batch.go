@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/types"
@@ -234,7 +235,9 @@ func (b *Batch) SliceRows(lo, hi int) *Batch {
 }
 
 // Hashes appends one HashRow-compatible hash per live row over the key
-// columns to dst and returns the extended slice, computed column at a time;
+// columns to dst and returns the extended slice, computed column at a time:
+// the segmentation hash, stable across releases, behind HASH() and so
+// behind where rows are stored (KeyHashes is the in-memory tables' hash);
 // a caller that passes its buffer back allocates nothing once it has grown.
 // RLE key columns hash once per run (the paper's "operate directly on
 // encoded data").
@@ -287,13 +290,15 @@ func hashColInto(v *Vector, sel []int, acc []uint64) {
 	}
 }
 
-// Partition splits the batch into ways sub-batches by hashing the key
-// columns — the routing kernel behind the batch-native Exchange: alike key
-// values always land in the same output. Each non-empty output shares the
-// receiver's column vectors and marks its rows with a selection vector;
-// empty outputs are nil. RLE key columns hash once per run before the
-// receiver's columns are expanded in place (Sel outputs require flat
-// columns).
+// Partition splits the batch into ways sub-batches by the key columns'
+// KeyHashes — the routing kernel behind the batch-native Exchange: alike
+// key values always land in the same output. A row's way comes from the
+// high bits of its hash, and a hash table's bucket from the low ones, so
+// the rows one way receives still spread over all of its table's buckets.
+// Each non-empty output shares the receiver's column vectors and marks its
+// rows with a selection vector; empty outputs are nil. RLE key columns hash
+// once per run before the receiver's columns are expanded in place (Sel
+// outputs require flat columns).
 func (b *Batch) Partition(keys []int, ways int) []*Batch {
 	out := make([]*Batch, ways)
 	if ways == 1 {
@@ -302,23 +307,26 @@ func (b *Batch) Partition(keys []int, ways int) []*Batch {
 		}
 		return out
 	}
-	hashes := b.Hashes(nil, keys)
+	// Each row's way is its hash scaled to [0, ways): h·ways / 2^64.
+	way := b.KeyHashes(nil, keys)
+	for i, h := range way {
+		way[i], _ = bits.Mul64(h, uint64(ways))
+	}
 	b.ExpandRLE()
 	// Count first so every way's selection is allocated once, carved out of
 	// one backing array.
 	counts := make([]int, ways)
-	for _, h := range hashes {
-		counts[h%uint64(ways)]++
+	for _, p := range way {
+		counts[p]++
 	}
-	backing := make([]int, len(hashes))
+	backing := make([]int, len(way))
 	sels := make([][]int, ways)
 	off := 0
 	for p, c := range counts {
 		sels[p] = backing[off : off : off+c]
 		off += c
 	}
-	for i, h := range hashes {
-		p := h % uint64(ways)
+	for i, p := range way {
 		phys := i
 		if b.Sel != nil {
 			phys = b.Sel[i]
