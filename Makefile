@@ -82,7 +82,11 @@ sqltest-update:
 # block, with the recycle probe scribbling over every block a scan gives
 # up, so an operator that keeps a batch past its loan without Retain fails
 # them; each asserts that it recycled at all (docs/ARCHITECTURE.md, "Batch
-# lifetime"). Mirrored in CI.
+# lifetime"). The exchange's teardown tests (every TestExchange*, the
+# nested-teardown and failed-sibling guards among them, and the fan's
+# shared-build leak test) run 20 times under -race: their races are
+# timing-dependent, and a cancel a worker failed to surface has shown up
+# under -race only. Mirrored in CI.
 TLP_SEED ?= 20120827
 ORACLE_SEED ?= 20120827
 test-metamorphic:
@@ -93,6 +97,7 @@ test-metamorphic:
 	$(GO) test -race ./internal/core -run 'TestDMLMatchesModel' -count=1 -dml.seed $(ORACLE_SEED) -dml.cases 12
 	$(GO) test -race ./internal/exec -run 'TestPredicateOracle|TestHashJoinOraclePoisoned' -count=1 -pred.seed $(ORACLE_SEED) -pred.cases 200
 	$(GO) test -race ./internal/exec -run 'TestSortedStreamOracle' -count=1 -sorted.seed $(ORACLE_SEED) -sorted.cases 200
+	$(GO) test -race ./internal/exec -run 'TestExchange|TestFanSharedBuildLeaksNothing' -count=20
 	$(GO) test -race ./internal/expr -run 'MatchesEvalRow|LikeEvalRow' -count=1 -expr.seed $(ORACLE_SEED)
 	$(GO) test -race ./internal/sqltest -run 'TestFanOracle' -count=1 -fan.seed $(ORACLE_SEED)
 	$(GO) test -race ./internal/encoding -run 'TestDecodeOracle' -count=1 -decode.seed $(ORACLE_SEED) -decode.cases 20000

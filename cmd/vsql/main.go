@@ -46,7 +46,7 @@ import (
 func main() {
 	dir := flag.String("dir", "", "database directory (required)")
 	nodes := flag.Int("nodes", 1, "cluster size")
-	k := flag.Int("k", 0, "K-safety level")
+	k := flag.Int("k", 0, "K-safety level: 0 or 1 (1 keeps a buddy copy of every segment one node over)")
 	parallel := flag.Int("parallel", 0, "intra-node parallelism")
 	serveAddr := flag.String("serve", "", "run the TCP SQL server on this address instead of the shell (e.g. :5433)")
 	memPool := flag.String("mem-pool", "", "global query-memory pool, e.g. 256MB or 1GB (default 1GB)")

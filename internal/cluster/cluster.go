@@ -67,8 +67,6 @@ func (n *Node) Mgr(p *catalog.Projection, opts storage.ManagerOpts) (*storage.Ma
 type Config struct {
 	Nodes int
 	Dir   string
-	// K is the K-safety level: projections get K buddy copies.
-	K int
 	// LocalSegments per node (paper §3.6; Figure 2 shows 3).
 	LocalSegments int
 	WOSMaxBytes   int64
@@ -175,8 +173,9 @@ func (c *Cluster) FailNode(id int) error {
 }
 
 // DataAvailable verifies that every segmented projection still has every
-// segment reachable: for each down node, some live node must hold a buddy
-// copy of its rows. Replicated projections need any single live node.
+// segment reachable: each down node's rows must be on its buddy's host,
+// node (id + offset) mod N, and that node must be up. Replicated
+// projections need any single live node.
 func (c *Cluster) DataAvailable() bool {
 	for _, p := range c.cat.Projections() {
 		if p.IsBuddy {
@@ -188,21 +187,13 @@ func (c *Cluster) DataAvailable() bool {
 			}
 			continue
 		}
+		buddy, err := c.cat.Projection(p.Buddy)
 		for _, n := range c.nodes {
 			if n.Up() {
 				continue
 			}
-			// Node n's primary segment must be covered by a live buddy.
-			covered := false
-			for off := 1; off <= c.cfg.K; off++ {
-				buddyNode := (n.ID + off) % c.N()
-				if c.nodes[buddyNode].Up() && p.Buddy != "" {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				return false
+			if err != nil || !c.nodes[(n.ID+buddy.Seg.Offset)%c.N()].Up() {
+				return false // no buddy (K = 0), or its host is down too
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 	"repro/internal/vector"
 )
 
-func testCluster(t *testing.T, nodes, k int) (*Cluster, *catalog.Catalog) {
+func testCluster(t *testing.T, nodes int) (*Cluster, *catalog.Catalog) {
 	t.Helper()
 	cat := catalog.New("")
 	if err := cat.CreateTable(&catalog.Table{
@@ -26,7 +26,7 @@ func testCluster(t *testing.T, nodes, k int) (*Cluster, *catalog.Catalog) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Nodes: nodes, Dir: t.TempDir(), K: k}, cat, txn.NewManager())
+	c, err := New(Config{Nodes: nodes, Dir: t.TempDir()}, cat, txn.NewManager())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func tRows(n int) *vector.Batch {
 }
 
 func TestRouteRowSegmented(t *testing.T) {
-	c, cat := testCluster(t, 4, 0)
+	c, cat := testCluster(t, 4)
 	p := segProjection(t, cat, "p", 0)
 	shares, err := c.shares(p, tRows(4000))
 	if err != nil {
@@ -77,7 +77,7 @@ func TestRouteRowSegmented(t *testing.T) {
 }
 
 func TestRouteRowBuddyOffset(t *testing.T) {
-	c, cat := testCluster(t, 3, 1)
+	c, cat := testCluster(t, 3)
 	p := segProjection(t, cat, "p", 0)
 	b := segProjection(t, cat, "p_b1", 1)
 	p.Buddy = "p_b1"
@@ -118,7 +118,7 @@ func nodeOfRow(t *testing.T, c *Cluster, p *catalog.Projection, b *vector.Batch)
 // TestRouteRowReplicated: every node stores every row of a replicated
 // projection.
 func TestRouteRowReplicated(t *testing.T) {
-	c, cat := testCluster(t, 3, 0)
+	c, cat := testCluster(t, 3)
 	p := &catalog.Projection{
 		Name: "r", Anchor: "t", Columns: []string{"id", "v"},
 		Seg: catalog.Segmentation{Replicated: true},
@@ -152,7 +152,7 @@ func TestRouteRowReplicated(t *testing.T) {
 }
 
 func TestQuorum(t *testing.T) {
-	c, _ := testCluster(t, 5, 1)
+	c, _ := testCluster(t, 5)
 	if c.QuorumSize() != 3 {
 		t.Errorf("quorum of 5 = %d", c.QuorumSize())
 	}
@@ -171,7 +171,7 @@ func TestQuorum(t *testing.T) {
 }
 
 func TestFailNodeEjectsAndHoldsAHM(t *testing.T) {
-	c, cat := testCluster(t, 3, 1)
+	c, cat := testCluster(t, 3)
 	p := segProjection(t, cat, "p", 0)
 	segProjection(t, cat, "p_b1", 1)
 	p.Buddy = "p_b1"
@@ -193,7 +193,7 @@ func TestFailNodeEjectsAndHoldsAHM(t *testing.T) {
 }
 
 func TestDataUnavailableWithoutBuddies(t *testing.T) {
-	c, cat := testCluster(t, 3, 0)
+	c, cat := testCluster(t, 3)
 	segProjection(t, cat, "p", 0) // no buddy
 	err := c.FailNode(0)
 	if err == nil {
@@ -205,7 +205,7 @@ func TestDataUnavailableWithoutBuddies(t *testing.T) {
 }
 
 func TestLocalSegmentOf(t *testing.T) {
-	c, cat := testCluster(t, 2, 0)
+	c, cat := testCluster(t, 2)
 	p := segProjection(t, cat, "p", 0)
 	pl, err := c.Placement(p)
 	if err != nil {

@@ -50,8 +50,10 @@ type Options struct {
 	Dir string
 	// Nodes is the simulated cluster size (default 1).
 	Nodes int
-	// K is the K-safety level: segmented projections automatically get K
-	// buddy projections (default 0 for single node, 1 otherwise).
+	// K is the K-safety level, 0 (the default) or 1: at 1, each segmented
+	// projection of a multi-node cluster gets a buddy projection whose
+	// segments sit one node over, so any one node may fail. Open refuses
+	// more: there is no second buddy.
 	K int
 	// Parallelism enables intra-node parallel plans (Figure 3) when > 1.
 	Parallelism int
@@ -167,6 +169,9 @@ func Open(opts Options) (*Database, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("core: Options.Dir is required")
 	}
+	if opts.K > 1 {
+		return nil, fmt.Errorf("core: K-safety %d is not supported: a segmented projection gets one buddy, so K is 0 or 1", opts.K)
+	}
 	cat, err := catalog.Load(opts.Dir)
 	if err != nil {
 		return nil, err
@@ -200,7 +205,6 @@ func Open(opts Options) (*Database, error) {
 	cl, err := cluster.New(cluster.Config{
 		Nodes:         opts.Nodes,
 		Dir:           opts.Dir,
-		K:             opts.K,
 		LocalSegments: opts.LocalSegments,
 		WOSMaxBytes:   opts.WOSMaxBytes,
 		Governor:      gov,

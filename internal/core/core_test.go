@@ -511,6 +511,40 @@ func TestQuorumLossShutsDown(t *testing.T) {
 	}
 }
 
+// TestKSafetyIsOneBuddy pins K-safety to what the engine keeps: one buddy
+// per segmented projection, one node over. Open refuses K = 2, which it
+// could not give. At K = 1 on five nodes, two failures stay up exactly
+// when neither down node hosts the other's buddy.
+func TestKSafetyIsOneBuddy(t *testing.T) {
+	if _, err := Open(Options{Dir: t.TempDir(), Nodes: 5, K: 2}); err == nil {
+		t.Fatal("Open accepted K = 2 with one buddy per projection")
+	}
+	for _, tc := range []struct {
+		down []int
+		up   bool
+	}{
+		{[]int{0, 2}, true},  // node 0's buddy is on node 1, node 2's on node 3
+		{[]int{0, 1}, false}, // node 1 hosts node 0's buddy
+	} {
+		db := openTestDB(t, 5, 1)
+		setupSales(t, db, 100)
+		db.RunTupleMover()
+		err := db.Cluster().FailNode(tc.down[0])
+		if err == nil {
+			err = db.Cluster().FailNode(tc.down[1])
+		}
+		if up := err == nil && !db.Cluster().IsShutdown(); up != tc.up {
+			t.Fatalf("down %v: up = %v (err %v), want %v", tc.down, up, err, tc.up)
+		}
+		if !tc.up {
+			continue
+		}
+		if res := db.MustExecute(`SELECT COUNT(*) FROM sales`); res.Rows[0][0].I != 100 {
+			t.Errorf("down %v: count = %v, want 100", tc.down, res.Rows[0][0])
+		}
+	}
+}
+
 func TestAHMHeldWhileNodeDown(t *testing.T) {
 	db := openTestDB(t, 3, 1)
 	setupSales(t, db, 30)

@@ -17,25 +17,30 @@ import (
 // (Batch.Partition) with per-port batch accumulators, so a parallel plan
 // never degrades to row-at-a-time traffic.
 //
-// Its inputs are the worker pipelines of a fan (fan.go), each drained by a
-// pump goroutine of its own. Routing modes:
+// Its inputs are concurrent pipelines — the workers of a fan (fan.go), or
+// the ports of another exchange — each drained by a pump goroutine of its
+// own. It is the engine's one fan-in. Routing modes:
 //
 //   - segment: rows hash-partition on the key columns, so all alike values
 //     reach the same port and each port can compute complete results
 //     independently (the Figure 3 "locally resegments" step: a fan's
 //     partial aggregates, or the rows a parallel DISTINCT dedups);
-//   - single-port + merge (SortKey set, one port): the port merges its
-//     per-input lanes (the one merger, vector.Merger, a cursor per lane),
-//     pulling lazily — nothing is materialized beyond one batch per lane —
-//     so the exchange retains the sortedness of its inputs (the fan's
-//     per-worker sorts meeting under ORDER BY).
+//   - merge (SortKey set, one port): the port merges its per-input lanes
+//     (the one merger, vector.Merger, a cursor per lane), pulling lazily —
+//     nothing is materialized beyond one batch per lane — so the exchange
+//     retains the sortedness of its inputs (the fan's per-worker sorts
+//     meeting under ORDER BY);
+//   - gather (no keys, one port): the inputs' batches meet in one stream,
+//     in no particular order — the paper's ParallelUnion (NewParallelUnion).
 //
 // Error and cancel propagation: a worker (input pump) error records the
-// first error and closes the exchange-wide quit channel, which unblocks
-// every other pump and surfaces the error at every port — a dying worker
-// can never deadlock a port reader. A consumer abandoning a port (its
-// pipeline failed) marks the port via abandon(), so pumps drop batches for
-// it instead of blocking.
+// first error and closes the exchange-wide quit channel, which stops every
+// other pump at its next batch and surfaces the error at every port — a
+// dying worker can never deadlock a port reader, and a failed input stops
+// its siblings. A consumer abandoning a port (its pipeline failed) marks
+// the port via abandon(), so pumps drop batches for it instead of blocking.
+// A pump that stops before its input ends abandons the ports in its
+// input's subtree in turn (abandonSubtree).
 type Exchange struct {
 	inputs []Operator
 	ways   int
@@ -76,6 +81,18 @@ func NewExchange(inputs []Operator, ways int, keys []int) *Exchange {
 // the order given by sortKey — the merge step of a parallel sort.
 func NewMergeExchange(inputs []Operator, sortKey []vector.SortSpec) *Exchange {
 	return &Exchange{inputs: inputs, ways: 1, SortKey: sortKey}
+}
+
+// NewParallelUnion gathers concurrent pipelines into one stream, order not
+// preserved (Figure 3: "the ParallelUnion dispatches threads for processing
+// the GroupBys and Filters in parallel"): the port of a one-port, keyless
+// exchange, or the input itself when there is one. All inputs must share a
+// schema.
+func NewParallelUnion(inputs ...Operator) Operator {
+	if len(inputs) == 1 {
+		return inputs[0]
+	}
+	return (&Exchange{inputs: inputs, ways: 1}).Ports()[0]
 }
 
 // Ports returns the `ways` receive operators. Each must be consumed by
@@ -131,12 +148,15 @@ func (e *Exchange) start(ctx *Ctx) error {
 			e.ports[i] = make(chan loan, exchangePortDepth)
 		}
 	}
-	for i, in := range e.inputs {
+	for _, in := range e.inputs {
 		if err := in.Open(ctx); err != nil {
-			// Close the inputs already opened: the failed start means no
-			// port Close will ever reach them (inputsOpen stays false).
-			for j := 0; j < i; j++ {
-				e.inputs[j].Close(ctx)
+			// No port Close will reach the inputs (inputsOpen stays false),
+			// so close them all here: one opened may have started exchange
+			// pumps whose sibling ports belong to inputs that will now
+			// never open, and closing abandons those ports. Close is
+			// nil-safe before Open throughout the operator set.
+			for _, in := range e.inputs {
+				in.Close(ctx)
 			}
 			return err
 		}
@@ -158,23 +178,28 @@ func (e *Exchange) start(ctx *Ctx) error {
 // send delivers a batch to port p's channel, giving up when the port was
 // abandoned by its reader (batch dropped) or the exchange failed (pump
 // should exit). Reports whether pumping should continue.
-func (e *Exchange) send(ch chan loan, p int, b loan) bool {
+func (e *Exchange) send(ch chan loan, p int, l loan) bool {
 	select {
-	case ch <- b:
+	case ch <- l:
 		return true
 	default:
 	}
 	select {
-	case ch <- b:
+	case ch <- l:
 		return true
 	case <-e.portQuit[p]:
-		return true // reader gone: drop, keep serving other ports
+		vector.Release(l.held) // reader gone: drop, keep serving other ports
+		return true
 	case <-e.quit:
+		vector.Release(l.held)
 		return false
 	}
 }
 
-// pump drains one input and routes its batches.
+// pump drains one input and routes its batches. A pump that stops before
+// its input ends — the input failed, a send was refused, or the exchange
+// quit — abandons the input's subtree: an exchange below it (a gather over
+// the ports of a segmenting one) must not block on a port nobody will read.
 func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 	defer e.wg.Done()
 	// A lane has one sender, this pump, which closes it: a merging port that
@@ -184,6 +209,14 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 	if e.lanes != nil {
 		defer close(e.lanes[idx])
 	}
+	if !e.route(ctx, idx, in) {
+		abandonSubtree(in)
+	}
+}
+
+// route moves one input's batches to the ports; false when it stopped
+// before the input ended.
+func (e *Exchange) route(ctx *Ctx, idx int, in Operator) bool {
 	chanFor := func(p int) chan loan {
 		if e.lanes != nil {
 			return e.lanes[idx]
@@ -197,22 +230,20 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 		acc = make([]*vector.Batch, e.ways)
 	}
 	for {
-		select {
-		case <-e.quit:
-			return // failed, or every port reader is gone
-		default:
-		}
-		if err := ctx.Canceled(); err != nil {
-			e.fail(err)
-			return
-		}
+		// No cancellation check of its own: the input polls Ctx, and every
+		// worker of a fan surfaces a cancel itself.
 		b, err := in.Next(ctx)
 		if err != nil {
 			e.fail(err)
-			return
+			return false
 		}
 		if b == nil {
 			break
+		}
+		select {
+		case <-e.quit:
+			return false // failed, or every port reader is gone
+		default:
 		}
 		if b.Len() == 0 {
 			continue
@@ -225,7 +256,7 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 		metrics.ExchangeBytes.Add(int64(b.Len()) * int64(len(b.Cols)) * 16)
 		if e.ways == 1 {
 			if !e.send(chanFor(0), 0, loan{b, b.Retain(nil)}) {
-				return
+				return false
 			}
 			continue
 		}
@@ -239,7 +270,7 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 			acc[p].Append(part)
 			if acc[p].Len() >= vector.DefaultBatchSize {
 				if !e.send(chanFor(p), p, loan{b: acc[p]}) {
-					return
+					return false
 				}
 				acc[p] = nil
 			}
@@ -248,10 +279,11 @@ func (e *Exchange) pump(ctx *Ctx, idx int, in Operator) {
 	for p, a := range acc {
 		if a != nil && a.Len() > 0 {
 			if !e.send(chanFor(p), p, loan{b: a}) {
-				return
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // abandonPort marks one port's reader as gone so pumps stop blocking on
@@ -293,10 +325,13 @@ type recvPort struct {
 // Schema implements Operator.
 func (r *recvPort) Schema() *types.Schema { return r.ex.inputs[0].Schema() }
 
-// Describe implements Operator.
+// Describe implements Operator. A gather keeps the paper's operator name.
 func (r *recvPort) Describe() string {
-	if r.ex.SortKey != nil {
+	switch {
+	case r.ex.SortKey != nil:
 		return fmt.Sprintf("Recv port=%d/%d (single-port+merge)", r.port, r.ex.ways)
+	case r.ex.Keys == nil:
+		return fmt.Sprintf("ParallelUnion ways=%d", len(r.ex.inputs))
 	}
 	return fmt.Sprintf("Recv port=%d/%d (segment keys=%v)", r.port, r.ex.ways, r.ex.Keys)
 }
@@ -394,4 +429,30 @@ func (r *recvPort) Close(ctx *Ctx) error {
 		}
 	}
 	return firstErr
+}
+
+// loan is a batch sent across goroutines with what its sender retained.
+type loan struct {
+	b    *vector.Batch
+	held []vector.Owner
+}
+
+// abandoner is implemented by operators (exchange receive ports) that can
+// be told their consumer died, so upstream pumps stop blocking on them.
+type abandoner interface{ abandon() }
+
+// abandonSubtree walks a pipeline a pump stopped reading early and abandons
+// every exchange port in it. The walk stops at an abandoned port: the
+// exchange's inputs are shared with its sibling ports, which may still be
+// healthy.
+func abandonSubtree(op Operator) {
+	if a, ok := op.(abandoner); ok {
+		a.abandon()
+		return
+	}
+	if hc, ok := op.(hasChildren); ok {
+		for _, c := range hc.Children() {
+			abandonSubtree(c)
+		}
+	}
 }

@@ -244,6 +244,7 @@ func TestExchangeDescribeModes(t *testing.T) {
 	}{
 		{NewExchange([]Operator{src()}, 2, []int{0}), "segment keys=[0]"},
 		{NewMergeExchange([]Operator{src(), src()}, []vector.SortSpec{{Col: 0}}), "single-port+merge"},
+		{&Exchange{inputs: []Operator{src(), src()}, ways: 1}, "ParallelUnion ways=2"},
 	} {
 		d := tc.ex.Ports()[0].Describe()
 		if !strings.Contains(d, tc.want) {
@@ -312,6 +313,67 @@ func TestExchangeEarlyCloseStopsPumps(t *testing.T) {
 	// and pumps must be gone (checkGoroutines).
 	if src.produced > 1000 {
 		t.Errorf("pump drained %d batches after early close", src.produced)
+	}
+}
+
+// TestExchangeGatherFailureStopsSiblings gathers an input that fails at
+// its first batch with a long one: the failure must surface, and must stop
+// the sibling instead of letting it run to its end.
+func TestExchangeGatherFailureStopsSiblings(t *testing.T) {
+	checkGoroutines(t)
+	const batches = 20_000
+	dead := &batchSource{schema: exchangeSchema(), batches: 1, rowsPer: 1, failAt: 0}
+	long := &batchSource{schema: exchangeSchema(), batches: batches, rowsPer: 16, failAt: -1}
+	if _, err := Drain(NewCtx(1), NewParallelUnion(dead, long)); !errors.Is(err, errWorkerDied) {
+		t.Fatalf("err = %v, want the failed input's", err)
+	}
+	if long.produced > batches/100 {
+		t.Errorf("the sibling produced %d of %d batches after the failure", long.produced, batches)
+	}
+}
+
+// TestExchangeNestedTeardown gathers the two ports of a segmenting exchange
+// and fails the consumer of one after a batch. The source routes its first
+// rows all to that port, more than its channel holds, before any to the
+// other: the segmenting pump blocks on the dead port, and the other port's
+// reader waits on it, until the gather's pump for the dead consumer
+// abandons the port beneath it.
+func TestExchangeNestedTeardown(t *testing.T) {
+	checkGoroutines(t)
+	schema := exchangeSchema()
+	const n = 16 * vector.DefaultBatchSize
+	cand := vector.NewBatchForSchema(schema, n)
+	for i := range n {
+		cand.AppendRow(types.Row{types.NewInt(int64(i)), types.NewInt(0)})
+	}
+	var byPort [2][]types.Row
+	for p, part := range cand.Partition([]int{0}, 2) {
+		for _, i := range part.Sel {
+			byPort[p] = append(byPort[p], types.Row{types.NewInt(cand.Cols[0].Ints[i]), types.NewInt(int64(p))})
+		}
+	}
+	const dead = 0
+	// The dead port's channel, the batch its consumer reads and the one
+	// its pump holds are 6 batches; the source has 7 for it first.
+	full := (exchangePortDepth + 3) * vector.DefaultBatchSize
+	if len(byPort[dead]) < full || len(byPort[1-dead]) < vector.DefaultBatchSize {
+		t.Fatalf("candidate keys split %d/%d", len(byPort[0]), len(byPort[1]))
+	}
+	rows := append(byPort[dead][:full:full], byPort[1-dead][:vector.DefaultBatchSize]...)
+	ports := NewExchange([]Operator{NewValues(schema, rows)}, 2, []int{0}).Ports()
+	ports[dead] = &failAfter{single: single{child: ports[dead]}, n: 1}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Drain(NewCtx(1), NewParallelUnion(ports...))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errConsumerDied) {
+			t.Fatalf("err = %v, want the dead consumer's", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the gather over a segmenting exchange hung after its consumer failed")
 	}
 }
 

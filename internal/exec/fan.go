@@ -13,11 +13,11 @@ import (
 // StorageUnion hands storage to worker threads; the exchange "locally
 // resegments" only what grouping needs). A fan is w identical worker
 // pipelines — scan, filter, project, hash-join probe — run concurrently by
-// the operator that closes them (a ParallelUnion, or an exchange whose
-// inputs they are). The workers share only the scan's cursor, from which
-// each claims a morsel at a time — a block of a container, or a chunk of
-// the WOS — and each hash join's build, which one worker makes and all probe.
-// EXPLAIN and PROFILE show the workers once (profile.go: walkPlan).
+// the exchange whose inputs they are (a gather, segmenting or merging one).
+// The workers share only the scan's cursor, from which each claims a morsel
+// at a time — a block of a container, or a chunk of the WOS — and each hash
+// join's build, which one worker makes and all probe. EXPLAIN and PROFILE
+// show the workers once (profile.go: walkPlan).
 
 // Fan returns w scans that share one cursor: together they produce what s
 // alone would, each block and WOS chunk read by whichever worker claims it

@@ -8,10 +8,11 @@
 //
 // The operator contract is strict pull-model: Open, then Next until it
 // returns (nil, nil), then Close — in that order, from a single goroutine
-// per pipeline (parallelism comes from running whole pipelines
-// concurrently, each with its own Ctx). Operators poll Ctx.Canceled at
-// batch boundaries, so a cancelled query stops within one batch and never
-// leaks spill files (Close removes them).
+// per pipeline. Parallelism comes from running whole pipelines concurrently,
+// each drained by an exchange pump (exchange.go); the pipelines of one query
+// share its Ctx, which is why the Ctx counters are atomic. Operators poll
+// Ctx.Canceled at batch boundaries, so a cancelled query stops within one
+// batch and never leaks spill files (Close removes them).
 //
 // Every stateful operator (sort, hash join, hash group-by) is bounded by a
 // memory budget and can handle arbitrary sized inputs regardless of the

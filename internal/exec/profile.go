@@ -144,12 +144,6 @@ func (j *MergeJoin) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.observe(&
 func (j *MergeJoin) Prof() *OpProf { return &j.prof }
 
 // Next implements Operator.
-func (u *ParallelUnion) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.observe(&u.prof, u.next) }
-
-// Prof implements Profiled.
-func (u *ParallelUnion) Prof() *OpProf { return &u.prof }
-
-// Next implements Operator.
 func (v *Values) Next(ctx *Ctx) (*vector.Batch, error) { return ctx.observe(&v.prof, v.next) }
 
 // Prof implements Profiled.
