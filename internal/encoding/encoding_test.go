@@ -94,7 +94,7 @@ func TestFloatsRoundTripBitForBit(t *testing.T) {
 
 // TestScaledQualifies: a block is stored scaled at the smallest exponent its
 // values all need, and refused when one value is no decimal of at most
-// maxScale digits or its integer would not be exact.
+// types.MaxScale digits or its integer would not be exact.
 func TestScaledQualifies(t *testing.T) {
 	sum := 0.1
 	sum += 0.2 // 0.30000000000000004: no decimal of 15 digits

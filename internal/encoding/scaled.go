@@ -2,7 +2,6 @@ package encoding
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/types"
 	"repro/internal/vector"
@@ -13,25 +12,11 @@ import (
 // k = 0; the outer header's bitmap restores them. A block qualifies for e
 // only when every non-null v comes back bit for bit from the decoder's own
 // expression, float64(k) / 10^e, with |k| < 2^53 — the decimal-exponent
-// test of ALP (Afroozeh, Kuffó and Boncz, SIGMOD 2024) — so the encoding is
-// exact: −0, NaN and ±Inf never qualify. The integers are stored as the
-// INTEGER experiment picks (paper §3.4.1), which is how a price column of
-// cents compresses like one of integers.
-
-// maxScale is the largest decimal exponent a scaled block may have.
-const maxScale = 15
-
-var pow10 = [maxScale + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
-
-// scaledTo returns k with float64(k) / 10^e == f bit for bit, if there is one.
-func scaledTo(f float64, e int) (int64, bool) {
-	x := math.Round(f * pow10[e])
-	if !(math.Abs(x) < 1<<53) { // NaN and ±Inf fail here too
-		return 0, false
-	}
-	k := int64(x)
-	return k, math.Float64bits(float64(k)/pow10[e]) == math.Float64bits(f)
-}
+// test of ALP (Afroozeh, Kuffó and Boncz, SIGMOD 2024), types.ScaledTo,
+// which the text formatter shares — so the encoding is exact: −0, NaN and
+// ±Inf never qualify. The integers are stored as the INTEGER experiment
+// picks (paper §3.4.1), which is how a price column of cents compresses like
+// one of integers.
 
 // decimalScale returns the smallest e that every non-null value of fs
 // qualifies for. The search gives up at the first value no e fits.
@@ -42,10 +27,10 @@ func decimalScale(fs []float64, nulls []bool) (int, bool) {
 			continue
 		}
 		for {
-			if _, ok := scaledTo(f, e); ok {
+			if _, ok := types.ScaledTo(f, e); ok {
 				break
 			}
-			if e++; e > maxScale {
+			if e++; e > types.MaxScale {
 				return 0, false
 			}
 		}
@@ -54,7 +39,7 @@ func decimalScale(fs []float64, nulls []bool) (int, bool) {
 }
 
 // errNotDecimal is the scaled encoder's answer to a block with a value that
-// is no decimal of at most maxScale digits: Auto then keeps another kind.
+// is no decimal of at most types.MaxScale digits: Auto then keeps another kind.
 var errNotDecimal = fmt.Errorf("encoding: %s needs decimal values", Scaled)
 
 func (e *Encoder) encodeScaled(buf []byte, v *vector.Vector) ([]byte, error) {
@@ -68,7 +53,7 @@ func (e *Encoder) encodeScaled(buf []byte, v *vector.Vector) ([]byte, error) {
 		if v.Nulls == nil || !v.Nulls[i] {
 			// A value that fits a smaller e fits exp too, but only as long
 			// as its k stays exact: check again.
-			if k, ok = scaledTo(f, exp); !ok {
+			if k, ok = types.ScaledTo(f, exp); !ok {
 				return buf, errNotDecimal
 			}
 		}
@@ -84,10 +69,10 @@ func (e *Encoder) encodeScaled(buf []byte, v *vector.Vector) ([]byte, error) {
 // recycled vector keeps, and its dictionary, if any, into dict's Ints; then
 // divides them into out's Floats.
 func decodeScaled(b []byte, out *vector.Vector, n int, dict *vector.Vector) error {
-	if len(b) < 1 || b[0] > maxScale {
+	if len(b) < 1 || b[0] > types.MaxScale {
 		return fmt.Errorf("encoding: corrupt %s exponent", Scaled)
 	}
-	div := pow10[b[0]]
+	div := types.Pow10(int(b[0]))
 	b = b[1:]
 	kind, rows, nullFlag, pos, err := decodeHeader(b, types.Int64)
 	switch {

@@ -218,7 +218,8 @@ func (c *Client) readReply() (*Result, error) {
 // data lines are read into one buffer and become one string, every cell is a
 // substring of it held in one slab, and each row is a slice of the slab
 // (capped, so appending to a row cannot reach its neighbour). A cell is
-// copied only when it holds an escape.
+// copied only when it holds an escape, and cells are looked at for one only
+// when the body holds a backslash.
 func (c *Client) readTextRows(head string) (*Result, error) {
 	res := &Result{}
 	var n int
@@ -229,7 +230,7 @@ func (c *Client) readTextRows(head string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Cols = splitFields(hdr, nil)
+	res.Cols = unescapeFields(splitFields(hdr, nil))
 
 	body := c.body[:0]
 	for i := 0; i < n; i++ {
@@ -251,6 +252,7 @@ func (c *Client) readTextRows(head string) (*Result, error) {
 		return nil, err
 	}
 	text := string(body)
+	escaped := strings.IndexByte(text, '\\') >= 0
 	slab := make([]string, 0, n+strings.Count(text, "\t"))
 	res.Rows = make([][]string, 0, n)
 	for len(text) > 0 {
@@ -259,6 +261,9 @@ func (c *Client) readTextRows(head string) (*Result, error) {
 		slab = splitFields(text[:eol], slab)
 		res.Rows = append(res.Rows, slab[at:len(slab):len(slab)])
 		text = text[eol+1:]
+	}
+	if escaped {
+		unescapeFields(slab)
 	}
 	return res, nil
 }
@@ -277,7 +282,7 @@ func (c *Client) readBinaryRows(head string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Cols = splitFields(hdr, nil)
+	res.Cols = unescapeFields(splitFields(hdr, nil))
 	typeLine, err := c.readLine()
 	if err != nil {
 		return nil, err
@@ -387,14 +392,23 @@ func (r *Result) parseOKStats() {
 	r.Message = msg[:i]
 }
 
-// splitFields appends the unescaped tab-separated fields of l to dst.
+// splitFields appends the tab-separated fields of l to dst as they
+// travel, escapes and all.
 func splitFields(l string, dst []string) []string {
 	for {
 		tab := strings.IndexByte(l, '\t')
 		if tab < 0 {
-			return append(dst, unescapeField(l))
+			return append(dst, l)
 		}
-		dst = append(dst, unescapeField(l[:tab]))
+		dst = append(dst, l[:tab])
 		l = l[tab+1:]
 	}
+}
+
+// unescapeFields unescapes each field in place and returns fields.
+func unescapeFields(fields []string) []string {
+	for i, f := range fields {
+		fields[i] = unescapeField(f)
+	}
+	return fields
 }

@@ -51,11 +51,11 @@ func (st *session) writeTextResult(res *core.Result) {
 	st.out = strconv.AppendInt(st.out, int64(vector.NumRows(res.Batches)), 10)
 	st.out = appendStats(st.out, res.Stats)
 	st.out = appendNames(st.out, res.Schema)
-	if cap(st.runs) < res.Schema.Len() {
-		st.runs = make([]runCursor, res.Schema.Len())
+	if cap(st.cursors) < res.Schema.Len() {
+		st.cursors = make([]colCursor, res.Schema.Len())
 	}
 	for _, b := range res.Batches {
-		st.out = appendRows(st.out, b, st.runs[:res.Schema.Len()])
+		st.out = appendRows(st.out, b, st.cursors[:res.Schema.Len()])
 		if len(st.out) >= flushBytes {
 			st.flush()
 		}
@@ -83,17 +83,26 @@ func appendNames(dst []byte, schema *types.Schema) []byte {
 	return append(dst, '\n')
 }
 
-// runCursor walks one RLE column in row order: run is the run the current
-// row lies in, left how many of its rows are still to come.
-type runCursor struct{ run, left int }
+// colCursor is how appendRows reads one column of a batch. A flat INTEGER
+// or FLOAT column without NULLs goes straight to its kernel: direct is its
+// type, chosen once per batch, and Invalid for every other column. An RLE
+// column is walked in row order: run is the run the current row lies in,
+// left how many of its rows are still to come.
+type colCursor struct {
+	direct    types.Type
+	run, left int
+}
 
 // appendRows renders every live row of b as one tab-separated, escaped line.
 // Flat columns are addressed through the selection vector, RLE columns
 // (never selected, see vector.Batch) through cur, which has one entry per
 // column.
-func appendRows(dst []byte, b *vector.Batch, cur []runCursor) []byte {
-	for c := range cur {
-		cur[c] = runCursor{run: -1}
+func appendRows(dst []byte, b *vector.Batch, cur []colCursor) []byte {
+	for c, col := range b.Cols {
+		cur[c] = colCursor{run: -1}
+		if col.RunLens == nil && col.Nulls == nil && (col.Typ == types.Int64 || col.Typ == types.Float64) {
+			cur[c].direct = col.Typ
+		}
 	}
 	for r, n := 0, b.Len(); r < n; r++ {
 		phys := r
@@ -103,6 +112,14 @@ func appendRows(dst []byte, b *vector.Batch, cur []runCursor) []byte {
 		for c, col := range b.Cols {
 			if c > 0 {
 				dst = append(dst, '\t')
+			}
+			switch cur[c].direct {
+			case types.Int64:
+				dst = types.AppendInt(dst, col.Ints[phys])
+				continue
+			case types.Float64:
+				dst = types.AppendFloat(dst, col.Floats[phys])
+				continue
 			}
 			i := phys
 			if col.RunLens != nil {

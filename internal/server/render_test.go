@@ -205,7 +205,7 @@ func TestRenderParseProperty(t *testing.T) {
 }
 
 // fetchResult is a serving_fetch-shaped result: rows × (sale_id, cust,
-// price, qty) in batches of 4096.
+// price, qty) in batches of 4096, the price a decimal of cents.
 func fetchResult(rows int) *core.Result {
 	schema := types.NewSchema(
 		types.Column{Name: "sale_id", Typ: types.Int64}, types.Column{Name: "cust", Typ: types.Int64},
@@ -215,13 +215,73 @@ func fetchResult(rows int) *core.Result {
 		b := vector.NewBatchForSchema(schema, vector.DefaultBatchSize)
 		for i := lo; i < min(lo+vector.DefaultBatchSize, rows); i++ {
 			b.AppendRow(types.Row{types.NewInt(int64(100000 + i)), types.NewInt(int64(i % 10)),
-				types.NewFloat(float64(i) + 0.5), types.NewInt(int64(i % 3))})
+				types.NewFloat(float64(i*7%9973) / 100), types.NewInt(int64(i % 3))})
 		}
 		res.Batches = append(res.Batches, b)
 	}
 	res.Stats.QueryID = 1234
 	res.Stats.WallTime = 85 * time.Microsecond
 	return res
+}
+
+// mixedResult is fetchResult with the cells the plain one lacks: cust in
+// runs of 16, a NULL in every seventh price, and a VARCHAR name before qty.
+func mixedResult(rows int) *core.Result {
+	schema := types.NewSchema(
+		types.Column{Name: "sale_id", Typ: types.Int64}, types.Column{Name: "cust", Typ: types.Int64},
+		types.Column{Name: "price", Typ: types.Float64}, types.Column{Name: "name", Typ: types.Varchar},
+		types.Column{Name: "qty", Typ: types.Int64})
+	names := []string{"anvil", "rocket skates", "giant magnet", "bird seed"}
+	res := &core.Result{Schema: schema}
+	for lo := 0; lo < rows; lo += vector.DefaultBatchSize {
+		hi := min(lo+vector.DefaultBatchSize, rows)
+		b := vector.NewBatchForSchema(schema, hi-lo)
+		cust := b.Cols[1]
+		cust.RunLens = []int{}
+		for i := lo; i < hi; i++ {
+			price := types.NewFloat(float64(i*7%9973) / 100)
+			if i%7 == 0 {
+				price = types.NewNull(types.Float64)
+			}
+			b.Cols[0].AppendValue(types.NewInt(int64(100000 + i)))
+			b.Cols[2].AppendValue(price)
+			b.Cols[3].AppendValue(types.NewString(names[i%len(names)]))
+			b.Cols[4].AppendValue(types.NewInt(int64(i % 3)))
+			if (i-lo)%16 == 0 {
+				cust.AppendValue(types.NewInt(int64(i / 16 % 10)))
+				cust.RunLens = append(cust.RunLens, min(16, hi-i))
+			}
+		}
+		res.Batches = append(res.Batches, b)
+	}
+	return res
+}
+
+// BenchmarkAppendRows times the text renderer's row loop alone, into a
+// buffer already grown, over 8192 rows: ns/row is the render layer's cost
+// per row, and allocs/op must stay 0.
+func BenchmarkAppendRows(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		res  *core.Result
+	}{{"fetch", fetchResult(8192)}, {"mixed", mixedResult(8192)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cur := make([]colCursor, bc.res.Schema.Len())
+			render := func(dst []byte) []byte {
+				for _, batch := range bc.res.Batches {
+					dst = appendRows(dst, batch, cur)
+				}
+				return dst
+			}
+			dst := render(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = render(dst[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vector.NumRows(bc.res.Batches)), "ns/row")
+		})
+	}
 }
 
 // TestRenderParseAllocations guards the point of the columnar path: a reply

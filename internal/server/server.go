@@ -238,8 +238,8 @@ type session struct {
 	// out is the reply under construction. Every frame is rendered into it
 	// and written to conn in pieces of about flushBytes; the buffer is kept
 	// between statements, so steady-state rendering allocates nothing.
-	out  []byte
-	runs []runCursor // renderer scratch, one per result column
+	out     []byte
+	cursors []colCursor // renderer scratch, one per result column
 
 	cancelMu   sync.Mutex
 	cancelStmt context.CancelFunc // non-nil while a statement runs

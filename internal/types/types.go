@@ -8,7 +8,6 @@ package types
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 )
 
@@ -176,12 +175,26 @@ const timestampLayout = "2006-01-02 15:04:05"
 // class — i for the integral types, f for Float64, s for Varchar — which is
 // how both a Value and a column vector hold it, so this one formatter serves
 // Value.String and the column-at-a-time renderers alike without boxing.
+//
+// The text is strconv's, byte for byte: an INTEGER is strconv.AppendInt's
+// and a FLOAT strconv.AppendFloat's 'g' with the shortest precision, both
+// written in place. An integer's digits are counted first, so dst grows
+// once and the digits go into it two at a time from the right. A FLOAT with
+// 1e-4 ≤ |f| < 1e6 — the range 'g' prints without an exponent — that passes
+// ScaledTo at some e with |k| < 10^15 is printed as k with a point e digits
+// from the right, and that is the shortest text: no two decimals of at most
+// 15 significant digits read back as the same float64 (their relative
+// spacing, at least 10^-15, exceeds a float64's, at most 2^-52), so the
+// shortest decimal that reads back as f, being no longer than k, is k·10^-e
+// itself, and with the smallest such e, k has no trailing zero to drop.
+// Every other float — 0, −0, NaN, ±Inf, the exponent forms, 16- and
+// 17-digit values — is strconv's after one failed try of the test.
 func AppendText(dst []byte, t Type, i int64, f float64, s string) []byte {
 	switch t {
 	case Int64:
-		return strconv.AppendInt(dst, i, 10)
+		return AppendInt(dst, i)
 	case Float64:
-		return strconv.AppendFloat(dst, f, 'g', -1, 64)
+		return AppendFloat(dst, f)
 	case Varchar:
 		return append(dst, s...)
 	case Bool:
