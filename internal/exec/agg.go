@@ -1,9 +1,9 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
-	"unsafe"
 
 	"repro/internal/expr"
 	"repro/internal/types"
@@ -128,250 +128,341 @@ func sanitizeAggName(n string) string {
 	return n
 }
 
-// aggAcc is one aggregate's accumulator within one group.
-type aggAcc struct {
-	kind  AggKind
-	typ   types.Type
-	seen  bool
-	count int64
-	sumI  int64
-	sumF  float64
-	best  types.Value // running MIN or MAX
-	// distinct values for COUNT(DISTINCT) in hash mode.
-	distinct map[string]bool
-}
-
-func newAggAcc(spec *AggSpec) aggAcc {
-	acc := aggAcc{kind: spec.Kind}
-	if spec.Arg != nil {
-		acc.typ = spec.Arg.Type()
-	}
-	if spec.Kind == AggCountDistinct {
-		acc.distinct = map[string]bool{}
-	}
-	return acc
-}
-
-// update folds one input value into the accumulator (v ignored for
-// COUNT(*)) — the single-value form, for row-at-a-time callers and the
-// aggregates accTable has no typed loop for. COUNT(DISTINCT) sets are
-// maintained by accTable.update, which accounts their bytes.
-func (a *aggAcc) update(v types.Value) {
-	switch a.kind {
-	case AggCountStar:
-		a.count++
-	case AggCount:
-		if !v.Null {
-			a.count++
-		}
-	case AggSum, AggAvg:
-		if v.Null {
-			return
-		}
-		a.seen = true
-		a.count++
-		if v.Typ == types.Float64 {
-			a.sumF += v.F
-		} else {
-			a.sumI += v.I
-			a.sumF += float64(v.I)
-		}
-	case AggMin, AggMax:
-		if v.Null {
-			return
-		}
-		if !a.seen || (a.kind == AggMin && v.Compare(a.best) < 0) || (a.kind == AggMax && v.Compare(a.best) > 0) {
-			a.best = v
-		}
-		a.seen = true
-	}
-}
-
-// final produces the aggregate's result value.
-func (a *aggAcc) final() types.Value {
-	switch a.kind {
-	case AggCountStar, AggCount:
-		return types.NewInt(a.count)
-	case AggCountDistinct:
-		return types.NewInt(int64(len(a.distinct)))
-	case AggSum:
-		if !a.seen {
-			return types.NewNull(a.typ)
-		}
-		if a.typ == types.Float64 {
-			return types.NewFloat(a.sumF)
-		}
-		return types.Value{Typ: a.typ, I: a.sumI}
-	case AggAvg:
-		if !a.seen {
-			return types.NewNull(types.Float64)
-		}
-		return types.NewFloat(a.sumF / float64(a.count))
-	default: // AggMin, AggMax
-		if !a.seen {
-			return types.NewNull(a.typ)
-		}
-		return a.best
-	}
-}
-
-// partial appends the accumulator's partial-state values (prepass output;
-// see AggSpec.PartialCols) to dst.
-func (a *aggAcc) partial(dst []types.Value) []types.Value {
-	switch a.kind {
-	case AggCountStar, AggCount:
-		return append(dst, types.NewInt(a.count))
-	case AggAvg:
-		if !a.seen {
-			return append(dst, types.NewNull(types.Float64), types.NewInt(0))
-		}
-		return append(dst, types.NewFloat(a.sumF), types.NewInt(a.count))
-	case AggSum, AggMin, AggMax:
-		return append(dst, a.final())
-	default:
-		return dst
-	}
-}
-
-// accTable holds the accumulators of every group of a Prepass or GroupBy in
-// one flat slice, group-major: aggregate a of group g is accs[g*len(specs)+a].
-// Groups are numbered as the operator's hashTable numbers their key rows.
-// Input is folded in column at a time, so the per-aggregate type dispatch
-// happens once per batch and a row joining an existing group allocates
-// nothing.
+// accTable holds the aggregate state of every group of a Prepass or GroupBy
+// as columns, one set per aggregate, indexed by group. Groups are numbered
+// as the operator's hashTable numbers their key rows. Input is folded in a
+// column at a time by one typed loop per aggregate kind, argument type and
+// NULL-ness, chosen once per batch, so a row joining an existing group
+// allocates nothing and nothing is boxed on the way in or out.
 type accTable struct {
-	specs []AggSpec
-	accs  []aggAcc
+	specs  []AggSpec
+	states []aggState
+	groups int
+	// groupBytes is what one group's state holds across the aggregates.
+	groupBytes int64
 	// distinctBytes is what the COUNT(DISTINCT) sets hold.
 	distinctBytes int64
+	key           []byte // scratch: a COUNT(DISTINCT) set key
 }
 
-// Bytes charged per accumulator and per COUNT(DISTINCT) set entry (string
-// header, map slot and bucket share; the key's bytes are added on top).
+// aggState is one aggregate's state, an entry per group.
+type aggState struct {
+	// cnt counts rows: COUNT(*), COUNT and AVG.
+	cnt []int64
+	// sum is AVG's sum; the average is NULL where cnt is 0.
+	sum []float64
+	// val is the running SUM, MIN or MAX, of the result type. An entry is
+	// NULL until its group sees a value.
+	val vector.Vector
+	// distinct is COUNT(DISTINCT)'s set per group, nil until it has a value.
+	distinct []map[string]struct{}
+}
+
+// Bytes charged per COUNT(DISTINCT) set (map header) and per set entry
+// (string header, map slot and bucket share; the key's bytes are added on
+// top).
 const (
-	aggAccBytes        = int64(unsafe.Sizeof(aggAcc{}))
+	distinctSetBytes   = 48
 	distinctEntryBytes = 48
 )
 
-// memBytes is what the accumulators hold, for the operator's grant.
-func (t *accTable) memBytes() int64 { return int64(len(t.accs))*aggAccBytes + t.distinctBytes }
+func newAccTable(specs []AggSpec) accTable {
+	t := accTable{specs: specs, states: make([]aggState, len(specs))}
+	for a := range specs {
+		switch specs[a].Kind {
+		case AggCountStar, AggCount:
+			t.groupBytes += 8
+		case AggAvg:
+			t.groupBytes += 8 + 8
+		case AggSum, AggMin, AggMax:
+			typ := specs[a].ResultType()
+			t.states[a].val.Typ = typ
+			t.groupBytes += 8 + 1
+			if typ == types.Varchar {
+				t.groupBytes += 8 // a string header is 16 bytes
+			}
+		case AggCountDistinct:
+			t.groupBytes += 8
+		}
+	}
+	return t
+}
 
-func (t *accTable) reset() { t.accs, t.distinctBytes = t.accs[:0], 0 }
+// counts reports whether the aggregate keeps a row count, and valued
+// whether it keeps a running value.
+func counts(k AggKind) bool { return k == AggCountStar || k == AggCount || k == AggAvg }
+func valued(k AggKind) bool { return k == AggSum || k == AggMin || k == AggMax }
 
-// addGroup appends a fresh group's accumulators.
-func (t *accTable) addGroup() {
-	for a := range t.specs {
-		t.accs = append(t.accs, newAggAcc(&t.specs[a]))
+// memBytes is what the state columns and COUNT(DISTINCT) sets hold, for the
+// operator's grant.
+func (t *accTable) memBytes() int64 { return int64(t.groups)*t.groupBytes + t.distinctBytes }
+
+// reset drops every group, keeping the columns' arrays for the next fill.
+func (t *accTable) reset() {
+	for a := range t.states {
+		st := &t.states[a]
+		st.cnt, st.sum = st.cnt[:0], st.sum[:0]
+		v := &st.val
+		clear(v.Strs)
+		v.Ints, v.Floats, v.Strs, v.Nulls = v.Ints[:0], v.Floats[:0], v.Strs[:0], v.Nulls[:0]
+		clear(st.distinct)
+		st.distinct = st.distinct[:0]
+	}
+	t.groups, t.distinctBytes = 0, 0
+}
+
+// addGroup appends a fresh group's state.
+func (t *accTable) addGroup() { t.addGroups(1) }
+
+// addGroups appends n fresh groups: zero counts, NULL values, no sets.
+func (t *accTable) addGroups(n int) {
+	t.groups += n
+	for a := range t.states {
+		st, kind := &t.states[a], t.specs[a].Kind
+		if counts(kind) {
+			st.cnt = append(st.cnt, make([]int64, n)...)
+		}
+		if kind == AggAvg {
+			st.sum = append(st.sum, make([]float64, n)...)
+		}
+		if valued(kind) {
+			st.val.AppendNulls(n)
+		}
+		if kind == AggCountDistinct {
+			st.distinct = append(st.distinct, make([]map[string]struct{}, n)...)
+		}
+	}
+}
+
+// addCount adds n rows to group g's counts — the one-pass COUNT(*) of a run.
+func (t *accTable) addCount(g, n int) {
+	for a := range t.states {
+		t.states[a].cnt[g] += int64(n)
 	}
 }
 
 // update folds input rows into their groups: row lo+i of each aggregate's
 // flat argument vector goes to group gids[i].
 func (t *accTable) update(gids []int32, args []*vector.Vector, lo int) {
-	na := len(t.specs)
+	hi := lo + len(gids)
 	for a := range t.specs {
-		accs, arg := t.accs[a:], args[a]
-		switch t.specs[a].Kind {
+		st, arg := &t.states[a], args[a]
+		switch kind := t.specs[a].Kind; kind {
 		case AggCountStar:
-			for _, g := range gids {
-				accs[int(g)*na].count++
-			}
+			countRows(st.cnt, gids, nil)
 		case AggCount:
-			for i, g := range gids {
-				if !arg.NullAt(lo + i) {
-					accs[int(g)*na].count++
-				}
+			countRows(st.cnt, gids, nullsIn(arg, lo, hi))
+		case AggAvg:
+			if arg.Typ == types.Float64 {
+				foldAvg(st.sum, st.cnt, gids, arg.Floats[lo:hi], nil, nullsIn(arg, lo, hi))
+			} else {
+				foldAvg(st.sum, st.cnt, gids, arg.Ints[lo:hi], nil, nullsIn(arg, lo, hi))
 			}
-		case AggSum, AggAvg:
-			for i, g := range gids {
-				p := lo + i
-				if arg.NullAt(p) {
-					continue
-				}
-				acc := &accs[int(g)*na]
-				acc.seen = true
-				acc.count++
-				if arg.Typ == types.Float64 {
-					acc.sumF += arg.Floats[p]
-				} else {
-					acc.sumI += arg.Ints[p]
-					acc.sumF += float64(arg.Ints[p])
-				}
-			}
-		case AggMin, AggMax:
-			for i, g := range gids {
-				accs[int(g)*na].update(arg.ValueAt(lo + i))
-			}
+		case AggSum, AggMin, AggMax:
+			st.fold(kind, gids, arg, lo)
 		case AggCountDistinct:
-			for i, g := range gids {
-				p := lo + i
-				if arg.NullAt(p) {
-					continue
-				}
-				set, key := accs[int(g)*na].distinct, distinctKey(arg.ValueAt(p))
-				if !set[key] {
-					set[key] = true
-					t.distinctBytes += distinctEntryBytes + int64(len(key))
-				}
-			}
+			t.addDistinct(st, gids, arg, lo)
 		}
 	}
 }
 
-// merge folds partial-state rows (as partial produces them) into their
-// groups: row lo+i of the partial columns goes to group gids[i].
+// merge folds partial-state rows (as appendPartials lays them out) into
+// their groups: row lo+i of the partial columns goes to group gids[i].
 func (t *accTable) merge(gids []int32, partials []*vector.Vector, lo int) {
-	na, col := len(t.specs), 0
+	hi, col := lo+len(gids), 0
 	for a := range t.specs {
-		accs, p := t.accs[a:], partials[col]
-		switch t.specs[a].Kind {
+		st, p := &t.states[a], partials[col]
+		switch kind := t.specs[a].Kind; kind {
 		case AggCountStar, AggCount:
-			for i, g := range gids {
-				accs[int(g)*na].count += p.Ints[lo+i]
-			}
+			addCounts(st.cnt, gids, p.Ints[lo:hi])
 		case AggAvg:
-			cnt := partials[col+1]
-			for i, g := range gids {
-				if r := lo + i; !p.NullAt(r) {
-					acc := &accs[int(g)*na]
-					acc.seen = true
-					acc.sumF += p.Floats[r]
-					acc.count += cnt.Ints[r]
-				}
-			}
-		case AggSum:
-			for i, g := range gids {
-				r := lo + i
-				if p.NullAt(r) {
-					continue
-				}
-				acc := &accs[int(g)*na]
-				acc.seen = true
-				if p.Typ == types.Float64 {
-					acc.sumF += p.Floats[r]
-				} else {
-					acc.sumI += p.Ints[r]
-				}
-			}
-		case AggMin, AggMax:
-			for i, g := range gids {
-				accs[int(g)*na].update(p.ValueAt(lo + i))
-			}
+			foldAvg(st.sum, st.cnt, gids, p.Floats[lo:hi], partials[col+1].Ints[lo:hi], nullsIn(p, lo, hi))
+		case AggSum, AggMin, AggMax:
+			st.fold(kind, gids, p, lo)
 		}
 		col += t.specs[a].PartialWidth()
 	}
 }
 
-// appendPartials appends every group's partial-state values, in group
-// order, to the partial columns.
-func (t *accTable) appendPartials(cols []*vector.Vector) {
-	var buf [2]types.Value
-	na, col := len(t.specs), 0
-	for a := range t.specs {
-		for i := a; i < len(t.accs); i += na {
-			for w, v := range t.accs[i].partial(buf[:0]) {
-				cols[col+w].AppendValue(v)
+// fold folds entries lo… of a flat vector of the result type into the
+// running SUM, MIN or MAX of groups gids — an input argument and a
+// partial state alike.
+func (st *aggState) fold(kind AggKind, gids []int32, in *vector.Vector, lo int) {
+	hi, acc := lo+len(gids), &st.val
+	nulls := nullsIn(in, lo, hi)
+	switch {
+	case kind == AggSum && acc.Typ == types.Float64:
+		foldSum(acc.Floats, acc.Nulls, gids, in.Floats[lo:hi], nulls)
+	case kind == AggSum:
+		foldSum(acc.Ints, acc.Nulls, gids, in.Ints[lo:hi], nulls)
+	case acc.Typ == types.Float64:
+		foldBest(acc.Floats, acc.Nulls, gids, in.Floats[lo:hi], nulls, kind == AggMax)
+	case acc.Typ == types.Varchar:
+		foldBest(acc.Strs, acc.Nulls, gids, in.Strs[lo:hi], nulls, kind == AggMax)
+	default:
+		foldBest(acc.Ints, acc.Nulls, gids, in.Ints[lo:hi], nulls, kind == AggMax)
+	}
+}
+
+// nullsIn returns the NULL flags of entries lo..hi of v, nil if it has none.
+func nullsIn(v *vector.Vector, lo, hi int) []bool {
+	if v.Nulls == nil {
+		return nil
+	}
+	return v.Nulls[lo:hi]
+}
+
+// countRows adds one to cnt[gids[i]] per row i, or per non-NULL row when
+// nulls is given.
+func countRows(cnt []int64, gids []int32, nulls []bool) {
+	if nulls == nil {
+		for _, g := range gids {
+			cnt[g]++
+		}
+		return
+	}
+	nulls = nulls[:len(gids)]
+	for i, g := range gids {
+		if !nulls[i] {
+			cnt[g]++
+		}
+	}
+}
+
+// addCounts adds partial counts n[i] to cnt[gids[i]].
+func addCounts(cnt []int64, gids []int32, n []int64) {
+	n = n[:len(gids)]
+	for i, g := range gids {
+		cnt[g] += n[i]
+	}
+}
+
+// foldSum adds each non-NULL vals[i] to sum[gids[i]] and marks that group
+// seen (unseen[g] false).
+func foldSum[S, T int64 | float64](sum []S, unseen []bool, gids []int32, vals []T, nulls []bool) {
+	vals = vals[:len(gids)]
+	if nulls == nil {
+		for i, g := range gids {
+			sum[g] += S(vals[i])
+			unseen[g] = false
+		}
+		return
+	}
+	nulls = nulls[:len(gids)]
+	for i, g := range gids {
+		if !nulls[i] {
+			sum[g] += S(vals[i])
+			unseen[g] = false
+		}
+	}
+}
+
+// foldAvg adds each non-NULL vals[i] to sum[gids[i]] and counts it — one
+// row, or n[i] rows when merging partial counts.
+func foldAvg[T int64 | float64](sum []float64, cnt []int64, gids []int32, vals []T, n []int64, nulls []bool) {
+	vals = vals[:len(gids)]
+	switch {
+	case n != nil:
+		n = n[:len(gids)]
+		for i, g := range gids {
+			if nulls == nil || !nulls[i] {
+				sum[g] += float64(vals[i])
+				cnt[g] += n[i]
 			}
+		}
+	case nulls == nil:
+		for i, g := range gids {
+			sum[g] += float64(vals[i])
+			cnt[g]++
+		}
+	default:
+		nulls = nulls[:len(gids)]
+		for i, g := range gids {
+			if !nulls[i] {
+				sum[g] += float64(vals[i])
+				cnt[g]++
+			}
+		}
+	}
+}
+
+// foldBest keeps in best[gids[i]] the least (greatest with max) non-NULL
+// vals[i], compared in place in Value.Compare's order: a NaN after every
+// number, −0 beside +0 (the first seen stays).
+func foldBest[T int64 | float64 | string](best []T, unseen []bool, gids []int32, vals []T, nulls []bool, max bool) {
+	vals = vals[:len(gids)]
+	for i, g := range gids {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		x := vals[i]
+		if unseen[g] || max && before(best[g], x) || !max && before(x, best[g]) {
+			best[g], unseen[g] = x, false
+		}
+	}
+}
+
+// before reports whether x orders before y as Value.Compare has it; for
+// floats a NaN is after every number, and equal to a NaN.
+func before[T int64 | float64 | string](x, y T) bool { return x < y || x == x && y != y }
+
+// addDistinct adds the non-NULL entries lo… of arg to their groups'
+// COUNT(DISTINCT) sets, accounting the bytes a new entry holds.
+func (t *accTable) addDistinct(st *aggState, gids []int32, arg *vector.Vector, lo int) {
+	for i, g := range gids {
+		p := lo + i
+		if arg.NullAt(p) {
+			continue
+		}
+		t.key = distinctKey(t.key[:0], arg, p)
+		set := st.distinct[g]
+		if set == nil {
+			set = map[string]struct{}{}
+			st.distinct[g] = set
+			t.distinctBytes += distinctSetBytes
+		}
+		if _, ok := set[string(t.key)]; !ok {
+			set[string(t.key)] = struct{}{}
+			t.distinctBytes += distinctEntryBytes + int64(len(t.key))
+		}
+	}
+}
+
+// distinctKey appends flat entry p of v as a COUNT(DISTINCT) set key: a
+// string's bytes, or the 8 bytes of an integer or of a float's FloatWord,
+// so that the values EqualAt calls equal (−0 and +0, any two NaNs) share
+// one key. A set holds one argument type, so keys need no type tag.
+func distinctKey(dst []byte, v *vector.Vector, p int) []byte {
+	switch v.Typ {
+	case types.Varchar:
+		return append(dst, v.Strs[p]...)
+	case types.Float64:
+		return binary.LittleEndian.AppendUint64(dst, vector.FloatWord(v.Floats[p]))
+	default:
+		return binary.LittleEndian.AppendUint64(dst, uint64(v.Ints[p]))
+	}
+}
+
+// appendPartials appends every group's partial state, in group order, to
+// the partial columns (see AggSpec.PartialCols).
+func (t *accTable) appendPartials(cols []*vector.Vector) {
+	col := 0
+	for a := range t.specs {
+		st := &t.states[a]
+		switch kind := t.specs[a].Kind; {
+		case kind == AggAvg:
+			for g, sum := range st.sum {
+				if st.cnt[g] == 0 {
+					cols[col].AppendNull()
+				} else {
+					cols[col].AppendValue(types.NewFloat(sum))
+				}
+			}
+			cols[col+1].AppendFrom(countVector(st.cnt), nil)
+		case counts(kind):
+			cols[col].AppendFrom(countVector(st.cnt), nil)
+		case valued(kind):
+			cols[col].AppendFrom(&st.val, nil)
 		}
 		col += t.specs[a].PartialWidth()
 	}
@@ -380,22 +471,28 @@ func (t *accTable) appendPartials(cols []*vector.Vector) {
 // appendFinals appends the final aggregate values of the given groups, in
 // that order, to one column per aggregate.
 func (t *accTable) appendFinals(cols []*vector.Vector, groups []int) {
-	na := len(t.specs)
 	for a := range t.specs {
-		for _, g := range groups {
-			cols[a].AppendValue(t.accs[g*na+a].final())
+		st, out := &t.states[a], cols[a]
+		switch t.specs[a].Kind {
+		case AggCountStar, AggCount:
+			out.AppendFrom(countVector(st.cnt), groups)
+		case AggAvg:
+			for _, g := range groups {
+				if st.cnt[g] == 0 {
+					out.AppendNull()
+				} else {
+					out.AppendValue(types.NewFloat(st.sum[g] / float64(st.cnt[g])))
+				}
+			}
+		case AggCountDistinct:
+			for _, g := range groups {
+				out.AppendValue(types.NewInt(int64(len(st.distinct[g]))))
+			}
+		default: // AggSum, AggMin, AggMax
+			out.AppendFrom(&st.val, groups)
 		}
 	}
 }
 
-// distinctKey canonicalizes a value for distinct-set membership.
-func distinctKey(v types.Value) string {
-	switch v.Typ {
-	case types.Varchar:
-		return "s" + v.S
-	case types.Float64:
-		return fmt.Sprintf("f%x", v.F)
-	default:
-		return fmt.Sprintf("i%d", v.I)
-	}
-}
+// countVector views counts as an INT vector.
+func countVector(cnt []int64) *vector.Vector { return &vector.Vector{Typ: types.Int64, Ints: cnt} }

@@ -45,8 +45,8 @@ type GroupBy struct {
 }
 
 // groupSet is the state Prepass and GroupBy aggregate into: group keys in
-// the shared columnar hashTable, accumulators in an accTable, both numbered
-// by the order groups were first seen.
+// the shared columnar hashTable, aggregate state in an accTable's columns,
+// both numbered by the order groups were first seen.
 type groupSet struct {
 	table  *hashTable
 	accs   accTable
@@ -63,7 +63,7 @@ func newGroupSet(keys []expr.Expr, keyCols []types.Column, aggs []AggSpec) *grou
 	}
 	s := &groupSet{
 		table: newHashTable(types.NewSchema(keyCols...), keyIdx, true),
-		accs:  accTable{specs: aggs},
+		accs:  newAccTable(aggs),
 		keys:  keys,
 		args:  make([]expr.Expr, len(aggs)),
 	}
@@ -73,15 +73,17 @@ func newGroupSet(keys []expr.Expr, keyCols []types.Column, aggs []AggSpec) *grou
 	return s
 }
 
-// memBytes is what the key store, its hash chains and the accumulators
-// hold, for the operator's grant.
+// memBytes is what the key store, its hash chains and dense slots, and the
+// aggregate state hold, for the operator's grant.
 func (s *groupSet) memBytes() int64 { return s.table.mem() + s.accs.memBytes() }
 
 // groupInput is one batch readied for folding in: n rows of flat key and
-// argument vectors (partial-state columns in partials mode).
+// argument vectors (partial-state columns in partials mode), and their key
+// hashes once resolveHashed has needed them.
 type groupInput struct {
 	keys, args []*vector.Vector
 	n          int
+	hashes     []uint64
 }
 
 // input readies a batch: a selection is materialized (expressions evaluate
@@ -110,22 +112,15 @@ func (s *groupSet) input(in *vector.Batch, partials bool) (groupInput, error) {
 	return gi, err
 }
 
-// hashKeys takes the rows' key hashes (vector.Batch.KeyHashes); a keyless
-// aggregation has nothing to hash.
-func (s *groupSet) hashKeys(in groupInput) []uint64 {
-	if len(in.keys) == 0 {
-		return nil
-	}
-	s.hashes = vector.NewBatch(in.keys...).KeyHashes(s.hashes[:0], s.table.keys)
-	return s.hashes
-}
-
 // resolveHashed finds or creates the group of each row from lo on,
 // leaving them in gids, and returns the row it stopped before: n, or the
 // first row that needs a new group when maxGroups (> 0) already exist.
 // Without keys every row belongs to the one global group, which is created
-// on the first row and never looked up.
-func (s *groupSet) resolveHashed(in groupInput, hashes []uint64, lo, maxGroups int) int {
+// on the first row and never looked up. A one-column integer key is
+// resolved by value while the dense index serves (resolveDense); any other
+// is hashed (vector.Batch.KeyHashes), once per batch, and looked up in the
+// hash chains.
+func (s *groupSet) resolveHashed(in *groupInput, lo, maxGroups int) int {
 	if len(in.keys) == 0 {
 		if s.table.len() == 0 && in.n > lo {
 			s.addGlobalGroup()
@@ -137,7 +132,18 @@ func (s *groupSet) resolveHashed(in groupInput, hashes []uint64, lo, maxGroups i
 	t := s.table
 	ints := t.intKey(in.keys)
 	s.gids = s.gids[:0]
-	for i := lo; i < in.n; i++ {
+	i := lo
+	if ints != nil && !t.dense.off {
+		if i = s.resolveDense(in, ints, lo, maxGroups); !t.dense.off {
+			return i
+		}
+	}
+	if in.hashes == nil {
+		s.hashes = vector.NewBatch(in.keys...).KeyHashes(s.hashes[:0], t.keys)
+		in.hashes = s.hashes
+	}
+	hashes := in.hashes
+	for ; i < in.n; i++ {
 		if ints != nil {
 			// The typed loop resolves rows until one needs a new group.
 			if s.gids, i = t.findInts(hashes, ints, i, in.n, s.gids); i == in.n {
@@ -154,6 +160,72 @@ func (s *groupSet) resolveHashed(in groupInput, hashes []uint64, lo, maxGroups i
 		s.accs.addGroup()
 	}
 	return in.n
+}
+
+// resolveDense is resolveHashed by the dense index, for a flat integer key
+// vector: a row's group is its key's slot. A key outside the index's range
+// widens it over the rest of the batch (denseIndex.fit); where that would
+// take too many slots, the index turns off and resolveDense returns the
+// row, for hashing to go on from. A new group is stored in the table with
+// its key hash, as hashing would store it, and recorded in its slot.
+func (s *groupSet) resolveDense(in *groupInput, keys *vector.Vector, lo, maxGroups int) int {
+	t, d, n := s.table, &s.table.dense, in.n
+	ints, nulls := keys.Ints[:n], keys.Nulls
+	if nulls != nil {
+		nulls = nulls[:n]
+	}
+	gids := s.gids[:n-lo] // input gave gids room for n
+	i := lo
+	for {
+		if i = denseHits(gids[i-lo:], ints[i:], nulls, d, i); i == n {
+			break
+		}
+		// Row i's key is out of range, or has no group yet.
+		null := nulls != nil && nulls[i]
+		if !null && uint64(ints[i]-d.base) >= uint64(len(d.slots)) {
+			if !d.fit(keys, i, n, denseLimit(t.len())) {
+				break
+			}
+			continue
+		}
+		if maxGroups > 0 && t.len() >= maxGroups {
+			break
+		}
+		g := int32(t.add(vector.KeyHash(keys, i), in.keys, i))
+		s.accs.addGroup()
+		if null {
+			d.null = g
+		} else {
+			d.slots[ints[i]-d.base] = g
+		}
+		gids[i-lo] = g
+		i++
+	}
+	s.gids = gids[:i-lo]
+	return i
+}
+
+// denseHits is resolveDense's loop over keys that have a group: it writes
+// the group of ints[j], row i+j of the batch, to gids[j], and returns the
+// first row whose key is out of range or has no group yet, or i+len(ints).
+func denseHits(gids []int32, ints []int64, nulls []bool, d *denseIndex, i int) int {
+	slots, base, null := d.slots, d.base, d.null
+	gids = gids[:len(ints)]
+	for j, x := range ints {
+		g := null
+		if nulls == nil || !nulls[i+j] {
+			k := uint64(x - base)
+			if k >= uint64(len(slots)) {
+				return i + j
+			}
+			g = slots[k]
+		}
+		if g < 0 {
+			return i + j
+		}
+		gids[j] = g
+	}
+	return i + len(ints)
 }
 
 // addGlobalGroup creates the one group of a keyless aggregation.
@@ -317,7 +389,7 @@ func (g *GroupBy) consume(batch *vector.Batch, sorted, partials bool) error {
 	if sorted {
 		s.resolveSorted(in)
 	} else {
-		s.resolveHashed(in, s.hashKeys(in), 0, 0)
+		s.resolveHashed(&in, 0, 0)
 	}
 	if partials {
 		s.accs.merge(s.gids, in.args, 0)
@@ -508,16 +580,14 @@ func (g *GroupBy) tryRLEDirect(in *vector.Batch) bool {
 	if runs == nil {
 		return false
 	}
-	s, na := g.groups, len(g.Aggs)
+	s := g.groups
 	for r, n := range runs {
 		grp := s.table.len() - 1
 		if grp < 0 || !s.table.sameKey(grp, runVals, r) {
 			grp = s.table.add(0, runVals, r)
 			s.accs.addGroup()
 		}
-		for a := 0; a < na; a++ {
-			s.accs.accs[grp*na+a].count += int64(n)
-		}
+		s.accs.addCount(grp, n)
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -584,6 +585,212 @@ func TestGroupByMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// denseStreams are g1 key streams for the dense group index (hashTable's
+// denseIndex), each row's key given by key(i) — NULL where null(i) — and
+// whether the index is still on after the stream, in one table.
+var denseStreams = []struct {
+	name  string
+	key   func(i int) int64
+	null  func(i int) bool
+	dense bool
+}{
+	{name: "negative", key: func(i int) int64 { return -1 - int64(i*7%50) }, dense: true},
+	// Each 600 rows the keys move 100 lower: the index re-bases downward,
+	// its groups moving up with their slots.
+	{name: "rebase-down", key: func(i int) int64 { return 1000 - int64(i/600)*100 + int64(i%37) }, dense: true},
+	// Keys 0..99 fit; from row 1500 every third key is 10⁶ and more, past any
+	// bound, so the index turns off and keys 0..99, which it stored, must be
+	// found by hash.
+	{name: "fits-then-exceeds", key: func(i int) int64 {
+		if i >= 1500 && i%3 == 0 {
+			return 1_000_000 + int64(i)*4096
+		}
+		return int64(i % 100)
+	}, dense: false},
+	{name: "extremes", key: func(i int) int64 {
+		return [...]int64{math.MinInt64, math.MaxInt64, 0, -1, 1}[i%5]
+	}, null: func(i int) bool { return i%11 == 0 }, dense: false},
+	// The NULL group has a slot of its own: it must not fold into key 0,
+	// the value a NULL entry holds.
+	{name: "null-beside-zero", key: func(i int) int64 { return int64(i % 2) }, null: func(i int) bool { return i%3 == 0 }, dense: true},
+}
+
+// GROUP BY g1 over denseStreams' keys against the map reference: by hash
+// (COUNT(DISTINCT) included), through a prepass whose 8-group table fills
+// and flushes, through one of the default size, and through spills.
+func TestDenseGroupIndexMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	keys, names := oracleGroupings[1].keys()
+	schema := aggInputSchema()
+	for _, st := range denseStreams {
+		rows := aggRows(rng, 3000, 1)
+		for i, r := range rows {
+			r[0] = types.NewInt(st.key(i))
+			if st.null != nil && st.null(i) {
+				r[0] = types.NewNull(types.Int64)
+			}
+		}
+		for _, shape := range []batchShape{shapeFlat, shapeSel} {
+			name := func(mode string) string { return fmt.Sprintf("%s/%s/%s", st.name, mode, shape) }
+			src := func() Operator { return newShapedSource(schema, rows, shape, 0, 200) }
+
+			g := NewGroupBy(src(), keys, names, oracleAggs(true))
+			ctx := NewCtx(1)
+			if err := g.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var got []types.Row
+			for {
+				b, err := g.Next(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b == nil {
+					break
+				}
+				got = append(got, b.Rows()...)
+			}
+			if d := g.groups.table.dense; d.off == st.dense || st.dense && len(d.slots) == 0 {
+				t.Errorf("%s: dense index off = %v with %d slots, want it on = %v", name("hash"), d.off, len(d.slots), st.dense)
+			}
+			if err := g.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			diffRows(t, name("hash"), got, refAggregate(rows, 1, true))
+
+			for _, maxGroups := range []int{8, DefaultPrepassGroups} {
+				pre, err := NewPrepass(src(), keys, names, oracleAggs(false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pre.MaxGroups = maxGroups
+				mode := fmt.Sprintf("prepass-%d", maxGroups)
+				diffRows(t, name(mode), drainCapped(t, NewCtx(1), mergeOver(pre, keys, names, oracleAggs(false))), refAggregate(rows, 1, false))
+			}
+
+			// A budget of 64 bytes spills after every batch, however few its
+			// groups.
+			ctx = NewCtx(1)
+			ctx.MemBudget, ctx.TempDir = 64, t.TempDir()
+			g = NewGroupBy(src(), keys, names, oracleAggs(false))
+			diffRows(t, name("hash-spilled"), drainCapped(t, ctx, g), refAggregate(rows, 1, false))
+			if ctx.Spills.Load() == 0 {
+				t.Errorf("%s: no spill under a 64-byte budget", name("hash-spilled"))
+			}
+		}
+	}
+}
+
+// MIN and MAX compare in place in Value.Compare's order: a NaN after every
+// number, −0 beside +0 (the first seen stays), a group of NULLs only NULL,
+// TIMESTAMPs as their integers — by hash, through a prepass that flushes
+// every other group, and through spills.
+func TestMinMaxMatchesCompareOrder(t *testing.T) {
+	schema := types.NewSchema(
+		types.Column{Name: "g", Typ: types.Int64},
+		types.Column{Name: "f", Typ: types.Float64, Nullable: true},
+		types.Column{Name: "ts", Typ: types.Timestamp, Nullable: true},
+	)
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	groups := [][]float64{
+		{1, nan, -1},
+		{nan, nan},
+		{nan, 2, nan},
+		{negZero, 0},
+		{0, negZero, -1e-300},
+		{math.Inf(1), nan, math.Inf(-1)},
+		nil, // NULLs only
+	}
+	var rows []types.Row
+	for rep := 0; rep < 3; rep++ {
+		for g, fs := range groups {
+			ts := types.NewTimestampMicros(int64(g*rep-5) * 86_400_000_000)
+			if fs == nil {
+				rows = append(rows, types.Row{types.NewInt(int64(g)), types.NewNull(types.Float64), types.NewNull(types.Timestamp)})
+				continue
+			}
+			for _, f := range fs {
+				rows = append(rows, types.Row{types.NewInt(int64(g)), types.NewFloat(f), ts})
+			}
+		}
+	}
+	// The reference folds rows in order with Value.Compare.
+	type best struct{ mnF, mxF, mnT, mxT types.Value }
+	ref := map[int64]*best{}
+	var order []int64
+	for _, r := range rows {
+		b := ref[r[0].I]
+		if b == nil {
+			b = &best{r[1], r[1], r[2], r[2]}
+			ref[r[0].I] = b
+			order = append(order, r[0].I)
+			continue
+		}
+		for _, c := range []struct {
+			v      types.Value
+			mn, mx *types.Value
+		}{{r[1], &b.mnF, &b.mxF}, {r[2], &b.mnT, &b.mxT}} {
+			if c.v.Null {
+				continue
+			}
+			if c.mn.Null || c.v.Compare(*c.mn) < 0 {
+				*c.mn = c.v
+			}
+			if c.mx.Null || c.v.Compare(*c.mx) > 0 {
+				*c.mx = c.v
+			}
+		}
+	}
+	var want []types.Row
+	for _, k := range order {
+		b := ref[k]
+		want = append(want, types.Row{types.NewInt(k), b.mnF, b.mxF, b.mnT, b.mxT})
+	}
+	keys, names := []expr.Expr{intCol(0, "g")}, []string{"g"}
+	aggs := []AggSpec{
+		{Kind: AggMin, Arg: fltCol(1, "f"), Name: "mnf"},
+		{Kind: AggMax, Arg: fltCol(1, "f"), Name: "mxf"},
+		{Kind: AggMin, Arg: expr.NewColRef(2, types.Timestamp, "ts"), Name: "mnt"},
+		{Kind: AggMax, Arg: expr.NewColRef(2, types.Timestamp, "ts"), Name: "mxt"},
+	}
+	src := func() Operator { return newShapedSource(schema, rows, shapeFlat, 0, 5) }
+	diffRows(t, "hash", drainCapped(t, NewCtx(1), NewGroupBy(src(), keys, names, aggs)), want)
+
+	pre, err := NewPrepass(src(), keys, names, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre.MaxGroups = 2
+	diffRows(t, "prepass", drainCapped(t, NewCtx(1), mergeOver(pre, keys, names, aggs)), want)
+
+	ctx := NewCtx(1)
+	ctx.MemBudget, ctx.TempDir = 256, t.TempDir()
+	diffRows(t, "hash-spilled", drainCapped(t, ctx, NewGroupBy(src(), keys, names, aggs)), want)
+	if ctx.Spills.Load() == 0 {
+		t.Error("hash-spilled: no spill under a 256-byte budget")
+	}
+}
+
+// COUNT(DISTINCT) keys a float by its canonical word: −0 and +0 are one
+// value, and so are NaNs of any bits. A value already in the set allocates
+// nothing.
+func TestCountDistinctCanonicalFloats(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	otherNaN := math.Float64frombits(0x7ff0000000000abc)
+	vals := vector.NewFromFloats([]float64{0, negZero, 0 * -1.0, math.NaN(), otherNaN, 1, 1})
+	acc := newAccTable([]AggSpec{{Kind: AggCountDistinct, Arg: fltCol(0, "x")}})
+	acc.addGroup()
+	gids := make([]int32, len(vals.Floats))
+	update := func() { acc.update(gids, []*vector.Vector{vals}, 0) }
+	update()
+	if n := len(acc.states[0].distinct[0]); n != 3 {
+		t.Errorf("COUNT(DISTINCT) of 0, −0, 0·−1, two NaNs and 1, 1 = %d, want 3", n)
+	}
+	if allocs := testing.AllocsPerRun(10, update); allocs != 0 {
+		t.Errorf("folding values already in the set allocated %.0f times", allocs)
+	}
+}
+
 // A wide-string GROUP BY must reach its spill threshold: 64 groups keyed by
 // 1 000-byte strings hold 64 KB of key payload alone. The old per-group
 // charge (24 bytes a key column + 96 an accumulator + 64) came to 12 KB and
@@ -620,7 +827,9 @@ func TestGroupByChargesVarcharKeyBytes(t *testing.T) {
 
 // The grant counts what a hash table holds: after adds, a link and a
 // release, mem is at least the bytes of its hashes, chain links, bucket
-// heads and stored columns (values, NULL flags and string payload).
+// heads, dense slots and stored columns (values, NULL flags and string
+// payload); and what a group set's state columns hold: counts, sums,
+// values, NULL flags, set pointers and set keys.
 func TestHashTableMemCoversWhatItHolds(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", Typ: types.Int64, Nullable: true},
@@ -636,7 +845,7 @@ func TestHashTableMemCoversWhatItHolds(t *testing.T) {
 	}
 	batch := vector.BatchFromRows(schema, rows)
 	held := func(tb *hashTable) int64 {
-		n := 8*len(tb.hashes) + 4*len(tb.next) + 4*len(tb.first)
+		n := 8*len(tb.hashes) + 4*len(tb.next) + 4*len(tb.first) + 4*len(tb.dense.slots)
 		for _, c := range tb.rows.Cols {
 			n += 8*c.PhysLen() + len(c.Nulls)
 			for _, s := range c.Strs {
@@ -666,6 +875,41 @@ func TestHashTableMemCoversWhatItHolds(t *testing.T) {
 		group.add(hashes[i], batch.Cols, i)
 	}
 	check("after a release and 10 adds", group)
+
+	// A group set keyed by k alone resolves through the dense index.
+	str := expr.NewColRef(1, types.Varchar, "s")
+	gs := newGroupSet([]expr.Expr{intCol(0, "k")}, schema.Cols[:1], []AggSpec{
+		{Kind: AggCountStar}, {Kind: AggAvg, Arg: intCol(0, "k")}, {Kind: AggSum, Arg: intCol(0, "k")},
+		{Kind: AggMax, Arg: str}, {Kind: AggCountDistinct, Arg: str},
+	})
+	stateHeld := func(acc *accTable) int64 {
+		n := 0
+		for _, st := range acc.states {
+			n += 8*len(st.cnt) + 8*len(st.sum) + 8*st.val.PhysLen() + len(st.val.Nulls) + 8*len(st.distinct)
+			n += 8 * len(st.val.Strs) // a string header is 16 bytes, 8 more than a value
+			for _, set := range st.distinct {
+				for k := range set {
+					n += len(k)
+				}
+			}
+		}
+		return int64(n)
+	}
+	for lo := 0; lo < len(rows); lo += 500 {
+		in, err := gs.input(batch.SliceRows(lo, lo+500), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs.resolveHashed(&in, 0, 0)
+		gs.accs.update(gs.gids, in.args, 0)
+		check(fmt.Sprintf("a group set after %d rows", lo+500), gs.table)
+		if got, want := gs.accs.memBytes(), stateHeld(&gs.accs); got < want {
+			t.Errorf("after %d rows: the state columns charge %d bytes and hold %d", lo+500, got, want)
+		}
+	}
+	if len(gs.table.dense.slots) == 0 {
+		t.Error("keys 0..2999 did not take the dense index")
+	}
 
 	join := newHashTable(schema, []int{0}, false)
 	join.appendBatch(batch)

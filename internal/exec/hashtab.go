@@ -31,6 +31,99 @@ type hashTable struct {
 	rowMem   int64
 	rowBytes int64 // fixed bytes per stored row
 	strCols  []int // VARCHAR columns: their payload is charged per row
+
+	// dense resolves a grouping table's one integer key by value while the
+	// keys fit a small range (groupSet.resolveHashed).
+	dense denseIndex
+}
+
+// denseIndex resolves a one-column integer group key by its value instead
+// of its hash: slots[k-base] is the group of key k, -1 while it has none,
+// and null the group of the NULL key. A batch whose keys fall in the range
+// costs no pass of its own; the first key outside it takes one typed
+// min/max pass over the rest of the batch (fit), and the range widens to
+// cover them if it then spans at most denseLimit slots. The first batch
+// that does not fit turns the index off for the table's life, and the table
+// hashes from then on: a group the index made is stored and linked with its
+// key hash like any other, so hashing finds it.
+type denseIndex struct {
+	slots []int32
+	base  int64
+	null  int32
+	off   bool
+}
+
+// denseLimit bounds the dense index's slots for a table of n groups: a
+// batch's worth, or four slots a group — 16 bytes of slots beside the
+// group's stored key, hash, chain links and state.
+func denseLimit(n int) int { return max(vector.DefaultBatchSize, 4*n) }
+
+// fit readies the index for the non-NULL keys among entries lo..n of a flat
+// integer key vector: it widens the range to cover them, keeping every
+// group at its key, and reports true; or, when the widened range would take
+// more than limit slots, it turns the index off and reports false.
+func (d *denseIndex) fit(keys *vector.Vector, lo, n, limit int) bool {
+	if d.off {
+		return false
+	}
+	var nulls []bool
+	if keys.Nulls != nil {
+		nulls = keys.Nulls[lo:n]
+	}
+	mn, mx, ok := intRange(keys.Ints[lo:n], nulls)
+	if !ok {
+		return true // NULLs only
+	}
+	if len(d.slots) > 0 {
+		mn, mx = min(mn, d.base), max(mx, d.base+int64(len(d.slots)-1))
+	}
+	// The span is taken in uint64, where MaxInt64 − MinInt64 does not wrap.
+	span := uint64(mx) - uint64(mn)
+	if span >= uint64(limit) {
+		d.slots, d.off = nil, true
+		return false
+	}
+	d.widen(mn, int(span)+1)
+	return true
+}
+
+// widen makes the slots cover size keys from base on, a range that holds
+// the present one, with every group kept at its key.
+func (d *denseIndex) widen(base int64, size int) {
+	if from := len(d.slots); from == 0 || base == d.base {
+		d.slots = append(d.slots, make([]int32, size-from)...)
+		fillNone(d.slots[from:])
+	} else { // re-based downward: the present slots move up by the shift
+		grown := make([]int32, size)
+		fillNone(grown)
+		copy(grown[uint64(d.base)-uint64(base):], d.slots)
+		d.slots = grown
+	}
+	d.base = base
+}
+
+// clear forgets every group and the range, keeping the slot array.
+func (d *denseIndex) clear() { d.slots, d.null = d.slots[:0], -1 }
+
+func fillNone(slots []int32) {
+	for i := range slots {
+		slots[i] = -1
+	}
+}
+
+// intRange returns the least and the greatest non-NULL entry of ints, and
+// ok=false when there is none.
+func intRange(ints []int64, nulls []bool) (mn, mx int64, ok bool) {
+	for i, x := range ints {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		if !ok {
+			mn, mx, ok = x, x, true
+		}
+		mn, mx = min(mn, x), max(mx, x)
+	}
+	return mn, mx, ok
 }
 
 // Per stored row the table holds a hash and a chain link beside the row's
@@ -39,7 +132,7 @@ type hashTable struct {
 const hashTableRowOverhead = 8 + 4
 
 func newHashTable(schema *types.Schema, keys []int, nullsEqual bool) *hashTable {
-	t := &hashTable{keys: keys, nullsEqual: nullsEqual, rowBytes: hashTableRowOverhead}
+	t := &hashTable{keys: keys, nullsEqual: nullsEqual, rowBytes: hashTableRowOverhead, dense: denseIndex{null: -1}}
 	for i, c := range schema.Cols {
 		t.rowBytes++ // a NULL flag, charged whether or not the column has NULLs
 		if c.Typ == types.Varchar {
@@ -66,12 +159,15 @@ func (t *hashTable) buckets(n int) int {
 	return size
 }
 
-// mem is what the table holds, for the operator's grant: its rows, and the
-// bucket heads it has or — for a join build not yet linked — will have.
-func (t *hashTable) mem() int64 { return t.rowMem + 4*int64(t.buckets(t.len())) }
+// mem is what the table holds, for the operator's grant: its rows, the
+// bucket heads it has or — for a join build not yet linked — will have, and
+// the dense index's slots.
+func (t *hashTable) mem() int64 {
+	return t.rowMem + 4*int64(t.buckets(t.len())) + 4*int64(cap(t.dense.slots))
+}
 
 // release hands the stored rows to the caller and empties the table. The
-// bucket array stays, sized for the next fill, and charged.
+// bucket and slot arrays stay, sized for the next fill, and charged.
 func (t *hashTable) release() *vector.Batch {
 	out := t.rows
 	cols := make([]*vector.Vector, len(out.Cols))
@@ -80,9 +176,8 @@ func (t *hashTable) release() *vector.Batch {
 	}
 	t.rows = vector.NewBatch(cols...)
 	t.hashes, t.next, t.rowMem = t.hashes[:0], t.next[:0], 0
-	for i := range t.first {
-		t.first[i] = -1
-	}
+	fillNone(t.first)
+	t.dense.clear()
 	return out
 }
 
@@ -116,9 +211,7 @@ func (t *hashTable) rehash(size int) {
 		t.first = make([]int32, size)
 		t.mask = uint64(size - 1)
 	}
-	for i := range t.first {
-		t.first[i] = -1
-	}
+	fillNone(t.first)
 	n := t.len()
 	if cap(t.next) < n {
 		t.next = make([]int32, n, n+n/2)

@@ -123,20 +123,19 @@ func (p *Prepass) consume(ctx *Ctx, batch *vector.Batch) error {
 		// Not reducing rows: every row becomes a group of its own, whose
 		// partial state goes out beside the evaluated key vectors as is.
 		s.accs.reset()
+		s.accs.addGroups(in.n)
 		s.gids = s.gids[:0]
 		for i := 0; i < in.n; i++ {
-			s.accs.addGroup()
 			s.gids = append(s.gids, int32(i))
 		}
 		s.accs.update(s.gids, in.args, 0)
 		p.emit(in.keys, in.n)
 		return nil
 	}
-	hashes := s.hashKeys(in)
 	for lo := 0; lo < in.n; {
 		// Rows fold in until one needs a group the full table has no room
 		// for; the table is flushed and the batch continues from that row.
-		end := s.resolveHashed(in, hashes, lo, p.MaxGroups)
+		end := s.resolveHashed(&in, lo, p.MaxGroups)
 		s.accs.update(s.gids, in.args, lo)
 		if lo = end; lo < in.n {
 			p.flushTable()

@@ -215,18 +215,29 @@ func encodeBlocks(schema *types.Schema, batches []*vector.Batch) ([][]byte, erro
 }
 
 // The text protocol's delimiters travel escaped. Most cells hold none, so
-// both directions look first and run the replacer only on a cell that needs
-// it.
-var (
-	fieldEscaper   = strings.NewReplacer("\\", "\\\\", "\t", "\\t", "\n", "\\n", "\r", "\\r")
-	fieldUnescaper = strings.NewReplacer("\\\\", "\\", "\\t", "\t", "\\n", "\n", "\\r", "\r")
-)
+// both directions look first: a cell with one is escaped byte by byte into
+// dst, and unescaped by the replacer.
+var fieldUnescaper = strings.NewReplacer("\\\\", "\\", "\\t", "\t", "\\n", "\n", "\\r", "\r")
 
 func appendField(dst []byte, s string) []byte {
-	if strings.ContainsAny(s, "\\\t\n\r") {
-		s = fieldEscaper.Replace(s)
+	if !strings.ContainsAny(s, "\\\t\n\r") {
+		return append(dst, s...)
 	}
-	return append(dst, s...)
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\\':
+			dst = append(dst, '\\', '\\')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 func unescapeField(s string) string {

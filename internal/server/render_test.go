@@ -133,6 +133,10 @@ func randomBatch(rng *rand.Rand, schema *types.Schema, n int) *vector.Batch {
 	}
 }
 
+// fieldEscaper is the replacer the renderer once ran on a cell holding a
+// delimiter; appendField now escapes such a cell byte by byte.
+var fieldEscaper = strings.NewReplacer("\\", "\\\\", "\t", "\\t", "\n", "\\n", "\r", "\\r")
+
 // referenceLines renders rows the way the row-at-a-time writer this package
 // used to have did: Value.String, the escaper on every cell, strings.Join.
 func referenceLines(rows []types.Row) []string {
@@ -225,13 +229,14 @@ func fetchResult(rows int) *core.Result {
 }
 
 // mixedResult is fetchResult with the cells the plain one lacks: cust in
-// runs of 16, a NULL in every seventh price, and a VARCHAR name before qty.
+// runs of 16, a NULL in every seventh price, and a VARCHAR name before qty,
+// one in three of which holds a delimiter the renderer escapes.
 func mixedResult(rows int) *core.Result {
 	schema := types.NewSchema(
 		types.Column{Name: "sale_id", Typ: types.Int64}, types.Column{Name: "cust", Typ: types.Int64},
 		types.Column{Name: "price", Typ: types.Float64}, types.Column{Name: "name", Typ: types.Varchar},
 		types.Column{Name: "qty", Typ: types.Int64})
-	names := []string{"anvil", "rocket skates", "giant magnet", "bird seed"}
+	names := []string{"anvil", "rocket skates", "giant\tmagnet", "bird seed", `C:\acme\crate`, "two\r\nlines"}
 	res := &core.Result{Schema: schema}
 	for lo := 0; lo < rows; lo += vector.DefaultBatchSize {
 		hi := min(lo+vector.DefaultBatchSize, rows)
@@ -281,6 +286,21 @@ func BenchmarkAppendRows(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*vector.NumRows(bc.res.Batches)), "ns/row")
 		})
+	}
+}
+
+// The row loop allocates nothing once dst has room, escaped cells included,
+// and writes each escaped cell as the reference escaper would.
+func TestAppendRowsEscapesInPlace(t *testing.T) {
+	res := mixedResult(64)
+	cur := make([]colCursor, res.Schema.Len())
+	dst := appendRows(nil, res.Batches[0], cur)
+	if allocs := testing.AllocsPerRun(20, func() { dst = appendRows(dst[:0], res.Batches[0], cur) }); allocs != 0 {
+		t.Errorf("rendering 64 mixed rows allocated %.0f times", allocs)
+	}
+	want := strings.Join(referenceLines(vector.Rows(res.Batches)), "\n") + "\n"
+	if string(dst) != want {
+		t.Errorf("rendered\n%q\nreference\n%q", dst, want)
 	}
 }
 

@@ -35,6 +35,12 @@ func (b *Batch) KeyHashes(dst []uint64, keys []int) []uint64 {
 	return dst
 }
 
+// KeyHash is KeyHashes for one entry of a one-column key: the hash of flat
+// entry i of v, equal to what KeyHashes gives that row over key column v.
+// A table that resolves a row without hashing its batch (the group-by's
+// dense index) hashes only the rows it stores.
+func KeyHash(v *Vector, i int) uint64 { return fmix64(keySeed ^ keyWord(v, i)) }
+
 // keySeed starts every accumulator, so a row of zero words does not hash
 // to 0.
 const keySeed = 0x9e3779b97f4a7c15
@@ -59,7 +65,7 @@ func keyHashCol(v *Vector, sel []int, acc []uint64) {
 		}
 	case v.Typ == types.Float64:
 		for i := range acc {
-			acc[i] = fmix64(acc[i] ^ floatWord(v.Floats[physAt(sel, i)]))
+			acc[i] = fmix64(acc[i] ^ FloatWord(v.Floats[physAt(sel, i)]))
 		}
 	case v.Typ == types.Varchar:
 		for i := range acc {
@@ -86,7 +92,7 @@ func keyWord(v *Vector, i int) uint64 {
 	}
 	switch v.Typ {
 	case types.Float64:
-		return floatWord(v.Floats[i])
+		return FloatWord(v.Floats[i])
 	case types.Varchar:
 		return strWord(v.Strs[i])
 	default:
@@ -94,7 +100,9 @@ func keyWord(v *Vector, i int) uint64 {
 	}
 }
 
-func floatWord(f float64) uint64 {
+// FloatWord is the word a float key contributes: its bits, with −0 as +0
+// and every NaN as one NaN, so floats EqualAt calls equal map to one word.
+func FloatWord(f float64) uint64 {
 	switch {
 	case f == 0:
 		return 0 // −0 as +0

@@ -28,10 +28,11 @@ func fuzzEntry(typ types.Type, null bool, x uint64, s string) types.Value {
 	return types.Value{Typ: typ, I: int64(x)}
 }
 
-// keyHashLayouts returns the key hash of v laid out three ways: flat among
+// keyHashLayouts returns the key hash of v laid out three ways — flat among
 // decoys, under a selection that hides the decoys, and inside a run of an
-// RLE vector. It also returns the flat vector and v's index in it.
-func keyHashLayouts(v types.Value, decoy types.Value) (hs [3]uint64, flat *Vector, at int) {
+// RLE vector — and KeyHash's for the flat entry. It also returns the flat
+// vector and v's index in it.
+func keyHashLayouts(v types.Value, decoy types.Value) (hs [4]uint64, flat *Vector, at int) {
 	flat = New(v.Typ, 3)
 	flat.AppendValue(decoy)
 	flat.AppendValue(v)
@@ -43,12 +44,14 @@ func keyHashLayouts(v types.Value, decoy types.Value) (hs [3]uint64, flat *Vecto
 	rle.AppendValue(v)
 	rle.RunLens = []int{2, 3}
 	hs[2] = NewBatch(rle).KeyHashes(nil, []int{0})[3]
+	hs[3] = KeyHash(flat, 1)
 	return hs, flat, 1
 }
 
 // FuzzKeyHashes: entries EqualAt calls equal (NULLs of a type, ±0, NaNs of
 // any bit pattern, equal strings in different backing arrays) have equal
-// key hashes, whether flat, selected or run-length encoded.
+// key hashes, whether flat, selected or run-length encoded, and KeyHash
+// agrees with KeyHashes.
 func FuzzKeyHashes(f *testing.F) {
 	negZero, nan1, nan2 := uint64(1)<<63, uint64(0x7ff8000000000001), uint64(0xfff0000000000abc)
 	f.Add(uint8(0), false, false, uint64(7), uint64(7), "", "")

@@ -254,7 +254,7 @@ func (v *Vector) AppendFrom(src *Vector, sel []int) {
 	if n == 0 {
 		return
 	}
-	if src.HasNulls() && v.Nulls == nil {
+	if v.Nulls == nil && src.hasNullsAt(sel) {
 		v.Nulls = make([]bool, v.PhysLen(), v.PhysLen()+n)
 	}
 	if v.Nulls != nil {
@@ -473,6 +473,20 @@ func (v *Vector) DropFront(n int) {
 func (v *Vector) HasNulls() bool {
 	for _, n := range v.Nulls {
 		if n {
+			return true
+		}
+	}
+	return false
+}
+
+// hasNullsAt reports whether any entry at the physical indexes sel (every
+// entry when sel is nil) is NULL.
+func (v *Vector) hasNullsAt(sel []int) bool {
+	if sel == nil || v.Nulls == nil {
+		return v.HasNulls()
+	}
+	for _, i := range sel {
+		if v.Nulls[i] {
 			return true
 		}
 	}
